@@ -141,6 +141,9 @@ class ConformalPair:
         _require_in_disc(w)
         return self.dpsi(w)
 
+    # Not a loop over invert_many: on a one-point array each step-halving
+    # costs several numpy calls, while this loop skips psi for steps that
+    # leave the disc.  Such a loop over seeds was 5-15x slower per point.
     def invert(self, z: complex, seed: complex | None = None,
                tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> complex:
         """Solve psi(w) = z for w in the open disc by damped Newton iteration.

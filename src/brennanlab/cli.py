@@ -121,17 +121,6 @@ def _spec_from(args) -> GradingSpec:
     return spec
 
 
-def _estimate_dict(est) -> dict:
-    return {
-        "value": est.value,
-        "tail": est.tail_estimate,
-        "classification": est.classification.value,
-        "abs_error_estimate": est.abs_error_estimate,
-        "truncation_eps": est.truncation_eps,
-        "fitted_slope": est.fitted_slope,
-    }
-
-
 def cmd_exponents(args) -> int:
     p = args.p
     result: dict = {"p": p, "p_conjugate": xa.holder_conjugate(p)}

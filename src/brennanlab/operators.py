@@ -20,12 +20,12 @@ import numpy as np
 
 from .catalog import ConformalPair, MapDescriptor, NewtonConvergenceError
 from .exponents import ExponentDomainError, dual_exponent, dual_pair, q_from_ps, s_from_pq
-from .functionals import FunctionalResult, RegimeError, kpq_functional
+from .functionals import FunctionalResult, RegimeError, inverse_brennan_integral, kpq_functional
 from .quadrature import (
     Classification,
     DEFAULT_SPEC,
     GradingSpec,
-    IntegralEstimate,
+    _gauss,
     integrate_disc,
 )
 
@@ -169,14 +169,6 @@ def seminorm(f: TestFunction, p: float, spec: GradingSpec = DEFAULT_SPEC) -> flo
     return est.value ** (1.0 / p)
 
 
-def _pullback_estimate(pair: ConformalPair, f: TestFunction, q: float,
-                       spec: GradingSpec) -> IntegralEstimate:
-    def g(w):
-        return f.grad_abs(w) ** q * np.abs(pair.dpsi(w)) ** (2.0 - q)
-
-    return integrate_disc(g, pair.singular_angles, spec)
-
-
 def pullback_seminorm(pair: ConformalPair, f: TestFunction, q: float,
                       spec: GradingSpec = DEFAULT_SPEC) -> float:
     """Seminorm of the pulled-back function f(phi(.)) on Omega.
@@ -187,7 +179,11 @@ def pullback_seminorm(pair: ConformalPair, f: TestFunction, q: float,
     """
     if not 1.0 <= q < math.inf:
         raise ExponentDomainError(f"pullback seminorm needs 1 <= q < inf, got q={q}")
-    est = _pullback_estimate(pair, f, q, spec)
+
+    def g(w):
+        return f.grad_abs(w) ** q * np.abs(pair.dpsi(w)) ** (2.0 - q)
+
+    est = integrate_disc(g, pair.singular_angles, spec)
     if est.classification is not Classification.CONVERGED:
         return math.inf
     return est.value ** (1.0 / q)
@@ -257,7 +253,7 @@ DISTORTION_CAP = 1.8
 _MAX_SPLIT_DEPTH = 18
 
 
-def _split_cell(cell, pair):
+def _split_cell(cell):
     ra, rb, ta, tb = cell
     rm = 0.5 * (ra + rb)
     tm = 0.5 * (ta + tb)
@@ -292,7 +288,7 @@ def _patch_cells(pair: ConformalPair, r0: float, r1: float):
     while stack:
         cell, depth = stack.pop()
         if depth < _MAX_SPLIT_DEPTH and _cell_distortion(cell, pair) > DISTORTION_CAP:
-            stack.extend((c, depth + 1) for c in _split_cell(cell, pair))
+            stack.extend((c, depth + 1) for c in _split_cell(cell))
         else:
             out.append(cell)
     return out
@@ -306,7 +302,7 @@ def _coons_grid(pair: ConformalPair, cell, n: int):
     interior measure never uses |psi'| pointwise.
     """
     ra, rb, ta, tb = cell
-    x, gw = np.polynomial.legendre.leggauss(n)
+    x, gw = _gauss(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * gw
     dr = rb - ra
@@ -368,7 +364,7 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float,
         if jac_min <= 0.0:
             if depth >= _MAX_SPLIT_DEPTH:
                 raise RuntimeError(f"degenerate forward chart on cell {cell}")
-            stack.extend((c, depth + 1) for c in _split_cell(cell, pair))
+            stack.extend((c, depth + 1) for c in _split_cell(cell))
             continue
         w, ok = pair.invert_many(z, seeds)
         if not np.all(ok):
@@ -383,11 +379,11 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float,
 
 def _disc_patch_integral(f: TestFunction, r0: float, r1: float,
                          n_rad: int = 48, n_ang: int = 256) -> float:
-    x, gw = np.polynomial.legendre.leggauss(n_rad)
+    x, gw = _gauss(n_rad)
     r = r0 + (r1 - r0) * 0.5 * (x + 1.0)
     wr = 0.5 * (r1 - r0) * gw * r
     panels = 32
-    xa, wa = np.polynomial.legendre.leggauss(max(4, n_ang // panels))
+    xa, wa = _gauss(max(4, n_ang // panels))
     theta = np.concatenate([
         (2.0 * math.pi * (k + 0.5 * (xa + 1.0)) / panels) for k in range(panels)
     ])
@@ -462,13 +458,8 @@ def duality_check(pair: ConformalPair, p: float, q: float,
     q_conj, p_conj = dual_pair(p, q)
     expo_direct = dual_exponent(p, q)
     expo_dual = (q_conj - 2.0) * p_conj / (q_conj - p_conj)
-
-    def integral(expo):
-        return integrate_disc(lambda w: np.abs(pair.dpsi(w)) ** expo,
-                              pair.singular_angles, spec)
-
-    rhs_est = integral(expo_direct)
-    lhs_est = integral(expo_dual)
+    rhs_est = inverse_brennan_integral(pair, expo_direct, spec).integral
+    lhs_est = inverse_brennan_integral(pair, expo_dual, spec).integral
     lhs_conv = lhs_est.classification is Classification.CONVERGED
     rhs_conv = rhs_est.classification is Classification.CONVERGED
     if lhs_conv and rhs_conv:

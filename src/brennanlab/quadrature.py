@@ -135,78 +135,77 @@ class IntegralEstimate:
 
 @lru_cache(maxsize=None)
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]; the package's only source of them."""
     x, w = np.polynomial.legendre.leggauss(n)
+    # shared by every caller through the cache, so keep them read-only
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def _panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+def _split_gaps(edges: np.ndarray, width_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the panels that split each gap of ``edges`` evenly, none wider than width_cap.
 
-
-def _uniform_panels(a: float, b: float, width_cap: float) -> list[tuple[float, float]]:
-    m = max(1, int(math.ceil((b - a) / width_cap)))
-    edges = np.linspace(a, b, m + 1)
-    return [(edges[i], edges[i + 1]) for i in range(m)]
-
-
-def _graded_side(start: float, stop: float, scale: float, width_cap: float,
-                 outward: bool) -> list[tuple[float, float]]:
-    """Panels on [start, stop] shrinking geometrically toward ``start``.
-
-    Panel widths grow by factors of two away from ``start`` beginning at
-    ``scale``; panels wider than ``width_cap`` are split uniformly.  With
-    ``outward`` False the roles of the ends are swapped.
+    Gap k becomes ``m_k = ceil(width / width_cap)`` equal panels whose ends
+    are formed as ``np.linspace`` forms them, so the rule does not depend on
+    how the gaps are batched.
     """
-    length = stop - start
-    if length <= 0.0:
-        return []
-    if length <= scale:
-        return [(start, stop)]
-    edges = [0.0]
-    d = scale
-    while d < length:
-        edges.append(d)
-        d *= 2.0
-    edges.append(length)
-    panels: list[tuple[float, float]] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        for pa, pb in _uniform_panels(a, b, width_cap):
-            panels.append((start + pa, start + pb) if outward
-                          else (stop - pb, stop - pa))
-    return panels
+    a, b = edges[:-1], edges[1:]
+    m = np.maximum(1, np.ceil((b - a) / width_cap)).astype(int)
+    gap = np.repeat(np.arange(len(m)), m)
+    j = np.arange(len(gap)) - np.repeat(np.cumsum(m) - m, m)
+    step = ((b - a) / m)[gap]
+    lo = j * step + a[gap]
+    hi = np.where(j + 1 == m[gap], b[gap], (j + 1) * step + a[gap])
+    return lo, hi
 
 
 def _angular_rule(singular_angles: Sequence[float], scale: float,
                   spec: GradingSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Composite angular rule on [0, 2pi) graded toward the singular angles."""
+    """Composite angular rule on [0, 2pi) graded toward the singular angles.
+
+    Each singular angle owns the half of the arc toward either neighbour.
+    Such a side is cut at distances ``scale, 2*scale, 4*scale, ...`` from
+    its angle, and every gap is split evenly at ``width_cap``; a side no
+    longer than ``scale`` is one panel.  Every panel carries the same
+    ``angular_boost``-point Gauss-Legendre rule.
+    """
     width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
-    panels: list[tuple[float, float]] = []
     if not singular_angles:
-        panels = _uniform_panels(0.0, TWO_PI, width_cap)
+        lo, hi = _split_gaps(np.array([0.0, TWO_PI]), width_cap)
     else:
+        los, his = [], []
         angles = sorted(a % TWO_PI for a in singular_angles)
         for i, a in enumerate(angles):
             b = angles[(i + 1) % len(angles)] if len(angles) > 1 else a + TWO_PI
             if b <= a:
                 b += TWO_PI
             mid = 0.5 * (a + b)
-            panels.extend(_graded_side(a, mid, scale, width_cap, outward=True))
-            panels.extend(_graded_side(mid, b, scale, width_cap, outward=False))
-    nodes = []
-    weights = []
-    for a, b in panels:
-        x, w = _panel(a, b, spec.angular_boost)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+            for start, stop, outward in ((a, mid, True), (mid, b, False)):
+                length = stop - start
+                if length <= 0.0:
+                    continue
+                if length <= scale:
+                    los.append([start])
+                    his.append([stop])
+                    continue
+                doubling = scale * 2.0 ** np.arange(math.ceil(math.log2(length / scale)) + 1)
+                pa, pb = _split_gaps(
+                    np.concatenate(([0.0], doubling[doubling < length], [length])), width_cap)
+                # the inward side mirrors its panels, nearest the angle first
+                los.append(start + pa if outward else stop - pb)
+                his.append(start + pb if outward else stop - pa)
+        lo, hi = np.concatenate(los), np.concatenate(his)
+    x, w = _gauss(spec.angular_boost)
+    half = 0.5 * (hi - lo)[:, None]
+    return (lo[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _ring_sum(g: Callable[[np.ndarray], np.ndarray], r_lo: float, r_hi: float,
               theta: np.ndarray, wtheta: np.ndarray, radial_order: int) -> float:
     """Tensor Gauss-Legendre integral of g over the annulus r_lo <= |w| <= r_hi."""
-    r, wr = _panel(r_lo, r_hi, radial_order)
+    x, wx = _gauss(radial_order)
+    half = 0.5 * (r_hi - r_lo)
+    r, wr = r_lo + half * (x + 1.0), half * wx
     w = r[:, None] * np.exp(1j * theta)[None, :]
     vals = np.asarray(g(w), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -302,6 +301,9 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     core, increments, gap_after = _graded_sums(g, singular_angles, spec, spec.eps_min)
     truncated = core + math.fsum(increments)
     floor = 1e-15 * (abs(truncated) + 1e-30)
+    # With exactly three increments _classify_increments would fit a slope
+    # through three points; a ladder this short stays inconclusive unless
+    # its tail is numerically dead.
     if len(increments) < 4:
         inc_tail = np.asarray(increments[-3:] or [0.0])
         if np.all(inc_tail <= floor):
@@ -368,9 +370,6 @@ def integrate_truncated(g: Callable[[np.ndarray], np.ndarray], eps: float,
     spec.validate()
     if not 0.0 < eps <= EPS_START:
         raise InvalidGradingError(f"truncation eps must lie in (0, {EPS_START}], got {eps}")
-    if eps == EPS_START:
-        core, _, _ = _graded_sums(g, singular_angles, spec, EPS_START)
-        return core
     core, increments, _ = _graded_sums(g, singular_angles, spec, eps)
     return core + math.fsum(increments)
 

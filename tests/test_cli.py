@@ -51,6 +51,12 @@ class TestIntegrateCommand:
         assert code == 1
         assert payload["result"]["classification"] == "diverging"
 
+    def test_three_annuli_are_inconclusive(self, capsys):
+        code, payload, _ = run_json(capsys, "integrate", "--map", "koebe", "--s", "3",
+                                    "--eps-min", "0.05")
+        assert code == 2
+        assert payload["result"]["classification"] == "inconclusive"
+
     def test_inverse_exponent_flag(self, capsys):
         code, payload, _ = run_json(capsys, "integrate", "--map", "identity", "--r", "5")
         assert code == 0

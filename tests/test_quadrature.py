@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from brennanlab.catalog import make_pair
 from brennanlab.quadrature import (
+    EPS_START,
+    TWO_PI,
     Classification,
     GradingSpec,
     InvalidGradingError,
     NonFiniteIntegrandError,
+    _angular_rule,
+    _classify_increments,
+    _gap_ladder,
+    _graded_sums,
     classify_tail,
     integrate_disc,
     integrate_truncated,
@@ -186,3 +193,96 @@ class TestValidation:
             integrate_disc(lambda w: np.ones(w.shape), spec=GradingSpec(eps_min=0.0))
         with pytest.raises(InvalidGradingError):
             integrate_disc(lambda w: np.ones(w.shape), spec=GradingSpec(annulus_ratio=1.5))
+
+
+def reference_angular_rule(singular_angles, scale, spec):
+    """The angular rule built panel by panel, as a reference for the array builder."""
+    width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
+
+    def uniform(a, b):
+        edges = np.linspace(a, b, max(1, int(math.ceil((b - a) / width_cap))) + 1)
+        return list(zip(edges[:-1], edges[1:]))
+
+    def side(start, stop, outward):
+        length = stop - start
+        if length <= 0.0:
+            return []
+        if length <= scale:
+            return [(start, stop)]
+        edges = [0.0]
+        d = scale
+        while d < length:
+            edges.append(d)
+            d *= 2.0
+        edges.append(length)
+        return [(start + pa, start + pb) if outward else (stop - pb, stop - pa)
+                for a, b in zip(edges[:-1], edges[1:]) for pa, pb in uniform(a, b)]
+
+    if not singular_angles:
+        panels = uniform(0.0, TWO_PI)
+    else:
+        panels = []
+        angles = sorted(a % TWO_PI for a in singular_angles)
+        for i, a in enumerate(angles):
+            b = angles[(i + 1) % len(angles)] if len(angles) > 1 else a + TWO_PI
+            if b <= a:
+                b += TWO_PI
+            mid = 0.5 * (a + b)
+            panels += side(a, mid, True) + side(mid, b, False)
+    x, w = np.polynomial.legendre.leggauss(spec.angular_boost)
+    halves = [0.5 * (b - a) for a, b in panels]
+    return (np.concatenate([a + h * (x + 1.0) for (a, _), h in zip(panels, halves)]),
+            np.concatenate([h * w for h in halves]))
+
+
+RULE_ANGLE_SETS = {
+    "none": (),
+    "cardioid": make_pair("cardioid").singular_angles,
+    "koebe": make_pair("koebe").singular_angles,
+    # two singular angles 0.063 rad apart
+    "clustered": make_pair("koebe*moebius:0.95,0.2,1").singular_angles,
+    "three": (0.3, 2.0, 4.5),
+}
+RULE_SCALES = _gap_ladder(GradingSpec(eps_min=1e-12), 1e-12)
+
+
+class TestAngularRule:
+    @pytest.mark.parametrize("spec", [GradingSpec(), GradingSpec(angular_base=128),
+                                      GradingSpec(angular_boost=4)],
+                             ids=["default", "base128", "boost4"])
+    @pytest.mark.parametrize("name", RULE_ANGLE_SETS)
+    def test_rule_over_scales(self, name, spec):
+        angles = RULE_ANGLE_SETS[name]
+        assert RULE_SCALES[0] == EPS_START and RULE_SCALES[-1] == 1e-12
+        for scale in RULE_SCALES:
+            theta, wtheta = _angular_rule(angles, scale, spec)
+            ref_theta, ref_wtheta = reference_angular_rule(angles, scale, spec)
+            assert np.array_equal(theta, ref_theta) and np.array_equal(wtheta, ref_wtheta)
+            assert np.all(wtheta > 0.0)
+            assert math.fsum(wtheta) == pytest.approx(TWO_PI, abs=1e-13)
+            assert theta.max() - theta.min() < TWO_PI
+            # grading promise: a node within `scale` of every singular angle
+            for a in angles:
+                dist = np.abs((theta - a + math.pi) % TWO_PI - math.pi)
+                assert dist.min() <= scale
+
+
+class TestShortLadder:
+    def test_three_annuli_stay_inconclusive(self):
+        """Three increments are too few for the tail fit, so the verdict is inconclusive.
+
+        The classifier alone would fit a slope through those three points.
+        """
+        pair = make_pair("koebe")
+        spec = GradingSpec(eps_min=0.05)
+
+        def g(w):
+            return np.abs(pair.dpsi(w)) ** -1.0
+
+        core, increments, gaps = _graded_sums(g, pair.singular_angles, spec, spec.eps_min)
+        assert len(increments) == 3
+        floor = 1e-15 * (core + math.fsum(increments))
+        assert _classify_increments(increments, gaps, floor)[0] is Classification.CONVERGED
+        est = integrate_disc(g, pair.singular_angles, spec)
+        assert est.classification is Classification.INCONCLUSIVE
+        assert math.isnan(est.fitted_slope)
