@@ -145,17 +145,20 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _split_gaps(edges: np.ndarray, width_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Ends of the panels that split each gap of ``edges`` evenly, none wider than width_cap.
 
-    Gap k becomes ``m_k = ceil(width / width_cap)`` equal panels whose ends
-    are formed as ``np.linspace`` forms them, so the rule does not depend on
-    how the gaps are batched.
+    Gap k becomes ``m_k = ceil(width / width_cap)`` equal panels (at least
+    one).  Their ends are formed with ``np.linspace``'s arithmetic,
+    ``a + j*step`` with the last end exactly ``b``, so they match a
+    per-gap ``np.linspace`` bit for bit.
     """
     a, b = edges[:-1], edges[1:]
     m = np.maximum(1, np.ceil((b - a) / width_cap)).astype(int)
+    ends = np.cumsum(m)
     gap = np.repeat(np.arange(len(m)), m)
-    j = np.arange(len(gap)) - np.repeat(np.cumsum(m) - m, m)
+    j = np.arange(ends[-1]) - np.repeat(ends - m, m)
     step = ((b - a) / m)[gap]
     lo = j * step + a[gap]
-    hi = np.where(j + 1 == m[gap], b[gap], (j + 1) * step + a[gap])
+    hi = (j + 1) * step + a[gap]
+    hi[ends - 1] = b
     return lo, hi
 
 
