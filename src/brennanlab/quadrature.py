@@ -174,7 +174,8 @@ def _angular_rule(singular_angles: Sequence[float], scale: float,
     """
     width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
     if not singular_angles:
-        lo, hi = _split_gaps(np.array([0.0, TWO_PI]), width_cap)
+        edges = np.linspace(0.0, TWO_PI, max(1, math.ceil(TWO_PI / width_cap)) + 1)
+        lo, hi = edges[:-1], edges[1:]
     else:
         los, his = [], []
         angles = sorted(a % TWO_PI for a in singular_angles)
