@@ -191,28 +191,45 @@ class ConformalPair:
     def invert_many(self, z: np.ndarray, seeds: np.ndarray,
                     tol: float = NEWTON_TOL,
                     max_iter: int = NEWTON_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized Newton inversion; returns (w, converged mask)."""
+        """Vectorized Newton inversion; returns (w, converged mask).
+
+        Every point is iterated on its own: only the points still above
+        their residual target take a step, and only the steps still being
+        halved are checked again.  A point's ``w`` and mask therefore do
+        not depend on the other points in the call.
+        """
         z = np.asarray(z, dtype=complex)
         w = np.array(np.broadcast_to(np.asarray(seeds, dtype=complex), z.shape))
         target = tol * (1.0 + np.abs(z))
-        resid = np.abs(self.psi(w) - z)
-        active = resid > target
+        diff = self.psi(w) - z
+        resid = np.abs(diff)
+        # flat views of w and resid; the points still iterating are indexed by `live`
+        w_flat, resid_flat = w.reshape(-1), resid.reshape(-1)
+        z_flat, target_flat = z.reshape(-1), target.reshape(-1)
+        live = np.flatnonzero(resid_flat > target_flat)
+        # psi(w) - z at the live points, carried from the residual into the next step
+        diff = diff.reshape(-1)[live]
         for _ in range(max_iter):
-            if not active.any():
+            if not live.size:
                 break
-            step = np.zeros_like(w)
-            step[active] = (self.psi(w[active]) - z[active]) / self.dpsi(w[active])
-            w_try = w - step
+            w_live, z_live, r_live = w_flat[live], z_flat[live], resid_flat[live]
+            step = diff / self.dpsi(w_live)
+            w_try = w_live - step
+            diff = self.psi(w_try) - z_live
+            # steps that leave the disc or raise the residual are halved, at most 60 times
+            halve = np.flatnonzero(_worse(w_try, diff, r_live))
             for _ in range(60):
-                bad = active & ((np.abs(w_try) >= 1.0)
-                                | (np.abs(self.psi(w_try) - z) > resid * (1.0 + 1e-12)))
-                if not bad.any():
+                if not halve.size:
                     break
-                step = np.where(bad, 0.5 * step, step)
-                w_try = w - step
-            w = np.where(active, w_try, w)
-            resid = np.where(active, np.abs(self.psi(w) - z), resid)
-            active = resid > target
+                step[halve] *= 0.5
+                w_try[halve] = w_live[halve] - step[halve]
+                diff[halve] = self.psi(w_try[halve]) - z_live[halve]
+                halve = halve[_worse(w_try[halve], diff[halve], r_live[halve])]
+            w_flat[live] = w_try
+            r_try = np.abs(diff)
+            resid_flat[live] = r_try
+            going = r_try > target_flat[live]
+            live, diff = live[going], diff[going]
         return w, (resid <= target) & (np.abs(w) < 1.0)
 
     def compose_with_moebius(self, a: complex, theta: float) -> "ConformalPair":
@@ -250,6 +267,11 @@ class ConformalPair:
         )
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
         return ConformalPair(descriptor, psi, dpsi, self.domain_contains, moved)
+
+
+def _worse(w_try: np.ndarray, diff: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Newton trial points outside the disc or with a larger residual than before."""
+    return (np.abs(w_try) >= 1.0) | (np.abs(diff) > resid * (1.0 + 1e-12))
 
 
 def _to_circle(v: complex) -> complex:

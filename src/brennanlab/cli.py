@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import exponents as xa
 from .catalog import DescriptorError, MapDomainError, NewtonConvergenceError, make_pair
 from .functionals import (

@@ -180,7 +180,8 @@ def _angular_rule(singular_angles: Sequence[float], scale: float,
         lo, hi = edges[:-1], edges[1:]
     else:
         los, his = [], []
-        angles = sorted(a % TWO_PI for a in singular_angles)
+        # angles that coincide modulo 2pi are one angle, owning one arc
+        angles = sorted({a % TWO_PI for a in singular_angles})
         for i, a in enumerate(angles):
             b = angles[(i + 1) % len(angles)] if len(angles) > 1 else a + TWO_PI
             if b <= a:

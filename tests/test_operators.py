@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from brennanlab import operators
 from brennanlab.catalog import identity_map, koebe_map, make_pair
 from brennanlab.exponents import q_from_ps
 from brennanlab.functionals import RegimeError
@@ -168,6 +169,91 @@ class TestIsometry:
 
     def test_family_is_three_functions(self):
         assert len(isometry_family()) == 3
+
+
+def reference_patch_cells(pair, r0, r1):
+    """Patch cells refined one cell at a time from a stack, in summation order.
+
+    The cell-by-cell builder that ``_patch_cells`` replaced: the forward
+    integral popped its cells from the end of this list, so the reversed
+    list is the order in which their sums were added.
+    """
+
+    def split(cell):
+        ra, rb, ta, tb = cell
+        rm = 0.5 * (ra + rb)
+        tm = 0.5 * (ta + tb)
+        if (rb - ra) >= 0.5 * (ra + rb) * (tb - ta):
+            return [(ra, rm, ta, tb), (rm, rb, ta, tb)]
+        return [(ra, rb, ta, tm), (ra, rb, tm, tb)]
+
+    def distortion(cell):
+        ra, rb, ta, tb = cell
+        r = np.linspace(ra, rb, 3)
+        t = np.linspace(ta, tb, 3)
+        w = r[:, None] * np.exp(1j * t)[None, :]
+        mags = np.abs(pair.dpsi(np.where(np.abs(w) > 0, w, 0.0)))
+        lo = float(np.min(mags))
+        return math.inf if lo == 0.0 else float(np.max(mags)) / lo
+
+    seeds = []
+    quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
+    if r0 == 0.0:
+        rc = 0.5 * r1
+        seeds += [(0.0, rc, ta, tb) for ta, tb in quadrants]
+        seeds += [(rc, r1, ta, tb) for ta, tb in quadrants]
+    else:
+        seeds += [(r0, r1, ta, tb) for ta, tb in quadrants]
+    out = []
+    stack = [(c, 0) for c in seeds]
+    while stack:
+        cell, depth = stack.pop()
+        if depth < operators._MAX_SPLIT_DEPTH and distortion(cell) > operators.DISTORTION_CAP:
+            stack.extend((c, depth + 1) for c in split(cell))
+        else:
+            out.append(cell)
+    return out[::-1]
+
+
+PATCH_MAPS = ["koebe", "sector:1.5", "cardioid", "koebe*moebius:0.9,0.2,1",
+              "sector:0.4*moebius:-0.5,0.6,2", "cardioid*moebius:-0.6,0.2,2"]
+
+
+class TestForwardPatch:
+    @pytest.mark.parametrize("patch", [(0.0, 0.8), (0.3, 0.7)], ids=["disc", "annulus"])
+    @pytest.mark.parametrize("name", PATCH_MAPS)
+    def test_cells_in_summation_order(self, name, patch):
+        pair = make_pair(name)
+        cells = operators._patch_cells(pair, *patch)
+        assert np.array_equal(cells, np.array(reference_patch_cells(pair, *patch)))
+
+    @pytest.mark.parametrize("name, f, ratio", [
+        ("koebe", harmonic_poly(1), 1.0000000399867948),
+        ("sector:1.5", shifted_log(), 0.9999999998962448),
+        ("koebe*moebius:0.5,0.2,1", boundary_power(1.5), 0.9999999973874437),
+    ])
+    def test_folded_charts_are_split(self, monkeypatch, name, f, ratio):
+        """Without distortion refinement some charts fold and take the split branch."""
+        monkeypatch.setattr(operators, "DISTORTION_CAP", math.inf)
+        pair = make_pair(name)
+        cells = operators._patch_cells(pair, 0.0, 0.8)
+        assert len(cells) == 8
+        assert np.any(operators._coons_grid(pair, cells, 16)[3] <= 0.0)
+        assert isometry_check(pair, f) == pytest.approx(ratio, rel=0.0, abs=1e-12)
+
+    def test_inversion_does_not_depend_on_batch(self):
+        pair = koebe_map()
+        cells = operators._patch_cells(pair, 0.0, 0.8)[[0, -1]]
+        z, _, seeds, _ = operators._coons_grid(pair, cells, 16)
+        # a point on the slit, outside the image domain, never converges
+        z = np.concatenate([z.ravel(), [-1.0 + 0j]])
+        seeds = np.concatenate([seeds.ravel(), [0j]])
+        w, ok = pair.invert_many(z, seeds)
+        assert ok[:-1].all() and not ok[-1]
+        parts = [pair.invert_many(z[s], seeds[s])
+                 for s in (slice(0, 256), slice(256, 512), slice(512, None))]
+        assert np.array_equal(w, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(ok, np.concatenate([p[1] for p in parts]))
 
 
 class TestDuality:

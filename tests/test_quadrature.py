@@ -267,6 +267,24 @@ class TestAngularRule:
                 assert dist.min() <= scale
 
 
+class TestCoincidingAngles:
+    """Angles equal modulo 2pi are one singular angle, not one full turn each."""
+
+    @pytest.mark.parametrize("angles, single", [
+        ((1.0, 1.0), (1.0,)),
+        ((1.0, 1.0 + TWO_PI), (1.0,)),
+        ((0.0, TWO_PI), (0.0,)),
+    ], ids=["equal", "turn-apart", "zero-and-turn"])
+    def test_rule_and_area(self, angles, single):
+        assert integrate_disc(lambda w: np.ones(w.shape), angles).value == pytest.approx(
+            math.pi, rel=0.0, abs=1e-13)
+        spec = GradingSpec()
+        for scale in RULE_SCALES:
+            theta, wtheta = _angular_rule(angles, scale, spec)
+            ref_theta, ref_wtheta = _angular_rule(single, scale, spec)
+            assert np.array_equal(theta, ref_theta) and np.array_equal(wtheta, ref_wtheta)
+
+
 class TestShortLadder:
     def test_three_annuli_stay_inconclusive(self):
         """Three increments are too few for the tail fit, so the verdict is inconclusive.
