@@ -25,7 +25,9 @@ from .quadrature import (
     Classification,
     DEFAULT_SPEC,
     GradingSpec,
+    _angular_rule,
     _gauss,
+    _ring_sum,
     integrate_disc,
 )
 
@@ -256,6 +258,8 @@ _MAX_SPLIT_DEPTH = 18
 #: per complex array); 16 cells ran patch-newton ~7% faster for ~0.4 MB
 #: more peak RSS, and 32 or 64 cells gained nothing more.
 _BLOCK_CELLS = 8
+#: the isometry check's disc-side rule: 48 radial nodes, 32 panels of 8 angular nodes
+_DISC_SIDE_SPEC = GradingSpec(radial_order=48, angular_base=256)
 
 
 def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,68 +367,41 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float,
     """Integral over psi(patch) of a quantity evaluated at w = phi(z).
 
     Every chart node z is inverted by Newton iteration; the chart Jacobian
-    carries the measure.  The cell sums are added one by one, in the
-    order of ``_patch_cells``.
+    carries the measure.  Cells are charted and inverted a block at a
+    time, and their sums are added one by one in the order of
+    ``_patch_cells``.  A cell whose chart folds is set aside; the halves
+    of the folded cells form the next level, summed after this one.
     """
     total = 0.0
-    # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
-    for cell_sum in _chart_sums(pair, integrand_w, _patch_cells(pair, r0, r1), 0, order):
-        total += cell_sum
-    return total
-
-
-def _chart_sums(pair: ConformalPair, integrand_w, cells: np.ndarray, depth: int,
-                order: int):
-    """Yield the forward-patch sum of each cell in order, charting a block at a time.
-
-    A cell whose chart folds is split, and its halves' sums are yielded in
-    its place, second half first.
-    """
-    for start in range(0, len(cells), _BLOCK_CELLS):
-        block = cells[start:start + _BLOCK_CELLS]
-        z, weights, seeds, jac_min = _coons_grid(pair, block, order)
-        folded = jac_min <= 0.0
-        # masked copies only when needed: a block's arrays set the peak memory
-        if folded.any():
-            z, weights, seeds = z[~folded], weights[~folded], seeds[~folded]
-        w, ok = pair.invert_many(z, seeds)
-        done = ok.all(axis=(1, 2))
-        if not done.all():
-            w, weights = w[done], weights[done]
-        sums = iter(np.sum((weights * integrand_w(w)).reshape(-1, order * order), axis=1).tolist())
-        k = 0  # index among the block's unfolded cells
-        for cell, fold in zip(block, folded):
-            if fold:
-                if depth >= _MAX_SPLIT_DEPTH:
-                    raise RuntimeError(f"degenerate forward chart on cell {tuple(cell.tolist())}")
-                first, second = _split_cells(cell[None])
-                yield from _chart_sums(pair, integrand_w, np.concatenate([second, first]),
-                                       depth + 1, order)
-                continue
-            if not done[k]:
-                bad = z[k][~ok[k]][0]
+    cells = _patch_cells(pair, r0, r1)
+    for depth in range(_MAX_SPLIT_DEPTH + 1):
+        folded_cells = []
+        for start in range(0, len(cells), _BLOCK_CELLS):
+            block = cells[start:start + _BLOCK_CELLS]
+            z, weights, seeds, jac_min = _coons_grid(pair, block, order)
+            folded = jac_min <= 0.0
+            # masked copies only when needed: a block's arrays set the peak memory
+            if folded.any():
+                folded_cells.append(block[folded])
+                block, z, weights, seeds = (a[~folded] for a in (block, z, weights, seeds))
+            w, ok = pair.invert_many(z, seeds)
+            done = ok.all(axis=(1, 2))
+            if not done.all():
+                k = int(np.argmin(done))
                 raise NewtonConvergenceError(
-                    f"forward-patch inversion failed at z={bad!r} "
-                    f"(map {pair.descriptor.label()}, cell {tuple(cell.tolist())})"
+                    f"forward-patch inversion failed at z={z[k][~ok[k]][0]!r} "
+                    f"(map {pair.descriptor.label()}, cell {tuple(block[k].tolist())})"
                 )
-            yield next(sums)
-            k += 1
-
-
-def _disc_patch_integral(f: TestFunction, r0: float, r1: float,
-                         n_rad: int = 48, n_ang: int = 256) -> float:
-    x, gw = _gauss(n_rad)
-    r = r0 + (r1 - r0) * 0.5 * (x + 1.0)
-    wr = 0.5 * (r1 - r0) * gw * r
-    panels = 32
-    xa, wa = _gauss(max(4, n_ang // panels))
-    theta = np.concatenate([
-        (2.0 * math.pi * (k + 0.5 * (xa + 1.0)) / panels) for k in range(panels)
-    ])
-    wtheta = np.concatenate([0.5 * (2.0 * math.pi / panels) * wa] * panels)
-    w = r[:, None] * np.exp(1j * theta)[None, :]
-    vals = f.grad_abs(w) ** 2
-    return float((wr @ vals) @ wtheta)
+            # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
+            for cell_sum in np.sum((weights * integrand_w(w)).reshape(-1, order * order),
+                                   axis=1).tolist():
+                total += cell_sum
+        if not folded_cells:
+            return total
+        cells = np.concatenate(folded_cells)
+        if depth == _MAX_SPLIT_DEPTH:
+            raise RuntimeError(f"degenerate forward chart on cell {tuple(cells[0].tolist())}")
+        cells = np.concatenate(_split_cells(cells))
 
 
 def isometry_check(pair: ConformalPair, f: TestFunction,
@@ -446,7 +423,8 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
         return f.grad_abs(w) ** 2 / np.abs(pair.dpsi(w)) ** 2
 
     omega_side = _forward_patch_integral(pair, integrand, r0, r1, order)
-    disc_side = _disc_patch_integral(f, r0, r1)
+    disc_side = _ring_sum(lambda w: f.grad_abs(w) ** 2, r0, r1,
+                          *_angular_rule((), r1, _DISC_SIDE_SPEC), _DISC_SIDE_SPEC.radial_order)
     return omega_side / disc_side
 
 

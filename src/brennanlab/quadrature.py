@@ -248,14 +248,11 @@ def _graded_sums(g, singular_angles, spec: GradingSpec, eps_stop: float):
     core = _ring_sum(g, 0.0, 1.0 - EPS_START, core_theta, core_wtheta, spec.radial_order)
     gaps = _gap_ladder(spec, eps_stop)
     increments: list[float] = []
-    gap_after: list[float] = []
     for outer_gap, inner_gap in zip(gaps[:-1], gaps[1:]):
         theta, wtheta = _angular_rule(angles, inner_gap, spec)
-        inc = _ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, theta, wtheta,
-                        spec.radial_order)
-        increments.append(inc)
-        gap_after.append(inner_gap)
-    return core, increments, gap_after
+        increments.append(_ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, theta, wtheta,
+                                    spec.radial_order))
+    return core, increments, gaps[1:]
 
 
 def _fit_loglog(eps: np.ndarray, inc: np.ndarray) -> tuple[float, float]:
@@ -271,21 +268,21 @@ def _classify_increments(increments: Sequence[float], eps: Sequence[float],
                          floor: float) -> tuple[Classification, float, float]:
     """Classify a tail from its increments; returns (verdict, slope, rms residual).
 
-    Increments at or below ``floor`` count as numerically dead.  A fit
-    needs at least three live increments; fewer live points or a bad fit
-    give INCONCLUSIVE.
+    The package's only verdict rule.  Increments at or below ``floor`` count
+    as numerically dead; if the last three (or fewer) are dead the tail is
+    CONVERGED.  Otherwise the slope of the last ``FIT_WINDOW`` increments
+    decides.  No increments, fewer than four, a non-positive one or a bad
+    fit give INCONCLUSIVE.
     """
     inc = np.asarray(increments, dtype=float)
-    eps_arr = np.asarray(eps, dtype=float)
-    tail_dead = inc[-min(3, len(inc)):] <= floor
-    if np.all(inc <= floor) or np.all(tail_dead):
+    if not len(inc):
+        return Classification.INCONCLUSIVE, math.nan, math.nan
+    if np.all(inc[-3:] <= floor):
         return Classification.CONVERGED, 0.0, 0.0
-    if np.any(inc <= 0.0):
+    # a slope through three points is too weak a test of the power law
+    if len(inc) < 4 or np.any(inc <= 0.0):
         return Classification.INCONCLUSIVE, math.nan, math.nan
-    window = min(FIT_WINDOW, len(inc))
-    if window < 3:
-        return Classification.INCONCLUSIVE, math.nan, math.nan
-    slope, sigma = _fit_loglog(eps_arr[-window:], inc[-window:])
+    slope, sigma = _fit_loglog(np.asarray(eps, dtype=float)[-FIT_WINDOW:], inc[-FIT_WINDOW:])
     if sigma > FIT_RESIDUAL_TOL:
         return Classification.INCONCLUSIVE, slope, sigma
     if slope <= -SLOPE_TOL:
@@ -303,35 +300,23 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     ``singular_angles`` lists the polar angles of boundary points where
     ``g`` blows up or vanishes fast; the angular rule is graded toward
     them.  Purely radial boundary behaviour needs no declaration.
+
+    The per-annulus increments go through the tail rule shared with
+    :func:`classify_tail`.  With no annuli (``eps_min = EPS_START``) the
+    verdict is INCONCLUSIVE and the value is the inner disc alone.
     """
     spec.validate()
     core, increments, gap_after = _graded_sums(g, singular_angles, spec, spec.eps_min)
     truncated = core + math.fsum(increments)
     floor = 1e-15 * (abs(truncated) + 1e-30)
-    # With exactly three increments _classify_increments would fit a slope
-    # through three points; a ladder this short stays inconclusive unless
-    # its tail is numerically dead.
-    if len(increments) < 4:
-        inc_tail = np.asarray(increments[-3:] or [0.0])
-        if np.all(inc_tail <= floor):
-            verdict, slope, sigma = Classification.CONVERGED, 0.0, 0.0
-        else:
-            verdict, slope, sigma = Classification.INCONCLUSIVE, math.nan, math.nan
-    else:
-        verdict, slope, sigma = _classify_increments(increments, gap_after, floor)
+    verdict, slope, sigma = _classify_increments(increments, gap_after, floor)
 
     value = truncated
     if verdict is Classification.CONVERGED:
-        ratio_eff = (gap_after[-1] / gap_after[-2]) if len(gap_after) >= 2 \
-            else spec.annulus_ratio
-        tail_extrap, tail_err = _extrapolate_tail(increments, slope, sigma,
-                                                  ratio_eff, floor)
+        tail_extrap, tail_err = _extrapolate_tail(increments, gap_after, slope, sigma, floor)
         value = truncated + tail_extrap
         tail_estimate = tail_err + 1e-15 * abs(value)
         abs_err = tail_estimate + 1e-13 * abs(value)
-    elif verdict is Classification.DIVERGING:
-        tail_estimate = increments[-1]
-        abs_err = math.inf
     else:
         tail_estimate = increments[-1] if increments else 0.0
         abs_err = math.inf
@@ -345,19 +330,21 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     )
 
 
-def _extrapolate_tail(increments: Sequence[float], slope: float, sigma: float,
-                      ratio: float, floor: float) -> tuple[float, float]:
+def _extrapolate_tail(increments: Sequence[float], gaps: Sequence[float], slope: float,
+                      sigma: float, floor: float) -> tuple[float, float]:
     """Geometric extrapolation of the remaining tail, with an uncertainty.
 
     Increments follow ``eps**(-slope)``, so successive annuli shrink by
-    ``q = ratio**(-slope)``; the mass beyond the last annulus is the
-    geometric series ``last * q/(1 - q)``.  The uncertainty combines the
-    fit residual with the difference against a two-point extrapolation.
+    ``q = ratio**(-slope)``, where ``ratio`` is the last step of the gap
+    ladder; the mass beyond the last annulus is the geometric series
+    ``last * q/(1 - q)``.  The uncertainty combines the fit residual with
+    the difference against a two-point extrapolation.
     """
     last = increments[-1]
     if last <= floor or slope >= 0.0:
         return 0.0, 0.0
-    q = ratio ** (-slope)
+    # a live tail was fitted, so the ladder has at least four annuli
+    q = (gaps[-1] / gaps[-2]) ** (-slope)
     if not 0.0 < q < 1.0:
         return 0.0, 0.0
     tail = last * q / (1.0 - q)
@@ -384,11 +371,13 @@ def integrate_truncated(g: Callable[[np.ndarray], np.ndarray], eps: float,
 def classify_tail(samples: Sequence[tuple[float, float]]) -> tuple[Classification, float]:
     """Classify a sequence of truncated values ``(eps, value)`` with eps decreasing.
 
-    The increments between successive values are fitted exactly like the
-    per-annulus contributions of :func:`integrate_disc`: geometrically
-    shrinking increments mean the limit exists, non-shrinking increments
-    mean at least logarithmic growth.  Returns the verdict and the fitted
-    slope of the increments against ``log(1/eps)`` (0 for a dead tail).
+    The increments between successive values go through the rule that
+    classifies the per-annulus contributions of :func:`integrate_disc`, so
+    both give the same verdict: geometrically shrinking increments mean
+    the limit exists, non-shrinking increments mean at least logarithmic
+    growth, and fewer than four increments without a dead tail are
+    INCONCLUSIVE.  Returns the verdict and the fitted slope of the
+    increments against ``log(1/eps)`` (0 for a dead tail, nan without a fit).
     """
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")

@@ -122,6 +122,36 @@ class TestDerivativeConsistency:
             assert abs(complex(fy) - 1j * complex(fx)) / scale < 1e-5
 
 
+def moebius_reference(a, theta):
+    """The closed form e^{i theta} (w - a)/(1 - conj(a) w) and its derivative."""
+    rot = cmath.exp(1j * theta)
+
+    def psi(w):
+        w = np.asarray(w, dtype=complex)
+        return rot * (w - a) / (1.0 - np.conj(a) * w)
+
+    def dpsi(w):
+        w = np.asarray(w, dtype=complex)
+        return rot * (1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * w) ** 2
+
+    return psi, dpsi
+
+
+class TestMoebius:
+    @pytest.mark.parametrize("a, theta", [(0j, 0.0), (0.3 + 0.2j, 1.1),
+                                          (-0.9 + 0j, 2.5), (0.5 - 0.4j, -3.0)])
+    def test_matches_closed_form_bit_for_bit(self, a, theta):
+        rng = np.random.default_rng(7)
+        w = np.sqrt(rng.uniform(0.0, 0.99, 500)) * np.exp(2j * np.pi * rng.uniform(size=500))
+        ref_psi, ref_dpsi = moebius_reference(a, theta)
+        text = f"moebius:{a.real!r},{a.imag!r},{theta!r}"
+        for pair in (moebius_map(a, theta), make_pair(text)):
+            assert pair.psi(w).tobytes() == ref_psi(w).tobytes()
+            assert pair.dpsi(w).tobytes() == ref_dpsi(w).tobytes()
+            assert pair.descriptor == parse_descriptor(text)
+            assert pair.singular_points == ()
+
+
 class TestInversion:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_round_trip(self, name):
@@ -130,6 +160,19 @@ class TestInversion:
             z = complex(pair.eval_psi(w))
             w_back = pair.invert(z)
             assert abs(w_back - w) < 1e-10
+
+    @pytest.mark.parametrize("name, w", [
+        ("cardioid*moebius:0.05027829237277964,-0.8519746811694262,5.231008658459677",
+         0.3721422584364645 - 0.8039647891521694j),
+        ("sector:1.7743119799971503*moebius:0.659953454482137,-0.3645805525401863,"
+         "5.546246834257937", 0.6850183016218055 - 0.4986670151631651j),
+        ("koebe*moebius:0.3917221491936212,0.7124147427901959,3.3506499277177",
+         0.4234814214954106 + 0.7457606572380399j),
+    ], ids=["cardioid", "sector", "koebe"])
+    def test_points_the_default_seeds_miss(self, name, w):
+        """Interior points of twisted maps that no seed at radius <= 1/2 reaches."""
+        pair = make_pair(name)
+        assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-9
 
     def test_koebe_origin_with_seed(self):
         pair = koebe_map()

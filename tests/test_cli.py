@@ -57,6 +57,13 @@ class TestIntegrateCommand:
         assert code == 2
         assert payload["result"]["classification"] == "inconclusive"
 
+    def test_no_annuli_are_inconclusive(self, capsys):
+        code, payload, err = run_json(capsys, "integrate", "--map", "koebe", "--s", "2",
+                                      "--eps-min", "0.5")
+        assert code == 2
+        assert payload["result"]["classification"] == "inconclusive"
+        assert "Traceback" not in err
+
     def test_inverse_exponent_flag(self, capsys):
         code, payload, _ = run_json(capsys, "integrate", "--map", "identity", "--r", "5")
         assert code == 0

@@ -1,8 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports or defines privately is used.
 
-No linter runs on the package, so this scan is the check.  A name counts
-as used when it appears as an identifier, which covers the root of an
-attribute chain such as ``np.asarray``.
+No linter runs on the package, so these scans are the check.  A name
+counts as used when it appears as an identifier, which covers the root of
+an attribute chain such as ``np.asarray``.
 """
 
 import ast
@@ -12,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brennanlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
 
 
 def imported_names(tree):
@@ -24,13 +25,51 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
+def defined_names(stmt):
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield stmt.name
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.id
+
+
+def referenced_names(stmt):
+    """Identifiers read, attribute names and ``__all__`` strings in a statement."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+    if "__all__" in set(defined_names(stmt)):
+        for node in ast.walk(stmt.value):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+
 def test_modules_found():
     assert len(MODULES) >= 6
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = TREES[path.name]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_definitions(path):
+    """A module-level ``_name`` is read somewhere in the package outside its own definition."""
+    refs = [(stmt, set(referenced_names(stmt))) for tree in TREES.values() for stmt in tree.body]
+    dead = []
+    for own in TREES[path.name].body:
+        for name in defined_names(own):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in names for stmt, names in refs if stmt is not own):
+                dead.append(name)
+    assert not dead, f"{path.name} defines private names the package never uses: {sorted(dead)}"

@@ -289,7 +289,8 @@ class TestShortLadder:
     def test_three_annuli_stay_inconclusive(self):
         """Three increments are too few for the tail fit, so the verdict is inconclusive.
 
-        The classifier alone would fit a slope through those three points.
+        The classifier holds that rule itself; a slope through those three
+        points alone would say converged.
         """
         pair = make_pair("koebe")
         spec = GradingSpec(eps_min=0.05)
@@ -300,7 +301,28 @@ class TestShortLadder:
         core, increments, gaps = _graded_sums(g, pair.singular_angles, spec, spec.eps_min)
         assert len(increments) == 3
         floor = 1e-15 * (core + math.fsum(increments))
-        assert _classify_increments(increments, gaps, floor)[0] is Classification.CONVERGED
+        assert _classify_increments(increments, gaps, floor)[0] is Classification.INCONCLUSIVE
         est = integrate_disc(g, pair.singular_angles, spec)
         assert est.classification is Classification.INCONCLUSIVE
         assert math.isnan(est.fitted_slope)
+
+    def test_classify_tail_agrees_with_integrate_disc(self):
+        """The cumulative sums of the three increments get integrate_disc's verdict."""
+        pair = make_pair("koebe")
+        spec = GradingSpec(eps_min=0.05)
+
+        def g(w):
+            return np.abs(pair.dpsi(w)) ** -1.0
+
+        core, increments, gaps = _graded_sums(g, pair.singular_angles, spec, spec.eps_min)
+        samples = [(EPS_START, core)] + list(zip(gaps, core + np.cumsum(increments)))
+        verdict, slope = classify_tail(samples)
+        assert verdict is integrate_disc(g, pair.singular_angles, spec).classification
+        assert verdict is Classification.INCONCLUSIVE
+        assert math.isnan(slope)
+
+    def test_no_annuli_is_inconclusive(self):
+        """eps_min = EPS_START leaves only the inner disc of radius 1/2."""
+        est = integrate_disc(lambda w: np.ones(w.shape), (), GradingSpec(eps_min=EPS_START))
+        assert est.classification is Classification.INCONCLUSIVE
+        assert est.value == pytest.approx(math.pi / 4.0, abs=1e-13)
