@@ -144,8 +144,7 @@ class ConformalPair:
     # Not a loop over invert_many: on a one-point array each step-halving
     # costs several numpy calls, while this loop skips psi for steps that
     # leave the disc.  Such a loop over seeds was 5-15x slower per point.
-    def invert(self, z: complex, seed: complex | None = None,
-               tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> complex:
+    def invert(self, z: complex, seed: complex | None = None) -> complex:
         """Solve psi(w) = z for w in the open disc by damped Newton iteration.
 
         Steps that would leave the disc or increase the residual are
@@ -157,9 +156,9 @@ class ConformalPair:
         """
         if not self.domain_contains(z):
             raise MapDomainError(f"point {z!r} is outside the image domain")
-        target = tol * (1.0 + abs(z))
+        target = NEWTON_TOL * (1.0 + abs(z))
         for tried, w0 in enumerate(self._seeds(z, seed), 1):
-            w = self._newton_from(w0, z, target, max_iter)
+            w = self._newton_from(w0, z, target)
             if w is not None:
                 return w
         raise NewtonConvergenceError(
@@ -178,10 +177,9 @@ class ConformalPair:
         ring = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16.0)
         yield from ring[np.argsort(np.abs(self.psi(ring) - z), kind="stable")].tolist()
 
-    def _newton_from(self, w: complex, z: complex, target: float,
-                     max_iter: int) -> complex | None:
+    def _newton_from(self, w: complex, z: complex, target: float) -> complex | None:
         resid = abs(complex(self.psi(w)) - z)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if resid <= target:
                 return w
             step = (complex(self.psi(w)) - z) / complex(self.dpsi(w))
@@ -197,9 +195,7 @@ class ConformalPair:
             w, resid = w_try, r_try
         return w if resid <= target else None
 
-    def invert_many(self, z: np.ndarray, seeds: np.ndarray,
-                    tol: float = NEWTON_TOL,
-                    max_iter: int = NEWTON_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
+    def invert_many(self, z: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized Newton inversion; returns (w, converged mask).
 
         Every point is iterated on its own: only the points still above
@@ -209,7 +205,7 @@ class ConformalPair:
         """
         z = np.asarray(z, dtype=complex)
         w = np.array(np.broadcast_to(np.asarray(seeds, dtype=complex), z.shape))
-        target = tol * (1.0 + np.abs(z))
+        target = NEWTON_TOL * (1.0 + np.abs(z))
         diff = self.psi(w) - z
         resid = np.abs(diff)
         # flat views of w and resid; the points still iterating are indexed by `live`
@@ -218,7 +214,7 @@ class ConformalPair:
         live = np.flatnonzero(resid_flat > target_flat)
         # psi(w) - z at the live points, carried from the residual into the next step
         diff = diff.reshape(-1)[live]
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if not live.size:
                 break
             w_live, z_live, r_live = w_flat[live], z_flat[live], resid_flat[live]
@@ -246,8 +242,11 @@ class ConformalPair:
 
         Singular boundary points are transported through the inverse
         automorphism; their local exponents are unchanged because m is
-        smooth with nonvanishing derivative on the closed disc.
+        smooth with nonvanishing derivative on the closed disc.  A pair can
+        carry one twist, so twisting a twisted pair raises DescriptorError.
         """
+        if self.descriptor.twist_a is not None:
+            raise DescriptorError(f"{self.descriptor.label()} already carries a Moebius twist")
         a = complex(a)
         if abs(a) >= 1.0:
             raise MapDomainError(f"automorphism parameter must satisfy |a| < 1, got {a!r}")
@@ -454,9 +453,12 @@ def _parse_single(text: str) -> MapDescriptor:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise DescriptorError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise DescriptorError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def make_pair(descriptor: MapDescriptor | str) -> ConformalPair:

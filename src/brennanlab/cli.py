@@ -10,6 +10,7 @@ significant digits, so identical flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -43,6 +44,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
+#: largest |ratio - 1| that `isometry` accepts
+_ISOMETRY_TOL = 1e-4
+
 
 def _fmt(x):
     """Normalize floats to 12 significant digits for stable serialization."""
@@ -54,8 +58,6 @@ def _fmt(x):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return float(f"{x:.12e}")
-    if isinstance(x, complex):
-        return {"re": _fmt(x.real), "im": _fmt(x.imag)}
     if isinstance(x, dict):
         return {k: _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -133,16 +135,7 @@ def cmd_exponents(args) -> int:
     lo, hi = xa.alpha_range(p)
     result["alpha_range"] = [lo, hi]
     result["inverse_range"] = list(xa.inverse_range())
-    kb = xa.known_bounds()
-    result["known_bounds"] = {
-        "easy_upper": kb.easy_upper,
-        "brennan_conjectured": list(kb.brennan_conjectured),
-        "pommerenke": kb.pommerenke,
-        "bertilsson": kb.bertilsson,
-        "hedenmalm_shimorin": kb.hedenmalm_shimorin,
-        "inverse_proved_lower": kb.inverse_proved_lower,
-        "inverse_conjectured": list(kb.inverse_conjectured),
-    }
+    result["known_bounds"] = dataclasses.asdict(xa.known_bounds())
     _emit_json("exponents", {"p": p, "s": args.s}, result, {}, args.out)
     return EXIT_OK
 
@@ -245,9 +238,9 @@ def cmd_isometry(args) -> int:
     worst = max(r["deviation"] for r in ratios)
     _emit_json("isometry", {"map": args.map, "patch": [r0, r1]},
                {"ratios": ratios, "max_deviation": worst,
-                "within_tolerance": worst <= 1e-4},
+                "within_tolerance": worst <= _ISOMETRY_TOL},
                {}, args.out)
-    return EXIT_OK if worst <= 1e-4 else EXIT_NEGATIVE
+    return EXIT_OK if worst <= _ISOMETRY_TOL else EXIT_NEGATIVE
 
 
 def cmd_duality(args) -> int:

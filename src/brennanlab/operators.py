@@ -253,6 +253,8 @@ def norm_ratio_report(pair: ConformalPair, p: float, q: float,
 #: maximal |psi'| variation tolerated inside one patch cell before splitting
 DISTORTION_CAP = 1.8
 _MAX_SPLIT_DEPTH = 18
+#: Gauss-Legendre nodes per side of a cell chart
+_CHART_ORDER = 16
 #: cells charted and inverted together.  A block's chart and Newton
 #: temporaries are live at once (8 cells at order 16 are 2048 nodes, 32 KB
 #: per complex array); 16 cells ran patch-newton ~7% faster for ~0.4 MB
@@ -283,34 +285,6 @@ def _cell_distortion(cells: np.ndarray, pair: ConformalPair) -> np.ndarray:
     mags = np.abs(pair.dpsi(np.where(np.abs(w) > 0, w, 0.0)))
     lo, hi = mags.min(axis=(1, 2)), mags.max(axis=(1, 2))
     return np.divide(hi, lo, out=np.full_like(hi, math.inf), where=lo != 0.0)
-
-
-def _patch_cells(pair: ConformalPair, r0: float, r1: float) -> np.ndarray:
-    """Polar cells (C, 4) covering the patch, refined until |psi'| is nearly constant.
-
-    All cells of one refinement level are tested in one distortion
-    evaluation.  The leaves come back depth first: seed cells in order,
-    and within a split cell its first half before its second.
-    """
-    quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
-    rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
-    cells = np.array([(ra, rb, ta, tb) for ra, rb in rings for ta, tb in quadrants])
-    # a cell's split path as an integer, seed index first and then one bit per
-    # level, left-aligned so that the leaves' keys sort into depth-first order
-    keys = np.arange(len(cells)) << _MAX_SPLIT_DEPTH
-    leaves, leaf_keys = [], []
-    for depth in range(_MAX_SPLIT_DEPTH):
-        if not len(cells):
-            break
-        split = _cell_distortion(cells, pair) > DISTORTION_CAP
-        leaves.append(cells[~split])
-        leaf_keys.append(keys[~split])
-        cells = np.concatenate(_split_cells(cells[split]))
-        keys = keys[split]
-        keys = np.concatenate([keys, keys | (1 << (_MAX_SPLIT_DEPTH - 1 - depth))])
-    leaves.append(cells)
-    leaf_keys.append(keys)
-    return np.concatenate(leaves)[np.argsort(np.concatenate(leaf_keys))]
 
 
 def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
@@ -362,27 +336,36 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
     return z, weights, seeds, jac.min(axis=(1, 2))
 
 
-def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float,
-                            r1: float, order: int) -> float:
+def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: float) -> float:
     """Integral over psi(patch) of a quantity evaluated at w = phi(z).
 
     Every chart node z is inverted by Newton iteration; the chart Jacobian
-    carries the measure.  Cells are charted and inverted a block at a
-    time, and their sums are added one by one in the order of
-    ``_patch_cells``.  A cell whose chart folds is set aside; the halves
-    of the folded cells form the next level, summed after this one.
+    carries the measure.  The patch is refined a level at a time: cells
+    whose |psi'| varies by more than ``DISTORTION_CAP`` and cells whose
+    chart folds are set aside, and their halves form the next level.  The
+    other cells are charted and inverted a block at a time, and their sums
+    are added one by one.  The last level is charted without the distortion
+    test, and a fold there raises.
     """
-    total = 0.0
-    cells = _patch_cells(pair, r0, r1)
-    for depth in range(_MAX_SPLIT_DEPTH + 1):
-        folded_cells = []
+    quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
+    rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
+    cells = np.array([(ra, rb, ta, tb) for ra, rb in rings for ta, tb in quadrants])
+    total, depth = 0.0, 0
+    while len(cells):
+        distorted = (_cell_distortion(cells, pair) > DISTORTION_CAP if depth < _MAX_SPLIT_DEPTH
+                     else np.zeros(len(cells), dtype=bool))
+        halve = [cells[distorted]]
+        cells = cells[~distorted]
         for start in range(0, len(cells), _BLOCK_CELLS):
             block = cells[start:start + _BLOCK_CELLS]
-            z, weights, seeds, jac_min = _coons_grid(pair, block, order)
+            z, weights, seeds, jac_min = _coons_grid(pair, block, _CHART_ORDER)
             folded = jac_min <= 0.0
             # masked copies only when needed: a block's arrays set the peak memory
             if folded.any():
-                folded_cells.append(block[folded])
+                if depth == _MAX_SPLIT_DEPTH:
+                    raise RuntimeError(
+                        f"degenerate forward chart on cell {tuple(block[folded][0].tolist())}")
+                halve.append(block[folded])
                 block, z, weights, seeds = (a[~folded] for a in (block, z, weights, seeds))
             w, ok = pair.invert_many(z, seeds)
             done = ok.all(axis=(1, 2))
@@ -393,27 +376,25 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float,
                     f"(map {pair.descriptor.label()}, cell {tuple(block[k].tolist())})"
                 )
             # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
-            for cell_sum in np.sum((weights * integrand_w(w)).reshape(-1, order * order),
+            for cell_sum in np.sum((weights * integrand_w(w)).reshape(-1, _CHART_ORDER ** 2),
                                    axis=1).tolist():
                 total += cell_sum
-        if not folded_cells:
-            return total
-        cells = np.concatenate(folded_cells)
-        if depth == _MAX_SPLIT_DEPTH:
-            raise RuntimeError(f"degenerate forward chart on cell {tuple(cells[0].tolist())}")
-        cells = np.concatenate(_split_cells(cells))
+        cells = np.concatenate(_split_cells(np.concatenate(halve)))
+        depth += 1
+    return total
 
 
 def isometry_check(pair: ConformalPair, f: TestFunction,
-                   patch: tuple[float, float] = (0.0, 0.8),
-                   order: int = 16) -> float:
+                   patch: tuple[float, float] = (0.0, 0.8)) -> float:
     """Ratio of the forward-patch Dirichlet energy to the disc-side energy.
 
     The domain side integrates ``|grad f|^2(phi(z)) * |phi'(z)|^2`` over
     the image of the patch with its own measure (chart Jacobians plus
     Newton inversion at every node); the disc side integrates
     ``|grad f|^2`` over the patch directly.  The two agree exactly when
-    ``|phi'|^2`` is the Jacobian, so the returned ratio should be 1.
+    ``|phi'|^2`` is the Jacobian, so the returned ratio should be 1.  A node
+    that Newton cannot invert raises NewtonConvergenceError, and a chart
+    still folded after ``_MAX_SPLIT_DEPTH`` splits raises RuntimeError.
     """
     r0, r1 = patch
     if not 0.0 <= r0 < r1 < 1.0:
@@ -422,7 +403,7 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     def integrand(w):
         return f.grad_abs(w) ** 2 / np.abs(pair.dpsi(w)) ** 2
 
-    omega_side = _forward_patch_integral(pair, integrand, r0, r1, order)
+    omega_side = _forward_patch_integral(pair, integrand, r0, r1)
     disc_side = _ring_sum(lambda w: f.grad_abs(w) ** 2, r0, r1,
                           *_angular_rule((), r1, _DISC_SIDE_SPEC), _DISC_SIDE_SPEC.radial_order)
     return omega_side / disc_side

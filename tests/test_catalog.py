@@ -54,6 +54,12 @@ class TestDescriptors:
         with pytest.raises(DescriptorError):
             parse_descriptor("koebe*sector:1.5")
 
+    @pytest.mark.parametrize("text", ["koebe*moebius:0,0,nan", "moebius:nan,0,0",
+                                      "cardioid*moebius:0.1,0,inf"])
+    def test_non_finite_numbers(self, text):
+        with pytest.raises(DescriptorError, match="finite"):
+            parse_descriptor(text)
+
 
 class TestEvaluation:
     def test_koebe_at_origin(self):
@@ -276,3 +282,10 @@ class TestMoebiusComposition:
             koebe_map().compose_with_moebius(1.0 + 0j, 0.0)
         with pytest.raises(DescriptorError):
             moebius_map(2.0 + 0j)
+
+    def test_twisted_pair_cannot_be_twisted_again(self):
+        # a descriptor holds one twist, so a second would be dropped from its label
+        with pytest.raises(DescriptorError, match="already carries"):
+            koebe_map().compose_with_moebius(0.3, 0.5).compose_with_moebius(0.2j, 1.0)
+        pair = make_pair("moebius:0.3,0,1*moebius:0.2,0.1,0.5")
+        assert pair.descriptor.label() == "moebius:0.3,0,1*moebius:0.2,0.1,0.5"

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -63,6 +64,16 @@ class TestIntegrateCommand:
         assert code == 2
         assert payload["result"]["classification"] == "inconclusive"
         assert "Traceback" not in err
+
+    def test_non_finite_twist_is_a_usage_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "integrate", "--map", "koebe*moebius:0,0,nan",
+                                 "--s", "2")
+        assert code == 2
+        assert not caught
+        assert out == ""
+        assert err.startswith("error: expected a finite number")
 
     def test_inverse_exponent_flag(self, capsys):
         code, payload, _ = run_json(capsys, "integrate", "--map", "identity", "--r", "5")

@@ -172,11 +172,11 @@ class TestIsometry:
 
 
 def reference_patch_cells(pair, r0, r1):
-    """Patch cells refined one cell at a time from a stack, in summation order.
+    """Patch cells refined one cell at a time from a stack, depth first.
 
-    The cell-by-cell builder that ``_patch_cells`` replaced: the forward
-    integral popped its cells from the end of this list, so the reversed
-    list is the order in which their sums were added.
+    Each cell is split until |psi'| varies by at most ``DISTORTION_CAP`` on
+    it or it lies ``_MAX_SPLIT_DEPTH`` splits below its seed cell; the
+    leaves are the cells the forward integral should chart.
     """
 
     def split(cell):
@@ -222,10 +222,18 @@ PATCH_MAPS = ["koebe", "sector:1.5", "cardioid", "koebe*moebius:0.9,0.2,1",
 class TestForwardPatch:
     @pytest.mark.parametrize("patch", [(0.0, 0.8), (0.3, 0.7)], ids=["disc", "annulus"])
     @pytest.mark.parametrize("name", PATCH_MAPS)
-    def test_cells_in_summation_order(self, name, patch):
+    def test_charted_cells(self, monkeypatch, name, patch):
         pair = make_pair(name)
-        cells = operators._patch_cells(pair, *patch)
-        assert np.array_equal(cells, np.array(reference_patch_cells(pair, *patch)))
+        charted = []
+        coons_grid = operators._coons_grid
+
+        def recording(pair, cells, n):
+            charted.extend(map(tuple, cells.tolist()))
+            return coons_grid(pair, cells, n)
+
+        monkeypatch.setattr(operators, "_coons_grid", recording)
+        isometry_check(pair, harmonic_poly(1), patch=patch)
+        assert sorted(charted) == sorted(reference_patch_cells(pair, *patch))
 
     @pytest.mark.parametrize("name, f, ratio", [
         ("koebe", harmonic_poly(1), 1.0000000399867948),
@@ -236,14 +244,21 @@ class TestForwardPatch:
         """Without distortion refinement some charts fold and take the split branch."""
         monkeypatch.setattr(operators, "DISTORTION_CAP", math.inf)
         pair = make_pair(name)
-        cells = operators._patch_cells(pair, 0.0, 0.8)
+        cells = np.array(reference_patch_cells(pair, 0.0, 0.8))
         assert len(cells) == 8
         assert np.any(operators._coons_grid(pair, cells, 16)[3] <= 0.0)
         assert isometry_check(pair, f) == pytest.approx(ratio, rel=0.0, abs=1e-12)
 
+    def test_fold_at_the_last_level_raises(self, monkeypatch):
+        monkeypatch.setattr(operators, "DISTORTION_CAP", math.inf)
+        monkeypatch.setattr(operators, "_MAX_SPLIT_DEPTH", 1)
+        with pytest.raises(RuntimeError, match=r"degenerate forward chart on cell "
+                                               r"\(0\.4, 0\.8, 0\.0, 0\.785"):
+            isometry_check(koebe_map(), harmonic_poly(1))
+
     def test_inversion_does_not_depend_on_batch(self):
         pair = koebe_map()
-        cells = operators._patch_cells(pair, 0.0, 0.8)[[0, -1]]
+        cells = np.array(reference_patch_cells(pair, 0.0, 0.8))[[0, -1]]
         z, _, seeds, _ = operators._coons_grid(pair, cells, 16)
         # a point on the slit, outside the image domain, never converges
         z = np.concatenate([z.ravel(), [-1.0 + 0j]])
