@@ -22,6 +22,18 @@ cardioid
 
 Any family accepts the suffix ``*moebius:a_re,a_im,theta`` for
 precomposition with a disc automorphism.
+
+Factor form
+-----------
+Every map's derivative is ``psi'(w) = C * prod_k (1 - w/zeta_k)**e_k``
+with each ``zeta_k`` on the unit circle: Koebe has ``e = 1`` at -1 and
+``e = -3`` at 1, a sector ``beta - 1`` at 1 and ``-(beta + 1)`` at -1
+(with ``|C| = 2 beta``), the cardioid ``1`` at 1, and the identity no
+factor.  The ``(zeta_k, e_k)`` are the ``singular_points``.  A twist by
+``m`` moves each ``zeta_k`` to ``m^-1(zeta_k)`` and adds one pole factor
+``(1 - conj(a) w)**(-2 - sum_k e_k)``, which is absent (exponent 0) for
+Koebe and sectors.  ``ConformalPair.log_abs_dpsi`` evaluates
+``log|psi'|`` from this form in real arithmetic.
 """
 
 from __future__ import annotations
@@ -54,6 +66,11 @@ TWO_PI = 2.0 * math.pi
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 80
+#: a twist's pole exponent -2 - sum(e_k) at most this large counts as no pole;
+#: for sectors (beta - 1) - (beta + 1) rounds to -2 within an ulp
+POLE_TOL = 1e-12
+#: a twist with |a| at most this leaves 1 - conj(a) w equal to 1 in floating point
+POLE_A_MIN = 2.0 ** -54
 
 
 class MapDomainError(ValueError):
@@ -121,6 +138,16 @@ class ConformalPair:
     raw closed forms (no domain checks); ``eval_psi``/``eval_dpsi`` add the
     ``|w| < 1`` validation.  ``domain_contains`` decides membership in
     Omega.  Immutable; safe to share between threads.
+
+    The derivative also has the factor form of the module docstring,
+    ``psi' = C * prod_k (1 - w/zeta_k)**e_k * (1 - conj(a) w)**pole_exponent``:
+    the ``singular_points`` hold the ``(zeta_k, e_k)``, ``log_scale`` is
+    ``log|C|``, and ``twist_a`` is the parameter ``a`` of the twist (None
+    when untwisted; ``moebius_map`` relabels its descriptor, so the pair
+    keeps ``a`` itself).  ``pole_exponent`` is ``-2 - sum_k e_k`` for a
+    twisted pair; it is 0 for an untwisted pair, when the sum rounds to
+    -2 (``POLE_TOL``) and when ``|a|`` is too small for the factor to
+    differ from 1 (``POLE_A_MIN``).
     """
 
     descriptor: MapDescriptor
@@ -128,10 +155,56 @@ class ConformalPair:
     dpsi: Callable[[np.ndarray], np.ndarray]
     domain_contains: Callable[[complex], bool]
     singular_points: tuple[SingularPoint, ...]
+    log_scale: float = 0.0
+    twist_a: complex | None = None
+
+    def __post_init__(self):
+        # log_abs_dpsi's terms and constant, fixed here so that a call only
+        # does array work.  The pole factor is written as a point too:
+        # |1 - conj(a) w| = |a| |1/conj(a) - w|.
+        a = self.twist_a
+        pole = 0.0
+        if a is not None and abs(a) > POLE_A_MIN:
+            pole = -2.0 - math.fsum(sp.exponent for sp in self.singular_points)
+            if abs(pole) <= POLE_TOL:
+                pole = 0.0
+        points = [(sp.location, sp.exponent) for sp in self.singular_points]
+        log_const = self.log_scale
+        if pole:
+            points.append((1.0 / a.conjugate(), pole))
+            log_const += pole * math.log(abs(a))
+        object.__setattr__(self, "pole_exponent", pole)
+        object.__setattr__(self, "_log_const", log_const)
+        object.__setattr__(self, "_terms", tuple((z.real, z.imag, 0.5 * e) for z, e in points))
 
     @property
     def singular_angles(self) -> tuple[float, ...]:
         return tuple(sp.angle for sp in self.singular_points)
+
+    @property
+    def grading_angles(self) -> tuple[float, ...]:
+        """Angles the disc rule is graded toward: the singular angles, plus arg(a) for a pole.
+
+        ``|psi'|`` peaks or dips toward a twist's pole 1/conj(a) off the
+        circle, most sharply for ``|a|`` near 1.
+        """
+        if not self.pole_exponent:
+            return self.singular_angles
+        return self.singular_angles + (cmath.phase(self.twist_a) % TWO_PI,)
+
+    def log_abs_dpsi(self, w) -> np.ndarray:
+        """``log|psi'(w)|`` from the factor form in real arithmetic (no domain checks).
+
+        ``log|C| + sum_k e_k/2 log((Re zeta_k - x)^2 + (Im zeta_k - y)^2)``
+        plus the pole term; agrees with ``log|dpsi(w)|`` to rounding.
+        Returns a new float array of ``w``'s shape.
+        """
+        w = np.asarray(w, dtype=complex)
+        x, y = w.real, w.imag
+        out = np.full(w.shape, self._log_const)
+        for zr, zi, half_e in self._terms:
+            out += half_e * np.log((zr - x) ** 2 + (zi - y) ** 2)
+        return out
 
     def eval_psi(self, w):
         _require_in_disc(w)
@@ -242,8 +315,11 @@ class ConformalPair:
 
         Singular boundary points are transported through the inverse
         automorphism; their local exponents are unchanged because m is
-        smooth with nonvanishing derivative on the closed disc.  A pair can
-        carry one twist, so twisting a twisted pair raises DescriptorError.
+        smooth with nonvanishing derivative on the closed disc.  The
+        factor form gains the pole factor (see the class docstring) and
+        ``log|C|`` grows by ``log(1 - |a|^2) + sum_k e_k log|1 + e^{i theta} a/zeta_k|``
+        over the untransported ``zeta_k``.  A pair can carry one twist, so
+        twisting a twisted pair raises DescriptorError.
         """
         if self.descriptor.twist_a is not None:
             raise DescriptorError(f"{self.descriptor.label()} already carries a Moebius twist")
@@ -273,8 +349,12 @@ class ConformalPair:
             SingularPoint(_to_circle(m_inv(sp.location)), sp.exponent)
             for sp in self.singular_points
         )
+        log_scale = self.log_scale + math.log1p(-abs(a) ** 2) + math.fsum(
+            sp.exponent * math.log(abs(1.0 + rot * a / sp.location))
+            for sp in self.singular_points)
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
-        return ConformalPair(descriptor, psi, dpsi, self.domain_contains, moved)
+        return ConformalPair(descriptor, psi, dpsi, self.domain_contains, moved,
+                             log_scale, a)
 
 
 def _worse(w_try: np.ndarray, diff: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -372,6 +452,7 @@ def sector_map(beta: float) -> ConformalPair:
         domain_contains=contains,
         singular_points=(SingularPoint(1.0 + 0j, beta - 1.0),
                          SingularPoint(-1.0 + 0j, -(beta + 1.0))),
+        log_scale=math.log(2.0 * beta),
     )
 
 

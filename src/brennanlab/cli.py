@@ -168,6 +168,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if not all(math.isfinite(v) for v in (args.s_from, args.s_to, args.step)):
+        raise RegimeError("scan needs finite --s-from, --s-to and --step")
     if not (args.s_from < args.s_to and args.step > 0.0):
         raise RegimeError("scan needs s_from < s_to and step > 0")
     pair = make_pair(args.map)
@@ -193,11 +195,13 @@ def cmd_critical(args) -> int:
     spec = _spec_from(args)
     report = critical_exponent(pair, args.side, args.tol, spec)
     lo, hi = threshold_oracle(pair)
+    oracle = hi if args.side == "upper" else lo
     _emit_json("critical", {"map": args.map, "side": args.side, "tol": args.tol},
                {"s_star": report.s_star, "bracket": list(report.bracket)},
                {"probes": [{"s": s, "classification": v, "slope": m}
                            for s, v, m in report.probes],
-                "oracle": {"lower": lo, "upper": hi}},
+                "oracle": {"lower": lo, "upper": hi},
+                "oracle_gap": None if oracle is None else abs(report.s_star - oracle)},
                args.out)
     return EXIT_OK
 

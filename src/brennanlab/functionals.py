@@ -100,10 +100,15 @@ class CriticalExponentReport:
 
 def _disc_integral(pair: ConformalPair, exponent: float,
                    spec: GradingSpec) -> IntegralEstimate:
-    def g(w):
-        return np.abs(pair.dpsi(w)) ** exponent
+    """Integral of ``|psi'|^exponent`` over the disc, graded toward every singular angle and pole.
 
-    return integrate_disc(g, pair.singular_angles, spec)
+    The integrand is ``exp(exponent * log|psi'|)`` from the factor form:
+    real arithmetic, no complex derivative.
+    """
+    def g(w):
+        return np.exp(exponent * pair.log_abs_dpsi(w))
+
+    return integrate_disc(g, pair.grading_angles, spec)
 
 
 def brennan_integral(pair: ConformalPair, s: float,

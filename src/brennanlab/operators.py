@@ -183,9 +183,9 @@ def pullback_seminorm(pair: ConformalPair, f: TestFunction, q: float,
         raise ExponentDomainError(f"pullback seminorm needs 1 <= q < inf, got q={q}")
 
     def g(w):
-        return f.grad_abs(w) ** q * np.abs(pair.dpsi(w)) ** (2.0 - q)
+        return f.grad_abs(w) ** q * np.exp((2.0 - q) * pair.log_abs_dpsi(w))
 
-    est = integrate_disc(g, pair.singular_angles, spec)
+    est = integrate_disc(g, pair.grading_angles, spec)
     if est.classification is not Classification.CONVERGED:
         return math.inf
     return est.value ** (1.0 / q)

@@ -289,3 +289,50 @@ class TestMoebiusComposition:
             koebe_map().compose_with_moebius(0.3, 0.5).compose_with_moebius(0.2j, 1.0)
         pair = make_pair("moebius:0.3,0,1*moebius:0.2,0.1,0.5")
         assert pair.descriptor.label() == "moebius:0.3,0,1*moebius:0.2,0.1,0.5"
+
+
+class TestFactorForm:
+    """log_abs_dpsi, from the declared (zeta_k, e_k), log|C| and the twist pole, against dpsi."""
+
+    NAMES = ["identity", "koebe", "cardioid", "sector:0.3", "sector:1", "sector:1.7",
+             "sector:2", "identity*moebius:0,0,1.3", "koebe*moebius:0,0,2",
+             "koebe*moebius:0.95,0.2,1", "sector:1.7*moebius:-0.6,0.7,2",
+             "sector:0.3*moebius:0.1,-0.94,0.4", "cardioid*moebius:0.67,0.67,5",
+             "moebius:0.3,0.2,1.1", "moebius:-0.95,0,0", "moebius:0,0,2",
+             "moebius:1e-200,0,1"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_agrees_with_dpsi(self, name):
+        rng = np.random.default_rng(7)
+        w = 0.99 * np.sqrt(rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
+        pair = make_pair(name)
+        log_mod = pair.log_abs_dpsi(w)
+        ref = np.log(np.abs(pair.dpsi(w)))
+        assert log_mod.shape == w.shape
+        assert np.all(np.abs(log_mod - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("name, pole", [
+        ("koebe", 0.0), ("sector:1.3", 0.0), ("identity", 0.0), ("cardioid", 0.0),
+        ("koebe*moebius:0.5,0.2,1", 0.0), ("sector:1.3*moebius:0.5,0.2,1", 0.0),
+        ("moebius:0.5,0.2,1", -2.0), ("identity*moebius:0.5,0.2,1", -2.0),
+        ("cardioid*moebius:0.5,0.2,1", -3.0), ("cardioid*moebius:0,0,1", 0.0),
+        ("moebius:1e-200,0,1", 0.0),
+    ])
+    def test_pole_exponent(self, name, pole):
+        # sectors sum (beta - 1) - (beta + 1), which rounds near -2; a twist with
+        # a = 0, or so small that 1 - conj(a) w rounds to 1, has no pole
+        assert make_pair(name).pole_exponent == pole
+
+    def test_grading_angles_add_the_pole_direction(self):
+        twisted = make_pair("koebe*moebius:0.5,0.2,1")
+        assert twisted.grading_angles == twisted.singular_angles
+        pair = make_pair("cardioid*moebius:-0.6,0.2,2")
+        assert pair.grading_angles[:-1] == pair.singular_angles
+        assert pair.grading_angles[-1] == pytest.approx(cmath.phase(-0.6 + 0.2j))
+        assert make_pair("moebius:0,0.9,0").grading_angles == pytest.approx((0.5 * math.pi,))
+
+    def test_log_scale(self):
+        assert sector_map(1.5).log_scale == pytest.approx(math.log(3.0))
+        assert koebe_map().log_scale == 0.0
+        # a Moebius map's |m'(0)| is 1 - |a|^2
+        assert make_pair("moebius:0.6,0,0").log_scale == pytest.approx(math.log(0.64))

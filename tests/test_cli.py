@@ -273,3 +273,40 @@ class TestDeterminismAndOutput:
         assert "--annulus-ratio" in out and "0.5" in out
         assert "--radial-order" in out and "16" in out
         assert "--angular-base" in out and "64" in out
+
+
+class TestScanBounds:
+    @pytest.mark.parametrize("argv", [
+        ("--s-from", "1", "--s-to", "inf", "--step", "1"),
+        ("--s-from=-inf", "--s-to", "1", "--step", "1"),
+        ("--s-from", "0", "--s-to", "1", "--step", "inf"),
+        ("--s-from", "nan", "--s-to", "1", "--step", "0.5"),
+    ])
+    def test_non_finite_bounds_are_usage_errors(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "scan", "--map", "koebe", *argv)
+        assert code == 2
+        assert not caught
+        assert out == ""
+        assert "finite" in err
+
+
+class TestCriticalOracleGap:
+    def test_koebe_gap_is_small(self, capsys):
+        code, payload, _ = run_json(capsys, "critical", "--map", "koebe", "--side", "upper")
+        assert code == 0
+        diag = payload["diagnostics"]
+        assert diag["oracle_gap"] == pytest.approx(abs(payload["result"]["s_star"] - 4.0))
+        assert diag["oracle_gap"] < 1e-3
+
+    def test_clustered_twisted_koebe_reports_its_gap(self, capsys):
+        # a known defect: one power-law fit over whole annuli mixes the two
+        # nearby singular points, and s_star lands near 4.33 instead of 4
+        code, payload, _ = run_json(capsys, "critical", "--map", "koebe*moebius:0.95,0.2,1",
+                                    "--side", "upper")
+        assert code == 0
+        assert payload["diagnostics"]["oracle"]["upper"] == pytest.approx(4.0)
+        assert payload["diagnostics"]["oracle_gap"] == pytest.approx(
+            payload["result"]["s_star"] - 4.0)
+        assert payload["diagnostics"]["oracle_gap"] == pytest.approx(0.327, abs=0.01)

@@ -227,3 +227,35 @@ class TestMoebiusInvariance:
     def test_twisted_area_identity(self):
         res = brennan_integral(make_pair("cardioid*moebius:0.3,0,0.5"), 2.0)
         assert res.integral.value == pytest.approx(math.pi, abs=1e-8)
+
+
+#: (|a|, s) cases of the Moebius sweep whose error still exceeds the claimed
+#: bar, with the measured error/bar ratio
+MOEBIUS_BAR_MISSES = {(0.8, -1.0): 1.06, (0.8, -0.5): 1.60, (0.8, 0.0): 1.48}
+
+
+def moebius_sweep():
+    for a in (0.5, 0.8, 0.9, 0.95, 0.99):
+        for s in np.arange(-2.0, 5.25, 0.5).tolist():
+            ratio = MOEBIUS_BAR_MISSES.get((a, s))
+            marks = () if ratio is None else pytest.mark.xfail(
+                strict=True, reason=f"error is {ratio:.2f} times the claimed bar")
+            yield pytest.param(a, s, marks=marks, id=f"a={a}-s={s}")
+
+
+class TestMoebiusErrorBars:
+    """A Moebius map's integral against pi (1-|a|^2)^r 2F1(r, r; 2; |a|^2), r = 2 - s.
+
+    |m'|^r peaks or dips toward the pole 1/conj(a), so this needs the rule graded
+    toward arg(a); the claimed error bar must cover the actual error.
+    """
+
+    @pytest.mark.parametrize("a, s", moebius_sweep())
+    def test_error_within_bar(self, a, s):
+        mpmath = pytest.importorskip("mpmath")
+        r = 2.0 - s
+        x = mpmath.mpf(a) ** 2
+        exact = float(mpmath.pi * (1 - x) ** r * mpmath.hyp2f1(r, r, 2, x))
+        est = brennan_integral(make_pair(f"moebius:{a},0,0"), s).integral
+        assert est.classification is Classification.CONVERGED
+        assert est.abs_error_estimate >= abs(est.value - exact)
