@@ -25,15 +25,20 @@ precomposition with a disc automorphism.
 
 Factor form
 -----------
-Every map's derivative is ``psi'(w) = C * prod_k (1 - w/zeta_k)**e_k``
-with each ``zeta_k`` on the unit circle: Koebe has ``e = 1`` at -1 and
+Every map's derivative is
+``psi'(w) = C * prod_k (1 - w/zeta_k)**e_k * prod_j (1 - c_j w)**f_j``.
+The ``zeta_k`` lie on the unit circle: Koebe has ``e = 1`` at -1 and
 ``e = -3`` at 1, a sector ``beta - 1`` at 1 and ``-(beta + 1)`` at -1
 (with ``|C| = 2 beta``), the cardioid ``1`` at 1, and the identity no
-factor.  The ``(zeta_k, e_k)`` are the ``singular_points``.  A twist by
-``m`` moves each ``zeta_k`` to ``m^-1(zeta_k)`` and adds one pole factor
-``(1 - conj(a) w)**(-2 - sum_k e_k)``, which is absent (exponent 0) for
-Koebe and sectors.  ``ConformalPair.log_abs_dpsi`` evaluates
-``log|psi'|`` from this form in real arithmetic.
+factor.  The ``(zeta_k, e_k)`` are the ``singular_points``.  The poles
+``1/c_j`` lie off the closed disc (``|c_j| < 1``) and only twists make
+them.  A twist by ``m`` with parameter ``a`` carries every factor through
+``m``: each ``zeta_k`` moves to ``m^-1(zeta_k)``, each ``c_j`` to the
+coefficient of the transported factor, and one new pole factor
+``(1 - conj(a) w)**(-2 - sum of all exponents)`` appears, which is absent
+(exponent 0) for Koebe, sectors and a Moebius map twisted again.
+``ConformalPair.log_abs_dpsi`` evaluates ``log|psi'|`` from this form in
+real arithmetic.
 """
 
 from __future__ import annotations
@@ -66,11 +71,9 @@ TWO_PI = 2.0 * math.pi
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 80
-#: a twist's pole exponent -2 - sum(e_k) at most this large counts as no pole;
-#: for sectors (beta - 1) - (beta + 1) rounds to -2 within an ulp
+#: a twist's new pole exponent -2 - sum(exponents) at most this large counts
+#: as no pole; for sectors (beta - 1) - (beta + 1) rounds to -2 within an ulp
 POLE_TOL = 1e-12
-#: a twist with |a| at most this leaves 1 - conj(a) w equal to 1 in floating point
-POLE_A_MIN = 2.0 ** -54
 
 
 class MapDomainError(ValueError):
@@ -139,15 +142,11 @@ class ConformalPair:
     ``|w| < 1`` validation.  ``domain_contains`` decides membership in
     Omega.  Immutable; safe to share between threads.
 
-    The derivative also has the factor form of the module docstring,
-    ``psi' = C * prod_k (1 - w/zeta_k)**e_k * (1 - conj(a) w)**pole_exponent``:
-    the ``singular_points`` hold the ``(zeta_k, e_k)``, ``log_scale`` is
-    ``log|C|``, and ``twist_a`` is the parameter ``a`` of the twist (None
-    when untwisted; ``moebius_map`` relabels its descriptor, so the pair
-    keeps ``a`` itself).  ``pole_exponent`` is ``-2 - sum_k e_k`` for a
-    twisted pair; it is 0 for an untwisted pair, when the sum rounds to
-    -2 (``POLE_TOL``) and when ``|a|`` is too small for the factor to
-    differ from 1 (``POLE_A_MIN``).
+    The derivative also has the factor form of the module docstring: the
+    ``singular_points`` hold the ``(zeta_k, e_k)`` on the circle,
+    ``log_scale`` is ``log|C|``, and ``poles`` holds the ``(c_j, f_j)`` of
+    the factors ``(1 - c_j w)**f_j`` whose pole ``1/c_j`` lies off the
+    closed disc.  Only :meth:`compose_with_moebius` makes poles.
     """
 
     descriptor: MapDescriptor
@@ -156,26 +155,15 @@ class ConformalPair:
     domain_contains: Callable[[complex], bool]
     singular_points: tuple[SingularPoint, ...]
     log_scale: float = 0.0
-    twist_a: complex | None = None
+    poles: tuple[tuple[complex, float], ...] = ()
 
     def __post_init__(self):
-        # log_abs_dpsi's terms and constant, fixed here so that a call only
-        # does array work.  The pole factor is written as a point too:
-        # |1 - conj(a) w| = |a| |1/conj(a) - w|.
-        a = self.twist_a
-        pole = 0.0
-        if a is not None and abs(a) > POLE_A_MIN:
-            pole = -2.0 - math.fsum(sp.exponent for sp in self.singular_points)
-            if abs(pole) <= POLE_TOL:
-                pole = 0.0
-        points = [(sp.location, sp.exponent) for sp in self.singular_points]
-        log_const = self.log_scale
-        if pole:
-            points.append((1.0 / a.conjugate(), pole))
-            log_const += pole * math.log(abs(a))
-        object.__setattr__(self, "pole_exponent", pole)
-        object.__setattr__(self, "_log_const", log_const)
-        object.__setattr__(self, "_terms", tuple((z.real, z.imag, 0.5 * e) for z, e in points))
+        # log_abs_dpsi's terms, fixed here so that a call only does array work
+        object.__setattr__(self, "_point_terms", tuple(
+            (sp.location.real, sp.location.imag, 0.5 * sp.exponent)
+            for sp in self.singular_points))
+        object.__setattr__(self, "_pole_terms", tuple(
+            (c.real, c.imag, 0.5 * f) for c, f in self.poles))
 
     @property
     def singular_angles(self) -> tuple[float, ...]:
@@ -183,27 +171,30 @@ class ConformalPair:
 
     @property
     def grading_angles(self) -> tuple[float, ...]:
-        """Angles the disc rule is graded toward: the singular angles, plus arg(a) for a pole.
+        """Angles the disc rule is graded toward: the singular angles, then each pole's.
 
-        ``|psi'|`` peaks or dips toward a twist's pole 1/conj(a) off the
-        circle, most sharply for ``|a|`` near 1.
+        ``|psi'|`` peaks or dips toward a pole ``1/c`` off the circle, most
+        sharply for ``|c|`` near 1; a twist's pole lies at angle arg(a).
         """
-        if not self.pole_exponent:
-            return self.singular_angles
-        return self.singular_angles + (cmath.phase(self.twist_a) % TWO_PI,)
+        return self.singular_angles + tuple(
+            -cmath.phase(c) % TWO_PI for c, _ in self.poles)
 
     def log_abs_dpsi(self, w) -> np.ndarray:
         """``log|psi'(w)|`` from the factor form in real arithmetic (no domain checks).
 
         ``log|C| + sum_k e_k/2 log((Re zeta_k - x)^2 + (Im zeta_k - y)^2)``
-        plus the pole term; agrees with ``log|dpsi(w)|`` to rounding.
-        Returns a new float array of ``w``'s shape.
+        plus ``f_j/2 log|1 - c_j w|^2`` per pole, with
+        ``|1 - c w|^2 = (1 - Re c x + Im c y)^2 + (Re c y + Im c x)^2``;
+        agrees with ``log|dpsi(w)|`` to rounding.  Returns a new float
+        array of ``w``'s shape.
         """
         w = np.asarray(w, dtype=complex)
         x, y = w.real, w.imag
-        out = np.full(w.shape, self._log_const)
-        for zr, zi, half_e in self._terms:
+        out = np.full(w.shape, self.log_scale)
+        for zr, zi, half_e in self._point_terms:
             out += half_e * np.log((zr - x) ** 2 + (zi - y) ** 2)
+        for cr, ci, half_f in self._pole_terms:
+            out += half_f * np.log((1.0 - cr * x + ci * y) ** 2 + (cr * y + ci * x) ** 2)
         return out
 
     def eval_psi(self, w):
@@ -315,11 +306,17 @@ class ConformalPair:
 
         Singular boundary points are transported through the inverse
         automorphism; their local exponents are unchanged because m is
-        smooth with nonvanishing derivative on the closed disc.  The
-        factor form gains the pole factor (see the class docstring) and
-        ``log|C|`` grows by ``log(1 - |a|^2) + sum_k e_k log|1 + e^{i theta} a/zeta_k|``
-        over the untransported ``zeta_k``.  A pair can carry one twist, so
-        twisting a twisted pair raises DescriptorError.
+        smooth with nonvanishing derivative on the closed disc.  Every
+        factor of the factor form goes through ``m``:
+        ``1 - c m(w) = (1 + c e^{i theta} a) (1 - c' w)/(1 - conj(a) w)``
+        with ``c' = (conj(a) + c e^{i theta})/(1 + c e^{i theta} a)``
+        (``c = 1/zeta_k`` for a singular point, where ``c'`` is
+        ``1/m^-1(zeta_k)``).  So ``log|C|`` grows by
+        ``log(1 - |a|^2) + sum e log|1 + c e^{i theta} a|`` over every
+        factor, each pole moves to its ``c'``, and the factors' denominators
+        and ``m'`` make the new pole ``(1 - conj(a) w)**(-2 - sum e)``.  A
+        pair can carry one twist, so twisting a twisted pair raises
+        DescriptorError.
         """
         if self.descriptor.twist_a is not None:
             raise DescriptorError(f"{self.descriptor.label()} already carries a Moebius twist")
@@ -349,12 +346,18 @@ class ConformalPair:
             SingularPoint(_to_circle(m_inv(sp.location)), sp.exponent)
             for sp in self.singular_points
         )
+        ra = rot * a
         log_scale = self.log_scale + math.log1p(-abs(a) ** 2) + math.fsum(
-            sp.exponent * math.log(abs(1.0 + rot * a / sp.location))
-            for sp in self.singular_points)
+            [sp.exponent * math.log(abs(1.0 + ra / sp.location)) for sp in self.singular_points]
+            + [f * math.log(abs(1.0 + c * ra)) for c, f in self.poles])
+        poles = tuple(((a.conjugate() + c * rot) / (1.0 + c * ra), f) for c, f in self.poles)
+        new_pole = -2.0 - math.fsum([sp.exponent for sp in self.singular_points]
+                                    + [f for _, f in self.poles])
+        if a and abs(new_pole) > POLE_TOL:
+            poles += ((a.conjugate(), new_pole),)
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
         return ConformalPair(descriptor, psi, dpsi, self.domain_contains, moved,
-                             log_scale, a)
+                             log_scale, poles)
 
 
 def _worse(w_try: np.ndarray, diff: np.ndarray, resid: np.ndarray) -> np.ndarray:

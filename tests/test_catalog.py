@@ -299,7 +299,8 @@ class TestFactorForm:
              "koebe*moebius:0.95,0.2,1", "sector:1.7*moebius:-0.6,0.7,2",
              "sector:0.3*moebius:0.1,-0.94,0.4", "cardioid*moebius:0.67,0.67,5",
              "moebius:0.3,0.2,1.1", "moebius:-0.95,0,0", "moebius:0,0,2",
-             "moebius:1e-200,0,1"]
+             "moebius:1e-200,0,1", "moebius:0.3,0,1*moebius:0.2,0.1,0.5",
+             "moebius:0.9,0.3,2*moebius:-0.8,0.5,4", "moebius:0.5,0,0*moebius:-0.5,0,0"]
 
     @pytest.mark.parametrize("name", NAMES)
     def test_agrees_with_dpsi(self, name):
@@ -311,17 +312,25 @@ class TestFactorForm:
         assert log_mod.shape == w.shape
         assert np.all(np.abs(log_mod - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
-    @pytest.mark.parametrize("name, pole", [
-        ("koebe", 0.0), ("sector:1.3", 0.0), ("identity", 0.0), ("cardioid", 0.0),
-        ("koebe*moebius:0.5,0.2,1", 0.0), ("sector:1.3*moebius:0.5,0.2,1", 0.0),
-        ("moebius:0.5,0.2,1", -2.0), ("identity*moebius:0.5,0.2,1", -2.0),
-        ("cardioid*moebius:0.5,0.2,1", -3.0), ("cardioid*moebius:0,0,1", 0.0),
-        ("moebius:1e-200,0,1", 0.0),
+    @pytest.mark.parametrize("name, exponents", [
+        ("koebe", ()), ("sector:1.3", ()), ("identity", ()), ("cardioid", ()),
+        ("koebe*moebius:0.5,0.2,1", ()), ("sector:1.3*moebius:0.5,0.2,1", ()),
+        ("moebius:0.5,0.2,1", (-2.0,)), ("identity*moebius:0.5,0.2,1", (-2.0,)),
+        ("cardioid*moebius:0.5,0.2,1", (-3.0,)), ("cardioid*moebius:0,0,1", ()),
+        ("moebius:1e-200,0,1", (-2.0,)), ("moebius:0.3,0,1*moebius:0.2,0.1,0.5", (-2.0,)),
     ])
-    def test_pole_exponent(self, name, pole):
-        # sectors sum (beta - 1) - (beta + 1), which rounds near -2; a twist with
-        # a = 0, or so small that 1 - conj(a) w rounds to 1, has no pole
-        assert make_pair(name).pole_exponent == pole
+    def test_pole_exponents(self, name, exponents):
+        # sectors sum (beta - 1) - (beta + 1), which rounds near -2, so a twist
+        # leaves them no pole; nor does a = 0, or a second twist of a Moebius map
+        assert tuple(f for _, f in make_pair(name).poles) == exponents
+
+    def test_a_second_twist_moves_the_first_pole(self):
+        # m2 then m1 is one automorphism, whose pole is where m2 sends 1/conj(a1)
+        a1, a2, rot2 = 0.3, 0.2 + 0.1j, cmath.exp(0.5j)
+        (c, f), = make_pair("moebius:0.3,0,1*moebius:0.2,0.1,0.5").poles
+        pole = 1.0 / c
+        assert rot2 * (pole - a2) / (1.0 - a2.conjugate() * pole) == pytest.approx(1.0 / a1)
+        assert f == -2.0
 
     def test_grading_angles_add_the_pole_direction(self):
         twisted = make_pair("koebe*moebius:0.5,0.2,1")
@@ -330,6 +339,7 @@ class TestFactorForm:
         assert pair.grading_angles[:-1] == pair.singular_angles
         assert pair.grading_angles[-1] == pytest.approx(cmath.phase(-0.6 + 0.2j))
         assert make_pair("moebius:0,0.9,0").grading_angles == pytest.approx((0.5 * math.pi,))
+        assert make_pair("moebius:-0.5,0,0").grading_angles == pytest.approx((math.pi,))
 
     def test_log_scale(self):
         assert sector_map(1.5).log_scale == pytest.approx(math.log(3.0))

@@ -228,6 +228,13 @@ class TestMoebiusInvariance:
         res = brennan_integral(make_pair("cardioid*moebius:0.3,0,0.5"), 2.0)
         assert res.integral.value == pytest.approx(math.pi, abs=1e-8)
 
+    @pytest.mark.parametrize("name", ["moebius:0.3,0,1*moebius:0.2,0.1,0.5",
+                                      "moebius:0.9,0.3,2*moebius:-0.8,0.5,4"])
+    def test_twisted_moebius_area_is_pi(self, name):
+        # at s = 0 the integral is the area of psi(D) = D
+        est = brennan_integral(make_pair(name), 0.0).integral
+        assert est.value == pytest.approx(math.pi, abs=max(1e-8, est.abs_error_estimate))
+
 
 #: (|a|, s) cases of the Moebius sweep whose error still exceeds the claimed
 #: bar, with the measured error/bar ratio
