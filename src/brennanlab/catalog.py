@@ -28,17 +28,17 @@ Factor form
 Every map's derivative is
 ``psi'(w) = C * prod_k (1 - w/zeta_k)**e_k * prod_j (1 - c_j w)**f_j``.
 The ``zeta_k`` lie on the unit circle: Koebe has ``e = 1`` at -1 and
-``e = -3`` at 1, a sector ``beta - 1`` at 1 and ``-(beta + 1)`` at -1
-(with ``|C| = 2 beta``), the cardioid ``1`` at 1, and the identity no
-factor.  The ``(zeta_k, e_k)`` are the ``singular_points``.  The poles
-``1/c_j`` lie off the closed disc (``|c_j| < 1``) and only twists make
-them.  A twist by ``m`` with parameter ``a`` carries every factor through
-``m``: each ``zeta_k`` moves to ``m^-1(zeta_k)``, each ``c_j`` to the
-coefficient of the transported factor, and one new pole factor
-``(1 - conj(a) w)**(-2 - sum of all exponents)`` appears, which is absent
-(exponent 0) for Koebe, sectors and a Moebius map twisted again.
-``ConformalPair.log_abs_dpsi`` evaluates ``log|psi'|`` from this form in
-real arithmetic.
+``e = -3`` at 1, a sector ``beta - 1`` at 1 and ``-(beta + 1)`` at -1, the
+cardioid ``1`` at 1, and the identity no factor.  The ``(zeta_k, e_k)``
+are the ``singular_points``.  The poles ``1/c_j`` lie off the closed disc
+(``|c_j| < 1``) and only twists make them.  Every factor is 1 at w = 0, so
+``|C| = |psi'(0)|`` and no family declares it.  A twist by ``m`` with
+parameter ``a`` carries every factor through ``m``: each ``zeta_k`` moves
+to ``m^-1(zeta_k)``, each ``c_j`` to the coefficient of the transported
+factor, and one new pole factor ``(1 - conj(a) w)**(-2 - sum of all
+exponents)`` appears, which is absent (exponent 0) for Koebe, sectors and
+a Moebius map twisted again.  ``ConformalPair.log_abs_dpsi`` evaluates
+``log|psi'|`` from this form in real arithmetic.
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ class ConformalPair:
     ``|w| < 1`` validation.  ``domain_contains`` decides membership in
     Omega.  Immutable; safe to share between threads.
 
-    The derivative also has the factor form of the module docstring: the
-    ``singular_points`` hold the ``(zeta_k, e_k)`` on the circle,
-    ``log_scale`` is ``log|C|``, and ``poles`` holds the ``(c_j, f_j)`` of
-    the factors ``(1 - c_j w)**f_j`` whose pole ``1/c_j`` lies off the
-    closed disc.  Only :meth:`compose_with_moebius` makes poles.
+    The derivative also has the factor form of the module docstring:
+    ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
+    the ``(c_j, f_j)`` of the factors ``(1 - c_j w)**f_j`` off the closed
+    disc (only :meth:`compose_with_moebius` makes them), and ``log_scale``
+    is ``log|C| = log|psi'(0)|``, computed when the pair is built.
     """
 
     descriptor: MapDescriptor
@@ -154,11 +154,12 @@ class ConformalPair:
     dpsi: Callable[[np.ndarray], np.ndarray]
     domain_contains: Callable[[complex], bool]
     singular_points: tuple[SingularPoint, ...]
-    log_scale: float = 0.0
     poles: tuple[tuple[complex, float], ...] = ()
 
     def __post_init__(self):
-        # log_abs_dpsi's terms, fixed here so that a call only does array work
+        # log_abs_dpsi's terms, fixed here so that a call only does array work;
+        # every factor is 1 at w = 0, so log|C| = log|psi'(0)|
+        object.__setattr__(self, "log_scale", math.log(abs(complex(self.dpsi(0j)))))
         object.__setattr__(self, "_point_terms", tuple(
             (sp.location.real, sp.location.imag, 0.5 * sp.exponent)
             for sp in self.singular_points))
@@ -205,18 +206,20 @@ class ConformalPair:
         _require_in_disc(w)
         return self.dpsi(w)
 
-    # Not a loop over invert_many: on a one-point array each step-halving
-    # costs several numpy calls, while this loop skips psi for steps that
-    # leave the disc.  Such a loop over seeds was 5-15x slower per point.
+    # Not a loop over invert_many, which was 5-15x slower per point: a step
+    # halving costs it several numpy calls even on a one-point array.  Only
+    # this loop ends with a polishing step, so the two can differ by that step.
     def invert(self, z: complex, seed: complex | None = None) -> complex:
         """Solve psi(w) = z for w in the open disc by damped Newton iteration.
 
-        Steps that would leave the disc or increase the residual are
-        halved.  The default seed is 0, with retries from eight points at
-        radius 1/2 and then, for points those nine cannot reach, from
-        sixteen points at radius 0.9, nearest image first.  An explicit
-        ``seed`` is the only one tried.  Raises MapDomainError for z
-        outside Omega and NewtonConvergenceError when every seed fails.
+        Steps that would leave the disc or increase the residual are halved;
+        once the residual meets the tolerance, one more step is kept if it
+        stays in the disc and does not raise the residual.  The default seed
+        is 0, with retries from eight points at radius 1/2 and then, for
+        points those nine cannot reach, from sixteen points at radius 0.9,
+        nearest image first.  An explicit ``seed`` is the only one tried.
+        Raises MapDomainError for z outside Omega and NewtonConvergenceError
+        when every seed fails.
         """
         if not self.domain_contains(z):
             raise MapDomainError(f"point {z!r} is outside the image domain")
@@ -242,22 +245,31 @@ class ConformalPair:
         yield from ring[np.argsort(np.abs(self.psi(ring) - z), kind="stable")].tolist()
 
     def _newton_from(self, w: complex, z: complex, target: float) -> complex | None:
-        resid = abs(complex(self.psi(w)) - z)
-        for _ in range(NEWTON_MAX_ITER):
+        # psi(w) - z is carried from the accepted trial point; the last pass only checks it
+        diff = complex(self.psi(w)) - z
+        for i in range(NEWTON_MAX_ITER + 1):
+            resid = abs(diff)
             if resid <= target:
-                return w
-            step = (complex(self.psi(w)) - z) / complex(self.dpsi(w))
+                break
+            if i == NEWTON_MAX_ITER:
+                return None
+            step = diff / complex(self.dpsi(w))
             for _ in range(60):
                 w_try = w - step
                 if abs(w_try) < 1.0:
-                    r_try = abs(complex(self.psi(w_try)) - z)
-                    if r_try <= resid or r_try <= target:
+                    d_try = complex(self.psi(w_try)) - z
+                    if abs(d_try) <= resid:
                         break
                 step *= 0.5
             else:
                 return None
-            w, resid = w_try, r_try
-        return w if resid <= target else None
+            w, diff = w_try, d_try
+        # w is off by about the residual over |psi'(w)|, large near a zero of
+        # psi', so one more step polishes it
+        polished = w - diff / complex(self.dpsi(w))
+        if abs(polished) < 1.0 and abs(complex(self.psi(polished)) - z) <= resid:
+            return polished
+        return w
 
     def invert_many(self, z: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized Newton inversion; returns (w, converged mask).
@@ -311,10 +323,9 @@ class ConformalPair:
         ``1 - c m(w) = (1 + c e^{i theta} a) (1 - c' w)/(1 - conj(a) w)``
         with ``c' = (conj(a) + c e^{i theta})/(1 + c e^{i theta} a)``
         (``c = 1/zeta_k`` for a singular point, where ``c'`` is
-        ``1/m^-1(zeta_k)``).  So ``log|C|`` grows by
-        ``log(1 - |a|^2) + sum e log|1 + c e^{i theta} a|`` over every
-        factor, each pole moves to its ``c'``, and the factors' denominators
-        and ``m'`` make the new pole ``(1 - conj(a) w)**(-2 - sum e)``.  A
+        ``1/m^-1(zeta_k)``).  So each pole moves to its ``c'``, and the
+        factors' denominators and ``m'`` make the new pole
+        ``(1 - conj(a) w)**(-2 - sum e)``; the constant stays ``|psi'(0)|``.  A
         pair can carry one twist, so twisting a twisted pair raises
         DescriptorError.
         """
@@ -346,18 +357,13 @@ class ConformalPair:
             SingularPoint(_to_circle(m_inv(sp.location)), sp.exponent)
             for sp in self.singular_points
         )
-        ra = rot * a
-        log_scale = self.log_scale + math.log1p(-abs(a) ** 2) + math.fsum(
-            [sp.exponent * math.log(abs(1.0 + ra / sp.location)) for sp in self.singular_points]
-            + [f * math.log(abs(1.0 + c * ra)) for c, f in self.poles])
-        poles = tuple(((a.conjugate() + c * rot) / (1.0 + c * ra), f) for c, f in self.poles)
+        poles = tuple(((a.conjugate() + c * rot) / (1.0 + c * (rot * a)), f) for c, f in self.poles)
         new_pole = -2.0 - math.fsum([sp.exponent for sp in self.singular_points]
                                     + [f for _, f in self.poles])
         if a and abs(new_pole) > POLE_TOL:
             poles += ((a.conjugate(), new_pole),)
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
-        return ConformalPair(descriptor, psi, dpsi, self.domain_contains, moved,
-                             log_scale, poles)
+        return ConformalPair(descriptor, psi, dpsi, self.domain_contains, moved, poles)
 
 
 def _worse(w_try: np.ndarray, diff: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -455,7 +461,6 @@ def sector_map(beta: float) -> ConformalPair:
         domain_contains=contains,
         singular_points=(SingularPoint(1.0 + 0j, beta - 1.0),
                          SingularPoint(-1.0 + 0j, -(beta + 1.0))),
-        log_scale=math.log(2.0 * beta),
     )
 
 

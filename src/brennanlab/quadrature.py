@@ -173,35 +173,30 @@ def _angular_rule(singular_angles: Sequence[float], scale: float,
     ``angular_boost``-point Gauss-Legendre rule.
     """
     width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
-    if not singular_angles:
-        # not _split_gaps: its size-one arrays would map numpy code pages that
-        # no other part of an integral touches (+128 KB of peak RSS)
-        edges = np.linspace(0.0, TWO_PI, max(1, math.ceil(TWO_PI / width_cap)) + 1)
-        lo, hi = edges[:-1], edges[1:]
-    else:
-        los, his = [], []
-        # angles that coincide modulo 2pi are one angle, owning one arc
-        angles = sorted({a % TWO_PI for a in singular_angles})
-        for i, a in enumerate(angles):
-            b = angles[(i + 1) % len(angles)] if len(angles) > 1 else a + TWO_PI
-            if b <= a:
-                b += TWO_PI
-            mid = 0.5 * (a + b)
-            for start, stop, outward in ((a, mid, True), (mid, b, False)):
-                length = stop - start
-                if length <= 0.0:
-                    continue
-                if length <= scale:
-                    los.append([start])
-                    his.append([stop])
-                    continue
-                doubling = scale * 2.0 ** np.arange(math.ceil(math.log2(length / scale)) + 1)
-                pa, pb = _split_gaps(
-                    np.concatenate(([0.0], doubling[doubling < length], [length])), width_cap)
-                # the inward side mirrors its panels, nearest the angle first
-                los.append(start + pa if outward else stop - pb)
-                his.append(start + pb if outward else stop - pa)
-        lo, hi = np.concatenate(los), np.concatenate(his)
+    # angles that coincide modulo 2pi are one angle, owning one arc
+    angles = sorted({a % TWO_PI for a in singular_angles})
+    los, his = [], []
+    for i, a in enumerate(angles):
+        b = angles[(i + 1) % len(angles)] if len(angles) > 1 else a + TWO_PI
+        if b <= a:
+            b += TWO_PI
+        mid = 0.5 * (a + b)
+        for start, stop, outward in ((a, mid, True), (mid, b, False)):
+            length = stop - start
+            if length <= 0.0:
+                continue
+            if length <= scale:
+                los.append([start])
+                his.append([stop])
+                continue
+            doubling = scale * 2.0 ** np.arange(math.ceil(math.log2(length / scale)) + 1)
+            pa, pb = _split_gaps(
+                np.concatenate(([0.0], doubling[doubling < length], [length])), width_cap)
+            # the inward side mirrors its panels, nearest the angle first
+            los.append(start + pa if outward else stop - pb)
+            his.append(start + pb if outward else stop - pa)
+    lo, hi = ((np.concatenate(los), np.concatenate(his)) if angles
+              else _split_gaps(np.array([0.0, TWO_PI]), width_cap))
     x, w = _gauss(spec.angular_boost)
     half = 0.5 * (hi - lo)[:, None]
     return (lo[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
@@ -243,13 +238,12 @@ def _gap_ladder(spec: GradingSpec, eps_stop: float) -> list[float]:
 
 def _graded_sums(g, singular_angles, spec: GradingSpec, eps_stop: float):
     """Inner-disc value plus per-annulus contributions down to eps_stop."""
-    angles = tuple(a % TWO_PI for a in singular_angles)
-    core_theta, core_wtheta = _angular_rule(angles, EPS_START, spec)
+    core_theta, core_wtheta = _angular_rule(singular_angles, EPS_START, spec)
     core = _ring_sum(g, 0.0, 1.0 - EPS_START, core_theta, core_wtheta, spec.radial_order)
     gaps = _gap_ladder(spec, eps_stop)
     increments: list[float] = []
     for outer_gap, inner_gap in zip(gaps[:-1], gaps[1:]):
-        theta, wtheta = _angular_rule(angles, inner_gap, spec)
+        theta, wtheta = _angular_rule(singular_angles, inner_gap, spec)
         increments.append(_ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, theta, wtheta,
                                     spec.radial_order))
     return core, increments, gaps[1:]

@@ -292,7 +292,7 @@ class TestMoebiusComposition:
 
 
 class TestFactorForm:
-    """log_abs_dpsi, from the declared (zeta_k, e_k), log|C| and the twist pole, against dpsi."""
+    """log_abs_dpsi, from the declared (zeta_k, e_k), the poles and |psi'(0)|, against dpsi."""
 
     NAMES = ["identity", "koebe", "cardioid", "sector:0.3", "sector:1", "sector:1.7",
              "sector:2", "identity*moebius:0,0,1.3", "koebe*moebius:0,0,2",
@@ -346,3 +346,36 @@ class TestFactorForm:
         assert koebe_map().log_scale == 0.0
         # a Moebius map's |m'(0)| is 1 - |a|^2
         assert make_pair("moebius:0.6,0,0").log_scale == pytest.approx(math.log(0.64))
+
+    @staticmethod
+    def _carried_log_scale(pair, log_scale, a, theta):
+        """log|C| of ``pair`` twisted by (a, theta), carried through every factor.
+
+        ``1 - c m(w) = (1 + c e^{i theta} a)(1 - c' w)/(1 - conj(a) w)`` and
+        ``|m'(0)| = 1 - |a|^2``, with ``c = 1/zeta_k`` for a singular point.
+        """
+        ra = cmath.exp(1j * theta) * a
+        factors = [(1.0 / sp.location, sp.exponent) for sp in pair.singular_points]
+        factors += list(pair.poles)
+        return log_scale + math.log1p(-abs(a) ** 2) + math.fsum(
+            e * math.log(abs(1.0 + c * ra)) for c, e in factors)
+
+    TWISTS = ["", "*moebius:0,0,1.3", "*moebius:0.95,0,0.7", "*moebius:-0.57,0.76,4",
+              "*moebius:0.2,0.1,0.5"]
+
+    @pytest.mark.parametrize("twist", TWISTS)
+    @pytest.mark.parametrize("head", ["identity", "koebe", "cardioid", "sector:0.3", "sector:1",
+                                      "sector:1.7", "sector:2", "moebius:0.3,0,1",
+                                      "moebius:-0.6,0.7,2"])
+    def test_log_scale_is_the_carried_constant(self, head, twist):
+        base = make_pair(head)
+        d = base.descriptor
+        if d.family == "moebius":
+            expected = self._carried_log_scale(identity_map(), 0.0, d.a, d.theta)
+        else:
+            expected = math.log(2.0 * d.beta) if d.family == "sector" else 0.0
+        pair = make_pair(head + twist)
+        if pair.descriptor.twist_a is not None:
+            expected = self._carried_log_scale(base, expected, pair.descriptor.twist_a,
+                                               pair.descriptor.twist_theta)
+        assert abs(pair.log_scale - expected) <= 1e-14

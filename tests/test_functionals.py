@@ -153,6 +153,15 @@ class TestPDistortion:
         expected = abs(complex(pair.dpsi(w))) ** (2.0 - 3.5)
         assert p_distortion(pair, z, 3.5) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("w", [-0.9, -0.95, -0.97, -0.98, -0.95 + 0.05j, -0.96 - 0.1j])
+    def test_near_the_zero_of_the_derivative(self, w):
+        # Koebe's psi' vanishes at -1, so a small residual |psi(w) - z| still
+        # leaves w off by that over |psi'(w)|; Newton's last step must polish it
+        pair = koebe_map()
+        z = complex(pair.psi(complex(w)))
+        expected = abs(complex(pair.dpsi(complex(w)))) ** (2.0 - 4.0)
+        assert abs(p_distortion(pair, z, 4.0) - expected) <= 1e-11 * expected
+
 
 class TestThresholdOracle:
     def test_koebe(self):
