@@ -23,6 +23,17 @@ cardioid
 Any family accepts the suffix ``*moebius:a_re,a_im,theta`` for
 precomposition with a disc automorphism.
 
+Fused form
+----------
+Every map also has ``psi_dpsi(w) -> (psi(w), psi'(w))``, written by hand
+so that the subexpressions the two closed forms share are computed once:
+``log(1 - w)`` and ``log(1 + w)`` for a sector, ``1 - w`` for Koebe, and
+the denominator ``1 - conj(a) w`` of ``m`` and ``m'`` for a twist.  The
+operations are the same as in ``psi`` and ``dpsi``, in the same order, so
+both outputs are bit for bit theirs.  Newton inversion costs one fused
+call per trial point and carries ``psi'`` from the accepted point into
+the next step.
+
 Factor form
 -----------
 Every map's derivative is
@@ -71,6 +82,10 @@ TWO_PI = 2.0 * math.pi
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 80
+#: a scalar Newton step halved more often than this means the seed has
+#: stalled against the circle (damping factor below 2**-27, about 7e-9);
+#: converging seeds of the patch-newton benchmark needed at most 18
+NEWTON_MAX_HALVINGS = 27
 #: a twist's new pole exponent -2 - sum(exponents) at most this large counts
 #: as no pole; for sectors (beta - 1) - (beta + 1) rounds to -2 within an ulp
 POLE_TOL = 1e-12
@@ -139,8 +154,10 @@ class ConformalPair:
 
     ``psi`` and ``dpsi`` are vectorized over complex ndarrays and are the
     raw closed forms (no domain checks); ``eval_psi``/``eval_dpsi`` add the
-    ``|w| < 1`` validation.  ``domain_contains`` decides membership in
-    Omega.  Immutable; safe to share between threads.
+    ``|w| < 1`` validation.  ``psi_dpsi`` is the fused form of the module
+    docstring, returning both at once, bit for bit equal to them; the Newton
+    solvers and the forward-patch charts use it.  ``domain_contains``
+    decides membership in Omega.  Immutable; safe to share between threads.
 
     The derivative also has the factor form of the module docstring:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
@@ -152,6 +169,7 @@ class ConformalPair:
     descriptor: MapDescriptor
     psi: Callable[[np.ndarray], np.ndarray]
     dpsi: Callable[[np.ndarray], np.ndarray]
+    psi_dpsi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain_contains: Callable[[complex], bool]
     singular_points: tuple[SingularPoint, ...]
     poles: tuple[tuple[complex, float], ...] = ()
@@ -208,18 +226,24 @@ class ConformalPair:
 
     # Not a loop over invert_many, which was 5-15x slower per point: a step
     # halving costs it several numpy calls even on a one-point array.  Only
-    # this loop ends with a polishing step, so the two can differ by that step.
+    # this loop ends with a polishing step, so the two can differ by that
+    # step, and only this loop drops a stalled seed early.
     def invert(self, z: complex, seed: complex | None = None) -> complex:
         """Solve psi(w) = z for w in the open disc by damped Newton iteration.
 
-        Steps that would leave the disc or increase the residual are halved;
-        once the residual meets the tolerance, one more step is kept if it
-        stays in the disc and does not raise the residual.  The default seed
-        is 0, with retries from eight points at radius 1/2 and then, for
-        points those nine cannot reach, from sixteen points at radius 0.9,
-        nearest image first.  An explicit ``seed`` is the only one tried.
-        Raises MapDomainError for z outside Omega and NewtonConvergenceError
-        when every seed fails.
+        Each trial point costs one ``psi_dpsi`` call.  Steps that would leave
+        the disc or increase the residual are halved; once the residual
+        meets the tolerance, one more step is kept if it stays in the disc
+        and does not raise the residual.  A seed is dropped as stalled when
+        a step needs more than ``NEWTON_MAX_HALVINGS`` halvings: such seeds
+        are pinned against the circle with a flat residual.  Since psi is
+        univalent, every seed that converges reaches the same w up to
+        rounding, so dropping one costs only a retry.  The default seed is
+        0, with retries from eight points at radius 1/2 and then, for points
+        those nine cannot reach, from sixteen points at radius 0.9, nearest
+        image first.  An explicit ``seed`` is the only one tried.  Raises
+        MapDomainError for z outside Omega and NewtonConvergenceError when
+        every seed fails.
         """
         if not self.domain_contains(z):
             raise MapDomainError(f"point {z!r} is outside the image domain")
@@ -245,47 +269,57 @@ class ConformalPair:
         yield from ring[np.argsort(np.abs(self.psi(ring) - z), kind="stable")].tolist()
 
     def _newton_from(self, w: complex, z: complex, target: float) -> complex | None:
-        # psi(w) - z is carried from the accepted trial point; the last pass only checks it
-        diff = complex(self.psi(w)) - z
+        # psi(w) - z and psi'(w) are carried from the accepted trial point; the
+        # last pass only checks the residual
+        value, deriv = self.psi_dpsi(w)
+        diff, dw = complex(value) - z, complex(deriv)
         for i in range(NEWTON_MAX_ITER + 1):
             resid = abs(diff)
             if resid <= target:
                 break
             if i == NEWTON_MAX_ITER:
                 return None
-            step = diff / complex(self.dpsi(w))
-            for _ in range(60):
+            step = diff / dw
+            for _ in range(NEWTON_MAX_HALVINGS + 1):
                 w_try = w - step
                 if abs(w_try) < 1.0:
-                    d_try = complex(self.psi(w_try)) - z
+                    value, deriv = self.psi_dpsi(w_try)
+                    d_try = complex(value) - z
                     if abs(d_try) <= resid:
                         break
                 step *= 0.5
             else:
                 return None
-            w, diff = w_try, d_try
+            w, diff, dw = w_try, d_try, complex(deriv)
         # w is off by about the residual over |psi'(w)|, large near a zero of
         # psi', so one more step polishes it
-        polished = w - diff / complex(self.dpsi(w))
+        polished = w - diff / dw
         if abs(polished) < 1.0 and abs(complex(self.psi(polished)) - z) <= resid:
             return polished
         return w
 
-    def invert_many(self, z: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized Newton inversion; returns (w, converged mask).
+    def invert_many(self, z: np.ndarray,
+                    seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized Newton inversion; returns (w, converged mask, psi'(w)).
 
         Every point is iterated on its own: only the points still above
         their residual target take a step, and only the steps still being
         halved are checked again.  A point's ``w`` and mask therefore do
-        not depend on the other points in the call.
+        not depend on the other points in the call.  Each trial costs one
+        ``psi_dpsi`` evaluation, and ``psi'`` is carried from the accepted
+        trial, so the third array is ``psi'`` at the returned ``w``, bit for
+        bit equal to ``dpsi(w)``.  A step is halved at most 60 times;
+        unlike :meth:`invert` there is no second seed to fall back on, so
+        no stall test ends a point early.
         """
         z = np.asarray(z, dtype=complex)
         w = np.array(np.broadcast_to(np.asarray(seeds, dtype=complex), z.shape))
         target = NEWTON_TOL * (1.0 + np.abs(z))
-        diff = self.psi(w) - z
+        value, dw = self.psi_dpsi(w)
+        diff = value - z
         resid = np.abs(diff)
-        # flat views of w and resid; the points still iterating are indexed by `live`
-        w_flat, resid_flat = w.reshape(-1), resid.reshape(-1)
+        # flat views of w, psi'(w) and resid; the points still iterating are indexed by `live`
+        w_flat, dw_flat, resid_flat = w.reshape(-1), dw.reshape(-1), resid.reshape(-1)
         z_flat, target_flat = z.reshape(-1), target.reshape(-1)
         live = np.flatnonzero(resid_flat > target_flat)
         # psi(w) - z at the live points, carried from the residual into the next step
@@ -294,9 +328,10 @@ class ConformalPair:
             if not live.size:
                 break
             w_live, z_live, r_live = w_flat[live], z_flat[live], resid_flat[live]
-            step = diff / self.dpsi(w_live)
+            step = diff / dw_flat[live]
             w_try = w_live - step
-            diff = self.psi(w_try) - z_live
+            value, d_try = self.psi_dpsi(w_try)
+            diff = value - z_live
             # steps that leave the disc or raise the residual are halved, at most 60 times
             halve = np.flatnonzero(_worse(w_try, diff, r_live))
             for _ in range(60):
@@ -304,14 +339,19 @@ class ConformalPair:
                     break
                 step[halve] *= 0.5
                 w_try[halve] = w_live[halve] - step[halve]
-                diff[halve] = self.psi(w_try[halve]) - z_live[halve]
+                value, deriv = self.psi_dpsi(w_try[halve])
+                diff[halve] = value - z_live[halve]
+                d_try[halve] = deriv
                 halve = halve[_worse(w_try[halve], diff[halve], r_live[halve])]
             w_flat[live] = w_try
+            dw_flat[live] = d_try
             r_try = np.abs(diff)
             resid_flat[live] = r_try
             going = r_try > target_flat[live]
             live, diff = live[going], diff[going]
-        return w, (resid <= target) & (np.abs(w) < 1.0)
+        # the flat arrays hold the results: for 0-d input they are copies, not views
+        resid, dw = resid_flat.reshape(z.shape), dw_flat.reshape(z.shape)
+        return w, (resid <= target) & (np.abs(w) < 1.0), dw
 
     def compose_with_moebius(self, a: complex, theta: float) -> "ConformalPair":
         """Precompose with the disc automorphism m, returning the pair for psi o m.
@@ -335,7 +375,7 @@ class ConformalPair:
         if abs(a) >= 1.0:
             raise MapDomainError(f"automorphism parameter must satisfy |a| < 1, got {a!r}")
         rot = cmath.exp(1j * theta)
-        base_psi, base_dpsi = self.psi, self.dpsi
+        base_psi, base_dpsi, base_psi_dpsi = self.psi, self.dpsi, self.psi_dpsi
 
         def m(w):
             return rot * (w - a) / (1.0 - np.conj(a) * w)
@@ -353,6 +393,12 @@ class ConformalPair:
         def dpsi(w):
             return base_dpsi(m(w)) * dm(w)
 
+        def psi_dpsi(w):
+            # m and m' share the denominator 1 - conj(a) w
+            den = 1.0 - np.conj(a) * w
+            value, deriv = base_psi_dpsi(rot * (w - a) / den)
+            return value, deriv * (rot * (1.0 - abs(a) ** 2) / den ** 2)
+
         moved = tuple(
             SingularPoint(_to_circle(m_inv(sp.location)), sp.exponent)
             for sp in self.singular_points
@@ -363,7 +409,7 @@ class ConformalPair:
         if a and abs(new_pole) > POLE_TOL:
             poles += ((a.conjugate(), new_pole),)
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
-        return ConformalPair(descriptor, psi, dpsi, self.domain_contains, moved, poles)
+        return ConformalPair(descriptor, psi, dpsi, psi_dpsi, self.domain_contains, moved, poles)
 
 
 def _worse(w_try: np.ndarray, diff: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -381,10 +427,15 @@ def _require_in_disc(w) -> None:
 
 
 def identity_map() -> ConformalPair:
+    def psi_dpsi(w):
+        w = np.asarray(w, dtype=complex)
+        return w + 0j, np.ones_like(w)
+
     return ConformalPair(
         MapDescriptor("identity"),
         psi=lambda w: np.asarray(w, dtype=complex) + 0j,
         dpsi=lambda w: np.ones_like(np.asarray(w, dtype=complex)),
+        psi_dpsi=psi_dpsi,
         domain_contains=lambda z: bool(abs(z) < 1.0),
         singular_points=(),
     )
@@ -415,6 +466,11 @@ def koebe_map() -> ConformalPair:
         w = np.asarray(w, dtype=complex)
         return (1.0 + w) / (1.0 - w) ** 3
 
+    def psi_dpsi(w):
+        w = np.asarray(w, dtype=complex)
+        one_minus = 1.0 - w
+        return w / one_minus ** 2, (1.0 + w) / one_minus ** 3
+
     def contains(z: complex) -> bool:
         z = complex(z)
         return not (z.imag == 0.0 and z.real <= -0.25)
@@ -423,6 +479,7 @@ def koebe_map() -> ConformalPair:
         MapDescriptor("koebe"),
         psi=psi,
         dpsi=dpsi,
+        psi_dpsi=psi_dpsi,
         domain_contains=contains,
         singular_points=(SingularPoint(1.0 + 0j, -3.0), SingularPoint(-1.0 + 0j, 1.0)),
     )
@@ -446,6 +503,12 @@ def sector_map(beta: float) -> ConformalPair:
         return -2.0 * beta * np.exp((beta - 1.0) * np.log(1.0 - w)
                                     - (beta + 1.0) * np.log(1.0 + w))
 
+    def psi_dpsi(w):
+        w = np.asarray(w, dtype=complex)
+        log_minus, log_plus = np.log(1.0 - w), np.log(1.0 + w)
+        return (np.exp(beta * (log_minus - log_plus)),
+                -2.0 * beta * np.exp((beta - 1.0) * log_minus - (beta + 1.0) * log_plus))
+
     half = 0.5 * beta * math.pi
 
     def contains(z: complex) -> bool:
@@ -458,6 +521,7 @@ def sector_map(beta: float) -> ConformalPair:
         MapDescriptor("sector", beta=beta),
         psi=psi,
         dpsi=dpsi,
+        psi_dpsi=psi_dpsi,
         domain_contains=contains,
         singular_points=(SingularPoint(1.0 + 0j, beta - 1.0),
                          SingularPoint(-1.0 + 0j, -(beta + 1.0))),
@@ -474,6 +538,10 @@ def cardioid_map() -> ConformalPair:
     def dpsi(w):
         return 1.0 - np.asarray(w, dtype=complex)
 
+    def psi_dpsi(w):
+        w = np.asarray(w, dtype=complex)
+        return w - 0.5 * w ** 2, 1.0 - w
+
     def contains(z: complex) -> bool:
         # w = 1 - sqrt(1 - 2z) is the principal inverse; membership is |w| < 1
         return bool(abs(1.0 - np.sqrt(complex(1.0 - 2.0 * z))) < 1.0)
@@ -482,6 +550,7 @@ def cardioid_map() -> ConformalPair:
         MapDescriptor("cardioid"),
         psi=psi,
         dpsi=dpsi,
+        psi_dpsi=psi_dpsi,
         domain_contains=contains,
         singular_points=(SingularPoint(1.0 + 0j, 1.0),),
     )

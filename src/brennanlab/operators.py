@@ -308,8 +308,7 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
     e_a, e_b = np.exp(1j * ta), np.exp(1j * tb)
     # bottom (angle ta), top (angle tb), left (radius ra), right (radius rb)
     edges = np.stack([r_u * e_a, r_u * e_b, ra * e_u, rb * e_u])
-    B, Tt, L, R = pair.psi(edges)
-    dB, dTt, dL, dR = pair.dpsi(edges)
+    (B, Tt, L, R), (dB, dTt, dL, dR) = pair.psi_dpsi(edges)
     dB = dB * dr * e_a
     dTt = dTt * dr * e_b
     dL = dL * 1j * dt * edges[2]
@@ -337,37 +336,51 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
 
 
 def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: float) -> float:
-    """Integral over psi(patch) of a quantity evaluated at w = phi(z).
+    """Integral over psi(patch) of ``integrand_w(w, psi'(w))`` at w = phi(z).
 
-    Every chart node z is inverted by Newton iteration; the chart Jacobian
-    carries the measure.  The patch is refined a level at a time: cells
+    Every chart node z is inverted by Newton iteration, which also returns
+    psi' at the inverted node; the chart Jacobian carries the measure.  The patch is refined a level at a time: cells
     whose |psi'| varies by more than ``DISTORTION_CAP`` and cells whose
     chart folds are set aside, and their halves form the next level.  The
-    other cells are charted and inverted a block at a time, and their sums
-    are added one by one.  The last level is charted without the distortion
-    test, and a fold there raises.
+    other cells are charted and inverted a block of ``_BLOCK_CELLS`` at a
+    time, and their sums are added one by one.  A level's last partial
+    block waits for the next level's cells, so only the last level charts
+    a partial block.  Every cell keeps its own depth: cells
+    ``_MAX_SPLIT_DEPTH`` splits deep skip the distortion test, and a fold
+    among them raises.
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
     cells = np.array([(ra, rb, ta, tb) for ra, rb in rings for ta, tb in quadrants])
-    total, depth = 0.0, 0
+    depth = np.zeros(len(cells), dtype=int)
+    # undistorted cells not charted yet, with their depths
+    ready, ready_depth = cells[:0], depth[:0]
+    total = 0.0
     while len(cells):
-        distorted = (_cell_distortion(cells, pair) > DISTORTION_CAP if depth < _MAX_SPLIT_DEPTH
-                     else np.zeros(len(cells), dtype=bool))
-        halve = [cells[distorted]]
-        cells = cells[~distorted]
-        for start in range(0, len(cells), _BLOCK_CELLS):
-            block = cells[start:start + _BLOCK_CELLS]
+        distorted = np.zeros(len(cells), dtype=bool)
+        testable = depth < _MAX_SPLIT_DEPTH
+        distorted[testable] = _cell_distortion(cells[testable], pair) > DISTORTION_CAP
+        halve, halve_depth = [cells[distorted]], [depth[distorted]]
+        ready = np.concatenate([ready, cells[~distorted]])
+        ready_depth = np.concatenate([ready_depth, depth[~distorted]])
+        while len(ready):
+            # a partial block waits for the next level's cells, if there is a next level
+            if len(ready) < _BLOCK_CELLS and any(map(len, halve)):
+                break
+            block, block_depth = ready[:_BLOCK_CELLS], ready_depth[:_BLOCK_CELLS]
+            ready, ready_depth = ready[_BLOCK_CELLS:], ready_depth[_BLOCK_CELLS:]
             z, weights, seeds, jac_min = _coons_grid(pair, block, _CHART_ORDER)
             folded = jac_min <= 0.0
             # masked copies only when needed: a block's arrays set the peak memory
             if folded.any():
-                if depth == _MAX_SPLIT_DEPTH:
+                last = folded & (block_depth == _MAX_SPLIT_DEPTH)
+                if last.any():
                     raise RuntimeError(
-                        f"degenerate forward chart on cell {tuple(block[folded][0].tolist())}")
+                        f"degenerate forward chart on cell {tuple(block[last][0].tolist())}")
                 halve.append(block[folded])
+                halve_depth.append(block_depth[folded])
                 block, z, weights, seeds = (a[~folded] for a in (block, z, weights, seeds))
-            w, ok = pair.invert_many(z, seeds)
+            w, ok, dw = pair.invert_many(z, seeds)
             done = ok.all(axis=(1, 2))
             if not done.all():
                 k = int(np.argmin(done))
@@ -376,11 +389,11 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: flo
                     f"(map {pair.descriptor.label()}, cell {tuple(block[k].tolist())})"
                 )
             # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
-            for cell_sum in np.sum((weights * integrand_w(w)).reshape(-1, _CHART_ORDER ** 2),
+            for cell_sum in np.sum((weights * integrand_w(w, dw)).reshape(-1, _CHART_ORDER ** 2),
                                    axis=1).tolist():
                 total += cell_sum
         cells = np.concatenate(_split_cells(np.concatenate(halve)))
-        depth += 1
+        depth = np.tile(np.concatenate(halve_depth) + 1, 2)
     return total
 
 
@@ -390,7 +403,8 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
 
     The domain side integrates ``|grad f|^2(phi(z)) * |phi'(z)|^2`` over
     the image of the patch with its own measure (chart Jacobians plus
-    Newton inversion at every node); the disc side integrates
+    Newton inversion at every node, with ``|phi'(z)| = 1/|psi'(w)|`` from
+    the psi' the inversion computed at w); the disc side integrates
     ``|grad f|^2`` over the patch directly.  The two agree exactly when
     ``|phi'|^2`` is the Jacobian, so the returned ratio should be 1.  A node
     that Newton cannot invert raises NewtonConvergenceError, and a chart
@@ -400,8 +414,8 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     if not 0.0 <= r0 < r1 < 1.0:
         raise ValueError(f"patch must satisfy 0 <= r0 < r1 < 1, got {patch}")
 
-    def integrand(w):
-        return f.grad_abs(w) ** 2 / np.abs(pair.dpsi(w)) ** 2
+    def integrand(w, dw):
+        return f.grad_abs(w) ** 2 / np.abs(dw) ** 2
 
     omega_side = _forward_patch_integral(pair, integrand, r0, r1)
     disc_side = _ring_sum(lambda w: f.grad_abs(w) ** 2, r0, r1,

@@ -1,12 +1,15 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from brennanlab.catalog import (
+    NEWTON_TOL,
     DescriptorError,
     MapDomainError,
+    NewtonConvergenceError,
     cardioid_map,
     identity_map,
     koebe_map,
@@ -216,9 +219,61 @@ class TestInversion:
         pair = koebe_map()
         w = np.array(interior_points(50, radius=0.9))
         z = pair.psi(w)
-        w_back, ok = pair.invert_many(z, w * 0.9)
+        w_back, ok, _ = pair.invert_many(z, w * 0.9)
         assert np.all(ok)
         assert np.max(np.abs(w_back - w)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["koebe", "sector:1.3*moebius:-0.3,0.8,2"])
+    def test_vectorized_inversion_returns_dpsi_at_w(self, name):
+        pair = make_pair(name)
+        w = np.array(interior_points(64, radius=0.9)).reshape(8, 8)
+        w_back, ok, dw = pair.invert_many(pair.psi(w), np.zeros_like(w))
+        assert np.all(ok) and dw.shape == w.shape
+        assert dw.tobytes() == pair.dpsi(w_back).tobytes()
+
+    def test_vectorized_inversion_of_one_point(self):
+        pair = koebe_map()
+        w_back, ok, dw = pair.invert_many(np.asarray(pair.psi(0.5 + 0.2j)), np.asarray(0j))
+        assert ok and w_back.shape == () and dw.shape == ()
+        assert abs(w_back - (0.5 + 0.2j)) < 1e-12
+        assert complex(dw) == complex(pair.dpsi(w_back))
+
+
+class TestStallExit:
+    """A seed pinned against the circle with a flat residual is dropped early."""
+
+    NAME = "koebe*moebius:-0.4925713489744831,0.22012598368706568,3.4138578100771526"
+    W = 0.18094358200525748 + 0.7828904073064533j
+    #: the seed-0 attempt walks toward the circle, each step needing about two
+    #: more halvings than the last; without the stall exit it made 48 psi and
+    #: 40 dpsi calls before the halving limit of 60 ended it
+    MAX_FUSED_CALLS = 20
+
+    @staticmethod
+    def counting(pair):
+        calls = []
+        fused = pair.psi_dpsi
+
+        def psi_dpsi(w):
+            calls.append(w)
+            return fused(w)
+
+        return replace(pair, psi_dpsi=psi_dpsi), calls
+
+    def test_stalled_seed_is_dropped(self):
+        pair, calls = self.counting(make_pair(self.NAME))
+        z = complex(pair.psi(self.W))
+        assert pair._newton_from(0j, z, NEWTON_TOL * (1.0 + abs(z))) is None
+        assert 0 < len(calls) <= self.MAX_FUSED_CALLS
+
+    def test_default_seeds_still_invert(self):
+        pair = make_pair(self.NAME)
+        assert abs(pair.invert(complex(pair.psi(self.W))) - self.W) < 1e-12
+
+    def test_explicit_stalled_seed_raises(self):
+        pair = make_pair(self.NAME)
+        with pytest.raises(NewtonConvergenceError):
+            pair.invert(complex(pair.psi(self.W)), seed=0)
 
 
 class TestSingularExponents:
@@ -289,6 +344,35 @@ class TestMoebiusComposition:
             koebe_map().compose_with_moebius(0.3, 0.5).compose_with_moebius(0.2j, 1.0)
         pair = make_pair("moebius:0.3,0,1*moebius:0.2,0.1,0.5")
         assert pair.descriptor.label() == "moebius:0.3,0,1*moebius:0.2,0.1,0.5"
+
+
+class TestFusedForm:
+    """psi_dpsi computes the shared subexpressions once and matches psi and dpsi bit for bit."""
+
+    NAMES = [head + twist
+             for head in ["identity", "moebius:0.3,0.2,1.1", "koebe", "cardioid", "sector:0.3",
+                          "sector:1", "sector:1.7", "sector:2"]
+             for twist in ["", "*moebius:0,0,2", "*moebius:0.57,-0.76,1"]]
+    NAMES.append("moebius:0.3,0,1*moebius:0.2,0.1,0.5")
+
+    @staticmethod
+    def assert_same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_matches_psi_and_dpsi(self, name):
+        pair = make_pair(name)
+        grid = np.array(interior_points(120, radius=0.99)).reshape(10, 12)
+        value, deriv = pair.psi_dpsi(grid)
+        self.assert_same(value, pair.psi(grid))
+        self.assert_same(deriv, pair.dpsi(grid))
+        for w in interior_points(12, radius=0.99):
+            for point in (w, np.asarray(w)):
+                value, deriv = pair.psi_dpsi(point)
+                self.assert_same(value, pair.psi(point))
+                self.assert_same(deriv, pair.dpsi(point))
 
 
 class TestFactorForm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brennanlab import operators
-from brennanlab.catalog import identity_map, koebe_map, make_pair
+from brennanlab.catalog import ConformalPair, identity_map, koebe_map, make_pair
 from brennanlab.exponents import q_from_ps
 from brennanlab.functionals import RegimeError
 from brennanlab.operators import (
@@ -235,6 +235,22 @@ class TestForwardPatch:
         isometry_check(pair, harmonic_poly(1), patch=patch)
         assert sorted(charted) == sorted(reference_patch_cells(pair, *patch))
 
+    @pytest.mark.parametrize("patch", [(0.0, 0.8), (0.3, 0.7)], ids=["disc", "annulus"])
+    @pytest.mark.parametrize("name", PATCH_MAPS)
+    def test_only_the_last_block_is_partial(self, monkeypatch, name, patch):
+        """A level's leftover cells are charted with the next level's, not on their own."""
+        blocks = []
+        invert_many = ConformalPair.invert_many
+
+        def recording(pair, z, seeds):
+            blocks.append(len(z))
+            return invert_many(pair, z, seeds)
+
+        monkeypatch.setattr(ConformalPair, "invert_many", recording)
+        isometry_check(make_pair(name), harmonic_poly(1), patch=patch)
+        assert blocks[:-1] == [operators._BLOCK_CELLS] * (len(blocks) - 1)
+        assert 0 < blocks[-1] <= operators._BLOCK_CELLS
+
     @pytest.mark.parametrize("name, f, ratio", [
         ("koebe", harmonic_poly(1), 1.0000000399867948),
         ("sector:1.5", shifted_log(), 0.9999999998962448),
@@ -263,7 +279,7 @@ class TestForwardPatch:
         # a point on the slit, outside the image domain, never converges
         z = np.concatenate([z.ravel(), [-1.0 + 0j]])
         seeds = np.concatenate([seeds.ravel(), [0j]])
-        w, ok = pair.invert_many(z, seeds)
+        w, ok, _ = pair.invert_many(z, seeds)
         assert ok[:-1].all() and not ok[-1]
         parts = [pair.invert_many(z[s], seeds[s])
                  for s in (slice(0, 256), slice(256, 512), slice(512, None))]
