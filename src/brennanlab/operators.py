@@ -25,7 +25,7 @@ from .quadrature import (
     Classification,
     DEFAULT_SPEC,
     GradingSpec,
-    _angular_rule,
+    _angular_rules,
     _gauss,
     _ring_sum,
     integrate_disc,
@@ -419,7 +419,8 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
 
     omega_side = _forward_patch_integral(pair, integrand, r0, r1)
     disc_side = _ring_sum(lambda w: f.grad_abs(w) ** 2, r0, r1,
-                          *_angular_rule((), r1, _DISC_SIDE_SPEC), _DISC_SIDE_SPEC.radial_order)
+                          *next(_angular_rules((), [r1], _DISC_SIDE_SPEC)),
+                          _DISC_SIDE_SPEC.radial_order)
     return omega_side / disc_side
 
 

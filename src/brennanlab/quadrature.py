@@ -8,7 +8,10 @@ geometrically shrinking annuli whose boundary gap decreases by
 tensor rule: Gauss-Legendre in the radius and a composite Gauss-Legendre
 angular rule whose panels shrink geometrically toward every declared
 singular angle until they match the annulus gap, so a spike of angular
-width comparable to the gap is always resolved.
+width comparable to the gap is always resolved.  The angular rules of the
+inner disc and of every annulus are built together, one array pass over
+the whole gap ladder per integral (a long ladder a fixed chunk of annuli
+at a time, to bound memory).
 
 Convergence versus divergence is decided from the per-annulus
 contributions: a power-law fit of the last few increments against
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +53,8 @@ FIT_WINDOW = 5
 FIT_RESIDUAL_TOL = 0.15
 #: outermost boundary gap: the inner disc has radius 1 - EPS_START
 EPS_START = 0.5
+#: scales whose angular rules are built in one array pass (bounds memory on long ladders)
+_RULE_CHUNK = 64
 
 
 class QuadratureError(Exception):
@@ -142,64 +147,112 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _split_gaps(edges: np.ndarray, width_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ends of the panels that split each gap of ``edges`` evenly, none wider than width_cap.
+def _split_spans(a: np.ndarray, b: np.ndarray,
+                 width_cap: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels that split each span ``[a_k, b_k]`` evenly, none wider than its width cap.
 
-    Gap k becomes ``m_k = ceil(width / width_cap)`` equal panels (at least
-    one).  Their ends are formed with ``np.linspace``'s arithmetic,
-    ``a + j*step`` with the last end exactly ``b``, so they match a
-    per-gap ``np.linspace`` bit for bit.
+    Span k becomes ``m_k = ceil((b_k - a_k) / width_cap_k)`` equal panels
+    (at least one, so an infinite cap keeps the span whole).  Their ends
+    are formed with ``np.linspace``'s arithmetic, ``a + j*step`` with the
+    last end exactly ``b``, so they match a per-span ``np.linspace`` bit
+    for bit.  Returns the panel ends and the span of each panel, in span
+    order.
     """
-    a, b = edges[:-1], edges[1:]
     m = np.maximum(1, np.ceil((b - a) / width_cap)).astype(int)
     ends = np.cumsum(m)
-    gap = np.repeat(np.arange(len(m)), m)
+    span = np.repeat(np.arange(len(m)), m)
     j = np.arange(ends[-1]) - np.repeat(ends - m, m)
-    step = ((b - a) / m)[gap]
-    lo = j * step + a[gap]
-    hi = (j + 1) * step + a[gap]
+    step = ((b - a) / m)[span]
+    lo = j * step + a[span]
+    hi = (j + 1) * step + a[span]
     hi[ends - 1] = b
-    return lo, hi
+    return lo, hi, span
 
 
-def _angular_rule(singular_angles: Sequence[float], scale: float,
-                  spec: GradingSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Composite angular rule on [0, 2pi) graded toward the singular angles.
+def _ladder_panels(sides: np.ndarray, scale: np.ndarray,
+                   width_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panel ends of the angular rules at every scale of the column ``scale``.
+
+    ``sides`` holds the (start, stop, base, sign) rows of the sides in rule
+    order: a side's panel ends are ``base + sign*d`` at distances d from
+    its angle, nearest first.  The panels come from one set of array
+    operations over (scale, side, gap) and are laid out rule by rule;
+    the third array holds where each rule's panels begin, and their total.
+    """
+    start, stop, base, sign = sides
+    length = stop - start
+    graded = length > scale
+    # doublings scale*2^k < length, counted from log2 and then made exact
+    count = np.where(graded, np.ceil(np.log2(length) - np.log2(scale)), 0).astype(int)
+    count += np.ldexp(scale, count) < length
+    count -= graded & (np.ldexp(scale, count - 1) >= length)
+    # one span per gap: a graded side has count + 1 gaps, a side no longer
+    # than its scale has one
+    gaps = np.where(graded, count + 1, 1).ravel()
+    ends = np.cumsum(gaps)
+    cell = np.repeat(np.arange(gaps.size), gaps)
+    k = np.arange(ends[-1]) - np.repeat(ends - gaps, gaps)
+    ring, side = np.divmod(cell, len(length))
+    cut, last, at = graded.ravel()[cell], count.ravel()[cell], scale.ravel()[ring]
+    # gap k runs from scale*2^(k-1) (0 for k = 0) to scale*2^k (the side's
+    # length for the last); an ungraded side is the absolute span
+    # [start, stop], which an infinite cap keeps one panel
+    a = np.where(cut, np.where(k > 0, np.ldexp(at, k - 1), 0.0), start[side])
+    b = np.where(cut, np.where(k < last, np.ldexp(at, k), length[side]), stop[side])
+    pa, pb, span = _split_spans(a, b, np.where(cut, width_cap, np.inf))
+    origin = np.where(cut, base[side], 0.0)[span]
+    toward = np.where(cut, sign[side], 1.0)[span]
+    ea, eb = origin + toward * pa, origin + toward * pb
+    return (np.minimum(ea, eb), np.maximum(ea, eb),
+            np.searchsorted(ring[span], np.arange(len(scale) + 1)))
+
+
+def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
+                   spec: GradingSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Composite angular rules on [0, 2pi), one per scale, graded toward the singular angles.
 
     Each singular angle owns the half of the arc toward either neighbour.
     Such a side is cut at distances ``scale, 2*scale, 4*scale, ...`` from
     its angle, and every gap is split evenly at ``width_cap``; a side no
     longer than ``scale`` is one panel.  Every panel carries the same
-    ``angular_boost``-point Gauss-Legendre rule.
+    ``angular_boost``-point Gauss-Legendre rule.  Without singular angles
+    every scale gets the same uniform rule.
+
+    The rules of a whole gap ladder come from one pass of
+    :func:`_ladder_panels`, ``_RULE_CHUNK`` scales at a time so that a
+    long ladder needs bounded memory.  The (nodes, weights) pairs are
+    yielded in the order of ``scales``.
     """
     width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
+    x, w = _gauss(spec.angular_boost)
+
+    def nodes(lo, hi):
+        half = 0.5 * (hi - lo)[:, None]
+        return (lo[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
     # angles that coincide modulo 2pi are one angle, owning one arc
     angles = sorted({a % TWO_PI for a in singular_angles})
-    los, his = [], []
-    for i, a in enumerate(angles):
-        b = angles[(i + 1) % len(angles)] if len(angles) > 1 else a + TWO_PI
-        if b <= a:
-            b += TWO_PI
+    if not angles:
+        lo, hi, _ = _split_spans(np.array([0.0]), np.array([TWO_PI]), width_cap)
+        rule = nodes(lo, hi)
+        for _ in scales:
+            yield rule
+        return
+    # outward from each angle to the midpoint of its arc, then inward from
+    # the next angle to the same midpoint
+    sides = []
+    for a, b in zip(angles, angles[1:] + [angles[0] + TWO_PI]):
         mid = 0.5 * (a + b)
-        for start, stop, outward in ((a, mid, True), (mid, b, False)):
-            length = stop - start
-            if length <= 0.0:
-                continue
-            if length <= scale:
-                los.append([start])
-                his.append([stop])
-                continue
-            doubling = scale * 2.0 ** np.arange(math.ceil(math.log2(length / scale)) + 1)
-            pa, pb = _split_gaps(
-                np.concatenate(([0.0], doubling[doubling < length], [length])), width_cap)
-            # the inward side mirrors its panels, nearest the angle first
-            los.append(start + pa if outward else stop - pb)
-            his.append(start + pb if outward else stop - pa)
-    lo, hi = ((np.concatenate(los), np.concatenate(his)) if angles
-              else _split_gaps(np.array([0.0, TWO_PI]), width_cap))
-    x, w = _gauss(spec.angular_boost)
-    half = 0.5 * (hi - lo)[:, None]
-    return (lo[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+        sides += [(a, mid, a, 1.0), (mid, b, b, -1.0)]
+    sides = np.array([s for s in sides if s[1] - s[0] > 0.0]).T
+    scales = np.asarray(scales, dtype=float)
+    for first in range(0, len(scales), _RULE_CHUNK):
+        # the layout's temporaries die with _ladder_panels, before any ring is evaluated
+        lo, hi, bounds = _ladder_panels(sides, scales[first:first + _RULE_CHUNK, None], width_cap)
+        theta, wtheta = nodes(lo, hi)
+        bounds *= spec.angular_boost
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            yield theta[i:j], wtheta[i:j]
 
 
 def _ring_sum(g: Callable[[np.ndarray], np.ndarray], r_lo: float, r_hi: float,
@@ -237,15 +290,17 @@ def _gap_ladder(spec: GradingSpec, eps_stop: float) -> list[float]:
 
 
 def _graded_sums(g, singular_angles, spec: GradingSpec, eps_stop: float):
-    """Inner-disc value plus per-annulus contributions down to eps_stop."""
-    core_theta, core_wtheta = _angular_rule(singular_angles, EPS_START, spec)
-    core = _ring_sum(g, 0.0, 1.0 - EPS_START, core_theta, core_wtheta, spec.radial_order)
+    """Inner-disc value plus per-annulus contributions down to eps_stop.
+
+    The inner disc is graded at EPS_START and each annulus at its inner
+    gap, so the scales of the angular rules are the gap ladder itself.
+    """
     gaps = _gap_ladder(spec, eps_stop)
-    increments: list[float] = []
-    for outer_gap, inner_gap in zip(gaps[:-1], gaps[1:]):
-        theta, wtheta = _angular_rule(singular_angles, inner_gap, spec)
-        increments.append(_ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, theta, wtheta,
-                                    spec.radial_order))
+    rules = _angular_rules(singular_angles, gaps, spec)
+    core = _ring_sum(g, 0.0, 1.0 - EPS_START, *next(rules), spec.radial_order)
+    increments = [_ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, theta, wtheta,
+                            spec.radial_order)
+                  for outer_gap, inner_gap, (theta, wtheta) in zip(gaps[:-1], gaps[1:], rules)]
     return core, increments, gaps[1:]
 
 

@@ -183,6 +183,19 @@ class TestInversion:
         pair = make_pair(name)
         assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-9
 
+    @pytest.mark.xfail(raises=NewtonConvergenceError, strict=True,
+                       reason="open defect: none of the 25 default seeds converges here")
+    def test_point_above_the_twisted_slit(self):
+        """An interior point (|w| = 0.99) just above the slit of a strongly twisted Koebe map.
+
+        Of a 60 x 120 polar grid of seeds only 13 converge under
+        invert_many, all within about 0.1 of w, and the scalar Newton
+        converges from each of them: the fix is a better seed, not more.
+        """
+        pair = make_pair("koebe*moebius:0.9,0.2,1")
+        w = 0.9454502314484716 + 0.2936389957993172j
+        assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-9
+
     def test_koebe_origin_with_seed(self):
         pair = koebe_map()
         assert abs(pair.invert(0j, seed=0.1)) < 1e-12

@@ -1,7 +1,11 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brennanlab.catalog import make_pair
 from brennanlab.quadrature import (
@@ -11,10 +15,11 @@ from brennanlab.quadrature import (
     GradingSpec,
     InvalidGradingError,
     NonFiniteIntegrandError,
-    _angular_rule,
+    _angular_rules,
     _classify_increments,
     _gap_ladder,
     _graded_sums,
+    _ring_sum,
     classify_tail,
     integrate_disc,
     integrate_truncated,
@@ -254,8 +259,7 @@ class TestAngularRule:
     def test_rule_over_scales(self, name, spec):
         angles = RULE_ANGLE_SETS[name]
         assert RULE_SCALES[0] == EPS_START and RULE_SCALES[-1] == 1e-12
-        for scale in RULE_SCALES:
-            theta, wtheta = _angular_rule(angles, scale, spec)
+        for scale, (theta, wtheta) in zip(RULE_SCALES, _angular_rules(angles, RULE_SCALES, spec)):
             ref_theta, ref_wtheta = reference_angular_rule(angles, scale, spec)
             assert np.array_equal(theta, ref_theta) and np.array_equal(wtheta, ref_wtheta)
             assert np.all(wtheta > 0.0)
@@ -279,10 +283,115 @@ class TestCoincidingAngles:
         assert integrate_disc(lambda w: np.ones(w.shape), angles).value == pytest.approx(
             math.pi, rel=0.0, abs=1e-13)
         spec = GradingSpec()
-        for scale in RULE_SCALES:
-            theta, wtheta = _angular_rule(angles, scale, spec)
-            ref_theta, ref_wtheta = _angular_rule(single, scale, spec)
+        for (theta, wtheta), (ref_theta, ref_wtheta) in zip(
+                _angular_rules(angles, RULE_SCALES, spec), _angular_rules(single, RULE_SCALES, spec)):
             assert np.array_equal(theta, ref_theta) and np.array_equal(wtheta, ref_wtheta)
+
+
+#: offsets of an extra angle from a drawn one: coinciding modulo 2pi, or close
+ANGLE_OFFSETS = (0.0, TWO_PI, -TWO_PI, 1e-9, 1e-3)
+
+
+@st.composite
+def singular_angle_sets(draw):
+    """0-6 angles in [-2pi, 6pi), some of them copies of others shifted by an offset."""
+    angles = draw(st.lists(st.floats(-TWO_PI, 3.0 * TWO_PI), max_size=6))
+    if angles:
+        copies = draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(ANGLE_OFFSETS)),
+                               max_size=6 - len(angles)))
+        angles += [angles[i % len(angles)] + offset for i, offset in copies]
+    return angles
+
+
+def one_per_class(angles):
+    """One representative of each class of angles equal modulo 2pi, as the rule merges them."""
+    return list({a % TWO_PI: a for a in angles}.values())
+
+
+class TestRuleLadder:
+    """The ladder builder matches the panel-by-panel reference, scale by scale."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(angles=singular_angle_sets(),
+           base=st.sampled_from((8, 64, 128, 256)),
+           boost=st.sampled_from((2, 5, 8)),
+           ratio=st.sampled_from((0.3, 0.5, 0.7)),
+           eps_min=st.one_of(st.just(EPS_START), st.floats(1e-12, EPS_START)))
+    @example(angles=[1.0, 1.0 + TWO_PI, -TWO_PI + 1.0], base=64, boost=8, ratio=0.5, eps_min=1e-8)
+    @example(angles=[2.0, 2.0 + 1e-9, 2.0 + 1e-3, -3.0, 15.0], base=256, boost=2, ratio=0.3,
+             eps_min=1e-12)
+    @example(angles=[0.5, 4.0], base=8, boost=5, ratio=0.7, eps_min=EPS_START)
+    @example(angles=[], base=128, boost=8, ratio=0.5, eps_min=1e-8)
+    # sides of length eps_min * 8 and just over 2^30 * eps_min: log2 rounds the
+    # doubling count one too high and one too low there
+    @example(angles=[0.0, 0.05581817218170551], base=64, boost=8, ratio=0.5,
+             eps_min=0.0034886357613565944)
+    @example(angles=[0.0, 2.0000000000000004], base=64, boost=8, ratio=0.5, eps_min=2.0 ** -30)
+    def test_matches_reference(self, angles, base, boost, ratio, eps_min):
+        spec = GradingSpec(eps_min=eps_min, annulus_ratio=ratio, angular_base=base,
+                           angular_boost=boost)
+        ladder = _gap_ladder(spec, eps_min)
+        rules = list(_angular_rules(angles, ladder, spec))
+        assert len(rules) == len(ladder)
+        for scale, (theta, wtheta) in zip(ladder, rules):
+            ref_theta, ref_wtheta = reference_angular_rule(one_per_class(angles), scale, spec)
+            assert np.array_equal(theta, ref_theta) and np.array_equal(wtheta, ref_wtheta)
+
+
+class TestLongLadder:
+    """annulus_ratio = 0.99 down to 1e-12 gives 2,680 annuli, built a chunk at a time."""
+
+    SPEC = GradingSpec(eps_min=1e-12, annulus_ratio=0.99)
+    ANGLES = (0.0, 2.0)
+    #: bytes; building all 2,681 rules in one pass peaks near 35 MB, a chunk near 3 MB
+    PEAK_BOUND = 8_000_000
+
+    def test_memory_and_increments(self):
+        g = boundary_power_integrand(-1.0)
+        tracemalloc.start()
+        try:
+            core, increments, _ = _graded_sums(g, self.ANGLES, self.SPEC, self.SPEC.eps_min)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ladder = _gap_ladder(self.SPEC, self.SPEC.eps_min)
+        assert len(increments) == len(ladder) - 1 > 2000
+        assert peak < self.PEAK_BOUND
+        # rings on both sides of the first chunk boundaries, and the last one
+        for k in (0, 1, 62, 63, 64, 126, 127, 128, 1000, len(increments) - 1):
+            ref = _ring_sum(g, 1.0 - ladder[k], 1.0 - ladder[k + 1],
+                            *reference_angular_rule(self.ANGLES, ladder[k + 1], self.SPEC),
+                            self.SPEC.radial_order)
+            assert increments[k] == ref
+
+
+#: the three grading specs of the scan-cold benchmark workload
+SCAN_SPECS = (GradingSpec(), GradingSpec(eps_min=1e-12), GradingSpec(angular_base=128))
+
+
+class TestWholeIntegrals:
+    """_graded_sums equals a per-ring loop over _ring_sum and the reference rule, bit for bit."""
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
+    @pytest.mark.parametrize("name", ["koebe", "sector:1.5", "cardioid",
+                                      "koebe*moebius:0.95,0.2,1", "moebius:0.9,0,0"])
+    def test_core_and_increments(self, name, spec):
+        pair = make_pair(name)
+
+        def g(w):
+            return np.exp(-1.0 * pair.log_abs_dpsi(w))
+
+        angles = pair.grading_angles
+        core, increments, gaps = _graded_sums(g, angles, spec, spec.eps_min)
+        ladder = _gap_ladder(spec, spec.eps_min)
+        assert gaps == ladder[1:]
+        ref_core = _ring_sum(g, 0.0, 1.0 - EPS_START,
+                             *reference_angular_rule(angles, EPS_START, spec), spec.radial_order)
+        ref_increments = [
+            _ring_sum(g, 1.0 - outer, 1.0 - inner, *reference_angular_rule(angles, inner, spec),
+                      spec.radial_order)
+            for outer, inner in zip(ladder[:-1], ladder[1:])]
+        assert core == ref_core and increments == ref_increments
 
 
 class TestShortLadder:
