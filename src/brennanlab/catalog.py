@@ -48,8 +48,11 @@ parameter ``a`` carries every factor through ``m``: each ``zeta_k`` moves
 to ``m^-1(zeta_k)``, each ``c_j`` to the coefficient of the transported
 factor, and one new pole factor ``(1 - conj(a) w)**(-2 - sum of all
 exponents)`` appears, which is absent (exponent 0) for Koebe, sectors and
-a Moebius map twisted again.  ``ConformalPair.log_abs_dpsi`` evaluates
-``log|psi'|`` from this form in real arithmetic.
+a Moebius map twisted again.  ``ConformalPair.log_abs_dpsi_xy`` evaluates
+``log|psi'|`` from this form in real arithmetic at ``w = x + iy``, given
+``x`` and ``y``; the disc integrals call it on the real tensor grid of
+each quadrature ring.  ``log_abs_dpsi`` takes complex ``w`` and is a thin
+wrapper over it, so the formula exists once.
 """
 
 from __future__ import annotations
@@ -199,21 +202,42 @@ class ConformalPair:
             -cmath.phase(c) % TWO_PI for c, _ in self.poles)
 
     def log_abs_dpsi(self, w) -> np.ndarray:
-        """``log|psi'(w)|`` from the factor form in real arithmetic (no domain checks).
+        """``log|psi'(w)|`` at complex ``w``: :meth:`log_abs_dpsi_xy` of its real and imaginary parts."""
+        w = np.asarray(w, dtype=complex)
+        return self.log_abs_dpsi_xy(w.real, w.imag)
+
+    def log_abs_dpsi_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``log|psi'(x + iy)|`` from the factor form in real arithmetic (no domain checks).
 
         ``log|C| + sum_k e_k/2 log((Re zeta_k - x)^2 + (Im zeta_k - y)^2)``
         plus ``f_j/2 log|1 - c_j w|^2`` per pole, with
         ``|1 - c w|^2 = (1 - Re c x + Im c y)^2 + (Re c y + Im c x)^2``;
-        agrees with ``log|dpsi(w)|`` to rounding.  Returns a new float
-        array of ``w``'s shape.
+        agrees with ``log|dpsi(w)|`` to rounding.  ``x`` and ``y`` are float
+        arrays of one shape; the terms are formed in reused temporaries,
+        and the result is a new array of that shape.
         """
-        w = np.asarray(w, dtype=complex)
-        x, y = w.real, w.imag
-        out = np.full(w.shape, self.log_scale)
+        out = np.full(x.shape, self.log_scale)
+        if not (self._point_terms or self._pole_terms):
+            return out
+        t, u = np.empty_like(out), np.empty_like(out)
         for zr, zi, half_e in self._point_terms:
-            out += half_e * np.log((zr - x) ** 2 + (zi - y) ** 2)
+            np.square(np.subtract(zr, x, out=t), out=t)
+            t += np.square(np.subtract(zi, y, out=u), out=u)
+            np.log(t, out=t)
+            t *= half_e
+            out += t
+        if self._pole_terms:
+            v = np.empty_like(out)
         for cr, ci, half_f in self._pole_terms:
-            out += half_f * np.log((1.0 - cr * x + ci * y) ** 2 + (cr * y + ci * x) ** 2)
+            np.subtract(1.0, np.multiply(cr, x, out=t), out=t)
+            t += np.multiply(ci, y, out=u)
+            np.square(t, out=t)
+            np.multiply(cr, y, out=u)
+            u += np.multiply(ci, x, out=v)
+            t += np.square(u, out=u)
+            np.log(t, out=t)
+            t *= half_f
+            out += t
         return out
 
     def eval_psi(self, w):

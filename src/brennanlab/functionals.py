@@ -22,7 +22,7 @@ from .quadrature import (
     GradingSpec,
     DEFAULT_SPEC,
     IntegralEstimate,
-    integrate_disc,
+    _integrate_xy,
 )
 
 __all__ = [
@@ -98,17 +98,24 @@ class CriticalExponentReport:
     probes: tuple[tuple[float, str, float], ...]
 
 
+def _abs_dpsi_power(pair: ConformalPair, exponent: float):
+    """The integrand ``|psi'|^exponent`` on the ring's real ``(x, y)`` grid.
+
+    It is ``exp(exponent * log|psi'|)`` from the factor form: real
+    arithmetic, no complex derivative, scaled and exponentiated in place.
+    """
+    def g(x, y):
+        out = pair.log_abs_dpsi_xy(x, y)
+        out *= exponent
+        return np.exp(out, out=out)
+
+    return g
+
+
 def _disc_integral(pair: ConformalPair, exponent: float,
                    spec: GradingSpec) -> IntegralEstimate:
-    """Integral of ``|psi'|^exponent`` over the disc, graded toward every singular angle and pole.
-
-    The integrand is ``exp(exponent * log|psi'|)`` from the factor form:
-    real arithmetic, no complex derivative.
-    """
-    def g(w):
-        return np.exp(exponent * pair.log_abs_dpsi(w))
-
-    return integrate_disc(g, pair.grading_angles, spec)
+    """Integral of ``|psi'|^exponent`` over the disc, graded toward every singular angle and pole."""
+    return _integrate_xy(_abs_dpsi_power(pair, exponent), pair.grading_angles, spec)
 
 
 def brennan_integral(pair: ConformalPair, s: float,

@@ -20,13 +20,15 @@ import numpy as np
 
 from .catalog import ConformalPair, MapDescriptor, NewtonConvergenceError
 from .exponents import ExponentDomainError, dual_exponent, dual_pair, q_from_ps, s_from_pq
-from .functionals import RegimeError, inverse_brennan_integral, kpq_functional
+from .functionals import RegimeError, _abs_dpsi_power, inverse_brennan_integral, kpq_functional
 from .quadrature import (
     Classification,
     DEFAULT_SPEC,
     GradingSpec,
     _angular_rules,
+    _complex_integrand,
     _gauss,
+    _integrate_xy,
     _ring_sum,
     integrate_disc,
 )
@@ -182,10 +184,14 @@ def pullback_seminorm(pair: ConformalPair, f: TestFunction, q: float,
     if not 1.0 <= q < math.inf:
         raise ExponentDomainError(f"pullback seminorm needs 1 <= q < inf, got q={q}")
 
-    def g(w):
-        return f.grad_abs(w) ** q * np.exp((2.0 - q) * pair.log_abs_dpsi(w))
+    power = _abs_dpsi_power(pair, 2.0 - q)
 
-    est = integrate_disc(g, pair.grading_angles, spec)
+    def g(x, y):
+        out = power(x, y)
+        out *= f.grad_abs(x + 1j * y) ** q
+        return out
+
+    est = _integrate_xy(g, pair.grading_angles, spec)
     if est.classification is not Classification.CONVERGED:
         return math.inf
     return est.value ** (1.0 / q)
@@ -418,7 +424,7 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
         return f.grad_abs(w) ** 2 / np.abs(dw) ** 2
 
     omega_side = _forward_patch_integral(pair, integrand, r0, r1)
-    disc_side = _ring_sum(lambda w: f.grad_abs(w) ** 2, r0, r1,
+    disc_side = _ring_sum(_complex_integrand(lambda w: f.grad_abs(w) ** 2), r0, r1,
                           *next(_angular_rules((), [r1], _DISC_SIDE_SPEC)),
                           _DISC_SIDE_SPEC.radial_order)
     return omega_side / disc_side

@@ -11,7 +11,15 @@ singular angle until they match the annulus gap, so a spike of angular
 width comparable to the gap is always resolved.  The angular rules of the
 inner disc and of every annulus are built together, one array pass over
 the whole gap ladder per integral (a long ladder a fixed chunk of annuli
-at a time, to bound memory).
+at a time, to bound memory), and each chunk's nodes are turned into
+``cos(theta)`` and ``sin(theta)`` with one complex ``exp``.
+
+Each ring is evaluated on the real tensor grid ``(x, y) = (r cos(theta),
+r sin(theta))``: the package's integrands take ``(x, y)`` directly, while
+:func:`integrate_disc` and :func:`integrate_truncated` keep their
+complex-``w`` contract by adapting ``g`` to ``g(x + 1j*y)``, which is the
+complex grid ``r*exp(1j*theta)`` bit for bit.  Only a ring whose weighted
+sum is not finite is scanned for the node that made it so.
 
 Convergence versus divergence is decided from the per-annulus
 contributions: a power-law fit of the last few increments against
@@ -55,6 +63,9 @@ FIT_RESIDUAL_TOL = 0.15
 EPS_START = 0.5
 #: scales whose angular rules are built in one array pass (bounds memory on long ladders)
 _RULE_CHUNK = 64
+
+#: an integrand on the real grid: g(x, y) with w = x + 1j*y
+_XYIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class QuadratureError(Exception):
@@ -220,15 +231,19 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
 
     The rules of a whole gap ladder come from one pass of
     :func:`_ladder_panels`, ``_RULE_CHUNK`` scales at a time so that a
-    long ladder needs bounded memory.  The (nodes, weights) pairs are
-    yielded in the order of ``scales``.
+    long ladder needs bounded memory.  Each rule is yielded, in the order
+    of ``scales``, as (cos, sin, weights) of its nodes theta: the cosines
+    and sines are the real and imaginary parts of ``exp(1j*theta)``, taken
+    once per chunk and contiguous per rule, so the ring's real grid
+    matches the complex one ``r*exp(1j*theta)`` bit for bit.
     """
     width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
     x, w = _gauss(spec.angular_boost)
 
     def nodes(lo, hi):
         half = 0.5 * (hi - lo)[:, None]
-        return (lo[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+        e = np.exp(1j * (lo[:, None] + half * (x + 1.0)).ravel())
+        return e.real.copy(), e.imag.copy(), (half * w).ravel()
 
     # angles that coincide modulo 2pi are one angle, owning one arc
     angles = sorted({a % TWO_PI for a in singular_angles})
@@ -249,27 +264,53 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     for first in range(0, len(scales), _RULE_CHUNK):
         # the layout's temporaries die with _ladder_panels, before any ring is evaluated
         lo, hi, bounds = _ladder_panels(sides, scales[first:first + _RULE_CHUNK, None], width_cap)
-        theta, wtheta = nodes(lo, hi)
+        rule = nodes(lo, hi)
         bounds *= spec.angular_boost
         for i, j in zip(bounds[:-1], bounds[1:]):
-            yield theta[i:j], wtheta[i:j]
+            yield tuple(a[i:j] for a in rule)
 
 
-def _ring_sum(g: Callable[[np.ndarray], np.ndarray], r_lo: float, r_hi: float,
-              theta: np.ndarray, wtheta: np.ndarray, radial_order: int) -> float:
-    """Tensor Gauss-Legendre integral of g over the annulus r_lo <= |w| <= r_hi."""
-    x, wx = _gauss(radial_order)
+def _complex_integrand(g: Callable[[np.ndarray], np.ndarray]) -> _XYIntegrand:
+    """Adapt an integrand of complex ``w`` to the ring's real ``(x, y)`` grid.
+
+    ``w = x + 1j*y`` is bit for bit the complex grid ``r*exp(1j*theta)``
+    the ring's cosines and sines were taken from.  It is filled part by
+    part, without the temporary ``1j*y``, to keep the ring's peak memory
+    down.
+    """
+    def on_grid(x, y):
+        w = np.empty(x.shape, dtype=complex)
+        w.real, w.imag = x, y
+        return g(w)
+
+    return on_grid
+
+
+def _ring_sum(g: _XYIntegrand, r_lo: float, r_hi: float, cos: np.ndarray, sin: np.ndarray,
+              wtheta: np.ndarray, radial_order: int) -> float:
+    """Tensor Gauss-Legendre integral of g(x, y) over the annulus r_lo <= |w| <= r_hi.
+
+    ``g`` gets the real tensor grid ``x = r*cos``, ``y = r*sin`` (radial
+    nodes down, angular nodes across).  Only when the weighted sum is not
+    finite are the values scanned: a non-finite value raises
+    NonFiniteIntegrandError naming its node ``w = x + 1j*y``, while finite
+    values whose sum overflows give that sum.
+    """
+    t, wt = _gauss(radial_order)
     half = 0.5 * (r_hi - r_lo)
-    r, wr = r_lo + half * (x + 1.0), half * wx
-    w = r[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.asarray(g(w), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise NonFiniteIntegrandError(
-            f"integrand non-finite at node w={w[tuple(bad)]!r}"
-        )
+    r, wr = r_lo + half * (t + 1.0), half * wt
+    x, y = np.multiply.outer(r, cos), np.multiply.outer(r, sin)
+    vals = np.asarray(g(x, y), dtype=float)
     # polar Jacobian r folded into the radial weights; fixed reduction order
-    return float((wr * r) @ vals @ wtheta)
+    total = float((wr * r) @ vals @ wtheta)
+    if not math.isfinite(total):
+        bad = np.argwhere(~np.isfinite(vals))
+        if len(bad):
+            i, j = bad[0]
+            raise NonFiniteIntegrandError(
+                f"integrand non-finite at node w={x[i, j] + 1j * y[i, j]!r}"
+            )
+    return total
 
 
 def _gap_ladder(spec: GradingSpec, eps_stop: float) -> list[float]:
@@ -289,8 +330,8 @@ def _gap_ladder(spec: GradingSpec, eps_stop: float) -> list[float]:
     return gaps
 
 
-def _graded_sums(g, singular_angles, spec: GradingSpec, eps_stop: float):
-    """Inner-disc value plus per-annulus contributions down to eps_stop.
+def _graded_sums(g: _XYIntegrand, singular_angles, spec: GradingSpec, eps_stop: float):
+    """Inner-disc value plus per-annulus contributions of g(x, y) down to eps_stop.
 
     The inner disc is graded at EPS_START and each annulus at its inner
     gap, so the scales of the angular rules are the gap ladder itself.
@@ -298,9 +339,8 @@ def _graded_sums(g, singular_angles, spec: GradingSpec, eps_stop: float):
     gaps = _gap_ladder(spec, eps_stop)
     rules = _angular_rules(singular_angles, gaps, spec)
     core = _ring_sum(g, 0.0, 1.0 - EPS_START, *next(rules), spec.radial_order)
-    increments = [_ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, theta, wtheta,
-                            spec.radial_order)
-                  for outer_gap, inner_gap, (theta, wtheta) in zip(gaps[:-1], gaps[1:], rules)]
+    increments = [_ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, *rule, spec.radial_order)
+                  for outer_gap, inner_gap, rule in zip(gaps[:-1], gaps[1:], rules)]
     return core, increments, gaps[1:]
 
 
@@ -350,10 +390,20 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     ``g`` blows up or vanishes fast; the angular rule is graded toward
     them.  Purely radial boundary behaviour needs no declaration.
 
-    The per-annulus increments go through the tail rule shared with
-    :func:`classify_tail`.  With no annuli (``eps_min = EPS_START``) the
-    verdict is INCONCLUSIVE and the value is the inner disc alone.
+    Each ring evaluates ``g`` once, on ``x + 1j*y`` over its real tensor
+    grid (the complex polar grid bit for bit).  A ring whose weighted sum
+    is not finite because ``g`` returned nan or inf raises
+    NonFiniteIntegrandError naming that node.  The per-annulus increments
+    go through the tail rule shared with :func:`classify_tail`.  With no
+    annuli (``eps_min = EPS_START``) the verdict is INCONCLUSIVE and the
+    value is the inner disc alone.
     """
+    return _integrate_xy(_complex_integrand(g), singular_angles, spec)
+
+
+def _integrate_xy(g: _XYIntegrand, singular_angles: Sequence[float],
+                  spec: GradingSpec) -> IntegralEstimate:
+    """:func:`integrate_disc` for an integrand ``g(x, y)`` of the real grid, ``w = x + 1j*y``."""
     spec.validate()
     core, increments, gap_after = _graded_sums(g, singular_angles, spec, spec.eps_min)
     truncated = core + math.fsum(increments)
@@ -413,7 +463,7 @@ def integrate_truncated(g: Callable[[np.ndarray], np.ndarray], eps: float,
     spec.validate()
     if not 0.0 < eps <= EPS_START:
         raise InvalidGradingError(f"truncation eps must lie in (0, {EPS_START}], got {eps}")
-    core, increments, _ = _graded_sums(g, singular_angles, spec, eps)
+    core, increments, _ = _graded_sums(_complex_integrand(g), singular_angles, spec, eps)
     return core + math.fsum(increments)
 
 

@@ -409,6 +409,20 @@ class TestFactorForm:
         assert log_mod.shape == w.shape
         assert np.all(np.abs(log_mod - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_real_entry_agrees_with_dpsi(self, name):
+        """The real (x, y) entry on a 2-D grid: the same formula, inputs left untouched."""
+        rng = np.random.default_rng(11)
+        w = 0.99 * np.sqrt(rng.random((20, 25))) * np.exp(2j * np.pi * rng.random((20, 25)))
+        pair = make_pair(name)
+        x, y = w.real.copy(), w.imag.copy()
+        log_mod = pair.log_abs_dpsi_xy(x, y)
+        ref = np.log(np.abs(pair.dpsi(w)))
+        assert log_mod.shape == w.shape
+        assert np.all(np.abs(log_mod - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(log_mod, pair.log_abs_dpsi(w))
+        assert np.array_equal(x, w.real) and np.array_equal(y, w.imag)
+
     @pytest.mark.parametrize("name, exponents", [
         ("koebe", ()), ("sector:1.3", ()), ("identity", ()), ("cardioid", ()),
         ("koebe*moebius:0.5,0.2,1", ()), ("sector:1.3*moebius:0.5,0.2,1", ()),

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brennanlab.catalog import make_pair
+from brennanlab.functionals import _abs_dpsi_power, brennan_integral
 from brennanlab.quadrature import (
     EPS_START,
     TWO_PI,
@@ -17,7 +18,9 @@ from brennanlab.quadrature import (
     NonFiniteIntegrandError,
     _angular_rules,
     _classify_increments,
+    _complex_integrand,
     _gap_ladder,
+    _gauss,
     _graded_sums,
     _ring_sum,
     classify_tail,
@@ -240,6 +243,44 @@ def reference_angular_rule(singular_angles, scale, spec):
             np.concatenate([h * w for h in halves]))
 
 
+def assert_unit_circle_parts(cos, sin, theta):
+    """The rule's cosines and sines are exp(1j*theta)'s parts, bit for bit, and contiguous.
+
+    The ring sees its nodes only through them, so this pins the nodes.
+    """
+    e = np.exp(1j * theta)
+    assert np.array_equal(cos, e.real) and np.array_equal(sin, e.imag)
+    assert cos.flags.c_contiguous and sin.flags.c_contiguous
+
+
+def reference_ring_sum(g, r_lo, r_hi, theta, wtheta, radial_order):
+    """The ring on the complex grid r*exp(1j*theta), as it was before the real grid; g takes w."""
+    x, wx = _gauss(radial_order)
+    half = 0.5 * (r_hi - r_lo)
+    r, wr = r_lo + half * (x + 1.0), half * wx
+    w = r[:, None] * np.exp(1j * theta)[None, :]
+    vals = np.asarray(g(w), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        bad = np.argwhere(~np.isfinite(vals))[0]
+        raise NonFiniteIntegrandError(
+            f"integrand non-finite at node w={w[tuple(bad)]!r}"
+        )
+    # polar Jacobian r folded into the radial weights; fixed reduction order
+    return float((wr * r) @ vals @ wtheta)
+
+
+def reference_log_abs_dpsi(pair, w):
+    """log|psi'(w)| from the factor form on complex w, as it was before the real entry."""
+    w = np.asarray(w, dtype=complex)
+    x, y = w.real, w.imag
+    out = np.full(w.shape, pair.log_scale)
+    for zr, zi, half_e in pair._point_terms:
+        out += half_e * np.log((zr - x) ** 2 + (zi - y) ** 2)
+    for cr, ci, half_f in pair._pole_terms:
+        out += half_f * np.log((1.0 - cr * x + ci * y) ** 2 + (cr * y + ci * x) ** 2)
+    return out
+
+
 RULE_ANGLE_SETS = {
     "none": (),
     "cardioid": make_pair("cardioid").singular_angles,
@@ -259,9 +300,10 @@ class TestAngularRule:
     def test_rule_over_scales(self, name, spec):
         angles = RULE_ANGLE_SETS[name]
         assert RULE_SCALES[0] == EPS_START and RULE_SCALES[-1] == 1e-12
-        for scale, (theta, wtheta) in zip(RULE_SCALES, _angular_rules(angles, RULE_SCALES, spec)):
-            ref_theta, ref_wtheta = reference_angular_rule(angles, scale, spec)
-            assert np.array_equal(theta, ref_theta) and np.array_equal(wtheta, ref_wtheta)
+        for scale, (cos, sin, wtheta) in zip(RULE_SCALES, _angular_rules(angles, RULE_SCALES, spec)):
+            theta, ref_wtheta = reference_angular_rule(angles, scale, spec)
+            assert_unit_circle_parts(cos, sin, theta)
+            assert np.array_equal(wtheta, ref_wtheta)
             assert np.all(wtheta > 0.0)
             assert math.fsum(wtheta) == pytest.approx(TWO_PI, abs=1e-13)
             assert theta.max() - theta.min() < TWO_PI
@@ -283,9 +325,9 @@ class TestCoincidingAngles:
         assert integrate_disc(lambda w: np.ones(w.shape), angles).value == pytest.approx(
             math.pi, rel=0.0, abs=1e-13)
         spec = GradingSpec()
-        for (theta, wtheta), (ref_theta, ref_wtheta) in zip(
-                _angular_rules(angles, RULE_SCALES, spec), _angular_rules(single, RULE_SCALES, spec)):
-            assert np.array_equal(theta, ref_theta) and np.array_equal(wtheta, ref_wtheta)
+        for rule, ref in zip(_angular_rules(angles, RULE_SCALES, spec),
+                             _angular_rules(single, RULE_SCALES, spec)):
+            assert all(np.array_equal(a, b) for a, b in zip(rule, ref))
 
 
 #: offsets of an extra angle from a drawn one: coinciding modulo 2pi, or close
@@ -333,9 +375,10 @@ class TestRuleLadder:
         ladder = _gap_ladder(spec, eps_min)
         rules = list(_angular_rules(angles, ladder, spec))
         assert len(rules) == len(ladder)
-        for scale, (theta, wtheta) in zip(ladder, rules):
+        for scale, (cos, sin, wtheta) in zip(ladder, rules):
             ref_theta, ref_wtheta = reference_angular_rule(one_per_class(angles), scale, spec)
-            assert np.array_equal(theta, ref_theta) and np.array_equal(wtheta, ref_wtheta)
+            assert_unit_circle_parts(cos, sin, ref_theta)
+            assert np.array_equal(wtheta, ref_wtheta)
 
 
 class TestLongLadder:
@@ -350,7 +393,8 @@ class TestLongLadder:
         g = boundary_power_integrand(-1.0)
         tracemalloc.start()
         try:
-            core, increments, _ = _graded_sums(g, self.ANGLES, self.SPEC, self.SPEC.eps_min)
+            core, increments, _ = _graded_sums(_complex_integrand(g), self.ANGLES, self.SPEC,
+                                               self.SPEC.eps_min)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,9 +403,9 @@ class TestLongLadder:
         assert peak < self.PEAK_BOUND
         # rings on both sides of the first chunk boundaries, and the last one
         for k in (0, 1, 62, 63, 64, 126, 127, 128, 1000, len(increments) - 1):
-            ref = _ring_sum(g, 1.0 - ladder[k], 1.0 - ladder[k + 1],
-                            *reference_angular_rule(self.ANGLES, ladder[k + 1], self.SPEC),
-                            self.SPEC.radial_order)
+            ref = reference_ring_sum(g, 1.0 - ladder[k], 1.0 - ladder[k + 1],
+                                     *reference_angular_rule(self.ANGLES, ladder[k + 1], self.SPEC),
+                                     self.SPEC.radial_order)
             assert increments[k] == ref
 
 
@@ -370,28 +414,106 @@ SCAN_SPECS = (GradingSpec(), GradingSpec(eps_min=1e-12), GradingSpec(angular_bas
 
 
 class TestWholeIntegrals:
-    """_graded_sums equals a per-ring loop over _ring_sum and the reference rule, bit for bit."""
+    """_graded_sums equals a per-ring loop over the complex-grid ring and the reference rule.
+
+    Bit for bit: the real grid, the in-place real log|psi'| and the rule's
+    cosines and sines must reproduce the complex grid r*exp(1j*theta) and
+    the complex-w log|psi'| exactly.
+    """
+
+    EXPONENTS = (-1.0, 0.3, 1.7)
+
+    @staticmethod
+    def reference_sums(g, angles, spec):
+        ladder = _gap_ladder(spec, spec.eps_min)
+        core = reference_ring_sum(g, 0.0, 1.0 - EPS_START,
+                                  *reference_angular_rule(angles, EPS_START, spec),
+                                  spec.radial_order)
+        increments = [
+            reference_ring_sum(g, 1.0 - outer, 1.0 - inner,
+                               *reference_angular_rule(angles, inner, spec), spec.radial_order)
+            for outer, inner in zip(ladder[:-1], ladder[1:])]
+        return core, increments, ladder[1:]
 
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
     @pytest.mark.parametrize("name", ["koebe", "sector:1.5", "cardioid",
-                                      "koebe*moebius:0.95,0.2,1", "moebius:0.9,0,0"])
+                                      "koebe*moebius:0.95,0.2,1", "cardioid*moebius:0.5,-0.3,1",
+                                      "moebius:0.9,0,0"])
     def test_core_and_increments(self, name, spec):
         pair = make_pair(name)
-
-        def g(w):
-            return np.exp(-1.0 * pair.log_abs_dpsi(w))
-
         angles = pair.grading_angles
-        core, increments, gaps = _graded_sums(g, angles, spec, spec.eps_min)
-        ladder = _gap_ladder(spec, spec.eps_min)
-        assert gaps == ladder[1:]
-        ref_core = _ring_sum(g, 0.0, 1.0 - EPS_START,
-                             *reference_angular_rule(angles, EPS_START, spec), spec.radial_order)
-        ref_increments = [
-            _ring_sum(g, 1.0 - outer, 1.0 - inner, *reference_angular_rule(angles, inner, spec),
-                      spec.radial_order)
-            for outer, inner in zip(ladder[:-1], ladder[1:])]
-        assert core == ref_core and increments == ref_increments
+        for e in self.EXPONENTS:
+            def g(w):
+                return np.exp(e * reference_log_abs_dpsi(pair, w))
+
+            new = _graded_sums(_abs_dpsi_power(pair, e), angles, spec, spec.eps_min)
+            assert new == self.reference_sums(g, angles, spec)
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
+    def test_complex_integrand(self, spec):
+        """A complex-w integrand goes through the adapter onto the same grid."""
+        g = boundary_power_integrand(-1.5)
+        angles = (0.0, 2.5)
+        new = _graded_sums(_complex_integrand(g), angles, spec, spec.eps_min)
+        assert new == self.reference_sums(g, angles, spec)
+
+
+class TestNonFiniteRing:
+    """The ring checks its weighted sum, and scans the values only when that is not finite."""
+
+    RULE = next(_angular_rules((), [EPS_START], GradingSpec()))
+    THETA, _ = reference_angular_rule((), EPS_START, GradingSpec())
+
+    def rings(self, g):
+        """The new and the complex-grid ring of g(w) over 0 <= |w| <= 1, as (value or error)."""
+        cos, sin, wtheta = self.RULE
+        out = []
+        for ring in (lambda: _ring_sum(_complex_integrand(g), 0.0, 1.0, cos, sin, wtheta, 16),
+                     lambda: reference_ring_sum(g, 0.0, 1.0, self.THETA, wtheta, 16)):
+            try:
+                out.append(ring())
+            except NonFiniteIntegrandError as exc:
+                out.append(str(exc))
+        return out
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bad_node_is_named(self, bad):
+        def g(w):
+            vals = np.ones(w.shape)
+            vals[3, 5] = bad
+            return vals
+
+        new, ref = self.rings(g)
+        cos, sin, _ = self.RULE
+        r = 0.0 + 0.5 * (_gauss(16)[0] + 1.0)
+        w = np.multiply.outer(r, cos) + 1j * np.multiply.outer(r, sin)
+        assert new == ref == f"integrand non-finite at node w={w[3, 5]!r}"
+
+    def test_first_bad_node_in_row_order(self):
+        # the complex-grid ring named this node, the first with |w| > 0.6 in row-major order
+        new, ref = self.rings(lambda w: np.where(np.abs(w) > 0.6, np.nan, 1.0))
+        assert new == ref
+        assert "0.6407238628081336+0.009992345606769322j" in new
+
+    def test_overflowing_sum_of_finite_values(self):
+        """Finite values whose weighted sum overflows give that sum, inf, as before."""
+        with np.errstate(over="ignore"):
+            new, ref = self.rings(lambda w: np.full(w.shape, 1e308))
+            assert new == ref == math.inf
+            # mixed signs cancel before anything overflows
+            new, ref = self.rings(lambda w: np.where(w.real > 0.0, 1e308, -1e308))
+            assert new == ref == 0.0
+
+    def test_overflowing_total(self):
+        # every ring is finite; their fsum overflows and raises, as it did on the complex grid
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            integrate_disc(lambda w: np.full(w.shape, 1.7e308))
+
+    def test_koebe_far_below_the_lower_threshold(self):
+        """|psi'|^152 overflows at interior nodes; the log-space verdict is still open."""
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteIntegrandError,
+                                                       match="non-finite at node w="):
+            brennan_integral(make_pair("koebe"), -150.0)
 
 
 class TestShortLadder:
@@ -407,7 +529,8 @@ class TestShortLadder:
         def g(w):
             return np.abs(pair.dpsi(w)) ** -1.0
 
-        core, increments, gaps = _graded_sums(g, pair.singular_angles, spec, spec.eps_min)
+        core, increments, gaps = _graded_sums(_complex_integrand(g), pair.singular_angles, spec,
+                                              spec.eps_min)
         assert len(increments) == 3
         floor = 1e-15 * (core + math.fsum(increments))
         assert _classify_increments(increments, gaps, floor)[0] is Classification.INCONCLUSIVE
@@ -423,7 +546,8 @@ class TestShortLadder:
         def g(w):
             return np.abs(pair.dpsi(w)) ** -1.0
 
-        core, increments, gaps = _graded_sums(g, pair.singular_angles, spec, spec.eps_min)
+        core, increments, gaps = _graded_sums(_complex_integrand(g), pair.singular_angles, spec,
+                                              spec.eps_min)
         samples = [(EPS_START, core)] + list(zip(gaps, core + np.cumsum(increments)))
         verdict, slope = classify_tail(samples)
         assert verdict is integrate_disc(g, pair.singular_angles, spec).classification
