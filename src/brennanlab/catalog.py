@@ -23,16 +23,15 @@ cardioid
 Any family accepts the suffix ``*moebius:a_re,a_im,theta`` for
 precomposition with a disc automorphism.
 
-Fused form
-----------
-Every map also has ``psi_dpsi(w) -> (psi(w), psi'(w))``, written by hand
-so that the subexpressions the two closed forms share are computed once:
-``log(1 - w)`` and ``log(1 + w)`` for a sector, ``1 - w`` for Koebe, and
-the denominator ``1 - conj(a) w`` of ``m`` and ``m'`` for a twist.  The
-operations are the same as in ``psi`` and ``dpsi``, in the same order, so
-both outputs are bit for bit theirs.  Newton inversion costs one fused
-call per trial point and carries ``psi'`` from the accepted point into
-the next step.
+One formula per map
+-------------------
+Every family, and every twist, writes its map once, as
+``psi_dpsi(w) -> (psi(w), psi'(w))``, so that the subexpressions the two
+share are computed once: ``log(1 - w)`` and ``log(1 + w)`` for a sector,
+``1 - w`` for Koebe, and the denominator ``1 - conj(a) w`` of ``m`` and
+``m'`` for a twist.  ``psi`` and ``dpsi`` are its first and second output.
+Newton inversion costs one call per trial point and carries ``psi'`` from
+the accepted point into the next step.
 
 Factor form
 -----------
@@ -51,8 +50,8 @@ exponents)`` appears, which is absent (exponent 0) for Koebe, sectors and
 a Moebius map twisted again.  ``ConformalPair.log_abs_dpsi_xy`` evaluates
 ``log|psi'|`` from this form in real arithmetic at ``w = x + iy``, given
 ``x`` and ``y``; the disc integrals call it on the real tensor grid of
-each quadrature ring.  ``log_abs_dpsi`` takes complex ``w`` and is a thin
-wrapper over it, so the formula exists once.
+each quadrature ring.  The closed form ``dpsi`` never uses this form, so
+each checks the other.
 """
 
 from __future__ import annotations
@@ -155,12 +154,13 @@ def _fmt_num(x: float) -> str:
 class ConformalPair:
     """A Riemann map psi: D -> Omega with derivative and numeric inverse.
 
-    ``psi`` and ``dpsi`` are vectorized over complex ndarrays and are the
-    raw closed forms (no domain checks); ``eval_psi``/``eval_dpsi`` add the
-    ``|w| < 1`` validation.  ``psi_dpsi`` is the fused form of the module
-    docstring, returning both at once, bit for bit equal to them; the Newton
-    solvers and the forward-patch charts use it.  ``domain_contains``
-    decides membership in Omega.  Immutable; safe to share between threads.
+    ``psi_dpsi`` is the map's one closed form (see the module docstring),
+    vectorized over complex ndarrays with no domain checks and returning
+    ``(psi(w), psi'(w))``; ``psi`` and ``dpsi`` return its first and second
+    output, and ``eval_psi``/``eval_dpsi`` add the ``|w| < 1`` validation.
+    All three are fields, so a copy of a pair may wrap any of them.
+    ``domain_contains`` decides membership in Omega.  Immutable; safe to
+    share between threads.
 
     The derivative also has the factor form of the module docstring:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
@@ -178,7 +178,7 @@ class ConformalPair:
     poles: tuple[tuple[complex, float], ...] = ()
 
     def __post_init__(self):
-        # log_abs_dpsi's terms, fixed here so that a call only does array work;
+        # log_abs_dpsi_xy's terms, fixed here so that a call only does array work;
         # every factor is 1 at w = 0, so log|C| = log|psi'(0)|
         object.__setattr__(self, "log_scale", math.log(abs(complex(self.dpsi(0j)))))
         object.__setattr__(self, "_point_terms", tuple(
@@ -200,11 +200,6 @@ class ConformalPair:
         """
         return self.singular_angles + tuple(
             -cmath.phase(c) % TWO_PI for c, _ in self.poles)
-
-    def log_abs_dpsi(self, w) -> np.ndarray:
-        """``log|psi'(w)|`` at complex ``w``: :meth:`log_abs_dpsi_xy` of its real and imaginary parts."""
-        w = np.asarray(w, dtype=complex)
-        return self.log_abs_dpsi_xy(w.real, w.imag)
 
     def log_abs_dpsi_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``log|psi'(x + iy)|`` from the factor form in real arithmetic (no domain checks).
@@ -399,26 +394,14 @@ class ConformalPair:
         if abs(a) >= 1.0:
             raise MapDomainError(f"automorphism parameter must satisfy |a| < 1, got {a!r}")
         rot = cmath.exp(1j * theta)
-        base_psi, base_dpsi, base_psi_dpsi = self.psi, self.dpsi, self.psi_dpsi
-
-        def m(w):
-            return rot * (w - a) / (1.0 - np.conj(a) * w)
-
-        def dm(w):
-            return rot * (1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * w) ** 2
+        base_psi_dpsi = self.psi_dpsi
 
         def m_inv(v: complex) -> complex:
             u = v / rot
             return (u + a) / (1.0 + np.conj(a) * u)
 
-        def psi(w):
-            return base_psi(m(w))
-
-        def dpsi(w):
-            return base_dpsi(m(w)) * dm(w)
-
         def psi_dpsi(w):
-            # m and m' share the denominator 1 - conj(a) w
+            # psi(m(w)) and psi'(m(w)) m'(w), where m and m' share the denominator
             den = 1.0 - np.conj(a) * w
             value, deriv = base_psi_dpsi(rot * (w - a) / den)
             return value, deriv * (rot * (1.0 - abs(a) ** 2) / den ** 2)
@@ -433,7 +416,7 @@ class ConformalPair:
         if a and abs(new_pole) > POLE_TOL:
             poles += ((a.conjugate(), new_pole),)
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
-        return ConformalPair(descriptor, psi, dpsi, psi_dpsi, self.domain_contains, moved, poles)
+        return _pair(descriptor, psi_dpsi, self.domain_contains, moved, poles)
 
 
 def _worse(w_try: np.ndarray, diff: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -450,19 +433,19 @@ def _require_in_disc(w) -> None:
         raise MapDomainError("evaluation point must lie in the open unit disc")
 
 
+def _pair(descriptor: MapDescriptor, psi_dpsi: Callable, domain_contains: Callable,
+          singular_points: tuple[SingularPoint, ...], poles: tuple = ()) -> ConformalPair:
+    """The pair of a map written once, as ``psi_dpsi``; ``psi`` and ``dpsi`` are its outputs."""
+    return ConformalPair(descriptor, lambda w: psi_dpsi(w)[0], lambda w: psi_dpsi(w)[1],
+                         psi_dpsi, domain_contains, singular_points, poles)
+
+
 def identity_map() -> ConformalPair:
     def psi_dpsi(w):
         w = np.asarray(w, dtype=complex)
         return w + 0j, np.ones_like(w)
 
-    return ConformalPair(
-        MapDescriptor("identity"),
-        psi=lambda w: np.asarray(w, dtype=complex) + 0j,
-        dpsi=lambda w: np.ones_like(np.asarray(w, dtype=complex)),
-        psi_dpsi=psi_dpsi,
-        domain_contains=lambda z: bool(abs(z) < 1.0),
-        singular_points=(),
-    )
+    return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: bool(abs(z) < 1.0), ())
 
 
 def moebius_map(a: complex, theta: float = 0.0) -> ConformalPair:
@@ -482,14 +465,6 @@ def koebe_map() -> ConformalPair:
     exponents pin the integrability thresholds 4/3 and 4.
     """
 
-    def psi(w):
-        w = np.asarray(w, dtype=complex)
-        return w / (1.0 - w) ** 2
-
-    def dpsi(w):
-        w = np.asarray(w, dtype=complex)
-        return (1.0 + w) / (1.0 - w) ** 3
-
     def psi_dpsi(w):
         w = np.asarray(w, dtype=complex)
         one_minus = 1.0 - w
@@ -499,14 +474,8 @@ def koebe_map() -> ConformalPair:
         z = complex(z)
         return not (z.imag == 0.0 and z.real <= -0.25)
 
-    return ConformalPair(
-        MapDescriptor("koebe"),
-        psi=psi,
-        dpsi=dpsi,
-        psi_dpsi=psi_dpsi,
-        domain_contains=contains,
-        singular_points=(SingularPoint(1.0 + 0j, -3.0), SingularPoint(-1.0 + 0j, 1.0)),
-    )
+    return _pair(MapDescriptor("koebe"), psi_dpsi, contains,
+                 (SingularPoint(1.0 + 0j, -3.0), SingularPoint(-1.0 + 0j, 1.0)))
 
 
 def sector_map(beta: float) -> ConformalPair:
@@ -517,15 +486,6 @@ def sector_map(beta: float) -> ConformalPair:
     """
     if not 0.0 < beta <= 2.0:
         raise DescriptorError(f"sector opening parameter must lie in (0, 2], got {beta}")
-
-    def psi(w):
-        w = np.asarray(w, dtype=complex)
-        return np.exp(beta * (np.log(1.0 - w) - np.log(1.0 + w)))
-
-    def dpsi(w):
-        w = np.asarray(w, dtype=complex)
-        return -2.0 * beta * np.exp((beta - 1.0) * np.log(1.0 - w)
-                                    - (beta + 1.0) * np.log(1.0 + w))
 
     def psi_dpsi(w):
         w = np.asarray(w, dtype=complex)
@@ -541,26 +501,12 @@ def sector_map(beta: float) -> ConformalPair:
             return False
         return abs(cmath.phase(z)) < half
 
-    return ConformalPair(
-        MapDescriptor("sector", beta=beta),
-        psi=psi,
-        dpsi=dpsi,
-        psi_dpsi=psi_dpsi,
-        domain_contains=contains,
-        singular_points=(SingularPoint(1.0 + 0j, beta - 1.0),
-                         SingularPoint(-1.0 + 0j, -(beta + 1.0))),
-    )
+    return _pair(MapDescriptor("sector", beta=beta), psi_dpsi, contains,
+                 (SingularPoint(1.0 + 0j, beta - 1.0), SingularPoint(-1.0 + 0j, -(beta + 1.0))))
 
 
 def cardioid_map() -> ConformalPair:
     """psi(w) = w - w^2/2; the derivative vanishes to first order at w = 1."""
-
-    def psi(w):
-        w = np.asarray(w, dtype=complex)
-        return w - 0.5 * w ** 2
-
-    def dpsi(w):
-        return 1.0 - np.asarray(w, dtype=complex)
 
     def psi_dpsi(w):
         w = np.asarray(w, dtype=complex)
@@ -570,14 +516,7 @@ def cardioid_map() -> ConformalPair:
         # w = 1 - sqrt(1 - 2z) is the principal inverse; membership is |w| < 1
         return bool(abs(1.0 - np.sqrt(complex(1.0 - 2.0 * z))) < 1.0)
 
-    return ConformalPair(
-        MapDescriptor("cardioid"),
-        psi=psi,
-        dpsi=dpsi,
-        psi_dpsi=psi_dpsi,
-        domain_contains=contains,
-        singular_points=(SingularPoint(1.0 + 0j, 1.0),),
-    )
+    return _pair(MapDescriptor("cardioid"), psi_dpsi, contains, (SingularPoint(1.0 + 0j, 1.0),))
 
 
 _BUILDERS = {

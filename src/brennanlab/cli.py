@@ -233,7 +233,10 @@ def cmd_verify_composition(args) -> int:
 def cmd_isometry(args) -> int:
     pair = make_pair(args.map)
     family = [parse_test_function(args.function)] if args.function else list(isometry_family())
-    r0, r1 = (float(t) for t in args.patch.split(","))
+    try:
+        r0, r1 = (float(t) for t in args.patch.split(","))
+    except ValueError:
+        raise ValueError(f"--patch needs two numbers r0,r1, got {args.patch!r}") from None
     ratios = []
     for f in family:
         ratio = isometry_check(pair, f, patch=(r0, r1))

@@ -102,8 +102,8 @@ def harmonic_poly(k: int) -> TestFunction:
 
 def boundary_power(gamma: float) -> TestFunction:
     """f = (1 - |w|^2)^gamma; in L^1_p exactly for gamma > 1 - 1/p."""
-    if gamma <= 0.0:
-        raise ValueError("boundary_power needs gamma > 0")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"boundary_power needs a finite gamma > 0, got {gamma}")
 
     def value(w):
         return (1.0 - np.abs(w) ** 2) ** gamma
@@ -145,9 +145,17 @@ def isometry_family() -> tuple[TestFunction, ...]:
 def parse_test_function(text: str) -> TestFunction:
     name, _, arg = text.strip().partition(":")
     if name == "harmonic_poly":
-        return harmonic_poly(int(arg))
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValueError(f"harmonic_poly needs an integer k >= 1, got {arg!r}") from None
+        return harmonic_poly(k)
     if name == "boundary_power":
-        return boundary_power(float(arg))
+        try:
+            gamma = float(arg)
+        except ValueError:
+            raise ValueError(f"boundary_power needs a number gamma > 0, got {arg!r}") from None
+        return boundary_power(gamma)
     if name == "shifted_log":
         return shifted_log()
     raise ValueError(

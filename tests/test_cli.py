@@ -194,6 +194,23 @@ class TestIsometryCommand:
         assert len(payload["result"]["ratios"]) == 3
         assert payload["result"]["within_tolerance"] is True
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--function", "boundary_power:nan"), "boundary_power needs a finite gamma > 0, got nan"),
+        (("--function", "boundary_power:inf"), "boundary_power needs a finite gamma > 0, got inf"),
+        (("--function", "harmonic_poly:1.5"), "harmonic_poly needs an integer k >= 1, got '1.5'"),
+        (("--patch", "0.5"), "--patch needs two numbers r0,r1, got '0.5'"),
+        (("--patch", "0.1,0.5,0.7"), "--patch needs two numbers r0,r1, got '0.1,0.5,0.7'"),
+        (("--patch", "0.1,x"), "--patch needs two numbers r0,r1, got '0.1,x'"),
+    ], ids=["gamma-nan", "gamma-inf", "k-float", "patch-one", "patch-three", "patch-word"])
+    def test_bad_function_or_patch_is_a_usage_error(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "isometry", "--map", "koebe", *argv)
+        assert code == 2
+        assert not caught
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestDualityCommand:
     def test_identity(self, capsys):

@@ -1,11 +1,14 @@
-"""Golden values: exact reprs of disc integrals and patch checks, to guard bit-identity.
+"""Golden values: exact reprs of integrals, patch checks and inversions, to guard bit-identity.
 
 Each value was generated once and must be reproduced digit for digit, so
 a change meant to be a pure speed-up shows any moved bit here.  The cases
 cover the three grading specs of the scan-cold benchmark, converged and
 diverging tails, twisted maps with clustered singular points and maps
-that carry a pole off the circle.  A change that moves a value on
-purpose regenerates the value and says so.
+that carry a pole off the circle.  The inversions cover the scalar Newton
+loop from its default seeds, from an explicit seed and from the
+radius-0.9 ring, the vectorized loop, and the p-distortion built on the
+scalar one.  A change that moves a value on purpose regenerates the
+value and says so.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 from brennanlab.catalog import make_pair
-from brennanlab.functionals import inverse_brennan_integral
+from brennanlab.functionals import inverse_brennan_integral, p_distortion
 from brennanlab.operators import (
     boundary_power,
     harmonic_poly,
@@ -202,3 +205,102 @@ def test_isometry_check(name, function, patch, expected):
 ])
 def test_pullback_seminorm(name, function, q, expected):
     assert repr(pullback_seminorm(make_pair(name), function, q)) == repr(expected)
+
+
+CARDIOID_RING = "cardioid*moebius:0.05027829237277964,-0.8519746811694262,5.231008658459677"
+
+#: (map, z, seed, w): default seeds, explicit seeds, and a point only the radius-0.9 ring reaches
+INVERSIONS = [
+    ("koebe*moebius:0.5,0.2,1", (-0.19751142214497933-0.03735471221563994j), None,
+     (0.30000000000000004+0.3999999999999999j)),
+    ("sector:1.5", (-0.18359697561789173+0.2543131910579923j), None, (0.6-0.7j)),
+    ("koebe", (-0.32+0.24j), 0.4j, (-1.6912231714180652e-18+0.5j)),
+    ("sector:1.7*moebius:-0.6,0.7,2", (-0.37899070902247767-0.4322566852182905j), (0.1-0.1j),
+     (-0.19999999999999973+0.5000000000000003j)),
+    (CARDIOID_RING, (0.4861418197530831-0.025292296277159718j), None,
+     (0.37214225843646453-0.8039647891521694j)),
+]
+
+
+@pytest.mark.parametrize("name, z, seed, expected", INVERSIONS,
+                         ids=["twisted-koebe", "sector", "koebe-seed", "twisted-sector-seed",
+                              "ring"])
+def test_invert(name, z, seed, expected):
+    assert repr(make_pair(name).invert(z, seed)) == repr(expected)
+
+
+#: (map, z, then the hex of w, ok and psi"(w) from invert_many(z, 0))
+INVERT_MANY = [
+    ("koebe*moebius:0.5,0.2,1",
+     [
+         (-0.2652014362041746-0.22051432905455903j),
+         (-0.408075390167392-0.12580263911973769j),
+         (-0.2576557847816437-0.05931617829946428j),
+         (-0.67704650683244-0.425915145231381j),
+         (-0.36797441605595693-0.02791211726512229j),
+         (-0.30487378754542316+0.09750457014024501j),
+     ],
+     (
+         "333333333333c33f000010f9d1eca7bc470851726160cbbf096a18a37f11c9bf"
+         "608ed8b56057a33fb1acec7ce169db3fffef6c5a632dd63f74f35c26fbf6dcbf"
+         "df1e108e8a5ee6bfcc4a2fc3ebcfbf3f37d368defec8e5bfeb5cd4a87f70e73f"),
+     "010101010100",
+     (
+         "c04847555ac5de3fb33e561887c4d8bfbc46ac722e0a983f4b35e65f0890d2bf"
+         "89c4dc6a16c2c83fee544dafe4b5883f5aa955af6e14ecbf6e341c94a8bcf0bf"
+         "cb563e60570aa03f5df8ec7c21e2bbbf27adc508bfeeaa3f09eee8022108a9bf")),
+    ("sector:1.3*moebius:-0.3,0.8,2",
+     [
+         (-0.08020767844079237-0.33864199047444876j),
+         (-0.07232167460189873-0.2768737901572229j),
+         (0.008496860517052974-0.433624119379996j),
+         (-0.12728101684309603-0.30745286429007557j),
+         (-0.04337278392854639-0.18844787562369497j),
+         (-0.18034228202475855-0.4017211090784197j),
+     ],
+     (
+         "b32f33333333c33f000080d95017223d3b0851726160cbbf426a18a37f11c9bf"
+         "5d8ed8b56057a33fb2acec7ce169db3f0aef6c5a632dd63f4df55c26fbf6dcbf"
+         "dd1e108e8a5ee6bf8e4a2fc3ebcfbf3f55f4e16539f7e63f6c1629662326dd3f"),
+     "010101010101",
+     (
+         "7996aa21b600c2bf23284448ccfbb7bf37711e83f791a1bf79c0a235089bc0bf"
+         "4adf45f1f814debfc0d4a7b96756c9bf132727b5a6c8b0bfabfed59ecf39a5bf"
+         "e98134923053c13fa1a25f1e820fc1bfe932d6b13e86bbbf6571a74c2d10bd3f")),
+    ("cardioid*moebius:0.67,0.67,5",
+     [
+         (-1.0787083781123634+0.7972330280023487j),
+         (-1.1082527532617688+0.8600122443872753j),
+         (-0.9705417285608449+0.8630642974615946j),
+         (-1.1667225025766257+0.8066950349097374j),
+         (-1.0986922998842772+0.9191116566942734j),
+         (-1.0753763621290235+0.25461686428734703j),
+     ],
+     (
+         "1e3c33333333c33f0000885c83a12ebd1a0851726160cbbfb36918a37f11c9bf"
+         "1e8fd8b56057a33fb3acec7ce169db3fcafe6c5a632dd63fc6395b26fbf6dcbf"
+         "b7390f8e8a5ee6bfe49e33c3ebcfbf3f5df4e16539f7e63f731629662326dd3f"),
+     "010101010101",
+     (
+         "76379848cb2ca4bf7a6596f3409bcdbf119b3a4b53057e3f0b0e93446bb3bebf"
+         "607a93da4065ce3fec8d1eb11f55d0bfc851517d1fb9babf8e9c8d84e5c7b6bf"
+         "a920635735f2af3fd11955bb4ffdafbfdcf3481fcf8501c0c422fb1505ecedbf")),
+]
+
+
+@pytest.mark.parametrize("name, z, w_hex, ok_hex, dw_hex", INVERT_MANY,
+                         ids=[n for n, *_ in INVERT_MANY])
+def test_invert_many(name, z, w_hex, ok_hex, dw_hex):
+    z = np.array(z)
+    w, ok, dw = make_pair(name).invert_many(z, np.zeros_like(z))
+    assert (w.tobytes().hex(), ok.tobytes().hex(), dw.tobytes().hex()) == (w_hex, ok_hex, dw_hex)
+
+
+@pytest.mark.parametrize("name, z, p, expected", [
+    ("koebe*moebius:0.5,0.2,1", (0.3+0.4j), 4.0, 0.04146864359980763),
+    ("sector:1.7*moebius:-0.6,0.7,2", (0.2+0.1j), 1.5, 2.4855151703780876),
+    ("cardioid*moebius:0.5,-0.3,1", (-0.1+0.3j), 3.0, 0.550965841979072),
+    ("moebius:0.3,0,1*moebius:0.2,0.1,0.5", (0.4-0.2j), 6.0, 0.5176947231264676),
+])
+def test_p_distortion(name, z, p, expected):
+    assert repr(p_distortion(make_pair(name), z, p)) == repr(expected)

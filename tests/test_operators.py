@@ -17,6 +17,7 @@ from brennanlab.operators import (
     isometry_check,
     isometry_family,
     norm_ratio_report,
+    parse_test_function,
     pullback_seminorm,
     seminorm,
     shifted_log,
@@ -55,6 +56,28 @@ class TestTestFunctions:
         assert not boundary_power(0.9).admissible_for(10.0)
         assert boundary_power(1.5).admissible_for(50.0)
         assert harmonic_poly(2).admissible_for(1e6)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_boundary_power_needs_a_finite_positive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="boundary_power needs a finite gamma > 0"):
+            boundary_power(gamma)
+
+    @pytest.mark.parametrize("text, message", [
+        ("harmonic_poly:1.5", "harmonic_poly needs an integer k >= 1, got '1.5'"),
+        ("harmonic_poly", "harmonic_poly needs an integer k >= 1, got ''"),
+        ("harmonic_poly:0", "harmonic_poly needs k >= 1"),
+        ("boundary_power:x", "boundary_power needs a number gamma > 0, got 'x'"),
+        ("boundary_power:nan", "boundary_power needs a finite gamma > 0, got nan"),
+        ("cosine", "unknown test function 'cosine'"),
+    ], ids=["k-float", "k-missing", "k-zero", "gamma-word", "gamma-nan", "unknown"])
+    def test_parse_errors_name_the_function(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_test_function(text)
+        assert str(info.value).startswith(message)
+
+    def test_parse_round_trips_the_name(self):
+        for f in standard_family():
+            assert parse_test_function(f.name).name == f.name
 
 
 class TestSeminorm:
