@@ -27,11 +27,14 @@ One formula per map
 -------------------
 Every family, and every twist, writes its map once, as
 ``psi_dpsi(w) -> (psi(w), psi'(w))``, so that the subexpressions the two
-share are computed once: ``log(1 - w)`` and ``log(1 + w)`` for a sector,
-``1 - w`` for Koebe, and the denominator ``1 - conj(a) w`` of ``m`` and
-``m'`` for a twist.  ``psi`` and ``dpsi`` are its first and second output.
-Newton inversion costs one call per trial point and carries ``psi'`` from
-the accepted point into the next step.
+share are computed once: ``psi`` itself and ``1 - w``, ``1 + w`` for a
+sector (``psi' = -2 beta psi/((1 - w)(1 + w))``), ``1 - w`` for Koebe, and
+the denominator ``1 - conj(a) w`` of ``m`` and ``m'`` for a twist.  ``psi``
+and ``dpsi`` are its first and second output.  A family turns a scalar
+``w`` into a numpy scalar, not a 0-d array, so the scalar Newton loop pays
+for no array call it does not need.  Newton inversion costs one call per
+trial point and carries ``psi'`` from the accepted point into the next
+step.
 
 Factor form
 -----------
@@ -91,6 +94,13 @@ NEWTON_MAX_HALVINGS = 27
 #: a twist's new pole exponent -2 - sum(exponents) at most this large counts
 #: as no pole; for sectors (beta - 1) - (beta + 1) rounds to -2 within an ulp
 POLE_TOL = 1e-12
+#: fallback seeds of ConformalPair.invert, each set tried nearest image first:
+#: sixteen points at radius 0.9, then the 1,800 nodes of a 30 x 60 polar chart
+#: (radii (k + 1/2)/30), spaced about 0.1 apart; some points just above a
+#: twisted slit converge only from seeds that close to them
+_SEED_RING = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16.0)
+_SEED_CHART = (((np.arange(30) + 0.5) / 30.0)[:, None]
+               * np.exp(2j * np.pi * np.arange(60) / 60.0)).ravel()
 
 
 class MapDomainError(ValueError):
@@ -258,11 +268,12 @@ class ConformalPair:
         are pinned against the circle with a flat residual.  Since psi is
         univalent, every seed that converges reaches the same w up to
         rounding, so dropping one costs only a retry.  The default seed is
-        0, with retries from eight points at radius 1/2 and then, for points
-        those nine cannot reach, from sixteen points at radius 0.9, nearest
-        image first.  An explicit ``seed`` is the only one tried.  Raises
-        MapDomainError for z outside Omega and NewtonConvergenceError when
-        every seed fails.
+        0, with retries from eight points at radius 1/2; for points those
+        nine cannot reach, from sixteen points at radius 0.9; and for points
+        those cannot reach either, from the nodes of a 30 x 60 polar chart.
+        The last two sets are tried nearest image first.  An explicit
+        ``seed`` is the only one tried.  Raises MapDomainError for z outside
+        Omega and NewtonConvergenceError when every seed fails.
         """
         if not self.domain_contains(z):
             raise MapDomainError(f"point {z!r} is outside the image domain")
@@ -283,9 +294,9 @@ class ConformalPair:
             return
         yield from [0j] + [0.5 * cmath.exp(2j * math.pi * k / 8.0) for k in range(8)]
         # reached only when the nine seeds above fail (points near the boundary
-        # of twisted maps), so most calls never build this ring
-        ring = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16.0)
-        yield from ring[np.argsort(np.abs(self.psi(ring) - z), kind="stable")].tolist()
+        # of twisted maps), so most calls never evaluate psi on these nodes
+        for nodes in (_SEED_RING, _SEED_CHART):
+            yield from nodes[np.argsort(np.abs(self.psi(nodes) - z), kind="stable")].tolist()
 
     def _newton_from(self, w: complex, z: complex, target: float) -> complex | None:
         # psi(w) - z and psi'(w) are carried from the accepted trial point; the
@@ -442,7 +453,7 @@ def _pair(descriptor: MapDescriptor, psi_dpsi: Callable, domain_contains: Callab
 
 def identity_map() -> ConformalPair:
     def psi_dpsi(w):
-        w = np.asarray(w, dtype=complex)
+        w = np.asarray(w, dtype=complex)[()]
         return w + 0j, np.ones_like(w)
 
     return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: bool(abs(z) < 1.0), ())
@@ -466,7 +477,7 @@ def koebe_map() -> ConformalPair:
     """
 
     def psi_dpsi(w):
-        w = np.asarray(w, dtype=complex)
+        w = np.asarray(w, dtype=complex)[()]
         one_minus = 1.0 - w
         return w / one_minus ** 2, (1.0 + w) / one_minus ** 3
 
@@ -482,16 +493,20 @@ def sector_map(beta: float) -> ConformalPair:
     """psi(w) = ((1-w)/(1+w))^beta onto the sector of opening beta*pi.
 
     (1-w)/(1+w) sends the disc onto the right half-plane, where the
-    principal power is holomorphic, so no branch cut is crossed.
+    principal power is holomorphic, so no branch cut is crossed.  It is
+    evaluated as exp(beta log((1-w)/(1+w))), one complex log and one exp a
+    point, and psi' = -2 beta psi/((1-w)(1+w)) reuses it; for |w| < 1 this
+    equals the two-log form exp(beta (log(1-w) - log(1+w))) exactly, because
+    1 - w and 1 + w both lie in the right half-plane.
     """
     if not 0.0 < beta <= 2.0:
         raise DescriptorError(f"sector opening parameter must lie in (0, 2], got {beta}")
 
     def psi_dpsi(w):
-        w = np.asarray(w, dtype=complex)
-        log_minus, log_plus = np.log(1.0 - w), np.log(1.0 + w)
-        return (np.exp(beta * (log_minus - log_plus)),
-                -2.0 * beta * np.exp((beta - 1.0) * log_minus - (beta + 1.0) * log_plus))
+        w = np.asarray(w, dtype=complex)[()]
+        one_minus, one_plus = 1.0 - w, 1.0 + w
+        value = np.exp(beta * np.log(one_minus / one_plus))
+        return value, -2.0 * beta * value / (one_minus * one_plus)
 
     half = 0.5 * beta * math.pi
 
@@ -509,8 +524,10 @@ def cardioid_map() -> ConformalPair:
     """psi(w) = w - w^2/2; the derivative vanishes to first order at w = 1."""
 
     def psi_dpsi(w):
-        w = np.asarray(w, dtype=complex)
-        return w - 0.5 * w ** 2, 1.0 - w
+        w = np.asarray(w, dtype=complex)[()]
+        # the ufunc's product, which arrays use for w ** 2 too; a numpy scalar's
+        # own w ** 2 (and np.square of one) rounds differently at about 30% of points
+        return w - 0.5 * np.multiply(w, w), 1.0 - w
 
     def contains(z: complex) -> bool:
         # w = 1 - sqrt(1 - 2z) is the principal inverse; membership is |w| < 1

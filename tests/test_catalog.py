@@ -183,14 +183,12 @@ class TestInversion:
         pair = make_pair(name)
         assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-9
 
-    @pytest.mark.xfail(raises=NewtonConvergenceError, strict=True,
-                       reason="open defect: none of the 25 default seeds converges here")
     def test_point_above_the_twisted_slit(self):
         """An interior point (|w| = 0.99) just above the slit of a strongly twisted Koebe map.
 
-        Of a 60 x 120 polar grid of seeds only 13 converge under
-        invert_many, all within about 0.1 of w, and the scalar Newton
-        converges from each of them: the fix is a better seed, not more.
+        None of the 25 seeds at radius 0, 1/2 and 0.9 converges here, and of
+        a 60 x 120 polar grid of seeds only 13 do, all within about 0.1 of
+        w; the nearest images of the 30 x 60 polar chart are such seeds.
         """
         pair = make_pair("koebe*moebius:0.9,0.2,1")
         w = 0.9454502314484716 + 0.2936389957993172j
@@ -386,12 +384,12 @@ def solo_reference(descriptor):
 
         def psi(w):
             w = np.asarray(w, dtype=complex)
-            return np.exp(beta * (np.log(1.0 - w) - np.log(1.0 + w)))
+            return np.exp(beta * np.log((1.0 - w) / (1.0 + w)))
 
         def dpsi(w):
             w = np.asarray(w, dtype=complex)
-            return -2.0 * beta * np.exp((beta - 1.0) * np.log(1.0 - w)
-                                        - (beta + 1.0) * np.log(1.0 + w))
+            return (-2.0 * beta * np.exp(beta * np.log((1.0 - w) / (1.0 + w)))
+                    / ((1.0 - w) * (1.0 + w)))
     else:
         def psi(w):
             w = np.asarray(w, dtype=complex)
@@ -449,6 +447,55 @@ class TestFusedForm:
             self.assert_same(deriv, want_deriv)
             self.assert_same(pair.psi(point), want_value)
             self.assert_same(pair.dpsi(point), want_deriv)
+
+
+class TestSectorAccuracy:
+    """Sector psi and psi' against 30-digit mpmath, out to |w| = 0.9999.
+
+    The reference is the textbook form ``((1-u)/(1+u))**beta`` and
+    ``-2 beta (1-u)**(beta-1) (1+u)**(-beta-1)``, times ``m'(w)`` under a
+    twist ``u = m(w)``.  An untwisted ``w`` is exact, so the bound is flat;
+    it holds the two-log form ``exp(beta (log(1-w) - log(1+w)))`` as well
+    (measured worst case 6.4e-15, against 3.2e-15 for the one-log form).
+    A twist first rounds ``m(w)``, which moves ``psi(m(w))`` by up to the
+    condition number ``2 (beta + 1) |u|/|1 - u^2|`` of the sector map times
+    that rounding, so the twisted bound is a multiple of eps times one plus
+    that number (measured worst multiple 2.9 for the one-log form and 3.3
+    for the two-log form).
+    """
+
+    RADII = (0.3, 0.9, 0.99, 0.999, 0.9999)
+    FLAT_RTOL = 1e-14
+    TWISTED_EPS = 8.0
+
+    @pytest.mark.parametrize("twist", ["", "*moebius:0.57,-0.76,1"])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 1.7, 2.0])
+    def test_against_mpmath(self, beta, twist):
+        mpmath = pytest.importorskip("mpmath")
+        pair = make_pair(f"sector:{beta:g}{twist}")
+        n = 64
+        w = np.array([r * cmath.exp(1j * math.pi * (2 * k + i % 2) / n)
+                      for i, r in enumerate(self.RADII) for k in range(n)])
+        a, theta = pair.descriptor.twist_a or 0j, pair.descriptor.twist_theta
+        rot = cmath.exp(1j * theta)
+        u = rot * (w - a) / (1.0 - a.conjugate() * w)
+        if twist:
+            bound = self.TWISTED_EPS * np.finfo(float).eps * (
+                1.0 + 2.0 * (beta + 1.0) * np.abs(u) / np.abs(1.0 - u * u))
+        else:
+            bound = np.full(w.shape, self.FLAT_RTOL)
+        value, deriv = pair.psi_dpsi(w)
+        with mpmath.workdps(30):
+            b, ma, mrot = mpmath.mpf(beta), mpmath.mpc(a), mpmath.expj(theta)
+            for k, wk in enumerate(w):
+                x = mpmath.mpc(wk)
+                den = 1 - mpmath.conj(ma) * x
+                uk, duk = mrot * (x - ma) / den, mrot * (1 - abs(ma) ** 2) / den ** 2
+                want = mpmath.power((1 - uk) / (1 + uk), b)
+                want_d = (-2 * b * mpmath.power(1 - uk, b - 1) * mpmath.power(1 + uk, -b - 1)
+                          * duk)
+                assert abs(mpmath.mpc(value[k]) - want) <= bound[k] * abs(want), wk
+                assert abs(mpmath.mpc(deriv[k]) - want_d) <= bound[k] * abs(want_d), wk
 
 
 class TestFactorForm:
