@@ -34,7 +34,11 @@ and ``dpsi`` are its first and second output.  A family turns a scalar
 ``w`` into a numpy scalar, not a 0-d array, so the scalar Newton loop pays
 for no array call it does not need.  Newton inversion costs one call per
 trial point and carries ``psi'`` from the accepted point into the next
-step.
+step.  A call's temporaries are part of Newton's peak memory, so a family
+frees them early: Koebe and the sector divide ``psi'`` in place, and the
+sector and the twist rebind a factor to its product.  No complex product
+is formed in place, because numpy (2.4) rounds an in-place complex
+product differently on one-element arrays.
 
 Factor form
 -----------
@@ -94,10 +98,13 @@ NEWTON_MAX_HALVINGS = 27
 #: a twist's new pole exponent -2 - sum(exponents) at most this large counts
 #: as no pole; for sectors (beta - 1) - (beta + 1) rounds to -2 within an ulp
 POLE_TOL = 1e-12
-#: fallback seeds of ConformalPair.invert, each set tried nearest image first:
-#: sixteen points at radius 0.9, then the 1,800 nodes of a 30 x 60 polar chart
-#: (radii (k + 1/2)/30), spaced about 0.1 apart; some points just above a
-#: twisted slit converge only from seeds that close to them
+#: default seeds of ConformalPair.invert, tried in this order: 0, then eight
+#: points at radius 1/2
+_SEED_INNER = (0j,) + tuple(0.5 * cmath.exp(2j * math.pi * k / 8.0) for k in range(8))
+#: fallback seeds of ConformalPair.invert, each set tried shortest Newton step
+#: first: sixteen points at radius 0.9, then the 1,800 nodes of a 30 x 60 polar
+#: chart (radii (k + 1/2)/30), spaced about 0.1 apart; some points just above
+#: a twisted slit converge only from seeds that close to them
 _SEED_RING = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16.0)
 _SEED_CHART = (((np.arange(30) + 0.5) / 30.0)[:, None]
                * np.exp(2j * np.pi * np.arange(60) / 60.0)).ravel()
@@ -257,7 +264,8 @@ class ConformalPair:
     # halving costs it several numpy calls even on a one-point array.  Only
     # this loop ends with a polishing step, so the two can differ by that
     # step, and only this loop drops a stalled seed early.
-    def invert(self, z: complex, seed: complex | None = None) -> complex:
+    def invert(self, z: complex, seed: complex | None = None, *,
+               with_dpsi: bool = False) -> complex | tuple[complex, complex]:
         """Solve psi(w) = z for w in the open disc by damped Newton iteration.
 
         Each trial point costs one ``psi_dpsi`` call.  Steps that would leave
@@ -271,17 +279,20 @@ class ConformalPair:
         0, with retries from eight points at radius 1/2; for points those
         nine cannot reach, from sixteen points at radius 0.9; and for points
         those cannot reach either, from the nodes of a 30 x 60 polar chart.
-        The last two sets are tried nearest image first.  An explicit
-        ``seed`` is the only one tried.  Raises MapDomainError for z outside
-        Omega and NewtonConvergenceError when every seed fails.
+        The last two sets are tried in order of their first Newton step
+        ``|(psi(n) - z)/psi'(n)|``, shortest first.  An explicit ``seed`` is
+        the only one tried.  With ``with_dpsi`` the result is ``(w, psi'(w))``,
+        where ``psi'(w)`` comes from the solve and equals ``dpsi(w)`` bit for
+        bit.  Raises MapDomainError for z outside Omega and
+        NewtonConvergenceError when every seed fails.
         """
         if not self.domain_contains(z):
             raise MapDomainError(f"point {z!r} is outside the image domain")
         target = NEWTON_TOL * (1.0 + abs(z))
         for tried, w0 in enumerate(self._seeds(z, seed), 1):
-            w = self._newton_from(w0, z, target)
-            if w is not None:
-                return w
+            found = self._newton_from(w0, z, target)
+            if found is not None:
+                return found if with_dpsi else found[0]
         raise NewtonConvergenceError(
             f"inversion of {self.descriptor.label()} at z={z!r} failed from "
             f"{tried} seed(s); the point may be too close to the boundary"
@@ -292,13 +303,16 @@ class ConformalPair:
         if seed is not None:
             yield complex(seed)
             return
-        yield from [0j] + [0.5 * cmath.exp(2j * math.pi * k / 8.0) for k in range(8)]
+        yield from _SEED_INNER
         # reached only when the nine seeds above fail (points near the boundary
         # of twisted maps), so most calls never evaluate psi on these nodes
         for nodes in (_SEED_RING, _SEED_CHART):
-            yield from nodes[np.argsort(np.abs(self.psi(nodes) - z), kind="stable")].tolist()
+            value, deriv = self.psi_dpsi(nodes)
+            yield from nodes[np.argsort(np.abs((value - z) / deriv), kind="stable")].tolist()
 
-    def _newton_from(self, w: complex, z: complex, target: float) -> complex | None:
+    def _newton_from(self, w: complex, z: complex,
+                     target: float) -> tuple[complex, complex] | None:
+        """``(w, psi'(w))`` with ``|psi(w) - z| <= target``, or None if the seed ``w`` fails."""
         # psi(w) - z and psi'(w) are carried from the accepted trial point; the
         # last pass only checks the residual
         value, deriv = self.psi_dpsi(w)
@@ -324,9 +338,11 @@ class ConformalPair:
         # w is off by about the residual over |psi'(w)|, large near a zero of
         # psi', so one more step polishes it
         polished = w - diff / dw
-        if abs(polished) < 1.0 and abs(complex(self.psi(polished)) - z) <= resid:
-            return polished
-        return w
+        if abs(polished) < 1.0:
+            value, deriv = self.psi_dpsi(polished)
+            if abs(complex(value) - z) <= resid:
+                return polished, complex(deriv)
+        return w, dw
 
     def invert_many(self, z: np.ndarray,
                     seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,51 +350,57 @@ class ConformalPair:
 
         Every point is iterated on its own: only the points still above
         their residual target take a step, and only the steps still being
-        halved are checked again.  A point's ``w`` and mask therefore do
-        not depend on the other points in the call.  Each trial costs one
-        ``psi_dpsi`` evaluation, and ``psi'`` is carried from the accepted
-        trial, so the third array is ``psi'`` at the returned ``w``, bit for
-        bit equal to ``dpsi(w)``.  A step is halved at most 60 times;
-        unlike :meth:`invert` there is no second seed to fall back on, so
-        no stall test ends a point early.
+        halved are checked again.  While every point is live the step works
+        on whole arrays, not on gathered copies.  A point's ``w`` and mask
+        therefore do not depend on the other points in the call.  Each
+        trial costs one ``psi_dpsi`` evaluation, and ``|psi(w) - z|`` is
+        taken once per trial, for the halving test and as the new residual.
+        ``psi'`` is carried from the accepted trial, so the third array is
+        ``psi'`` at the returned ``w``, bit for bit equal to ``dpsi(w)``.  A
+        step is halved at most 60 times; unlike :meth:`invert` there is no
+        second seed to fall back on, so no stall test ends a point early.
         """
         z = np.asarray(z, dtype=complex)
         w = np.array(np.broadcast_to(np.asarray(seeds, dtype=complex), z.shape))
         target = NEWTON_TOL * (1.0 + np.abs(z))
-        value, dw = self.psi_dpsi(w)
-        diff = value - z
+        diff, dw = self.psi_dpsi(w)
+        diff = diff - z
         resid = np.abs(diff)
         # flat views of w, psi'(w) and resid; the points still iterating are indexed by `live`
         w_flat, dw_flat, resid_flat = w.reshape(-1), dw.reshape(-1), resid.reshape(-1)
         z_flat, target_flat = z.reshape(-1), target.reshape(-1)
         live = np.flatnonzero(resid_flat > target_flat)
         # psi(w) - z at the live points, carried from the residual into the next step
-        diff = diff.reshape(-1)[live]
+        diff = diff.reshape(-1)
+        if live.size < diff.size:
+            diff = diff[live]
         for _ in range(NEWTON_MAX_ITER):
             if not live.size:
                 break
-            w_live, z_live, r_live = w_flat[live], z_flat[live], resid_flat[live]
-            step = diff / dw_flat[live]
-            w_try = w_live - step
-            value, d_try = self.psi_dpsi(w_try)
-            diff = value - z_live
+            # a slice while every point is live: views, not gathered copies
+            at = slice(None) if live.size == w_flat.size else live
+            step = np.divide(diff, dw_flat[at], out=diff)
+            w_try = w_flat[at] - step
+            diff, d_try = self.psi_dpsi(w_try)
+            diff -= z_flat[at]
+            r_try = np.abs(diff)
             # steps that leave the disc or raise the residual are halved, at most 60 times
-            halve = np.flatnonzero(_worse(w_try, diff, r_live))
+            halve = np.flatnonzero(_worse(w_try, r_try, resid_flat[at]))
             for _ in range(60):
                 if not halve.size:
                     break
+                point = live[halve]
                 step[halve] *= 0.5
-                w_try[halve] = w_live[halve] - step[halve]
-                value, deriv = self.psi_dpsi(w_try[halve])
-                diff[halve] = value - z_live[halve]
-                d_try[halve] = deriv
-                halve = halve[_worse(w_try[halve], diff[halve], r_live[halve])]
-            w_flat[live] = w_try
-            dw_flat[live] = d_try
-            r_try = np.abs(diff)
-            resid_flat[live] = r_try
-            going = r_try > target_flat[live]
-            live, diff = live[going], diff[going]
+                w_half = w_flat[point] - step[halve]
+                value, deriv = self.psi_dpsi(w_half)
+                value -= z_flat[point]
+                r_half = np.abs(value)
+                w_try[halve], diff[halve], d_try[halve], r_try[halve] = w_half, value, deriv, r_half
+                halve = halve[_worse(w_half, r_half, resid_flat[point])]
+            w_flat[at], dw_flat[at], resid_flat[at] = w_try, d_try, r_try
+            going = r_try > target_flat[at]
+            if not going.all():
+                live, diff = live[going], diff[going]
         # the flat arrays hold the results: for 0-d input they are copies, not views
         resid, dw = resid_flat.reshape(z.shape), dw_flat.reshape(z.shape)
         return w, (resid <= target) & (np.abs(w) < 1.0), dw
@@ -415,7 +437,8 @@ class ConformalPair:
             # psi(m(w)) and psi'(m(w)) m'(w), where m and m' share the denominator
             den = 1.0 - np.conj(a) * w
             value, deriv = base_psi_dpsi(rot * (w - a) / den)
-            return value, deriv * (rot * (1.0 - abs(a) ** 2) / den ** 2)
+            den = den ** 2
+            return value, deriv * (rot * (1.0 - abs(a) ** 2) / den)
 
         moved = tuple(
             SingularPoint(_to_circle(m_inv(sp.location)), sp.exponent)
@@ -430,9 +453,9 @@ class ConformalPair:
         return _pair(descriptor, psi_dpsi, self.domain_contains, moved, poles)
 
 
-def _worse(w_try: np.ndarray, diff: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Newton trial points outside the disc or with a larger residual than before."""
-    return (np.abs(w_try) >= 1.0) | (np.abs(diff) > resid * (1.0 + 1e-12))
+def _worse(w_try: np.ndarray, r_try: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Newton trial points outside the disc or with a larger residual ``r_try`` than before."""
+    return (np.abs(w_try) >= 1.0) | (r_try > resid * (1.0 + 1e-12))
 
 
 def _to_circle(v: complex) -> complex:
@@ -479,7 +502,9 @@ def koebe_map() -> ConformalPair:
     def psi_dpsi(w):
         w = np.asarray(w, dtype=complex)[()]
         one_minus = 1.0 - w
-        return w / one_minus ** 2, (1.0 + w) / one_minus ** 3
+        deriv = 1.0 + w
+        deriv /= one_minus ** 3
+        return w / one_minus ** 2, deriv
 
     def contains(z: complex) -> bool:
         z = complex(z)
@@ -506,7 +531,10 @@ def sector_map(beta: float) -> ConformalPair:
         w = np.asarray(w, dtype=complex)[()]
         one_minus, one_plus = 1.0 - w, 1.0 + w
         value = np.exp(beta * np.log(one_minus / one_plus))
-        return value, -2.0 * beta * value / (one_minus * one_plus)
+        one_minus = one_minus * one_plus
+        deriv = -2.0 * beta * value
+        deriv /= one_minus
+        return value, deriv
 
     half = 0.5 * beta * math.pi
 

@@ -170,13 +170,13 @@ def kpq_functional(pair: ConformalPair, p: float, q: float,
 def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:
     """Pointwise p-distortion ``|phi'(z)|^(p-2)`` of the disc-ward map.
 
-    Evaluated through Newton inversion as ``|psi'(phi(z))|^(2-p)``;
-    identically 1 at p = 2.
+    Evaluated through Newton inversion as ``|psi'(phi(z))|^(2-p)``, with
+    the ``psi'`` the inversion computed at ``phi(z)``; identically 1 at p = 2.
     """
     if not p >= 1.0:
         raise ExponentDomainError(f"p-distortion requires p >= 1, got p={p}")
-    w = pair.invert(z)
-    return float(np.abs(pair.dpsi(w)) ** (2.0 - p))
+    _, dw = pair.invert(z, with_dpsi=True)
+    return float(np.abs(dw) ** (2.0 - p))
 
 
 def threshold_oracle(target: ConformalPair | MapDescriptor | str

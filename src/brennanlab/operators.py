@@ -270,10 +270,12 @@ _MAX_SPLIT_DEPTH = 18
 #: Gauss-Legendre nodes per side of a cell chart
 _CHART_ORDER = 16
 #: cells charted and inverted together.  A block's chart and Newton
-#: temporaries are live at once (8 cells at order 16 are 2048 nodes, 32 KB
-#: per complex array); 16 cells ran patch-newton ~7% faster for ~0.4 MB
-#: more peak RSS, and 32 or 64 cells gained nothing more.
-_BLOCK_CELLS = 8
+#: temporaries are live at once (32 cells at order 16 are 8,192 nodes, 128 KB
+#: per complex array).  The isometry checks of patch-newton seed 3 took
+#: 3.9-4.4 s of CPU at 8 cells, 3.4-3.5 s at 16, 2.9-3.3 s at 32 and 3.3-3.7 s
+#: at 64, with traced memory peaks of 0.8, 1.2, 2.3 and 4.6 MB (three runs
+#: each, in process, shared 2-CPU Xeon)
+_BLOCK_CELLS = 32
 #: the isometry check's disc-side rule: 48 radial nodes, 32 panels of 8 angular nodes
 _DISC_SIDE_SPEC = GradingSpec(radial_order=48, angular_base=256)
 
@@ -305,10 +307,15 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
     """Tensor GL nodes, weights and polar seeds for the images of cells (C, 4).
 
     Each cell image is charted by transfinite interpolation of its four
-    mapped edges; the chart Jacobian supplies the area measure, so the
-    interior measure never uses |psi'| pointwise.  Nodes, weights and
-    seeds have shape (C, n, n); the smallest Jacobian of each chart has
-    shape (C,).
+    mapped edges (a Coons patch); the chart Jacobian supplies the area
+    measure, so the interior measure never uses |psi'| pointwise.  One
+    ``psi_dpsi`` call maps the edge nodes and the corners, which sit at
+    both ends of every edge.  The corner term is folded into the bottom
+    and top edges, so the chart is a rank-4 product per cell,
+    ``z = [B^, T^, 1 - u, u] . [1 - v; v; L; R]``, and its derivatives
+    ``z_u``, ``z_v`` are built the same way from (C, n) edge terms.  Nodes,
+    weights and seeds have shape (C, n, n); the smallest Jacobian of each
+    chart has shape (C,).
     """
     ra, rb, ta, tb = (cells[:, k, None] for k in range(4))
     x, gw = _gauss(n)
@@ -317,51 +324,88 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
     dr = rb - ra
     dt = tb - ta
 
-    r_u = ra + dr * u
-    e_u = np.exp(1j * (ta + dt * u))
-    e_a, e_b = np.exp(1j * ta), np.exp(1j * tb)
+    # edge radii and angles: the corner value, the n nodes, the other corner value
+    r = np.concatenate([ra, ra + dr * u, rb], axis=1)
+    e = np.exp(1j * np.concatenate([ta, ta + dt * u, tb], axis=1))
+    e_a, e_b = e[:, :1], e[:, -1:]
     # bottom (angle ta), top (angle tb), left (radius ra), right (radius rb)
-    edges = np.stack([r_u * e_a, r_u * e_b, ra * e_u, rb * e_u])
-    (B, Tt, L, R), (dB, dTt, dL, dR) = pair.psi_dpsi(edges)
-    dB = dB * dr * e_a
-    dTt = dTt * dr * e_b
-    dL = dL * 1j * dt * edges[2]
-    dR = dR * 1j * dt * edges[3]
-    p00, p10, p01, p11 = pair.psi(np.stack([ra * e_a, rb * e_a, ra * e_b, rb * e_b]))[..., None]
+    edges = np.stack([r * e_a, r * e_b, ra * e, rb * e])
+    (B, T, L, R), (dB, dT, dL, dR) = pair.psi_dpsi(edges)
+    p00, p10, p01, p11 = B[:, :1], B[:, -1:], T[:, :1], T[:, -1:]
+    inner = slice(1, -1)
+    # the bottom and top edges less the corners' bilinear blend, and their u-derivatives
+    B = B[:, inner] - ((1.0 - u) * p00 + u * p10)
+    T = T[:, inner] - ((1.0 - u) * p01 + u * p11)
+    dB = dB[:, inner] * (dr * e_a) - (p10 - p00)
+    dT = dT[:, inner] * (dr * e_b) - (p11 - p01)
+    L, R = L[:, inner], R[:, inner]
+    dL = dL[:, inner] * (1j * dt * edges[2, :, inner])
+    dR = dR[:, inner] * (1j * dt * edges[3, :, inner])
 
-    U = u[:, None]
-    V = u[None, :]
-    B, Tt, dB, dTt = (a[:, :, None] for a in (B, Tt, dB, dTt))
-    L, R, dL, dR = (a[:, None, :] for a in (L, R, dL, dR))
-    z = ((1.0 - V) * B + V * Tt
-         + (1.0 - U) * L + U * R
-         - ((1.0 - U) * (1.0 - V) * p00 + U * (1.0 - V) * p10
-            + (1.0 - U) * V * p01 + U * V * p11))
-    z_u = ((1.0 - V) * dB + V * dTt
-           + (R - L)
-           - (-(1.0 - V) * p00 + (1.0 - V) * p10 - V * p01 + V * p11))
-    z_v = ((Tt - B)
-           + (1.0 - U) * dL + U * dR
-           - (-(1.0 - U) * p00 - U * p10 + (1.0 - U) * p01 + U * p11))
-    jac = np.imag(np.conj(z_u) * z_v)
-    weights = wu[:, None] * wu[None, :] * jac
-    seeds = r_u[:, :, None] * e_u[:, None, :]
+    # rows carry u (axis 1), columns v (axis 2)
+    U, V = u[:, None], u
+    z = B[:, :, None] * (1.0 - V)
+    z += T[:, :, None] * V
+    z += (1.0 - U) * L[:, None, :]
+    z += U * R[:, None, :]
+    z_u = dB[:, :, None] * (1.0 - V)
+    z_u += dT[:, :, None] * V
+    z_u += (R - L)[:, None, :]
+    z_v = (1.0 - U) * dL[:, None, :]
+    z_v += U * dR[:, None, :]
+    z_v += (T - B)[:, :, None]
+    # Im(conj(z_u) z_v)
+    jac = z_u.real * z_v.imag
+    jac -= z_u.imag * z_v.real
+    weights = (wu[:, None] * wu) * jac
+    seeds = r[:, inner, None] * e[:, None, inner]
     return z, weights, seeds, jac.min(axis=(1, 2))
+
+
+def _block_sums(pair: ConformalPair, block: np.ndarray, block_depth: np.ndarray,
+                integrand_w) -> tuple[np.ndarray, list[float]]:
+    """Chart and invert one block of cells: the folded-chart mask, and the other cells' sums.
+
+    A cell whose chart folds is left out, for its halves to be charted;
+    one already ``_MAX_SPLIT_DEPTH`` splits deep raises RuntimeError.  The
+    block's arrays set the peak memory, so they live only in this call.
+    """
+    z, weights, seeds, jac_min = _coons_grid(pair, block, _CHART_ORDER)
+    folded = jac_min <= 0.0
+    # masked copies only when needed
+    if folded.any():
+        last = folded & (block_depth == _MAX_SPLIT_DEPTH)
+        if last.any():
+            raise RuntimeError(
+                f"degenerate forward chart on cell {tuple(block[last][0].tolist())}")
+        block, z, weights, seeds = (a[~folded] for a in (block, z, weights, seeds))
+    w, ok, dw = pair.invert_many(z, seeds)
+    done = ok.all(axis=(1, 2))
+    if not done.all():
+        k = int(np.argmin(done))
+        raise NewtonConvergenceError(
+            f"forward-patch inversion failed at z={z[k][~ok[k]][0]!r} "
+            f"(map {pair.descriptor.label()}, cell {tuple(block[k].tolist())})"
+        )
+    return folded, np.sum((weights * integrand_w(w, dw)).reshape(-1, _CHART_ORDER ** 2),
+                          axis=1).tolist()
 
 
 def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: float) -> float:
     """Integral over psi(patch) of ``integrand_w(w, psi'(w))`` at w = phi(z).
 
     Every chart node z is inverted by Newton iteration, which also returns
-    psi' at the inverted node; the chart Jacobian carries the measure.  The patch is refined a level at a time: cells
-    whose |psi'| varies by more than ``DISTORTION_CAP`` and cells whose
-    chart folds are set aside, and their halves form the next level.  The
-    other cells are charted and inverted a block of ``_BLOCK_CELLS`` at a
-    time, and their sums are added one by one.  A level's last partial
-    block waits for the next level's cells, so only the last level charts
-    a partial block.  Every cell keeps its own depth: cells
-    ``_MAX_SPLIT_DEPTH`` splits deep skip the distortion test, and a fold
-    among them raises.
+    psi' at the inverted node; the chart Jacobian carries the measure.  The
+    patch is refined a level at a time: cells whose |psi'| varies by more
+    than ``DISTORTION_CAP`` and cells whose chart folds are set aside, and
+    their halves form the next level.  The other cells are charted and
+    inverted a block of ``_BLOCK_CELLS`` at a time by :func:`_block_sums`,
+    with one ``psi_dpsi`` call for the block's edges and corners and one
+    ``invert_many`` call for its nodes, and their sums are added one by
+    one.  A level's last partial block waits for the next level's cells,
+    so only the last level charts a partial block.  Every cell keeps its
+    own depth: cells ``_MAX_SPLIT_DEPTH`` splits deep skip the distortion
+    test, and a fold among them raises.
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
@@ -383,28 +427,11 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: flo
                 break
             block, block_depth = ready[:_BLOCK_CELLS], ready_depth[:_BLOCK_CELLS]
             ready, ready_depth = ready[_BLOCK_CELLS:], ready_depth[_BLOCK_CELLS:]
-            z, weights, seeds, jac_min = _coons_grid(pair, block, _CHART_ORDER)
-            folded = jac_min <= 0.0
-            # masked copies only when needed: a block's arrays set the peak memory
-            if folded.any():
-                last = folded & (block_depth == _MAX_SPLIT_DEPTH)
-                if last.any():
-                    raise RuntimeError(
-                        f"degenerate forward chart on cell {tuple(block[last][0].tolist())}")
-                halve.append(block[folded])
-                halve_depth.append(block_depth[folded])
-                block, z, weights, seeds = (a[~folded] for a in (block, z, weights, seeds))
-            w, ok, dw = pair.invert_many(z, seeds)
-            done = ok.all(axis=(1, 2))
-            if not done.all():
-                k = int(np.argmin(done))
-                raise NewtonConvergenceError(
-                    f"forward-patch inversion failed at z={z[k][~ok[k]][0]!r} "
-                    f"(map {pair.descriptor.label()}, cell {tuple(block[k].tolist())})"
-                )
+            folded, sums = _block_sums(pair, block, block_depth, integrand_w)
+            halve.append(block[folded])
+            halve_depth.append(block_depth[folded])
             # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
-            for cell_sum in np.sum((weights * integrand_w(w, dw)).reshape(-1, _CHART_ORDER ** 2),
-                                   axis=1).tolist():
+            for cell_sum in sums:
                 total += cell_sum
         cells = np.concatenate(_split_cells(np.concatenate(halve)))
         depth = np.tile(np.concatenate(halve_depth) + 1, 2)

@@ -188,11 +188,37 @@ class TestInversion:
 
         None of the 25 seeds at radius 0, 1/2 and 0.9 converges here, and of
         a 60 x 120 polar grid of seeds only 13 do, all within about 0.1 of
-        w; the nearest images of the 30 x 60 polar chart are such seeds.
+        w; the 30 x 60 polar chart's nodes with the shortest first Newton
+        step are such seeds.
         """
         pair = make_pair("koebe*moebius:0.9,0.2,1")
         w = 0.9454502314484716 + 0.2936389957993172j
         assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-9
+
+    def test_chart_seeds_are_tried_shortest_newton_step_first(self):
+        """A point the 25 seeds miss, whose nearest chart images lie on the wrong side of the slit.
+
+        Tried nearest image first, the chart converged only from its node
+        1,796, after 34,050 ``psi_dpsi`` calls; ordered by the length of the
+        first Newton step, its first node converges.
+        """
+        pair, calls = TestStallExit.counting(make_pair("koebe*moebius:-0.691799,0.635898,2.423348"))
+        w = -0.7236581907026007 + 0.6900136469875349j
+        assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-12
+        assert len(calls) <= 600
+
+    @pytest.mark.parametrize("name, z", [
+        ("koebe", -0.32 + 0.24j),
+        ("sector:1.5", -0.18359697561789173 + 0.2543131910579923j),
+        ("cardioid*moebius:0.05027829237277964,-0.8519746811694262,5.231008658459677",
+         0.4861418197530831 - 0.025292296277159718j),
+        ("koebe*moebius:0.9,0.2,1", -0.25585099748369394 + 0.005157626244264086j),
+    ], ids=["koebe", "sector", "ring", "chart"])
+    def test_inversion_returns_dpsi_at_w(self, name, z):
+        pair = make_pair(name)
+        w, dw = pair.invert(z, with_dpsi=True)
+        assert repr(w) == repr(pair.invert(z))
+        assert repr(dw) == repr(complex(pair.dpsi(w)))
 
     def test_koebe_origin_with_seed(self):
         pair = koebe_map()

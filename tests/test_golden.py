@@ -222,7 +222,7 @@ INVERSIONS = [
     (CARDIOID_RING, (0.4861418197530831-0.025292296277159718j), None,
      (0.37214225843646453-0.8039647891521694j)),
     ("koebe*moebius:0.9,0.2,1", (-0.25585099748369394+0.005157626244264086j), None,
-     (0.9454502314484715+0.2936389957993173j)),
+     (0.9454502314484716+0.2936389957993173j)),
 ]
 
 
