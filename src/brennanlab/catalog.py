@@ -101,10 +101,11 @@ POLE_TOL = 1e-12
 #: default seeds of ConformalPair.invert, tried in this order: 0, then eight
 #: points at radius 1/2
 _SEED_INNER = (0j,) + tuple(0.5 * cmath.exp(2j * math.pi * k / 8.0) for k in range(8))
-#: fallback seeds of ConformalPair.invert, each set tried shortest Newton step
-#: first: sixteen points at radius 0.9, then the 1,800 nodes of a 30 x 60 polar
-#: chart (radii (k + 1/2)/30), spaced about 0.1 apart; some points just above
-#: a twisted slit converge only from seeds that close to them
+#: fallback seeds of ConformalPair.invert: sixteen points at radius 0.9, tried
+#: nearest image first, then the 1,800 nodes of a 30 x 60 polar chart (radii
+#: (k + 1/2)/30), spaced about 0.1 apart and tried shortest first Newton step
+#: first; some points just above a twisted slit converge only from seeds that
+#: close to them, and their nearest images can lie across the slit
 _SEED_RING = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16.0)
 _SEED_CHART = (((np.arange(30) + 0.5) / 30.0)[:, None]
                * np.exp(2j * np.pi * np.arange(60) / 60.0)).ravel()
@@ -175,8 +176,10 @@ class ConformalPair:
     vectorized over complex ndarrays with no domain checks and returning
     ``(psi(w), psi'(w))``; ``psi`` and ``dpsi`` return its first and second
     output, and ``eval_psi``/``eval_dpsi`` add the ``|w| < 1`` validation.
-    All three are fields, so a copy of a pair may wrap any of them.
-    ``domain_contains`` decides membership in Omega.  Immutable; safe to
+    All three are fields, so a copy of a pair may wrap any of them.  On an
+    array, ``psi_dpsi`` must return new, writable arrays that the caller
+    owns, never its input or a view of it: :meth:`invert_many` writes into
+    them.  ``domain_contains`` decides membership in Omega.  Immutable; safe to
     share between threads.
 
     The derivative also has the factor form of the module docstring:
@@ -264,9 +267,8 @@ class ConformalPair:
     # halving costs it several numpy calls even on a one-point array.  Only
     # this loop ends with a polishing step, so the two can differ by that
     # step, and only this loop drops a stalled seed early.
-    def invert(self, z: complex, seed: complex | None = None, *,
-               with_dpsi: bool = False) -> complex | tuple[complex, complex]:
-        """Solve psi(w) = z for w in the open disc by damped Newton iteration.
+    def invert(self, z: complex, seed: complex | None = None) -> tuple[complex, complex]:
+        """Solve psi(w) = z for w in the open disc by damped Newton iteration; returns (w, psi'(w)).
 
         Each trial point costs one ``psi_dpsi`` call.  Steps that would leave
         the disc or increase the residual are halved; once the residual
@@ -279,12 +281,12 @@ class ConformalPair:
         0, with retries from eight points at radius 1/2; for points those
         nine cannot reach, from sixteen points at radius 0.9; and for points
         those cannot reach either, from the nodes of a 30 x 60 polar chart.
-        The last two sets are tried in order of their first Newton step
-        ``|(psi(n) - z)/psi'(n)|``, shortest first.  An explicit ``seed`` is
-        the only one tried.  With ``with_dpsi`` the result is ``(w, psi'(w))``,
-        where ``psi'(w)`` comes from the solve and equals ``dpsi(w)`` bit for
-        bit.  Raises MapDomainError for z outside Omega and
-        NewtonConvergenceError when every seed fails.
+        The ring is tried nearest image ``|psi(n) - z|`` first, the chart in
+        order of its nodes' first Newton step ``|(psi(n) - z)/psi'(n)|``,
+        shortest first.  An explicit ``seed`` is the only one tried.
+        ``psi'(w)`` comes from the solve and equals ``dpsi(w)`` bit for bit.
+        Raises MapDomainError for z outside Omega and NewtonConvergenceError
+        when every seed fails.
         """
         if not self.domain_contains(z):
             raise MapDomainError(f"point {z!r} is outside the image domain")
@@ -292,7 +294,7 @@ class ConformalPair:
         for tried, w0 in enumerate(self._seeds(z, seed), 1):
             found = self._newton_from(w0, z, target)
             if found is not None:
-                return found if with_dpsi else found[0]
+                return found
         raise NewtonConvergenceError(
             f"inversion of {self.descriptor.label()} at z={z!r} failed from "
             f"{tried} seed(s); the point may be too close to the boundary"
@@ -306,9 +308,9 @@ class ConformalPair:
         yield from _SEED_INNER
         # reached only when the nine seeds above fail (points near the boundary
         # of twisted maps), so most calls never evaluate psi on these nodes
-        for nodes in (_SEED_RING, _SEED_CHART):
-            value, deriv = self.psi_dpsi(nodes)
-            yield from nodes[np.argsort(np.abs((value - z) / deriv), kind="stable")].tolist()
+        yield from _SEED_RING[np.argsort(np.abs(self.psi(_SEED_RING) - z), kind="stable")].tolist()
+        value, deriv = self.psi_dpsi(_SEED_CHART)
+        yield from _SEED_CHART[np.argsort(np.abs((value - z) / deriv), kind="stable")].tolist()
 
     def _newton_from(self, w: complex, z: complex,
                      target: float) -> tuple[complex, complex] | None:
@@ -354,7 +356,8 @@ class ConformalPair:
         on whole arrays, not on gathered copies.  A point's ``w`` and mask
         therefore do not depend on the other points in the call.  Each
         trial costs one ``psi_dpsi`` evaluation, and ``|psi(w) - z|`` is
-        taken once per trial, for the halving test and as the new residual.
+        taken once per trial, for the halving test and as the new residual;
+        ``psi(w) - z`` and the step are formed in ``psi_dpsi``'s first output.
         ``psi'`` is carried from the accepted trial, so the third array is
         ``psi'`` at the returned ``w``, bit for bit equal to ``dpsi(w)``.  A
         step is halved at most 60 times; unlike :meth:`invert` there is no

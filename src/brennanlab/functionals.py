@@ -175,7 +175,7 @@ def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:
     """
     if not p >= 1.0:
         raise ExponentDomainError(f"p-distortion requires p >= 1, got p={p}")
-    _, dw = pair.invert(z, with_dpsi=True)
+    _, dw = pair.invert(z)
     return float(np.abs(dw) ** (2.0 - p))
 
 

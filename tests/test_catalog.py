@@ -167,7 +167,7 @@ class TestInversion:
         pair = make_pair(name)
         for w in interior_points(60, radius=0.95):
             z = complex(pair.eval_psi(w))
-            w_back = pair.invert(z)
+            w_back = pair.invert(z)[0]
             assert abs(w_back - w) < 1e-10
 
     @pytest.mark.parametrize("name, w", [
@@ -181,7 +181,7 @@ class TestInversion:
     def test_points_the_default_seeds_miss(self, name, w):
         """Interior points of twisted maps that no seed at radius <= 1/2 reaches."""
         pair = make_pair(name)
-        assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-9
+        assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
 
     def test_point_above_the_twisted_slit(self):
         """An interior point (|w| = 0.99) just above the slit of a strongly twisted Koebe map.
@@ -193,7 +193,7 @@ class TestInversion:
         """
         pair = make_pair("koebe*moebius:0.9,0.2,1")
         w = 0.9454502314484716 + 0.2936389957993172j
-        assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-9
+        assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
 
     def test_chart_seeds_are_tried_shortest_newton_step_first(self):
         """A point the 25 seeds miss, whose nearest chart images lie on the wrong side of the slit.
@@ -204,7 +204,7 @@ class TestInversion:
         """
         pair, calls = TestStallExit.counting(make_pair("koebe*moebius:-0.691799,0.635898,2.423348"))
         w = -0.7236581907026007 + 0.6900136469875349j
-        assert abs(pair.invert(complex(pair.psi(w))) - w) < 1e-12
+        assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-12
         assert len(calls) <= 600
 
     @pytest.mark.parametrize("name, z", [
@@ -216,23 +216,31 @@ class TestInversion:
     ], ids=["koebe", "sector", "ring", "chart"])
     def test_inversion_returns_dpsi_at_w(self, name, z):
         pair = make_pair(name)
-        w, dw = pair.invert(z, with_dpsi=True)
-        assert repr(w) == repr(pair.invert(z))
+        w, dw = pair.invert(z)
         assert repr(dw) == repr(complex(pair.dpsi(w)))
+
+    @pytest.mark.parametrize("name", ALL_NAMES + ["koebe*moebius:0.5,0.2,1"])
+    def test_psi_dpsi_returns_new_arrays(self, name):
+        """invert_many writes into psi_dpsi's outputs, so neither may share memory with w."""
+        w = np.array(interior_points(5, radius=0.9))
+        value, deriv = make_pair(name).psi_dpsi(w)
+        for out in (value, deriv):
+            assert out.flags.writeable and not np.shares_memory(out, w)
+        assert not np.shares_memory(value, deriv)
 
     def test_koebe_origin_with_seed(self):
         pair = koebe_map()
-        assert abs(pair.invert(0j, seed=0.1)) < 1e-12
+        assert abs(pair.invert(0j, seed=0.1)[0]) < 1e-12
 
     def test_forward_then_invert(self):
         pair = koebe_map()
         z = complex(pair.eval_psi(0.5j))
-        assert pair.invert(z, seed=0.4j) == pytest.approx(0.5j, abs=1e-10)
+        assert pair.invert(z, seed=0.4j)[0] == pytest.approx(0.5j, abs=1e-10)
 
     def test_identity_inversion(self):
         pair = identity_map()
         z = 0.2 - 0.7j
-        assert pair.invert(z) == pytest.approx(z, abs=1e-12)
+        assert pair.invert(z)[0] == pytest.approx(z, abs=1e-12)
 
     def test_outside_domain_rejected(self):
         pair = koebe_map()
@@ -247,9 +255,9 @@ class TestInversion:
         pair = cardioid_map()
         for w in interior_points(20, radius=0.8):
             z = complex(pair.eval_psi(w))
-            w_back = pair.invert(z)
+            w_back = pair.invert(z)[0]
             h = 1e-6
-            dphi = (pair.invert(z + h) - pair.invert(z - h)) / (2.0 * h)
+            dphi = (pair.invert(z + h)[0] - pair.invert(z - h)[0]) / (2.0 * h)
             assert dphi * complex(pair.dpsi(w_back)) == pytest.approx(1.0, rel=1e-5)
 
     def test_vectorized_inversion(self):
@@ -305,7 +313,7 @@ class TestStallExit:
 
     def test_default_seeds_still_invert(self):
         pair = make_pair(self.NAME)
-        assert abs(pair.invert(complex(pair.psi(self.W))) - self.W) < 1e-12
+        assert abs(pair.invert(complex(pair.psi(self.W)))[0] - self.W) < 1e-12
 
     def test_explicit_stalled_seed_raises(self):
         pair = make_pair(self.NAME)
