@@ -101,12 +101,10 @@ POLE_TOL = 1e-12
 #: default seeds of ConformalPair.invert, tried in this order: 0, then eight
 #: points at radius 1/2
 _SEED_INNER = (0j,) + tuple(0.5 * cmath.exp(2j * math.pi * k / 8.0) for k in range(8))
-#: fallback seeds of ConformalPair.invert: sixteen points at radius 0.9, tried
-#: nearest image first, then the 1,800 nodes of a 30 x 60 polar chart (radii
-#: (k + 1/2)/30), spaced about 0.1 apart and tried shortest first Newton step
-#: first; some points just above a twisted slit converge only from seeds that
-#: close to them, and their nearest images can lie across the slit
-_SEED_RING = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16.0)
+#: fallback seeds of ConformalPair.invert: the 1,800 nodes of a 30 x 60 polar
+#: chart (radii (k + 1/2)/30), spaced about 0.1 apart and tried shortest first
+#: Newton step first; some points just above a twisted slit converge only
+#: from seeds that close to them
 _SEED_CHART = (((np.arange(30) + 0.5) / 30.0)[:, None]
                * np.exp(2j * np.pi * np.arange(60) / 60.0)).ravel()
 
@@ -278,12 +276,10 @@ class ConformalPair:
         are pinned against the circle with a flat residual.  Since psi is
         univalent, every seed that converges reaches the same w up to
         rounding, so dropping one costs only a retry.  The default seed is
-        0, with retries from eight points at radius 1/2; for points those
-        nine cannot reach, from sixteen points at radius 0.9; and for points
-        those cannot reach either, from the nodes of a 30 x 60 polar chart.
-        The ring is tried nearest image ``|psi(n) - z|`` first, the chart in
-        order of its nodes' first Newton step ``|(psi(n) - z)/psi'(n)|``,
-        shortest first.  An explicit ``seed`` is the only one tried.
+        0, with retries from eight points at radius 1/2 and then from the
+        nodes of a 30 x 60 polar chart, in order of their first Newton step
+        ``|(psi(n) - z)/psi'(n)|``, shortest first.  An explicit ``seed`` is
+        the only one tried.
         ``psi'(w)`` comes from the solve and equals ``dpsi(w)`` bit for bit.
         Raises MapDomainError for z outside Omega and NewtonConvergenceError
         when every seed fails.
@@ -307,8 +303,7 @@ class ConformalPair:
             return
         yield from _SEED_INNER
         # reached only when the nine seeds above fail (points near the boundary
-        # of twisted maps), so most calls never evaluate psi on these nodes
-        yield from _SEED_RING[np.argsort(np.abs(self.psi(_SEED_RING) - z), kind="stable")].tolist()
+        # of twisted maps), so most calls never evaluate psi on the chart
         value, deriv = self.psi_dpsi(_SEED_CHART)
         yield from _SEED_CHART[np.argsort(np.abs((value - z) / deriv), kind="stable")].tolist()
 

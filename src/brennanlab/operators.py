@@ -281,8 +281,8 @@ _DISC_SIDE_SPEC = GradingSpec(radial_order=48, angular_base=256)
 
 
 def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second halves of every polar cell (ra, rb, ta, tb) in ``cells`` (C, 4)."""
-    ra, rb, ta, tb = cells.T
+    """First and second halves of every cell row (ra, rb, ta, tb, depth), at the same depth."""
+    ra, rb, ta, tb = cells.T[:4]
     # split whichever side is metrically longer
     radial = (rb - ra) >= 0.5 * (ra + rb) * (tb - ta)
     first, second = cells.copy(), cells.copy()
@@ -293,12 +293,12 @@ def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _cell_distortion(cells: np.ndarray, pair: ConformalPair) -> np.ndarray:
     """max |psi'| / min |psi'| over a 3 x 3 polar grid on each cell (inf where psi' vanishes)."""
-    ra, rb, ta, tb = cells.T
+    ra, rb, ta, tb = cells.T[:4]
     # np.linspace(a, b, 3) per cell: a, a + (b - a)/2, b
     r = np.stack([ra, ra + (rb - ra) / 2, rb], axis=1)
     t = np.stack([ta, ta + (tb - ta) / 2, tb], axis=1)
     w = r[:, :, None] * np.exp(1j * t)[:, None, :]
-    mags = np.abs(pair.dpsi(np.where(np.abs(w) > 0, w, 0.0)))
+    mags = np.abs(pair.dpsi(w))
     lo, hi = mags.min(axis=(1, 2)), mags.max(axis=(1, 2))
     return np.divide(hi, lo, out=np.full_like(hi, math.inf), where=lo != 0.0)
 
@@ -362,19 +362,20 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
     return z, weights, seeds, jac.min(axis=(1, 2))
 
 
-def _block_sums(pair: ConformalPair, block: np.ndarray, block_depth: np.ndarray,
+def _block_sums(pair: ConformalPair, block: np.ndarray,
                 integrand_w) -> tuple[np.ndarray, list[float]]:
-    """Chart and invert one block of cells: the folded-chart mask, and the other cells' sums.
+    """Chart and invert one block of cell rows: the folded-chart mask, and the other cells' sums.
 
     A cell whose chart folds is left out, for its halves to be charted;
     one already ``_MAX_SPLIT_DEPTH`` splits deep raises RuntimeError.  The
     block's arrays set the peak memory, so they live only in this call.
     """
+    block, depth = block[:, :4], block[:, 4]
     z, weights, seeds, jac_min = _coons_grid(pair, block, _CHART_ORDER)
     folded = jac_min <= 0.0
     # masked copies only when needed
     if folded.any():
-        last = folded & (block_depth == _MAX_SPLIT_DEPTH)
+        last = folded & (depth == _MAX_SPLIT_DEPTH)
         if last.any():
             raise RuntimeError(
                 f"degenerate forward chart on cell {tuple(block[last][0].tolist())}")
@@ -403,38 +404,34 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: flo
     with one ``psi_dpsi`` call for the block's edges and corners and one
     ``invert_many`` call for its nodes, and their sums are added one by
     one.  A level's last partial block waits for the next level's cells,
-    so only the last level charts a partial block.  Every cell keeps its
-    own depth: cells ``_MAX_SPLIT_DEPTH`` splits deep skip the distortion
-    test, and a fold among them raises.
+    so only the last level charts a partial block.  A cell row is
+    (ra, rb, ta, tb, depth): cells ``_MAX_SPLIT_DEPTH`` splits deep skip
+    the distortion test, and a fold among them raises.
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
-    cells = np.array([(ra, rb, ta, tb) for ra, rb in rings for ta, tb in quadrants])
-    depth = np.zeros(len(cells), dtype=int)
-    # undistorted cells not charted yet, with their depths
-    ready, ready_depth = cells[:0], depth[:0]
+    cells = np.array([(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants])
+    # undistorted cells not charted yet
+    ready = cells[:0]
     total = 0.0
     while len(cells):
         distorted = np.zeros(len(cells), dtype=bool)
-        testable = depth < _MAX_SPLIT_DEPTH
+        testable = cells[:, 4] < _MAX_SPLIT_DEPTH
         distorted[testable] = _cell_distortion(cells[testable], pair) > DISTORTION_CAP
-        halve, halve_depth = [cells[distorted]], [depth[distorted]]
+        halve = [cells[distorted]]
         ready = np.concatenate([ready, cells[~distorted]])
-        ready_depth = np.concatenate([ready_depth, depth[~distorted]])
         while len(ready):
             # a partial block waits for the next level's cells, if there is a next level
             if len(ready) < _BLOCK_CELLS and any(map(len, halve)):
                 break
-            block, block_depth = ready[:_BLOCK_CELLS], ready_depth[:_BLOCK_CELLS]
-            ready, ready_depth = ready[_BLOCK_CELLS:], ready_depth[_BLOCK_CELLS:]
-            folded, sums = _block_sums(pair, block, block_depth, integrand_w)
+            block, ready = ready[:_BLOCK_CELLS], ready[_BLOCK_CELLS:]
+            folded, sums = _block_sums(pair, block, integrand_w)
             halve.append(block[folded])
-            halve_depth.append(block_depth[folded])
             # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
             for cell_sum in sums:
                 total += cell_sum
         cells = np.concatenate(_split_cells(np.concatenate(halve)))
-        depth = np.tile(np.concatenate(halve_depth) + 1, 2)
+        cells[:, 4] += 1.0
     return total
 
 

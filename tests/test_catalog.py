@@ -186,7 +186,7 @@ class TestInversion:
     def test_point_above_the_twisted_slit(self):
         """An interior point (|w| = 0.99) just above the slit of a strongly twisted Koebe map.
 
-        None of the 25 seeds at radius 0, 1/2 and 0.9 converges here, and of
+        None of the 9 seeds at radius 0 and 1/2 converges here, and of
         a 60 x 120 polar grid of seeds only 13 do, all within about 0.1 of
         w; the 30 x 60 polar chart's nodes with the shortest first Newton
         step are such seeds.
@@ -196,7 +196,7 @@ class TestInversion:
         assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
 
     def test_chart_seeds_are_tried_shortest_newton_step_first(self):
-        """A point the 25 seeds miss, whose nearest chart images lie on the wrong side of the slit.
+        """A point the 9 seeds miss, whose nearest chart images lie on the wrong side of the slit.
 
         Tried nearest image first, the chart converged only from its node
         1,796, after 34,050 ``psi_dpsi`` calls; ordered by the length of the
@@ -206,6 +206,18 @@ class TestInversion:
         w = -0.7236581907026007 + 0.6900136469875349j
         assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-12
         assert len(calls) <= 600
+
+    @pytest.mark.xfail(strict=True, raises=NewtonConvergenceError)
+    def test_point_next_to_the_twisted_pole(self):
+        """An interior point (|w| = 0.9999) just above the far part of a twisted Koebe slit.
+
+        Its image z is about -288.687+12.391i.  The twist's Moebius map sends
+        w to 0.99701+0.05872i, 1.3e-3 from the circle next to Koebe's pole
+        at 1, so |psi'| is about 1.2e5 there and all 1,809 seeds fail.
+        """
+        pair = make_pair("koebe*moebius:-0.389374,0.786477,3.4407")
+        w = -0.497131156877797 + 0.8675601551831107j
+        assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
 
     @pytest.mark.parametrize("name, z", [
         ("koebe", -0.32 + 0.24j),

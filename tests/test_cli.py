@@ -231,6 +231,14 @@ class TestDualityCommand:
         code, _, _ = run(capsys, "duality", "--map", "koebe", "--p", "3", "--q", "1")
         assert code == 2
 
+    def test_dual_identity_failure_is_a_numerical_error(self, capsys):
+        """Near q = p the two closed forms of the dual exponent differ by about 5e-11."""
+        code, out, err = run(capsys, "duality", "--map", "koebe",
+                             "--p", "3", "--q", "2.9999999999")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: dual exponent identity violated") and err.count("\n") == 1
+
 
 class TestEquivalenceCommand:
     def test_koebe_json(self, capsys):

@@ -5,10 +5,9 @@ a change meant to be a pure speed-up shows any moved bit here.  The cases
 cover the three grading specs of the scan-cold benchmark, converged and
 diverging tails, twisted maps with clustered singular points and maps
 that carry a pole off the circle.  The inversions cover the scalar Newton
-loop from its default seeds, from an explicit seed, from the radius-0.9
-ring and from the polar chart, the vectorized loop, and the p-distortion
-built on the scalar one.  A change that moves a value on purpose
-regenerates the value and says so.
+loop from its default seeds, from an explicit seed and from the polar
+chart, the vectorized loop, and the p-distortion built on the scalar one.
+A change that moves a value on purpose regenerates the value and says so.
 """
 
 import math
@@ -209,8 +208,9 @@ def test_pullback_seminorm(name, function, q, expected):
 
 CARDIOID_RING = "cardioid*moebius:0.05027829237277964,-0.8519746811694262,5.231008658459677"
 
-#: (map, z, seed, w): default seeds, explicit seeds, a point only the radius-0.9 ring
-#: reaches, and one just above a twisted slit that only the polar chart reaches
+#: (map, z, seed, w): default seeds, explicit seeds, and two points only the polar chart
+#: reaches; "ring" keeps the id and the bits it had when a seed ring at radius 0.9
+#: reached it, and "chart" lies just above a twisted slit
 INVERSIONS = [
     ("koebe*moebius:0.5,0.2,1", (-0.19751142214497933-0.03735471221563994j), None,
      (0.30000000000000004+0.3999999999999999j)),
