@@ -94,30 +94,25 @@ def _csv_num(x: float) -> str:
     return f"{x:.12e}"
 
 
+#: the --help text of each GradingSpec field's flag
+_GRADING_HELP = {
+    "eps_min": "innermost boundary gap",
+    "annulus_ratio": "geometric gap shrink factor",
+    "radial_order": "radial Gauss-Legendre points per annulus",
+    "angular_base": "angular nodes away from singular angles",
+    "angular_boost": "nodes per graded angular panel",
+}
+
+
 def _grading_args(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("grading")
-    g.add_argument("--eps-min", type=float, default=GradingSpec.eps_min,
-                   help="innermost boundary gap (default %(default)s)")
-    g.add_argument("--annulus-ratio", type=float, default=GradingSpec.annulus_ratio,
-                   help="geometric gap shrink factor (default %(default)s)")
-    g.add_argument("--radial-order", type=int, default=GradingSpec.radial_order,
-                   help="radial Gauss-Legendre points per annulus (default %(default)s)")
-    g.add_argument("--angular-base", type=int, default=GradingSpec.angular_base,
-                   help="angular nodes away from singular angles (default %(default)s)")
-    g.add_argument("--angular-boost", type=int, default=GradingSpec.angular_boost,
-                   help="nodes per graded angular panel (default %(default)s)")
+    for f in dataclasses.fields(GradingSpec):
+        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+                       help=_GRADING_HELP[f.name] + " (default %(default)s)")
 
 
 def _spec_from(args) -> GradingSpec:
-    spec = GradingSpec(
-        eps_min=args.eps_min,
-        annulus_ratio=args.annulus_ratio,
-        radial_order=args.radial_order,
-        angular_base=args.angular_base,
-        angular_boost=args.angular_boost,
-    )
-    spec.validate()
-    return spec
+    return GradingSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GradingSpec)})
 
 
 def cmd_exponents(args) -> int:

@@ -385,7 +385,7 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
     if not done.all():
         k = int(np.argmin(done))
         raise NewtonConvergenceError(
-            f"forward-patch inversion failed at z={z[k][~ok[k]][0]!r} "
+            f"forward-patch inversion failed at z={complex(z[k][~ok[k]][0])!r} "
             f"(map {pair.descriptor.label()}, cell {tuple(block[k].tolist())})"
         )
     return folded, np.sum((weights * integrand_w(w, dw)).reshape(-1, _CHART_ORDER ** 2),

@@ -22,11 +22,12 @@ complex grid ``r*exp(1j*theta)`` bit for bit.  Only a ring whose weighted
 sum is not finite is scanned for the node that made it so.
 
 Convergence versus divergence is decided from the per-annulus
-contributions: a power-law fit of the last few increments against
-``log(1/eps)`` gives a slope, negative slopes mean geometrically shrinking
-increments (convergent tail, which is then extrapolated and added to the
-value), non-shrinking increments mean the integral grows at least
-logarithmically.
+contributions by one tail rule, :func:`_tail`: a power-law fit of the last
+few increments against ``log(1/eps)`` gives a slope, negative slopes mean
+geometrically shrinking increments (convergent tail, which is then
+extrapolated and added to the value), non-shrinking increments mean the
+integral grows at least logarithmically.  :func:`classify_tail` puts a
+sequence of truncated values through the same rule.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class GradingSpec:
     angular_base: int = 64
     angular_boost: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.eps_min <= EPS_START:
             raise InvalidGradingError(f"eps_min must lie in (0, {EPS_START}], got {self.eps_min}")
         if not 0.0 < self.annulus_ratio < 1.0:
@@ -131,14 +132,15 @@ DEFAULT_SPEC = GradingSpec()
 class IntegralEstimate:
     """Disc integral with truncation bookkeeping.
 
-    ``value`` includes the extrapolated boundary tail when the tail fit
-    classifies the integral as converged; ``tail_estimate`` is then the
-    residual uncertainty of that extrapolation (not the extrapolated mass,
-    which is already inside ``value``).  For a diverging integral ``value``
-    is the bare truncated sum, the error is unbounded and
-    ``abs_error_estimate`` is ``inf``.  ``fitted_slope`` is the exponent of
-    the increment power law: increments behave like ``eps**(-slope)``, so
-    negative slopes shrink; it is ``nan`` when no fit was possible.
+    ``value`` includes the extrapolated boundary tail when the one tail
+    rule, :func:`_tail`, classifies the integral as converged;
+    ``tail_estimate`` is then the residual uncertainty of that extrapolation
+    (not the extrapolated mass, which is already inside ``value``).  For a
+    diverging integral ``value`` is the bare truncated sum, the error is
+    unbounded and ``abs_error_estimate`` is ``inf``.  ``fitted_slope`` is
+    the exponent of the increment power law: increments behave like
+    ``eps**(-slope)``, so negative slopes shrink; it is ``nan`` when no fit
+    was possible.
     """
 
     value: float
@@ -308,7 +310,7 @@ def _ring_sum(g: _XYIntegrand, r_lo: float, r_hi: float, cos: np.ndarray, sin: n
         if len(bad):
             i, j = bad[0]
             raise NonFiniteIntegrandError(
-                f"integrand non-finite at node w={x[i, j] + 1j * y[i, j]!r}"
+                f"integrand non-finite at node w={complex(x[i, j], y[i, j])!r}"
             )
     return total
 
@@ -344,39 +346,56 @@ def _graded_sums(g: _XYIntegrand, singular_angles, spec: GradingSpec, eps_stop: 
     return core, increments, gaps[1:]
 
 
-def _fit_loglog(eps: np.ndarray, inc: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of log(inc) against log(1/eps), with rms residual."""
-    x = np.log(1.0 / eps)
-    y = np.log(inc)
-    coeffs = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coeffs, x)
-    return float(coeffs[0]), float(math.sqrt(np.mean(resid ** 2)))
+def _tail(increments: Sequence[float], eps: Sequence[float],
+          floor: float) -> tuple[Classification, float, float, float]:
+    """The package's one tail rule: (verdict, slope, tail, tail error) of the increments.
 
+    Increments at or below ``floor`` count as numerically dead; if the last
+    three (or fewer) are dead the tail is CONVERGED with nothing left.
+    Otherwise the least-squares slope of log(increment) against
+    ``log(1/eps)`` over the last ``FIT_WINDOW`` decides.  No increments,
+    fewer than four, a non-positive one or an rms log-residual above
+    ``FIT_RESIDUAL_TOL`` give INCONCLUSIVE, a slope above ``-SLOPE_TOL``
+    DIVERGING; neither extrapolates, so its tail is 0 with error inf.
 
-def _classify_increments(increments: Sequence[float], eps: Sequence[float],
-                         floor: float) -> tuple[Classification, float, float]:
-    """Classify a tail from its increments; returns (verdict, slope, rms residual).
-
-    The package's only verdict rule.  Increments at or below ``floor`` count
-    as numerically dead; if the last three (or fewer) are dead the tail is
-    CONVERGED.  Otherwise the slope of the last ``FIT_WINDOW`` increments
-    decides.  No increments, fewer than four, a non-positive one or a bad
-    fit give INCONCLUSIVE.
+    A CONVERGED fit shrinks successive annuli by ``q = ratio**(-slope)``,
+    ``ratio`` the last step of ``eps``, so the mass beyond the last
+    increment is ``last * q/(1 - q)``.  Its error combines the fit
+    residual with the difference against a two-point extrapolation.
     """
     inc = np.asarray(increments, dtype=float)
     if not len(inc):
-        return Classification.INCONCLUSIVE, math.nan, math.nan
+        return Classification.INCONCLUSIVE, math.nan, 0.0, math.inf
     if np.all(inc[-3:] <= floor):
-        return Classification.CONVERGED, 0.0, 0.0
+        return Classification.CONVERGED, 0.0, 0.0, 0.0
     # a slope through three points is too weak a test of the power law
     if len(inc) < 4 or np.any(inc <= 0.0):
-        return Classification.INCONCLUSIVE, math.nan, math.nan
-    slope, sigma = _fit_loglog(np.asarray(eps, dtype=float)[-FIT_WINDOW:], inc[-FIT_WINDOW:])
+        return Classification.INCONCLUSIVE, math.nan, 0.0, math.inf
+    x = np.log(1.0 / np.asarray(eps, dtype=float)[-FIT_WINDOW:])
+    y = np.log(inc[-FIT_WINDOW:])
+    coeffs = np.polyfit(x, y, 1)
+    resid = y - np.polyval(coeffs, x)
+    slope, sigma = float(coeffs[0]), float(math.sqrt(np.mean(resid ** 2)))
     if sigma > FIT_RESIDUAL_TOL:
-        return Classification.INCONCLUSIVE, slope, sigma
-    if slope <= -SLOPE_TOL:
-        return Classification.CONVERGED, slope, sigma
-    return Classification.DIVERGING, slope, sigma
+        return Classification.INCONCLUSIVE, slope, 0.0, math.inf
+    # "not <=", so that a nan slope is DIVERGING
+    if not slope <= -SLOPE_TOL:
+        return Classification.DIVERGING, slope, 0.0, math.inf
+    # the caller's own scalars, so the tail keeps their type
+    last = increments[-1]
+    if last <= floor:
+        return Classification.CONVERGED, slope, 0.0, 0.0
+    q = (eps[-1] / eps[-2]) ** (-slope)
+    if not 0.0 < q < 1.0:
+        return Classification.CONVERGED, slope, 0.0, 0.0
+    tail = last * q / (1.0 - q)
+    tail_alt = tail
+    if increments[-2] > floor:
+        q2 = increments[-1] / increments[-2]
+        if 0.0 < q2 < 1.0:
+            tail_alt = last * q2 / (1.0 - q2)
+    err = abs(tail - tail_alt) + tail * math.expm1(2.0 * sigma)
+    return Classification.CONVERGED, slope, tail, err
 
 
 def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
@@ -404,21 +423,19 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
 def _integrate_xy(g: _XYIntegrand, singular_angles: Sequence[float],
                   spec: GradingSpec) -> IntegralEstimate:
     """:func:`integrate_disc` for an integrand ``g(x, y)`` of the real grid, ``w = x + 1j*y``."""
-    spec.validate()
     core, increments, gap_after = _graded_sums(g, singular_angles, spec, spec.eps_min)
     truncated = core + math.fsum(increments)
     floor = 1e-15 * (abs(truncated) + 1e-30)
-    verdict, slope, sigma = _classify_increments(increments, gap_after, floor)
+    verdict, slope, tail, tail_err = _tail(increments, gap_after, floor)
 
     value = truncated
     if verdict is Classification.CONVERGED:
-        tail_extrap, tail_err = _extrapolate_tail(increments, gap_after, slope, sigma, floor)
-        value = truncated + tail_extrap
+        value = truncated + tail
         tail_estimate = tail_err + 1e-15 * abs(value)
         abs_err = tail_estimate + 1e-13 * abs(value)
     else:
         tail_estimate = increments[-1] if increments else 0.0
-        abs_err = math.inf
+        abs_err = tail_err
     return IntegralEstimate(
         value=value,
         abs_error_estimate=abs_err,
@@ -429,38 +446,10 @@ def _integrate_xy(g: _XYIntegrand, singular_angles: Sequence[float],
     )
 
 
-def _extrapolate_tail(increments: Sequence[float], gaps: Sequence[float], slope: float,
-                      sigma: float, floor: float) -> tuple[float, float]:
-    """Geometric extrapolation of the remaining tail, with an uncertainty.
-
-    Increments follow ``eps**(-slope)``, so successive annuli shrink by
-    ``q = ratio**(-slope)``, where ``ratio`` is the last step of the gap
-    ladder; the mass beyond the last annulus is the geometric series
-    ``last * q/(1 - q)``.  The uncertainty combines the fit residual with
-    the difference against a two-point extrapolation.
-    """
-    last = increments[-1]
-    if last <= floor or slope >= 0.0:
-        return 0.0, 0.0
-    # a live tail was fitted, so the ladder has at least four annuli
-    q = (gaps[-1] / gaps[-2]) ** (-slope)
-    if not 0.0 < q < 1.0:
-        return 0.0, 0.0
-    tail = last * q / (1.0 - q)
-    tail_alt = tail
-    if len(increments) >= 2 and increments[-2] > floor:
-        q2 = increments[-1] / increments[-2]
-        if 0.0 < q2 < 1.0:
-            tail_alt = last * q2 / (1.0 - q2)
-    err = abs(tail - tail_alt) + tail * math.expm1(2.0 * max(sigma, 0.0))
-    return tail, err
-
-
 def integrate_truncated(g: Callable[[np.ndarray], np.ndarray], eps: float,
                         singular_angles: Sequence[float] = (),
                         spec: GradingSpec = DEFAULT_SPEC) -> float:
     """Integral of g over the truncated disc ``|w| <= 1 - eps`` (no extrapolation)."""
-    spec.validate()
     if not 0.0 < eps <= EPS_START:
         raise InvalidGradingError(f"truncation eps must lie in (0, {EPS_START}], got {eps}")
     core, increments, _ = _graded_sums(_complex_integrand(g), singular_angles, spec, eps)
@@ -490,5 +479,5 @@ def classify_tail(samples: Sequence[tuple[float, float]]) -> tuple[Classificatio
     if np.any(increments < -floor):
         return Classification.INCONCLUSIVE, math.nan
     increments = np.clip(increments, 0.0, None)
-    verdict, slope, _ = _classify_increments(increments, eps[1:], floor)
+    verdict, slope, _, _ = _tail(increments, eps[1:], floor)
     return verdict, slope

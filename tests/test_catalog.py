@@ -8,6 +8,7 @@ import pytest
 from brennanlab.catalog import (
     NEWTON_TOL,
     DescriptorError,
+    MapDescriptor,
     MapDomainError,
     NewtonConvergenceError,
     cardioid_map,
@@ -56,6 +57,12 @@ class TestDescriptors:
             parse_descriptor("koebe:1")
         with pytest.raises(DescriptorError):
             parse_descriptor("koebe*sector:1.5")
+
+    def test_sector_opening_checked_past_the_parser(self):
+        with pytest.raises(DescriptorError, match="opening parameter must lie in"):
+            sector_map(2.5)
+        with pytest.raises(DescriptorError, match="missing its opening parameter"):
+            make_pair(MapDescriptor("sector"))
 
     @pytest.mark.parametrize("text", ["koebe*moebius:0,0,nan", "moebius:nan,0,0",
                                       "cardioid*moebius:0.1,0,inf"])
@@ -217,6 +224,24 @@ class TestInversion:
         """
         pair = make_pair("koebe*moebius:-0.389374,0.786477,3.4407")
         w = -0.497131156877797 + 0.8675601551831107j
+        assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=NewtonConvergenceError)
+    @pytest.mark.parametrize("name, w", [
+        ("koebe*moebius:0.8044244607564529,0.30994223372211926,5.265833882977374",
+         0.9117488131037608 + 0.41050470375366416j),
+        ("koebe*moebius:0.5452391333251546,-0.7268465072904152,6.0736166416206085",
+         0.6400684358187317 - 0.7670159043126563j),
+        ("koebe*moebius:-0.6917985983716329,0.6358982169616766,2.423348275929715",
+         -0.7638843464605878 + 0.6438025359009397j),
+    ], ids=["r0.9999", "r0.999-a", "r0.999-b"])
+    def test_points_near_the_twisted_pole(self, name, w):
+        """Three more interior points, 0.0054-0.0128 from the circle point the twist sends to 1.
+
+        There |psi'| is 2.7e3 to 8.7e4, and all 1,809 seeds fail, as at
+        the point of the test above.
+        """
+        pair = make_pair(name)
         assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
 
     @pytest.mark.parametrize("name, z", [

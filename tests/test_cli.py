@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from brennanlab import catalog
 from brennanlab.cli import main
 
 
@@ -74,6 +75,16 @@ class TestIntegrateCommand:
         assert not caught
         assert out == ""
         assert err.startswith("error: expected a finite number")
+
+    def test_non_finite_integrand_names_its_node(self, capsys):
+        """The node is a plain complex; the overflow's RuntimeWarning may precede the error line."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run(capsys, "integrate", "--map", "koebe", "--s", "-150")
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: integrand non-finite at node w=(0.7478141287533074+0.0018984868901979948j)"]
 
     def test_inverse_exponent_flag(self, capsys):
         code, payload, _ = run_json(capsys, "integrate", "--map", "identity", "--r", "5")
@@ -210,6 +221,15 @@ class TestIsometryCommand:
         assert not caught
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_failed_inversion_is_a_numerical_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(catalog, "NEWTON_MAX_ITER", 0)
+        code, out, err = run(capsys, "isometry", "--map", "cardioid")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: forward-patch inversion failed at z=(0.0021130817143279737"
+                       "+1.0587934716559885e-05j) (map cardioid, cell (0.0, 0.4, 0.0, "
+                       "1.5707963267948966))\n")
 
 
 class TestDualityCommand:

@@ -1,10 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from brennanlab import operators
-from brennanlab.catalog import ConformalPair, identity_map, koebe_map, make_pair
+from brennanlab import catalog, operators
+from brennanlab.catalog import (
+    ConformalPair,
+    NewtonConvergenceError,
+    identity_map,
+    koebe_map,
+    make_pair,
+)
 from brennanlab.exponents import q_from_ps
 from brennanlab.functionals import RegimeError
 from brennanlab.operators import (
@@ -343,6 +350,15 @@ class TestForwardPatch:
         with pytest.raises(RuntimeError, match=r"degenerate forward chart on cell "
                                                r"\(0\.4, 0\.8, 0\.0, 0\.785"):
             isometry_check(koebe_map(), harmonic_poly(1))
+
+    def test_failed_inversion_names_point_map_and_cell(self, monkeypatch):
+        """With no Newton steps allowed no chart node converges; the first cell is named."""
+        monkeypatch.setattr(catalog, "NEWTON_MAX_ITER", 0)
+        message = ("forward-patch inversion failed at z=(0.0021130817143279737"
+                   "+1.0587934716559885e-05j) (map cardioid, cell (0.0, 0.4, 0.0, "
+                   "1.5707963267948966))")
+        with pytest.raises(NewtonConvergenceError, match=f"^{re.escape(message)}$"):
+            isometry_check(make_pair("cardioid"), harmonic_poly(1))
 
     def test_inversion_does_not_depend_on_batch(self):
         pair = koebe_map()

@@ -17,12 +17,12 @@ from brennanlab.quadrature import (
     InvalidGradingError,
     NonFiniteIntegrandError,
     _angular_rules,
-    _classify_increments,
     _complex_integrand,
     _gap_ladder,
     _gauss,
     _graded_sums,
     _ring_sum,
+    _tail,
     classify_tail,
     integrate_disc,
     integrate_truncated,
@@ -178,6 +178,13 @@ class TestClassifyTail:
         assert verdict is Classification.CONVERGED
         assert slope == pytest.approx(-0.5, abs=0.01)
 
+    def test_falling_values_are_inconclusive(self):
+        """The integrands are nonnegative, so a value that falls has no tail to classify."""
+        samples = [(0.1, 2.0), (0.05, 2.5), (0.025, 2.25), (0.0125, 2.3)]
+        verdict, slope = classify_tail(samples)
+        assert verdict is Classification.INCONCLUSIVE
+        assert math.isnan(slope)
+
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             classify_tail([(0.1, 1.0), (0.05, 1.0), (0.025, 1.0)])
@@ -201,6 +208,15 @@ class TestValidation:
             integrate_disc(lambda w: np.ones(w.shape), spec=GradingSpec(eps_min=0.0))
         with pytest.raises(InvalidGradingError):
             integrate_disc(lambda w: np.ones(w.shape), spec=GradingSpec(annulus_ratio=1.5))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("radial_order", 1, "radial_order must be at least 2"),
+        ("angular_base", 4, "angular_base must be at least 8"),
+        ("angular_boost", 1, "angular_boost must be at least 2"),
+    ])
+    def test_spec_is_checked_when_made(self, field, value, message):
+        with pytest.raises(InvalidGradingError, match=message):
+            GradingSpec(**{field: value})
 
 
 def reference_angular_rule(singular_angles, scale, spec):
@@ -263,7 +279,7 @@ def reference_ring_sum(g, r_lo, r_hi, theta, wtheta, radial_order):
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         raise NonFiniteIntegrandError(
-            f"integrand non-finite at node w={w[tuple(bad)]!r}"
+            f"integrand non-finite at node w={complex(w[tuple(bad)])!r}"
         )
     # polar Jacobian r folded into the radial weights; fixed reduction order
     return float((wr * r) @ vals @ wtheta)
@@ -487,7 +503,7 @@ class TestNonFiniteRing:
         cos, sin, _ = self.RULE
         r = 0.0 + 0.5 * (_gauss(16)[0] + 1.0)
         w = np.multiply.outer(r, cos) + 1j * np.multiply.outer(r, sin)
-        assert new == ref == f"integrand non-finite at node w={w[3, 5]!r}"
+        assert new == ref == f"integrand non-finite at node w={complex(w[3, 5])!r}"
 
     def test_first_bad_node_in_row_order(self):
         # the complex-grid ring named this node, the first with |w| > 0.6 in row-major order
@@ -533,7 +549,7 @@ class TestShortLadder:
                                               spec.eps_min)
         assert len(increments) == 3
         floor = 1e-15 * (core + math.fsum(increments))
-        assert _classify_increments(increments, gaps, floor)[0] is Classification.INCONCLUSIVE
+        assert _tail(increments, gaps, floor)[0] is Classification.INCONCLUSIVE
         est = integrate_disc(g, pair.singular_angles, spec)
         assert est.classification is Classification.INCONCLUSIVE
         assert math.isnan(est.fitted_slope)
