@@ -1,27 +1,33 @@
-"""Closed-form Riemann maps psi: D -> Omega with derivatives and Newton inversion.
+"""Closed-form Riemann maps psi: D -> Omega with derivatives and inverses.
 
 The catalog stores the disc-to-domain direction in closed form together
 with hand-derived boundary singularity data (points on the unit circle
 where ``|psi'|`` vanishes or blows up like a power of the distance).  The
-domain-to-disc direction is recovered pointwise by damped Newton
-iteration, so no multivalued inverse branches ever need handling.
+domain-to-disc direction ``phi`` is closed form too: each family writes
+its principal-branch inverse, whose branch cut lies outside Omega
+(Pommerenke, *Boundary Behaviour of Conformal Maps*), and one Newton step
+polishes a point only where its residual misses the target.
 
 Families
 --------
 identity
-    psi(w) = w, Omega = D.
+    psi(w) = w, Omega = D, phi(z) = z.
 moebius:a_re,a_im,theta
     Disc automorphism ``e^{i theta} (w - a)/(1 - conj(a) w)``, Omega = D.
 koebe
-    psi(w) = w/(1-w)^2, Omega = plane minus the ray (-inf, -1/4].
+    psi(w) = w/(1-w)^2, Omega = plane minus the ray (-inf, -1/4],
+    phi(z) = 2z/(1 + 2z + sqrt(1 + 4z)).
 sector:beta
     psi(w) = ((1-w)/(1+w))^beta with beta in (0, 2], Omega = sector of
-    opening beta*pi; beta = 2 gives the slit plane again.
+    opening beta*pi (beta = 2 gives the slit plane again),
+    phi(z) = (1 - t)/(1 + t) with t = exp(log(z)/beta).
 cardioid
-    psi(w) = w - w^2/2, Omega = interior of a cardioid.
+    psi(w) = w - w^2/2, Omega = interior of a cardioid,
+    phi(z) = 2z/(1 + sqrt(1 - 2z)).
 
 Any family accepts the suffix ``*moebius:a_re,a_im,theta`` for
-precomposition with a disc automorphism.
+precomposition with a disc automorphism m; the twisted ``phi`` applies
+``m^-1`` to the base map's.
 
 One formula per map
 -------------------
@@ -31,14 +37,13 @@ share are computed once: ``psi`` itself and ``1 - w``, ``1 + w`` for a
 sector (``psi' = -2 beta psi/((1 - w)(1 + w))``), ``1 - w`` for Koebe, and
 the denominator ``1 - conj(a) w`` of ``m`` and ``m'`` for a twist.  ``psi``
 and ``dpsi`` are its first and second output.  A family turns a scalar
-``w`` into a numpy scalar, not a 0-d array, so the scalar Newton loop pays
-for no array call it does not need.  Newton inversion costs one call per
-trial point and carries ``psi'`` from the accepted point into the next
-step.  A call's temporaries are part of Newton's peak memory, so a family
-frees them early: Koebe and the sector divide ``psi'`` in place, and the
-sector and the twist rebind a factor to its product.  No complex product
-is formed in place, because numpy (2.4) rounds an in-place complex
-product differently on one-element arrays.
+``w`` into a numpy scalar, not a 0-d array, so the scalar inversion pays
+for no array call it does not need.  A call's temporaries add to the
+inversion's peak memory, so a family frees them early: Koebe and the
+sector divide ``psi'`` in place, and the sector and the twist rebind a
+factor to its product.  No complex product is formed in place, because
+numpy (2.4) rounds an in-place complex product differently on one-element
+arrays.
 
 Factor form
 -----------
@@ -89,24 +94,11 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+#: an inverted point w is accepted when |psi(w) - z| <= NEWTON_TOL * (1 + |z|)
 NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 80
-#: a scalar Newton step halved more often than this means the seed has
-#: stalled against the circle (damping factor below 2**-27, about 7e-9);
-#: converging seeds of the patch-newton benchmark needed at most 18
-NEWTON_MAX_HALVINGS = 27
 #: a twist's new pole exponent -2 - sum(exponents) at most this large counts
 #: as no pole; for sectors (beta - 1) - (beta + 1) rounds to -2 within an ulp
 POLE_TOL = 1e-12
-#: default seeds of ConformalPair.invert, tried in this order: 0, then eight
-#: points at radius 1/2
-_SEED_INNER = (0j,) + tuple(0.5 * cmath.exp(2j * math.pi * k / 8.0) for k in range(8))
-#: fallback seeds of ConformalPair.invert: the 1,800 nodes of a 30 x 60 polar
-#: chart (radii (k + 1/2)/30), spaced about 0.1 apart and tried shortest first
-#: Newton step first; some points just above a twisted slit converge only
-#: from seeds that close to them
-_SEED_CHART = (((np.arange(30) + 0.5) / 30.0)[:, None]
-               * np.exp(2j * np.pi * np.arange(60) / 60.0)).ravel()
 
 
 class MapDomainError(ValueError):
@@ -114,7 +106,7 @@ class MapDomainError(ValueError):
 
 
 class NewtonConvergenceError(RuntimeError):
-    """Newton inversion failed to converge from all seeds."""
+    """An inverted point misses the residual target even after its Newton step."""
 
 
 class DescriptorError(ValueError):
@@ -168,17 +160,17 @@ def _fmt_num(x: float) -> str:
 
 @dataclass(frozen=True)
 class ConformalPair:
-    """A Riemann map psi: D -> Omega with derivative and numeric inverse.
+    """A Riemann map psi: D -> Omega with derivative and inverse.
 
-    ``psi_dpsi`` is the map's one closed form (see the module docstring),
-    vectorized over complex ndarrays with no domain checks and returning
-    ``(psi(w), psi'(w))``; ``psi`` and ``dpsi`` return its first and second
-    output, and ``eval_psi``/``eval_dpsi`` add the ``|w| < 1`` validation.
-    All three are fields, so a copy of a pair may wrap any of them.  On an
-    array, ``psi_dpsi`` must return new, writable arrays that the caller
-    owns, never its input or a view of it: :meth:`invert_many` writes into
-    them.  ``domain_contains`` decides membership in Omega.  Immutable; safe to
-    share between threads.
+    ``psi_dpsi`` is the map's one closed form, returning ``(psi(w), psi'(w))``,
+    and ``phi`` its principal-branch inverse (see the module docstring), both
+    vectorized over complex ndarrays with no domain checks; ``psi`` and
+    ``dpsi`` return the two outputs of ``psi_dpsi``, and ``eval_psi`` and
+    ``eval_dpsi`` add the ``|w| < 1`` validation.  On an array, ``psi_dpsi``
+    and ``phi`` must return new, writable arrays that the caller owns, never
+    their input or a view of it: :meth:`invert_many` writes into them.
+    ``domain_contains`` decides membership in Omega.  All are fields, so a
+    copy of a pair may wrap any of them.  Immutable; safe to share between threads.
 
     The derivative also has the factor form of the module docstring:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
@@ -191,6 +183,7 @@ class ConformalPair:
     psi: Callable[[np.ndarray], np.ndarray]
     dpsi: Callable[[np.ndarray], np.ndarray]
     psi_dpsi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    phi: Callable[[np.ndarray], np.ndarray]
     domain_contains: Callable[[complex], bool]
     singular_points: tuple[SingularPoint, ...]
     poles: tuple[tuple[complex, float], ...] = ()
@@ -261,147 +254,60 @@ class ConformalPair:
         _require_in_disc(w)
         return self.dpsi(w)
 
-    # Not a loop over invert_many, which was 5-15x slower per point: a step
-    # halving costs it several numpy calls even on a one-point array.  Only
-    # this loop ends with a polishing step, so the two can differ by that
-    # step, and only this loop drops a stalled seed early.
-    def invert(self, z: complex, seed: complex | None = None) -> tuple[complex, complex]:
-        """Solve psi(w) = z for w in the open disc by damped Newton iteration; returns (w, psi'(w)).
+    # Not a call of invert_many, which takes 15-22 us on one point against 6 us here
+    def invert(self, z: complex) -> tuple[complex, complex]:
+        """Solve psi(w) = z for w in the open disc; returns (w, psi'(w)).
 
-        Each trial point costs one ``psi_dpsi`` call.  Steps that would leave
-        the disc or increase the residual are halved; once the residual
-        meets the tolerance, one more step is kept if it stays in the disc
-        and does not raise the residual.  A seed is dropped as stalled when
-        a step needs more than ``NEWTON_MAX_HALVINGS`` halvings: such seeds
-        are pinned against the circle with a flat residual.  Since psi is
-        univalent, every seed that converges reaches the same w up to
-        rounding, so dropping one costs only a retry.  The default seed is
-        0, with retries from eight points at radius 1/2 and then from the
-        nodes of a 30 x 60 polar chart, in order of their first Newton step
-        ``|(psi(n) - z)/psi'(n)|``, shortest first.  An explicit ``seed`` is
-        the only one tried.
-        ``psi'(w)`` comes from the solve and equals ``dpsi(w)`` bit for bit.
-        Raises MapDomainError for z outside Omega and NewtonConvergenceError
-        when every seed fails.
+        ``w = phi(z)``, polished by one Newton step when ``|psi(w) - z|``
+        exceeds ``NEWTON_TOL * (1 + |z|)`` (w is off by about the residual
+        over ``|psi'(w)|``, large near a zero of psi').  ``psi'(w)`` comes
+        from the ``psi_dpsi`` call that checked w, so it equals ``dpsi(w)``
+        bit for bit.  Raises MapDomainError for z outside Omega and
+        NewtonConvergenceError when the target is missed.
         """
         if not self.domain_contains(z):
             raise MapDomainError(f"point {z!r} is outside the image domain")
         target = NEWTON_TOL * (1.0 + abs(z))
-        for tried, w0 in enumerate(self._seeds(z, seed), 1):
-            found = self._newton_from(w0, z, target)
-            if found is not None:
-                return found
-        raise NewtonConvergenceError(
-            f"inversion of {self.descriptor.label()} at z={z!r} failed from "
-            f"{tried} seed(s); the point may be too close to the boundary"
-        )
-
-    def _seeds(self, z: complex, seed: complex | None):
-        """The starting points of :meth:`invert`, in the order they are tried."""
-        if seed is not None:
-            yield complex(seed)
-            return
-        yield from _SEED_INNER
-        # reached only when the nine seeds above fail (points near the boundary
-        # of twisted maps), so most calls never evaluate psi on the chart
-        value, deriv = self.psi_dpsi(_SEED_CHART)
-        yield from _SEED_CHART[np.argsort(np.abs((value - z) / deriv), kind="stable")].tolist()
-
-    def _newton_from(self, w: complex, z: complex,
-                     target: float) -> tuple[complex, complex] | None:
-        """``(w, psi'(w))`` with ``|psi(w) - z| <= target``, or None if the seed ``w`` fails."""
-        # psi(w) - z and psi'(w) are carried from the accepted trial point; the
-        # last pass only checks the residual
-        value, deriv = self.psi_dpsi(w)
-        diff, dw = complex(value) - z, complex(deriv)
-        for i in range(NEWTON_MAX_ITER + 1):
-            resid = abs(diff)
-            if resid <= target:
+        w = complex(self.phi(z))
+        for _ in range(2):  # phi's w, then its Newton step
+            if abs(w) >= 1.0:
                 break
-            if i == NEWTON_MAX_ITER:
-                return None
-            step = diff / dw
-            for _ in range(NEWTON_MAX_HALVINGS + 1):
-                w_try = w - step
-                if abs(w_try) < 1.0:
-                    value, deriv = self.psi_dpsi(w_try)
-                    d_try = complex(value) - z
-                    if abs(d_try) <= resid:
-                        break
-                step *= 0.5
-            else:
-                return None
-            w, diff, dw = w_try, d_try, complex(deriv)
-        # w is off by about the residual over |psi'(w)|, large near a zero of
-        # psi', so one more step polishes it
-        polished = w - diff / dw
-        if abs(polished) < 1.0:
-            value, deriv = self.psi_dpsi(polished)
-            if abs(complex(value) - z) <= resid:
-                return polished, complex(deriv)
-        return w, dw
+            value, deriv = self.psi_dpsi(w)
+            diff = complex(value) - z
+            if abs(diff) <= target:
+                return w, complex(deriv)
+            w -= diff / complex(deriv)
+        raise NewtonConvergenceError(
+            f"inversion of {self.descriptor.label()} at z={z!r} missed the residual "
+            f"target after one Newton step; the point may be too close to the boundary")
 
-    def invert_many(self, z: np.ndarray,
-                    seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized Newton inversion; returns (w, converged mask, psi'(w)).
+    def invert_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized :meth:`invert`; returns (w, converged mask, psi'(w)).
 
-        Every point is iterated on its own: only the points still above
-        their residual target take a step, and only the steps still being
-        halved are checked again.  While every point is live the step works
-        on whole arrays, not on gathered copies.  A point's ``w`` and mask
-        therefore do not depend on the other points in the call.  Each
-        trial costs one ``psi_dpsi`` evaluation, and ``|psi(w) - z|`` is
-        taken once per trial, for the halving test and as the new residual;
-        ``psi(w) - z`` and the step are formed in ``psi_dpsi``'s first output.
-        ``psi'`` is carried from the accepted trial, so the third array is
-        ``psi'`` at the returned ``w``, bit for bit equal to ``dpsi(w)``.  A
-        step is halved at most 60 times; unlike :meth:`invert` there is no
-        second seed to fall back on, so no stall test ends a point early.
+        The points that miss the target take their Newton step together,
+        kept where it stays in the disc and does not raise the residual, so
+        a point's results do not depend on the rest of the call.  The mask
+        is False where the target is missed or w is not in the disc; Omega
+        is not checked, so a point on a slit may read True.
         """
         z = np.asarray(z, dtype=complex)
-        w = np.array(np.broadcast_to(np.asarray(seeds, dtype=complex), z.shape))
         target = NEWTON_TOL * (1.0 + np.abs(z))
+        w = self.phi(z)
         diff, dw = self.psi_dpsi(w)
-        diff = diff - z
+        diff -= z
+        # flat views; 1-element copies for 0-d input, where a family returns numpy scalars
+        w, diff, dw, target = (np.reshape(a, -1) for a in (w, diff, dw, target))
         resid = np.abs(diff)
-        # flat views of w, psi'(w) and resid; the points still iterating are indexed by `live`
-        w_flat, dw_flat, resid_flat = w.reshape(-1), dw.reshape(-1), resid.reshape(-1)
-        z_flat, target_flat = z.reshape(-1), target.reshape(-1)
-        live = np.flatnonzero(resid_flat > target_flat)
-        # psi(w) - z at the live points, carried from the residual into the next step
-        diff = diff.reshape(-1)
-        if live.size < diff.size:
-            diff = diff[live]
-        for _ in range(NEWTON_MAX_ITER):
-            if not live.size:
-                break
-            # a slice while every point is live: views, not gathered copies
-            at = slice(None) if live.size == w_flat.size else live
-            step = np.divide(diff, dw_flat[at], out=diff)
-            w_try = w_flat[at] - step
-            diff, d_try = self.psi_dpsi(w_try)
-            diff -= z_flat[at]
-            r_try = np.abs(diff)
-            # steps that leave the disc or raise the residual are halved, at most 60 times
-            halve = np.flatnonzero(_worse(w_try, r_try, resid_flat[at]))
-            for _ in range(60):
-                if not halve.size:
-                    break
-                point = live[halve]
-                step[halve] *= 0.5
-                w_half = w_flat[point] - step[halve]
-                value, deriv = self.psi_dpsi(w_half)
-                value -= z_flat[point]
-                r_half = np.abs(value)
-                w_try[halve], diff[halve], d_try[halve], r_try[halve] = w_half, value, deriv, r_half
-                halve = halve[_worse(w_half, r_half, resid_flat[point])]
-            w_flat[at], dw_flat[at], resid_flat[at] = w_try, d_try, r_try
-            going = r_try > target_flat[at]
-            if not going.all():
-                live, diff = live[going], diff[going]
-        # the flat arrays hold the results: for 0-d input they are copies, not views
-        resid, dw = resid_flat.reshape(z.shape), dw_flat.reshape(z.shape)
-        return w, (resid <= target) & (np.abs(w) < 1.0), dw
+        step = np.flatnonzero(resid > target)
+        if step.size:
+            w_try = w[step] - diff[step] / dw[step]
+            value, deriv = self.psi_dpsi(w_try)
+            r_try = np.abs(value - z.reshape(-1)[step])
+            keep = (np.abs(w_try) < 1.0) & (r_try <= resid[step])
+            step = step[keep]
+            w[step], dw[step], resid[step] = w_try[keep], deriv[keep], r_try[keep]
+        ok = (resid <= target) & (np.abs(w) < 1.0)
+        return w.reshape(z.shape), ok.reshape(z.shape), dw.reshape(z.shape)
 
     def compose_with_moebius(self, a: complex, theta: float) -> "ConformalPair":
         """Precompose with the disc automorphism m, returning the pair for psi o m.
@@ -425,7 +331,7 @@ class ConformalPair:
         if abs(a) >= 1.0:
             raise MapDomainError(f"automorphism parameter must satisfy |a| < 1, got {a!r}")
         rot = cmath.exp(1j * theta)
-        base_psi_dpsi = self.psi_dpsi
+        base_psi_dpsi, base_phi = self.psi_dpsi, self.phi
 
         def m_inv(v: complex) -> complex:
             u = v / rot
@@ -448,12 +354,8 @@ class ConformalPair:
         if a and abs(new_pole) > POLE_TOL:
             poles += ((a.conjugate(), new_pole),)
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
-        return _pair(descriptor, psi_dpsi, self.domain_contains, moved, poles)
-
-
-def _worse(w_try: np.ndarray, r_try: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Newton trial points outside the disc or with a larger residual ``r_try`` than before."""
-    return (np.abs(w_try) >= 1.0) | (r_try > resid * (1.0 + 1e-12))
+        return _pair(descriptor, psi_dpsi, lambda z: m_inv(base_phi(z)), self.domain_contains,
+                     moved, poles)
 
 
 def _to_circle(v: complex) -> complex:
@@ -465,11 +367,11 @@ def _require_in_disc(w) -> None:
         raise MapDomainError("evaluation point must lie in the open unit disc")
 
 
-def _pair(descriptor: MapDescriptor, psi_dpsi: Callable, domain_contains: Callable,
+def _pair(descriptor: MapDescriptor, psi_dpsi: Callable, phi: Callable, domain_contains: Callable,
           singular_points: tuple[SingularPoint, ...], poles: tuple = ()) -> ConformalPair:
     """The pair of a map written once, as ``psi_dpsi``; ``psi`` and ``dpsi`` are its outputs."""
     return ConformalPair(descriptor, lambda w: psi_dpsi(w)[0], lambda w: psi_dpsi(w)[1],
-                         psi_dpsi, domain_contains, singular_points, poles)
+                         psi_dpsi, phi, domain_contains, singular_points, poles)
 
 
 def identity_map() -> ConformalPair:
@@ -477,7 +379,8 @@ def identity_map() -> ConformalPair:
         w = np.asarray(w, dtype=complex)[()]
         return w + 0j, np.ones_like(w)
 
-    return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: bool(abs(z) < 1.0), ())
+    return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: psi_dpsi(z)[0],
+                 lambda z: bool(abs(z) < 1.0), ())
 
 
 def moebius_map(a: complex, theta: float = 0.0) -> ConformalPair:
@@ -504,11 +407,14 @@ def koebe_map() -> ConformalPair:
         deriv /= one_minus ** 3
         return w / one_minus ** 2, deriv
 
+    def phi(z):
+        return 2.0 * z / (1.0 + 2.0 * z + np.sqrt(1.0 + 4.0 * z))
+
     def contains(z: complex) -> bool:
         z = complex(z)
         return not (z.imag == 0.0 and z.real <= -0.25)
 
-    return _pair(MapDescriptor("koebe"), psi_dpsi, contains,
+    return _pair(MapDescriptor("koebe"), psi_dpsi, phi, contains,
                  (SingularPoint(1.0 + 0j, -3.0), SingularPoint(-1.0 + 0j, 1.0)))
 
 
@@ -534,15 +440,15 @@ def sector_map(beta: float) -> ConformalPair:
         deriv /= one_minus
         return value, deriv
 
-    half = 0.5 * beta * math.pi
+    def phi(z):
+        t = np.exp(np.log(z) / beta)
+        return (1.0 - t) / (1.0 + t)
 
     def contains(z: complex) -> bool:
         z = complex(z)
-        if z == 0.0:
-            return False
-        return abs(cmath.phase(z)) < half
+        return z != 0.0 and abs(cmath.phase(z)) < 0.5 * beta * math.pi
 
-    return _pair(MapDescriptor("sector", beta=beta), psi_dpsi, contains,
+    return _pair(MapDescriptor("sector", beta=beta), psi_dpsi, phi, contains,
                  (SingularPoint(1.0 + 0j, beta - 1.0), SingularPoint(-1.0 + 0j, -(beta + 1.0))))
 
 
@@ -555,11 +461,15 @@ def cardioid_map() -> ConformalPair:
         # own w ** 2 (and np.square of one) rounds differently at about 30% of points
         return w - 0.5 * np.multiply(w, w), 1.0 - w
 
-    def contains(z: complex) -> bool:
-        # w = 1 - sqrt(1 - 2z) is the principal inverse; membership is |w| < 1
-        return bool(abs(1.0 - np.sqrt(complex(1.0 - 2.0 * z))) < 1.0)
+    def phi(z):
+        # 1 - sqrt(1 - 2z), without its cancellation near z = 0
+        return 2.0 * z / (1.0 + np.sqrt(1.0 - 2.0 * z))
 
-    return _pair(MapDescriptor("cardioid"), psi_dpsi, contains, (SingularPoint(1.0 + 0j, 1.0),))
+    def contains(z: complex) -> bool:
+        return bool(abs(phi(complex(z))) < 1.0)
+
+    return _pair(MapDescriptor("cardioid"), psi_dpsi, phi, contains,
+                 (SingularPoint(1.0 + 0j, 1.0),))
 
 
 _BUILDERS = {

@@ -170,8 +170,9 @@ def kpq_functional(pair: ConformalPair, p: float, q: float,
 def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:
     """Pointwise p-distortion ``|phi'(z)|^(p-2)`` of the disc-ward map.
 
-    Evaluated through Newton inversion as ``|psi'(phi(z))|^(2-p)``, with
-    the ``psi'`` the inversion computed at ``phi(z)``; identically 1 at p = 2.
+    Evaluated through ``ConformalPair.invert`` as ``|psi'(phi(z))|^(2-p)``,
+    with the ``psi'`` the inversion computed at ``phi(z)``; identically 1 at
+    p = 2.
     """
     if not p >= 1.0:
         raise ExponentDomainError(f"p-distortion requires p >= 1, got p={p}")

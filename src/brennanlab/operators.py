@@ -5,9 +5,10 @@ respect the K_{p,q} bound, an exact p = 2 isometry, the dual-exponent
 integral identity, and the one-integral equivalence across (p, q(p,s))
 pairs.  The isometry check deliberately avoids the pullback shortcut: the
 domain-side energy is integrated over the forward image of a disc patch,
-with every quadrature node mapped back through Newton inversion and the
-measure supplied by transfinite charts built from the mapped patch edges,
-so nothing cancels by construction.
+with every quadrature node mapped back through the map's closed-form
+inverse (polished by a Newton step where its residual misses the target)
+and the measure supplied by transfinite charts built from the mapped
+patch edges, so nothing cancels by construction.
 """
 
 from __future__ import annotations
@@ -269,12 +270,12 @@ DISTORTION_CAP = 1.8
 _MAX_SPLIT_DEPTH = 18
 #: Gauss-Legendre nodes per side of a cell chart
 _CHART_ORDER = 16
-#: cells charted and inverted together.  A block's chart and Newton
+#: cells charted and inverted together.  A block's chart and inversion
 #: temporaries are live at once (32 cells at order 16 are 8,192 nodes, 128 KB
-#: per complex array).  The isometry checks of patch-newton seed 3 took
-#: 3.9-4.4 s of CPU at 8 cells, 3.4-3.5 s at 16, 2.9-3.3 s at 32 and 3.3-3.7 s
-#: at 64, with traced memory peaks of 0.8, 1.2, 2.3 and 4.6 MB (three runs
-#: each, in process, shared 2-CPU Xeon)
+#: per complex array).  The isometry checks of patch-newton seed 3 took a median
+#: 2.97, 3.00 and 2.82 s of CPU at 16, 32 and 64 cells, with overlapping
+#: quartiles, and traced memory peaks of 1.3, 1.7 and 2.8 MB (eight runs each,
+#: in process, shared 2-CPU Xeon)
 _BLOCK_CELLS = 32
 #: the isometry check's disc-side rule: 48 radial nodes, 32 panels of 8 angular nodes
 _DISC_SIDE_SPEC = GradingSpec(radial_order=48, angular_base=256)
@@ -304,7 +305,7 @@ def _cell_distortion(cells: np.ndarray, pair: ConformalPair) -> np.ndarray:
 
 
 def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
-    """Tensor GL nodes, weights and polar seeds for the images of cells (C, 4).
+    """Tensor GL nodes and weights for the images of cells (C, 4).
 
     Each cell image is charted by transfinite interpolation of its four
     mapped edges (a Coons patch); the chart Jacobian supplies the area
@@ -313,9 +314,9 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
     both ends of every edge.  The corner term is folded into the bottom
     and top edges, so the chart is a rank-4 product per cell,
     ``z = [B^, T^, 1 - u, u] . [1 - v; v; L; R]``, and its derivatives
-    ``z_u``, ``z_v`` are built the same way from (C, n) edge terms.  Nodes,
-    weights and seeds have shape (C, n, n); the smallest Jacobian of each
-    chart has shape (C,).
+    ``z_u``, ``z_v`` are built the same way from (C, n) edge terms.  Nodes
+    and weights have shape (C, n, n); the smallest Jacobian of each chart
+    has shape (C,).
     """
     ra, rb, ta, tb = (cells[:, k, None] for k in range(4))
     x, gw = _gauss(n)
@@ -358,8 +359,7 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
     jac = z_u.real * z_v.imag
     jac -= z_u.imag * z_v.real
     weights = (wu[:, None] * wu) * jac
-    seeds = r[:, inner, None] * e[:, None, inner]
-    return z, weights, seeds, jac.min(axis=(1, 2))
+    return z, weights, jac.min(axis=(1, 2))
 
 
 def _block_sums(pair: ConformalPair, block: np.ndarray,
@@ -371,7 +371,7 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
     block's arrays set the peak memory, so they live only in this call.
     """
     block, depth = block[:, :4], block[:, 4]
-    z, weights, seeds, jac_min = _coons_grid(pair, block, _CHART_ORDER)
+    z, weights, jac_min = _coons_grid(pair, block, _CHART_ORDER)
     folded = jac_min <= 0.0
     # masked copies only when needed
     if folded.any():
@@ -379,8 +379,8 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
         if last.any():
             raise RuntimeError(
                 f"degenerate forward chart on cell {tuple(block[last][0].tolist())}")
-        block, z, weights, seeds = (a[~folded] for a in (block, z, weights, seeds))
-    w, ok, dw = pair.invert_many(z, seeds)
+        block, z, weights = (a[~folded] for a in (block, z, weights))
+    w, ok, dw = pair.invert_many(z)
     done = ok.all(axis=(1, 2))
     if not done.all():
         k = int(np.argmin(done))
@@ -395,18 +395,19 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
 def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: float) -> float:
     """Integral over psi(patch) of ``integrand_w(w, psi'(w))`` at w = phi(z).
 
-    Every chart node z is inverted by Newton iteration, which also returns
-    psi' at the inverted node; the chart Jacobian carries the measure.  The
-    patch is refined a level at a time: cells whose |psi'| varies by more
-    than ``DISTORTION_CAP`` and cells whose chart folds are set aside, and
-    their halves form the next level.  The other cells are charted and
-    inverted a block of ``_BLOCK_CELLS`` at a time by :func:`_block_sums`,
-    with one ``psi_dpsi`` call for the block's edges and corners and one
-    ``invert_many`` call for its nodes, and their sums are added one by
-    one.  A level's last partial block waits for the next level's cells,
-    so only the last level charts a partial block.  A cell row is
-    (ra, rb, ta, tb, depth): cells ``_MAX_SPLIT_DEPTH`` splits deep skip
-    the distortion test, and a fold among them raises.
+    Every chart node z is inverted by ``invert_many`` (the closed-form
+    inverse, with one Newton step where its residual misses the target),
+    which also returns psi' at the inverted node; the chart Jacobian
+    carries the measure.  The patch is refined a level at a time: cells
+    whose |psi'| varies by more than ``DISTORTION_CAP`` and cells whose
+    chart folds are set aside, and their halves form the next level.  The
+    other cells are charted and inverted a block of ``_BLOCK_CELLS`` at a
+    time by :func:`_block_sums`, with one ``psi_dpsi`` call for the block's
+    edges and corners and one ``invert_many`` call for its nodes, and their
+    sums are added one by one.  A level's last partial block waits for the
+    next level's cells, so only the last level charts a partial block.  A
+    cell row is (ra, rb, ta, tb, depth): cells ``_MAX_SPLIT_DEPTH`` splits
+    deep skip the distortion test, and a fold among them raises.
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
@@ -440,13 +441,14 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     """Ratio of the forward-patch Dirichlet energy to the disc-side energy.
 
     The domain side integrates ``|grad f|^2(phi(z)) * |phi'(z)|^2`` over
-    the image of the patch with its own measure (chart Jacobians plus
-    Newton inversion at every node, with ``|phi'(z)| = 1/|psi'(w)|`` from
-    the psi' the inversion computed at w); the disc side integrates
+    the image of the patch with its own measure (chart Jacobians plus the
+    inversion of every node, with ``|phi'(z)| = 1/|psi'(w)|`` from the
+    psi' the inversion computed at w); the disc side integrates
     ``|grad f|^2`` over the patch directly.  The two agree exactly when
     ``|phi'|^2`` is the Jacobian, so the returned ratio should be 1.  A node
-    that Newton cannot invert raises NewtonConvergenceError, and a chart
-    still folded after ``_MAX_SPLIT_DEPTH`` splits raises RuntimeError.
+    whose inverse misses the residual target raises NewtonConvergenceError,
+    and a chart still folded after ``_MAX_SPLIT_DEPTH`` splits raises
+    RuntimeError.
     """
     r0, r1 = patch
     if not 0.0 <= r0 < r1 < 1.0:

@@ -1,16 +1,15 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brennanlab.catalog import (
-    NEWTON_TOL,
     DescriptorError,
     MapDescriptor,
     MapDomainError,
-    NewtonConvergenceError,
     cardioid_map,
     identity_map,
     koebe_map,
@@ -32,6 +31,22 @@ def interior_points(n=100, radius=0.9):
         theta = 2.0 * math.pi * ((i * 0.6180339887498949) % 1.0)
         pts.append(r * cmath.exp(1j * theta))
     return pts
+
+
+ANGLE = st.floats(0.0, 2.0 * math.pi)
+
+
+def catalog_maps():
+    """Descriptor strings of every family, each with or without a twist (|a| <= 0.95)."""
+    coord = st.floats(-0.6, 0.6)
+    base = st.one_of(
+        st.sampled_from(["identity", "koebe", "cardioid"]),
+        st.builds("sector:{!r}".format, st.floats(0.05, 2.0)),
+        st.builds("moebius:{!r},{!r},{!r}".format, coord, coord, ANGLE))
+    twist = st.builds(
+        lambda r, t, theta: f"*moebius:{r * math.cos(t)!r},{r * math.sin(t)!r},{theta!r}",
+        st.floats(0.0, 0.95), ANGLE, ANGLE)
+    return st.builds(str.__add__, base, st.one_of(st.just(""), twist))
 
 
 class TestDescriptors:
@@ -186,47 +201,32 @@ class TestInversion:
          0.4234814214954106 + 0.7457606572380399j),
     ], ids=["cardioid", "sector", "koebe"])
     def test_points_the_default_seeds_miss(self, name, w):
-        """Interior points of twisted maps that no seed at radius <= 1/2 reaches."""
+        """Interior points of twisted maps that Newton started at radius <= 1/2 misses."""
         pair = make_pair(name)
         assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
 
     def test_point_above_the_twisted_slit(self):
         """An interior point (|w| = 0.99) just above the slit of a strongly twisted Koebe map.
 
-        None of the 9 seeds at radius 0 and 1/2 converges here, and of
-        a 60 x 120 polar grid of seeds only 13 do, all within about 0.1 of
-        w; the 30 x 60 polar chart's nodes with the shortest first Newton
-        step are such seeds.
+        Newton iteration converges here only from starting points within
+        about 0.1 of w: of a 60 x 120 polar grid of them only 13 do.
         """
         pair = make_pair("koebe*moebius:0.9,0.2,1")
         w = 0.9454502314484716 + 0.2936389957993172j
         assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
 
-    def test_chart_seeds_are_tried_shortest_newton_step_first(self):
-        """A point the 9 seeds miss, whose nearest chart images lie on the wrong side of the slit.
-
-        Tried nearest image first, the chart converged only from its node
-        1,796, after 34,050 ``psi_dpsi`` calls; ordered by the length of the
-        first Newton step, its first node converges.
-        """
-        pair, calls = TestStallExit.counting(make_pair("koebe*moebius:-0.691799,0.635898,2.423348"))
-        w = -0.7236581907026007 + 0.6900136469875349j
-        assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-12
-        assert len(calls) <= 600
-
-    @pytest.mark.xfail(strict=True, raises=NewtonConvergenceError)
     def test_point_next_to_the_twisted_pole(self):
         """An interior point (|w| = 0.9999) just above the far part of a twisted Koebe slit.
 
         Its image z is about -288.687+12.391i.  The twist's Moebius map sends
         w to 0.99701+0.05872i, 1.3e-3 from the circle next to Koebe's pole
-        at 1, so |psi'| is about 1.2e5 there and all 1,809 seeds fail.
+        at 1, so |psi'| is about 1.2e5 there; damped Newton from 1,809
+        starting points spread over the disc never converged.
         """
         pair = make_pair("koebe*moebius:-0.389374,0.786477,3.4407")
         w = -0.497131156877797 + 0.8675601551831107j
         assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
 
-    @pytest.mark.xfail(strict=True, raises=NewtonConvergenceError)
     @pytest.mark.parametrize("name, w", [
         ("koebe*moebius:0.8044244607564529,0.30994223372211926,5.265833882977374",
          0.9117488131037608 + 0.41050470375366416j),
@@ -238,11 +238,40 @@ class TestInversion:
     def test_points_near_the_twisted_pole(self, name, w):
         """Three more interior points, 0.0054-0.0128 from the circle point the twist sends to 1.
 
-        There |psi'| is 2.7e3 to 8.7e4, and all 1,809 seeds fail, as at
-        the point of the test above.
+        There |psi'| is 2.7e3 to 8.7e4, and damped Newton from 1,809
+        starting points fails, as at the point of the test above.
         """
         pair = make_pair(name)
         assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
+
+    def test_untwisted_koebe_point_next_to_the_pole(self):
+        """A point 2.3e-3 from Koebe's pole at 1, where |psi'| is about 1.6e8.
+
+        Its image z is about -1.885e5+1.6e3i; damped Newton from 1,809
+        starting points spread over the disc never converged.
+        """
+        pair = koebe_map()
+        w = 0.9999873476183951 + 0.0023031941140786577j
+        assert abs(pair.invert(complex(pair.psi(w)))[0] - w) < 1e-9
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(name=catalog_maps(),
+           w=st.lists(st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.0, 0.9999), ANGLE),
+                      min_size=2, max_size=12))
+    def test_round_trip_property(self, name, w):
+        """Both entry points recover w to 1e-9, with psi'(w) bit for bit; a split batch agrees."""
+        pair = make_pair(name)
+        z = pair.psi(np.array(w))
+        for w_k, z_k in zip(w, z.tolist()):
+            w_back, dw = pair.invert(z_k)
+            assert abs(w_back - w_k) < 1e-9
+            assert repr(dw) == repr(complex(pair.dpsi(w_back)))
+        whole = pair.invert_many(z)
+        assert whole[1].all() and np.max(np.abs(whole[0] - w)) < 1e-9
+        assert whole[2].tobytes() == pair.dpsi(whole[0]).tobytes()
+        k = len(w) // 2
+        for joined, first, second in zip(whole, pair.invert_many(z[:k]), pair.invert_many(z[k:])):
+            assert np.array_equal(joined, np.concatenate([first, second]))
 
     @pytest.mark.parametrize("name, z", [
         ("koebe", -0.32 + 0.24j),
@@ -258,21 +287,24 @@ class TestInversion:
 
     @pytest.mark.parametrize("name", ALL_NAMES + ["koebe*moebius:0.5,0.2,1"])
     def test_psi_dpsi_returns_new_arrays(self, name):
-        """invert_many writes into psi_dpsi's outputs, so neither may share memory with w."""
+        """invert_many writes into what psi_dpsi and phi return, so neither may share its input."""
+        pair = make_pair(name)
         w = np.array(interior_points(5, radius=0.9))
-        value, deriv = make_pair(name).psi_dpsi(w)
+        value, deriv = pair.psi_dpsi(w)
         for out in (value, deriv):
             assert out.flags.writeable and not np.shares_memory(out, w)
         assert not np.shares_memory(value, deriv)
+        back = pair.phi(value)
+        assert back.flags.writeable and not np.shares_memory(back, value)
 
     def test_koebe_origin_with_seed(self):
         pair = koebe_map()
-        assert abs(pair.invert(0j, seed=0.1)[0]) < 1e-12
+        assert abs(pair.invert(0j)[0]) < 1e-12
 
     def test_forward_then_invert(self):
         pair = koebe_map()
         z = complex(pair.eval_psi(0.5j))
-        assert pair.invert(z, seed=0.4j)[0] == pytest.approx(0.5j, abs=1e-10)
+        assert pair.invert(z)[0] == pytest.approx(0.5j, abs=1e-10)
 
     def test_identity_inversion(self):
         pair = identity_map()
@@ -301,7 +333,7 @@ class TestInversion:
         pair = koebe_map()
         w = np.array(interior_points(50, radius=0.9))
         z = pair.psi(w)
-        w_back, ok, _ = pair.invert_many(z, w * 0.9)
+        w_back, ok, _ = pair.invert_many(z)
         assert np.all(ok)
         assert np.max(np.abs(w_back - w)) < 1e-10
 
@@ -309,53 +341,16 @@ class TestInversion:
     def test_vectorized_inversion_returns_dpsi_at_w(self, name):
         pair = make_pair(name)
         w = np.array(interior_points(64, radius=0.9)).reshape(8, 8)
-        w_back, ok, dw = pair.invert_many(pair.psi(w), np.zeros_like(w))
+        w_back, ok, dw = pair.invert_many(pair.psi(w))
         assert np.all(ok) and dw.shape == w.shape
         assert dw.tobytes() == pair.dpsi(w_back).tobytes()
 
     def test_vectorized_inversion_of_one_point(self):
         pair = koebe_map()
-        w_back, ok, dw = pair.invert_many(np.asarray(pair.psi(0.5 + 0.2j)), np.asarray(0j))
+        w_back, ok, dw = pair.invert_many(np.asarray(pair.psi(0.5 + 0.2j)))
         assert ok and w_back.shape == () and dw.shape == ()
         assert abs(w_back - (0.5 + 0.2j)) < 1e-12
         assert complex(dw) == complex(pair.dpsi(w_back))
-
-
-class TestStallExit:
-    """A seed pinned against the circle with a flat residual is dropped early."""
-
-    NAME = "koebe*moebius:-0.4925713489744831,0.22012598368706568,3.4138578100771526"
-    W = 0.18094358200525748 + 0.7828904073064533j
-    #: the seed-0 attempt walks toward the circle, each step needing about two
-    #: more halvings than the last; without the stall exit it made 48 psi and
-    #: 40 dpsi calls before the halving limit of 60 ended it
-    MAX_FUSED_CALLS = 20
-
-    @staticmethod
-    def counting(pair):
-        calls = []
-        fused = pair.psi_dpsi
-
-        def psi_dpsi(w):
-            calls.append(w)
-            return fused(w)
-
-        return replace(pair, psi_dpsi=psi_dpsi), calls
-
-    def test_stalled_seed_is_dropped(self):
-        pair, calls = self.counting(make_pair(self.NAME))
-        z = complex(pair.psi(self.W))
-        assert pair._newton_from(0j, z, NEWTON_TOL * (1.0 + abs(z))) is None
-        assert 0 < len(calls) <= self.MAX_FUSED_CALLS
-
-    def test_default_seeds_still_invert(self):
-        pair = make_pair(self.NAME)
-        assert abs(pair.invert(complex(pair.psi(self.W)))[0] - self.W) < 1e-12
-
-    def test_explicit_stalled_seed_raises(self):
-        pair = make_pair(self.NAME)
-        with pytest.raises(NewtonConvergenceError):
-            pair.invert(complex(pair.psi(self.W)), seed=0)
 
 
 class TestSingularExponents:

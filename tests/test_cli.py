@@ -223,12 +223,12 @@ class TestIsometryCommand:
         assert err == f"error: {message}\n"
 
     def test_failed_inversion_is_a_numerical_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(catalog, "NEWTON_MAX_ITER", 0)
+        monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
         code, out, err = run(capsys, "isometry", "--map", "cardioid")
         assert code == 2
         assert out == ""
-        assert err == ("error: forward-patch inversion failed at z=(0.0021130817143279737"
-                       "+1.0587934716559885e-05j) (map cardioid, cell (0.0, 0.4, 0.0, "
+        assert err == ("error: forward-patch inversion failed at z=(0.0037463094319602043"
+                       "+0.025598225642503865j) (map cardioid, cell (0.0, 0.4, 0.0, "
                        "1.5707963267948966))\n")
 
 

@@ -156,7 +156,8 @@ class TestPDistortion:
     @pytest.mark.parametrize("w", [-0.9, -0.95, -0.97, -0.98, -0.95 + 0.05j, -0.96 - 0.1j])
     def test_near_the_zero_of_the_derivative(self, w):
         # Koebe's psi' vanishes at -1, so a small residual |psi(w) - z| still
-        # leaves w off by that over |psi'(w)|; Newton's last step must polish it
+        # leaves w off by that over |psi'(w)|; the inverse must do better than
+        # the residual target alone asks
         pair = koebe_map()
         z = complex(pair.psi(complex(w)))
         expected = abs(complex(pair.dpsi(complex(w)))) ** (2.0 - 4.0)

@@ -4,9 +4,9 @@ Each value was generated once and must be reproduced digit for digit, so
 a change meant to be a pure speed-up shows any moved bit here.  The cases
 cover the three grading specs of the scan-cold benchmark, converged and
 diverging tails, twisted maps with clustered singular points and maps
-that carry a pole off the circle.  The inversions cover the scalar Newton
-loop from its default seeds, from an explicit seed and from the polar
-chart, the vectorized loop, and the p-distortion built on the scalar one.
+that carry a pole off the circle.  The inversions cover the scalar and
+the vectorized inverse (closed form, with a Newton step where needed),
+and the p-distortion built on the scalar one.
 A change that moves a value on purpose regenerates the value and says so.
 """
 
@@ -191,8 +191,8 @@ def test_complex_integrand():
 
 
 @pytest.mark.parametrize("name, function, patch, expected", [
-    ("koebe*moebius:0.5,0.2,1", harmonic_poly(1), (0.0, 0.8), 1.0000000000000382),
-    ("cardioid", shifted_log(), (0.3, 0.7), 1.000000000000012),
+    ("koebe*moebius:0.5,0.2,1", harmonic_poly(1), (0.0, 0.8), 1.0),
+    ("cardioid", shifted_log(), (0.3, 0.7), 0.9999999999999999),
 ])
 def test_isometry_check(name, function, patch, expected):
     assert repr(isometry_check(make_pair(name), function, patch)) == repr(expected)
@@ -208,32 +208,31 @@ def test_pullback_seminorm(name, function, q, expected):
 
 CARDIOID_RING = "cardioid*moebius:0.05027829237277964,-0.8519746811694262,5.231008658459677"
 
-#: (map, z, seed, w): default seeds, explicit seeds, and two points only the polar chart
-#: reaches; "ring" keeps the id and the bits it had when a seed ring at radius 0.9
-#: reached it, and "chart" lies just above a twisted slit
+#: (map, z, w).  The ids name how damped Newton first reached each point: from
+#: an explicit seed ("-seed"), from a seed ring at radius 0.9 ("ring") or from a
+#: polar chart of seeds ("chart", a point just above a twisted slit)
 INVERSIONS = [
-    ("koebe*moebius:0.5,0.2,1", (-0.19751142214497933-0.03735471221563994j), None,
-     (0.30000000000000004+0.3999999999999999j)),
-    ("sector:1.5", (-0.18359697561789173+0.2543131910579923j), None,
-     (0.5999999999999999-0.7j)),
-    ("koebe", (-0.32+0.24j), 0.4j, (-1.6912231714180652e-18+0.5j)),
-    ("sector:1.7*moebius:-0.6,0.7,2", (-0.37899070902247767-0.4322566852182905j), (0.1-0.1j),
-     (-0.20000000000000007+0.5000000000000006j)),
-    (CARDIOID_RING, (0.4861418197530831-0.025292296277159718j), None,
+    ("koebe*moebius:0.5,0.2,1", (-0.19751142214497933-0.03735471221563994j),
+     (0.30000000000000016+0.39999999999999997j)),
+    ("sector:1.5", (-0.18359697561789173+0.2543131910579923j), (0.6000000000000001-0.7j)),
+    ("koebe", (-0.32+0.24j), 0.5j),
+    ("sector:1.7*moebius:-0.6,0.7,2", (-0.37899070902247767-0.4322566852182905j),
+     (-0.1999999999999999+0.5000000000000002j)),
+    (CARDIOID_RING, (0.4861418197530831-0.025292296277159718j),
      (0.37214225843646453-0.8039647891521694j)),
-    ("koebe*moebius:0.9,0.2,1", (-0.25585099748369394+0.005157626244264086j), None,
-     (0.9454502314484716+0.2936389957993173j)),
+    ("koebe*moebius:0.9,0.2,1", (-0.25585099748369394+0.005157626244264086j),
+     (0.9454502314484715+0.2936389957993173j)),
 ]
 
 
-@pytest.mark.parametrize("name, z, seed, expected", INVERSIONS,
+@pytest.mark.parametrize("name, z, expected", INVERSIONS,
                          ids=["twisted-koebe", "sector", "koebe-seed", "twisted-sector-seed",
                               "ring", "chart"])
-def test_invert(name, z, seed, expected):
-    assert repr(make_pair(name).invert(z, seed)[0]) == repr(expected)
+def test_invert(name, z, expected):
+    assert repr(make_pair(name).invert(z)[0]) == repr(expected)
 
 
-#: (map, z, then the hex of w, ok and psi"(w) from invert_many(z, 0))
+#: (map, z, then the hex of w, ok and psi"(w) from invert_many(z))
 INVERT_MANY = [
     ("koebe*moebius:0.5,0.2,1",
      [
@@ -245,14 +244,14 @@ INVERT_MANY = [
          (-0.30487378754542316+0.09750457014024501j),
      ],
      (
-         "333333333333c33f000010f9d1eca7bc470851726160cbbf096a18a37f11c9bf"
-         "608ed8b56057a33fb1acec7ce169db3fffef6c5a632dd63f74f35c26fbf6dcbf"
-         "df1e108e8a5ee6bfcc4a2fc3ebcfbf3f37d368defec8e5bfeb5cd4a87f70e73f"),
-     "010101010100",
+         "353333333333c33ffc76a927e307a4bc530851726160cbbf026a18a37f11c9bf"
+         "1d8ed8b56057a33fb0acec7ce169db3f00f06c5a632dd63f74f35c26fbf6dcbf"
+         "e11e108e8a5ee6bf9b4a2fc3ebcfbf3f5cf4e16539f7e63f6e1629662326dd3f"),
+     "010101010101",
      (
-         "c04847555ac5de3fb33e561887c4d8bfbc46ac722e0a983f4b35e65f0890d2bf"
-         "89c4dc6a16c2c83fee544dafe4b5883f5aa955af6e14ecbf6e341c94a8bcf0bf"
-         "cb563e60570aa03f5df8ec7c21e2bbbf27adc508bfeeaa3f09eee8022108a9bf")),
+         "c04847555ac5de3fb33e561887c4d8bfc746ac722e0a983f4735e65f0890d2bf"
+         "89c4dc6a16c2c83f6a544dafe4b5883f5ba955af6e14ecbf6a341c94a8bcf0bf"
+         "c9563e60570aa03f5ef8ec7c21e2bbbfd38997b9750beabf83c6e7f05b9f8fbf")),
     ("sector:1.3*moebius:-0.3,0.8,2",
      [
          (-0.08020767844079237-0.33864199047444876j),
@@ -263,14 +262,14 @@ INVERT_MANY = [
          (-0.18034228202475855-0.4017211090784197j),
      ],
      (
-         "aa2f33333333c33f0000c0ac1110223d470851726160cbbf346a18a37f11c9bf"
-         "2e8ed8b56057a33fb4acec7ce169db3f05ef6c5a632dd63f60f55c26fbf6dcbf"
-         "e01e108e8a5ee6bf914a2fc3ebcfbf3f59f4e16539f7e63f601629662326dd3f"),
+         "463333333333c33f5955555555c5b5bc520851726160cbbf196a18a37f11c9bf"
+         "568ed8b56057a33fb2acec7ce169db3ff8ef6c5a632dd63f79f35c26fbf6dcbf"
+         "de1e108e8a5ee6bf934a2fc3ebcfbf3f53f4e16539f7e63f6e1629662326dd3f"),
      "010101010101",
      (
-         "7996aa21b600c2bf25284448ccfbb7bf30711e83f791a1bf7dc0a235089bc0bf"
-         "4edf45f1f814debfd2d4a7b96756c9bf0b2727b5a6c8b0bfaafed59ecf39a5bf"
-         "e98134923053c13fa1a25f1e820fc1bfe332d6b13e86bbbf5471a74c2d10bd3f")),
+         "4095aa21b600c2bf31254448ccfbb7bf2d711e83f791a1bf83c0a235089bc0bf"
+         "4bdf45f1f814debfbed4a7b96756c9bfdc2727b5a6c8b0bf29fed59ecf39a5bf"
+         "e98134923053c13fa3a25f1e820fc1bfef32d6b13e86bbbf6971a74c2d10bd3f")),
     ("cardioid*moebius:0.67,0.67,5",
      [
          (-1.0787083781123634+0.7972330280023487j),
@@ -281,14 +280,14 @@ INVERT_MANY = [
          (-1.0753763621290235+0.25461686428734703j),
      ],
      (
-         "1e3c33333333c33f0000885c83a12ebd1a0851726160cbbfb36918a37f11c9bf"
-         "1e8fd8b56057a33fb3acec7ce169db3fcafe6c5a632dd63fc6395b26fbf6dcbf"
-         "b7390f8e8a5ee6bfe49e33c3ebcfbf3f5df4e16539f7e63f731629662326dd3f"),
+         "333333333333c33f8e03070e1cd4d6bc8e0851726160cbbf2d6a18a37f11c9bf"
+         "5a8fd8b56057a33fb4acec7ce169db3f05f06c5a632dd63f6af35c26fbf6dcbf"
+         "dc1e108e8a5ee6bfa34a2fc3ebcfbf3f5af4e16539f7e63f6b1629662326dd3f"),
      "010101010101",
      (
-         "76379848cb2ca4bf7a6596f3409bcdbf119b3a4b53057e3f0b0e93446bb3bebf"
-         "607a93da4065ce3fec8d1eb11f55d0bfc851517d1fb9babf8e9c8d84e5c7b6bf"
-         "a920635735f2af3fd11955bb4ffdafbfdcf3481fcf8501c0c422fb1505ecedbf")),
+         "99219848cb2ca4bf786696f3409bcdbfc09a3a4b53057e3fcf0d93446bb3bebf"
+         "667a93da4065ce3ff18d1eb11f55d0bf5089507d1fb9babf235d8c84e5c7b6bf"
+         "6ba9615735f2af3fb5fb53bb4ffdafbfcdf3481fcf8501c0c522fb1505ecedbf")),
 ]
 
 
@@ -296,15 +295,15 @@ INVERT_MANY = [
                          ids=[n for n, *_ in INVERT_MANY])
 def test_invert_many(name, z, w_hex, ok_hex, dw_hex):
     z = np.array(z)
-    w, ok, dw = make_pair(name).invert_many(z, np.zeros_like(z))
+    w, ok, dw = make_pair(name).invert_many(z)
     assert (w.tobytes().hex(), ok.tobytes().hex(), dw.tobytes().hex()) == (w_hex, ok_hex, dw_hex)
 
 
 @pytest.mark.parametrize("name, z, p, expected", [
-    ("koebe*moebius:0.5,0.2,1", (0.3+0.4j), 4.0, 0.04146864359980763),
+    ("koebe*moebius:0.5,0.2,1", (0.3+0.4j), 4.0, 0.041468643599807585),
     ("sector:1.7*moebius:-0.6,0.7,2", (0.2+0.1j), 1.5, 2.4855151703780876),
     ("cardioid*moebius:0.5,-0.3,1", (-0.1+0.3j), 3.0, 0.550965841979072),
-    ("moebius:0.3,0,1*moebius:0.2,0.1,0.5", (0.4-0.2j), 6.0, 0.5176947231264676),
+    ("moebius:0.3,0,1*moebius:0.2,0.1,0.5", (0.4-0.2j), 6.0, 0.5176947231264672),
 ])
 def test_p_distortion(name, z, p, expected):
     assert repr(p_distortion(make_pair(name), z, p)) == repr(expected)

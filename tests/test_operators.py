@@ -283,8 +283,7 @@ def reference_coons_grid(pair, cells, n):
            - (-(1.0 - U) * p00 - U * p10 + (1.0 - U) * p01 + U * p11))
     jac = np.imag(np.conj(z_u) * z_v)
     weights = wu[:, None] * wu[None, :] * jac
-    seeds = r_u[:, :, None] * e_u[:, None, :]
-    return z, weights, seeds, jac.min(axis=(1, 2))
+    return z, weights, jac.min(axis=(1, 2))
 
 
 def seed_cells(r0, r1):
@@ -321,9 +320,9 @@ class TestForwardPatch:
         blocks = []
         invert_many = ConformalPair.invert_many
 
-        def recording(pair, z, seeds):
+        def recording(pair, z):
             blocks.append(len(z))
-            return invert_many(pair, z, seeds)
+            return invert_many(pair, z)
 
         monkeypatch.setattr(ConformalPair, "invert_many", recording)
         isometry_check(make_pair(name), harmonic_poly(1), patch=patch)
@@ -341,7 +340,7 @@ class TestForwardPatch:
         pair = make_pair(name)
         cells = np.array(reference_patch_cells(pair, 0.0, 0.8))
         assert len(cells) == 8
-        assert np.any(operators._coons_grid(pair, cells, 16)[3] <= 0.0)
+        assert np.any(operators._coons_grid(pair, cells, 16)[2] <= 0.0)
         assert isometry_check(pair, f) == pytest.approx(ratio, rel=0.0, abs=1e-12)
 
     def test_fold_at_the_last_level_raises(self, monkeypatch):
@@ -352,10 +351,10 @@ class TestForwardPatch:
             isometry_check(koebe_map(), harmonic_poly(1))
 
     def test_failed_inversion_names_point_map_and_cell(self, monkeypatch):
-        """With no Newton steps allowed no chart node converges; the first cell is named."""
-        monkeypatch.setattr(catalog, "NEWTON_MAX_ITER", 0)
-        message = ("forward-patch inversion failed at z=(0.0021130817143279737"
-                   "+1.0587934716559885e-05j) (map cardioid, cell (0.0, 0.4, 0.0, "
+        """With a residual target of 0 chart nodes fail to invert; the first cell is named."""
+        monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
+        message = ("forward-patch inversion failed at z=(0.0037463094319602043"
+                   "+0.025598225642503865j) (map cardioid, cell (0.0, 0.4, 0.0, "
                    "1.5707963267948966))")
         with pytest.raises(NewtonConvergenceError, match=f"^{re.escape(message)}$"):
             isometry_check(make_pair("cardioid"), harmonic_poly(1))
@@ -363,15 +362,13 @@ class TestForwardPatch:
     def test_inversion_does_not_depend_on_batch(self):
         pair = koebe_map()
         cells = np.array(reference_patch_cells(pair, 0.0, 0.8))[[0, -1]]
-        z, _, seeds, _ = operators._coons_grid(pair, cells, 16)
+        z = operators._coons_grid(pair, cells, 16)[0]
         # a point on the slit, outside the image domain, never converges, and
-        # a point seeded at its own preimage has converged before the first step
-        done = 0.3 + 0.2j
-        z = np.concatenate([z.ravel(), [-1.0 + 0j, complex(pair.psi(done))]])
-        seeds = np.concatenate([seeds.ravel(), [0j, done]])
-        w, ok, dw = pair.invert_many(z, seeds)
-        assert ok[:-2].all() and not ok[-2] and ok[-1] and w[-1] == done
-        parts = [pair.invert_many(z[s], seeds[s])
+        # the origin is inverted without a Newton step
+        z = np.concatenate([z.ravel(), [-1.0 + 0j, 0j]])
+        w, ok, dw = pair.invert_many(z)
+        assert ok[:-2].all() and not ok[-2] and ok[-1] and w[-1] == 0.0
+        parts = [pair.invert_many(z[s])
                  for s in (slice(0, 256), slice(256, 512), slice(512, None))]
         assert np.array_equal(w, np.concatenate([p[0] for p in parts]))
         assert np.array_equal(ok, np.concatenate([p[1] for p in parts]))
@@ -390,18 +387,17 @@ class TestForwardPatch:
         pair = make_pair(name)
         cells = np.array(reference_patch_cells(pair, 0.0, 0.8) + reference_patch_cells(pair, 0.3, 0.7)
                          + seed_cells(0.0, 0.8) + seed_cells(0.3, 0.7))
-        z, weights, seeds, jac_min = operators._coons_grid(pair, cells, 16)
-        z_ref, weights_ref, seeds_ref, jac_min_ref = reference_coons_grid(pair, cells, 16)
+        z, weights, jac_min = operators._coons_grid(pair, cells, 16)
+        z_ref, weights_ref, jac_min_ref = reference_coons_grid(pair, cells, 16)
         for new, ref in ((z, z_ref), (weights, weights_ref)):
             norm = np.linalg.norm(ref.reshape(len(cells), -1), axis=1)
             assert np.all(np.linalg.norm((new - ref).reshape(len(cells), -1), axis=1) <= 1e-14 * norm)
-        assert np.array_equal(seeds, seeds_ref)
         assert np.array_equal(np.sign(jac_min), np.sign(jac_min_ref))
 
     def test_reference_cells_include_folded_charts(self):
         folded = [name for name in PATCH_MAPS
                   if np.any(reference_coons_grid(make_pair(name), np.array(seed_cells(0.0, 0.8)),
-                                                 16)[3] <= 0.0)]
+                                                 16)[2] <= 0.0)]
         assert folded
 
     @pytest.mark.parametrize("name", PATCH_MAPS)
