@@ -8,7 +8,10 @@ domain-side energy is integrated over the forward image of a disc patch,
 with every quadrature node mapped back through the map's closed-form
 inverse (polished by a Newton step where its residual misses the target)
 and the measure supplied by transfinite charts built from the mapped
-patch edges, so nothing cancels by construction.
+patch edges, so nothing cancels by construction.  The patch is cut into
+polar cells no larger than their distance from the map's singular points
+and poles, because Gauss-Legendre on a cell converges at a rate set by that
+ratio alone, whatever the singular exponent.
 """
 
 from __future__ import annotations
@@ -265,18 +268,20 @@ def norm_ratio_report(pair: ConformalPair, p: float, q: float,
 # forward-patch isometry check
 # ---------------------------------------------------------------------------
 
-#: maximal |psi'| variation tolerated inside one patch cell before splitting
-DISTORTION_CAP = 1.8
+#: largest ratio of a patch cell's size to its distance from psi's nearest
+#: singular location; a cell past it is split
+PROXIMITY_CAP = 1.0
 _MAX_SPLIT_DEPTH = 18
 #: Gauss-Legendre nodes per side of a cell chart
 _CHART_ORDER = 16
 #: cells charted and inverted together.  A block's chart and inversion
-#: temporaries are live at once (32 cells at order 16 are 8,192 nodes, 128 KB
-#: per complex array).  The isometry checks of patch-newton seed 3 took a median
-#: 2.97, 3.00 and 2.82 s of CPU at 16, 32 and 64 cells, with overlapping
-#: quartiles, and traced memory peaks of 1.3, 1.7 and 2.8 MB (eight runs each,
-#: in process, shared 2-CPU Xeon)
-_BLOCK_CELLS = 32
+#: temporaries are live at once (16 cells at order 16 are 4,096 nodes, 64 KB
+#: per complex array).  The 189 isometry checks of patch-newton seed 3 (about
+#: 8,600 cells) took a median 1.02, 1.08 and 1.09 s of CPU at 16, 32 and 64
+#: cells, timed check by check in alternating order, six runs each, with 16
+#: fastest in every run; whole-run timings overlapped.  Traced memory peaks
+#: were 0.8, 1.2 and 2.0 MB (in process, shared 2-CPU Xeon)
+_BLOCK_CELLS = 16
 #: the isometry check's disc-side rule: 48 radial nodes, 32 panels of 8 angular nodes
 _DISC_SIDE_SPEC = GradingSpec(radial_order=48, angular_base=256)
 
@@ -292,16 +297,22 @@ def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def _cell_distortion(cells: np.ndarray, pair: ConformalPair) -> np.ndarray:
-    """max |psi'| / min |psi'| over a 3 x 3 polar grid on each cell (inf where psi' vanishes)."""
+def _cell_proximity(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """Size over distance to the nearest singular location, per cell (inf where the bound is <= 0).
+
+    The size is ``h = max(rb - ra, rb (tb - ta))``.  Every point of a cell
+    lies within ``h/2`` of its 3 x 3 polar grid, so the grid's nearest
+    distance less ``h/2`` bounds the cell's distance from below.
+    """
     ra, rb, ta, tb = cells.T[:4]
+    size = np.maximum(rb - ra, rb * (tb - ta))
     # np.linspace(a, b, 3) per cell: a, a + (b - a)/2, b
     r = np.stack([ra, ra + (rb - ra) / 2, rb], axis=1)
     t = np.stack([ta, ta + (tb - ta) / 2, tb], axis=1)
     w = r[:, :, None] * np.exp(1j * t)[:, None, :]
-    mags = np.abs(pair.dpsi(w))
-    lo, hi = mags.min(axis=(1, 2)), mags.max(axis=(1, 2))
-    return np.divide(hi, lo, out=np.full_like(hi, math.inf), where=lo != 0.0)
+    dist = np.min(np.abs(w[..., None] - singular), axis=(1, 2, 3), initial=math.inf)
+    dist -= 0.5 * size
+    return np.divide(size, dist, out=np.full_like(size, math.inf), where=dist > 0.0)
 
 
 def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
@@ -399,28 +410,35 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: flo
     inverse, with one Newton step where its residual misses the target),
     which also returns psi' at the inverted node; the chart Jacobian
     carries the measure.  The patch is refined a level at a time: cells
-    whose |psi'| varies by more than ``DISTORTION_CAP`` and cells whose
-    chart folds are set aside, and their halves form the next level.  The
-    other cells are charted and inverted a block of ``_BLOCK_CELLS`` at a
-    time by :func:`_block_sums`, with one ``psi_dpsi`` call for the block's
-    edges and corners and one ``invert_many`` call for its nodes, and their
-    sums are added one by one.  A level's last partial block waits for the
+    larger than ``PROXIMITY_CAP`` times their distance from psi's nearest
+    singular location (a singular point on the circle or a pole off it, as
+    bounded by :func:`_cell_proximity`) and cells whose chart folds are
+    set aside, and their halves form the next level; no psi' is evaluated
+    to decide a split.  The other cells are charted and inverted a block of
+    ``_BLOCK_CELLS`` at a time by :func:`_block_sums`, with one ``psi_dpsi``
+    call for the block's edges and corners and one ``invert_many`` call for
+    its nodes, and their sums are added one by one.  A level's last partial block waits for the
     next level's cells, so only the last level charts a partial block.  A
     cell row is (ra, rb, ta, tb, depth): cells ``_MAX_SPLIT_DEPTH`` splits
-    deep skip the distortion test, and a fold among them raises.
+    deep skip the proximity test, and a fold among them raises.
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
     cells = np.array([(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants])
-    # undistorted cells not charted yet
+    # psi's singular locations: each singular point and each pole 1/c (a twist
+    # can carry a pole to c = 0, as in moebius:0.3,0,0*moebius:-0.3,0,0, where
+    # its factor is 1)
+    singular = np.array([sp.location for sp in pair.singular_points]
+                        + [1.0 / c for c, _ in pair.poles if c], dtype=complex)
+    # cells far enough from the singular locations, not charted yet
     ready = cells[:0]
     total = 0.0
     while len(cells):
-        distorted = np.zeros(len(cells), dtype=bool)
+        near = np.zeros(len(cells), dtype=bool)
         testable = cells[:, 4] < _MAX_SPLIT_DEPTH
-        distorted[testable] = _cell_distortion(cells[testable], pair) > DISTORTION_CAP
-        halve = [cells[distorted]]
-        ready = np.concatenate([ready, cells[~distorted]])
+        near[testable] = _cell_proximity(cells[testable], singular) > PROXIMITY_CAP
+        halve = [cells[near]]
+        ready = np.concatenate([ready, cells[~near]])
         while len(ready):
             # a partial block waits for the next level's cells, if there is a next level
             if len(ready) < _BLOCK_CELLS and any(map(len, halve)):
@@ -445,10 +463,13 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     inversion of every node, with ``|phi'(z)| = 1/|psi'(w)|`` from the
     psi' the inversion computed at w); the disc side integrates
     ``|grad f|^2`` over the patch directly.  The two agree exactly when
-    ``|phi'|^2`` is the Jacobian, so the returned ratio should be 1.  A node
-    whose inverse misses the residual target raises NewtonConvergenceError,
-    and a chart still folded after ``_MAX_SPLIT_DEPTH`` splits raises
-    RuntimeError.
+    ``|phi'|^2`` is the Jacobian, so the returned ratio should be 1, to
+    rounding: the patch's cells are refined toward psi's singular points and
+    poles (see :func:`_forward_patch_integral`), though not toward f's own
+    singularities, such as ``shifted_log``'s at w = 2 or ``boundary_power``'s
+    on the unit circle, which lie off the patch.  A node whose inverse
+    misses the residual target raises NewtonConvergenceError, and a chart
+    still folded after ``_MAX_SPLIT_DEPTH`` splits raises RuntimeError.
     """
     r0, r1 = patch
     if not 0.0 <= r0 < r1 < 1.0:

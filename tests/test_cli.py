@@ -227,9 +227,9 @@ class TestIsometryCommand:
         code, out, err = run(capsys, "isometry", "--map", "cardioid")
         assert code == 2
         assert out == ""
-        assert err == ("error: forward-patch inversion failed at z=(0.0037463094319602043"
-                       "+0.025598225642503865j) (map cardioid, cell (0.0, 0.4, 0.0, "
-                       "1.5707963267948966))\n")
+        assert err == ("error: forward-patch inversion failed at z=(0.00018978695522702503"
+                       "+0.02696230835349647j) (map cardioid, cell (0.0, 0.4, "
+                       "1.5707963267948966, 3.141592653589793))\n")
 
 
 class TestDualityCommand:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from brennanlab import catalog, operators
 from brennanlab.catalog import (
@@ -31,6 +32,7 @@ from brennanlab.operators import (
     standard_family,
 )
 from brennanlab.quadrature import Classification, _gauss
+from test_catalog import catalog_maps
 
 CATALOG = ["identity", "moebius:0.3,0.2,1.1", "koebe", "sector:1.5",
            "cardioid", "cardioid*moebius:0.3,0,0.5"]
@@ -200,14 +202,37 @@ class TestIsometry:
     def test_family_is_three_functions(self):
         assert len(isometry_family()) == 3
 
+    @pytest.mark.parametrize("name", [
+        "sector:0.599947457115229*moebius:-0.04932998174206425,-0.12091559093965801,"
+        "2.4825619075327716",
+        "cardioid*moebius:0.019994321434352483,-0.1845200936268209,2.0745870282636427",
+    ], ids=["twisted-sector", "twisted-cardioid"])
+    def test_small_exponent_maps_are_resolved(self, name):
+        """Checks that |psi'| refinement left 7.6e-7 and 4.3e-9 off: a small exponent's
+        |psi'| barely varies near its singular point, though the integrand does."""
+        ratio = isometry_check(make_pair(name), boundary_power(1.5))
+        assert abs(ratio - 1.0) <= 1e-13
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(name=catalog_maps())
+    def test_ratio_is_one_to_rounding_property(self, name):
+        """Every family, twisted or not, and every isometry function: the ratio is 1 to 1e-13."""
+        pair = make_pair(name)
+        for f in isometry_family():
+            assert abs(isometry_check(pair, f, patch=(0.0, 0.8)) - 1.0) <= 1e-13
+
 
 def reference_patch_cells(pair, r0, r1):
     """Patch cells refined one cell at a time from a stack, depth first.
 
-    Each cell is split until |psi'| varies by at most ``DISTORTION_CAP`` on
-    it or it lies ``_MAX_SPLIT_DEPTH`` splits below its seed cell; the
+    Each cell is split until its size max(rb - ra, rb (tb - ta)) is at most
+    ``PROXIMITY_CAP`` times a lower bound on its distance from psi's nearest
+    singular location (the nearest of its 3 x 3 polar grid less half the
+    size), or it lies ``_MAX_SPLIT_DEPTH`` splits below its seed cell; the
     leaves are the cells the forward integral should chart.
     """
+    singular = ([sp.location for sp in pair.singular_points]
+                + [1.0 / c for c, _ in pair.poles if c])
 
     def split(cell):
         ra, rb, ta, tb = cell
@@ -217,14 +242,14 @@ def reference_patch_cells(pair, r0, r1):
             return [(ra, rm, ta, tb), (rm, rb, ta, tb)]
         return [(ra, rb, ta, tm), (ra, rb, tm, tb)]
 
-    def distortion(cell):
+    def too_near(cell):
         ra, rb, ta, tb = cell
-        r = np.linspace(ra, rb, 3)
-        t = np.linspace(ta, tb, 3)
-        w = r[:, None] * np.exp(1j * t)[None, :]
-        mags = np.abs(pair.dpsi(np.where(np.abs(w) > 0, w, 0.0)))
-        lo = float(np.min(mags))
-        return math.inf if lo == 0.0 else float(np.max(mags)) / lo
+        size = max(rb - ra, rb * (tb - ta))
+        grid = [r * complex(math.cos(t), math.sin(t))
+                for r in np.linspace(ra, rb, 3) for t in np.linspace(ta, tb, 3)]
+        dist = min((abs(w - s) for w in grid for s in singular), default=math.inf) - 0.5 * size
+        # a bound that reaches the cell counts as infinitely near
+        return (size / dist if dist > 0.0 else math.inf) > operators.PROXIMITY_CAP
 
     seeds = []
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
@@ -238,7 +263,7 @@ def reference_patch_cells(pair, r0, r1):
     stack = [(c, 0) for c in seeds]
     while stack:
         cell, depth = stack.pop()
-        if depth < operators._MAX_SPLIT_DEPTH and distortion(cell) > operators.DISTORTION_CAP:
+        if depth < operators._MAX_SPLIT_DEPTH and too_near(cell):
             stack.extend((c, depth + 1) for c in split(cell))
         else:
             out.append(cell)
@@ -335,8 +360,8 @@ class TestForwardPatch:
         ("koebe*moebius:0.5,0.2,1", boundary_power(1.5), 0.9999999973874437),
     ])
     def test_folded_charts_are_split(self, monkeypatch, name, f, ratio):
-        """Without distortion refinement some charts fold and take the split branch."""
-        monkeypatch.setattr(operators, "DISTORTION_CAP", math.inf)
+        """Without proximity refinement some charts fold and take the split branch."""
+        monkeypatch.setattr(operators, "PROXIMITY_CAP", math.inf)
         pair = make_pair(name)
         cells = np.array(reference_patch_cells(pair, 0.0, 0.8))
         assert len(cells) == 8
@@ -344,7 +369,7 @@ class TestForwardPatch:
         assert isometry_check(pair, f) == pytest.approx(ratio, rel=0.0, abs=1e-12)
 
     def test_fold_at_the_last_level_raises(self, monkeypatch):
-        monkeypatch.setattr(operators, "DISTORTION_CAP", math.inf)
+        monkeypatch.setattr(operators, "PROXIMITY_CAP", math.inf)
         monkeypatch.setattr(operators, "_MAX_SPLIT_DEPTH", 1)
         with pytest.raises(RuntimeError, match=r"degenerate forward chart on cell "
                                                r"\(0\.4, 0\.8, 0\.0, 0\.785"):
@@ -353,9 +378,9 @@ class TestForwardPatch:
     def test_failed_inversion_names_point_map_and_cell(self, monkeypatch):
         """With a residual target of 0 chart nodes fail to invert; the first cell is named."""
         monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
-        message = ("forward-patch inversion failed at z=(0.0037463094319602043"
-                   "+0.025598225642503865j) (map cardioid, cell (0.0, 0.4, 0.0, "
-                   "1.5707963267948966))")
+        message = ("forward-patch inversion failed at z=(0.00018978695522702503"
+                   "+0.02696230835349647j) (map cardioid, cell (0.0, 0.4, "
+                   "1.5707963267948966, 3.141592653589793))")
         with pytest.raises(NewtonConvergenceError, match=f"^{re.escape(message)}$"):
             isometry_check(make_pair("cardioid"), harmonic_poly(1))
 
