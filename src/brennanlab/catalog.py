@@ -47,23 +47,34 @@ arrays.
 
 Factor form
 -----------
-Every map's derivative is
-``psi'(w) = C * prod_k (1 - w/zeta_k)**e_k * prod_j (1 - c_j w)**f_j``.
-The ``zeta_k`` lie on the unit circle: Koebe has ``e = 1`` at -1 and
+Every map's derivative is ``psi'(w) = C * prod_k (1 - c_k w)**f_k``, one
+list of factors with ``|c_k| <= 1``, each 1 at w = 0, so that
+``|C| = |psi'(0)|`` and no family declares it.  A singular point
+``zeta_k`` on the unit circle gives the factor ``1 - w/zeta_k``, so
+``c_k = conj(zeta_k)`` and ``f_k = e_k``: Koebe has ``e = 1`` at -1 and
 ``e = -3`` at 1, a sector ``beta - 1`` at 1 and ``-(beta + 1)`` at -1, the
 cardioid ``1`` at 1, and the identity no factor.  The ``(zeta_k, e_k)``
-are the ``singular_points``.  The poles ``1/c_j`` lie off the closed disc
-(``|c_j| < 1``) and only twists make them.  Every factor is 1 at w = 0, so
-``|C| = |psi'(0)|`` and no family declares it.  A twist by ``m`` with
-parameter ``a`` carries every factor through ``m``: each ``zeta_k`` moves
-to ``m^-1(zeta_k)``, each ``c_j`` to the coefficient of the transported
-factor, and one new pole factor ``(1 - conj(a) w)**(-2 - sum of all
-exponents)`` appears, which is absent (exponent 0) for Koebe, sectors and
-a Moebius map twisted again.  ``ConformalPair.log_abs_dpsi_xy`` evaluates
-``log|psi'|`` from this form in real arithmetic at ``w = x + iy``, given
-``x`` and ``y``; the disc integrals call it on the real tensor grid of
-each quadrature ring.  The closed form ``dpsi`` never uses this form, so
-each checks the other.
+are the ``singular_points``.  A pole ``1/c_j`` lies off the closed disc
+(``|c_j| < 1``), and only twists make them; the ``(c_j, f_j)`` are the
+``poles``.  A twist by ``m`` with parameter ``a`` carries every factor
+through ``m``: each ``zeta_k`` moves to ``m^-1(zeta_k)``, each ``c_j`` to
+the coefficient of the transported factor, and one new pole factor
+``(1 - conj(a) w)**(-2 - sum of all exponents)`` appears, which is absent
+(exponent 0) for Koebe, sectors and a Moebius map twisted again.
+
+With ``c = rho e^{i alpha}`` and ``w = r e^{i theta}``,
+``|1 - c w|^2 = (1 - rho r)^2 + 4 rho r sin^2((theta + alpha)/2)``: a
+sum of two nonnegative terms, so nothing cancels, and near a singular
+point (``rho = 1``, ``alpha = -arg zeta``) the two terms are the radial
+and the angular distance, each formed from the ring's own ``r`` and
+``theta`` (``theta + alpha`` less a whole turn, taken so that a node a
+turn away from the singular angle keeps its low bits).  The expanded
+``(Re zeta - x)^2 + (Im zeta - y)^2`` instead subtracts
+``x = r cos(theta)``, rounded to its ulp near 1, from ``Re zeta``.
+:meth:`ConformalPair.abs_dpsi_power` evaluates ``|psi'|^e`` on a
+quadrature ring ``r x theta`` from this form; the disc integrals call
+it.  The closed form ``dpsi`` never uses this form, so each checks the
+other.
 """
 
 from __future__ import annotations
@@ -93,6 +104,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+#: 2pi - TWO_PI, so that TWO_PI + TWO_PI_LO is a whole turn to about 1e-32
+TWO_PI_LO = 2.4492935982947064e-16
 
 #: an inverted point w is accepted when |psi(w) - z| <= NEWTON_TOL * (1 + |z|)
 NEWTON_TOL = 1e-12
@@ -169,14 +182,16 @@ class ConformalPair:
     ``eval_dpsi`` add the ``|w| < 1`` validation.  On an array, ``psi_dpsi``
     and ``phi`` must return new, writable arrays that the caller owns, never
     their input or a view of it: :meth:`invert_many` writes into them.
-    ``domain_contains`` decides membership in Omega.  All are fields, so a
-    copy of a pair may wrap any of them.  Immutable; safe to share between threads.
+    ``domain_contains`` decides membership in Omega, elementwise on an
+    array.  All are fields, so a copy of a pair may wrap any of them.
+    Immutable; safe to share between threads.
 
     The derivative also has the factor form of the module docstring:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
     the ``(c_j, f_j)`` of the factors ``(1 - c_j w)**f_j`` off the closed
     disc (only :meth:`compose_with_moebius` makes them), and ``log_scale``
-    is ``log|C| = log|psi'(0)|``, computed when the pair is built.
+    is ``log|C| = log|psi'(0)|``.  Both become one factor list when the
+    pair is built, so a copy made with ``dataclasses.replace`` builds its own.
     """
 
     descriptor: MapDescriptor
@@ -184,19 +199,20 @@ class ConformalPair:
     dpsi: Callable[[np.ndarray], np.ndarray]
     psi_dpsi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     phi: Callable[[np.ndarray], np.ndarray]
-    domain_contains: Callable[[complex], bool]
+    domain_contains: Callable[[np.ndarray], np.ndarray]
     singular_points: tuple[SingularPoint, ...]
     poles: tuple[tuple[complex, float], ...] = ()
 
     def __post_init__(self):
-        # log_abs_dpsi_xy's terms, fixed here so that a call only does array work;
+        # abs_dpsi_power's factor list, fixed here so that a call only does array
+        # work: (rho, alpha, f/2) of c = rho e^{i alpha}, where a singular point
+        # has c = conj(zeta), on the circle at the angle the rule is graded to;
         # every factor is 1 at w = 0, so log|C| = log|psi'(0)|
         object.__setattr__(self, "log_scale", math.log(abs(complex(self.dpsi(0j)))))
-        object.__setattr__(self, "_point_terms", tuple(
-            (sp.location.real, sp.location.imag, 0.5 * sp.exponent)
-            for sp in self.singular_points))
-        object.__setattr__(self, "_pole_terms", tuple(
-            (c.real, c.imag, 0.5 * f) for c, f in self.poles))
+        factors = [(1.0, -sp.angle, sp.exponent) for sp in self.singular_points]
+        factors += [(abs(c), cmath.phase(c), f) for c, f in self.poles]
+        rho, alpha, f = np.array(factors, dtype=float).reshape(-1, 3).T
+        object.__setattr__(self, "_factors", (rho[:, None], alpha[:, None], 0.5 * f))
 
     @property
     def singular_angles(self) -> tuple[float, ...]:
@@ -212,39 +228,42 @@ class ConformalPair:
         return self.singular_angles + tuple(
             -cmath.phase(c) % TWO_PI for c, _ in self.poles)
 
-    def log_abs_dpsi_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``log|psi'(x + iy)|`` from the factor form in real arithmetic (no domain checks).
+    def abs_dpsi_power(self, r: np.ndarray, theta: np.ndarray, e: float) -> np.ndarray:
+        """``|psi'(r_i e^{i theta_j})|^e`` on the polar grid ``r x theta`` (no domain checks).
 
-        ``log|C| + sum_k e_k/2 log((Re zeta_k - x)^2 + (Im zeta_k - y)^2)``
-        plus ``f_j/2 log|1 - c_j w|^2`` per pole, with
-        ``|1 - c w|^2 = (1 - Re c x + Im c y)^2 + (Re c y + Im c x)^2``;
-        agrees with ``log|dpsi(w)|`` to rounding.  ``x`` and ``y`` are float
-        arrays of one shape; the terms are formed in reused temporaries,
-        and the result is a new array of that shape.
+        From the factor form: one batched matrix product,
+        ``[(1 - rho r)^2, 4 rho r] @ [1; sin^2((theta + alpha)/2)]``, gives
+        every factor's ``|1 - c w|^2`` on the grid, one ``log`` and one
+        weighted sum over the factors give ``e log|psi'|``, and one ``exp``
+        the power; it agrees with ``|dpsi(w)|**e`` to rounding.  ``r`` and
+        ``theta`` are 1-D float arrays, the radial nodes down and the angular
+        ones across, and the result is a new array of shape
+        ``(len(r), len(theta))``.  Where the power overflows it is inf,
+        without a numpy warning, so that the caller can name the node.
         """
-        out = np.full(x.shape, self.log_scale)
-        if not (self._point_terms or self._pole_terms):
-            return out
-        t, u = np.empty_like(out), np.empty_like(out)
-        for zr, zi, half_e in self._point_terms:
-            np.square(np.subtract(zr, x, out=t), out=t)
-            t += np.square(np.subtract(zi, y, out=u), out=u)
-            np.log(t, out=t)
-            t *= half_e
-            out += t
-        if self._pole_terms:
-            v = np.empty_like(out)
-        for cr, ci, half_f in self._pole_terms:
-            np.subtract(1.0, np.multiply(cr, x, out=t), out=t)
-            t += np.multiply(ci, y, out=u)
-            np.square(t, out=t)
-            np.multiply(cr, y, out=u)
-            u += np.multiply(ci, x, out=v)
-            t += np.square(u, out=u)
-            np.log(t, out=t)
-            t *= half_f
-            out += t
-        return out
+        rho, alpha, half_f = self._factors
+        k, n_r, n_t = len(rho), len(r), len(theta)
+        rr = rho * r
+        radial = np.empty((k, n_r, 2))
+        np.square(np.subtract(1.0, rr, out=radial[..., 0]), out=radial[..., 0])
+        np.multiply(4.0, rr, out=radial[..., 1])
+        angular = np.ones((k, 2, n_t))
+        side = angular[:, 1]
+        # theta + alpha less a whole turn where it exceeds pi in size: a ring's
+        # angles span [theta_0, theta_0 + 2pi), so next to a singular point the
+        # sum can sit near +-2pi, where it is rounded to ulp(2pi); there
+        # theta - TWO_PI, or alpha + TWO_PI, is exact, and TWO_PI_LO ends the turn
+        np.add(theta, alpha, out=side)
+        np.copyto(side, (theta - TWO_PI) + alpha - TWO_PI_LO, where=side > math.pi)
+        np.copyto(side, theta + (alpha + TWO_PI) + TWO_PI_LO, where=side < -math.pi)
+        side *= 0.5
+        np.square(np.sin(side, out=side), out=side)
+        logs = np.matmul(radial, angular).reshape(k, n_r * n_t)
+        out = (e * half_f) @ np.log(logs, out=logs)
+        out += e * self.log_scale
+        with np.errstate(over="ignore"):
+            np.exp(out, out=out)
+        return out.reshape(n_r, n_t)
 
     def eval_psi(self, w):
         _require_in_disc(w)
@@ -287,8 +306,8 @@ class ConformalPair:
         The points that miss the target take their Newton step together,
         kept where it stays in the disc and does not raise the residual, so
         a point's results do not depend on the rest of the call.  The mask
-        is False where the target is missed or w is not in the disc; Omega
-        is not checked, so a point on a slit may read True.
+        is False where z is not in Omega, where the target is missed or
+        where w is not in the disc.
         """
         z = np.asarray(z, dtype=complex)
         target = NEWTON_TOL * (1.0 + np.abs(z))
@@ -306,7 +325,7 @@ class ConformalPair:
             keep = (np.abs(w_try) < 1.0) & (r_try <= resid[step])
             step = step[keep]
             w[step], dw[step], resid[step] = w_try[keep], deriv[keep], r_try[keep]
-        ok = (resid <= target) & (np.abs(w) < 1.0)
+        ok = (resid <= target) & (np.abs(w) < 1.0) & np.reshape(self.domain_contains(z), -1)
         return w.reshape(z.shape), ok.reshape(z.shape), dw.reshape(z.shape)
 
     def compose_with_moebius(self, a: complex, theta: float) -> "ConformalPair":
@@ -380,7 +399,7 @@ def identity_map() -> ConformalPair:
         return w + 0j, np.ones_like(w)
 
     return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: psi_dpsi(z)[0],
-                 lambda z: bool(abs(z) < 1.0), ())
+                 lambda z: abs(z) < 1.0, ())
 
 
 def moebius_map(a: complex, theta: float = 0.0) -> ConformalPair:
@@ -410,9 +429,10 @@ def koebe_map() -> ConformalPair:
     def phi(z):
         return 2.0 * z / (1.0 + 2.0 * z + np.sqrt(1.0 + 4.0 * z))
 
-    def contains(z: complex) -> bool:
-        z = complex(z)
-        return not (z.imag == 0.0 and z.real <= -0.25)
+    def contains(z):
+        # "not (on the real axis and at or left of the tip)", in operators that
+        # also take arrays; a Python complex stays on the fast scalar path
+        return (z.imag != 0.0) | (z.real > -0.25)
 
     return _pair(MapDescriptor("koebe"), psi_dpsi, phi, contains,
                  (SingularPoint(1.0 + 0j, -3.0), SingularPoint(-1.0 + 0j, 1.0)))
@@ -444,9 +464,9 @@ def sector_map(beta: float) -> ConformalPair:
         t = np.exp(np.log(z) / beta)
         return (1.0 - t) / (1.0 + t)
 
-    def contains(z: complex) -> bool:
-        z = complex(z)
-        return z != 0.0 and abs(cmath.phase(z)) < 0.5 * beta * math.pi
+    def contains(z):
+        arg = cmath.phase(z) if isinstance(z, complex) else np.angle(z)
+        return (z != 0.0) & (abs(arg) < 0.5 * beta * math.pi)
 
     return _pair(MapDescriptor("sector", beta=beta), psi_dpsi, phi, contains,
                  (SingularPoint(1.0 + 0j, beta - 1.0), SingularPoint(-1.0 + 0j, -(beta + 1.0))))
@@ -465,8 +485,13 @@ def cardioid_map() -> ConformalPair:
         # 1 - sqrt(1 - 2z), without its cancellation near z = 0
         return 2.0 * z / (1.0 + np.sqrt(1.0 - 2.0 * z))
 
-    def contains(z: complex) -> bool:
-        return bool(abs(phi(complex(z))) < 1.0)
+    def contains(z):
+        # |phi(z)| < 1 in real arithmetic: with v = 1 - 2z = (1 - w)^2 and
+        # Re sqrt(v) = sqrt((|v| + Re v)/2), |1 - sqrt(v)| < 1 exactly when
+        # |v|^2 < 2(|v| + Re v); a complex sqrt costs a third of invert_many
+        v = 1.0 - 2.0 * z
+        size = v.real * v.real + v.imag * v.imag
+        return size < 2.0 * (np.sqrt(size) + v.real)
 
     return _pair(MapDescriptor("cardioid"), psi_dpsi, phi, contains,
                  (SingularPoint(1.0 + 0j, 1.0),))

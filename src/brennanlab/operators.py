@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import ConformalPair, MapDescriptor, NewtonConvergenceError
 from .exponents import ExponentDomainError, dual_exponent, dual_pair, q_from_ps, s_from_pq
-from .functionals import RegimeError, _abs_dpsi_power, inverse_brennan_integral, kpq_functional
+from .functionals import RegimeError, inverse_brennan_integral, kpq_functional
 from .quadrature import (
     Classification,
     DEFAULT_SPEC,
@@ -32,7 +32,8 @@ from .quadrature import (
     _angular_rules,
     _complex_integrand,
     _gauss,
-    _integrate_xy,
+    _integrate_polar,
+    _polar_grid,
     _ring_sum,
     integrate_disc,
 )
@@ -196,14 +197,12 @@ def pullback_seminorm(pair: ConformalPair, f: TestFunction, q: float,
     if not 1.0 <= q < math.inf:
         raise ExponentDomainError(f"pullback seminorm needs 1 <= q < inf, got q={q}")
 
-    power = _abs_dpsi_power(pair, 2.0 - q)
-
-    def g(x, y):
-        out = power(x, y)
-        out *= f.grad_abs(x + 1j * y) ** q
+    def g(r, theta):
+        out = pair.abs_dpsi_power(r, theta, 2.0 - q)
+        out *= f.grad_abs(_polar_grid(r, theta)) ** q
         return out
 
-    est = _integrate_xy(g, pair.grading_angles, spec)
+    est = _integrate_polar(g, pair.grading_angles, spec)
     if est.classification is not Classification.CONVERGED:
         return math.inf
     return est.value ** (1.0 / q)

@@ -11,15 +11,16 @@ singular angle until they match the annulus gap, so a spike of angular
 width comparable to the gap is always resolved.  The angular rules of the
 inner disc and of every annulus are built together, one array pass over
 the whole gap ladder per integral (a long ladder a fixed chunk of annuli
-at a time, to bound memory), and each chunk's nodes are turned into
-``cos(theta)`` and ``sin(theta)`` with one complex ``exp``.
+at a time, to bound memory); each rule is yielded as its nodes ``theta``
+and their weights.
 
-Each ring is evaluated on the real tensor grid ``(x, y) = (r cos(theta),
-r sin(theta))``: the package's integrands take ``(x, y)`` directly, while
-:func:`integrate_disc` and :func:`integrate_truncated` keep their
-complex-``w`` contract by adapting ``g`` to ``g(x + 1j*y)``, which is the
-complex grid ``r*exp(1j*theta)`` bit for bit.  Only a ring whose weighted
-sum is not finite is scanned for the node that made it so.
+Each ring hands its integrand the ring's radial nodes ``r`` and angles
+``theta``, and the integrand returns its values on the polar grid
+``r x theta``.  The package's ``|psi'|^e`` works on that grid directly (see
+:meth:`ConformalPair.abs_dpsi_power`), while :func:`integrate_disc` and
+:func:`integrate_truncated` keep their complex-``w`` contract by adapting
+``g`` to ``g(r[:, None]*exp(1j*theta))``.  Only a ring whose weighted sum
+is not finite is scanned for the node that made it so.
 
 Convergence versus divergence is decided from the per-annulus
 contributions by one tail rule, :func:`_tail`: a power-law fit of the last
@@ -65,8 +66,8 @@ EPS_START = 0.5
 #: scales whose angular rules are built in one array pass (bounds memory on long ladders)
 _RULE_CHUNK = 64
 
-#: an integrand on the real grid: g(x, y) with w = x + 1j*y
-_XYIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: an integrand on a ring's polar grid: g(r, theta) of shape (len(r), len(theta))
+_PolarIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class QuadratureError(Exception):
@@ -234,18 +235,14 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     The rules of a whole gap ladder come from one pass of
     :func:`_ladder_panels`, ``_RULE_CHUNK`` scales at a time so that a
     long ladder needs bounded memory.  Each rule is yielded, in the order
-    of ``scales``, as (cos, sin, weights) of its nodes theta: the cosines
-    and sines are the real and imaginary parts of ``exp(1j*theta)``, taken
-    once per chunk and contiguous per rule, so the ring's real grid
-    matches the complex one ``r*exp(1j*theta)`` bit for bit.
+    of ``scales``, as (theta, weights), contiguous views of its chunk.
     """
     width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
     x, w = _gauss(spec.angular_boost)
 
     def nodes(lo, hi):
         half = 0.5 * (hi - lo)[:, None]
-        e = np.exp(1j * (lo[:, None] + half * (x + 1.0)).ravel())
-        return e.real.copy(), e.imag.copy(), (half * w).ravel()
+        return (lo[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
     # angles that coincide modulo 2pi are one angle, owning one arc
     angles = sorted({a % TWO_PI for a in singular_angles})
@@ -272,46 +269,42 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
             yield tuple(a[i:j] for a in rule)
 
 
-def _complex_integrand(g: Callable[[np.ndarray], np.ndarray]) -> _XYIntegrand:
-    """Adapt an integrand of complex ``w`` to the ring's real ``(x, y)`` grid.
+def _polar_grid(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The complex grid ``r[:, None]*exp(1j*theta)``: radial nodes down, angles across."""
+    return r[:, None] * np.exp(1j * theta)
 
-    ``w = x + 1j*y`` is bit for bit the complex grid ``r*exp(1j*theta)``
-    the ring's cosines and sines were taken from.  It is filled part by
-    part, without the temporary ``1j*y``, to keep the ring's peak memory
-    down.
+
+def _complex_integrand(g: Callable[[np.ndarray], np.ndarray]) -> _PolarIntegrand:
+    """Adapt an integrand of complex ``w`` to the ring's polar grid ``r x theta``.
+
+    The complex grid is the only array of the grid's size it builds.
     """
-    def on_grid(x, y):
-        w = np.empty(x.shape, dtype=complex)
-        w.real, w.imag = x, y
-        return g(w)
-
-    return on_grid
+    return lambda r, theta: g(_polar_grid(r, theta))
 
 
-def _ring_sum(g: _XYIntegrand, r_lo: float, r_hi: float, cos: np.ndarray, sin: np.ndarray,
+def _ring_sum(g: _PolarIntegrand, r_lo: float, r_hi: float, theta: np.ndarray,
               wtheta: np.ndarray, radial_order: int) -> float:
-    """Tensor Gauss-Legendre integral of g(x, y) over the annulus r_lo <= |w| <= r_hi.
+    """Tensor Gauss-Legendre integral of g over the annulus r_lo <= |w| <= r_hi.
 
-    ``g`` gets the real tensor grid ``x = r*cos``, ``y = r*sin`` (radial
-    nodes down, angular nodes across).  Only when the weighted sum is not
-    finite are the values scanned: a non-finite value raises
-    NonFiniteIntegrandError naming its node ``w = x + 1j*y``, while finite
-    values whose sum overflows give that sum.
+    ``g`` gets the ring's radial nodes ``r`` and its angles ``theta`` and
+    returns its values on the grid ``r x theta`` (radial nodes down).  Only
+    when the weighted sum is not finite are the values scanned: a
+    non-finite value raises NonFiniteIntegrandError naming its node
+    ``w = r*exp(1j*theta)``, while finite values whose sum overflows give
+    that sum.
     """
     t, wt = _gauss(radial_order)
     half = 0.5 * (r_hi - r_lo)
     r, wr = r_lo + half * (t + 1.0), half * wt
-    x, y = np.multiply.outer(r, cos), np.multiply.outer(r, sin)
-    vals = np.asarray(g(x, y), dtype=float)
+    vals = np.asarray(g(r, theta), dtype=float)
     # polar Jacobian r folded into the radial weights; fixed reduction order
     total = float((wr * r) @ vals @ wtheta)
     if not math.isfinite(total):
         bad = np.argwhere(~np.isfinite(vals))
         if len(bad):
             i, j = bad[0]
-            raise NonFiniteIntegrandError(
-                f"integrand non-finite at node w={complex(x[i, j], y[i, j])!r}"
-            )
+            w = complex(_polar_grid(r[i:i + 1], theta)[0, j])
+            raise NonFiniteIntegrandError(f"integrand non-finite at node w={w!r}")
     return total
 
 
@@ -332,8 +325,8 @@ def _gap_ladder(spec: GradingSpec, eps_stop: float) -> list[float]:
     return gaps
 
 
-def _graded_sums(g: _XYIntegrand, singular_angles, spec: GradingSpec, eps_stop: float):
-    """Inner-disc value plus per-annulus contributions of g(x, y) down to eps_stop.
+def _graded_sums(g: _PolarIntegrand, singular_angles, spec: GradingSpec, eps_stop: float):
+    """Inner-disc value plus per-annulus contributions of the ring integrand g down to eps_stop.
 
     The inner disc is graded at EPS_START and each annulus at its inner
     gap, so the scales of the angular rules are the gap ladder itself.
@@ -409,20 +402,19 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     ``g`` blows up or vanishes fast; the angular rule is graded toward
     them.  Purely radial boundary behaviour needs no declaration.
 
-    Each ring evaluates ``g`` once, on ``x + 1j*y`` over its real tensor
-    grid (the complex polar grid bit for bit).  A ring whose weighted sum
-    is not finite because ``g`` returned nan or inf raises
-    NonFiniteIntegrandError naming that node.  The per-annulus increments
-    go through the tail rule shared with :func:`classify_tail`.  With no
-    annuli (``eps_min = EPS_START``) the verdict is INCONCLUSIVE and the
-    value is the inner disc alone.
+    Each ring evaluates ``g`` once, on its complex polar grid
+    ``r*exp(1j*theta)``.  A ring whose weighted sum is not finite because
+    ``g`` returned nan or inf raises NonFiniteIntegrandError naming that
+    node.  The per-annulus increments go through the tail rule shared with
+    :func:`classify_tail`.  With no annuli (``eps_min = EPS_START``) the
+    verdict is INCONCLUSIVE and the value is the inner disc alone.
     """
-    return _integrate_xy(_complex_integrand(g), singular_angles, spec)
+    return _integrate_polar(_complex_integrand(g), singular_angles, spec)
 
 
-def _integrate_xy(g: _XYIntegrand, singular_angles: Sequence[float],
-                  spec: GradingSpec) -> IntegralEstimate:
-    """:func:`integrate_disc` for an integrand ``g(x, y)`` of the real grid, ``w = x + 1j*y``."""
+def _integrate_polar(g: _PolarIntegrand, singular_angles: Sequence[float],
+                     spec: GradingSpec) -> IntegralEstimate:
+    """:func:`integrate_disc` for an integrand ``g(r, theta)`` of each ring's polar grid."""
     core, increments, gap_after = _graded_sums(g, singular_angles, spec, spec.eps_min)
     truncated = core + math.fsum(increments)
     floor = 1e-15 * (abs(truncated) + 1e-30)

@@ -1,9 +1,10 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brennanlab.catalog import (
@@ -345,6 +346,44 @@ class TestInversion:
         assert np.all(ok) and dw.shape == w.shape
         assert dw.tobytes() == pair.dpsi(w_back).tobytes()
 
+    @pytest.mark.parametrize("twist", ["", "*moebius:0.3,-0.2,1"])
+    @pytest.mark.parametrize("head, z", [
+        ("koebe", [-100.0, -1000.0, -0.25]),
+        # on the edge of the half-plane: |arg z| = pi/2
+        ("sector:1", [2.0j, -3.0j]),
+    ], ids=["koebe-slit", "sector-edge"])
+    def test_vectorized_inversion_checks_omega(self, head, z, twist):
+        """Points outside Omega read False, as invert raises MapDomainError on them."""
+        pair = make_pair(head + twist)
+        z = np.array(z, dtype=complex)
+        assert not pair.domain_contains(z).any()
+        _, ok, _ = pair.invert_many(z)
+        assert not ok.any()
+        for z_k in z:
+            with pytest.raises(MapDomainError):
+                pair.invert(complex(z_k))
+        # an interior point beside them still reads True
+        w = np.array([0.3 + 0.4j])
+        assert pair.invert_many(pair.psi(w))[1].all()
+
+    def test_domain_contains_takes_arrays_and_scalars(self):
+        z = np.array([[-100.0, -0.3 + 1e-9j], [0.5j, -0.2]])
+        inside = koebe_map().domain_contains(z)
+        assert inside.tolist() == [[False, True], [True, True]]
+        scalars = [koebe_map().domain_contains(complex(v)) for v in z.ravel()]
+        assert scalars == inside.ravel().tolist()
+        sector = sector_map(1.0)
+        assert sector.domain_contains(np.array([1.0, 1j, -1.0, 0.0, 1.0 + 5j])).tolist() == [
+            True, False, False, False, True]
+        # the cardioid's real-arithmetic test is |phi(z)| < 1, also next to the boundary
+        cardioid = cardioid_map()
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.uniform(-1.5, 1.5, 2000) + 1j * rng.uniform(-1.5, 1.5, 2000),
+                            cardioid.psi((1.0 - 10.0 ** -rng.uniform(3, 14, 2000))
+                                         * np.exp(2j * np.pi * rng.random(2000)))])
+        assert np.array_equal(cardioid.domain_contains(z), np.abs(cardioid.phi(z)) < 1.0)
+        assert not cardioid.domain_contains(0.5 + 0j)  # the cusp, psi(1)
+
     def test_vectorized_inversion_of_one_point(self):
         pair = koebe_map()
         w_back, ok, dw = pair.invert_many(np.asarray(pair.psi(0.5 + 0.2j)))
@@ -565,7 +604,7 @@ class TestSectorAccuracy:
 
 
 class TestFactorForm:
-    """log_abs_dpsi_xy, from the declared (zeta_k, e_k), the poles and |psi'(0)|, against dpsi."""
+    """abs_dpsi_power, from the declared (zeta_k, e_k), the poles and |psi'(0)|, against dpsi."""
 
     NAMES = ["identity", "koebe", "cardioid", "sector:0.3", "sector:1", "sector:1.7",
              "sector:2", "identity*moebius:0,0,1.3", "koebe*moebius:0,0,2",
@@ -575,28 +614,89 @@ class TestFactorForm:
              "moebius:1e-200,0,1", "moebius:0.3,0,1*moebius:0.2,0.1,0.5",
              "moebius:0.9,0.3,2*moebius:-0.8,0.5,4", "moebius:0.5,0,0*moebius:-0.5,0,0"]
 
+    @staticmethod
+    def polar_grid(rng, n_r, n_theta):
+        r = 0.99 * np.sqrt(rng.random(n_r))
+        theta = 2.0 * np.pi * rng.random(n_theta)
+        return r, theta, r[:, None] * np.exp(1j * theta)
+
     @pytest.mark.parametrize("name", NAMES)
     def test_agrees_with_dpsi(self, name):
-        rng = np.random.default_rng(7)
-        w = 0.99 * np.sqrt(rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
+        r, theta, w = self.polar_grid(np.random.default_rng(7), 20, 25)
         pair = make_pair(name)
-        log_mod = pair.log_abs_dpsi_xy(w.real.copy(), w.imag.copy())
-        ref = np.log(np.abs(pair.dpsi(w)))
-        assert log_mod.shape == w.shape
-        assert np.all(np.abs(log_mod - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        for e in (-1.0, 0.5, 2.0):
+            want = np.abs(pair.dpsi(w)) ** e
+            assert np.all(np.abs(pair.abs_dpsi_power(r, theta, e) - want) <= 1e-12 * want)
 
     @pytest.mark.parametrize("name", NAMES)
     def test_real_entry_agrees_with_dpsi(self, name):
-        """On a 2-D grid, with the inputs left untouched."""
-        rng = np.random.default_rng(11)
-        w = 0.99 * np.sqrt(rng.random((20, 25))) * np.exp(2j * np.pi * rng.random((20, 25)))
+        """On the grid r x theta: a new array of its shape, with the inputs left untouched."""
+        r, theta, w = self.polar_grid(np.random.default_rng(11), 20, 25)
+        r_in, theta_in = r.copy(), theta.copy()
         pair = make_pair(name)
-        x, y = w.real.copy(), w.imag.copy()
-        log_mod = pair.log_abs_dpsi_xy(x, y)
+        got = pair.abs_dpsi_power(r, theta, 1.0)
         ref = np.log(np.abs(pair.dpsi(w)))
-        assert log_mod.shape == w.shape
-        assert np.all(np.abs(log_mod - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-        assert np.array_equal(x, w.real) and np.array_equal(y, w.imag)
+        assert got.shape == w.shape and got.flags.writeable
+        assert not np.shares_memory(got, r) and not np.shares_memory(got, theta)
+        assert np.all(np.abs(np.log(got) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert np.array_equal(r, r_in) and np.array_equal(theta, theta_in)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(name=catalog_maps(),
+           r=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
+           theta=st.lists(ANGLE, min_size=1, max_size=4),
+           e=st.floats(-3.0, 3.0))
+    # the singular point at angle 2pi - 0.01, with nodes on both sides of the
+    # 0/2pi seam: sin^2((theta + alpha)/2) has period 2pi in theta
+    @example(name="koebe*moebius:0,0,0.01", r=[0.5, 0.99, 0.999],
+             theta=[0.0, 0.005, 2.0 * math.pi - 0.015, 2.0 * math.pi - 0.005], e=3.0)
+    @example(name="koebe*moebius:0,0,0.01", r=[0.5, 0.99, 0.999],
+             theta=[0.0, 0.005, 2.0 * math.pi - 0.015, 2.0 * math.pi - 0.005], e=-3.0)
+    def test_polar_power_property(self, name, r, theta, e):
+        """|psi'|^e on the polar grid equals abs(dpsi(w))**e to 1e-12, w = r*exp(1j*theta)."""
+        pair = make_pair(name)
+        r, theta = np.array(r), np.array(theta)
+        got = pair.abs_dpsi_power(r, theta, e)
+        want = np.abs(pair.dpsi(r[:, None] * np.exp(1j * theta))) ** e
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("shift", [1e-12, 0.5])
+    def test_angle_next_to_a_point_across_a_turn(self, shift):
+        """Angles a whole turn away from a singular angle, or across 0/2pi, keep their low bits.
+
+        Koebe's point at 1 moves to the angle 2pi - shift.  A ring's angles
+        can lie near that angle, a turn above it, or (for a tiny shift) just
+        above 0; against the factor form in 40 digits at the same float
+        nodes, each node is right to 1e-13, down to distances of 1e-13.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        pair = make_pair(f"koebe*moebius:0,0,{shift!r}")
+        angle = pair.singular_points[0].angle
+        d = np.array([1e-13, 1e-11, 1e-8, 1e-4])
+        theta = np.concatenate([angle - d, angle + d, angle + 2.0 * np.pi - d,
+                                angle + 2.0 * np.pi + d, [0.0, 1e-13, 3e-12]])
+        r = np.array([0.5, 1.0 - 1e-9, 1.0 - 1e-12])
+        got = pair.abs_dpsi_power(r, theta, 1.0)
+        with mpmath.workdps(40):
+            zetas = [(mpmath.expj(mpmath.mpf(sp.angle)), sp.exponent)
+                     for sp in pair.singular_points]
+            for i, j in np.ndindex(got.shape):
+                w = mpmath.mpf(r[i]) * mpmath.expj(mpmath.mpf(theta[j]))
+                want = mpmath.exp(mpmath.mpf(pair.log_scale))
+                for zeta, e in zetas:
+                    want *= abs(1 - w / zeta) ** e
+                assert abs(got[i, j] - want) <= 1e-13 * want, (r[i], theta[j])
+
+    def test_factors_of_a_replaced_pair(self):
+        """A pair rebuilt with dataclasses.replace builds the factor list of its own fields."""
+        pair = make_pair("koebe*moebius:0.5,0.2,1")
+        moved = replace(pair, singular_points=pair.singular_points[:1], poles=())
+        r, theta = np.array([0.3, 0.9]), np.array([0.2, 4.0])
+        zeta, e = pair.singular_points[0].location, pair.singular_points[0].exponent
+        w = r[:, None] * np.exp(1j * theta)
+        want = np.exp(moved.log_scale) * np.abs(1.0 - w / zeta) ** e
+        assert np.allclose(moved.abs_dpsi_power(r, theta, 1.0), want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name, exponents", [
         ("koebe", ()), ("sector:1.3", ()), ("identity", ()), ("cardioid", ()),

@@ -33,59 +33,59 @@ SPECS = {"default": GradingSpec(), "eps1e-12": GradingSpec(eps_min=1e-12),
 INTEGRALS = [
     ('koebe', -1.0, 'default', IntegralEstimate(
         value=14.743690380100105,
-        abs_error_estimate=2.3477447080880664e-08,
+        abs_error_estimate=2.3477447074239972e-08,
         truncation_eps=1e-08,
-        tail_estimate=2.3475972711842653e-08,
+        tail_estimate=2.347597270520196e-08,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9429675060392618,
+        fitted_slope=-0.9429675060455819,
     )),
     ('koebe', 1.7, 'eps1e-12', IntegralEstimate(
-        value=2.1842395372444217e+37,
+        value=2.1842395372428024e+37,
         abs_error_estimate=math.inf,
         truncation_eps=1e-12,
-        tail_estimate=1.9275873868070354e+37,
+        tail_estimate=1.927587386805795e+37,
         classification=Classification.DIVERGING,
-        fitted_slope=3.099977192939088,
+        fitted_slope=3.099977192942385,
     )),
     ('koebe', 0.3, 'base128', IntegralEstimate(
         value=4.095464794554314,
-        abs_error_estimate=1.163864665302236e-09,
+        abs_error_estimate=1.1638646649773009e-09,
         truncation_eps=1e-08,
-        tail_estimate=1.1634551188227805e-09,
+        tail_estimate=1.1634551184978454e-09,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9812283123877447,
+        fitted_slope=-0.9812283123896104,
     )),
     ('koebe', -2.5, 'default', IntegralEstimate(
-        value=8672123.044690767,
+        value=8672123.0417934,
         abs_error_estimate=math.inf,
         truncation_eps=1e-08,
-        tail_estimate=2506167.414620716,
+        tail_estimate=2506167.4128162693,
         classification=Classification.DIVERGING,
-        fitted_slope=0.5000002988815633,
+        fitted_slope=0.5000002986143052,
     )),
     ('sector:1.5', -1.0, 'default', IntegralEstimate(
         value=2.4334332121208746,
-        abs_error_estimate=5.966111759516497e-12,
+        abs_error_estimate=5.966111758633865e-12,
         truncation_eps=1e-08,
-        tail_estimate=5.7227684383044095e-12,
+        tail_estimate=5.722768437421778e-12,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.999934664105012,
+        fitted_slope=-0.9999346641050155,
     )),
     ('sector:1.5', 1.7, 'eps1e-12', IntegralEstimate(
-        value=7.778643760822615e+27,
+        value=7.778643760824056e+27,
         abs_error_estimate=math.inf,
         truncation_eps=1e-12,
-        tail_estimate=6.134607539792616e+27,
+        tail_estimate=6.134607539796948e+27,
         classification=Classification.DIVERGING,
-        fitted_slope=2.2500223985603203,
+        fitted_slope=2.250022398564127,
     )),
     ('sector:0.3', 0.3, 'base128', IntegralEstimate(
         value=2.7381086615665047,
-        abs_error_estimate=6.541024768385305e-13,
+        abs_error_estimate=6.541024766155504e-13,
         truncation_eps=1e-08,
-        tail_estimate=3.8029161068188005e-13,
+        tail_estimate=3.8029161045889994e-13,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.999994449056269,
+        fitted_slope=-0.9999944490562718,
     )),
     ('cardioid', 0.3, 'default', IntegralEstimate(
         value=3.1835848507202504,
@@ -96,55 +96,55 @@ INTEGRALS = [
         fitted_slope=-0.9999999149903911,
     )),
     ('cardioid', -1.0, 'base128', IntegralEstimate(
-        value=4.000000003785913,
-        abs_error_estimate=2.7194486610252246e-09,
+        value=4.000000003785914,
+        abs_error_estimate=2.7194486602482683e-09,
         truncation_eps=1e-08,
-        tail_estimate=2.719048661024846e-09,
+        tail_estimate=2.7190486602478898e-09,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9466067575393352,
+        fitted_slope=-0.9466067575452741,
     )),
     ('koebe*moebius:0.95,0.2,1', 1.7, 'default', IntegralEstimate(
-        value=1.9631264814508204e+19,
+        value=1.9631264402610913e+19,
         abs_error_estimate=math.inf,
         truncation_eps=1e-08,
-        tail_estimate=1.725992299087525e+19,
+        tail_estimate=1.725992260084515e+19,
         classification=Classification.DIVERGING,
-        fitted_slope=3.100000083795661,
+        fitted_slope=3.100000076532204,
     )),
     ('koebe*moebius:0.95,0.2,1', -1.0, 'eps1e-12', IntegralEstimate(
-        value=313.08964704535214,
-        abs_error_estimate=3.17760931269026e-11,
+        value=313.0896470453522,
+        abs_error_estimate=3.177609382910792e-11,
         truncation_eps=1e-12,
-        tail_estimate=4.67128422367381e-13,
+        tail_estimate=4.671291245727038e-13,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999431100555041,
+        fitted_slope=-0.9999431099322597,
     )),
     ('cardioid*moebius:0.5,-0.3,1', 0.3, 'base128', IntegralEstimate(
         value=3.1837071399627352,
-        abs_error_estimate=3.3195306419233597e-13,
+        abs_error_estimate=3.319530641658662e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.3582350196062423e-14,
+        tail_estimate=1.3582350169592644e-14,
         classification=Classification.CONVERGED,
         fitted_slope=-0.9999999106543658,
     )),
     ('cardioid*moebius:0.5,-0.3,1', -1.0, 'default', IntegralEstimate(
         value=3.3308420789534616,
-        abs_error_estimate=5.879126512987408e-11,
+        abs_error_estimate=5.879126746740458e-11,
         truncation_eps=1e-08,
-        tail_estimate=5.845818092197872e-11,
+        tail_estimate=5.845818325950923e-11,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9833641015871041,
+        fitted_slope=-0.9833641015872383,
     )),
     ('moebius:0.9,0,0', 2.0, 'eps1e-12', IntegralEstimate(
         value=3.1415926535894707,
-        abs_error_estimate=3.283276028296002e-13,
+        abs_error_estimate=3.2832760282957435e-13,
         truncation_eps=1e-12,
-        tail_estimate=1.4168337470653129e-14,
+        tail_estimate=1.4168337470627279e-14,
         classification=Classification.CONVERGED,
         fitted_slope=-0.9999834420163987,
     )),
     ('moebius:0.9,0,0', -1.0, 'base128', IntegralEstimate(
-        value=23.23125093838778,
+        value=23.231250938387785,
         abs_error_estimate=2.496089397857084e-12,
         truncation_eps=1e-08,
         tail_estimate=1.7296430401830565e-13,
@@ -153,19 +153,19 @@ INTEGRALS = [
     )),
     ('sector:1.7*moebius:-0.6,0.7,2', 0.3, 'default', IntegralEstimate(
         value=1.8986596628075358,
-        abs_error_estimate=1.1851249173366253e-10,
+        abs_error_estimate=1.1851249100069378e-10,
         truncation_eps=1e-08,
-        tail_estimate=1.1832262576738178e-10,
+        tail_estimate=1.1832262503441303e-10,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.995208304504324,
+        fitted_slope=-0.9952083045015989,
     )),
     ('moebius:0.3,0,1*moebius:0.2,0.1,0.5', 1.7, 'eps1e-12', IntegralEstimate(
         value=2.965951622082004,
-        abs_error_estimate=3.01048152996227e-13,
+        abs_error_estimate=3.010481529962195e-13,
         truncation_eps=1e-12,
-        tail_estimate=4.452990788026594e-15,
+        tail_estimate=4.452990788019065e-15,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.999983442210255,
+        fitted_slope=-0.9999834422102569,
     )),
 ]
 

@@ -1,14 +1,14 @@
 import math
-
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brennanlab.catalog import make_pair
-from brennanlab.functionals import _abs_dpsi_power, brennan_integral
+from brennanlab.catalog import TWO_PI_LO, make_pair
+from brennanlab.functionals import brennan_integral
 from brennanlab.quadrature import (
     EPS_START,
     TWO_PI,
@@ -259,23 +259,27 @@ def reference_angular_rule(singular_angles, scale, spec):
             np.concatenate([h * w for h in halves]))
 
 
-def assert_unit_circle_parts(cos, sin, theta):
-    """The rule's cosines and sines are exp(1j*theta)'s parts, bit for bit, and contiguous.
+def assert_rule_nodes(theta, ref_theta):
+    """The rule's angles are the reference's, bit for bit, and contiguous.
 
     The ring sees its nodes only through them, so this pins the nodes.
     """
-    e = np.exp(1j * theta)
-    assert np.array_equal(cos, e.real) and np.array_equal(sin, e.imag)
-    assert cos.flags.c_contiguous and sin.flags.c_contiguous
+    assert np.array_equal(theta, ref_theta)
+    assert theta.flags.c_contiguous
 
 
-def reference_ring_sum(g, r_lo, r_hi, theta, wtheta, radial_order):
-    """The ring on the complex grid r*exp(1j*theta), as it was before the real grid; g takes w."""
+def complex_grid(r, theta):
+    """The ring's nodes r*exp(1j*theta), radial nodes down, by plain broadcasting."""
+    return r[:, None] * np.exp(1j * theta)[None, :]
+
+
+def reference_ring_sum(g, r_lo, r_hi, theta, wtheta, radial_order, polar=False):
+    """The ring, node by node from the reference grid; g takes w, or (r, theta) if polar."""
     x, wx = _gauss(radial_order)
     half = 0.5 * (r_hi - r_lo)
     r, wr = r_lo + half * (x + 1.0), half * wx
-    w = r[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.asarray(g(w), dtype=float)
+    w = complex_grid(r, theta)
+    vals = np.asarray(g(r, theta) if polar else g(w), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         raise NonFiniteIntegrandError(
@@ -285,16 +289,30 @@ def reference_ring_sum(g, r_lo, r_hi, theta, wtheta, radial_order):
     return float((wr * r) @ vals @ wtheta)
 
 
-def reference_log_abs_dpsi(pair, w):
-    """log|psi'(w)| from the factor form on complex w, as it was before the real entry."""
-    w = np.asarray(w, dtype=complex)
-    x, y = w.real, w.imag
-    out = np.full(w.shape, pair.log_scale)
-    for zr, zi, half_e in pair._point_terms:
-        out += half_e * np.log((zr - x) ** 2 + (zi - y) ** 2)
-    for cr, ci, half_f in pair._pole_terms:
-        out += half_f * np.log((1.0 - cr * x + ci * y) ** 2 + (cr * y + ci * x) ** 2)
-    return out
+def reduced_angles(theta, alpha):
+    """theta + alpha less the nearest whole turn, each rounded once (math.fsum)."""
+    turns = np.round((theta + alpha) / TWO_PI)
+    return np.array([math.fsum((t, alpha, -k * TWO_PI, -k * TWO_PI_LO))
+                     for t, k in zip(theta.tolist(), turns.tolist())])
+
+
+def reference_abs_dpsi_power(pair, r, theta, e):
+    """|psi'|^e on the grid r x theta from the factor list, factor by factor, by broadcasting.
+
+    No matrix product: each |1 - c w|^2 is a sum of two broadcast terms, and
+    the weighted logs are added in factor order.  Also returns the sum of
+    the terms' magnitudes, which bounds the rounding of their sum.
+    """
+    rho, alpha, half_f = pair._factors
+    out = np.full((len(r), len(theta)), e * pair.log_scale)
+    size = np.abs(out)
+    for rho_k, alpha_k, half_f_k in zip(rho[:, 0], alpha[:, 0], half_f):
+        rr = rho_k * r[:, None]
+        angular = np.sin(0.5 * reduced_angles(theta, alpha_k)) ** 2
+        term = e * half_f_k * np.log((1.0 - rr) ** 2 + 4.0 * rr * angular)
+        out += term
+        size += np.abs(term)
+    return np.exp(out), size
 
 
 RULE_ANGLE_SETS = {
@@ -316,9 +334,10 @@ class TestAngularRule:
     def test_rule_over_scales(self, name, spec):
         angles = RULE_ANGLE_SETS[name]
         assert RULE_SCALES[0] == EPS_START and RULE_SCALES[-1] == 1e-12
-        for scale, (cos, sin, wtheta) in zip(RULE_SCALES, _angular_rules(angles, RULE_SCALES, spec)):
+        for scale, (rule_theta, wtheta) in zip(RULE_SCALES,
+                                               _angular_rules(angles, RULE_SCALES, spec)):
             theta, ref_wtheta = reference_angular_rule(angles, scale, spec)
-            assert_unit_circle_parts(cos, sin, theta)
+            assert_rule_nodes(rule_theta, theta)
             assert np.array_equal(wtheta, ref_wtheta)
             assert np.all(wtheta > 0.0)
             assert math.fsum(wtheta) == pytest.approx(TWO_PI, abs=1e-13)
@@ -391,9 +410,9 @@ class TestRuleLadder:
         ladder = _gap_ladder(spec, eps_min)
         rules = list(_angular_rules(angles, ladder, spec))
         assert len(rules) == len(ladder)
-        for scale, (cos, sin, wtheta) in zip(ladder, rules):
+        for scale, (theta, wtheta) in zip(ladder, rules):
             ref_theta, ref_wtheta = reference_angular_rule(one_per_class(angles), scale, spec)
-            assert_unit_circle_parts(cos, sin, ref_theta)
+            assert_rule_nodes(theta, ref_theta)
             assert np.array_equal(wtheta, ref_wtheta)
 
 
@@ -430,40 +449,66 @@ SCAN_SPECS = (GradingSpec(), GradingSpec(eps_min=1e-12), GradingSpec(angular_bas
 
 
 class TestWholeIntegrals:
-    """_graded_sums equals a per-ring loop over the complex-grid ring and the reference rule.
+    """_graded_sums equals a per-ring loop over the reference rule and the reference grid.
 
-    Bit for bit: the real grid, the in-place real log|psi'| and the rule's
-    cosines and sines must reproduce the complex grid r*exp(1j*theta) and
-    the complex-w log|psi'| exactly.
+    Bit for bit: the rule's angles, the ring's radial nodes and its
+    reduction must reproduce the reference ring sums exactly, for
+    ``|psi'|^e`` and for a complex-w integrand alike.  The ``|psi'|^e``
+    values come from one batched matrix product, whose kernel may fuse
+    the multiply-add that broadcasting rounds twice, so
+    :meth:`test_ring_values` holds them to a few ulp of the factor-by-factor
+    broadcasting reference instead.
     """
 
     EXPONENTS = (-1.0, 0.3, 1.7)
+    NAMES = ["koebe", "sector:1.5", "cardioid", "koebe*moebius:0.95,0.2,1",
+             "cardioid*moebius:0.5,-0.3,1", "moebius:0.9,0,0",
+             # a singular angle just below 2pi, at 2pi - 1e-9
+             "koebe*moebius:0,0,1e-9"]
 
     @staticmethod
-    def reference_sums(g, angles, spec):
+    def reference_sums(g, angles, spec, polar=False):
         ladder = _gap_ladder(spec, spec.eps_min)
         core = reference_ring_sum(g, 0.0, 1.0 - EPS_START,
                                   *reference_angular_rule(angles, EPS_START, spec),
-                                  spec.radial_order)
+                                  spec.radial_order, polar)
         increments = [
             reference_ring_sum(g, 1.0 - outer, 1.0 - inner,
-                               *reference_angular_rule(angles, inner, spec), spec.radial_order)
+                               *reference_angular_rule(angles, inner, spec), spec.radial_order,
+                               polar)
             for outer, inner in zip(ladder[:-1], ladder[1:])]
         return core, increments, ladder[1:]
 
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
-    @pytest.mark.parametrize("name", ["koebe", "sector:1.5", "cardioid",
-                                      "koebe*moebius:0.95,0.2,1", "cardioid*moebius:0.5,-0.3,1",
-                                      "moebius:0.9,0,0"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_core_and_increments(self, name, spec):
         pair = make_pair(name)
         angles = pair.grading_angles
         for e in self.EXPONENTS:
-            def g(w):
-                return np.exp(e * reference_log_abs_dpsi(pair, w))
+            def g(r, theta):
+                return pair.abs_dpsi_power(r, theta, e)
 
-            new = _graded_sums(_abs_dpsi_power(pair, e), angles, spec, spec.eps_min)
-            assert new == self.reference_sums(g, angles, spec)
+            new = _graded_sums(g, angles, spec, spec.eps_min)
+            assert new == self.reference_sums(g, angles, spec, polar=True)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_ring_values(self, name):
+        """Every ring's |psi'|^e is within rounding of the broadcasting reference, per node.
+
+        The logs' weighted sum is rounded to a few ulp of its terms' sizes,
+        and exp turns that absolute error into a relative one.
+        """
+        pair = make_pair(name)
+        spec = SCAN_SPECS[1]
+        t = _gauss(spec.radial_order)[0]
+        for scale in _gap_ladder(spec, spec.eps_min):
+            theta, _ = reference_angular_rule(pair.grading_angles, scale, spec)
+            r = 1.0 - scale * (1.0 + 0.5 * (t + 1.0))
+            for e in self.EXPONENTS:
+                want, size = reference_abs_dpsi_power(pair, r, theta, e)
+                got = pair.abs_dpsi_power(r, theta, e)
+                bound = 8 * np.finfo(float).eps * (1.0 + size) * want
+                assert np.all(np.abs(got - want) <= bound)
 
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
     def test_complex_integrand(self, spec):
@@ -481,10 +526,10 @@ class TestNonFiniteRing:
     THETA, _ = reference_angular_rule((), EPS_START, GradingSpec())
 
     def rings(self, g):
-        """The new and the complex-grid ring of g(w) over 0 <= |w| <= 1, as (value or error)."""
-        cos, sin, wtheta = self.RULE
+        """The new and the reference ring of g(w) over 0 <= |w| <= 1, as (value or error)."""
+        theta, wtheta = self.RULE
         out = []
-        for ring in (lambda: _ring_sum(_complex_integrand(g), 0.0, 1.0, cos, sin, wtheta, 16),
+        for ring in (lambda: _ring_sum(_complex_integrand(g), 0.0, 1.0, theta, wtheta, 16),
                      lambda: reference_ring_sum(g, 0.0, 1.0, self.THETA, wtheta, 16)):
             try:
                 out.append(ring())
@@ -500,9 +545,8 @@ class TestNonFiniteRing:
             return vals
 
         new, ref = self.rings(g)
-        cos, sin, _ = self.RULE
         r = 0.0 + 0.5 * (_gauss(16)[0] + 1.0)
-        w = np.multiply.outer(r, cos) + 1j * np.multiply.outer(r, sin)
+        w = complex_grid(r, self.THETA)
         assert new == ref == f"integrand non-finite at node w={complex(w[3, 5])!r}"
 
     def test_first_bad_node_in_row_order(self):
@@ -526,10 +570,12 @@ class TestNonFiniteRing:
             integrate_disc(lambda w: np.full(w.shape, 1.7e308))
 
     def test_koebe_far_below_the_lower_threshold(self):
-        """|psi'|^152 overflows at interior nodes; the log-space verdict is still open."""
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteIntegrandError,
-                                                       match="non-finite at node w="):
-            brennan_integral(make_pair("koebe"), -150.0)
+        """|psi'|^152 overflows at interior nodes, without a numpy warning; the
+        log-space verdict is still open."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIntegrandError, match="non-finite at node w="):
+                brennan_integral(make_pair("koebe"), -150.0)
 
 
 class TestShortLadder:
