@@ -6,8 +6,7 @@ closed form for every catalog map.  The bisection recovers them from
 divergence verdicts alone.
 """
 
-from brennanlab import critical_exponent, make_pair, threshold_oracle
-from brennanlab.functionals import ThresholdNotFoundError
+from brennanlab import ThresholdNotFoundError, critical_exponent, make_pair, threshold_oracle
 
 NAMES = ["koebe", "sector:0.5", "sector:1.25", "sector:1.5", "sector:2",
          "cardioid"]

@@ -6,67 +6,10 @@ Sobolev composition-operator bounds for a catalog of closed-form
 conformal maps of simply connected plane domains.
 """
 
-from .catalog import (
-    ConformalPair,
-    MapDescriptor,
-    SingularPoint,
-    cardioid_map,
-    catalog_families,
-    identity_map,
-    koebe_map,
-    make_pair,
-    moebius_map,
-    parse_descriptor,
-    sector_map,
-)
-from .exponents import (
-    ExponentRecord,
-    KnownBounds,
-    Regime,
-    alpha_range,
-    classify_regime,
-    dual_exponent,
-    dual_pair,
-    holder_conjugate,
-    inverse_range,
-    known_bounds,
-    q_from_ps,
-    s_from_pq,
-)
-from .functionals import (
-    CriticalExponentReport,
-    FunctionalResult,
-    brennan_integral,
-    critical_exponent,
-    inverse_brennan_integral,
-    kpq_functional,
-    p_distortion,
-    threshold_oracle,
-)
-from .operators import (
-    DualityResult,
-    EquivalenceTable,
-    NormRatioReport,
-    TestFunction,
-    boundary_power,
-    duality_check,
-    equivalence_table,
-    harmonic_poly,
-    isometry_check,
-    isometry_family,
-    norm_ratio_report,
-    pullback_seminorm,
-    seminorm,
-    shifted_log,
-    standard_family,
-)
-from .quadrature import (
-    Classification,
-    GradingSpec,
-    IntegralEstimate,
-    classify_tail,
-    integrate_disc,
-    integrate_truncated,
-)
+from .catalog import *
+from .exponents import *
+from .functionals import *
+from .operators import *
+from .quadrature import *
 
 __version__ = "0.1.0"

@@ -208,7 +208,7 @@ class ConformalPair:
         # work: (rho, alpha, f/2) of c = rho e^{i alpha}, where a singular point
         # has c = conj(zeta), on the circle at the angle the rule is graded to;
         # every factor is 1 at w = 0, so log|C| = log|psi'(0)|
-        object.__setattr__(self, "log_scale", math.log(abs(complex(self.dpsi(0j)))))
+        object.__setattr__(self, "log_scale", math.log(abs(complex(self.psi_dpsi(0j)[1]))))
         factors = [(1.0, -sp.angle, sp.exponent) for sp in self.singular_points]
         factors += [(abs(c), cmath.phase(c), f) for c, f in self.poles]
         rho, alpha, f = np.array(factors, dtype=float).reshape(-1, 3).T
@@ -311,8 +311,11 @@ class ConformalPair:
         """
         z = np.asarray(z, dtype=complex)
         target = NEWTON_TOL * (1.0 + np.abs(z))
-        w = self.phi(z)
-        diff, dw = self.psi_dpsi(w)
+        # phi and psi may divide by zero or take log(0) at a z outside Omega,
+        # such as a sector's vertex; the mask below reports every such z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = self.phi(z)
+            diff, dw = self.psi_dpsi(w)
         diff -= z
         # flat views; 1-element copies for 0-d input, where a family returns numpy scalars
         w, diff, dw, target = (np.reshape(a, -1) for a in (w, diff, dw, target))

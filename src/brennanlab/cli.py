@@ -119,13 +119,11 @@ def cmd_exponents(args) -> int:
     p = args.p
     result: dict = {"p": p, "p_conjugate": xa.holder_conjugate(p)}
     if args.s is not None:
-        q = xa.q_from_ps(p, args.s)
-        result["s"] = args.s
-        result["q"] = q
-        result["r"] = 2.0 - args.s
-        if q > 1.0:
-            result["q_conjugate"] = xa.holder_conjugate(q)
-        result["regime"] = xa.classify_regime(p, q).value
+        rec = xa.ExponentRecord.from_p_s(p, args.s)
+        result.update(s=rec.s, q=rec.q, r=rec.r)
+        if rec.q_conj is not None:
+            result["q_conjugate"] = rec.q_conj
+        result["regime"] = rec.regime().value
     lo, hi = xa.alpha_range(p)
     result["alpha_range"] = [lo, hi]
     result["inverse_range"] = list(xa.inverse_range())

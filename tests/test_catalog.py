@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brennanlab import Classification, brennan_integral
 from brennanlab.catalog import (
+    NEWTON_TOL,
     DescriptorError,
     MapDescriptor,
     MapDomainError,
@@ -298,6 +300,21 @@ class TestInversion:
         back = pair.phi(value)
         assert back.flags.writeable and not np.shares_memory(back, value)
 
+    def test_newton_step_next_to_the_pole(self):
+        """At a point 1e-5 from Koebe's pole phi misses the target, and the one Newton step meets it."""
+        pair = koebe_map()
+        w = (1.0 - 1e-5) * cmath.exp(1e-5j)
+        z = complex(pair.psi(w))
+        # phi's residual is about 15.7 times the target here
+        assert abs(complex(pair.psi(pair.phi(z))) - z) > NEWTON_TOL * (1.0 + abs(z))
+        w_back, dw = pair.invert(z)
+        assert abs(w_back - w) < 1e-15
+        assert repr(dw) == repr(complex(pair.dpsi(w_back)))
+        many = pair.invert_many(np.array([z]))
+        assert many[1].all()
+        assert many[0].tobytes() == np.array([w_back]).tobytes()
+        assert many[2].tobytes() == np.array([dw]).tobytes()
+
     def test_koebe_origin_with_seed(self):
         pair = koebe_map()
         assert abs(pair.invert(0j)[0]) < 1e-12
@@ -349,8 +366,8 @@ class TestInversion:
     @pytest.mark.parametrize("twist", ["", "*moebius:0.3,-0.2,1"])
     @pytest.mark.parametrize("head, z", [
         ("koebe", [-100.0, -1000.0, -0.25]),
-        # on the edge of the half-plane: |arg z| = pi/2
-        ("sector:1", [2.0j, -3.0j]),
+        # on the edge of the half-plane: |arg z| = pi/2, and its vertex, where phi takes log(0)
+        ("sector:1", [2.0j, -3.0j, 0j]),
     ], ids=["koebe-slit", "sector-edge"])
     def test_vectorized_inversion_checks_omega(self, head, z, twist):
         """Points outside Omega read False, as invert raises MapDomainError on them."""
@@ -687,6 +704,16 @@ class TestFactorForm:
                 for zeta, e in zetas:
                     want *= abs(1 - w / zeta) ** e
                 assert abs(got[i, j] - want) <= 1e-13 * want, (r[i], theta[j])
+
+    def test_pair_never_calls_dpsi(self):
+        """Building, integrating and inverting go through psi_dpsi and the factor form only."""
+        def refuse(w):
+            raise AssertionError("dpsi was called")
+
+        pair = replace(koebe_map(), dpsi=refuse)
+        assert brennan_integral(pair, 3.0).integral.classification is Classification.CONVERGED
+        z = complex(pair.psi(0.3 + 0.4j))
+        assert abs(pair.invert(z)[0] - (0.3 + 0.4j)) < 1e-12
 
     def test_factors_of_a_replaced_pair(self):
         """A pair rebuilt with dataclasses.replace builds the factor list of its own fields."""

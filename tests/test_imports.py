@@ -1,4 +1,4 @@
-"""Every name a package module imports or defines privately is used.
+"""Every name a package module imports or defines privately is used, and every public one is exported once.
 
 No linter runs on the package, so these scans are the check.  A name
 counts as used when it appears as an identifier, which covers the root of
@@ -73,3 +73,20 @@ def test_no_dead_private_definitions(path):
             if not any(name in names for stmt, names in refs if stmt is not own):
                 dead.append(name)
     assert not dead, f"{path.name} defines private names the package never uses: {sorted(dead)}"
+
+
+def test_public_names_listed_once_and_exported():
+    """``brennanlab`` star-imports each module, so its ``__all__`` is the one list of public names.
+
+    A name in two lists would let the later import shadow the earlier one.
+    """
+    import brennanlab
+    from brennanlab import catalog, exponents, functionals, operators, quadrature
+
+    modules = (catalog, exponents, functionals, operators, quadrature)
+    listed = [name for module in modules for name in module.__all__]
+    shared = sorted({name for name in listed if listed.count(name) > 1})
+    assert not shared, f"names in more than one __all__: {shared}"
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(brennanlab, name) is getattr(module, name), name
