@@ -144,6 +144,9 @@ class MapDescriptor:
 
     ``twist_a``/``twist_theta`` record precomposition with the disc
     automorphism ``m(w) = e^{i twist_theta} (w - twist_a)/(1 - conj(twist_a) w)``.
+    A descriptor checks itself when made: a sector needs an opening
+    ``beta`` in (0, 2] and a Moebius map needs ``|a| < 1``, or DescriptorError
+    is raised.
     """
 
     family: str
@@ -152,6 +155,16 @@ class MapDescriptor:
     theta: float = 0.0
     twist_a: complex | None = None
     twist_theta: float = 0.0
+
+    def __post_init__(self):
+        if self.family == "sector":
+            if self.beta is None:
+                raise DescriptorError("sector descriptor is missing its opening parameter")
+            if not 0.0 < self.beta <= 2.0:
+                raise DescriptorError(
+                    f"sector opening parameter must lie in (0, 2], got {self.beta}")
+        if self.family == "moebius" and abs(self.a) >= 1.0:
+            raise DescriptorError(f"moebius parameter must satisfy |a| < 1, got {self.a!r}")
 
     def label(self) -> str:
         if self.family == "sector":
@@ -407,11 +420,9 @@ def identity_map() -> ConformalPair:
 
 def moebius_map(a: complex, theta: float = 0.0) -> ConformalPair:
     """The disc automorphism e^{i theta} (w - a)/(1 - conj(a) w), Omega = D."""
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise DescriptorError(f"moebius parameter must satisfy |a| < 1, got {a!r}")
-    return replace(identity_map().compose_with_moebius(a, theta),
-                   descriptor=MapDescriptor("moebius", a=a, theta=theta))
+    # the descriptor checks |a| < 1 before the twist does
+    descriptor = MapDescriptor("moebius", a=complex(a), theta=theta)
+    return replace(identity_map().compose_with_moebius(descriptor.a, theta), descriptor=descriptor)
 
 
 def koebe_map() -> ConformalPair:
@@ -451,8 +462,7 @@ def sector_map(beta: float) -> ConformalPair:
     equals the two-log form exp(beta (log(1-w) - log(1+w))) exactly, because
     1 - w and 1 + w both lie in the right half-plane.
     """
-    if not 0.0 < beta <= 2.0:
-        raise DescriptorError(f"sector opening parameter must lie in (0, 2], got {beta}")
+    descriptor = MapDescriptor("sector", beta=beta)
 
     def psi_dpsi(w):
         w = np.asarray(w, dtype=complex)[()]
@@ -471,7 +481,7 @@ def sector_map(beta: float) -> ConformalPair:
         arg = cmath.phase(z) if isinstance(z, complex) else np.angle(z)
         return (z != 0.0) & (abs(arg) < 0.5 * beta * math.pi)
 
-    return _pair(MapDescriptor("sector", beta=beta), psi_dpsi, phi, contains,
+    return _pair(descriptor, psi_dpsi, phi, contains,
                  (SingularPoint(1.0 + 0j, beta - 1.0), SingularPoint(-1.0 + 0j, -(beta + 1.0))))
 
 
@@ -535,19 +545,13 @@ def _parse_single(text: str) -> MapDescriptor:
     if name == "sector":
         if not args:
             raise DescriptorError("sector needs an opening parameter, e.g. sector:1.5")
-        beta = _parse_float(args)
-        if not 0.0 < beta <= 2.0:
-            raise DescriptorError(f"sector opening parameter must lie in (0, 2], got {beta}")
-        return MapDescriptor("sector", beta=beta)
+        return MapDescriptor("sector", beta=_parse_float(args))
     if name == "moebius":
         parts = [p for p in args.split(",") if p.strip()]
         if len(parts) != 3:
             raise DescriptorError("moebius needs three numbers: a_re,a_im,theta")
         a_re, a_im, theta = (_parse_float(p) for p in parts)
-        a = complex(a_re, a_im)
-        if abs(a) >= 1.0:
-            raise DescriptorError(f"moebius parameter must satisfy |a| < 1, got {a!r}")
-        return MapDescriptor("moebius", a=a, theta=theta)
+        return MapDescriptor("moebius", a=complex(a_re, a_im), theta=theta)
     if args:
         raise DescriptorError(f"family {name!r} takes no parameters, got {args!r}")
     return MapDescriptor(name)
@@ -567,8 +571,6 @@ def make_pair(descriptor: MapDescriptor | str) -> ConformalPair:
     """Build the ConformalPair for a descriptor or descriptor string."""
     if isinstance(descriptor, str):
         descriptor = parse_descriptor(descriptor)
-    if descriptor.family == "sector" and descriptor.beta is None:
-        raise DescriptorError("sector descriptor is missing its opening parameter")
     pair = _BUILDERS[descriptor.family](descriptor)
     if descriptor.twist_a is not None:
         pair = pair.compose_with_moebius(descriptor.twist_a, descriptor.twist_theta)

@@ -215,9 +215,7 @@ def cmd_verify_composition(args) -> int:
                {"bound_kpq": report.bound_kpq,
                 "max_ratio": report.max_ratio,
                 "bound_satisfied": report.bound_satisfied},
-               {"samples": [{"function": s.function, "seminorm_p": s.seminorm_p,
-                             "pullback_seminorm_q": s.pullback_seminorm_q,
-                             "ratio": s.ratio} for s in report.samples]},
+               {"samples": [dataclasses.asdict(s) for s in report.samples]},
                args.out)
     return EXIT_OK if report.bound_satisfied else EXIT_NEGATIVE
 
@@ -263,10 +261,6 @@ def cmd_equivalence(args) -> int:
     spec = _spec_from(args)
     p_grid = [float(t) for t in args.p_grid.split(",") if t.strip()]
     table = equivalence_table(pair, args.s, p_grid, spec)
-    rows = [{"p": r.p, "q": r.q, "s_roundtrip": r.s_roundtrip,
-             "integral_value": r.integral_value,
-             "classification": r.classification.value,
-             "kpq_value": r.kpq_value} for r in table.rows]
     if args.format == "csv":
         lines = ["p,q,s_roundtrip,integral_value,classification,kpq"]
         for r in table.rows:
@@ -278,7 +272,9 @@ def cmd_equivalence(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit_json("equivalence", {"map": args.map, "s": args.s, "p_grid": p_grid},
-                   {"rows": rows, "integral_spread": table.integral_spread,
+                   # json writes the str-enum classification as its value
+                   {"rows": [dataclasses.asdict(r) for r in table.rows],
+                    "integral_spread": table.integral_spread,
                     "consistent": table.consistent},
                    {"all_converged": table.all_converged,
                     "all_diverged": table.all_diverged},

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .quadrature import (
     DEFAULT_SPEC,
     IntegralEstimate,
     _integrate_polar,
+    _polar_grid,
 )
 
 __all__ = [
@@ -98,11 +100,21 @@ class CriticalExponentReport:
     probes: tuple[tuple[float, str, float], ...]
 
 
-def _disc_integral(pair: ConformalPair, exponent: float,
-                   spec: GradingSpec) -> IntegralEstimate:
-    """Integral of ``|psi'|^exponent`` over the disc, graded toward every singular angle and pole."""
-    return _integrate_polar(lambda r, theta: pair.abs_dpsi_power(r, theta, exponent),
-                            pair.grading_angles, spec)
+def _disc_integral(pair: ConformalPair, exponent: float, spec: GradingSpec,
+                   weight: Callable[[np.ndarray], np.ndarray] | None = None) -> IntegralEstimate:
+    """Integral of ``|psi'|^exponent`` over the disc, graded toward every singular angle and pole.
+
+    An optional ``weight`` of complex w multiplies the integrand; only then
+    is each ring's complex grid built.
+    """
+
+    def g(r, theta):
+        out = pair.abs_dpsi_power(r, theta, exponent)
+        if weight is not None:
+            out *= weight(_polar_grid(r, theta))
+        return out
+
+    return _integrate_polar(g, pair.grading_angles, spec)
 
 
 def brennan_integral(pair: ConformalPair, s: float,

@@ -24,21 +24,21 @@ import numpy as np
 
 from .catalog import ConformalPair, MapDescriptor, NewtonConvergenceError
 from .exponents import ExponentDomainError, dual_exponent, dual_pair, q_from_ps, s_from_pq
-from .functionals import RegimeError, inverse_brennan_integral, kpq_functional
+from .functionals import RegimeError, _disc_integral, inverse_brennan_integral, kpq_functional
 from .quadrature import (
     Classification,
     DEFAULT_SPEC,
     GradingSpec,
+    QuadratureError,
     _angular_rules,
     _complex_integrand,
     _gauss,
-    _integrate_polar,
-    _polar_grid,
     _ring_sum,
     integrate_disc,
 )
 
 __all__ = [
+    "DegenerateChartError",
     "DualityResult",
     "EquivalenceRow",
     "EquivalenceTable",
@@ -71,6 +71,10 @@ class InadmissibleFunctionError(ValueError):
 
 class SeminormBoundError(AssertionError):
     """A sampled seminorm ratio exceeded the theoretical bound."""
+
+
+class DegenerateChartError(QuadratureError, RuntimeError):
+    """A forward-patch chart still folds after ``_MAX_SPLIT_DEPTH`` splits."""
 
 
 @dataclass(frozen=True)
@@ -197,12 +201,7 @@ def pullback_seminorm(pair: ConformalPair, f: TestFunction, q: float,
     if not 1.0 <= q < math.inf:
         raise ExponentDomainError(f"pullback seminorm needs 1 <= q < inf, got q={q}")
 
-    def g(r, theta):
-        out = pair.abs_dpsi_power(r, theta, 2.0 - q)
-        out *= f.grad_abs(_polar_grid(r, theta)) ** q
-        return out
-
-    est = _integrate_polar(g, pair.grading_angles, spec)
+    est = _disc_integral(pair, 2.0 - q, spec, lambda w: f.grad_abs(w) ** q)
     if est.classification is not Classification.CONVERGED:
         return math.inf
     return est.value ** (1.0 / q)
@@ -285,15 +284,37 @@ _BLOCK_CELLS = 16
 _DISC_SIDE_SPEC = GradingSpec(radial_order=48, angular_base=256)
 
 
-def _split_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second halves of every cell row (ra, rb, ta, tb, depth), at the same depth."""
+def _split_cells(cells: np.ndarray) -> np.ndarray:
+    """Both halves of every cell row (ra, rb, ta, tb, depth), one split deeper.
+
+    Each cell is halved across whichever side is metrically longer; every
+    first half comes before every second half.
+    """
     ra, rb, ta, tb = cells.T[:4]
-    # split whichever side is metrically longer
     radial = (rb - ra) >= 0.5 * (ra + rb) * (tb - ta)
     first, second = cells.copy(), cells.copy()
     first[radial, 1] = second[radial, 0] = 0.5 * (ra + rb)[radial]
     first[~radial, 3] = second[~radial, 2] = 0.5 * (ta + tb)[~radial]
-    return first, second
+    halves = np.concatenate([first, second])
+    halves[:, 4] += 1.0
+    return halves
+
+
+def _refined_cells(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """The leaves of cell rows refined toward psi's singular locations, level by level.
+
+    A cell shallower than ``_MAX_SPLIT_DEPTH`` whose size exceeds
+    ``PROXIMITY_CAP`` times its distance from the nearest singular location
+    (as bounded by :func:`_cell_proximity`) gives way to its halves; every
+    other cell is a leaf.  Each level's leaves come out in its order, before
+    the next level's, and no psi is evaluated.
+    """
+    leaves = []
+    while len(cells):
+        near = (cells[:, 4] < _MAX_SPLIT_DEPTH) & (_cell_proximity(cells, singular) > PROXIMITY_CAP)
+        leaves.append(cells[~near])
+        cells = _split_cells(cells[near])
+    return np.concatenate(leaves)
 
 
 def _cell_proximity(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
@@ -376,8 +397,10 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
                 integrand_w) -> tuple[np.ndarray, list[float]]:
     """Chart and invert one block of cell rows: the folded-chart mask, and the other cells' sums.
 
-    A cell whose chart folds is left out, for its halves to be charted;
-    one already ``_MAX_SPLIT_DEPTH`` splits deep raises RuntimeError.  The
+    One ``psi_dpsi`` call charts the block's edges and corners, and one
+    ``invert_many`` call inverts its nodes.  A cell whose chart folds gets
+    no sum, for its halves to be charted instead; a fold on a cell already
+    ``_MAX_SPLIT_DEPTH`` splits deep raises DegenerateChartError.  The
     block's arrays set the peak memory, so they live only in this call.
     """
     block, depth = block[:, :4], block[:, 4]
@@ -387,7 +410,7 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
     if folded.any():
         last = folded & (depth == _MAX_SPLIT_DEPTH)
         if last.any():
-            raise RuntimeError(
+            raise DegenerateChartError(
                 f"degenerate forward chart on cell {tuple(block[last][0].tolist())}")
         block, z, weights = (a[~folded] for a in (block, z, weights))
     w, ok, dw = pair.invert_many(z)
@@ -405,21 +428,16 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
 def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: float) -> float:
     """Integral over psi(patch) of ``integrand_w(w, psi'(w))`` at w = phi(z).
 
-    Every chart node z is inverted by ``invert_many`` (the closed-form
-    inverse, with one Newton step where its residual misses the target),
-    which also returns psi' at the inverted node; the chart Jacobian
-    carries the measure.  The patch is refined a level at a time: cells
-    larger than ``PROXIMITY_CAP`` times their distance from psi's nearest
-    singular location (a singular point on the circle or a pole off it, as
-    bounded by :func:`_cell_proximity`) and cells whose chart folds are
-    set aside, and their halves form the next level; no psi' is evaluated
-    to decide a split.  The other cells are charted and inverted a block of
-    ``_BLOCK_CELLS`` at a time by :func:`_block_sums`, with one ``psi_dpsi``
-    call for the block's edges and corners and one ``invert_many`` call for
-    its nodes, and their sums are added one by one.  A level's last partial block waits for the
-    next level's cells, so only the last level charts a partial block.  A
-    cell row is (ra, rb, ta, tb, depth): cells ``_MAX_SPLIT_DEPTH`` splits
-    deep skip the proximity test, and a fold among them raises.
+    Two steps.  First the patch's seed cells, four quadrants of each seed
+    ring, are refined toward psi's singular locations (its singular points
+    on the circle and its poles off it) by :func:`_refined_cells`, which
+    evaluates no psi.  Then one loop charts the leaves ``_BLOCK_CELLS`` at a
+    time through :func:`_block_sums`: every chart node z is inverted by
+    ``invert_many`` (the closed-form inverse, with one Newton step where its
+    residual misses the target), which also returns psi' at the inverted
+    node, and the chart Jacobian carries the measure.  A folded chart's
+    halves go back through the refinement and join the end of the list, so
+    only the last block can be partial.  The cell sums are added one by one.
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
@@ -429,27 +447,17 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: flo
     # its factor is 1)
     singular = np.array([sp.location for sp in pair.singular_points]
                         + [1.0 / c for c, _ in pair.poles if c], dtype=complex)
-    # cells far enough from the singular locations, not charted yet
-    ready = cells[:0]
+    leaves = _refined_cells(cells, singular)
     total = 0.0
-    while len(cells):
-        near = np.zeros(len(cells), dtype=bool)
-        testable = cells[:, 4] < _MAX_SPLIT_DEPTH
-        near[testable] = _cell_proximity(cells[testable], singular) > PROXIMITY_CAP
-        halve = [cells[near]]
-        ready = np.concatenate([ready, cells[~near]])
-        while len(ready):
-            # a partial block waits for the next level's cells, if there is a next level
-            if len(ready) < _BLOCK_CELLS and any(map(len, halve)):
-                break
-            block, ready = ready[:_BLOCK_CELLS], ready[_BLOCK_CELLS:]
-            folded, sums = _block_sums(pair, block, integrand_w)
-            halve.append(block[folded])
-            # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
-            for cell_sum in sums:
-                total += cell_sum
-        cells = np.concatenate(_split_cells(np.concatenate(halve)))
-        cells[:, 4] += 1.0
+    while len(leaves):
+        # slices are views: the list is copied only when a block folds
+        block, leaves = leaves[:_BLOCK_CELLS], leaves[_BLOCK_CELLS:]
+        folded, sums = _block_sums(pair, block, integrand_w)
+        if folded.any():
+            leaves = np.concatenate([leaves, _refined_cells(_split_cells(block[folded]), singular)])
+        # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
+        for cell_sum in sums:
+            total += cell_sum
     return total
 
 
@@ -463,12 +471,14 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     psi' the inversion computed at w); the disc side integrates
     ``|grad f|^2`` over the patch directly.  The two agree exactly when
     ``|phi'|^2`` is the Jacobian, so the returned ratio should be 1, to
-    rounding: the patch's cells are refined toward psi's singular points and
-    poles (see :func:`_forward_patch_integral`), though not toward f's own
-    singularities, such as ``shifted_log``'s at w = 2 or ``boundary_power``'s
-    on the unit circle, which lie off the patch.  A node whose inverse
-    misses the residual target raises NewtonConvergenceError, and a chart
-    still folded after ``_MAX_SPLIT_DEPTH`` splits raises RuntimeError.
+    rounding.  The patch's cells are refined toward psi's singular points
+    and poles before any is charted (see :func:`_forward_patch_integral`),
+    though not toward f's own singularities, such as ``shifted_log``'s at
+    w = 2 or ``boundary_power``'s on the unit circle, which lie off the
+    patch.  A node whose inverse misses the residual target raises
+    NewtonConvergenceError, and a chart still folded after
+    ``_MAX_SPLIT_DEPTH`` splits raises DegenerateChartError, a
+    QuadratureError.
     """
     r0, r1 = patch
     if not 0.0 <= r0 < r1 < 1.0:

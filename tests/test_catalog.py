@@ -82,6 +82,21 @@ class TestDescriptors:
         with pytest.raises(DescriptorError, match="missing its opening parameter"):
             make_pair(MapDescriptor("sector"))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MapDescriptor("sector", beta=0.0),
+         "sector opening parameter must lie in (0, 2], got 0.0"),
+        (lambda: MapDescriptor("moebius", a=0.6 + 0.8j),
+         "moebius parameter must satisfy |a| < 1, got (0.6+0.8j)"),
+        (lambda: moebius_map(2.0 + 0j), "moebius parameter must satisfy |a| < 1, got (2+0j)"),
+        (lambda: replace(MapDescriptor("sector", beta=1.5), beta=3.0),
+         "sector opening parameter must lie in (0, 2], got 3.0"),
+    ], ids=["sector-descriptor", "moebius-descriptor", "moebius-map", "replaced"])
+    def test_a_descriptor_checks_itself(self, make, message):
+        """Every way of making a descriptor checks it, with the parser's messages."""
+        with pytest.raises(DescriptorError) as info:
+            make()
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["koebe*moebius:0,0,nan", "moebius:nan,0,0",
                                       "cardioid*moebius:0.1,0,inf"])
     def test_non_finite_numbers(self, text):

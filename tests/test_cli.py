@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from brennanlab import catalog
+from brennanlab import catalog, operators
 from brennanlab.cli import main
 
 
@@ -231,6 +231,16 @@ class TestIsometryCommand:
         assert err == ("error: forward-patch inversion failed at z=(0.00018978695522702503"
                        "+0.02696230835349647j) (map cardioid, cell (0.0, 0.4, "
                        "1.5707963267948966, 3.141592653589793))\n")
+
+    def test_degenerate_chart_is_a_numerical_error(self, capsys, monkeypatch):
+        """Without refinement a folded Koebe chart cannot be split past depth 1."""
+        monkeypatch.setattr(operators, "PROXIMITY_CAP", math.inf)
+        monkeypatch.setattr(operators, "_MAX_SPLIT_DEPTH", 1)
+        code, out, err = run(capsys, "isometry", "--map", "koebe")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: degenerate forward chart on cell "
+                       "(0.4, 0.8, 0.0, 0.7853981633974483)\n")
 
 
 class TestDualityCommand:

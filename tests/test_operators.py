@@ -341,7 +341,7 @@ class TestForwardPatch:
     @pytest.mark.parametrize("patch", [(0.0, 0.8), (0.3, 0.7)], ids=["disc", "annulus"])
     @pytest.mark.parametrize("name", PATCH_MAPS)
     def test_only_the_last_block_is_partial(self, monkeypatch, name, patch):
-        """A level's leftover cells are charted with the next level's, not on their own."""
+        """The refined cells are charted in full blocks; only the last block is partial."""
         blocks = []
         invert_many = ConformalPair.invert_many
 
@@ -367,6 +367,46 @@ class TestForwardPatch:
         assert len(cells) == 8
         assert np.any(operators._coons_grid(pair, cells, 16)[2] <= 0.0)
         assert isometry_check(pair, f) == pytest.approx(ratio, rel=0.0, abs=1e-12)
+
+    def test_fold_under_refinement(self, monkeypatch):
+        """A seed cell far from the singular points whose chart folds anyway.
+
+        Its halves are refined and charted after it; every other charted
+        cell is a leaf of the reference refinement.  The ratios are pinned
+        to their last bits.
+        """
+        pair = make_pair("cardioid*moebius:0.5117708699237223,0.08382085208048248,"
+                         "3.2004601267299093")
+        wedge = (0.0, 0.4, 4.71238898038469, 6.283185307179586)
+        charted, blocks = [], []
+        coons_grid = operators._coons_grid
+
+        def recording(pair, cells, n):
+            charted.extend(map(tuple, cells.tolist()))
+            blocks.append(len(cells))
+            return coons_grid(pair, cells, n)
+
+        monkeypatch.setattr(operators, "_coons_grid", recording)
+        ratios = {"harmonic_poly:1": 0.9999999999999998,
+                  "boundary_power:1.5": 0.9999999999999989,
+                  "shifted_log": 0.9999999999999992}
+        for f in isometry_family():
+            charted.clear()
+            blocks.clear()
+            assert isometry_check(pair, f) == ratios[f.name]
+            assert blocks == [16, 16, 5]
+            assert charted.count(wedge) == 1
+            k = charted.index(wedge)
+            inside = [c for c in charted if c != wedge and c[0] >= wedge[0] and c[1] <= wedge[1]
+                      and c[2] >= wedge[2] and c[3] <= wedge[3]]
+            assert inside and all(charted.index(c) > k for c in inside)
+            # the halves' leaves tile the wedge
+            area = sum((rb * rb - ra * ra) * (tb - ta) for ra, rb, ta, tb in inside)
+            assert area == pytest.approx((wedge[1] ** 2 - wedge[0] ** 2) * (wedge[3] - wedge[2]),
+                                         rel=1e-14)
+            rest = [c for c in charted if c != wedge and c not in inside]
+            reference = reference_patch_cells(pair, 0.0, 0.8)
+            assert sorted(rest) == sorted(c for c in reference if c != wedge)
 
     def test_fold_at_the_last_level_raises(self, monkeypatch):
         monkeypatch.setattr(operators, "PROXIMITY_CAP", math.inf)
