@@ -99,8 +99,10 @@ _GRADING_HELP = {
     "eps_min": "innermost boundary gap",
     "annulus_ratio": "geometric gap shrink factor",
     "radial_order": "radial Gauss-Legendre points per annulus",
-    "angular_base": "angular nodes away from singular angles",
-    "angular_boost": "nodes per graded angular panel",
+    "angular_base": "each side of a singular angle gets angular_base//4 extra nodes;"
+                    " with no singular angle, about the number of angular nodes",
+    "angular_boost": "each side of a singular angle gets angular_boost/2 nodes per unit"
+                     " of asinh(distance/gap); with none, the nodes of each equal panel",
 }
 
 

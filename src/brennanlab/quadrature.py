@@ -5,14 +5,14 @@ finitely many boundary points (and possibly along the whole boundary in the
 radial direction).  The disc is covered by an inner disc of radius 1/2 plus
 geometrically shrinking annuli whose boundary gap decreases by
 ``annulus_ratio`` per step down to ``eps_min``.  Each annulus carries a
-tensor rule: Gauss-Legendre in the radius and a composite Gauss-Legendre
-angular rule whose panels shrink geometrically toward every declared
-singular angle until they match the annulus gap, so a spike of angular
-width comparable to the gap is always resolved.  The angular rules of the
-inner disc and of every annulus are built together, one array pass over
-the whole gap ladder per integral (a long ladder a fixed chunk of annuli
-at a time, to bound memory); each rule is yielded as its nodes ``theta``
-and their weights.
+tensor rule: Gauss-Legendre in the radius and an angular rule graded
+toward every declared singular angle by the sinh map at the annulus gap
+(Johnston & Elliott, IJNME 62, 2005): each side of each angle is
+``theta = a +- gap*sinh(u)`` with one Gauss-Legendre block in u, so a
+spike of angular width comparable to the gap is smooth in u and always
+resolved.  The rule of the inner disc and of each annulus is built when
+the ring needs it, one array pass over the sides, and is yielded as its
+nodes ``theta`` and their weights.
 
 Each ring hands its integrand the ring's radial nodes ``r`` and angles
 ``theta``, and the integrand returns its values on the polar grid
@@ -63,8 +63,6 @@ FIT_WINDOW = 5
 FIT_RESIDUAL_TOL = 0.15
 #: outermost boundary gap: the inner disc has radius 1 - EPS_START
 EPS_START = 0.5
-#: scales whose angular rules are built in one array pass (bounds memory on long ladders)
-_RULE_CHUNK = 64
 
 #: an integrand on a ring's polar grid: g(r, theta) of shape (len(r), len(theta))
 _PolarIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -100,11 +98,13 @@ class GradingSpec:
     radial_order
         Gauss-Legendre points per annulus in the radial direction.
     angular_base
-        Approximate number of angular nodes far from singular angles; also
-        caps the width of the graded panels.
+        With singular angles, ``angular_base//4`` extra nodes on each side
+        of each angle.  Without, about the number of angular nodes:
+        ``max(8, angular_base//angular_boost)`` equal panels.
     angular_boost
-        Gauss-Legendre points on each graded angular panel near a declared
-        singular angle.
+        With singular angles, ``angular_boost/2`` nodes per unit of
+        ``asinh(distance/gap)`` on each side of each angle.  Without, the
+        Gauss-Legendre points of each equal panel.
     """
 
     eps_min: float = 1e-8
@@ -154,101 +154,58 @@ class IntegralEstimate:
 
 @lru_cache(maxsize=None)
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]; the package's only source of them."""
+    """Gauss-Legendre nodes and weights on [-1, 1]; the package's only source of nodes."""
     x, w = np.polynomial.legendre.leggauss(n)
     # shared by every caller through the cache, so keep them read-only
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def _split_spans(a: np.ndarray, b: np.ndarray,
-                 width_cap: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panels that split each span ``[a_k, b_k]`` evenly, none wider than its width cap.
+@lru_cache(maxsize=None)
+def _gauss_sides(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of :func:`_gauss` with weights recomputed to a few ulp, for the sinh sides.
 
-    Span k becomes ``m_k = ceil((b_k - a_k) / width_cap_k)`` equal panels
-    (at least one, so an infinite cap keeps the span whole).  Their ends
-    are formed with ``np.linspace``'s arithmetic, ``a + j*step`` with the
-    last end exactly ``b``, so they match a per-span ``np.linspace`` bit
-    for bit.  Returns the panel ends and the span of each panel, in span
-    order.
+    numpy's weights lose up to 1e-11 relative toward the ends of [-1, 1]
+    (at n = 134), and the sinh map puts most of a side's mass on the end
+    weights.  Here P_{n-1} and P_n come from the three-term recurrence at
+    each node x, and the weight ``2/((1 - x^2) P_n'(x)^2)`` is carried to
+    first order from x to the true root ``x - P_n/P_n'``.
     """
-    m = np.maximum(1, np.ceil((b - a) / width_cap)).astype(int)
-    ends = np.cumsum(m)
-    span = np.repeat(np.arange(len(m)), m)
-    j = np.arange(ends[-1]) - np.repeat(ends - m, m)
-    step = ((b - a) / m)[span]
-    lo = j * step + a[span]
-    hi = (j + 1) * step + a[span]
-    hi[ends - 1] = b
-    return lo, hi, span
-
-
-def _ladder_panels(sides: np.ndarray, scale: np.ndarray,
-                   width_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panel ends of the angular rules at every scale of the column ``scale``.
-
-    ``sides`` holds the (start, stop, base, sign) rows of the sides in rule
-    order: a side's panel ends are ``base + sign*d`` at distances d from
-    its angle, nearest first.  The panels come from one set of array
-    operations over (scale, side, gap) and are laid out rule by rule;
-    the third array holds where each rule's panels begin, and their total.
-    """
-    start, stop, base, sign = sides
-    length = stop - start
-    graded = length > scale
-    # doublings scale*2^k < length, counted from log2 and then made exact
-    count = np.where(graded, np.ceil(np.log2(length) - np.log2(scale)), 0).astype(int)
-    count += np.ldexp(scale, count) < length
-    count -= graded & (np.ldexp(scale, count - 1) >= length)
-    # one span per gap: a graded side has count + 1 gaps, a side no longer
-    # than its scale has one
-    gaps = np.where(graded, count + 1, 1).ravel()
-    ends = np.cumsum(gaps)
-    cell = np.repeat(np.arange(gaps.size), gaps)
-    k = np.arange(ends[-1]) - np.repeat(ends - gaps, gaps)
-    ring, side = np.divmod(cell, len(length))
-    cut, last, at = graded.ravel()[cell], count.ravel()[cell], scale.ravel()[ring]
-    # gap k runs from scale*2^(k-1) (0 for k = 0) to scale*2^k (the side's
-    # length for the last); an ungraded side is the absolute span
-    # [start, stop], which an infinite cap keeps one panel
-    a = np.where(cut, np.where(k > 0, np.ldexp(at, k - 1), 0.0), start[side])
-    b = np.where(cut, np.where(k < last, np.ldexp(at, k), length[side]), stop[side])
-    pa, pb, span = _split_spans(a, b, np.where(cut, width_cap, np.inf))
-    origin = np.where(cut, base[side], 0.0)[span]
-    toward = np.where(cut, sign[side], 1.0)[span]
-    ea, eb = origin + toward * pa, origin + toward * pb
-    return (np.minimum(ea, eb), np.maximum(ea, eb),
-            np.searchsorted(ring[span], np.arange(len(scale) + 1)))
+    x, _ = _gauss(n)
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    one = (1.0 - x) * (1.0 + x)
+    dp = n * (p0 - x * p1) / one
+    w = 2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p1 / dp) / one)
+    w.flags.writeable = False
+    return x, w
 
 
 def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
                    spec: GradingSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Composite angular rules on [0, 2pi), one per scale, graded toward the singular angles.
+    """Angular rules on [0, 2pi), one per scale, graded toward the singular angles.
 
-    Each singular angle owns the half of the arc toward either neighbour.
-    Such a side is cut at distances ``scale, 2*scale, 4*scale, ...`` from
-    its angle, and every gap is split evenly at ``width_cap``; a side no
-    longer than ``scale`` is one panel.  Every panel carries the same
-    ``angular_boost``-point Gauss-Legendre rule.  Without singular angles
-    every scale gets the same uniform rule.
+    Each singular angle a owns the half of the arc toward either neighbour.
+    On such a side of length h the rule at scale ``gap`` is the sinh map
+    ``theta = a +- gap*sinh(u)``, ``u`` in ``[0, asinh(h/gap)]``, carrying
+    one Gauss-Legendre block of ``ceil(angular_boost/2 * asinh(h/gap)) +
+    angular_base//4`` points; a peak of width ``gap`` at a is smooth in u
+    (Johnston & Elliott, IJNME 62, 2005).  Without singular angles every
+    scale gets the same rule: ``max(8, angular_base//angular_boost)`` equal
+    panels of ``angular_boost`` Gauss-Legendre points.
 
-    The rules of a whole gap ladder come from one pass of
-    :func:`_ladder_panels`, ``_RULE_CHUNK`` scales at a time so that a
-    long ladder needs bounded memory.  Each rule is yielded, in the order
-    of ``scales``, as (theta, weights), contiguous views of its chunk.
+    Each rule is built when it is needed, so memory is bounded by one rule
+    however long the ladder.  Rules are yielded, in the order of
+    ``scales``, as (theta, weights).
     """
-    width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
-    x, w = _gauss(spec.angular_boost)
-
-    def nodes(lo, hi):
-        half = 0.5 * (hi - lo)[:, None]
-        return (lo[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
-
     # angles that coincide modulo 2pi are one angle, owning one arc
     angles = sorted({a % TWO_PI for a in singular_angles})
     if not angles:
-        lo, hi, _ = _split_spans(np.array([0.0]), np.array([TWO_PI]), width_cap)
-        rule = nodes(lo, hi)
+        x, w = _gauss(spec.angular_boost)
+        ends = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
+        half = 0.5 * (ends[1:] - ends[:-1])[:, None]
+        rule = (ends[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
         for _ in scales:
             yield rule
         return
@@ -257,16 +214,16 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     sides = []
     for a, b in zip(angles, angles[1:] + [angles[0] + TWO_PI]):
         mid = 0.5 * (a + b)
-        sides += [(a, mid, a, 1.0), (mid, b, b, -1.0)]
-    sides = np.array([s for s in sides if s[1] - s[0] > 0.0]).T
-    scales = np.asarray(scales, dtype=float)
-    for first in range(0, len(scales), _RULE_CHUNK):
-        # the layout's temporaries die with _ladder_panels, before any ring is evaluated
-        lo, hi, bounds = _ladder_panels(sides, scales[first:first + _RULE_CHUNK, None], width_cap)
-        rule = nodes(lo, hi)
-        bounds *= spec.angular_boost
-        for i, j in zip(bounds[:-1], bounds[1:]):
-            yield tuple(a[i:j] for a in rule)
+        sides += [(a, mid - a, 1.0), (b, b - mid, -1.0)]
+    base, length, sign = np.array([s for s in sides if s[1] > 0.0]).T
+    for gap in scales:
+        stop = np.arcsinh(length / gap)
+        count = np.ceil(0.5 * spec.angular_boost * stop).astype(int) + spec.angular_base // 4
+        side = np.repeat(np.arange(len(count)), count)
+        x, w = (np.concatenate(t) for t in zip(*map(_gauss_sides, count.tolist())))
+        half = 0.5 * stop[side]
+        u = half * (x + 1.0)
+        yield base[side] + sign[side] * (gap * np.sinh(u)), gap * np.cosh(u) * (half * w)
 
 
 def _polar_grid(r: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ class TestIntegrateCommand:
         assert not caught
         assert out == ""
         assert err == (
-            "error: integrand non-finite at node w=(0.7478141287533074+0.0018984868901979948j)\n")
+            "error: integrand non-finite at node w=(0.7478163657144561+0.000508512697463222j)\n")
 
     def test_inverse_exponent_flag(self, capsys):
         code, payload, _ = run_json(capsys, "integrate", "--map", "identity", "--r", "5")

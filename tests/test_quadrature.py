@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from brennanlab.quadrature import (
     _complex_integrand,
     _gap_ladder,
     _gauss,
+    _gauss_sides,
     _graded_sums,
     _ring_sum,
     _tail,
@@ -219,44 +221,71 @@ class TestValidation:
             GradingSpec(**{field: value})
 
 
+@functools.lru_cache(maxsize=None)
+def reference_gauss_sides(n):
+    """numpy's Gauss-Legendre nodes, with each weight recomputed node by node in floats."""
+    nodes = np.polynomial.legendre.leggauss(n)[0]
+    weights = []
+    for x in nodes.tolist():
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        one = (1.0 - x) * (1.0 + x)
+        dp = n * (p0 - x * p1) / one
+        weights.append(2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p1 / dp) / one))
+    return nodes, np.array(weights)
+
+
 def reference_angular_rule(singular_angles, scale, spec):
-    """The angular rule built panel by panel, as a reference for the array builder."""
-    width_cap = TWO_PI / max(8, spec.angular_base // spec.angular_boost)
+    """The angular rule built side by side, as a reference for the array builder.
 
-    def uniform(a, b):
-        edges = np.linspace(a, b, max(1, int(math.ceil((b - a) / width_cap))) + 1)
-        return list(zip(edges[:-1], edges[1:]))
-
-    def side(start, stop, outward):
-        length = stop - start
-        if length <= 0.0:
-            return []
-        if length <= scale:
-            return [(start, stop)]
-        edges = [0.0]
-        d = scale
-        while d < length:
-            edges.append(d)
-            d *= 2.0
-        edges.append(length)
-        return [(start + pa, start + pb) if outward else (stop - pb, stop - pa)
-                for a, b in zip(edges[:-1], edges[1:]) for pa, pb in uniform(a, b)]
-
+    Without singular angles: equal panels with ``np.linspace`` ends.  With
+    them: the sinh map on each side of each angle, with its own
+    Gauss-Legendre table from :func:`reference_gauss_sides`.
+    """
     if not singular_angles:
-        panels = uniform(0.0, TWO_PI)
-    else:
-        panels = []
-        angles = sorted(a % TWO_PI for a in singular_angles)
-        for i, a in enumerate(angles):
-            b = angles[(i + 1) % len(angles)] if len(angles) > 1 else a + TWO_PI
-            if b <= a:
-                b += TWO_PI
-            mid = 0.5 * (a + b)
-            panels += side(a, mid, True) + side(mid, b, False)
-    x, w = np.polynomial.legendre.leggauss(spec.angular_boost)
-    halves = [0.5 * (b - a) for a, b in panels]
-    return (np.concatenate([a + h * (x + 1.0) for (a, _), h in zip(panels, halves)]),
-            np.concatenate([h * w for h in halves]))
+        x, w = np.polynomial.legendre.leggauss(spec.angular_boost)
+        edges = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
+        halves = [0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])]
+        return (np.concatenate([a + h * (x + 1.0) for a, h in zip(edges[:-1], halves)]),
+                np.concatenate([h * w for h in halves]))
+    theta, weights = [], []
+    angles = sorted(a % TWO_PI for a in singular_angles)
+    for i, a in enumerate(angles):
+        b = angles[(i + 1) % len(angles)] if len(angles) > 1 else a + TWO_PI
+        if b <= a:
+            b += TWO_PI
+        mid = 0.5 * (a + b)
+        for origin, length, sign in ((a, mid - a, 1.0), (b, b - mid, -1.0)):
+            if length <= 0.0:
+                continue
+            stop = np.arcsinh(length / scale)
+            n = math.ceil(0.5 * spec.angular_boost * stop) + spec.angular_base // 4
+            x, w = reference_gauss_sides(n)
+            half = 0.5 * stop
+            u = half * (x + 1.0)
+            theta.append(origin + sign * (scale * np.sinh(u)))
+            weights.append(scale * np.cosh(u) * (half * w))
+    return np.concatenate(theta), np.concatenate(weights)
+
+
+class TestGaussSides:
+    """The sinh sides' weights are the true Gauss-Legendre weights to a few ulp."""
+
+    @pytest.mark.parametrize("n", [16, 64, 134, 260])
+    def test_weights_against_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        x, w = _gauss_sides(n)
+        assert np.array_equal(x, _gauss(n)[0])
+        with mpmath.workdps(40):
+            for xi, wi in zip(x[n // 2:].tolist(), w[n // 2:].tolist()):
+                # Newton from the float node to the root, then the weight there
+                t = mpmath.mpf(xi)
+                for _ in range(3):
+                    p, q = mpmath.legendre(n, t), mpmath.legendre(n - 1, t)
+                    t -= p * (t * t - 1) / (n * (t * p - q))
+                exact = 2 * (1 - t * t) / (n * mpmath.legendre(n - 1, t)) ** 2
+                assert abs(wi / float(exact) - 1.0) <= 2e-13
 
 
 def assert_rule_nodes(theta, ref_theta):
@@ -386,7 +415,7 @@ def one_per_class(angles):
 
 
 class TestRuleLadder:
-    """The ladder builder matches the panel-by-panel reference, scale by scale."""
+    """The rule builder matches the side-by-side reference, scale by scale."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(angles=singular_angle_sets(),
@@ -399,8 +428,7 @@ class TestRuleLadder:
              eps_min=1e-12)
     @example(angles=[0.5, 4.0], base=8, boost=5, ratio=0.7, eps_min=EPS_START)
     @example(angles=[], base=128, boost=8, ratio=0.5, eps_min=1e-8)
-    # sides of length eps_min * 8 and just over 2^30 * eps_min: log2 rounds the
-    # doubling count one too high and one too low there
+    # sides exactly 8*eps_min long, and just over 2^30*eps_min
     @example(angles=[0.0, 0.05581817218170551], base=64, boost=8, ratio=0.5,
              eps_min=0.0034886357613565944)
     @example(angles=[0.0, 2.0000000000000004], base=64, boost=8, ratio=0.5, eps_min=2.0 ** -30)
@@ -417,11 +445,11 @@ class TestRuleLadder:
 
 
 class TestLongLadder:
-    """annulus_ratio = 0.99 down to 1e-12 gives 2,680 annuli, built a chunk at a time."""
+    """annulus_ratio = 0.99 down to 1e-12 gives 2,680 annuli, built one rule at a time."""
 
     SPEC = GradingSpec(eps_min=1e-12, annulus_ratio=0.99)
     ANGLES = (0.0, 2.0)
-    #: bytes; building all 2,681 rules in one pass peaks near 35 MB, a chunk near 3 MB
+    #: bytes; building the rules one at a time peaks near 1.8 MB
     PEAK_BOUND = 8_000_000
 
     def test_memory_and_increments(self):
@@ -436,12 +464,30 @@ class TestLongLadder:
         ladder = _gap_ladder(self.SPEC, self.SPEC.eps_min)
         assert len(increments) == len(ladder) - 1 > 2000
         assert peak < self.PEAK_BOUND
-        # rings on both sides of the first chunk boundaries, and the last one
-        for k in (0, 1, 62, 63, 64, 126, 127, 128, 1000, len(increments) - 1):
+        # the first rings, rings through the ladder, and the last one
+        for k in (0, 1, 2, 500, 1000, 2000, len(increments) - 1):
             ref = reference_ring_sum(g, 1.0 - ladder[k], 1.0 - ladder[k + 1],
                                      *reference_angular_rule(self.ANGLES, ladder[k + 1], self.SPEC),
                                      self.SPEC.radial_order)
             assert increments[k] == ref
+
+
+class TestPeakResolution:
+    """The rule integrates a peak of width ``gap`` at its angle to 2e-13, at every gap.
+
+    With one angle at 0, the outward side's nodes are the offsets theta
+    themselves, and the integral of gap/(theta^2 + gap^2) over [0, pi] is
+    atan(pi/gap).
+    """
+
+    @pytest.mark.parametrize("spec", [GradingSpec(), GradingSpec(angular_base=128),
+                                      GradingSpec(angular_boost=4)],
+                             ids=["default", "base128", "boost4"])
+    def test_lorentzian_peak(self, spec):
+        for gap, (theta, wtheta) in zip(RULE_SCALES, _angular_rules((0.0,), RULE_SCALES, spec)):
+            side = theta < math.pi
+            got = math.fsum(wtheta[side] * gap / (theta[side] ** 2 + gap ** 2))
+            assert got == pytest.approx(math.atan(math.pi / gap), rel=2e-13, abs=0.0)
 
 
 #: the three grading specs of the scan-cold benchmark workload
