@@ -8,10 +8,12 @@ domain-side energy is integrated over the forward image of a disc patch,
 with every quadrature node mapped back through the map's closed-form
 inverse (polished by a Newton step where its residual misses the target)
 and the measure supplied by transfinite charts built from the mapped
-patch edges, so nothing cancels by construction.  The patch is cut into
-polar cells no larger than their distance from the map's singular points
-and poles, because Gauss-Legendre on a cell converges at a rate set by that
-ratio alone, whatever the singular exponent.
+patch edges, so nothing cancels by construction.  The disc-side energy is
+each test function's closed form, so the ratio measures the forward patch
+alone.  The patch is cut into polar cells no larger than their distance
+from the map's singular points and poles, because Gauss-Legendre on a cell
+converges at a rate set by that ratio alone, whatever the singular
+exponent.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from .quadrature import (
     DEFAULT_SPEC,
     GradingSpec,
     QuadratureError,
-    _angular_rules,
-    _complex_integrand,
     _gauss,
-    _ring_sum,
     integrate_disc,
 )
 
@@ -81,13 +80,19 @@ class DegenerateChartError(QuadratureError, RuntimeError):
 class TestFunction:
     """A closed-form disc function with hand-derived gradient modulus.
 
-    ``p_cap`` is the supremum of exponents p for which the gradient lies
-    in L^p of the disc (inf when there is no restriction).
+    ``disc_energy(r0, r1)`` is the Dirichlet energy, the integral of
+    ``grad_abs**2``, over the annulus r0 < |w| < r1 (the disc for r0 = 0)
+    in closed form: within a few ulp on patches such as (0, 0.8) or
+    (0.2, 0.99), and within about 1e-12 relative on thin or small ones such
+    as (0.5, 0.5001) or (0, 0.01), where its terms cancel.  ``p_cap`` is the
+    supremum of exponents p for which the gradient lies in L^p of the disc
+    (inf when there is no restriction).
     """
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
     grad_abs: Callable[[np.ndarray], np.ndarray]
+    disc_energy: Callable[[float, float], float]
     p_cap: float = math.inf
 
     def admissible_for(self, p: float) -> bool:
@@ -106,7 +111,10 @@ def harmonic_poly(k: int) -> TestFunction:
     def grad_abs(w):
         return float(k) * np.abs(w) ** (k - 1)
 
-    return TestFunction(f"harmonic_poly:{k}", value, grad_abs)
+    def disc_energy(r0, r1):
+        return math.pi * k * (r1 ** (2 * k) - r0 ** (2 * k))
+
+    return TestFunction(f"harmonic_poly:{k}", value, grad_abs, disc_energy)
 
 
 def boundary_power(gamma: float) -> TestFunction:
@@ -121,8 +129,19 @@ def boundary_power(gamma: float) -> TestFunction:
         r = np.abs(w)
         return 2.0 * gamma * r * (1.0 - r ** 2) ** (gamma - 1.0)
 
+    def disc_energy(r0, r1):
+        # with u = 1 - r^2 and d = 2 gamma - 1: 4 pi gamma^2/(d + 1) times
+        # (u0^d - u1^d)/d + u0^d r0^2 - u1^d r1^2, the first term taken as
+        # u0^d (1 - (u1/u0)^d)/d by expm1, so it keeps its digits at d near 0
+        # (where it tends to u0^d log(u0/u1)) and cannot overflow at large d
+        u0, u1, d = (1.0 - r0) * (1.0 + r0), (1.0 - r1) * (1.0 + r1), 2.0 * gamma - 1.0
+        log_ratio = math.log1p((r1 - r0) * (r1 + r0) / u1)
+        diff = -math.expm1(-d * log_ratio) / d if d else log_ratio
+        return (4.0 * math.pi * gamma ** 2 / (d + 1.0)
+                * (u0 ** d * (diff + r0 ** 2) - u1 ** d * r1 ** 2))
+
     cap = math.inf if gamma >= 1.0 else 1.0 / (1.0 - gamma)
-    return TestFunction(f"boundary_power:{gamma:g}", value, grad_abs, p_cap=cap)
+    return TestFunction(f"boundary_power:{gamma:g}", value, grad_abs, disc_energy, p_cap=cap)
 
 
 def shifted_log() -> TestFunction:
@@ -134,7 +153,11 @@ def shifted_log() -> TestFunction:
     def grad_abs(w):
         return 1.0 / np.abs(np.asarray(w, dtype=complex) - 2.0)
 
-    return TestFunction("shifted_log", value, grad_abs)
+    def disc_energy(r0, r1):
+        # the mean of |w - 2|^-2 over |w| = r is 1/(4 - r^2)
+        return math.pi * math.log1p((r1 - r0) * (r1 + r0) / (4.0 - r1 ** 2))
+
+    return TestFunction("shifted_log", value, grad_abs, disc_energy)
 
 
 def standard_family() -> tuple[TestFunction, ...]:
@@ -269,7 +292,9 @@ def norm_ratio_report(pair: ConformalPair, p: float, q: float,
 #: largest ratio of a patch cell's size to its distance from psi's nearest
 #: singular location; a cell past it is split
 PROXIMITY_CAP = 1.0
-_MAX_SPLIT_DEPTH = 18
+#: next to the circle a leaf needs about 2*log2(1/(1 - r1)) + 2 splits to meet
+#: the distance rule, so 32 covers patches out to about r1 = 1 - 3e-5
+_MAX_SPLIT_DEPTH = 32
 #: Gauss-Legendre nodes per side of a cell chart
 _CHART_ORDER = 16
 #: cells charted and inverted together.  A block's chart and inversion
@@ -280,8 +305,6 @@ _CHART_ORDER = 16
 #: fastest in every run; whole-run timings overlapped.  Traced memory peaks
 #: were 0.8, 1.2 and 2.0 MB (in process, shared 2-CPU Xeon)
 _BLOCK_CELLS = 16
-#: the isometry check's disc-side rule: 48 radial nodes, 32 panels of 8 angular nodes
-_DISC_SIDE_SPEC = GradingSpec(radial_order=48, angular_base=256)
 
 
 def _split_cells(cells: np.ndarray) -> np.ndarray:
@@ -468,14 +491,16 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     The domain side integrates ``|grad f|^2(phi(z)) * |phi'(z)|^2`` over
     the image of the patch with its own measure (chart Jacobians plus the
     inversion of every node, with ``|phi'(z)| = 1/|psi'(w)|`` from the
-    psi' the inversion computed at w); the disc side integrates
-    ``|grad f|^2`` over the patch directly.  The two agree exactly when
-    ``|phi'|^2`` is the Jacobian, so the returned ratio should be 1, to
-    rounding.  The patch's cells are refined toward psi's singular points
-    and poles before any is charted (see :func:`_forward_patch_integral`),
-    though not toward f's own singularities, such as ``shifted_log``'s at
-    w = 2 or ``boundary_power``'s on the unit circle, which lie off the
-    patch.  A node whose inverse misses the residual target raises
+    psi' the inversion computed at w); the disc side is f's closed-form
+    energy over the patch, ``f.disc_energy(r0, r1)``.  The two agree
+    exactly when ``|phi'|^2`` is the Jacobian, and the disc side is exact
+    to a few ulp, so the returned ratio tests the forward patch alone and
+    should be 1, to rounding.  The patch's cells are refined toward psi's
+    singular points and poles before any is charted (see
+    :func:`_forward_patch_integral`), though not toward f's own
+    singularities, such as ``shifted_log``'s at w = 2 or
+    ``boundary_power``'s on the unit circle, which lie off the patch.  A
+    node whose inverse misses the residual target raises
     NewtonConvergenceError, and a chart still folded after
     ``_MAX_SPLIT_DEPTH`` splits raises DegenerateChartError, a
     QuadratureError.
@@ -487,11 +512,7 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     def integrand(w, dw):
         return f.grad_abs(w) ** 2 / np.abs(dw) ** 2
 
-    omega_side = _forward_patch_integral(pair, integrand, r0, r1)
-    disc_side = _ring_sum(_complex_integrand(lambda w: f.grad_abs(w) ** 2), r0, r1,
-                          *next(_angular_rules((), [r1], _DISC_SIDE_SPEC)),
-                          _DISC_SIDE_SPEC.radial_order)
-    return omega_side / disc_side
+    return _forward_patch_integral(pair, integrand, r0, r1) / f.disc_energy(r0, r1)
 
 
 # ---------------------------------------------------------------------------

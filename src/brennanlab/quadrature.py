@@ -12,7 +12,9 @@ toward every declared singular angle by the sinh map at the annulus gap
 spike of angular width comparable to the gap is smooth in u and always
 resolved.  The rule of the inner disc and of each annulus is built when
 the ring needs it, one array pass over the sides, and is yielded as its
-nodes ``theta`` and their weights.
+nodes ``theta`` and their weights.  Every Gauss-Legendre block, here and
+in the forward patch's charts, comes from one cached table,
+:func:`_gauss`, and this is the only module that builds a ring.
 
 Each ring hands its integrand the ring's radial nodes ``r`` and angles
 ``theta``, and the integrand returns its values on the polar grid
@@ -43,6 +45,7 @@ import numpy as np
 
 __all__ = [
     "Classification",
+    "DEFAULT_SPEC",
     "GradingSpec",
     "IntegralEstimate",
     "InvalidGradingError",
@@ -154,31 +157,24 @@ class IntegralEstimate:
 
 @lru_cache(maxsize=None)
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]; the package's only source of nodes."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    # shared by every caller through the cache, so keep them read-only
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    """Gauss-Legendre nodes and weights on [-1, 1]: the package's one table.
 
-
-@lru_cache(maxsize=None)
-def _gauss_sides(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of :func:`_gauss` with weights recomputed to a few ulp, for the sinh sides.
-
-    numpy's weights lose up to 1e-11 relative toward the ends of [-1, 1]
-    (at n = 134), and the sinh map puts most of a side's mass on the end
-    weights.  Here P_{n-1} and P_n come from the three-term recurrence at
-    each node x, and the weight ``2/((1 - x^2) P_n'(x)^2)`` is carried to
-    first order from x to the true root ``x - P_n/P_n'``.
+    Every radial rule, the ungraded and the sinh angular rules and the
+    forward patch's charts read it.  The nodes are numpy's ``leggauss``
+    nodes; its weights lose up to 1e-11 relative toward the ends of
+    [-1, 1] (at n = 134), so here P_{n-1} and P_n come from the three-term
+    recurrence at each node x, and the weight ``2/((1 - x^2) P_n'(x)^2)``
+    is carried to first order from x to the true root ``x - P_n/P_n'``.
     """
-    x, _ = _gauss(n)
+    x, _ = np.polynomial.legendre.leggauss(n)
     p0, p1 = np.ones_like(x), x
     for k in range(2, n + 1):
         p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
     one = (1.0 - x) * (1.0 + x)
     dp = n * (p0 - x * p1) / one
     w = 2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p1 / dp) / one)
-    w.flags.writeable = False
+    # shared by every caller through the cache, so keep them read-only
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -220,7 +216,7 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
         stop = np.arcsinh(length / gap)
         count = np.ceil(0.5 * spec.angular_boost * stop).astype(int) + spec.angular_base // 4
         side = np.repeat(np.arange(len(count)), count)
-        x, w = (np.concatenate(t) for t in zip(*map(_gauss_sides, count.tolist())))
+        x, w = (np.concatenate(t) for t in zip(*map(_gauss, count.tolist())))
         half = 0.5 * stop[side]
         u = half * (x + 1.0)
         yield base[side] + sign[side] * (gap * np.sinh(u)), gap * np.cosh(u) * (half * w)

@@ -223,6 +223,12 @@ class TestIsometryCommand:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_patch_next_to_the_circle(self, capsys):
+        """Koebe's leaves at r1 = 0.999 need more than 18 splits."""
+        code, payload, _ = run_json(capsys, "isometry", "--map", "koebe", "--patch", "0.2,0.999")
+        assert code == 0
+        assert payload["result"]["within_tolerance"] is True
+
     def test_failed_inversion_is_a_numerical_error(self, capsys, monkeypatch):
         monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
         code, out, err = run(capsys, "isometry", "--map", "cardioid")

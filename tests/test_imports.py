@@ -1,6 +1,7 @@
 """Every name a package module imports or defines privately is used, and every public one is exported once.
 
-No linter runs on the package, so these scans are the check.  A name
+No linter runs on the package, so these scans are the check.  The last
+one keeps the disc rule's internals inside quadrature.  A name
 counts as used when it appears as an identifier, which covers the root of
 an attribute chain such as ``np.asarray``.
 """
@@ -90,3 +91,23 @@ def test_public_names_listed_once_and_exported():
     for module in modules:
         for name in module.__all__:
             assert getattr(brennanlab, name) is getattr(module, name), name
+
+
+#: the private names of quadrature other modules may import: the one
+#: Gauss-Legendre table for the forward patch's charts, and the one disc
+#: integral of functionals
+QUADRATURE_SHARED = {"_gauss", "_integrate_polar", "_polar_grid"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "quadrature.py"],
+                         ids=lambda p: p.name)
+def test_only_quadrature_builds_rings(path):
+    """A module other than quadrature imports from it only ``__all__`` and three private names."""
+    from brennanlab import quadrature
+
+    allowed = set(quadrature.__all__) | QUADRATURE_SHARED
+    imported = {alias.name for node in ast.walk(TREES[path.name])
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "quadrature" for alias in node.names}
+    assert not imported - allowed, (
+        f"{path.name} imports quadrature internals: {sorted(imported - allowed)}")

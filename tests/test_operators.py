@@ -221,6 +221,60 @@ class TestIsometry:
         for f in isometry_family():
             assert abs(isometry_check(pair, f, patch=(0.0, 0.8)) - 1.0) <= 1e-13
 
+    @pytest.mark.parametrize("name, patch", [
+        ("koebe", (0.2, 0.999)),
+        ("koebe", (0.0, 0.999)),
+        ("sector:1.5", (0.2, 0.999)),
+        ("sector:1.5", (0.0, 0.999)),
+        ("cardioid*moebius:-0.6,0.2,2", (0.2, 0.9999)),
+    ])
+    def test_patch_next_to_the_circle(self, name, patch):
+        """Leaves next to a singular point on the circle need about 2*log2(1/(1 - r1)) + 2 splits.
+
+        With 18 as the depth cap Koebe and the sector raised
+        DegenerateChartError here, and the twisted cardioid's cells
+        stopped short of the distance rule (|ratio - 1| = 1.8e-13).
+        """
+        pair = make_pair(name)
+        for f in isometry_family():
+            assert abs(isometry_check(pair, f, patch=patch) - 1.0) <= 1e-13
+
+
+#: gamma = 1/2 +- 1e-9 fail a form that divides by 2*gamma - 1 without expm1,
+#: such as the plain difference of the antiderivative; gamma = 7 checks large d
+ENERGY_CASES = ([("harmonic_poly", k) for k in (1, 2, 3, 4)] + [("shifted_log", None)]
+                + [("boundary_power", gamma) for gamma in (0.3, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.6,
+                                                           0.9, 1.0, 1.25, 1.5, 3.0, 7.0)])
+
+
+def reference_ring_energy(kind, arg, mp):
+    """r -> 2 pi r times the mean of |grad f|^2 over |w| = r, in mpmath numbers."""
+    if kind == "harmonic_poly":
+        return lambda r: 2 * mp.pi * r * (arg * r ** (arg - 1)) ** 2
+    if kind == "shifted_log":
+        # the trapezoid rule on 64 angles: its error is about 2 (r/2)^64 < 1e-19 relative
+        angles = [2 * mp.pi * j / 64 for j in range(64)]
+        return lambda r: 2 * mp.pi * r * mp.fsum(1 / abs(r * mp.expj(t) - 2) ** 2
+                                                 for t in angles) / 64
+    gamma = mp.mpf(arg)
+    return lambda r: 2 * mp.pi * r * (2 * gamma * r * (1 - r * r) ** (gamma - 1)) ** 2
+
+
+class TestDiscEnergy:
+    """Each test function's closed-form energy against a 40-digit mpmath quadrature."""
+
+    @pytest.mark.parametrize("kind, arg", ENERGY_CASES,
+                             ids=[f"{kind}:{arg!r}" for kind, arg in ENERGY_CASES])
+    def test_against_mpmath(self, kind, arg):
+        mpmath = pytest.importorskip("mpmath")
+        f = parse_test_function(kind if arg is None else f"{kind}:{arg!r}")
+        with mpmath.workdps(40):
+            g = reference_ring_energy(kind, arg, mpmath)
+            for r0, r1 in [(0.0, 0.8), (0.3, 0.7), (0.2, 0.99), (0.5, 0.999)]:
+                a, b = mpmath.mpf(r0), mpmath.mpf(r1)
+                exact = mpmath.quad(g, [a, (a + b) / 2, b])
+                assert abs(f.disc_energy(r0, r1) / float(exact) - 1.0) <= 1e-14, (r0, r1)
+
 
 def reference_patch_cells(pair, r0, r1):
     """Patch cells refined one cell at a time from a stack, depth first.
@@ -387,9 +441,10 @@ class TestForwardPatch:
             return coons_grid(pair, cells, n)
 
         monkeypatch.setattr(operators, "_coons_grid", recording)
-        ratios = {"harmonic_poly:1": 0.9999999999999998,
-                  "boundary_power:1.5": 0.9999999999999989,
-                  "shifted_log": 0.9999999999999992}
+        # re-pinned when the disc side became each function's closed-form energy
+        ratios = {"harmonic_poly:1": 1.0000000000000002,
+                  "boundary_power:1.5": 1.0000000000000004,
+                  "shifted_log": 1.0000000000000002}
         for f in isometry_family():
             charted.clear()
             blocks.clear()
