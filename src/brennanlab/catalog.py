@@ -191,13 +191,14 @@ class ConformalPair:
     ``psi_dpsi`` is the map's one closed form, returning ``(psi(w), psi'(w))``,
     and ``phi`` its principal-branch inverse (see the module docstring), both
     vectorized over complex ndarrays with no domain checks; ``psi`` and
-    ``dpsi`` return the two outputs of ``psi_dpsi``, and ``eval_psi`` and
-    ``eval_dpsi`` add the ``|w| < 1`` validation.  On an array, ``psi_dpsi``
-    and ``phi`` must return new, writable arrays that the caller owns, never
-    their input or a view of it: :meth:`invert_many` writes into them.
-    ``domain_contains`` decides membership in Omega, elementwise on an
-    array.  All are fields, so a copy of a pair may wrap any of them.
-    Immutable; safe to share between threads.
+    ``dpsi`` return the two outputs of ``psi_dpsi``.  On an array,
+    ``psi_dpsi`` and ``phi`` must return new, writable arrays that the
+    caller owns, never their input or a view of it: :meth:`invert_many`
+    writes into them.  ``domain_contains`` decides membership in Omega,
+    elementwise on an array.  ``psi`` and ``dpsi`` are fields, not methods
+    over ``psi_dpsi``, because the benchmark's tracer rebuilds a pair with
+    ``psi=`` and ``dpsi=`` keywords to time them.  Immutable; safe to share
+    between threads.
 
     The derivative also has the factor form of the module docstring:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
@@ -277,14 +278,6 @@ class ConformalPair:
         with np.errstate(over="ignore"):
             np.exp(out, out=out)
         return out.reshape(n_r, n_t)
-
-    def eval_psi(self, w):
-        _require_in_disc(w)
-        return self.psi(w)
-
-    def eval_dpsi(self, w):
-        _require_in_disc(w)
-        return self.dpsi(w)
 
     # Not a call of invert_many, which takes 15-22 us on one point against 6 us here
     def invert(self, z: complex) -> tuple[complex, complex]:
@@ -395,11 +388,6 @@ class ConformalPair:
 
 def _to_circle(v: complex) -> complex:
     return complex(v) / abs(complex(v))
-
-
-def _require_in_disc(w) -> None:
-    if np.any(np.abs(np.asarray(w)) >= 1.0):
-        raise MapDomainError("evaluation point must lie in the open unit disc")
 
 
 def _pair(descriptor: MapDescriptor, psi_dpsi: Callable, phi: Callable, domain_contains: Callable,

@@ -266,10 +266,8 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
             lo, slope_lo = mid, slope_mid
         else:
             hi, slope_hi = mid, slope_mid
-    if slope_lo == slope_hi:
-        s_star = 0.5 * (lo + hi)
-    else:
-        s_star = lo + (hi - lo) * slope_lo / (slope_lo - slope_hi)
+    # one end's slope is < 0 and the other's >= 0, neither nan, so they differ
+    s_star = lo + (hi - lo) * slope_lo / (slope_lo - slope_hi)
     s_star = min(max(s_star, lo), hi)
     return CriticalExponentReport(
         descriptor=pair.descriptor,

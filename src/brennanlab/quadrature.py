@@ -19,18 +19,18 @@ in the forward patch's charts, comes from one cached table,
 Each ring hands its integrand the ring's radial nodes ``r`` and angles
 ``theta``, and the integrand returns its values on the polar grid
 ``r x theta``.  The package's ``|psi'|^e`` works on that grid directly (see
-:meth:`ConformalPair.abs_dpsi_power`), while :func:`integrate_disc` and
-:func:`integrate_truncated` keep their complex-``w`` contract by adapting
-``g`` to ``g(r[:, None]*exp(1j*theta))``.  Only a ring whose weighted sum
-is not finite is scanned for the node that made it so.
+:meth:`ConformalPair.abs_dpsi_power`), while :func:`integrate_disc` keeps
+its complex-``w`` contract by adapting ``g`` to
+``g(r[:, None]*exp(1j*theta))``.  Only a ring whose weighted sum is not
+finite is scanned for the node that made it so.
 
 Convergence versus divergence is decided from the per-annulus
 contributions by one tail rule, :func:`_tail`: a power-law fit of the last
 few increments against ``log(1/eps)`` gives a slope, negative slopes mean
 geometrically shrinking increments (convergent tail, which is then
 extrapolated and added to the value), non-shrinking increments mean the
-integral grows at least logarithmically.  :func:`classify_tail` puts a
-sequence of truncated values through the same rule.
+integral grows at least logarithmically.  The increments always come from
+the one geometric gap ladder down to ``eps_min``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ __all__ = [
     "InvalidGradingError",
     "NonFiniteIntegrandError",
     "QuadratureError",
-    "classify_tail",
     "integrate_disc",
-    "integrate_truncated",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -261,30 +259,30 @@ def _ring_sum(g: _PolarIntegrand, r_lo: float, r_hi: float, theta: np.ndarray,
     return total
 
 
-def _gap_ladder(spec: GradingSpec, eps_stop: float) -> list[float]:
-    """Boundary gaps from EPS_START down to exactly eps_stop.
+def _gap_ladder(spec: GradingSpec) -> list[float]:
+    """Boundary gaps from EPS_START down to exactly ``spec.eps_min``.
 
     The requested annulus_ratio is adjusted to the nearest value that
-    lands on eps_stop after an integer number of steps, keeping the gaps
+    lands on eps_min after an integer number of steps, keeping the gaps
     an exact geometric lattice (the tail fit relies on that).
     """
-    if eps_stop >= EPS_START:
+    if spec.eps_min >= EPS_START:
         return [EPS_START]
-    span = math.log(eps_stop / EPS_START)
+    span = math.log(spec.eps_min / EPS_START)
     n = max(1, round(span / math.log(spec.annulus_ratio)))
     ratio = math.exp(span / n)
     gaps = [EPS_START * ratio ** k for k in range(n)]
-    gaps.append(eps_stop)
+    gaps.append(spec.eps_min)
     return gaps
 
 
-def _graded_sums(g: _PolarIntegrand, singular_angles, spec: GradingSpec, eps_stop: float):
-    """Inner-disc value plus per-annulus contributions of the ring integrand g down to eps_stop.
+def _graded_sums(g: _PolarIntegrand, singular_angles, spec: GradingSpec):
+    """Inner-disc value plus per-annulus contributions of the ring integrand g down to eps_min.
 
     The inner disc is graded at EPS_START and each annulus at its inner
     gap, so the scales of the angular rules are the gap ladder itself.
     """
-    gaps = _gap_ladder(spec, eps_stop)
+    gaps = _gap_ladder(spec)
     rules = _angular_rules(singular_angles, gaps, spec)
     core = _ring_sum(g, 0.0, 1.0 - EPS_START, *next(rules), spec.radial_order)
     increments = [_ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, *rule, spec.radial_order)
@@ -327,7 +325,8 @@ def _tail(increments: Sequence[float], eps: Sequence[float],
     # "not <=", so that a nan slope is DIVERGING
     if not slope <= -SLOPE_TOL:
         return Classification.DIVERGING, slope, 0.0, math.inf
-    # the caller's own scalars, so the tail keeps their type
+    # the ring sums themselves, plain floats, so the tail and the value stay
+    # float rather than np.float64
     last = increments[-1]
     if last <= floor:
         return Classification.CONVERGED, slope, 0.0, 0.0
@@ -358,8 +357,8 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     Each ring evaluates ``g`` once, on its complex polar grid
     ``r*exp(1j*theta)``.  A ring whose weighted sum is not finite because
     ``g`` returned nan or inf raises NonFiniteIntegrandError naming that
-    node.  The per-annulus increments go through the tail rule shared with
-    :func:`classify_tail`.  With no annuli (``eps_min = EPS_START``) the
+    node.  The per-annulus increments go through the one tail rule,
+    :func:`_tail`.  With no annuli (``eps_min = EPS_START``) the
     verdict is INCONCLUSIVE and the value is the inner disc alone.
     """
     return _integrate_polar(_complex_integrand(g), singular_angles, spec)
@@ -368,7 +367,7 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
 def _integrate_polar(g: _PolarIntegrand, singular_angles: Sequence[float],
                      spec: GradingSpec) -> IntegralEstimate:
     """:func:`integrate_disc` for an integrand ``g(r, theta)`` of each ring's polar grid."""
-    core, increments, gap_after = _graded_sums(g, singular_angles, spec, spec.eps_min)
+    core, increments, gap_after = _graded_sums(g, singular_angles, spec)
     truncated = core + math.fsum(increments)
     floor = 1e-15 * (abs(truncated) + 1e-30)
     verdict, slope, tail, tail_err = _tail(increments, gap_after, floor)
@@ -390,39 +389,3 @@ def _integrate_polar(g: _PolarIntegrand, singular_angles: Sequence[float],
         fitted_slope=slope,
     )
 
-
-def integrate_truncated(g: Callable[[np.ndarray], np.ndarray], eps: float,
-                        singular_angles: Sequence[float] = (),
-                        spec: GradingSpec = DEFAULT_SPEC) -> float:
-    """Integral of g over the truncated disc ``|w| <= 1 - eps`` (no extrapolation)."""
-    if not 0.0 < eps <= EPS_START:
-        raise InvalidGradingError(f"truncation eps must lie in (0, {EPS_START}], got {eps}")
-    core, increments, _ = _graded_sums(_complex_integrand(g), singular_angles, spec, eps)
-    return core + math.fsum(increments)
-
-
-def classify_tail(samples: Sequence[tuple[float, float]]) -> tuple[Classification, float]:
-    """Classify a sequence of truncated values ``(eps, value)`` with eps decreasing.
-
-    The increments between successive values go through the rule that
-    classifies the per-annulus contributions of :func:`integrate_disc`, so
-    both give the same verdict: geometrically shrinking increments mean
-    the limit exists, non-shrinking increments mean at least logarithmic
-    growth, and fewer than four increments without a dead tail are
-    INCONCLUSIVE.  Returns the verdict and the fitted slope of the
-    increments against ``log(1/eps)`` (0 for a dead tail, nan without a fit).
-    """
-    if len(samples) < 4:
-        raise ValueError(f"need at least 4 samples, got {len(samples)}")
-    eps = np.asarray([s[0] for s in samples], dtype=float)
-    values = np.asarray([s[1] for s in samples], dtype=float)
-    if not np.all(np.diff(eps) < 0.0):
-        raise ValueError("eps values must be strictly decreasing")
-    increments = np.diff(values)
-    scale = max(float(np.max(np.abs(values))), 1e-30)
-    floor = 1e-15 * scale
-    if np.any(increments < -floor):
-        return Classification.INCONCLUSIVE, math.nan
-    increments = np.clip(increments, 0.0, None)
-    verdict, slope, _, _ = _tail(increments, eps[1:], floor)
-    return verdict, slope

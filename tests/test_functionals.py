@@ -149,7 +149,7 @@ class TestPDistortion:
     def test_matches_direct_formula(self):
         pair = koebe_map()
         w = 0.3 + 0.25j
-        z = complex(pair.eval_psi(w))
+        z = complex(pair.psi(w))
         expected = abs(complex(pair.dpsi(w))) ** (2.0 - 3.5)
         assert p_distortion(pair, z, 3.5) == pytest.approx(expected, rel=1e-9)
 

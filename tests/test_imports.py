@@ -1,12 +1,14 @@
-"""Every name a package module imports or defines privately is used, and every public one is exported once.
+"""Every name a package module imports or defines is used, and every public one is exported once.
 
-No linter runs on the package, so these scans are the check.  The last
-one keeps the disc rule's internals inside quadrature.  A name
+No linter runs on the package, so these scans are the check.  A public
+name may be read by the benchmark or the demos alone.  The last one keeps
+the disc rule's internals inside quadrature.  A name
 counts as used when it appears as an identifier, which covers the root of
 an attribute chain such as ``np.asarray``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brennanlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+#: scripts outside the package that may be the only readers of a public name
+SCRIPTS = sorted(p for d in ("bench", "demos") for p in (PACKAGE.parent.parent / d).glob("*.py"))
 
 
 def imported_names(tree):
@@ -74,6 +78,29 @@ def test_no_dead_private_definitions(path):
             if not any(name in names for stmt, names in refs if stmt is not own):
                 dead.append(name)
     assert not dead, f"{path.name} defines private names the package never uses: {sorted(dead)}"
+
+
+def read_names(tree):
+    """Names a tree reads: ``Name`` loads, attribute names and import aliases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_public_names_have_a_reader():
+    """Each ``__all__`` name is read in the package outside its own definition, or by a script."""
+    read = {name for p in SCRIPTS for name in read_names(ast.parse(p.read_text()))}
+    for p in MODULES:
+        for stmt in TREES[p.name].body:
+            read |= set(read_names(stmt)) - set(defined_names(stmt))
+    unread = [name for p in MODULES
+              for name in getattr(importlib.import_module(f"brennanlab.{p.stem}"), "__all__", ())
+              if name not in read]
+    assert SCRIPTS and not unread, f"public names nothing reads: {sorted(unread)}"
 
 
 def test_public_names_listed_once_and_exported():

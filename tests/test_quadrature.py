@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from brennanlab.catalog import TWO_PI_LO, make_pair
 from brennanlab.functionals import brennan_integral
 from brennanlab.quadrature import (
+    DEFAULT_SPEC,
     EPS_START,
     TWO_PI,
     Classification,
@@ -24,9 +25,7 @@ from brennanlab.quadrature import (
     _graded_sums,
     _ring_sum,
     _tail,
-    classify_tail,
     integrate_disc,
-    integrate_truncated,
 )
 
 
@@ -125,74 +124,76 @@ class TestEstimateInvariants:
         assert a == b
 
 
+def ladder_increments(t):
+    """Per-annulus increments of |1 - w|^t on the default gap ladder, with their outer gaps."""
+    _, increments, gaps = _graded_sums(_complex_integrand(boundary_power_integrand(t)), [0.0],
+                                       DEFAULT_SPEC)
+    return np.array(increments), np.array([EPS_START] + gaps[:-1])
+
+
+def tail_of(samples):
+    """_tail's verdict and slope on the increments of truncated values ``(eps, value)``."""
+    eps, values = np.array(samples).T
+    return _tail(np.diff(values), eps[1:], 1e-15 * np.max(np.abs(values)))[:2]
+
+
 class TestTruncated:
+    """The truncated sums of one gap ladder."""
+
     def test_half_disc_area(self):
-        assert integrate_truncated(lambda w: np.ones(w.shape), 0.5) == pytest.approx(
-            math.pi * 0.25, abs=1e-9)
+        core, increments, _ = _graded_sums(_complex_integrand(lambda w: np.ones(w.shape)), (),
+                                           GradingSpec(eps_min=EPS_START))
+        assert increments == []
+        assert core == pytest.approx(math.pi * 0.25, abs=1e-9)
 
     def test_small_eps_approaches_area(self):
-        val = integrate_truncated(lambda w: np.ones(w.shape), 1e-8)
-        assert val == pytest.approx(math.pi, abs=1e-7)
+        core, increments, _ = _graded_sums(_complex_integrand(lambda w: np.ones(w.shape)), (),
+                                           DEFAULT_SPEC)
+        assert core + math.fsum(increments) == pytest.approx(math.pi, abs=1e-7)
 
     def test_monotone_in_eps(self):
-        g = boundary_power_integrand(-1.5)
-        eps = [0.4, 0.2, 0.1, 0.05, 0.025, 0.0125]
-        vals = [integrate_truncated(g, e, singular_angles=[0.0]) for e in eps]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        increments, _ = ladder_increments(-1.5)
+        assert np.all(increments > 0.0)
 
     def test_log_divergence_growth(self):
         """At the threshold exponent the truncated values grow like log(1/eps)."""
-        g = boundary_power_integrand(-2.0)
-        eps = [0.1 * 2.0 ** (-k) for k in range(6)]
-        vals = [integrate_truncated(g, e, singular_angles=[0.0]) for e in eps]
-        increments = np.diff(vals)
+        increments, outer_gaps = ladder_increments(-2.0)
         assert np.all(increments > 0.0)
-        # per-halving increments approach a constant
-        ratios = increments[1:] / increments[:-1]
+        # per-halving increments approach a constant within 0.1 of the circle
+        inner = increments[outer_gaps <= 0.1]
+        ratios = inner[1:] / inner[:-1]
         assert np.all(np.abs(ratios - 1.0) < 0.15)
-
-    def test_eps_validation(self):
-        with pytest.raises(InvalidGradingError):
-            integrate_truncated(lambda w: np.ones(w.shape), 0.0)
-        with pytest.raises(InvalidGradingError):
-            integrate_truncated(lambda w: np.ones(w.shape), 0.7)
 
 
 class TestClassifyTail:
+    """The one tail rule on the increments of truncated values."""
+
     def test_constant_samples(self):
         samples = [(0.1, 2.0), (0.05, 2.0), (0.025, 2.0), (0.0125, 2.0)]
-        verdict, slope = classify_tail(samples)
+        verdict, slope = tail_of(samples)
         assert verdict is Classification.CONVERGED
         assert slope == 0.0
 
     def test_logarithmic_growth(self):
         eps = [0.1 * 2.0 ** (-k) for k in range(6)]
         samples = [(e, math.log(1.0 / e)) for e in eps]
-        verdict, slope = classify_tail(samples)
+        verdict, slope = tail_of(samples)
         assert verdict is Classification.DIVERGING
         assert abs(slope) < 0.05
 
     def test_power_law_convergence(self):
         eps = [0.1 * 2.0 ** (-k) for k in range(6)]
         samples = [(e, 5.0 - 2.0 * math.sqrt(e)) for e in eps]
-        verdict, slope = classify_tail(samples)
+        verdict, slope = tail_of(samples)
         assert verdict is Classification.CONVERGED
         assert slope == pytest.approx(-0.5, abs=0.01)
 
     def test_falling_values_are_inconclusive(self):
         """The integrands are nonnegative, so a value that falls has no tail to classify."""
-        samples = [(0.1, 2.0), (0.05, 2.5), (0.025, 2.25), (0.0125, 2.3)]
-        verdict, slope = classify_tail(samples)
+        samples = [(0.1, 2.0), (0.05, 2.5), (0.025, 2.25), (0.0125, 2.3), (0.00625, 2.35)]
+        verdict, slope = tail_of(samples)
         assert verdict is Classification.INCONCLUSIVE
         assert math.isnan(slope)
-
-    def test_sample_count_validation(self):
-        with pytest.raises(ValueError):
-            classify_tail([(0.1, 1.0), (0.05, 1.0), (0.025, 1.0)])
-
-    def test_eps_ordering_validation(self):
-        with pytest.raises(ValueError):
-            classify_tail([(0.1, 1.0), (0.2, 1.0), (0.05, 1.0), (0.025, 1.0)])
 
 
 class TestValidation:
@@ -354,7 +355,7 @@ RULE_ANGLE_SETS = {
     "clustered": make_pair("koebe*moebius:0.95,0.2,1").singular_angles,
     "three": (0.3, 2.0, 4.5),
 }
-RULE_SCALES = _gap_ladder(GradingSpec(eps_min=1e-12), 1e-12)
+RULE_SCALES = _gap_ladder(GradingSpec(eps_min=1e-12))
 
 
 class TestAngularRule:
@@ -437,7 +438,7 @@ class TestRuleLadder:
     def test_matches_reference(self, angles, base, boost, ratio, eps_min):
         spec = GradingSpec(eps_min=eps_min, annulus_ratio=ratio, angular_base=base,
                            angular_boost=boost)
-        ladder = _gap_ladder(spec, eps_min)
+        ladder = _gap_ladder(spec)
         rules = list(_angular_rules(angles, ladder, spec))
         assert len(rules) == len(ladder)
         for scale, (theta, wtheta) in zip(ladder, rules):
@@ -458,12 +459,11 @@ class TestLongLadder:
         g = boundary_power_integrand(-1.0)
         tracemalloc.start()
         try:
-            core, increments, _ = _graded_sums(_complex_integrand(g), self.ANGLES, self.SPEC,
-                                               self.SPEC.eps_min)
+            core, increments, _ = _graded_sums(_complex_integrand(g), self.ANGLES, self.SPEC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        ladder = _gap_ladder(self.SPEC, self.SPEC.eps_min)
+        ladder = _gap_ladder(self.SPEC)
         assert len(increments) == len(ladder) - 1 > 2000
         assert peak < self.PEAK_BOUND
         # the first rings, rings through the ladder, and the last one
@@ -516,7 +516,7 @@ class TestWholeIntegrals:
 
     @staticmethod
     def reference_sums(g, angles, spec, polar=False):
-        ladder = _gap_ladder(spec, spec.eps_min)
+        ladder = _gap_ladder(spec)
         core = reference_ring_sum(g, 0.0, 1.0 - EPS_START,
                                   *reference_angular_rule(angles, EPS_START, spec),
                                   spec.radial_order, polar)
@@ -536,7 +536,7 @@ class TestWholeIntegrals:
             def g(r, theta):
                 return pair.abs_dpsi_power(r, theta, e)
 
-            new = _graded_sums(g, angles, spec, spec.eps_min)
+            new = _graded_sums(g, angles, spec)
             assert new == self.reference_sums(g, angles, spec, polar=True)
 
     @pytest.mark.parametrize("name", NAMES)
@@ -549,7 +549,7 @@ class TestWholeIntegrals:
         pair = make_pair(name)
         spec = SCAN_SPECS[1]
         t = _gauss(spec.radial_order)[0]
-        for scale in _gap_ladder(spec, spec.eps_min):
+        for scale in _gap_ladder(spec):
             theta, _ = reference_angular_rule(pair.grading_angles, scale, spec)
             r = 1.0 - scale * (1.0 + 0.5 * (t + 1.0))
             for e in self.EXPONENTS:
@@ -563,7 +563,7 @@ class TestWholeIntegrals:
         """A complex-w integrand goes through the adapter onto the same grid."""
         g = boundary_power_integrand(-1.5)
         angles = (0.0, 2.5)
-        new = _graded_sums(_complex_integrand(g), angles, spec, spec.eps_min)
+        new = _graded_sums(_complex_integrand(g), angles, spec)
         assert new == self.reference_sums(g, angles, spec)
 
 
@@ -639,30 +639,13 @@ class TestShortLadder:
         def g(w):
             return np.abs(pair.dpsi(w)) ** -1.0
 
-        core, increments, gaps = _graded_sums(_complex_integrand(g), pair.singular_angles, spec,
-                                              spec.eps_min)
+        core, increments, gaps = _graded_sums(_complex_integrand(g), pair.singular_angles, spec)
         assert len(increments) == 3
         floor = 1e-15 * (core + math.fsum(increments))
         assert _tail(increments, gaps, floor)[0] is Classification.INCONCLUSIVE
         est = integrate_disc(g, pair.singular_angles, spec)
         assert est.classification is Classification.INCONCLUSIVE
         assert math.isnan(est.fitted_slope)
-
-    def test_classify_tail_agrees_with_integrate_disc(self):
-        """The cumulative sums of the three increments get integrate_disc's verdict."""
-        pair = make_pair("koebe")
-        spec = GradingSpec(eps_min=0.05)
-
-        def g(w):
-            return np.abs(pair.dpsi(w)) ** -1.0
-
-        core, increments, gaps = _graded_sums(_complex_integrand(g), pair.singular_angles, spec,
-                                              spec.eps_min)
-        samples = [(EPS_START, core)] + list(zip(gaps, core + np.cumsum(increments)))
-        verdict, slope = classify_tail(samples)
-        assert verdict is integrate_disc(g, pair.singular_angles, spec).classification
-        assert verdict is Classification.INCONCLUSIVE
-        assert math.isnan(slope)
 
     def test_no_annuli_is_inconclusive(self):
         """eps_min = EPS_START leaves only the inner disc of radius 1/2."""
