@@ -5,6 +5,16 @@ meaningful negative verdict (divergence, violated bound, mismatched
 duality), 2 for usage errors, regime violations and numerical failures.
 Output is deterministic: fixed field order and floats rendered with 12
 significant digits, so identical flags give byte-identical output.
+
+Each subcommand has one shape.  ``build_parser``'s helper ``add``
+declares ``--out``, ``--map``, the subcommand's own flags and then the
+grading group (one flag per ``GradingSpec`` field); ``exponents`` takes
+neither ``--map`` nor grading and ``isometry`` no grading.  A ``cmd_*``
+function reads its flags, calls the public API and hands numbers to
+``_emit_json`` or ``_emit_csv``, which take the command name and
+``--out`` from the parsed arguments.  ``_num`` is the one number format
+for both.  Exponent rules are the library's: ``kpq_functional`` rejects a
+(p, q) outside 1 <= q < p, and the error reaches stderr like any other.
 """
 
 from __future__ import annotations
@@ -47,51 +57,48 @@ EXIT_ERROR = 2
 _ISOMETRY_TOL = 1e-4
 
 
+def _num(x: float) -> str:
+    """The one number format: 12 significant digits, or ``nan``, ``inf`` and ``-inf``."""
+    return f"{x:.12e}"
+
+
 def _fmt(x):
-    """Normalize floats to 12 significant digits for stable serialization."""
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return float(f"{x:.12e}")
+    """Render every float of a JSON payload through :func:`_num`, keeping finite ones numbers."""
     if isinstance(x, dict):
         return {k: _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
+    if isinstance(x, float):
+        return float(_num(x)) if math.isfinite(x) else _num(x)
     return x
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(args, text: str) -> None:
+    """Write to ``--out``, else stdout; a relative ``--out`` resolves under the out-dir variable."""
+    if args.out is None:
         sys.stdout.write(text)
         return
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(out_path):
-        out_path = os.path.join(base, out_path)
-    with open(out_path, "w") as fh:
+    # join returns an absolute --out unchanged, and a relative one when the variable is unset
+    with open(os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out), "w") as fh:
         fh.write(text)
 
 
-def _emit_json(command: str, inputs: dict, result: dict, diagnostics: dict,
-               out_path: str | None) -> None:
+def _emit_json(args, inputs: dict, result: dict, diagnostics: dict) -> None:
     payload = {
-        "command": command,
-        "inputs": _fmt(inputs),
-        "result": _fmt(result),
-        "diagnostics": _fmt(diagnostics),
+        "command": args.command,
+        "inputs": inputs,
+        "result": result,
+        "diagnostics": diagnostics,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+    _emit(args, json.dumps(_fmt(payload), indent=2) + "\n")
 
 
-def _csv_num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.12e}"
+def _emit_csv(args, header: str, rows) -> None:
+    """One line per row: numbers through :func:`_num`, verdict strings as they are."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _num(v) for v in row))
+    _emit(args, "\n".join(lines) + "\n")
 
 
 #: the --help text of each GradingSpec field's flag
@@ -104,13 +111,6 @@ _GRADING_HELP = {
     "angular_boost": "each side of a singular angle gets angular_boost/2 nodes per unit"
                      " of asinh(distance/gap); with none, the nodes of each equal panel",
 }
-
-
-def _grading_args(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("grading")
-    for f in dataclasses.fields(GradingSpec):
-        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
-                       help=_GRADING_HELP[f.name] + " (default %(default)s)")
 
 
 def _spec_from(args) -> GradingSpec:
@@ -126,11 +126,10 @@ def cmd_exponents(args) -> int:
         if rec.q_conj is not None:
             result["q_conjugate"] = rec.q_conj
         result["regime"] = rec.regime().value
-    lo, hi = xa.alpha_range(p)
-    result["alpha_range"] = [lo, hi]
+    result["alpha_range"] = list(xa.alpha_range(p))
     result["inverse_range"] = list(xa.inverse_range())
     result["known_bounds"] = dataclasses.asdict(xa.known_bounds())
-    _emit_json("exponents", {"p": p, "s": args.s}, result, {}, args.out)
+    _emit_json(args, {"p": p, "s": args.s}, result, {})
     return EXIT_OK
 
 
@@ -146,14 +145,13 @@ def cmd_integrate(args) -> int:
         res = inverse_brennan_integral(pair, args.r, spec)
         inputs = {"map": args.map, "r": args.r}
     est = res.integral
-    _emit_json("integrate", inputs,
+    _emit_json(args, inputs,
                {"value": est.value, "tail": est.tail_estimate,
                 "classification": est.classification.value},
                {"integrand_exponent": res.exponent,
                 "abs_error_estimate": est.abs_error_estimate,
                 "fitted_slope": est.fitted_slope,
-                "truncation_eps": est.truncation_eps},
-               args.out)
+                "truncation_eps": est.truncation_eps})
     if est.classification is Classification.CONVERGED:
         return EXIT_OK
     if est.classification is Classification.DIVERGING:
@@ -168,19 +166,13 @@ def cmd_scan(args) -> int:
         raise RegimeError("scan needs s_from < s_to and step > 0")
     pair = make_pair(args.map)
     spec = _spec_from(args)
-    lines = ["s,value,tail,classification"]
+    rows = []
     k = 0
-    while True:
-        s = args.s_from + k * args.step
-        if s > args.s_to + 1e-12:
-            break
+    while (s := args.s_from + k * args.step) <= args.s_to + 1e-12:
         est = brennan_integral(pair, s, spec).integral
-        lines.append(",".join([
-            _csv_num(s), _csv_num(est.value), _csv_num(est.tail_estimate),
-            est.classification.value,
-        ]))
+        rows.append((s, est.value, est.tail_estimate, est.classification.value))
         k += 1
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_csv(args, "s,value,tail,classification", rows)
     return EXIT_OK
 
 
@@ -190,35 +182,25 @@ def cmd_critical(args) -> int:
     report = critical_exponent(pair, args.side, args.tol, spec)
     lo, hi = threshold_oracle(pair)
     oracle = hi if args.side == "upper" else lo
-    _emit_json("critical", {"map": args.map, "side": args.side, "tol": args.tol},
+    _emit_json(args, {"map": args.map, "side": args.side, "tol": args.tol},
                {"s_star": report.s_star, "bracket": list(report.bracket)},
                {"probes": [{"s": s, "classification": v, "slope": m}
                            for s, v, m in report.probes],
                 "oracle": {"lower": lo, "upper": hi},
-                "oracle_gap": None if oracle is None else abs(report.s_star - oracle)},
-               args.out)
+                "oracle_gap": None if oracle is None else abs(report.s_star - oracle)})
     return EXIT_OK
 
 
 def cmd_verify_composition(args) -> int:
     pair = make_pair(args.map)
-    regime = xa.classify_regime(args.p, args.q)
-    if regime not in (xa.Regime.BOUNDED_CANDIDATE, xa.Regime.SUP_NORM):
-        raise RegimeError(
-            f"verify-composition requires q < p, got p={args.p}, q={args.q} "
-            f"({regime.value}: "
-            + ("the equal-exponent case carries no integral criterion"
-               if regime in (xa.Regime.ISOMETRY, xa.Regime.DEGENERATE_EQUAL)
-               else "no bounded composition operator exists for q > p") + ")"
-        )
     spec = _spec_from(args)
+    # norm_ratio_report raises RegimeError for a (p, q) with no bounded operator
     report = norm_ratio_report(pair, args.p, args.q, spec=spec, check=False)
-    _emit_json("verify-composition", {"map": args.map, "p": args.p, "q": args.q},
+    _emit_json(args, {"map": args.map, "p": args.p, "q": args.q},
                {"bound_kpq": report.bound_kpq,
                 "max_ratio": report.max_ratio,
                 "bound_satisfied": report.bound_satisfied},
-               {"samples": [dataclasses.asdict(s) for s in report.samples]},
-               args.out)
+               {"samples": [dataclasses.asdict(s) for s in report.samples]})
     return EXIT_OK if report.bound_satisfied else EXIT_NEGATIVE
 
 
@@ -235,10 +217,10 @@ def cmd_isometry(args) -> int:
         ratios.append({"function": f.name, "ratio": ratio,
                        "deviation": abs(ratio - 1.0)})
     worst = max(r["deviation"] for r in ratios)
-    _emit_json("isometry", {"map": args.map, "patch": [r0, r1]},
+    _emit_json(args, {"map": args.map, "patch": [r0, r1]},
                {"ratios": ratios, "max_deviation": worst,
                 "within_tolerance": worst <= _ISOMETRY_TOL},
-               {}, args.out)
+               {})
     return EXIT_OK if worst <= _ISOMETRY_TOL else EXIT_NEGATIVE
 
 
@@ -246,15 +228,14 @@ def cmd_duality(args) -> int:
     pair = make_pair(args.map)
     spec = _spec_from(args)
     res = duality_check(pair, args.p, args.q, spec)
-    _emit_json("duality", {"map": args.map, "p": args.p, "q": args.q},
+    _emit_json(args, {"map": args.map, "p": args.p, "q": args.q},
                {"lhs": res.lhs, "rhs": res.rhs, "rel_diff": res.rel_diff,
                 "lhs_classification": res.lhs_classification.value,
                 "rhs_classification": res.rhs_classification.value,
                 "agree": res.agree},
                {"dual_pair": {"q_conjugate": res.q_conj, "p_conjugate": res.p_conj},
                 "exponent_direct": res.exponent_direct,
-                "exponent_dual": res.exponent_dual},
-               args.out)
+                "exponent_dual": res.exponent_dual})
     return EXIT_OK if res.agree else EXIT_NEGATIVE
 
 
@@ -264,23 +245,17 @@ def cmd_equivalence(args) -> int:
     p_grid = [float(t) for t in args.p_grid.split(",") if t.strip()]
     table = equivalence_table(pair, args.s, p_grid, spec)
     if args.format == "csv":
-        lines = ["p,q,s_roundtrip,integral_value,classification,kpq"]
-        for r in table.rows:
-            lines.append(",".join([
-                _csv_num(r.p), _csv_num(r.q), _csv_num(r.s_roundtrip),
-                _csv_num(r.integral_value), r.classification.value,
-                _csv_num(r.kpq_value),
-            ]))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_csv(args, "p,q,s_roundtrip,integral_value,classification,kpq",
+                  [(r.p, r.q, r.s_roundtrip, r.integral_value, r.classification.value,
+                    r.kpq_value) for r in table.rows])
     else:
-        _emit_json("equivalence", {"map": args.map, "s": args.s, "p_grid": p_grid},
+        _emit_json(args, {"map": args.map, "s": args.s, "p_grid": p_grid},
                    # json writes the str-enum classification as its value
                    {"rows": [dataclasses.asdict(r) for r in table.rows],
                     "integral_spread": table.integral_spread,
                     "consistent": table.consistent},
                    {"all_converged": table.all_converged,
-                    "all_diverged": table.all_diverged},
-                   args.out)
+                    "all_diverged": table.all_diverged})
     return EXIT_OK if table.consistent else EXIT_NEGATIVE
 
 
@@ -292,63 +267,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, flags, *, map_flag=True, grading=True):
+        """One subcommand: ``--out``, then ``--map``, its own ``flags``, then the grading group."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--out", default=None,
                        help=f"output file (relative paths resolve under ${OUT_DIR_ENV})")
-        return p
+        if map_flag:
+            p.add_argument("--map", required=True)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        if grading:
+            g = p.add_argument_group("grading")
+            for f in dataclasses.fields(GradingSpec):
+                g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                               default=f.default,
+                               help=_GRADING_HELP[f.name] + " (default %(default)s)")
 
-    p = add("exponents", cmd_exponents, "exponent algebra for one p (and optional s)")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--s", type=float, default=None)
-
-    p = add("integrate", cmd_integrate, "Brennan or inverse integral of one map")
-    p.add_argument("--map", required=True)
-    p.add_argument("--s", type=float, default=None, help="Brennan exponent")
-    p.add_argument("--r", type=float, default=None, help="inverse-map exponent")
-    _grading_args(p)
-
-    p = add("scan", cmd_scan, "CSV sweep of the Brennan integral over s")
-    p.add_argument("--map", required=True)
-    p.add_argument("--s-from", type=float, required=True)
-    p.add_argument("--s-to", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    _grading_args(p)
-
-    p = add("critical", cmd_critical, "bracket the critical integrability exponent")
-    p.add_argument("--map", required=True)
-    p.add_argument("--side", choices=("upper", "lower"), required=True)
-    p.add_argument("--tol", type=float, default=0.05)
-    _grading_args(p)
-
-    p = add("verify-composition", cmd_verify_composition,
-            "sampled seminorm ratios against the K_(p,q) bound")
-    p.add_argument("--map", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    _grading_args(p)
-
-    p = add("isometry", cmd_isometry, "forward-patch check of the p=2 isometry")
-    p.add_argument("--map", required=True)
-    p.add_argument("--function", default=None,
-                   help="harmonic_poly:k | boundary_power:gamma | shifted_log "
-                        "(default: the three-function family)")
-    p.add_argument("--patch", default="0,0.8", help="annular patch r0,r1")
-
-    p = add("duality", cmd_duality, "integral identity of the inverse operator")
-    p.add_argument("--map", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    _grading_args(p)
-
-    p = add("equivalence", cmd_equivalence, "K_(p,q(p,s)) across a grid of p")
-    p.add_argument("--map", required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--p-grid", default="2.5,3,4,6,10")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _grading_args(p)
-
+    number = {"type": float, "required": True}
+    add("exponents", cmd_exponents, "exponent algebra for one p (and optional s)",
+        {"--p": number, "--s": {"type": float, "default": None}},
+        map_flag=False, grading=False)
+    add("integrate", cmd_integrate, "Brennan or inverse integral of one map",
+        {"--s": {"type": float, "default": None, "help": "Brennan exponent"},
+         "--r": {"type": float, "default": None, "help": "inverse-map exponent"}})
+    add("scan", cmd_scan, "CSV sweep of the Brennan integral over s",
+        {"--s-from": number, "--s-to": number, "--step": number})
+    add("critical", cmd_critical, "bracket the critical integrability exponent",
+        {"--side": {"choices": ("upper", "lower"), "required": True},
+         "--tol": {"type": float, "default": 0.05}})
+    add("verify-composition", cmd_verify_composition,
+        "sampled seminorm ratios against the K_(p,q) bound", {"--p": number, "--q": number})
+    add("isometry", cmd_isometry, "forward-patch check of the p=2 isometry",
+        {"--function": {"default": None,
+                        "help": "harmonic_poly:k | boundary_power:gamma | shifted_log "
+                                "(default: the three-function family)"},
+         "--patch": {"default": "0,0.8", "help": "annular patch r0,r1"}},
+        grading=False)
+    add("duality", cmd_duality, "integral identity of the inverse operator",
+        {"--p": number, "--q": number})
+    add("equivalence", cmd_equivalence, "K_(p,q(p,s)) across a grid of p",
+        {"--s": number, "--p-grid": {"default": "2.5,3,4,6,10"},
+         "--format": {"choices": ("json", "csv"), "default": "json"}})
     return parser
 
 

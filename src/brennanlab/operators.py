@@ -262,13 +262,12 @@ def norm_ratio_report(pair: ConformalPair, p: float, q: float,
     """
     if p == math.inf:
         raise RegimeError("ratio reports need finite p; use kpq_functional for p = inf")
-    if not 1.0 <= q < p:
-        raise RegimeError(f"ratio report requires 1 <= q < p, got p={p}, q={q}")
+    # kpq_functional raises RegimeError unless 1 <= q < p, before its integral
+    bound = kpq_functional(pair, p, q, spec).kpq_value
     members = [f for f in (family if family is not None else standard_family())
                if f.admissible_for(p)]
     if not members:
         raise InadmissibleFunctionError(f"no admissible test functions for p={p}")
-    bound = kpq_functional(pair, p, q, spec).kpq_value
     samples = []
     for f in members:
         sp = seminorm(f, p, spec)

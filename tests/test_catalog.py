@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brennanlab import Classification, brennan_integral
+from brennanlab import Classification, brennan_integral, catalog
 from brennanlab.catalog import (
     NEWTON_TOL,
     DescriptorError,
     MapDescriptor,
     MapDomainError,
+    NewtonConvergenceError,
     cardioid_map,
     identity_map,
     koebe_map,
@@ -322,6 +323,13 @@ class TestInversion:
         assert many[1].all()
         assert many[0].tobytes() == np.array([w_back]).tobytes()
         assert many[2].tobytes() == np.array([dw]).tobytes()
+
+    def test_missed_target_raises(self, monkeypatch):
+        """With a residual target of 0 neither phi's w nor its Newton step is accepted."""
+        monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
+        with pytest.raises(NewtonConvergenceError,
+                           match=r"^inversion of cardioid at z=0\.05j missed the residual target"):
+            make_pair("cardioid").invert(0.05j)
 
     def test_koebe_origin_with_seed(self):
         pair = koebe_map()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -6,12 +7,69 @@ import pytest
 
 from brennanlab import catalog, operators
 from brennanlab.cli import main
+from brennanlab.quadrature import GradingSpec
+
+
+EXPONENTS_P4_S2 = """\
+{
+  "command": "exponents",
+  "inputs": {
+    "p": 4.0,
+    "s": 2.0
+  },
+  "result": {
+    "p": 4.0,
+    "p_conjugate": 1.333333333333,
+    "s": 2.0,
+    "q": 2.0,
+    "r": 0.0,
+    "q_conjugate": 2.0,
+    "regime": "bounded-candidate",
+    "alpha_range": [
+      0.6666666666667,
+      2.0
+    ],
+    "inverse_range": [
+      -2.0,
+      0.6666666666667
+    ],
+    "known_bounds": {
+      "easy_upper": 3.0,
+      "brennan_conjectured": [
+        1.333333333333,
+        4.0
+      ],
+      "pommerenke": 3.399,
+      "bertilsson": 3.421,
+      "hedenmalm_shimorin": 3.752,
+      "inverse_proved_lower": -1.78,
+      "inverse_conjectured": [
+        -2.0,
+        0.6666666666667
+      ]
+    }
+  },
+  "diagnostics": {}
+}
+"""
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: the subcommands that integrate, and so take the grading flags
+GRADED_COMMANDS = ("integrate", "scan", "critical", "verify-composition", "duality", "equivalence")
+
+
+def help_text(capsys, command):
+    """``command --help`` with its line wrapping undone."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
 
 
 def run_json(capsys, *argv):
@@ -34,6 +92,12 @@ class TestExponentsCommand:
         assert code == 0
         assert payload["result"]["alpha_range"] == [pytest.approx(4.0 / 3.0),
                                                     pytest.approx(4.0)]
+
+    def test_exact_stdout(self, capsys):
+        """No quadrature runs here, so these bytes pin the JSON layout and the number format."""
+        code, out, err = run(capsys, "exponents", "--p", "4", "--s", "2")
+        assert (code, err) == (0, "")
+        assert out == EXPONENTS_P4_S2
 
     def test_p_two_is_domain_error(self, capsys):
         code, out, err = run(capsys, "exponents", "--p", "2")
@@ -164,6 +228,14 @@ class TestCriticalCommand:
         assert code == 0
         assert payload["result"]["s_star"] == pytest.approx(10.0, abs=0.1)
 
+    def test_inconclusive_probe_is_a_numerical_error(self, capsys):
+        """With gaps 1 and 0.01 before eps_min there are too few annuli, also after refining."""
+        code, out, err = run(capsys, "critical", "--map", "koebe", "--side", "upper",
+                             "--eps-min", "0.5", "--annulus-ratio", "0.01")
+        assert code == 2
+        assert out == ""
+        assert err == "error: probe at s=2.0 stayed inconclusive after refining eps_min to 0.005\n"
+
     def test_no_threshold_is_an_error(self, capsys):
         code, _, err = run(capsys, "critical", "--map", "identity", "--side", "upper")
         assert code == 2
@@ -264,6 +336,12 @@ class TestDualityCommand:
         assert payload["result"]["lhs_classification"] == "diverging"
         assert payload["result"]["agree"] is True
 
+    def test_nan_relative_difference_is_a_string(self, capsys):
+        """Both sides diverge, so rel_diff is nan, which JSON has no literal for."""
+        code, out, _ = run(capsys, "duality", "--map", "koebe", "--p", "4", "--q", "3")
+        assert code == 0
+        assert '\n    "rel_diff": "nan",\n' in out
+
     def test_regime_error(self, capsys):
         code, _, _ = run(capsys, "duality", "--map", "koebe", "--p", "3", "--q", "1")
         assert code == 2
@@ -297,6 +375,22 @@ class TestEquivalenceCommand:
         assert len(lines) == 3
 
 
+    def test_csv_writes_an_infinite_bound_as_inf(self, capsys):
+        code, out, _ = run(capsys, "equivalence", "--map", "koebe", "--s", "5", "--format", "csv")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 5
+        assert all(r.endswith(",5.000000000000e+00,1.023999104825e+11,diverging,inf")
+                   for r in rows)
+
+    def test_empty_p_grid_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "equivalence", "--map", "koebe", "--s", "2.5",
+                             "--p-grid", "")
+        assert code == 2
+        assert out == ""
+        assert err == "error: p grid must be nonempty\n"
+
+
 class TestDeterminismAndOutput:
     def test_byte_identical_json(self, capsys):
         _, first, _ = run(capsys, "integrate", "--map", "koebe", "--s", "2.5")
@@ -327,14 +421,22 @@ class TestDeterminismAndOutput:
         assert (tmp_path / "r.json").exists()
 
     def test_help_lists_grading_defaults(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["integrate", "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert "--eps-min" in out and "1e-08" in out
-        assert "--annulus-ratio" in out and "0.5" in out
-        assert "--radial-order" in out and "16" in out
-        assert "--angular-base" in out and "64" in out
+        """Every GradingSpec field's flag shows its default on each integrating subcommand."""
+        for command in GRADED_COMMANDS:
+            text = help_text(capsys, command)
+            assert "grading:" in text
+            for f in dataclasses.fields(GradingSpec):
+                flag = "--" + f.name.replace("_", "-")
+                # the flag's entry runs from its name to the next flag or the end
+                entry = text[text.index(f"{flag} {f.name.upper()} "):].split(" --")[0]
+                assert entry.endswith(f"(default {f.default})"), (command, entry)
+
+    @pytest.mark.parametrize("command", ["exponents", "isometry"])
+    def test_help_of_ungraded_commands_has_no_grading_group(self, capsys, command):
+        text = help_text(capsys, command)
+        assert "grading" not in text
+        assert not any("--" + f.name.replace("_", "-") in text
+                       for f in dataclasses.fields(GradingSpec))
 
 
 class TestScanBounds:

@@ -138,3 +138,18 @@ def test_only_quadrature_builds_rings(path):
                 and node.module == "quadrature" for alias in node.names}
     assert not imported - allowed, (
         f"{path.name} imports quadrature internals: {sorted(imported - allowed)}")
+
+
+def test_cli_uses_only_the_public_api():
+    """The front end imports whole modules, or names in the ``__all__`` of their module."""
+    modules = {p.stem for p in MODULES}
+    private = []
+    for node in ast.walk(TREES["cli.py"]):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.startswith("brennanlab")):
+            # "" for the package itself, from which only whole modules come
+            source = (node.module or "").removeprefix("brennanlab").lstrip(".")
+            public = (set(importlib.import_module(f"brennanlab.{source}").__all__)
+                      if source else modules)
+            private += [alias.name for alias in node.names if alias.name not in public]
+    assert not private, f"cli.py imports names outside the public API: {sorted(private)}"

@@ -170,6 +170,14 @@ class TestNormRatioReport:
         rep = norm_ratio_report(koebe_map(), 4.0, 2.0)
         assert all(s.ratio > 0.0 for s in rep.samples)
 
+    def test_violated_bound_raises_only_when_checked(self, monkeypatch):
+        """harmonic_poly:1 attains the identity's bound, so a slack of -0.5 puts it past it."""
+        monkeypatch.setattr(operators, "RATIO_SLACK", -0.5)
+        assert not norm_ratio_report(identity_map(), 4.0, 2.0, check=False).bound_satisfied
+        with pytest.raises(SeminormBoundError, match=r"^max ratio .* exceeds K_\(p,q\) = .* "
+                                                     r"for identity, p=4\.0, q=2\.0$"):
+            norm_ratio_report(identity_map(), 4.0, 2.0, check=True)
+
     def test_regime_validation(self):
         with pytest.raises(RegimeError):
             norm_ratio_report(koebe_map(), 2.0, 3.0)
