@@ -242,26 +242,27 @@ class ConformalPair:
         return self.singular_angles + tuple(
             -cmath.phase(c) % TWO_PI for c, _ in self.poles)
 
-    def abs_dpsi_power(self, r: np.ndarray, theta: np.ndarray, e: float) -> np.ndarray:
-        """``|psi'(r_i e^{i theta_j})|^e`` on the polar grid ``r x theta`` (no domain checks).
+    def abs_dpsi_power(self, theta: np.ndarray, e: float
+                       ) -> Callable[[np.ndarray, slice], np.ndarray]:
+        """``|psi'|^e`` on polar grids ``r x theta``, in the disc rule's two stages (no domain checks).
 
-        From the factor form: one batched matrix product,
-        ``[(1 - rho r)^2, 4 rho r] @ [1; sin^2((theta + alpha)/2)]``, gives
+        This call is the angle stage, run once for a block of angles
+        ``theta`` (1-D floats): it forms every factor's rows ``[1;
+        sin^2((theta + alpha)/2)]``, with theta + alpha reduced by whole
+        turns.  It returns the ring stage ``ring(r, part)``, which gives
+        ``|psi'(r_i e^{i theta_j})|^e`` for the radial nodes ``r`` (1-D
+        floats, down) and the angles ``theta[part]`` (across), a new array
+        of shape ``(len(r), len(theta[part]))``.  From the factor form: one
+        batched matrix product, ``[(1 - rho r)^2, 4 rho r] @ rows``, gives
         every factor's ``|1 - c w|^2`` on the grid, one ``log`` and one
         weighted sum over the factors give ``e log|psi'|``, and one ``exp``
-        the power; it agrees with ``|dpsi(w)|**e`` to rounding.  ``r`` and
-        ``theta`` are 1-D float arrays, the radial nodes down and the angular
-        ones across, and the result is a new array of shape
-        ``(len(r), len(theta))``.  Where the power overflows it is inf,
-        without a numpy warning, so that the caller can name the node.
+        the power; it agrees with ``|dpsi(w)|**e`` to rounding.  Where the
+        power overflows it is inf, without a numpy warning, so that the
+        caller can name the node.
         """
         rho, alpha, half_f = self._factors
-        k, n_r, n_t = len(rho), len(r), len(theta)
-        rr = rho * r
-        radial = np.empty((k, n_r, 2))
-        np.square(np.subtract(1.0, rr, out=radial[..., 0]), out=radial[..., 0])
-        np.multiply(4.0, rr, out=radial[..., 1])
-        angular = np.ones((k, 2, n_t))
+        k = len(rho)
+        angular = np.ones((k, 2, len(theta)))
         side = angular[:, 1]
         # theta + alpha less a whole turn where it exceeds pi in size: a ring's
         # angles span [theta_0, theta_0 + 2pi), so next to a singular point the
@@ -272,12 +273,23 @@ class ConformalPair:
         np.copyto(side, theta + (alpha + TWO_PI) + TWO_PI_LO, where=side < -math.pi)
         side *= 0.5
         np.square(np.sin(side, out=side), out=side)
-        logs = np.matmul(radial, angular).reshape(k, n_r * n_t)
-        out = (e * half_f) @ np.log(logs, out=logs)
-        out += e * self.log_scale
-        with np.errstate(over="ignore"):
-            np.exp(out, out=out)
-        return out.reshape(n_r, n_t)
+        weights, scale = e * half_f, e * self.log_scale
+
+        def ring(r: np.ndarray, part: slice) -> np.ndarray:
+            rows = angular[..., part]
+            n_r, n_t = len(r), rows.shape[-1]
+            rr = rho * r
+            radial = np.empty((k, n_r, 2))
+            np.square(np.subtract(1.0, rr, out=radial[..., 0]), out=radial[..., 0])
+            np.multiply(4.0, rr, out=radial[..., 1])
+            logs = np.matmul(radial, rows).reshape(k, n_r * n_t)
+            out = weights @ np.log(logs, out=logs)
+            out += scale
+            with np.errstate(over="ignore"):
+                np.exp(out, out=out)
+            return out.reshape(n_r, n_t)
+
+        return ring
 
     # Not a call of invert_many, which takes 15-22 us on one point against 6 us here
     def invert(self, z: complex) -> tuple[complex, complex]:

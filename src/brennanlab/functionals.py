@@ -23,8 +23,8 @@ from .quadrature import (
     GradingSpec,
     DEFAULT_SPEC,
     IntegralEstimate,
+    _complex_integrand,
     _integrate_polar,
-    _polar_grid,
 )
 
 __all__ = [
@@ -108,11 +108,12 @@ def _disc_integral(pair: ConformalPair, exponent: float, spec: GradingSpec,
     is each ring's complex grid built.
     """
 
-    def g(r, theta):
-        out = pair.abs_dpsi_power(r, theta, exponent)
-        if weight is not None:
-            out *= weight(_polar_grid(r, theta))
-        return out
+    def g(theta):
+        power = pair.abs_dpsi_power(theta, exponent)
+        if weight is None:
+            return power
+        weighted = _complex_integrand(weight)(theta)
+        return lambda r, part: power(r, part) * weighted(r, part)
 
     return _integrate_polar(g, pair.grading_angles, spec)
 

@@ -10,19 +10,24 @@ toward every declared singular angle by the sinh map at the annulus gap
 (Johnston & Elliott, IJNME 62, 2005): each side of each angle is
 ``theta = a +- gap*sinh(u)`` with one Gauss-Legendre block in u, so a
 spike of angular width comparable to the gap is smooth in u and always
-resolved.  The rule of the inner disc and of each annulus is built when
-the ring needs it, one array pass over the sides, and is yielded as its
-nodes ``theta`` and their weights.  Every Gauss-Legendre block, here and
-in the forward patch's charts, comes from one cached table,
-:func:`_gauss`, and this is the only module that builds a ring.
+resolved.  Every scale's side counts are worked out up front; the rules
+of consecutive rings are then built together, one array pass per block of
+at most ``_BLOCK_NODES`` nodes (a ring with more is a block of its own),
+so memory stays bounded however long the ladder.  Every Gauss-Legendre
+block, here and in the forward patch's charts, comes from one cached
+table, :func:`_gauss`, and this is the only module that builds a ring.
 
-Each ring hands its integrand the ring's radial nodes ``r`` and angles
-``theta``, and the integrand returns its values on the polar grid
-``r x theta``.  The package's ``|psi'|^e`` works on that grid directly (see
+An integrand works in two stages.  Its angle stage runs once per block
+of rules: it takes the block's angles ``theta`` and returns the ring
+stage, which each ring of the block calls with its radial nodes ``r`` and
+its slice of ``theta``, and which returns the values on the polar grid
+``r x theta[slice]``.  The package's ``|psi'|^e`` forms its angular rows
+in the first stage and the rest in the second (see
 :meth:`ConformalPair.abs_dpsi_power`), while :func:`integrate_disc` keeps
-its complex-``w`` contract by adapting ``g`` to
-``g(r[:, None]*exp(1j*theta))``.  Only a ring whose weighted sum is not
-finite is scanned for the node that made it so.
+its complex-``w`` contract by adapting ``g``: ``exp(1j*theta)`` per block,
+and ``g(r[:, None]*exp(1j*theta))`` per ring.  A ring's values and its
+sum do not depend on the block it shares.  Only a ring whose weighted
+sum is not finite is scanned for the node that made it so.
 
 Convergence versus divergence is decided from the per-annulus
 contributions by one tail rule, :func:`_tail`: a power-law fit of the last
@@ -65,8 +70,14 @@ FIT_RESIDUAL_TOL = 0.15
 #: outermost boundary gap: the inner disc has radius 1 - EPS_START
 EPS_START = 0.5
 
-#: an integrand on a ring's polar grid: g(r, theta) of shape (len(r), len(theta))
-_PolarIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: most angular nodes in one block of rules; a rule with more is a block alone
+_BLOCK_NODES = 4096
+
+#: an integrand's ring stage: ring(r, part), its values on the grid r x theta[part]
+_RingStage = Callable[[np.ndarray, slice], np.ndarray]
+#: an integrand's angle stage: called once with a block's angles theta, it
+#: returns the ring stage that every ring of the block calls
+_PolarIntegrand = Callable[[np.ndarray], _RingStage]
 
 
 class QuadratureError(Exception):
@@ -177,7 +188,7 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
-                   spec: GradingSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                   spec: GradingSpec) -> Iterator[tuple[np.ndarray, np.ndarray, list[slice]]]:
     """Angular rules on [0, 2pi), one per scale, graded toward the singular angles.
 
     Each singular angle a owns the half of the arc toward either neighbour.
@@ -189,9 +200,14 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     scale gets the same rule: ``max(8, angular_base//angular_boost)`` equal
     panels of ``angular_boost`` Gauss-Legendre points.
 
-    Each rule is built when it is needed, so memory is bounded by one rule
-    however long the ladder.  Rules are yielded, in the order of
-    ``scales``, as (theta, weights).
+    Every scale's side counts are worked out first.  Consecutive rules are
+    then built together, in one array pass per block of at most
+    ``_BLOCK_NODES`` nodes; a rule with more nodes is a block of its own,
+    so memory stays bounded however long the ladder.  Each block is
+    yielded as ``(theta, weights, parts)``, where ``parts`` holds one slice
+    per rule, in the order of ``scales``: the rule of that scale is
+    ``theta[part], weights[part]``.  Without singular angles one block
+    holds the one rule, and every part is all of it.
     """
     # angles that coincide modulo 2pi are one angle, owning one arc
     angles = sorted({a % TWO_PI for a in singular_angles})
@@ -199,9 +215,8 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
         x, w = _gauss(spec.angular_boost)
         ends = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
         half = 0.5 * (ends[1:] - ends[:-1])[:, None]
-        rule = (ends[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
-        for _ in scales:
-            yield rule
+        yield ((ends[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel(),
+               [slice(None)] * len(scales))
         return
     # outward from each angle to the midpoint of its arc, then inward from
     # the next angle to the same midpoint
@@ -210,51 +225,63 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
         mid = 0.5 * (a + b)
         sides += [(a, mid - a, 1.0), (b, b - mid, -1.0)]
     base, length, sign = np.array([s for s in sides if s[1] > 0.0]).T
-    for gap in scales:
-        stop = np.arcsinh(length / gap)
-        count = np.ceil(0.5 * spec.angular_boost * stop).astype(int) + spec.angular_base // 4
-        side = np.repeat(np.arange(len(count)), count)
-        x, w = (np.concatenate(t) for t in zip(*map(_gauss, count.tolist())))
-        half = 0.5 * stop[side]
+    gaps = np.asarray(scales, dtype=float)
+    stop = np.arcsinh(length / gaps[:, None])
+    count = np.ceil(0.5 * spec.angular_boost * stop).astype(int) + spec.angular_base // 4
+    # rule k holds the nodes ends[k]:ends[k + 1] of the whole ladder
+    ends = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
+    lo = 0
+    while lo < len(gaps):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _BLOCK_NODES, side="right")) - 1)
+        counts = count[lo:hi].ravel()
+        # the (rule, side) cell of each node, rule counted from lo
+        cell = np.repeat(np.arange(len(counts)), counts)
+        rule, side = np.divmod(cell, len(base))
+        x, w = (np.concatenate(t) for t in zip(*map(_gauss, counts.tolist())))
+        gap, half = gaps[lo:hi][rule], 0.5 * stop[lo:hi].ravel()[cell]
         u = half * (x + 1.0)
-        yield base[side] + sign[side] * (gap * np.sinh(u)), gap * np.cosh(u) * (half * w)
-
-
-def _polar_grid(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The complex grid ``r[:, None]*exp(1j*theta)``: radial nodes down, angles across."""
-    return r[:, None] * np.exp(1j * theta)
+        yield (base[side] + sign[side] * (gap * np.sinh(u)), gap * np.cosh(u) * (half * w),
+               [slice(a - ends[lo], b - ends[lo]) for a, b in zip(ends[lo:hi], ends[lo + 1:hi + 1])])
+        lo = hi
 
 
 def _complex_integrand(g: Callable[[np.ndarray], np.ndarray]) -> _PolarIntegrand:
-    """Adapt an integrand of complex ``w`` to the ring's polar grid ``r x theta``.
+    """Adapt an integrand of complex ``w`` to the two stages of the disc rule.
 
-    The complex grid is the only array of the grid's size it builds.
+    The angle stage takes ``exp(1j*theta)`` of the block's angles; the
+    ring stage builds the ring's complex grid from its part of them, the
+    only array of the grid's size it builds, and hands it to ``g``.
     """
-    return lambda r, theta: g(_polar_grid(r, theta))
+    def angle_stage(theta):
+        turn = np.exp(1j * theta)
+        return lambda r, part: g(r[:, None] * turn[part])
+
+    return angle_stage
 
 
-def _ring_sum(g: _PolarIntegrand, r_lo: float, r_hi: float, theta: np.ndarray,
-              wtheta: np.ndarray, radial_order: int) -> float:
-    """Tensor Gauss-Legendre integral of g over the annulus r_lo <= |w| <= r_hi.
+def _ring_sum(ring: _RingStage, r_lo: float, r_hi: float, theta: np.ndarray,
+              wtheta: np.ndarray, part: slice, radial_order: int) -> float:
+    """Tensor Gauss-Legendre integral over the annulus r_lo <= |w| <= r_hi.
 
-    ``g`` gets the ring's radial nodes ``r`` and its angles ``theta`` and
-    returns its values on the grid ``r x theta`` (radial nodes down).  Only
-    when the weighted sum is not finite are the values scanned: a
-    non-finite value raises NonFiniteIntegrandError naming its node
-    ``w = r*exp(1j*theta)``, while finite values whose sum overflows give
-    that sum.
+    The ring's angles are ``theta[part]``, with weights ``wtheta[part]``,
+    of a block whose angle stage returned ``ring``.  ``ring`` gets the
+    ring's radial nodes ``r`` and ``part`` and returns its values on the
+    grid ``r x theta[part]`` (radial nodes down).  Only when the weighted
+    sum is not finite are the values scanned: a non-finite value raises
+    NonFiniteIntegrandError naming its node ``w = r*exp(1j*theta)``, while
+    finite values whose sum overflows give that sum.
     """
     t, wt = _gauss(radial_order)
     half = 0.5 * (r_hi - r_lo)
     r, wr = r_lo + half * (t + 1.0), half * wt
-    vals = np.asarray(g(r, theta), dtype=float)
+    vals = np.asarray(ring(r, part), dtype=float)
     # polar Jacobian r folded into the radial weights; fixed reduction order
-    total = float((wr * r) @ vals @ wtheta)
+    total = float((wr * r) @ vals @ wtheta[part])
     if not math.isfinite(total):
         bad = np.argwhere(~np.isfinite(vals))
         if len(bad):
             i, j = bad[0]
-            w = complex(_polar_grid(r[i:i + 1], theta)[0, j])
+            w = complex(r[i] * np.exp(1j * theta[part][j]))
             raise NonFiniteIntegrandError(f"integrand non-finite at node w={w!r}")
     return total
 
@@ -277,17 +304,22 @@ def _gap_ladder(spec: GradingSpec) -> list[float]:
 
 
 def _graded_sums(g: _PolarIntegrand, singular_angles, spec: GradingSpec):
-    """Inner-disc value plus per-annulus contributions of the ring integrand g down to eps_min.
+    """Inner-disc value plus per-annulus contributions of the integrand g down to eps_min.
 
     The inner disc is graded at EPS_START and each annulus at its inner
     gap, so the scales of the angular rules are the gap ladder itself.
+    Each block of rules gives its angles to g's angle stage once, and each
+    ring of the block calls the ring stage that returns.
     """
     gaps = _gap_ladder(spec)
-    rules = _angular_rules(singular_angles, gaps, spec)
-    core = _ring_sum(g, 0.0, 1.0 - EPS_START, *next(rules), spec.radial_order)
-    increments = [_ring_sum(g, 1.0 - outer_gap, 1.0 - inner_gap, *rule, spec.radial_order)
-                  for outer_gap, inner_gap, rule in zip(gaps[:-1], gaps[1:], rules)]
-    return core, increments, gaps[1:]
+    bounds = [1.0 - gap for gap in gaps]
+    radii = iter(zip([0.0] + bounds[:-1], bounds))
+    sums = []
+    for theta, wtheta, parts in _angular_rules(singular_angles, gaps, spec):
+        ring = g(theta)
+        sums += [_ring_sum(ring, *next(radii), theta, wtheta, part, spec.radial_order)
+                 for part in parts]
+    return sums[0], sums[1:], gaps[1:]
 
 
 def _tail(increments: Sequence[float], eps: Sequence[float],
@@ -355,7 +387,8 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     them.  Purely radial boundary behaviour needs no declaration.
 
     Each ring evaluates ``g`` once, on its complex polar grid
-    ``r*exp(1j*theta)``.  A ring whose weighted sum is not finite because
+    ``r*exp(1j*theta)``; ``exp(1j*theta)`` is taken once per block of
+    rings.  A ring whose weighted sum is not finite because
     ``g`` returned nan or inf raises NonFiniteIntegrandError naming that
     node.  The per-annulus increments go through the one tail rule,
     :func:`_tail`.  With no annuli (``eps_min = EPS_START``) the
@@ -366,7 +399,7 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
 
 def _integrate_polar(g: _PolarIntegrand, singular_angles: Sequence[float],
                      spec: GradingSpec) -> IntegralEstimate:
-    """:func:`integrate_disc` for an integrand ``g(r, theta)`` of each ring's polar grid."""
+    """:func:`integrate_disc` for a two-stage integrand ``g`` (see the module docstring)."""
     core, increments, gap_after = _graded_sums(g, singular_angles, spec)
     truncated = core + math.fsum(increments)
     floor = 1e-15 * (abs(truncated) + 1e-30)

@@ -123,7 +123,7 @@ def test_public_names_listed_once_and_exported():
 #: the private names of quadrature other modules may import: the one
 #: Gauss-Legendre table for the forward patch's charts, and the one disc
 #: integral of functionals
-QUADRATURE_SHARED = {"_gauss", "_integrate_polar", "_polar_grid"}
+QUADRATURE_SHARED = {"_complex_integrand", "_gauss", "_integrate_polar"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "quadrature.py"],

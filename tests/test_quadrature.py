@@ -14,6 +14,7 @@ from brennanlab.quadrature import (
     DEFAULT_SPEC,
     EPS_START,
     TWO_PI,
+    _BLOCK_NODES,
     Classification,
     GradingSpec,
     InvalidGradingError,
@@ -291,6 +292,13 @@ class TestGauss:
                 assert abs(wi / float(exact) - 1.0) <= 2e-13
 
 
+def rules_of(blocks):
+    """The rules in _angular_rules' blocks, one (theta, weights) per scale."""
+    for theta, wtheta, parts in blocks:
+        for part in parts:
+            yield theta[part], wtheta[part]
+
+
 def assert_rule_nodes(theta, ref_theta):
     """The rule's angles are the reference's, bit for bit, and contiguous.
 
@@ -306,12 +314,15 @@ def complex_grid(r, theta):
 
 
 def reference_ring_sum(g, r_lo, r_hi, theta, wtheta, radial_order, polar=False):
-    """The ring, node by node from the reference grid; g takes w, or (r, theta) if polar."""
+    """The ring, node by node from the reference grid; g takes w, or is two-stage if polar.
+
+    A two-stage g gets the ring's own angles as its block.
+    """
     x, wx = _gauss(radial_order)
     half = 0.5 * (r_hi - r_lo)
     r, wr = r_lo + half * (x + 1.0), half * wx
     w = complex_grid(r, theta)
-    vals = np.asarray(g(r, theta) if polar else g(w), dtype=float)
+    vals = np.asarray(g(theta)(r, slice(None)) if polar else g(w), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         raise NonFiniteIntegrandError(
@@ -367,7 +378,7 @@ class TestAngularRule:
         angles = RULE_ANGLE_SETS[name]
         assert RULE_SCALES[0] == EPS_START and RULE_SCALES[-1] == 1e-12
         for scale, (rule_theta, wtheta) in zip(RULE_SCALES,
-                                               _angular_rules(angles, RULE_SCALES, spec)):
+                                               rules_of(_angular_rules(angles, RULE_SCALES, spec))):
             theta, ref_wtheta = reference_angular_rule(angles, scale, spec)
             assert_rule_nodes(rule_theta, theta)
             assert np.array_equal(wtheta, ref_wtheta)
@@ -392,8 +403,8 @@ class TestCoincidingAngles:
         assert integrate_disc(lambda w: np.ones(w.shape), angles).value == pytest.approx(
             math.pi, rel=0.0, abs=1e-13)
         spec = GradingSpec()
-        for rule, ref in zip(_angular_rules(angles, RULE_SCALES, spec),
-                             _angular_rules(single, RULE_SCALES, spec)):
+        for rule, ref in zip(rules_of(_angular_rules(angles, RULE_SCALES, spec)),
+                             rules_of(_angular_rules(single, RULE_SCALES, spec))):
             assert all(np.array_equal(a, b) for a, b in zip(rule, ref))
 
 
@@ -417,6 +428,27 @@ def one_per_class(angles):
     return list({a % TWO_PI: a for a in angles}.values())
 
 
+def assert_blocks(blocks, graded):
+    """The blocks' parts tile each block in order, and each block is as full as the budget allows.
+
+    A block holds at most _BLOCK_NODES nodes unless it is one rule, and the
+    next block's first rule would not have fitted.  Without graded angles
+    one block holds the one rule, and every part is all of it.
+    """
+    if not graded:
+        (theta, _, parts), = blocks
+        assert all(part == slice(None) for part in parts)
+        return
+    sizes = []
+    for theta, wtheta, parts in blocks:
+        assert len(theta) == len(wtheta) == parts[-1].stop
+        assert [part.start for part in parts] == [0] + [part.stop for part in parts[:-1]]
+        assert len(parts) == 1 or len(theta) <= _BLOCK_NODES
+        sizes.append((len(theta), parts[0].stop))
+    for (size, _), (_, first) in zip(sizes, sizes[1:]):
+        assert size + first > _BLOCK_NODES
+
+
 class TestRuleLadder:
     """The rule builder matches the side-by-side reference, scale by scale."""
 
@@ -435,16 +467,50 @@ class TestRuleLadder:
     @example(angles=[0.0, 0.05581817218170551], base=64, boost=8, ratio=0.5,
              eps_min=0.0034886357613565944)
     @example(angles=[0.0, 2.0000000000000004], base=64, boost=8, ratio=0.5, eps_min=2.0 ** -30)
+    # ladders of many blocks: 6 and 12 sides of about 180 nodes at the last gap
+    @example(angles=[0.3, 2.0, 4.5], base=256, boost=8, ratio=0.3, eps_min=1e-12)
+    @example(angles=[0.1 * k for k in range(6)], base=256, boost=5, ratio=0.7, eps_min=1e-10)
     def test_matches_reference(self, angles, base, boost, ratio, eps_min):
         spec = GradingSpec(eps_min=eps_min, annulus_ratio=ratio, angular_base=base,
                            angular_boost=boost)
         ladder = _gap_ladder(spec)
-        rules = list(_angular_rules(angles, ladder, spec))
+        blocks = list(_angular_rules(angles, ladder, spec))
+        assert_blocks(blocks, bool(angles))
+        rules = list(rules_of(blocks))
         assert len(rules) == len(ladder)
         for scale, (theta, wtheta) in zip(ladder, rules):
             ref_theta, ref_wtheta = reference_angular_rule(one_per_class(angles), scale, spec)
             assert_rule_nodes(theta, ref_theta)
             assert np.array_equal(wtheta, ref_wtheta)
+
+
+class TestAngleStage:
+    """g's angle stage runs once per block of rules, and its ring stage once per ring."""
+
+    @pytest.mark.parametrize("name, spec", [
+        ("koebe", GradingSpec(eps_min=1e-12)),
+        ("koebe*moebius:0.95,0.2,1", GradingSpec(angular_base=128)),
+        ("identity", GradingSpec()),
+    ], ids=["koebe-eps1e-12", "clustered-base128", "ungraded"])
+    def test_once_per_block(self, name, spec):
+        pair = make_pair(name)
+        calls = {"angle": 0, "ring": 0}
+
+        def g(theta):
+            calls["angle"] += 1
+            ring = pair.abs_dpsi_power(theta, -1.0)
+
+            def counted(r, part):
+                calls["ring"] += 1
+                return ring(r, part)
+
+            return counted
+
+        _graded_sums(g, pair.grading_angles, spec)
+        ladder = _gap_ladder(spec)
+        blocks = len(list(_angular_rules(pair.grading_angles, ladder, spec)))
+        assert calls == {"angle": blocks, "ring": len(ladder)}
+        assert blocks < len(ladder) / 4
 
 
 class TestLongLadder:
@@ -486,7 +552,8 @@ class TestPeakResolution:
                                       GradingSpec(angular_boost=4)],
                              ids=["default", "base128", "boost4"])
     def test_lorentzian_peak(self, spec):
-        for gap, (theta, wtheta) in zip(RULE_SCALES, _angular_rules((0.0,), RULE_SCALES, spec)):
+        for gap, (theta, wtheta) in zip(RULE_SCALES,
+                                        rules_of(_angular_rules((0.0,), RULE_SCALES, spec))):
             side = theta < math.pi
             got = math.fsum(wtheta[side] * gap / (theta[side] ** 2 + gap ** 2))
             assert got == pytest.approx(math.atan(math.pi / gap), rel=2e-13, abs=0.0)
@@ -533,8 +600,8 @@ class TestWholeIntegrals:
         pair = make_pair(name)
         angles = pair.grading_angles
         for e in self.EXPONENTS:
-            def g(r, theta):
-                return pair.abs_dpsi_power(r, theta, e)
+            def g(theta):
+                return pair.abs_dpsi_power(theta, e)
 
             new = _graded_sums(g, angles, spec)
             assert new == self.reference_sums(g, angles, spec, polar=True)
@@ -554,7 +621,7 @@ class TestWholeIntegrals:
             r = 1.0 - scale * (1.0 + 0.5 * (t + 1.0))
             for e in self.EXPONENTS:
                 want, size = reference_abs_dpsi_power(pair, r, theta, e)
-                got = pair.abs_dpsi_power(r, theta, e)
+                got = pair.abs_dpsi_power(theta, e)(r, slice(None))
                 bound = 8 * np.finfo(float).eps * (1.0 + size) * want
                 assert np.all(np.abs(got - want) <= bound)
 
@@ -570,14 +637,15 @@ class TestWholeIntegrals:
 class TestNonFiniteRing:
     """The ring checks its weighted sum, and scans the values only when that is not finite."""
 
-    RULE = next(_angular_rules((), [EPS_START], GradingSpec()))
+    RULE = next(rules_of(_angular_rules((), [EPS_START], GradingSpec())))
     THETA, _ = reference_angular_rule((), EPS_START, GradingSpec())
 
     def rings(self, g):
         """The new and the reference ring of g(w) over 0 <= |w| <= 1, as (value or error)."""
         theta, wtheta = self.RULE
         out = []
-        for ring in (lambda: _ring_sum(_complex_integrand(g), 0.0, 1.0, theta, wtheta, 16),
+        for ring in (lambda: _ring_sum(_complex_integrand(g)(theta), 0.0, 1.0, theta, wtheta,
+                                       slice(None), 16),
                      lambda: reference_ring_sum(g, 0.0, 1.0, self.THETA, wtheta, 16)):
             try:
                 out.append(ring())
