@@ -70,6 +70,9 @@ FIT_RESIDUAL_TOL = 0.15
 #: outermost boundary gap: the inner disc has radius 1 - EPS_START
 EPS_START = 0.5
 
+#: Newton steps from Tricomi's guess to each Gauss-Legendre node
+_NEWTON_STEPS = 4
+
 #: most angular nodes in one block of rules; a rule with more is a block alone
 _BLOCK_NODES = 4096
 
@@ -164,24 +167,47 @@ class IntegralEstimate:
     fitted_slope: float
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``P_n(x)``, ``P_n'(x)`` and ``1 - x^2`` at points x inside (-1, 1).
+
+    P_{n-1} and P_n come from the three-term recurrence, and P_n' from
+    ``(1 - x^2) P_n' = n (P_{n-1} - x P_n)``.
+    """
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    one = (1.0 - x) * (1.0 + x)
+    return p1, n * (p0 - x * p1) / one, one
+
+
 @lru_cache(maxsize=None)
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]: the package's one table.
 
     Every radial rule, the ungraded and the sinh angular rules and the
-    forward patch's charts read it.  The nodes are numpy's ``leggauss``
-    nodes; its weights lose up to 1e-11 relative toward the ends of
-    [-1, 1] (at n = 134), so here P_{n-1} and P_n come from the three-term
-    recurrence at each node x, and the weight ``2/((1 - x^2) P_n'(x)^2)``
-    is carried to first order from x to the true root ``x - P_n/P_n'``.
+    forward patch's charts read it.  The nodes in [0, 1) start from
+    Tricomi's asymptotic guess and take ``_NEWTON_STEPS`` Newton steps on
+    the three-term recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35,
+    2013), which leaves each within 2^-53 of its root for n <= 300; for
+    odd n the middle node is 0 exactly, a fixed point of the step.  The
+    other half is their mirror image.  The weight ``2/((1 - x^2)
+    P_n'(x)^2)`` is then carried to first order from each node x to the
+    true root ``x - P_n/P_n'``, and is the same at x and -x.  No
+    eigenvalue solver runs, so a new size costs O(n^2) flops.
     """
-    x, _ = np.polynomial.legendre.leggauss(n)
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    one = (1.0 - x) * (1.0 + x)
-    dp = n * (p0 - x * p1) / one
-    w = 2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p1 / dp) / one)
+    k = np.arange(1, n // 2 + 1)
+    t = (4 * k - 1) * math.pi / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
+    # largest first, then the middle node of an odd n
+    x = np.concatenate((x, [0.0] * (n % 2)))
+    for _ in range(_NEWTON_STEPS):
+        p, dp, _ = _legendre(n, x)
+        x = x - p / dp
+    p, dp, one = _legendre(n, x)
+    w = 2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one)
+    # ascending: the mirror images, then the nodes in [0, 1) without a second 0
+    x, w = np.concatenate((0.0 - x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
     # shared by every caller through the cache, so keep them read-only
     x.flags.writeable = w.flags.writeable = False
     return x, w

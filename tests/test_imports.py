@@ -91,6 +91,20 @@ def read_names(tree):
             yield node.name
 
 
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_eigenvalue_solver_for_tables(name):
+    """No module names ``leggauss`` or ``numpy.linalg``, however it is imported or reached.
+
+    The Gauss-Legendre tables come from Newton's method on the three-term
+    recurrence, so no table runs LAPACK's dense eigenvalue solver.
+    """
+    tree = TREES[name]
+    names = set(read_names(tree)) | {node.module for node in ast.walk(tree)
+                                     if isinstance(node, ast.ImportFrom) and node.module}
+    parts = {part for dotted in names for part in dotted.split(".")}
+    assert not parts & {"leggauss", "linalg"}, f"{name} names {sorted(parts & {'leggauss', 'linalg'})}"
+
+
 def test_public_names_have_a_reader():
     """Each ``__all__`` name is read in the package outside its own definition, or by a script."""
     read = {name for p in SCRIPTS for name in read_names(ast.parse(p.read_text()))}

@@ -224,28 +224,47 @@ class TestValidation:
 
 @functools.lru_cache(maxsize=None)
 def reference_gauss(n):
-    """numpy's Gauss-Legendre nodes, with each weight recomputed node by node in floats."""
-    nodes = np.polynomial.legendre.leggauss(n)[0]
-    weights = []
-    for x in nodes.tolist():
+    """The Newton solve of _gauss, node by node in Python floats.
+
+    Each node in [0, 1) starts from Tricomi's guess and takes four Newton
+    steps on the three-term recurrence, the middle node of an odd n is 0,
+    and each weight is carried to first order to the root; the other half
+    is the mirror image.
+    """
+    def legendre(x):
         p0, p1 = 1.0, x
         for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         one = (1.0 - x) * (1.0 + x)
-        dp = n * (p0 - x * p1) / one
-        weights.append(2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p1 / dp) / one))
-    return nodes, np.array(weights)
+        return p1, n * (p0 - x * p1) / one, one
+
+    nodes, weights = [], []
+    for k in range(1, n // 2 + 1 + n % 2):
+        t = (4 * k - 1) * math.pi / (4 * n + 2)
+        x = 0.0 if 2 * k > n else (
+            (1.0 - (n - 1) / (8.0 * n ** 3) - (39.0 - 28.0 / math.sin(t) ** 2) / (384.0 * n ** 4))
+            * math.cos(t))
+        for _ in range(4):
+            p, dp, _ = legendre(x)
+            x = x - p / dp
+        p, dp, one = legendre(x)
+        nodes.append(x)
+        weights.append(2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one))
+    mirror = slice(None, None, -1) if n % 2 == 0 else slice(-2, None, -1)
+    return (np.array([0.0 - x for x in nodes] + nodes[mirror]),
+            np.array(weights + weights[mirror]))
 
 
-def reference_angular_rule(singular_angles, scale, spec):
+def reference_angular_rule(singular_angles, scale, spec, gauss=reference_gauss):
     """The angular rule built side by side, as a reference for the array builder.
 
     Without singular angles: equal panels with ``np.linspace`` ends.  With
     them: the sinh map on each side of each angle.  Both branches take
-    their Gauss-Legendre tables from :func:`reference_gauss`.
+    their Gauss-Legendre tables from ``gauss``, :func:`reference_gauss` by
+    default.
     """
     if not singular_angles:
-        x, w = reference_gauss(spec.angular_boost)
+        x, w = gauss(spec.angular_boost)
         edges = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
         halves = [0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])]
         return (np.concatenate([a + h * (x + 1.0) for a, h in zip(edges[:-1], halves)]),
@@ -262,7 +281,7 @@ def reference_angular_rule(singular_angles, scale, spec):
                 continue
             stop = np.arcsinh(length / scale)
             n = math.ceil(0.5 * spec.angular_boost * stop) + spec.angular_base // 4
-            x, w = reference_gauss(n)
+            x, w = gauss(n)
             half = 0.5 * stop
             u = half * (x + 1.0)
             theta.append(origin + sign * (scale * np.sinh(u)))
@@ -271,16 +290,19 @@ def reference_angular_rule(singular_angles, scale, spec):
 
 
 class TestGauss:
-    """The one table: numpy's nodes, and every weight the true Gauss-Legendre weight to a few ulp.
+    """The one table: every node within 2^-53 of its root, every weight within 2e-13.
 
-    numpy's own weights miss this bound at n = 48.
+    numpy's leggauss nodes reach 8e-17 of their roots; its weights miss the
+    weight bound at n = 48.
     """
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 16, 48, 64, 134, 260])
+    SIZES = [2, 3, 5, 8, 16, 17, 48, 64, 101, 134, 199, 260, 300]
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_table_against_mpmath(self, n):
         mpmath = pytest.importorskip("mpmath")
         x, w = _gauss(n)
-        assert np.array_equal(x, np.polynomial.legendre.leggauss(n)[0])
+        assert np.all(x[1:] > x[:-1]) and np.array_equal(x, -x[::-1])
         with mpmath.workdps(40):
             for xi, wi in zip(x.tolist(), w.tolist()):
                 # Newton from the float node to the root, then the weight there
@@ -288,8 +310,29 @@ class TestGauss:
                 for _ in range(3):
                     p, q = mpmath.legendre(n, t), mpmath.legendre(n - 1, t)
                     t -= p * (t * t - 1) / (n * (t * p - q))
+                assert abs(t - xi) <= 2.0 ** -53
                 exact = 2 * (1 - t * t) / (n * mpmath.legendre(n - 1, t)) ** 2
                 assert abs(wi / float(exact) - 1.0) <= 2e-13
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_the_scalar_solve(self, n):
+        x, w = _gauss(n)
+        ref_x, ref_w = reference_gauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert not x.flags.writeable and not w.flags.writeable
+
+    def test_no_eigenvalue_solver(self, monkeypatch):
+        """Every table from 2 to 300 nodes is built with LAPACK's eigvalsh and leggauss refused."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue solver was called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        _gauss.cache_clear()
+        for n in range(2, 301):
+            x, w = _gauss(n)
+            assert len(x) == len(w) == n
+            assert math.fsum(w.tolist()) == pytest.approx(2.0, rel=0.0, abs=1e-14)
 
 
 def rules_of(blocks):
@@ -483,6 +526,25 @@ class TestRuleLadder:
             assert_rule_nodes(theta, ref_theta)
             assert np.array_equal(wtheta, ref_wtheta)
 
+    def test_rule_over_the_block_budget(self):
+        """A rule of more than _BLOCK_NODES nodes is a block of its own.
+
+        With angular_base = 16384 each side alone carries 4,096 + a few
+        nodes.  The reference takes the package's table here: the scalar
+        Newton solve of :func:`reference_gauss` would take seconds per
+        table at this size, and :class:`TestGauss` checks the table.
+        """
+        spec = GradingSpec(eps_min=0.1, angular_base=16384)
+        ladder = _gap_ladder(spec)
+        blocks = list(_angular_rules((1.0,), ladder, spec))
+        assert len(blocks) == len(ladder) == 3
+        assert_blocks(blocks, True)
+        for scale, (theta, wtheta, parts) in zip(ladder, blocks):
+            assert parts == [slice(0, len(theta))] and len(theta) > 2 * 4096
+            ref_theta, ref_wtheta = reference_angular_rule((1.0,), scale, spec, _gauss)
+            assert_rule_nodes(theta, ref_theta)
+            assert np.array_equal(wtheta, ref_wtheta)
+
 
 class TestAngleStage:
     """g's angle stage runs once per block of rules, and its ring stage once per ring."""
@@ -666,10 +728,11 @@ class TestNonFiniteRing:
         assert new == ref == f"integrand non-finite at node w={complex(w[3, 5])!r}"
 
     def test_first_bad_node_in_row_order(self):
-        # the complex-grid ring named this node, the first with |w| > 0.6 in row-major order
+        # the first node with |w| > 0.6 in row-major order; its angle moved in the
+        # last digits when the table's nodes came from Newton on the recurrence
         new, ref = self.rings(lambda w: np.where(np.abs(w) > 0.6, np.nan, 1.0))
         assert new == ref
-        assert "0.6407238628081336+0.009992345606769322j" in new
+        assert "0.6407238628081336+0.009992345606769294j" in new
 
     def test_overflowing_sum_of_finite_values(self):
         """Finite values whose weighted sum overflows give that sum, inf, as before."""
