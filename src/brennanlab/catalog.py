@@ -71,9 +71,10 @@ and the angular distance, each formed from the ring's own ``r`` and
 turn away from the singular angle keeps its low bits).  The expanded
 ``(Re zeta - x)^2 + (Im zeta - y)^2`` instead subtracts
 ``x = r cos(theta)``, rounded to its ulp near 1, from ``Re zeta``.
-:meth:`ConformalPair.abs_dpsi_power` evaluates ``|psi'|^e`` on a
-quadrature ring ``r x theta`` from this form; the disc integrals call
-it.  The closed form ``dpsi`` never uses this form, so each checks the
+:meth:`ConformalPair.abs_dpsi_power` evaluates ``|psi'|^e`` on the
+quadrature rings ``r x theta`` from this form, in the disc rule's two
+stages (the angular terms once per block of rings, the rest per ring);
+the disc integrals call it.  The closed form ``dpsi`` never uses this form, so each checks the
 other.
 """
 

@@ -55,6 +55,8 @@ EXIT_ERROR = 2
 
 #: largest |ratio - 1| that `isometry` accepts
 _ISOMETRY_TOL = 1e-4
+#: most rows, one integral each, that `scan` computes before it writes any
+_SCAN_MAX_ROWS = 10_000
 
 
 def _num(x: float) -> str:
@@ -164,6 +166,12 @@ def cmd_scan(args) -> int:
         raise RegimeError("scan needs finite --s-from, --s-to and --step")
     if not (args.s_from < args.s_to and args.step > 0.0):
         raise RegimeError("scan needs s_from < s_to and step > 0")
+    # the loop below computes floor(span) + 1 rows; span is inf where it overflows
+    span = (args.s_to + 1e-12 - args.s_from) / args.step
+    if not span < _SCAN_MAX_ROWS:
+        rows = math.floor(span) + 1 if math.isfinite(span) else math.inf
+        raise RegimeError(f"scan would compute {rows} rows, more than {_SCAN_MAX_ROWS}; "
+                          "use a larger --step or a shorter range")
     pair = make_pair(args.map)
     spec = _spec_from(args)
     rows = []

@@ -105,8 +105,12 @@ def _disc_integral(pair: ConformalPair, exponent: float, spec: GradingSpec,
     """Integral of ``|psi'|^exponent`` over the disc, graded toward every singular angle and pole.
 
     An optional ``weight`` of complex w multiplies the integrand; only then
-    is each ring's complex grid built.
+    is each ring's complex grid built.  A non-finite exponent raises
+    RegimeError, naming it as r and as s = 2 - r.
     """
+    if not math.isfinite(exponent):
+        raise RegimeError(f"the integral of |psi'|^r needs a finite exponent, got r={exponent} "
+                          f"(s = 2 - r = {2.0 - exponent})")
 
     def g(theta):
         power = pair.abs_dpsi_power(theta, exponent)

@@ -2,12 +2,13 @@ import dataclasses
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
-from brennanlab import catalog, operators
+from brennanlab import catalog, cli, operators
 from brennanlab.cli import main
-from brennanlab.quadrature import GradingSpec
+from brennanlab.quadrature import Classification, GradingSpec, IntegralEstimate
 
 
 EXPONENTS_P4_S2 = """\
@@ -122,6 +123,14 @@ class TestIntegrateCommand:
                                     "--eps-min", "0.05")
         assert code == 2
         assert payload["result"]["classification"] == "inconclusive"
+
+    @pytest.mark.parametrize("flag", ["--s=nan", "--s=inf", "--r=-inf"])
+    def test_non_finite_exponent_is_a_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "integrate", "--map", "koebe", flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the integral of |psi'|^r needs a finite exponent")
+        assert "node" not in err
 
     def test_no_annuli_are_inconclusive(self, capsys):
         code, payload, err = run_json(capsys, "integrate", "--map", "koebe", "--s", "2",
@@ -454,6 +463,27 @@ class TestScanBounds:
         assert not caught
         assert out == ""
         assert "finite" in err
+
+
+    @pytest.mark.parametrize("step, rows", [("1e-9", 1_000_000_001), ("1e-4", 10_001)])
+    def test_row_count_is_bounded(self, capsys, step, rows):
+        """More than 10,000 rows are refused before the first integral, naming the count."""
+        code, out, err = run(capsys, "scan", "--map", "koebe", "--s-from", "1", "--s-to", "2",
+                             "--step", step)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: scan would compute {rows} rows, more than 10000; "
+                       "use a larger --step or a shorter range\n")
+
+    def test_row_bound_admits_ten_thousand(self, capsys, monkeypatch):
+        """A scan of exactly 10,000 rows runs (each integral a stub here)."""
+        estimate = IntegralEstimate(1.0, 0.0, 1e-8, 0.0, Classification.CONVERGED, -1.0)
+        monkeypatch.setattr(cli, "brennan_integral",
+                            lambda pair, s, spec: SimpleNamespace(integral=estimate))
+        code, out, _ = run(capsys, "scan", "--map", "koebe", "--s-from", "1", "--s-to", "2",
+                           "--step", repr(1.0 / 9999))
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 10_000
 
 
 class TestCriticalOracleGap:

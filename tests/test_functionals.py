@@ -71,6 +71,18 @@ class TestBrennanIntegral:
                 is Classification.DIVERGING
 
 
+    @pytest.mark.parametrize("s, shown", [(math.nan, "r=nan (s = 2 - r = nan)"),
+                                          (math.inf, "r=-inf (s = 2 - r = inf)"),
+                                          (-math.inf, "r=inf (s = 2 - r = -inf)")])
+    def test_non_finite_exponent_is_a_regime_error(self, s, shown):
+        """The exponent is rejected before any ring, naming it, not the first bad node."""
+        with pytest.raises(RegimeError, match="needs a finite exponent") as caught:
+            brennan_integral(koebe_map(), s)
+        assert shown in str(caught.value)
+        with pytest.raises(RegimeError, match=f"got r={-s!r}"):
+            inverse_brennan_integral(koebe_map(), -s)
+
+
 class TestInverseBrennan:
     def test_identity_any_r(self):
         res = inverse_brennan_integral(identity_map(), 5.0)
