@@ -74,8 +74,8 @@ turn away from the singular angle keeps its low bits).  The expanded
 :meth:`ConformalPair.abs_dpsi_power` evaluates ``|psi'|^e`` on the
 quadrature rings ``r x theta`` from this form, in the disc rule's two
 stages (the angular terms once per block of rings, the rest per ring);
-the disc integrals call it.  The closed form ``dpsi`` never uses this form, so each checks the
-other.
+the disc integrals call it.  The closed form ``dpsi`` never uses this
+form, so each checks the other.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ class ConformalPair:
 
     def abs_dpsi_power(self, theta: np.ndarray, e: float
                        ) -> Callable[[np.ndarray, slice], np.ndarray]:
-        """``|psi'|^e`` on polar grids ``r x theta``, in the disc rule's two stages (no domain checks).
+        """``|psi'|^e`` on polar grids, in the disc rule's two stages (no domain checks).
 
         This call is the angle stage, run once for a block of angles
         ``theta`` (1-D floats): it forms every factor's rows ``[1;

@@ -258,6 +258,7 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     ends = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
     lo = 0
     while lo < len(gaps):
+        # rules lo to hi - 1: as many as fit in _BLOCK_NODES, and at least one
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _BLOCK_NODES, side="right")) - 1)
         counts = count[lo:hi].ravel()
         # the (rule, side) cell of each node, rule counted from lo
@@ -266,8 +267,9 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
         x, w = (np.concatenate(t) for t in zip(*map(_gauss, counts.tolist())))
         gap, half = gaps[lo:hi][rule], 0.5 * stop[lo:hi].ravel()[cell]
         u = half * (x + 1.0)
+        starts = (ends[lo:hi + 1] - ends[lo]).tolist()
         yield (base[side] + sign[side] * (gap * np.sinh(u)), gap * np.cosh(u) * (half * w),
-               [slice(a - ends[lo], b - ends[lo]) for a, b in zip(ends[lo:hi], ends[lo + 1:hi + 1])])
+               [slice(a, b) for a, b in zip(starts, starts[1:])])
         lo = hi
 
 

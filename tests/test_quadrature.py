@@ -420,8 +420,8 @@ class TestAngularRule:
     def test_rule_over_scales(self, name, spec):
         angles = RULE_ANGLE_SETS[name]
         assert RULE_SCALES[0] == EPS_START and RULE_SCALES[-1] == 1e-12
-        for scale, (rule_theta, wtheta) in zip(RULE_SCALES,
-                                               rules_of(_angular_rules(angles, RULE_SCALES, spec))):
+        rules = rules_of(_angular_rules(angles, RULE_SCALES, spec))
+        for scale, (rule_theta, wtheta) in zip(RULE_SCALES, rules):
             theta, ref_wtheta = reference_angular_rule(angles, scale, spec)
             assert_rule_nodes(rule_theta, theta)
             assert np.array_equal(wtheta, ref_wtheta)
