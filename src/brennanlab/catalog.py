@@ -5,8 +5,9 @@ with hand-derived boundary singularity data (points on the unit circle
 where ``|psi'|`` vanishes or blows up like a power of the distance).  The
 domain-to-disc direction ``phi`` is closed form too: each family writes
 its principal-branch inverse, whose branch cut lies outside Omega
-(Pommerenke, *Boundary Behaviour of Conformal Maps*), and one Newton step
-polishes a point only where its residual misses the target.
+(Pommerenke, *Boundary Behaviour of Conformal Maps*).  Its w is accepted,
+with no Newton step, where either the residual ``|psi(w) - z|`` or the
+Newton step that residual implies in w is within its target.
 
 Families
 --------
@@ -110,6 +111,10 @@ TWO_PI_LO = 2.4492935982947064e-16
 
 #: an inverted point w is accepted when |psi(w) - z| <= NEWTON_TOL * (1 + |z|)
 NEWTON_TOL = 1e-12
+#: ... or when its Newton step |psi(w) - z| / |psi'(w)| <= STEP_TOL * (1 + |w|).  Next
+#: to singular points phi's w sat up to 38 of these units from its step: a twist m
+#: with |a| <= 0.95 turns an ulp of m(w) into up to 39 ulps of w
+STEP_TOL = 64.0 * 2.0 ** -52
 #: a twist's new pole exponent -2 - sum(exponents) at most this large counts
 #: as no pole; for sectors (beta - 1) - (beta + 1) rounds to -2 within an ulp
 POLE_TOL = 1e-12
@@ -120,7 +125,7 @@ class MapDomainError(ValueError):
 
 
 class NewtonConvergenceError(RuntimeError):
-    """An inverted point misses the residual target even after its Newton step."""
+    """An inverted point misses both targets: the residual in z and its Newton step in w."""
 
 
 class DescriptorError(ValueError):
@@ -195,11 +200,12 @@ class ConformalPair:
     ``dpsi`` return the two outputs of ``psi_dpsi``.  On an array,
     ``psi_dpsi`` and ``phi`` must return new, writable arrays that the
     caller owns, never their input or a view of it: :meth:`invert_many`
-    writes into them.  ``domain_contains`` decides membership in Omega,
-    elementwise on an array.  ``psi`` and ``dpsi`` are fields, not methods
-    over ``psi_dpsi``, because the benchmark's tracer rebuilds a pair with
-    ``psi=`` and ``dpsi=`` keywords to time them.  Immutable; safe to share
-    between threads.
+    subtracts z from the first in place and returns the others.
+    ``domain_contains`` decides membership in Omega, elementwise on an
+    array.  ``psi`` and ``dpsi`` are fields, not methods over ``psi_dpsi``,
+    because the benchmark's tracer rebuilds a pair with ``psi=`` and
+    ``dpsi=`` keywords to time them.  Immutable; safe to share between
+    threads.
 
     The derivative also has the factor form of the module docstring:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
@@ -258,8 +264,9 @@ class ConformalPair:
         every factor's ``|1 - c w|^2`` on the grid, one ``log`` and one
         weighted sum over the factors give ``e log|psi'|``, and one ``exp``
         the power; it agrees with ``|dpsi(w)|**e`` to rounding.  Where the
-        power overflows it is inf, without a numpy warning, so that the
-        caller can name the node.
+        power overflows it is inf, and where ``e log|psi'|`` does it is inf
+        or nan, without a numpy warning in either stage, so that the caller
+        can name the node.
         """
         rho, alpha, half_f = self._factors
         k = len(rho)
@@ -274,7 +281,10 @@ class ConformalPair:
         np.copyto(side, theta + (alpha + TWO_PI) + TWO_PI_LO, where=side < -math.pi)
         side *= 0.5
         np.square(np.sin(side, out=side), out=side)
-        weights, scale = e * half_f, e * self.log_scale
+        # at a huge finite e, e log|psi'| overflows to inf or inf - inf; both
+        # stages run silently, and the caller names the node
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights, scale = e * half_f, e * self.log_scale
 
         def ring(r: np.ndarray, part: slice) -> np.ndarray:
             rows = angular[..., part]
@@ -284,71 +294,53 @@ class ConformalPair:
             np.square(np.subtract(1.0, rr, out=radial[..., 0]), out=radial[..., 0])
             np.multiply(4.0, rr, out=radial[..., 1])
             logs = np.matmul(radial, rows).reshape(k, n_r * n_t)
-            out = weights @ np.log(logs, out=logs)
-            out += scale
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = weights @ np.log(logs, out=logs)
+                out += scale
                 np.exp(out, out=out)
             return out.reshape(n_r, n_t)
 
         return ring
 
-    # Not a call of invert_many, which takes 15-22 us on one point against 6 us here
+    # Not a call of invert_many, which takes 20-30 us on one point against 2-5 us here
     def invert(self, z: complex) -> tuple[complex, complex]:
         """Solve psi(w) = z for w in the open disc; returns (w, psi'(w)).
 
-        ``w = phi(z)``, polished by one Newton step when ``|psi(w) - z|``
-        exceeds ``NEWTON_TOL * (1 + |z|)`` (w is off by about the residual
-        over ``|psi'(w)|``, large near a zero of psi').  ``psi'(w)`` comes
-        from the ``psi_dpsi`` call that checked w, so it equals ``dpsi(w)``
-        bit for bit.  Raises MapDomainError for z outside Omega and
-        NewtonConvergenceError when the target is missed.
+        ``w = phi(z)``, accepted by :func:`_accepted`: in the disc, and
+        either its residual ``|psi(w) - z|`` or the Newton step that
+        residual implies meets its target.  ``psi'(w)`` comes from the
+        ``psi_dpsi`` call that checked w, so it equals ``dpsi(w)`` bit for
+        bit.  Raises MapDomainError for z outside Omega and
+        NewtonConvergenceError when w is not accepted.
         """
         if not self.domain_contains(z):
             raise MapDomainError(f"point {z!r} is outside the image domain")
-        target = NEWTON_TOL * (1.0 + abs(z))
         w = complex(self.phi(z))
-        for _ in range(2):  # phi's w, then its Newton step
-            if abs(w) >= 1.0:
-                break
-            value, deriv = self.psi_dpsi(w)
-            diff = complex(value) - z
-            if abs(diff) <= target:
-                return w, complex(deriv)
-            w -= diff / complex(deriv)
+        value, deriv = self.psi_dpsi(w)
+        deriv = complex(deriv)
+        if _accepted(w, z, complex(value) - z, deriv):
+            return w, deriv
         raise NewtonConvergenceError(
-            f"inversion of {self.descriptor.label()} at z={z!r} missed the residual "
-            f"target after one Newton step; the point may be too close to the boundary")
+            f"inversion of {self.descriptor.label()} at z={z!r} missed the residual target "
+            f"and the step target; the point may be too close to the boundary")
 
     def invert_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`invert`; returns (w, converged mask, psi'(w)).
+        """Vectorized :meth:`invert`; returns (w, accepted mask, psi'(w)).
 
-        The points that miss the target take their Newton step together,
-        kept where it stays in the disc and does not raise the residual, so
-        a point's results do not depend on the rest of the call.  The mask
-        is False where z is not in Omega, where the target is missed or
-        where w is not in the disc.
+        Each point is decided by :func:`_accepted` alone, as in
+        :meth:`invert`, so a point's results do not depend on the rest of
+        the call.  The mask is False where z is not in Omega or where w is
+        not accepted.
         """
         z = np.asarray(z, dtype=complex)
-        target = NEWTON_TOL * (1.0 + np.abs(z))
         # phi and psi may divide by zero or take log(0) at a z outside Omega,
-        # such as a sector's vertex; the mask below reports every such z
+        # such as a sector's vertex; the mask reports every such z
         with np.errstate(divide="ignore", invalid="ignore"):
             w = self.phi(z)
             diff, dw = self.psi_dpsi(w)
-        diff -= z
-        # flat views; 1-element copies for 0-d input, where a family returns numpy scalars
-        w, diff, dw, target = (np.reshape(a, -1) for a in (w, diff, dw, target))
-        resid = np.abs(diff)
-        step = np.flatnonzero(resid > target)
-        if step.size:
-            w_try = w[step] - diff[step] / dw[step]
-            value, deriv = self.psi_dpsi(w_try)
-            r_try = np.abs(value - z.reshape(-1)[step])
-            keep = (np.abs(w_try) < 1.0) & (r_try <= resid[step])
-            step = step[keep]
-            w[step], dw[step], resid[step] = w_try[keep], deriv[keep], r_try[keep]
-        ok = (resid <= target) & (np.abs(w) < 1.0) & np.reshape(self.domain_contains(z), -1)
-        return w.reshape(z.shape), ok.reshape(z.shape), dw.reshape(z.shape)
+            diff -= z
+            ok = _accepted(w, z, diff, dw) & self.domain_contains(z)
+        return w, ok, dw
 
     def compose_with_moebius(self, a: complex, theta: float) -> "ConformalPair":
         """Precompose with the disc automorphism m, returning the pair for psi o m.
@@ -397,6 +389,23 @@ class ConformalPair:
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
         return _pair(descriptor, psi_dpsi, lambda z: m_inv(base_phi(z)), self.domain_contains,
                      moved, poles)
+
+
+def _accepted(w, z, diff, deriv):
+    """Whether w = phi(z), with ``diff = psi(w) - z`` and ``deriv = psi'(w)``, solves psi(w) = z.
+
+    w must lie in the open disc, and either the residual meets
+    ``NEWTON_TOL * (1 + |z|)`` or the Newton step it implies,
+    ``|diff| / |psi'(w)|``, meets ``STEP_TOL * (1 + |w|)`` (multiplied
+    out, so nothing divides).  Next to a singular point where |psi'|
+    blows up faster than |psi|, such as Koebe's e = -3 point, half an ulp
+    of w carried through psi' is already many times the residual target,
+    while the step stays within tens of ulps.  Elementwise on arrays, and a plain
+    bool on Python complexes, with no ``np.errstate`` on the scalar path.
+    """
+    size, resid = abs(w), abs(diff)
+    return (size < 1.0) & ((resid <= NEWTON_TOL * (1.0 + abs(z)))
+                           | (resid <= STEP_TOL * (1.0 + size) * abs(deriv)))
 
 
 def _to_circle(v: complex) -> complex:

@@ -6,9 +6,9 @@ integral identity, and the one-integral equivalence across (p, q(p,s))
 pairs.  The isometry check deliberately avoids the pullback shortcut: the
 domain-side energy is integrated over the forward image of a disc patch,
 with every quadrature node mapped back through the map's closed-form
-inverse (polished by a Newton step where its residual misses the target)
-and the measure supplied by transfinite charts built from the mapped
-patch edges, so nothing cancels by construction.  The disc-side energy is
+inverse (accepted by its residual in z or its Newton step in w) and the
+measure supplied by transfinite charts built from the mapped patch edges,
+so nothing cancels by construction.  The disc-side energy is
 each test function's closed form, so the ratio measures the forward patch
 alone.  The patch is cut into polar cells no larger than their distance
 from the map's singular points and poles, because Gauss-Legendre on a cell
@@ -455,11 +455,11 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: flo
     on the circle and its poles off it) by :func:`_refined_cells`, which
     evaluates no psi.  Then one loop charts the leaves ``_BLOCK_CELLS`` at a
     time through :func:`_block_sums`: every chart node z is inverted by
-    ``invert_many`` (the closed-form inverse, with one Newton step where its
-    residual misses the target), which also returns psi' at the inverted
-    node, and the chart Jacobian carries the measure.  A folded chart's
-    halves go back through the refinement and join the end of the list, so
-    only the last block can be partial.  The cell sums are added one by one.
+    ``invert_many`` (the closed-form inverse, accepted by its residual in z
+    or its Newton step in w), which also returns psi' at the inverted node,
+    and the chart Jacobian carries the measure.  A folded chart's halves go
+    back through the refinement and join the end of the list, so only the
+    last block can be partial.  The cell sums are added one by one.
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
@@ -499,8 +499,8 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     :func:`_forward_patch_integral`), though not toward f's own
     singularities, such as ``shifted_log``'s at w = 2 or
     ``boundary_power``'s on the unit circle, which lie off the patch.  A
-    node whose inverse misses the residual target raises
-    NewtonConvergenceError, and a chart still folded after
+    node whose inverse misses both the residual and the step target
+    raises NewtonConvergenceError, and a chart still folded after
     ``_MAX_SPLIT_DEPTH`` splits raises DegenerateChartError, a
     QuadratureError.
     """

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brennanlab import Classification, brennan_integral, catalog
+from brennanlab import Classification, brennan_integral, catalog, p_distortion
 from brennanlab.catalog import (
     NEWTON_TOL,
     DescriptorError,
@@ -309,8 +309,8 @@ class TestInversion:
         back = pair.phi(value)
         assert back.flags.writeable and not np.shares_memory(back, value)
 
-    def test_newton_step_next_to_the_pole(self):
-        """At a point 1e-5 from Koebe's pole phi misses the target, and the one Newton step meets it."""
+    def test_step_target_next_to_the_pole(self):
+        """At a point 1e-5 from Koebe's pole phi misses the residual target; the step test accepts it."""
         pair = koebe_map()
         w = (1.0 - 1e-5) * cmath.exp(1e-5j)
         z = complex(pair.psi(w))
@@ -324,9 +324,33 @@ class TestInversion:
         assert many[0].tobytes() == np.array([w_back]).tobytes()
         assert many[2].tobytes() == np.array([dw]).tobytes()
 
+    def test_twisted_sector_next_to_its_singular_points(self):
+        """Both paths accept phi's w 1e-5 inward of each singular point of 40 twisted sectors.
+
+        At the e = -2.3 point half an ulp of w carried through psi' is
+        already several times the residual target in z, so these points are
+        accepted by their Newton step in w.  p_distortion there agrees with
+        |psi'(w0)|^-2 to the sensitivity of |psi'| to a few ulps of w.
+        """
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            a = rng.uniform(0.5, 0.95) * cmath.exp(2j * math.pi * rng.random())
+            pair = make_pair(f"sector:1.3*moebius:{a.real!r},{a.imag!r},"
+                             f"{2.0 * math.pi * rng.random()!r}")
+            for sp in pair.singular_points:
+                w0 = (1.0 - 1e-5) * sp.location * np.exp(1j * rng.uniform(-1e-5, 1e-5, 5))
+                z = pair.psi(w0)
+                w, ok, _ = pair.invert_many(z)
+                assert ok.all() and np.max(np.abs(w - w0)) <= 1e-14
+                for z_k, w0_k in zip(z.tolist(), w0.tolist()):
+                    assert abs(pair.invert(z_k)[0] - w0_k) <= 1e-14
+                    exact = abs(complex(pair.dpsi(w0_k))) ** -2.0
+                    assert p_distortion(pair, z_k, 4.0) == pytest.approx(exact, rel=1e-8)
+
     def test_missed_target_raises(self, monkeypatch):
-        """With a residual target of 0 neither phi's w nor its Newton step is accepted."""
+        """With residual and step targets of 0 phi's w is not accepted."""
         monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
+        monkeypatch.setattr(catalog, "STEP_TOL", 0.0)
         with pytest.raises(NewtonConvergenceError,
                            match=r"^inversion of cardioid at z=0\.05j missed the residual target"):
             make_pair("cardioid").invert(0.05j)

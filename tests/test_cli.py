@@ -160,6 +160,24 @@ class TestIntegrateCommand:
         assert err == (
             "error: integrand non-finite at node w=(0.7478163657144561+0.000508512697463222j)\n")
 
+    @pytest.mark.parametrize("argv, node", [
+        (("scan", "--map", "koebe", "--s-from=-1.7e308", "--s-to=-1.6e308", "--step", "1e306"),
+         "(0.0026497596001274514+5.937359204746188e-06j)"),
+        (("integrate", "--map", "koebe*moebius:0.5,0.2,1", "--r", "1e308"),
+         "(0.2685279674738545-0.05323068173683484j)"),
+        (("integrate", "--map", "cardioid*moebius:0.95,0,0.7", "--r=1.7e308"),
+         "(0.002649758488032141+6.414499476956022e-06j)"),
+    ], ids=["scan-koebe", "twisted-koebe", "twisted-cardioid"])
+    def test_huge_finite_exponent_names_its_node(self, capsys, argv, node):
+        """Where e log|psi'| itself overflows, to inf or to inf - inf, no numpy warning comes first."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not caught
+        assert out == ""
+        assert err == f"error: integrand non-finite at node w={node}\n"
+
     def test_inverse_exponent_flag(self, capsys):
         code, payload, _ = run_json(capsys, "integrate", "--map", "identity", "--r", "5")
         assert code == 0
@@ -312,11 +330,12 @@ class TestIsometryCommand:
 
     def test_failed_inversion_is_a_numerical_error(self, capsys, monkeypatch):
         monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
+        monkeypatch.setattr(catalog, "STEP_TOL", 0.0)
         code, out, err = run(capsys, "isometry", "--map", "cardioid")
         assert code == 2
         assert out == ""
-        assert err == ("error: forward-patch inversion failed at z=(0.00018978695522702503"
-                       "+0.02696230835349647j) (map cardioid, cell (0.0, 0.4, "
+        assert err == ("error: forward-patch inversion failed at z=(-6.8233094521657e-05"
+                       "+0.0021546690265843438j) (map cardioid, cell (0.0, 0.4, "
                        "1.5707963267948966, 3.141592653589793))\n")
 
     def test_degenerate_chart_is_a_numerical_error(self, capsys, monkeypatch):

@@ -5,8 +5,9 @@ a change meant to be a pure speed-up shows any moved bit here.  The cases
 cover the three grading specs of the scan-cold benchmark, converged and
 diverging tails, twisted maps with clustered singular points and maps
 that carry a pole off the circle.  The inversions cover the scalar and
-the vectorized inverse (closed form, with a Newton step where needed),
-and the p-distortion built on the scalar one.
+the vectorized inverse (closed form, accepted by its residual in z or
+its Newton step in w; every golden inversion meets the target in z), and
+the p-distortion built on the scalar one.
 A change that moves a value on purpose regenerates the value and says so.
 """
 

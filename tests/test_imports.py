@@ -105,6 +105,34 @@ def test_no_eigenvalue_solver_for_tables(name):
     assert not named, f"{name} names {sorted(named)}"
 
 
+def scopes_reading(node, names, scope="<module>"):
+    """The innermost function around each read of ``names`` under node, by function name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from scopes_reading(child, names, scope)
+
+
+def test_one_inversion_rule():
+    """``invert`` and ``invert_many`` each call ``_accepted``, the one reader of the tolerances.
+
+    A second acceptance rule, or a Newton step with its own target, would
+    have to read ``NEWTON_TOL`` or ``STEP_TOL`` outside ``_accepted``.
+    """
+    readers = {(name, scope) for name, tree in TREES.items()
+               for scope in scopes_reading(tree, {"NEWTON_TOL", "STEP_TOL"})}
+    assert readers == {("catalog.py", "_accepted")}, f"tolerances read by {sorted(readers)}"
+    pair = next(node for node in TREES["catalog.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "ConformalPair")
+    callers = {method.name for method in pair.body if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_accepted"}
+    assert callers == {"invert", "invert_many"}, f"_accepted is called by {sorted(callers)}"
+
+
 def test_public_names_have_a_reader():
     """Each ``__all__`` name is read in the package outside its own definition, or by a script."""
     read = {name for p in SCRIPTS for name in read_names(ast.parse(p.read_text()))}

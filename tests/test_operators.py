@@ -235,6 +235,7 @@ class TestIsometry:
         ("sector:1.5", (0.2, 0.999)),
         ("sector:1.5", (0.0, 0.999)),
         ("cardioid*moebius:-0.6,0.2,2", (0.2, 0.9999)),
+        ("koebe", (0.2, 0.9999)),
     ])
     def test_patch_next_to_the_circle(self, name, patch):
         """Leaves next to a singular point on the circle need about 2*log2(1/(1 - r1)) + 2 splits.
@@ -242,6 +243,9 @@ class TestIsometry:
         With 18 as the depth cap Koebe and the sector raised
         DegenerateChartError here, and the twisted cardioid's cells
         stopped short of the distance rule (|ratio - 1| = 1.8e-13).
+        Koebe at r1 = 0.9999 raised NewtonConvergenceError at nodes next to
+        its e = -3 point, where phi is right to rounding, while the
+        inversion took residuals in z alone.
         """
         pair = make_pair(name)
         for f in isometry_family():
@@ -479,10 +483,11 @@ class TestForwardPatch:
             isometry_check(koebe_map(), harmonic_poly(1))
 
     def test_failed_inversion_names_point_map_and_cell(self, monkeypatch):
-        """With a residual target of 0 chart nodes fail to invert; the first cell is named."""
+        """With residual and step targets of 0 chart nodes fail to invert; the first cell is named."""
         monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
-        message = ("forward-patch inversion failed at z=(0.00018978695522702503"
-                   "+0.02696230835349647j) (map cardioid, cell (0.0, 0.4, "
+        monkeypatch.setattr(catalog, "STEP_TOL", 0.0)
+        message = ("forward-patch inversion failed at z=(-6.8233094521657e-05"
+                   "+0.0021546690265843438j) (map cardioid, cell (0.0, 0.4, "
                    "1.5707963267948966, 3.141592653589793))")
         with pytest.raises(NewtonConvergenceError, match=f"^{re.escape(message)}$"):
             isometry_check(make_pair("cardioid"), harmonic_poly(1))
