@@ -75,8 +75,11 @@ turn away from the singular angle keeps its low bits).  The expanded
 :meth:`ConformalPair.abs_dpsi_power` evaluates ``|psi'|^e`` on the
 quadrature rings ``r x theta`` from this form, in the disc rule's two
 stages (the angular terms once per block of rings, the rest per ring);
-the disc integrals call it.  The closed form ``dpsi`` never uses this
-form, so each checks the other.
+the disc integrals call it.  At ``e = 0`` it returns ones and forms no
+factor: every weight ``e f_k/2`` and the scale ``e log|C|`` are then +-0
+and every ``|1 - c w|^2`` is finite and positive inside the disc, so the
+form gives ``exp(+-0) = 1.0`` exactly, and ones are the same bits.  The
+closed form ``dpsi`` never uses this form, so each checks the other.
 """
 
 from __future__ import annotations
@@ -267,7 +270,15 @@ class ConformalPair:
         power overflows it is inf, and where ``e log|psi'|`` does it is inf
         or nan, without a numpy warning in either stage, so that the caller
         can name the node.
+
+        At ``e == 0`` (``-0.0`` too), the exponent of the area identity
+        (s = 2) and of a q = 2 pullback, the ring stage returns new ones
+        and no row is formed.  That is exact: the weights and the scale are
+        then +-0 and every ``|1 - c w|^2`` is finite and positive at an
+        interior node, so the factor form's ``exp`` is 1.0 to the bit.
         """
+        if e == 0:
+            return lambda r, part: np.ones((len(r), len(theta[part])))
         rho, alpha, half_f = self._factors
         k = len(rho)
         angular = np.ones((k, 2, len(theta)))

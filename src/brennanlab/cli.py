@@ -105,7 +105,8 @@ def _emit_csv(args, header: str, rows) -> None:
 
 #: the --help text of each GradingSpec field's flag
 _GRADING_HELP = {
-    "eps_min": "innermost boundary gap",
+    "eps_min": "innermost boundary gap; every radius 1 - gap of the ladder must round below"
+               " 1.0 and above the one before, so about 1e-16 at the least",
     "annulus_ratio": "geometric gap shrink factor",
     "radial_order": "radial Gauss-Legendre points per annulus",
     "angular_base": "each side of a singular angle gets angular_base//4 extra nodes;"

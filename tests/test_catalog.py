@@ -681,7 +681,7 @@ class TestFactorForm:
     def test_agrees_with_dpsi(self, name):
         r, theta, w = self.polar_grid(np.random.default_rng(7), 20, 25)
         pair = make_pair(name)
-        for e in (-1.0, 0.5, 2.0):
+        for e in (-1.0, 0.0, 0.5, 2.0):
             want = np.abs(pair.dpsi(w)) ** e
             got = pair.abs_dpsi_power(theta, e)(r, slice(None))
             assert np.all(np.abs(got - want) <= 1e-12 * want)
@@ -698,6 +698,15 @@ class TestFactorForm:
         assert not np.shares_memory(got, r) and not np.shares_memory(got, theta)
         assert np.all(np.abs(np.log(got) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert np.array_equal(r, r_in) and np.array_equal(theta, theta_in)
+        # at e = 0 (either sign) the same contract holds for the ones it returns
+        for e in (0.0, -0.0):
+            ring = pair.abs_dpsi_power(theta, e)
+            got, again = ring(r, slice(None)), ring(r, slice(None))
+            assert got.shape == w.shape and got.flags.writeable and got.dtype == float
+            assert not np.shares_memory(got, r) and not np.shares_memory(got, theta)
+            assert not np.shares_memory(got, again)
+            assert np.array_equal(got, np.ones(w.shape))
+            assert np.array_equal(r, r_in) and np.array_equal(theta, theta_in)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(name=catalog_maps(),

@@ -139,6 +139,22 @@ class TestIntegrateCommand:
         assert payload["result"]["classification"] == "inconclusive"
         assert "Traceback" not in err
 
+    def test_gap_ladder_on_the_circle_is_a_usage_error(self, capsys):
+        """1 - 5e-17 rounds to 1.0, so the spec is refused before any node reaches the circle."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "integrate", "--map", "koebe", "--s", "3",
+                                 "--eps-min", "5e-17")
+        assert code == 2
+        assert not caught
+        assert out == ""
+        assert err.startswith("error: eps_min=5e-17 with annulus_ratio=0.5 rounds a radius")
+        assert "node" not in err and "Warning" not in err
+        code, payload, err = run_json(capsys, "integrate", "--map", "koebe", "--s", "3",
+                                      "--eps-min", "1e-16")
+        assert (code, err) == (0, "")
+        assert payload["diagnostics"]["truncation_eps"] == 1e-16
+
     def test_non_finite_twist_is_a_usage_error(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

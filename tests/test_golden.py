@@ -172,6 +172,38 @@ INTEGRALS = [
         classification=Classification.CONVERGED,
         fitted_slope=-0.9999834422102598,
     )),
+    ('koebe*moebius:0.95,0.2,1', 0.0, 'eps1e-12', IntegralEstimate(
+        value=3.141592653589794,
+        abs_error_estimate=3.1845836340540255e-13,
+        truncation_eps=1e-12,
+        tail_estimate=4.2990980464231314e-15,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999834422209396,
+    )),
+    ('sector:1.5', 0.0, 'default', IntegralEstimate(
+        value=3.1415926535897993,
+        abs_error_estimate=3.2577406134311224e-13,
+        truncation_eps=1e-08,
+        tail_estimate=1.1614795984132312e-14,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999261241727,
+    )),
+    ('cardioid*moebius:0.5,-0.3,1', 0.0, 'base128', IntegralEstimate(
+        value=3.1415926535897998,
+        abs_error_estimate=3.257740614234666e-13,
+        truncation_eps=1e-08,
+        tail_estimate=1.1614796064486615e-14,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999261241708,
+    )),
+    ('moebius:0.9,0,0', 0.0, 'default', IntegralEstimate(
+        value=3.1415926535897993,
+        abs_error_estimate=3.257740617287859e-13,
+        truncation_eps=1e-08,
+        tail_estimate=1.1614796369805962e-14,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999261241723,
+    )),
 ]
 
 

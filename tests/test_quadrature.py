@@ -216,6 +216,8 @@ class TestValidation:
         ("radial_order", 1, "radial_order must be at least 2"),
         ("angular_base", 4, "angular_base must be at least 8"),
         ("angular_boost", 1, "angular_boost must be at least 2"),
+        # 1 - 5e-17 rounds to 1.0: the last ring would reach the circle
+        ("eps_min", 5e-17, "rounds a radius 1 - gap of the gap ladder to 1.0"),
     ])
     def test_spec_is_checked_when_made(self, field, value, message):
         with pytest.raises(InvalidGradingError, match=message):
@@ -637,7 +639,7 @@ class TestWholeIntegrals:
     broadcasting reference instead.
     """
 
-    EXPONENTS = (-1.0, 0.3, 1.7)
+    EXPONENTS = (-1.0, 0.0, 0.3, 1.7)
     NAMES = ["koebe", "sector:1.5", "cardioid", "koebe*moebius:0.95,0.2,1",
              "cardioid*moebius:0.5,-0.3,1", "moebius:0.9,0,0",
              # a singular angle just below 2pi, at 2pi - 1e-9
