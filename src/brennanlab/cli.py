@@ -13,8 +13,9 @@ neither ``--map`` nor grading and ``isometry`` no grading.  A ``cmd_*``
 function reads its flags, calls the public API and hands numbers to
 ``_emit_json`` or ``_emit_csv``, which take the command name and
 ``--out`` from the parsed arguments.  ``_num`` is the one number format
-for both.  Exponent rules are the library's: ``kpq_functional`` rejects a
-(p, q) outside 1 <= q < p, and the error reaches stderr like any other.
+for both.  Exponent rules are the library's: ``exponents`` raises
+RegimeError for a (p, q) outside its regime, and the error reaches stderr
+like any other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from . import exponents as xa
 from .catalog import NewtonConvergenceError, make_pair
 from .functionals import (
     InconclusiveProbeError,
-    RegimeError,
     ThresholdNotFoundError,
     brennan_integral,
     critical_exponent,
@@ -138,7 +138,7 @@ def cmd_exponents(args) -> int:
 
 def cmd_integrate(args) -> int:
     if (args.s is None) == (args.r is None):
-        raise RegimeError("exactly one of --s or --r must be given")
+        raise xa.RegimeError("exactly one of --s or --r must be given")
     pair = make_pair(args.map)
     spec = _spec_from(args)
     if args.s is not None:
@@ -164,15 +164,15 @@ def cmd_integrate(args) -> int:
 
 def cmd_scan(args) -> int:
     if not all(math.isfinite(v) for v in (args.s_from, args.s_to, args.step)):
-        raise RegimeError("scan needs finite --s-from, --s-to and --step")
+        raise xa.RegimeError("scan needs finite --s-from, --s-to and --step")
     if not (args.s_from < args.s_to and args.step > 0.0):
-        raise RegimeError("scan needs s_from < s_to and step > 0")
+        raise xa.RegimeError("scan needs s_from < s_to and step > 0")
     # the loop below computes floor(span) + 1 rows; span is inf where it overflows
     span = (args.s_to + 1e-12 - args.s_from) / args.step
     if not span < _SCAN_MAX_ROWS:
         rows = math.floor(span) + 1 if math.isfinite(span) else math.inf
-        raise RegimeError(f"scan would compute {rows} rows, more than {_SCAN_MAX_ROWS}; "
-                          "use a larger --step or a shorter range")
+        raise xa.RegimeError(f"scan would compute {rows} rows, more than {_SCAN_MAX_ROWS}; "
+                             "use a larger --step or a shorter range")
     pair = make_pair(args.map)
     spec = _spec_from(args)
     rows = []

@@ -19,6 +19,7 @@ __all__ = [
     "ExponentRecord",
     "KnownBounds",
     "Regime",
+    "RegimeError",
     "alpha_range",
     "classify_regime",
     "dual_exponent",
@@ -36,6 +37,10 @@ IDENTITY_TOL = 1e-12
 
 class ExponentDomainError(ValueError):
     """An exponent lies outside the regime where the relation is defined."""
+
+
+class RegimeError(ExponentDomainError):
+    """The exponent pair lies in a regime without a bounded operator."""
 
 
 def q_from_ps(p: float, s: float) -> float:
@@ -61,12 +66,16 @@ def s_from_pq(p: float, q: float) -> float:
 
     Inverse of :func:`q_from_ps` in its second argument: for ``p > 2`` and
     ``s > 0``, ``s_from_pq(p, q_from_ps(p, s)) == s`` up to rounding.  For
-    ``p = inf`` the limiting value is ``q``.
+    ``p = inf`` the limiting value is ``q``.  Raises ExponentDomainError
+    for ``q <= 0`` and RegimeError for ``q >= p``.
     """
     if not q > 0.0:
         raise ExponentDomainError(f"q must be positive, got q={q}")
     if not q < p:
-        raise ExponentDomainError(f"requires q < p, got p={p}, q={q}")
+        raise RegimeError(
+            f"K_(p,q) requires q < p (got p={p}, q={q}): at q = p the criterion is "
+            "vacuous and for q > p no bounded composition operator exists"
+        )
     if p == math.inf:
         return float(q)
     return (p - 2.0) * q / (p - q)
@@ -89,9 +98,10 @@ def dual_exponent(p: float, q: float) -> float:
 
     Equal, as an algebraic identity, to ``(q' - 2)*p'/(q' - p')`` written in
     the conjugate exponents; :func:`dual_pair` asserts the two closed forms
-    agree numerically.
+    agree numerically.  Raises RegimeError unless ``1 < q < p < inf``.
     """
-    _check_dual_regime(p, q)
+    if not (1.0 < q < p < math.inf):
+        raise RegimeError(f"duality check requires 1 < q < p < inf, got p={p}, q={q}")
     return p * (2.0 - q) / (p - q)
 
 
@@ -102,24 +112,17 @@ def dual_pair(p: float, q: float) -> tuple[float, float]:
     ``q'``-space to the ``p'``-space, where the primes are Holder
     conjugates; note ``p' < q'``.  Both closed forms of the shared dual
     integrand exponent are evaluated and must agree to ``IDENTITY_TOL``.
+    Raises RegimeError, through :func:`dual_exponent`, unless ``1 < q < p < inf``.
     """
-    _check_dual_regime(p, q)
+    rhs = dual_exponent(p, q)
     q_conj = holder_conjugate(q)
     p_conj = holder_conjugate(p)
     lhs = (q_conj - 2.0) * p_conj / (q_conj - p_conj)
-    rhs = p * (2.0 - q) / (p - q)
     if abs(lhs - rhs) > IDENTITY_TOL * max(1.0, abs(rhs)):
         raise ArithmeticError(
             f"dual exponent identity violated: {lhs!r} != {rhs!r} for p={p}, q={q}"
         )
     return q_conj, p_conj
-
-
-def _check_dual_regime(p: float, q: float) -> None:
-    if not (1.0 < q < p < math.inf):
-        raise ExponentDomainError(
-            f"dual pair requires 1 < q < p < inf, got p={p}, q={q}"
-        )
 
 
 def alpha_range(p: float) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import ConformalPair, MapDescriptor, make_pair
-from .exponents import ExponentDomainError, s_from_pq
+from .exponents import ExponentDomainError, RegimeError, s_from_pq
 from .quadrature import (
     Classification,
     GradingSpec,
@@ -31,7 +31,6 @@ __all__ = [
     "CriticalExponentReport",
     "FunctionalResult",
     "InconclusiveProbeError",
-    "RegimeError",
     "ThresholdNotFoundError",
     "brennan_integral",
     "critical_exponent",
@@ -44,10 +43,6 @@ __all__ = [
 #: bisection brackets; s = 2 always converges (area identity) and anchors both
 LOWER_BRACKET = (-6.0, 2.0)
 UPPER_BRACKET = (2.0, 12.0)
-
-
-class RegimeError(ExponentDomainError):
-    """The exponent pair lies in a regime without a bounded operator."""
 
 
 class ThresholdNotFoundError(RuntimeError):
@@ -148,20 +143,13 @@ def kpq_functional(pair: ConformalPair, p: float, q: float,
     functional is the ``(p-q)/(pq)`` power of the Brennan integral; for
     ``p = inf`` the exponent is ``q`` itself and the power is ``1/q``.  A
     diverging integral yields ``kpq_value = inf``, never a large float.
+    Raises RegimeError unless ``1 <= q < p``, the upper bound through
+    :func:`s_from_pq`.
     """
     if not q >= 1.0:
         raise RegimeError(f"q must be >= 1, got q={q}")
-    if not q < p:
-        raise RegimeError(
-            f"K_(p,q) requires q < p (got p={p}, q={q}): at q = p the criterion is "
-            "vacuous and for q > p no bounded composition operator exists"
-        )
-    if p == math.inf:
-        s = float(q)
-        power = 1.0 / q
-    else:
-        s = s_from_pq(p, q)
-        power = (p - q) / (p * q)
+    s = s_from_pq(p, q)
+    power = 1.0 / q if p == math.inf else (p - q) / (p * q)
     est = _disc_integral(pair, 2.0 - s, spec)
     if est.classification is Classification.CONVERGED:
         kpq = est.value ** power

@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import ConformalPair, MapDescriptor, NewtonConvergenceError
-from .exponents import ExponentDomainError, dual_exponent, dual_pair, q_from_ps, s_from_pq
-from .functionals import RegimeError, _disc_integral, inverse_brennan_integral, kpq_functional
+from .exponents import ExponentDomainError, RegimeError, dual_exponent, dual_pair, q_from_ps
+from .functionals import _disc_integral, inverse_brennan_integral, kpq_functional
 from .quadrature import (
     Classification,
     DEFAULT_SPEC,
@@ -547,12 +547,10 @@ def duality_check(pair: ConformalPair, p: float, q: float,
                   spec: GradingSpec = DEFAULT_SPEC) -> DualityResult:
     """Verify the change-of-variables identity behind the inverse operator.
 
-    Requires ``1 < q < p < inf``.  ``rel_diff`` is NaN unless both sides
-    converge; ``agree`` is True when both converge to equal values (within
-    1e-3 relative) or both diverge.
+    ``dual_pair`` raises RegimeError unless ``1 < q < p < inf``.
+    ``rel_diff`` is NaN unless both sides converge; ``agree`` is True when
+    both converge to equal values (within 1e-3 relative) or both diverge.
     """
-    if not (1.0 < q < p < math.inf):
-        raise RegimeError(f"duality check requires 1 < q < p < inf, got p={p}, q={q}")
     q_conj, p_conj = dual_pair(p, q)
     expo_direct = dual_exponent(p, q)
     expo_dual = (q_conj - 2.0) * p_conj / (q_conj - p_conj)
@@ -622,10 +620,9 @@ def equivalence_table(pair: ConformalPair, s: float, p_grid: Sequence[float],
     rows = []
     for p in p_grid:
         q = q_from_ps(p, s)
-        s_rt = s_from_pq(p, q)
         res = kpq_functional(pair, p, q, spec)
         rows.append(EquivalenceRow(
-            p=p, q=q, s_roundtrip=s_rt,
+            p=p, q=q, s_roundtrip=res.s,
             integral_value=res.integral.value,
             classification=res.integral.classification,
             kpq_value=res.kpq_value,

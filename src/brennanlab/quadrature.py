@@ -76,6 +76,11 @@ _NEWTON_STEPS = 4
 #: most angular nodes in one block of rules; a rule with more is a block alone
 _BLOCK_NODES = 4096
 
+#: most annuli of one gap ladder, counted before any gap is made: an integral
+#: runs one ring per annulus, and a ratio near 1 would ask for millions.  As
+#: many as `scan`'s rows, and room for ratio 0.99 down to 1e-12 (2,680 annuli)
+_MAX_ANNULI = 10_000
+
 #: an integrand's ring stage: ring(r, part), its values on the grid r x theta[part]
 _RingStage = Callable[[np.ndarray, slice], np.ndarray]
 #: an integrand's angle stage: called once with a block's angles theta, it
@@ -113,7 +118,8 @@ class GradingSpec:
         the circle and, at the default ratio, ``6e-17`` to the radius of
         the gap before it, while ``1e-16`` is accepted.
     annulus_ratio
-        Geometric factor by which the gap shrinks per annulus.
+        Geometric factor by which the gap shrinks per annulus.  A ladder of
+        more than 10,000 annuli is refused.
     radial_order
         Gauss-Legendre points per annulus in the radial direction.
     angular_base
@@ -168,12 +174,17 @@ def _gap_ladder(spec: GradingSpec) -> list[float]:
 
     The requested annulus_ratio is adjusted to the nearest value that
     lands on eps_min after an integer number of steps, keeping the gaps
-    an exact geometric lattice (the tail fit relies on that).
+    an exact geometric lattice (the tail fit relies on that).  More than
+    ``_MAX_ANNULI`` annuli raise InvalidGradingError before any gap is made.
     """
     if spec.eps_min >= EPS_START:
         return [EPS_START]
     span = math.log(spec.eps_min / EPS_START)
     n = max(1, round(span / math.log(spec.annulus_ratio)))
+    if n > _MAX_ANNULI:
+        raise InvalidGradingError(
+            f"annulus_ratio={spec.annulus_ratio} down to eps_min={spec.eps_min} needs {n} annuli, "
+            f"more than {_MAX_ANNULI}; use a smaller annulus_ratio or a larger eps_min")
     ratio = math.exp(span / n)
     gaps = [EPS_START * ratio ** k for k in range(n)]
     gaps.append(spec.eps_min)

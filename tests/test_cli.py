@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -154,6 +156,24 @@ class TestIntegrateCommand:
                                       "--eps-min", "1e-16")
         assert (code, err) == (0, "")
         assert payload["diagnostics"]["truncation_eps"] == 1e-16
+
+    def test_gap_ladder_of_millions_is_a_usage_error(self, capsys):
+        """The 17.7 million annuli of ratio 0.999999 are refused from their count, with no gap made."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, "integrate", "--map", "koebe", "--s", "2",
+                                     "--annulus-ratio", "0.999999")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert not caught
+        assert err == ("error: annulus_ratio=0.999999 down to eps_min=1e-08 needs 17727525 "
+                       "annuli, more than 10000; use a smaller annulus_ratio or a larger eps_min\n")
+        # a ladder of that length alone would take hundreds of megabytes
+        assert peak < 1_000_000
 
     def test_non_finite_twist_is_a_usage_error(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -481,6 +501,42 @@ class TestDeterminismAndOutput:
         assert "grading" not in text
         assert not any("--" + f.name.replace("_", "-") in text
                        for f in dataclasses.fields(GradingSpec))
+
+
+#: the exact stdout of one run of each integrating subcommand, in ``tests/cli_stdout``
+STDOUT_GOLDENS = [
+    ("integrate-koebe-s3.json", ("integrate", "--map", "koebe", "--s", "3")),
+    ("scan-koebe.csv", ("scan", "--map", "koebe", "--s-from", "1", "--s-to", "4.5",
+                        "--step", "0.5")),
+    ("critical-koebe-upper.json", ("critical", "--map", "koebe", "--side", "upper")),
+    ("verify-composition-koebe-p4-q2.json", ("verify-composition", "--map", "koebe",
+                                             "--p", "4", "--q", "2")),
+    ("isometry-cardioid.json", ("isometry", "--map", "cardioid")),
+    ("duality-koebe-p4-q3.json", ("duality", "--map", "koebe", "--p", "4", "--q", "3")),
+    ("equivalence-koebe-s2.5.json", ("equivalence", "--map", "koebe", "--s", "2.5")),
+    ("equivalence-koebe-s2.5-pinf.csv", ("equivalence", "--map", "koebe", "--s", "2.5",
+                                         "--p-grid", "2.5,3,inf", "--format", "csv")),
+]
+
+
+class TestExactOutput:
+    """Byte-exact stdout, stderr and exit codes, so a refactor shows any moved digit."""
+
+    @pytest.mark.parametrize("name, argv", STDOUT_GOLDENS, ids=[n for n, _ in STDOUT_GOLDENS])
+    def test_stdout(self, capsys, name, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (Path(__file__).parent / "cli_stdout" / name).read_text()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("duality", "--map", "koebe", "--p", "2", "--q", "3"),
+         "duality check requires 1 < q < p < inf, got p=2.0, q=3.0"),
+        (("verify-composition", "--map", "koebe", "--p", "3", "--q", "4"),
+         "K_(p,q) requires q < p (got p=3.0, q=4.0): at q = p the criterion is vacuous "
+         "and for q > p no bounded composition operator exists"),
+    ])
+    def test_regime_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestScanBounds:

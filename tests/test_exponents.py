@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import brennanlab
+from brennanlab import functionals
+from brennanlab.catalog import koebe_map
 from brennanlab.exponents import (
     ExponentDomainError,
     ExponentRecord,
     Regime,
+    RegimeError,
     alpha_range,
     classify_regime,
     dual_exponent,
@@ -17,6 +21,8 @@ from brennanlab.exponents import (
     q_from_ps,
     s_from_pq,
 )
+from brennanlab.functionals import kpq_functional
+from brennanlab.operators import duality_check, norm_ratio_report
 
 
 class TestQFromPS:
@@ -145,6 +151,37 @@ class TestDualPair:
         for p, q in ((3.0, 1.0), (3.0, 3.0), (math.inf, 2.0), (2.0, 2.5)):
             with pytest.raises(ExponentDomainError):
                 dual_pair(p, q)
+
+
+class TestOneRegimeRule:
+    """Each pair rule is tested once, in exponents, so every caller raises its one RegimeError."""
+
+    def test_one_error_class(self):
+        assert brennanlab.RegimeError is functionals.RegimeError is RegimeError
+        assert issubclass(RegimeError, ExponentDomainError)
+
+    @pytest.mark.parametrize("call", [
+        dual_exponent,
+        dual_pair,
+        lambda p, q: duality_check(koebe_map(), p, q),
+    ], ids=["dual_exponent", "dual_pair", "duality_check"])
+    def test_dual_pair_outside_its_regime(self, call):
+        with pytest.raises(RegimeError) as caught:
+            call(2.0, 3.0)
+        assert str(caught.value) == "duality check requires 1 < q < p < inf, got p=2.0, q=3.0"
+
+    @pytest.mark.parametrize("call", [
+        s_from_pq,
+        lambda p, q: kpq_functional(koebe_map(), p, q),
+        lambda p, q: norm_ratio_report(koebe_map(), p, q),
+    ], ids=["s_from_pq", "kpq_functional", "norm_ratio_report"])
+    @pytest.mark.parametrize("q", [3.0, 4.0])
+    def test_q_at_or_above_p(self, call, q):
+        with pytest.raises(RegimeError) as caught:
+            call(3.0, q)
+        assert str(caught.value) == (
+            f"K_(p,q) requires q < p (got p=3.0, q={q}): at q = p the criterion is vacuous "
+            "and for q > p no bounded composition operator exists")
 
 
 class TestAlphaRange:

@@ -218,6 +218,8 @@ class TestValidation:
         ("angular_boost", 1, "angular_boost must be at least 2"),
         # 1 - 5e-17 rounds to 1.0: the last ring would reach the circle
         ("eps_min", 5e-17, "rounds a radius 1 - gap of the gap ladder to 1.0"),
+        # counted from the ratio, so the 17.7 million gaps are never made
+        ("annulus_ratio", 0.999999, "needs 17727525 annuli, more than 10000"),
     ])
     def test_spec_is_checked_when_made(self, field, value, message):
         with pytest.raises(InvalidGradingError, match=message):
