@@ -74,11 +74,12 @@ turn away from the singular angle keeps its low bits).  The expanded
 ``x = r cos(theta)``, rounded to its ulp near 1, from ``Re zeta``.
 :meth:`ConformalPair.abs_dpsi_power` evaluates ``|psi'|^e`` on the
 quadrature rings ``r x theta`` from this form, in the disc rule's two
-stages (the angular terms once per block of rings, the rest per ring);
-the disc integrals call it.  At ``e = 0`` it returns ones and forms no
-factor: every weight ``e f_k/2`` and the scale ``e log|C|`` are then +-0
-and every ``|1 - c w|^2`` is finite and positive inside the disc, so the
-form gives ``exp(+-0) = 1.0`` exactly, and ones are the same bits.  The
+stages (the angular terms and every ring's radial terms once per block
+of rings, the product, ``log`` and ``exp`` per ring); the disc integrals
+call it.  At ``e = 0`` it returns ones and forms no factor: every weight
+``e f_k/2`` and the scale ``e log|C|`` are then +-0 and every
+``|1 - c w|^2`` is finite and positive inside the disc, so the form gives
+``exp(+-0) = 1.0`` exactly, and ones are the same bits.  The
 closed form ``dpsi`` never uses this form, so each checks the other.
 """
 
@@ -252,18 +253,21 @@ class ConformalPair:
         return self.singular_angles + tuple(
             -cmath.phase(c) % TWO_PI for c, _ in self.poles)
 
-    def abs_dpsi_power(self, theta: np.ndarray, e: float
-                       ) -> Callable[[np.ndarray, slice], np.ndarray]:
+    def abs_dpsi_power(self, r: np.ndarray, theta: np.ndarray, e: float
+                       ) -> Callable[[int, slice], np.ndarray]:
         """``|psi'|^e`` on polar grids, in the disc rule's two stages (no domain checks).
 
-        This call is the angle stage, run once for a block of angles
-        ``theta`` (1-D floats): it forms every factor's rows ``[1;
-        sin^2((theta + alpha)/2)]``, with theta + alpha reduced by whole
-        turns.  It returns the ring stage ``ring(r, part)``, which gives
-        ``|psi'(r_i e^{i theta_j})|^e`` for the radial nodes ``r`` (1-D
-        floats, down) and the angles ``theta[part]`` (across), a new array
-        of shape ``(len(r), len(theta[part]))``.  From the factor form: one
-        batched matrix product, ``[(1 - rho r)^2, 4 rho r] @ rows``, gives
+        This call is the block stage, run once for a block of rings: ``r``
+        holds each ring's radial nodes (2-D floats, one row a ring) and
+        ``theta`` the block's angles (1-D floats).  It forms every factor's
+        angular rows ``[1; sin^2((theta + alpha)/2)]``, with theta + alpha
+        reduced by whole turns, and, by :func:`_radial_terms`, its radial
+        terms ``[(1 - rho r)^2, 4 rho r]`` at every ring's nodes.  It
+        returns the ring stage ``ring(i, part)``, which gives
+        ``|psi'(r[i, j] e^{i theta_k})|^e`` for the nodes ``r[i]`` (down)
+        and the angles ``theta[part]`` (across), a new array of shape
+        ``(r.shape[1], len(theta[part]))``.  From the factor form: one
+        batched matrix product of the ring's radial terms and rows gives
         every factor's ``|1 - c w|^2`` on the grid, one ``log`` and one
         weighted sum over the factors give ``e log|psi'|``, and one ``exp``
         the power; it agrees with ``|dpsi(w)|**e`` to rounding.  Where the
@@ -273,12 +277,13 @@ class ConformalPair:
 
         At ``e == 0`` (``-0.0`` too), the exponent of the area identity
         (s = 2) and of a q = 2 pullback, the ring stage returns new ones
-        and no row is formed.  That is exact: the weights and the scale are
+        and no term is formed.  That is exact: the weights and the scale are
         then +-0 and every ``|1 - c w|^2`` is finite and positive at an
         interior node, so the factor form's ``exp`` is 1.0 to the bit.
         """
+        n_r = r.shape[1]
         if e == 0:
-            return lambda r, part: np.ones((len(r), len(theta[part])))
+            return lambda i, part: np.ones((n_r, len(theta[part])))
         rho, alpha, half_f = self._factors
         k = len(rho)
         angular = np.ones((k, 2, len(theta)))
@@ -292,19 +297,16 @@ class ConformalPair:
         np.copyto(side, theta + (alpha + TWO_PI) + TWO_PI_LO, where=side < -math.pi)
         side *= 0.5
         np.square(np.sin(side, out=side), out=side)
+        radial = _radial_terms(rho, r)
         # at a huge finite e, e log|psi'| overflows to inf or inf - inf; both
         # stages run silently, and the caller names the node
         with np.errstate(over="ignore", invalid="ignore"):
             weights, scale = e * half_f, e * self.log_scale
 
-        def ring(r: np.ndarray, part: slice) -> np.ndarray:
+        def ring(i: int, part: slice) -> np.ndarray:
             rows = angular[..., part]
-            n_r, n_t = len(r), rows.shape[-1]
-            rr = rho * r
-            radial = np.empty((k, n_r, 2))
-            np.square(np.subtract(1.0, rr, out=radial[..., 0]), out=radial[..., 0])
-            np.multiply(4.0, rr, out=radial[..., 1])
-            logs = np.matmul(radial, rows).reshape(k, n_r * n_t)
+            n_t = rows.shape[-1]
+            logs = np.matmul(radial[i], rows).reshape(k, n_r * n_t)
             with np.errstate(over="ignore", invalid="ignore"):
                 out = weights @ np.log(logs, out=logs)
                 out += scale
@@ -400,6 +402,20 @@ class ConformalPair:
         descriptor = replace(self.descriptor, twist_a=a, twist_theta=theta)
         return _pair(descriptor, psi_dpsi, lambda z: m_inv(base_phi(z)), self.domain_contains,
                      moved, poles)
+
+
+def _radial_terms(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Every factor's radial terms ``[(1 - rho r)^2, 4 rho r]`` at the nodes of a block of rings.
+
+    ``rho`` has shape ``(k, 1)`` and ``r`` ``(rings, n)``; the result has
+    shape ``(rings, k, n, 2)``, so ring i's terms ``[i]`` are one contiguous
+    ``(k, n, 2)`` array, the left operand of that ring's matrix product.
+    """
+    rr = rho * r[:, None, :]
+    radial = np.empty(rr.shape + (2,))
+    np.square(np.subtract(1.0, rr, out=radial[..., 0]), out=radial[..., 0])
+    np.multiply(4.0, rr, out=radial[..., 1])
+    return radial
 
 
 def _accepted(w, z, diff, deriv):

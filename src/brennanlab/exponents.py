@@ -97,8 +97,8 @@ def dual_exponent(p: float, q: float) -> float:
     """Shared integrand exponent ``p*(2 - q)/(p - q)`` of the dual operator pair.
 
     Equal, as an algebraic identity, to ``(q' - 2)*p'/(q' - p')`` written in
-    the conjugate exponents; :func:`dual_pair` asserts the two closed forms
-    agree numerically.  Raises RegimeError unless ``1 < q < p < inf``.
+    the conjugate exponents; :func:`_dual_exponents` asserts the two closed
+    forms agree numerically.  Raises RegimeError unless ``1 < q < p < inf``.
     """
     if not (1.0 < q < p < math.inf):
         raise RegimeError(f"duality check requires 1 < q < p < inf, got p={p}, q={q}")
@@ -111,18 +111,30 @@ def dual_pair(p: float, q: float) -> tuple[float, float]:
     For ``1 < q < p < inf`` the inverse map acts boundedly from the
     ``q'``-space to the ``p'``-space, where the primes are Holder
     conjugates; note ``p' < q'``.  Both closed forms of the shared dual
-    integrand exponent are evaluated and must agree to ``IDENTITY_TOL``.
-    Raises RegimeError, through :func:`dual_exponent`, unless ``1 < q < p < inf``.
+    integrand exponent are evaluated and must agree to ``IDENTITY_TOL``
+    (:func:`_dual_exponents`).  Raises RegimeError, through
+    :func:`dual_exponent`, unless ``1 < q < p < inf``.
     """
-    rhs = dual_exponent(p, q)
+    return _dual_exponents(p, q)[:2]
+
+
+def _dual_exponents(p: float, q: float) -> tuple[float, float, float, float]:
+    """``(q', p', direct, dual)``: the conjugate pair and both closed forms of the dual exponent.
+
+    ``direct`` is :func:`dual_exponent`'s ``p*(2 - q)/(p - q)`` and ``dual``
+    is ``(q' - 2)*p'/(q' - p')``; ArithmeticError is raised when they differ
+    by more than ``IDENTITY_TOL``.  Each is computed once, for
+    :func:`dual_pair` and ``duality_check`` alike.
+    """
+    direct = dual_exponent(p, q)
     q_conj = holder_conjugate(q)
     p_conj = holder_conjugate(p)
-    lhs = (q_conj - 2.0) * p_conj / (q_conj - p_conj)
-    if abs(lhs - rhs) > IDENTITY_TOL * max(1.0, abs(rhs)):
+    dual = (q_conj - 2.0) * p_conj / (q_conj - p_conj)
+    if abs(dual - direct) > IDENTITY_TOL * max(1.0, abs(direct)):
         raise ArithmeticError(
-            f"dual exponent identity violated: {lhs!r} != {rhs!r} for p={p}, q={q}"
+            f"dual exponent identity violated: {dual!r} != {direct!r} for p={p}, q={q}"
         )
-    return q_conj, p_conj
+    return q_conj, p_conj, direct, dual
 
 
 def alpha_range(p: float) -> tuple[float, float]:

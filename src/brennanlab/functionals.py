@@ -107,12 +107,12 @@ def _disc_integral(pair: ConformalPair, exponent: float, spec: GradingSpec,
         raise RegimeError(f"the integral of |psi'|^r needs a finite exponent, got r={exponent} "
                           f"(s = 2 - r = {2.0 - exponent})")
 
-    def g(theta):
-        power = pair.abs_dpsi_power(theta, exponent)
+    def g(r, theta):
+        power = pair.abs_dpsi_power(r, theta, exponent)
         if weight is None:
             return power
-        weighted = _complex_integrand(weight)(theta)
-        return lambda r, part: power(r, part) * weighted(r, part)
+        weighted = _complex_integrand(weight)(r, theta)
+        return lambda i, part: power(i, part) * weighted(i, part)
 
     return _integrate_polar(g, pair.grading_angles, spec)
 

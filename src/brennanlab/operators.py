@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import ConformalPair, MapDescriptor, NewtonConvergenceError
-from .exponents import ExponentDomainError, RegimeError, dual_exponent, dual_pair, q_from_ps
+from .exponents import ExponentDomainError, RegimeError, _dual_exponents, q_from_ps
 from .functionals import _disc_integral, inverse_brennan_integral, kpq_functional
 from .quadrature import (
     Classification,
@@ -547,13 +547,12 @@ def duality_check(pair: ConformalPair, p: float, q: float,
                   spec: GradingSpec = DEFAULT_SPEC) -> DualityResult:
     """Verify the change-of-variables identity behind the inverse operator.
 
-    ``dual_pair`` raises RegimeError unless ``1 < q < p < inf``.
+    Both exponents come from ``_dual_exponents``, which raises RegimeError
+    unless ``1 < q < p < inf``.
     ``rel_diff`` is NaN unless both sides converge; ``agree`` is True when
     both converge to equal values (within 1e-3 relative) or both diverge.
     """
-    q_conj, p_conj = dual_pair(p, q)
-    expo_direct = dual_exponent(p, q)
-    expo_dual = (q_conj - 2.0) * p_conj / (q_conj - p_conj)
+    q_conj, p_conj, expo_direct, expo_dual = _dual_exponents(p, q)
     rhs_est = inverse_brennan_integral(pair, expo_direct, spec).integral
     lhs_est = inverse_brennan_integral(pair, expo_dual, spec).integral
     lhs_conv = lhs_est.classification is Classification.CONVERGED

@@ -12,22 +12,29 @@ toward every declared singular angle by the sinh map at the annulus gap
 spike of angular width comparable to the gap is smooth in u and always
 resolved.  Every scale's side counts are worked out up front; the rules
 of consecutive rings are then built together, one array pass per block of
-at most ``_BLOCK_NODES`` nodes (a ring with more is a block of its own),
-so memory stays bounded however long the ladder.  Every Gauss-Legendre
-block, here and in the forward patch's charts, comes from one cached
-table, :func:`_gauss`, and this is the only module that builds a ring.
+at most ``_BLOCK_NODES`` nodes (a ring with more is a block of its own;
+without singular angles, as many rings of the one rule as fit), so memory
+stays bounded however long the ladder.  Every Gauss-Legendre block, here
+and in the forward patch's charts, comes from one table of sizes,
+``_TABLES``, which only :func:`_gauss` reads.  The first integral under a
+GradingSpec fills it with every size the spec's rules can ask for, in one
+batched Newton pass (:func:`_spec_tables`), and ``_gauss`` builds any other
+size on its own, to the same bits.  This is the only module that builds a
+ring.
 
-An integrand works in two stages.  Its angle stage runs once per block
-of rules: it takes the block's angles ``theta`` and returns the ring
-stage, which each ring of the block calls with its radial nodes ``r`` and
-its slice of ``theta``, and which returns the values on the polar grid
-``r x theta[slice]``.  The package's ``|psi'|^e`` forms its angular rows
-in the first stage and the rest in the second (see
-:meth:`ConformalPair.abs_dpsi_power`), while :func:`integrate_disc` keeps
-its complex-``w`` contract by adapting ``g``: ``exp(1j*theta)`` per block,
-and ``g(r[:, None]*exp(1j*theta))`` per ring.  A ring's values and its
-sum do not depend on the block it shares.  Only a ring whose weighted
-sum is not finite is scanned for the node that made it so.
+An integrand works in two stages.  Its block stage runs once per block
+of rules: it takes the radial nodes of the block's rings, one row a ring,
+and the block's angles ``theta``, and returns the ring stage, which each
+ring ``i`` of the block calls with its slice of ``theta``, and which
+returns the values on the polar grid ``r[i] x theta[slice]``.  The
+package's ``|psi'|^e`` forms its angular rows and every ring's radial
+terms in the first stage and the rest in the second (see
+:meth:`ConformalPair.abs_dpsi_power`), so a ring's arrays are no larger
+than the ring's own grid, while :func:`integrate_disc` keeps its
+complex-``w`` contract by adapting ``g``: ``exp(1j*theta)`` per block, and
+``g(r[i][:, None]*exp(1j*theta))`` per ring.  A ring's values and its sum
+do not depend on the block it shares.  Only a ring whose weighted sum is
+not finite is scanned for the node that made it so.
 
 Convergence versus divergence is decided from the per-annulus
 contributions by one tail rule, :func:`_tail`: a power-law fit of the last
@@ -44,7 +51,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,11 +88,12 @@ _BLOCK_NODES = 4096
 #: many as `scan`'s rows, and room for ratio 0.99 down to 1e-12 (2,680 annuli)
 _MAX_ANNULI = 10_000
 
-#: an integrand's ring stage: ring(r, part), its values on the grid r x theta[part]
-_RingStage = Callable[[np.ndarray, slice], np.ndarray]
-#: an integrand's angle stage: called once with a block's angles theta, it
-#: returns the ring stage that every ring of the block calls
-_PolarIntegrand = Callable[[np.ndarray], _RingStage]
+#: an integrand's ring stage: ring(i, part), its values on the grid r[i] x theta[part]
+_RingStage = Callable[[int, slice], np.ndarray]
+#: an integrand's block stage: called once with a block's radial nodes r (one
+#: row per ring) and its angles theta, it returns the ring stage that every
+#: ring of the block calls
+_PolarIntegrand = Callable[[np.ndarray, np.ndarray], _RingStage]
 
 
 class QuadratureError(Exception):
@@ -217,50 +225,115 @@ class IntegralEstimate:
     fitted_slope: float
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``P_n(x)``, ``P_n'(x)`` and ``1 - x^2`` at points x inside (-1, 1).
+def _legendre(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``P_n(x)``, ``P_n'(x)`` and ``1 - x^2`` at points x inside (-1, 1), each with its own n.
 
-    P_{n-1} and P_n come from the three-term recurrence, and P_n' from
-    ``(1 - x^2) P_n' = n (P_{n-1} - x P_n)``.
+    ``n`` holds one degree per point and does not increase along the array,
+    so the points the recurrence still carries at step k are a prefix, and
+    each point's P_{n-1} and P_n are kept at its own step n.  They come
+    from the three-term recurrence, and P_n' from
+    ``(1 - x^2) P_n' = n (P_{n-1} - x P_n)``: every point gets the
+    arithmetic of a call with its n alone.
     """
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    p0, p1, work = np.ones_like(x), x.copy(), np.empty_like(x)
+    prev, last = p0.copy(), p1.copy()
+    # live[k]: how many points have n >= k
+    live = np.searchsorted(-n, -np.arange(n[0] + 2), side="right")
+    for k in range(2, n[0] + 1):
+        m = live[k]
+        # ((2k - 1) x P_{k-1} - (k - 1) P_{k-2}) / k, into the buffer of P_{k-2}
+        np.multiply(2 * k - 1, x[:m], out=work[:m])
+        work[:m] *= p1[:m]
+        p0[:m] *= k - 1
+        np.subtract(work[:m], p0[:m], out=p0[:m])
+        p0[:m] /= k
+        p0, p1 = p1, p0
+        if live[k + 1] < m:
+            done = slice(live[k + 1], m)
+            prev[done], last[done] = p0[done], p1[done]
     one = (1.0 - x) * (1.0 + x)
-    return p1, n * (p0 - x * p1) / one, one
+    return last, n * (prev - x * last) / one, one
 
 
-@lru_cache(maxsize=None)
+#: the package's one Gauss-Legendre table, by number of nodes; :func:`_gauss`
+#: reads it and :func:`_build_tables` fills it
+_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]: the package's one table.
+    """Gauss-Legendre nodes and weights on [-1, 1], from the package's one table.
 
     Every radial rule, the ungraded and the sinh angular rules and the
-    forward patch's charts read it.  The nodes in [0, 1) start from
-    Tricomi's asymptotic guess and take ``_NEWTON_STEPS`` Newton steps on
-    the three-term recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35,
-    2013), which leaves each within 2^-53 of its root for n <= 300; for
-    odd n the middle node is 0 exactly, a fixed point of the step.  The
-    other half is their mirror image.  The weight ``2/((1 - x^2)
-    P_n'(x)^2)`` is then carried to first order from each node x to the
-    true root ``x - P_n/P_n'``, and is the same at x and -x.  No
-    eigenvalue solver runs, so a new size costs O(n^2) flops.
+    forward patch's charts read it.  A size that no batched pass of
+    :func:`_build_tables` has made is built here on its own.
     """
-    k = np.arange(1, n // 2 + 1)
+    if n not in _TABLES:
+        _build_tables((n,))
+    return _TABLES[n]
+
+
+def _build_tables(sizes: Iterable[int]) -> None:
+    """Add the Gauss-Legendre tables of ``sizes`` missing from ``_TABLES``, in one batched pass.
+
+    The nodes in [0, 1) start from Tricomi's asymptotic guess and take
+    ``_NEWTON_STEPS`` Newton steps on the three-term recurrence (Hale &
+    Townsend, SIAM J. Sci. Comput. 35, 2013), which leaves each within
+    2^-53 of its root for n <= 300; for odd n the middle node is 0
+    exactly, a fixed point of the step.  The other half is their mirror
+    image.  The weight ``2/((1 - x^2) P_n'(x)^2)`` is then carried to
+    first order from each node x to the true root ``x - P_n/P_n'``, and is
+    the same at x and -x.  No eigenvalue solver runs.
+
+    The half-nodes of every size run together, sorted by n, largest first
+    (see :func:`_legendre`), so each step of the recurrence runs only on
+    the nodes whose n it has not passed, and each node gets the arithmetic
+    of its size built alone: a table is the same to the bit however many
+    sizes share its pass.
+    """
+    sizes = sorted({n for n in sizes if n not in _TABLES}, reverse=True)
+    if not sizes:
+        return
+    # node i belongs to size n[i] and is its k[i]-th node, largest first,
+    # then the middle node of an odd size
+    halves = [(m + 1) // 2 for m in sizes]
+    n = np.repeat(sizes, halves)
+    k = np.arange(len(n)) - np.repeat(np.cumsum(halves) - halves, halves) + 1
     t = (4 * k - 1) * math.pi / (4 * n + 2)
     x = (1.0 - (n - 1) / (8.0 * n ** 3)
          - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
-    # largest first, then the middle node of an odd n
-    x = np.concatenate((x, [0.0] * (n % 2)))
+    x[2 * k > n] = 0.0
     for _ in range(_NEWTON_STEPS):
         p, dp, _ = _legendre(n, x)
         x = x - p / dp
     p, dp, one = _legendre(n, x)
     w = 2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one)
-    # ascending: the mirror images, then the nodes in [0, 1) without a second 0
-    x, w = np.concatenate((0.0 - x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
-    # shared by every caller through the cache, so keep them read-only
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    start = 0
+    for m, half in zip(sizes, halves):
+        xm, wm = x[start:start + half], w[start:start + half]
+        start += half
+        # ascending: the mirror images, then the nodes in [0, 1) without a second 0
+        table = (np.concatenate((0.0 - xm, xm[::-1][m % 2:])),
+                 np.concatenate((wm, wm[::-1][m % 2:])))
+        # shared by every caller through the table, so keep them read-only
+        for a in table:
+            a.flags.writeable = False
+        _TABLES[m] = table
+
+
+@lru_cache(maxsize=64)
+def _spec_tables(spec: GradingSpec) -> None:
+    """Build every table the spec's rules can ask for, in one batched pass, once per spec.
+
+    A side of a singular angle is at most pi long and its gap at least
+    ``eps_min``, so the sinh rule's sizes run from ``angular_base//4 + 1``
+    to ``ceil(angular_boost/2 * asinh(pi/eps_min)) + angular_base//4``; the
+    radial rule takes ``radial_order`` and the ungraded rule
+    ``angular_boost``.  A size outside that range, should rounding make
+    one, is still built by :func:`_gauss` on its own.
+    """
+    extra = spec.angular_base // 4
+    top = math.ceil(0.5 * spec.angular_boost * math.asinh(math.pi / spec.eps_min)) + extra
+    _build_tables([*range(extra + 1, top + 1), spec.radial_order, spec.angular_boost])
 
 
 def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
@@ -282,8 +355,9 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     so memory stays bounded however long the ladder.  Each block is
     yielded as ``(theta, weights, parts)``, where ``parts`` holds one slice
     per rule, in the order of ``scales``: the rule of that scale is
-    ``theta[part], weights[part]``.  Without singular angles one block
-    holds the one rule, and every part is all of it.
+    ``theta[part], weights[part]``.  Without singular angles every block
+    holds the one rule, shared, and as many scales as fit in
+    ``_BLOCK_NODES`` nodes (at least one), and every part is all of it.
     """
     # angles that coincide modulo 2pi are one angle, owning one arc
     angles = sorted({a % TWO_PI for a in singular_angles})
@@ -291,8 +365,10 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
         x, w = _gauss(spec.angular_boost)
         ends = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
         half = 0.5 * (ends[1:] - ends[:-1])[:, None]
-        yield ((ends[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel(),
-               [slice(None)] * len(scales))
+        theta, weights = (ends[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+        per_block = max(1, _BLOCK_NODES // len(theta))
+        for lo in range(0, len(scales), per_block):
+            yield theta, weights, [slice(None)] * len(scales[lo:lo + per_block])
         return
     # outward from each angle to the midpoint of its arc, then inward from
     # the next angle to the same midpoint
@@ -326,40 +402,52 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
 def _complex_integrand(g: Callable[[np.ndarray], np.ndarray]) -> _PolarIntegrand:
     """Adapt an integrand of complex ``w`` to the two stages of the disc rule.
 
-    The angle stage takes ``exp(1j*theta)`` of the block's angles; the
-    ring stage builds the ring's complex grid from its part of them, the
-    only array of the grid's size it builds, and hands it to ``g``.
+    The block stage takes ``exp(1j*theta)`` of the block's angles; the
+    ring stage builds the ring's complex grid from its radial nodes and
+    its part of them, the only array of the grid's size it builds, and
+    hands it to ``g``: one call of ``g`` per ring, in the order of the rings.
     """
-    def angle_stage(theta):
+    def block_stage(r, theta):
         turn = np.exp(1j * theta)
-        return lambda r, part: g(r[:, None] * turn[part])
+        return lambda i, part: g(r[i][:, None] * turn[part])
 
-    return angle_stage
+    return block_stage
 
 
-def _ring_sum(ring: _RingStage, r_lo: float, r_hi: float, theta: np.ndarray,
-              wtheta: np.ndarray, part: slice, radial_order: int) -> float:
-    """Tensor Gauss-Legendre integral over the annulus r_lo <= |w| <= r_hi.
+def _radial_rule(r_lo: np.ndarray, r_hi: np.ndarray,
+                 radial_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre radial nodes of the rings ``r_lo[i] <= |w| <= r_hi[i]``, one row a ring.
 
-    The ring's angles are ``theta[part]``, with weights ``wtheta[part]``,
-    of a block whose angle stage returned ``ring``.  ``ring`` gets the
-    ring's radial nodes ``r`` and ``part`` and returns its values on the
-    grid ``r x theta[part]`` (radial nodes down).  Only when the weighted
+    Returns the nodes ``r`` and the weights times ``r``, the polar
+    Jacobian folded in, each of shape ``(len(r_lo), radial_order)``.
+    """
+    t, wt = _gauss(radial_order)
+    half = 0.5 * (r_hi - r_lo)[:, None]
+    r = r_lo[:, None] + half * (t + 1.0)
+    return r, half * wt * r
+
+
+def _ring_sum(ring: _RingStage, i: int, r: np.ndarray, rw: np.ndarray, theta: np.ndarray,
+              wtheta: np.ndarray, part: slice) -> float:
+    """Tensor Gauss-Legendre integral over one annulus, ring ``i`` of its block.
+
+    The block's radial rule is ``r, rw`` (:func:`_radial_rule`) and its
+    angles ``theta``, with weights ``wtheta``; its block stage returned
+    ``ring``.  The ring's radial nodes are ``r[i]`` and its angles
+    ``theta[part]``, and ``ring(i, part)`` returns its values on the grid
+    ``r[i] x theta[part]`` (radial nodes down).  Only when the weighted
     sum is not finite are the values scanned: a non-finite value raises
     NonFiniteIntegrandError naming its node ``w = r*exp(1j*theta)``, while
     finite values whose sum overflows give that sum.
     """
-    t, wt = _gauss(radial_order)
-    half = 0.5 * (r_hi - r_lo)
-    r, wr = r_lo + half * (t + 1.0), half * wt
-    vals = np.asarray(ring(r, part), dtype=float)
-    # polar Jacobian r folded into the radial weights; fixed reduction order
-    total = float((wr * r) @ vals @ wtheta[part])
+    vals = np.asarray(ring(i, part), dtype=float)
+    # fixed reduction order
+    total = float(rw[i] @ vals @ wtheta[part])
     if not math.isfinite(total):
         bad = np.argwhere(~np.isfinite(vals))
         if len(bad):
-            i, j = bad[0]
-            w = complex(r[i] * np.exp(1j * theta[part][j]))
+            k, j = bad[0]
+            w = complex(r[i, k] * np.exp(1j * theta[part][j]))
             raise NonFiniteIntegrandError(f"integrand non-finite at node w={w!r}")
     return total
 
@@ -369,17 +457,23 @@ def _graded_sums(g: _PolarIntegrand, singular_angles, spec: GradingSpec):
 
     The inner disc is graded at EPS_START and each annulus at its inner
     gap, so the scales of the angular rules are the gap ladder itself.
-    Each block of rules gives its angles to g's angle stage once, and each
-    ring of the block calls the ring stage that returns.
+    The spec's tables are built first, in one pass (:func:`_spec_tables`).
+    Each block of rules forms the radial rules of its rings together and
+    gives them, with its angles, to g's block stage once; each ring of the
+    block then calls the ring stage that returns.
     """
     gaps = _gap_ladder(spec)
-    bounds = [1.0 - gap for gap in gaps]
-    radii = iter(zip([0.0] + bounds[:-1], bounds))
+    _spec_tables(spec)
+    edges = np.concatenate(([0.0], 1.0 - np.array(gaps)))
     sums = []
     for theta, wtheta, parts in _angular_rules(singular_angles, gaps, spec):
-        ring = g(theta)
-        sums += [_ring_sum(ring, *next(radii), theta, wtheta, part, spec.radial_order)
-                 for part in parts]
+        # the block's rings follow the rings summed so far
+        lo = len(sums)
+        r, rw = _radial_rule(edges[lo:lo + len(parts)], edges[lo + 1:lo + len(parts) + 1],
+                             spec.radial_order)
+        ring = g(r, theta)
+        sums += [_ring_sum(ring, i, r, rw, theta, wtheta, part)
+                 for i, part in enumerate(parts)]
     return sums[0], sums[1:], gaps[1:]
 
 

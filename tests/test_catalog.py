@@ -679,12 +679,18 @@ class TestFactorForm:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_agrees_with_dpsi(self, name):
+        """The 20 radii as a block of four rings of five, each ring with its own angles."""
         r, theta, w = self.polar_grid(np.random.default_rng(7), 20, 25)
         pair = make_pair(name)
+        parts = [slice(0, 25), slice(3, 11), slice(11, 12), slice(12, 25)]
         for e in (-1.0, 0.0, 0.5, 2.0):
             want = np.abs(pair.dpsi(w)) ** e
-            got = pair.abs_dpsi_power(theta, e)(r, slice(None))
-            assert np.all(np.abs(got - want) <= 1e-12 * want)
+            ring = pair.abs_dpsi_power(r.reshape(4, 5), theta, e)
+            for i, part in enumerate(parts):
+                got = ring(i, part)
+                assert got.shape == (5, len(theta[part]))
+                assert np.all(np.abs(got - want[5 * i:5 * i + 5, part])
+                              <= 1e-12 * want[5 * i:5 * i + 5, part])
 
     @pytest.mark.parametrize("name", NAMES)
     def test_real_entry_agrees_with_dpsi(self, name):
@@ -692,7 +698,7 @@ class TestFactorForm:
         r, theta, w = self.polar_grid(np.random.default_rng(11), 20, 25)
         r_in, theta_in = r.copy(), theta.copy()
         pair = make_pair(name)
-        got = pair.abs_dpsi_power(theta, 1.0)(r, slice(None))
+        got = pair.abs_dpsi_power(r[None], theta, 1.0)(0, slice(None))
         ref = np.log(np.abs(pair.dpsi(w)))
         assert got.shape == w.shape and got.flags.writeable
         assert not np.shares_memory(got, r) and not np.shares_memory(got, theta)
@@ -700,8 +706,8 @@ class TestFactorForm:
         assert np.array_equal(r, r_in) and np.array_equal(theta, theta_in)
         # at e = 0 (either sign) the same contract holds for the ones it returns
         for e in (0.0, -0.0):
-            ring = pair.abs_dpsi_power(theta, e)
-            got, again = ring(r, slice(None)), ring(r, slice(None))
+            ring = pair.abs_dpsi_power(r[None], theta, e)
+            got, again = ring(0, slice(None)), ring(0, slice(None))
             assert got.shape == w.shape and got.flags.writeable and got.dtype == float
             assert not np.shares_memory(got, r) and not np.shares_memory(got, theta)
             assert not np.shares_memory(got, again)
@@ -723,7 +729,7 @@ class TestFactorForm:
         """|psi'|^e on the polar grid equals abs(dpsi(w))**e to 1e-12, w = r*exp(1j*theta)."""
         pair = make_pair(name)
         r, theta = np.array(r), np.array(theta)
-        got = pair.abs_dpsi_power(theta, e)(r, slice(None))
+        got = pair.abs_dpsi_power(r[None], theta, e)(0, slice(None))
         want = np.abs(pair.dpsi(r[:, None] * np.exp(1j * theta))) ** e
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * want)
@@ -744,7 +750,7 @@ class TestFactorForm:
         theta = np.concatenate([angle - d, angle + d, angle + 2.0 * np.pi - d,
                                 angle + 2.0 * np.pi + d, [0.0, 1e-13, 3e-12]])
         r = np.array([0.5, 1.0 - 1e-9, 1.0 - 1e-12])
-        got = pair.abs_dpsi_power(theta, 1.0)(r, slice(None))
+        got = pair.abs_dpsi_power(r[None], theta, 1.0)(0, slice(None))
         with mpmath.workdps(40):
             zetas = [(mpmath.expj(mpmath.mpf(sp.angle)), sp.exponent)
                      for sp in pair.singular_points]
@@ -773,7 +779,7 @@ class TestFactorForm:
         zeta, e = pair.singular_points[0].location, pair.singular_points[0].exponent
         w = r[:, None] * np.exp(1j * theta)
         want = np.exp(moved.log_scale) * np.abs(1.0 - w / zeta) ** e
-        got = moved.abs_dpsi_power(theta, 1.0)(r, slice(None))
+        got = moved.abs_dpsi_power(r[None], theta, 1.0)(0, slice(None))
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name, exponents", [

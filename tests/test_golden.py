@@ -3,8 +3,8 @@
 Each value was generated once and must be reproduced digit for digit, so
 a change meant to be a pure speed-up shows any moved bit here.  The cases
 cover the three grading specs of the scan-cold benchmark, converged and
-diverging tails, twisted maps with clustered singular points and maps
-that carry a pole off the circle.  The inversions cover the scalar and
+diverging tails, twisted maps with clustered singular points, maps
+that carry a pole off the circle and the identity, which has no factor.  The inversions cover the scalar and
 the vectorized inverse (closed form, accepted by its residual in z or
 its Newton step in w; every golden inversion meets the target in z), and
 the p-distortion built on the scalar one.
@@ -201,6 +201,56 @@ INTEGRALS = [
         abs_error_estimate=3.257740617287859e-13,
         truncation_eps=1e-08,
         tail_estimate=1.1614796369805962e-14,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999261241723,
+    )),
+    # a map with no factor: |psi'|^e is 1 at every node and the integral is pi;
+    # generated before the ring stage took a whole block's radial nodes
+    ('identity', -1.0, 'default', IntegralEstimate(
+        value=3.1415926535897998,
+        abs_error_estimate=3.2577406118996816e-13,
+        truncation_eps=1e-08,
+        tail_estimate=1.161479583098818e-14,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999261241723,
+    )),
+    ('identity', -1.0, 'eps1e-12', IntegralEstimate(
+        value=3.1415926535897953,
+        abs_error_estimate=3.1845836340536064e-13,
+        truncation_eps=1e-12,
+        tail_estimate=4.2990980463811065e-15,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.999983442220938,
+    )),
+    ('identity', -1.0, 'base128', IntegralEstimate(
+        value=3.1415926535897998,
+        abs_error_estimate=3.2577406118996816e-13,
+        truncation_eps=1e-08,
+        tail_estimate=1.161479583098818e-14,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999261241723,
+    )),
+    ('identity', 1.5, 'default', IntegralEstimate(
+        value=3.1415926535897998,
+        abs_error_estimate=3.2577406118996816e-13,
+        truncation_eps=1e-08,
+        tail_estimate=1.161479583098818e-14,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999261241723,
+    )),
+    ('identity', 1.5, 'eps1e-12', IntegralEstimate(
+        value=3.1415926535897953,
+        abs_error_estimate=3.1845836340536064e-13,
+        truncation_eps=1e-12,
+        tail_estimate=4.2990980463811065e-15,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.999983442220938,
+    )),
+    ('identity', 1.5, 'base128', IntegralEstimate(
+        value=3.1415926535897998,
+        abs_error_estimate=3.2577406118996816e-13,
+        truncation_eps=1e-08,
+        tail_estimate=1.161479583098818e-14,
         classification=Classification.CONVERGED,
         fitted_slope=-0.9999999261241723,
     )),

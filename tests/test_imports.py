@@ -116,6 +116,33 @@ def scopes_reading(node, names, scope="<module>"):
         yield from scopes_reading(child, names, scope)
 
 
+def test_one_table_cache():
+    """Only quadrature names the Gauss-Legendre table ``_TABLES``, and only ``_gauss`` reads it.
+
+    ``_build_tables`` stores the tables it builds and asks which sizes are
+    missing; any other use of the dict, such as taking a table out, is a read.
+    """
+    users = {(name, scope) for name, tree in TREES.items()
+             for scope in scopes_reading(tree, {"_TABLES"})}
+    assert users == {("quadrature.py", "_gauss"), ("quadrature.py", "_build_tables")}, (
+        f"the table is named in {sorted(users)}")
+    readers = set()
+    for fn in ast.walk(TREES["quadrature.py"]):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Name) and node.id == "_TABLES"):
+                continue
+            up = parent[node]
+            stored = isinstance(up, ast.Subscript) and isinstance(up.ctx, ast.Store)
+            asked = (isinstance(up, ast.Compare) and node in up.comparators
+                     and all(isinstance(op, (ast.In, ast.NotIn)) for op in up.ops))
+            if not (stored or asked):
+                readers.add(fn.name)
+    assert readers == {"_gauss"}, f"the table is read by {sorted(readers)}"
+
+
 def test_one_inversion_rule():
     """``invert`` and ``invert_many`` each call ``_accepted``, the one reader of the tolerances.
 

@@ -576,6 +576,27 @@ class TestDuality:
         if res.lhs_classification is Classification.CONVERGED:
             assert res.rel_diff <= 1e-3
 
+    @pytest.mark.parametrize("pq", [(4.0, 3.0), (3.0, 2.5), (7.3, 1.1)])
+    def test_exponents_evaluated_once(self, pq, monkeypatch):
+        """The check's two exponents are the two closed forms, each evaluated once."""
+        from brennanlab import exponents
+
+        p, q = pq
+        calls = []
+        direct = exponents.dual_exponent
+
+        def counted(p, q):
+            calls.append((p, q))
+            return direct(p, q)
+
+        monkeypatch.setattr(exponents, "dual_exponent", counted)
+        res = duality_check(identity_map(), p, q)
+        assert calls == [(p, q)]
+        q_conj, p_conj = q / (q - 1.0), p / (p - 1.0)
+        assert (res.q_conj, res.p_conj) == (q_conj, p_conj) == exponents.dual_pair(p, q)
+        assert res.exponent_direct == p * (2.0 - q) / (p - q)
+        assert res.exponent_dual == (q_conj - 2.0) * p_conj / (q_conj - p_conj)
+
     def test_regime_validation(self):
         with pytest.raises(RegimeError):
             duality_check(koebe_map(), 3.0, 1.0)

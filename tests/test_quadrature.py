@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brennanlab import catalog, quadrature
 from brennanlab.catalog import TWO_PI_LO, make_pair
 from brennanlab.functionals import brennan_integral
 from brennanlab.quadrature import (
@@ -20,10 +21,12 @@ from brennanlab.quadrature import (
     InvalidGradingError,
     NonFiniteIntegrandError,
     _angular_rules,
+    _build_tables,
     _complex_integrand,
     _gap_ladder,
     _gauss,
     _graded_sums,
+    _radial_rule,
     _ring_sum,
     _tail,
     integrate_disc,
@@ -293,6 +296,10 @@ def reference_angular_rule(singular_angles, scale, spec, gauss=reference_gauss):
     return np.concatenate(theta), np.concatenate(weights)
 
 
+#: the three grading specs of the scan-cold benchmark workload
+SCAN_SPECS = (GradingSpec(), GradingSpec(eps_min=1e-12), GradingSpec(angular_base=128))
+
+
 class TestGauss:
     """The one table: every node within 2^-53 of its root, every weight within 2e-13.
 
@@ -318,12 +325,55 @@ class TestGauss:
                 exact = 2 * (1 - t * t) / (n * mpmath.legendre(n - 1, t)) ** 2
                 assert abs(wi / float(exact) - 1.0) <= 2e-13
 
-    @pytest.mark.parametrize("n", SIZES)
-    def test_matches_the_scalar_solve(self, n):
+    @pytest.mark.parametrize("n", range(2, 301))
+    def test_matches_the_scalar_solve(self, n, monkeypatch):
+        """A table built on its own, with an empty table to start from."""
+        monkeypatch.setattr(quadrature, "_TABLES", {})
         x, w = _gauss(n)
         ref_x, ref_w = reference_gauss(n)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         assert not x.flags.writeable and not w.flags.writeable
+        assert list(quadrature._TABLES) == [n]
+
+    def test_batched_pass_matches_the_scalar_solve(self, monkeypatch):
+        """Every table of one pass over n = 2...300 is the scalar solve's, bit for bit."""
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        _build_tables(range(300, 1, -1))
+        assert sorted(quadrature._TABLES) == list(range(2, 301))
+        for n in range(2, 301):
+            x, w = _gauss(n)
+            ref_x, ref_w = reference_gauss(n)
+            assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), n
+            assert not x.flags.writeable and not w.flags.writeable
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
+    def test_one_pass_per_spec(self, spec, monkeypatch):
+        """A spec's first integral builds its tables in one pass; a second integral builds none.
+
+        A pass is ``_NEWTON_STEPS + 1`` calls of the recurrence over all of
+        its nodes at once.  Koebe's sizes all lie in the spec's range.
+        """
+        calls = []
+
+        def counted(n, x):
+            calls.append(len(set(n.tolist())))
+            return legendre(n, x)
+
+        legendre = quadrature._legendre
+        monkeypatch.setattr(quadrature, "_legendre", counted)
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        quadrature._spec_tables.cache_clear()
+        pair = make_pair("koebe")
+        try:
+            first = brennan_integral(pair, 2.5, spec)
+            sizes = len(quadrature._TABLES)
+            assert calls == [sizes] * (quadrature._NEWTON_STEPS + 1)
+            assert sizes > 80
+            calls.clear()
+            assert brennan_integral(pair, 2.5, spec) == first
+            assert calls == [] and len(quadrature._TABLES) == sizes
+        finally:
+            quadrature._spec_tables.cache_clear()
 
     def test_no_eigenvalue_solver(self, monkeypatch):
         """Every table from 2 to 300 nodes is built with LAPACK's eigvalsh and leggauss refused."""
@@ -332,7 +382,7 @@ class TestGauss:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-        _gauss.cache_clear()
+        monkeypatch.setattr(quadrature, "_TABLES", {})
         for n in range(2, 301):
             x, w = _gauss(n)
             assert len(x) == len(w) == n
@@ -363,13 +413,13 @@ def complex_grid(r, theta):
 def reference_ring_sum(g, r_lo, r_hi, theta, wtheta, radial_order, polar=False):
     """The ring, node by node from the reference grid; g takes w, or is two-stage if polar.
 
-    A two-stage g gets the ring's own angles as its block.
+    A two-stage g gets the ring alone as its block.
     """
     x, wx = _gauss(radial_order)
     half = 0.5 * (r_hi - r_lo)
     r, wr = r_lo + half * (x + 1.0), half * wx
     w = complex_grid(r, theta)
-    vals = np.asarray(g(theta)(r, slice(None)) if polar else g(w), dtype=float)
+    vals = np.asarray(g(r[None], theta)(0, slice(None)) if polar else g(w), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         raise NonFiniteIntegrandError(
@@ -480,11 +530,15 @@ def assert_blocks(blocks, graded):
 
     A block holds at most _BLOCK_NODES nodes unless it is one rule, and the
     next block's first rule would not have fitted.  Without graded angles
-    one block holds the one rule, and every part is all of it.
+    every block holds the one rule, and every part is all of it.
     """
     if not graded:
-        (theta, _, parts), = blocks
-        assert all(part == slice(None) for part in parts)
+        theta = blocks[0][0]
+        per_block = max(1, _BLOCK_NODES // len(theta))
+        rings = [len(parts) for _, _, parts in blocks]
+        for block, _, parts in blocks:
+            assert block is theta and all(part == slice(None) for part in parts)
+        assert rings[:-1] == [per_block] * (len(blocks) - 1) and 0 < rings[-1] <= per_block
         return
     sizes = []
     for theta, wtheta, parts in blocks:
@@ -551,32 +605,70 @@ class TestRuleLadder:
 
 
 class TestAngleStage:
-    """g's angle stage runs once per block of rules, and its ring stage once per ring."""
+    """g's block stage runs once per block of rules, and its ring stage once per ring."""
 
     @pytest.mark.parametrize("name, spec", [
         ("koebe", GradingSpec(eps_min=1e-12)),
         ("koebe*moebius:0.95,0.2,1", GradingSpec(angular_base=128)),
         ("identity", GradingSpec()),
     ], ids=["koebe-eps1e-12", "clustered-base128", "ungraded"])
-    def test_once_per_block(self, name, spec):
+    def test_once_per_block(self, name, spec, monkeypatch):
+        """The radial terms too are formed once per block, for all of its rings."""
         pair = make_pair(name)
-        calls = {"angle": 0, "ring": 0}
+        calls = {"angle": 0, "ring": 0, "radial": 0}
+        radial_terms = catalog._radial_terms
 
-        def g(theta):
+        def counted_terms(rho, r):
+            calls["radial"] += 1
+            return radial_terms(rho, r)
+
+        monkeypatch.setattr(catalog, "_radial_terms", counted_terms)
+
+        def g(r, theta):
             calls["angle"] += 1
-            ring = pair.abs_dpsi_power(theta, -1.0)
+            ring = pair.abs_dpsi_power(r, theta, -1.0)
 
-            def counted(r, part):
+            def counted(i, part):
                 calls["ring"] += 1
-                return ring(r, part)
+                return ring(i, part)
 
             return counted
 
         _graded_sums(g, pair.grading_angles, spec)
         ladder = _gap_ladder(spec)
         blocks = len(list(_angular_rules(pair.grading_angles, ladder, spec)))
-        assert calls == {"angle": blocks, "ring": len(ladder)}
+        assert calls == {"angle": blocks, "ring": len(ladder), "radial": blocks}
         assert blocks < len(ladder) / 4
+
+    @pytest.mark.parametrize("state", [
+        {"over": "warn", "invalid": "warn"}, {"over": "raise", "invalid": "ignore"},
+        {"over": "ignore", "invalid": "raise"}])
+    def test_non_finite_ring_mid_block_leaves_the_error_state(self, state):
+        """|psi'|^152 overflows in a ring in the middle of Koebe's first block.
+
+        NonFiniteIntegrandError leaves the ring stage there, and numpy's
+        error state is what it was before the integral.
+        """
+        pair = make_pair("koebe")
+        ladder = _gap_ladder(DEFAULT_SPEC)
+        _, _, parts = next(_angular_rules(pair.grading_angles, ladder, DEFAULT_SPEC))
+        rings = []
+
+        def g(r, theta):
+            ring = pair.abs_dpsi_power(r, theta, 152.0)
+
+            def counted(i, part):
+                rings.append(i)
+                return ring(i, part)
+
+            return counted
+
+        with np.errstate(**state):
+            before = np.geterr()
+            with pytest.raises(NonFiniteIntegrandError, match="non-finite at node w="):
+                _graded_sums(g, pair.grading_angles, DEFAULT_SPEC)
+            assert np.geterr() == before
+        assert 0 < rings[-1] < len(parts) - 1
 
 
 class TestLongLadder:
@@ -625,10 +717,6 @@ class TestPeakResolution:
             assert got == pytest.approx(math.atan(math.pi / gap), rel=2e-13, abs=0.0)
 
 
-#: the three grading specs of the scan-cold benchmark workload
-SCAN_SPECS = (GradingSpec(), GradingSpec(eps_min=1e-12), GradingSpec(angular_base=128))
-
-
 class TestWholeIntegrals:
     """_graded_sums equals a per-ring loop over the reference rule and the reference grid.
 
@@ -666,8 +754,8 @@ class TestWholeIntegrals:
         pair = make_pair(name)
         angles = pair.grading_angles
         for e in self.EXPONENTS:
-            def g(theta):
-                return pair.abs_dpsi_power(theta, e)
+            def g(r, theta):
+                return pair.abs_dpsi_power(r, theta, e)
 
             new = _graded_sums(g, angles, spec)
             assert new == self.reference_sums(g, angles, spec, polar=True)
@@ -687,7 +775,7 @@ class TestWholeIntegrals:
             r = 1.0 - scale * (1.0 + 0.5 * (t + 1.0))
             for e in self.EXPONENTS:
                 want, size = reference_abs_dpsi_power(pair, r, theta, e)
-                got = pair.abs_dpsi_power(theta, e)(r, slice(None))
+                got = pair.abs_dpsi_power(r[None], theta, e)(0, slice(None))
                 bound = 8 * np.finfo(float).eps * (1.0 + size) * want
                 assert np.all(np.abs(got - want) <= bound)
 
@@ -710,8 +798,9 @@ class TestNonFiniteRing:
         """The new and the reference ring of g(w) over 0 <= |w| <= 1, as (value or error)."""
         theta, wtheta = self.RULE
         out = []
-        for ring in (lambda: _ring_sum(_complex_integrand(g)(theta), 0.0, 1.0, theta, wtheta,
-                                       slice(None), 16),
+        r, rw = _radial_rule(np.array([0.0]), np.array([1.0]), 16)
+        for ring in (lambda: _ring_sum(_complex_integrand(g)(r, theta), 0, r, rw, theta, wtheta,
+                                       slice(None)),
                      lambda: reference_ring_sum(g, 0.0, 1.0, self.THETA, wtheta, 16)):
             try:
                 out.append(ring())
