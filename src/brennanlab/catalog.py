@@ -367,8 +367,10 @@ class ConformalPair:
         (``c = 1/zeta_k`` for a singular point, where ``c'`` is
         ``1/m^-1(zeta_k)``).  So each pole moves to its ``c'``, and the
         factors' denominators and ``m'`` make the new pole
-        ``(1 - conj(a) w)**(-2 - sum e)``; the constant stays ``|psi'(0)|``.  A
-        pair can carry one twist, so twisting a twisted pair raises
+        ``(1 - conj(a) w)**(-2 - sum e)``; the constant stays ``|psi'(0)|``.
+        A pole whose ``c'`` is 0 (a twist that undoes the one that made it)
+        is the factor 1 and is dropped, so the rule is not graded toward
+        it.  A pair can carry one twist, so twisting a twisted pair raises
         DescriptorError.
         """
         if self.descriptor.twist_a is not None:
@@ -394,7 +396,9 @@ class ConformalPair:
             SingularPoint(_to_circle(m_inv(sp.location)), sp.exponent)
             for sp in self.singular_points
         )
-        poles = tuple(((a.conjugate() + c * rot) / (1.0 + c * (rot * a)), f) for c, f in self.poles)
+        moved_poles = (((a.conjugate() + c * rot) / (1.0 + c * (rot * a)), f)
+                       for c, f in self.poles)
+        poles = tuple((c, f) for c, f in moved_poles if c)
         new_pole = -2.0 - math.fsum([sp.exponent for sp in self.singular_points]
                                     + [f for _, f in self.poles])
         if a and abs(new_pole) > POLE_TOL:

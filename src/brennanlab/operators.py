@@ -464,11 +464,9 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: flo
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
     cells = np.array([(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants])
-    # psi's singular locations: each singular point and each pole 1/c (a twist
-    # can carry a pole to c = 0, as in moebius:0.3,0,0*moebius:-0.3,0,0, where
-    # its factor is 1)
+    # psi's singular locations: each singular point and each pole 1/c
     singular = np.array([sp.location for sp in pair.singular_points]
-                        + [1.0 / c for c, _ in pair.poles if c], dtype=complex)
+                        + [1.0 / c for c, _ in pair.poles], dtype=complex)
     leaves = _refined_cells(cells, singular)
     total = 0.0
     while len(leaves):

@@ -16,11 +16,16 @@ at most ``_BLOCK_NODES`` nodes (a ring with more is a block of its own;
 without singular angles, as many rings of the one rule as fit), so memory
 stays bounded however long the ladder.  Every Gauss-Legendre block, here
 and in the forward patch's charts, comes from one table of sizes,
-``_TABLES``, which only :func:`_gauss` reads.  The first integral under a
-GradingSpec fills it with every size the spec's rules can ask for, in one
-batched Newton pass (:func:`_spec_tables`), and ``_gauss`` builds any other
-size on its own, to the same bits.  This is the only module that builds a
-ring.
+``_TABLES``, which only :func:`_gauss` reads.
+
+What the GradingSpec alone fixes is made once per spec, and cached.
+:func:`_gap_ladder` is the one gap ladder and its one check: a spec whose
+ladder is too long or whose radii do not rise is refused when made.
+:func:`_spec_rule` fills the table with every size the spec's rules can ask
+for, in one batched Newton pass (``_gauss`` builds any other size on its
+own, to the same bits), and forms the radial rule of every ring of the
+ladder and the angular rule without singular angles.  This is the only
+module that builds a ring.
 
 An integrand works in two stages.  Its block stage runs once per block
 of rules: it takes the radial nodes of the block's rings, one row a ring,
@@ -157,36 +162,24 @@ class GradingSpec:
             raise InvalidGradingError("angular_base must be at least 8")
         if self.angular_boost < 2:
             raise InvalidGradingError("angular_boost must be at least 2")
-        if not _radii_rise(self):
-            raise InvalidGradingError(
-                f"eps_min={self.eps_min} with annulus_ratio={self.annulus_ratio} rounds a radius "
-                f"1 - gap of the gap ladder to 1.0 or onto the radius before it; the floor is "
-                f"about 1e-16 at annulus_ratio=0.5")
+        _gap_ladder(self)
 
 
 @lru_cache(maxsize=64)
-def _radii_rise(spec: GradingSpec) -> bool:
-    """Whether the radii ``1 - gap`` of the spec's gap ladder rise strictly and stay below 1.0.
-
-    It reads the ladder itself, so the check is the arithmetic the rule
-    runs.  Cached, because every GradingSpec runs it when made: about 6 us
-    a spec uncached, against 1 us for the other checks.
-    """
-    radii = [1.0 - gap for gap in _gap_ladder(spec)]
-    # strictly increasing exactly when sorting the distinct radii changes nothing
-    return radii[-1] < 1.0 and radii == sorted(set(radii))
-
-
-def _gap_ladder(spec: GradingSpec) -> list[float]:
-    """Boundary gaps from EPS_START down to exactly ``spec.eps_min``.
+def _gap_ladder(spec: GradingSpec) -> tuple[float, ...]:
+    """Boundary gaps from EPS_START down to exactly ``spec.eps_min``, checked.
 
     The requested annulus_ratio is adjusted to the nearest value that
     lands on eps_min after an integer number of steps, keeping the gaps
-    an exact geometric lattice (the tail fit relies on that).  More than
-    ``_MAX_ANNULI`` annuli raise InvalidGradingError before any gap is made.
+    an exact geometric lattice (the tail fit relies on that).  It raises
+    InvalidGradingError for more than ``_MAX_ANNULI`` annuli, before any
+    gap is made, and unless the radii ``1 - gap`` rise strictly and stay
+    below 1.0: the check reads the ladder itself, so it is the arithmetic
+    the rule runs.  Cached, because every GradingSpec builds its ladder
+    when made, and the benchmark makes a spec in every timed call.
     """
     if spec.eps_min >= EPS_START:
-        return [EPS_START]
+        return (EPS_START,)
     span = math.log(spec.eps_min / EPS_START)
     n = max(1, round(span / math.log(spec.annulus_ratio)))
     if n > _MAX_ANNULI:
@@ -194,8 +187,14 @@ def _gap_ladder(spec: GradingSpec) -> list[float]:
             f"annulus_ratio={spec.annulus_ratio} down to eps_min={spec.eps_min} needs {n} annuli, "
             f"more than {_MAX_ANNULI}; use a smaller annulus_ratio or a larger eps_min")
     ratio = math.exp(span / n)
-    gaps = [EPS_START * ratio ** k for k in range(n)]
-    gaps.append(spec.eps_min)
+    gaps = (*(EPS_START * ratio ** k for k in range(n)), spec.eps_min)
+    radii = [1.0 - gap for gap in gaps]
+    # strictly increasing exactly when sorting the distinct radii changes nothing
+    if not (radii[-1] < 1.0 and radii == sorted(set(radii))):
+        raise InvalidGradingError(
+            f"eps_min={spec.eps_min} with annulus_ratio={spec.annulus_ratio} rounds a radius "
+            f"1 - gap of the gap ladder to 1.0 or onto the radius before it; the floor is "
+            f"about 1e-16 at annulus_ratio=0.5")
     return gaps
 
 
@@ -321,19 +320,41 @@ def _build_tables(sizes: Iterable[int]) -> None:
 
 
 @lru_cache(maxsize=64)
-def _spec_tables(spec: GradingSpec) -> None:
-    """Build every table the spec's rules can ask for, in one batched pass, once per spec.
+def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the spec alone fixes of the disc rule, made once per spec: ``(r, rw, theta, wtheta)``.
 
-    A side of a singular angle is at most pi long and its gap at least
-    ``eps_min``, so the sinh rule's sizes run from ``angular_base//4 + 1``
-    to ``ceil(angular_boost/2 * asinh(pi/eps_min)) + angular_base//4``; the
-    radial rule takes ``radial_order`` and the ungraded rule
-    ``angular_boost``.  A size outside that range, should rounding make
-    one, is still built by :func:`_gauss` on its own.
+    First every table the spec's rules can ask for is built, in one
+    batched pass: a side of a singular angle is at most pi long and its gap
+    at least ``eps_min``, so the sinh rule's sizes run from
+    ``angular_base//4 + 1`` to ``ceil(angular_boost/2 * asinh(pi/eps_min))
+    + angular_base//4``; the radial rule takes ``radial_order`` and the
+    ungraded rule ``angular_boost``.  A size outside that range, should
+    rounding make one, is still built by :func:`_gauss` on its own.
+
+    Then the radial rule of every ring of the gap ladder, the inner disc
+    first, one row a ring: the Gauss-Legendre nodes ``r`` and the weights
+    times ``r``, the polar Jacobian folded in, each of shape ``(rings,
+    radial_order)``.  That is 2 x rings x radial_order floats, 7 KB at the
+    default spec and 2.6 MB for a ladder of ``_MAX_ANNULI`` annuli.  Last,
+    the angular rule without singular angles: ``max(8,
+    angular_base//angular_boost)`` equal panels of ``angular_boost``
+    points.  All four arrays are shared by every integral under the spec,
+    so they are read-only.
     """
     extra = spec.angular_base // 4
     top = math.ceil(0.5 * spec.angular_boost * math.asinh(math.pi / spec.eps_min)) + extra
     _build_tables([*range(extra + 1, top + 1), spec.radial_order, spec.angular_boost])
+    edges = np.concatenate(([0.0], 1.0 - np.array(_gap_ladder(spec))))
+    t, wt = _gauss(spec.radial_order)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    r = edges[:-1, None] + half * (t + 1.0)
+    x, w = _gauss(spec.angular_boost)
+    ends = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
+    side = 0.5 * (ends[1:] - ends[:-1])[:, None]
+    rule = (r, half * wt * r, (ends[:-1, None] + side * (x + 1.0)).ravel(), (side * w).ravel())
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
@@ -362,10 +383,7 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     # angles that coincide modulo 2pi are one angle, owning one arc
     angles = sorted({a % TWO_PI for a in singular_angles})
     if not angles:
-        x, w = _gauss(spec.angular_boost)
-        ends = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
-        half = 0.5 * (ends[1:] - ends[:-1])[:, None]
-        theta, weights = (ends[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+        theta, weights = _spec_rule(spec)[2:]
         per_block = max(1, _BLOCK_NODES // len(theta))
         for lo in range(0, len(scales), per_block):
             yield theta, weights, [slice(None)] * len(scales[lo:lo + per_block])
@@ -414,24 +432,11 @@ def _complex_integrand(g: Callable[[np.ndarray], np.ndarray]) -> _PolarIntegrand
     return block_stage
 
 
-def _radial_rule(r_lo: np.ndarray, r_hi: np.ndarray,
-                 radial_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre radial nodes of the rings ``r_lo[i] <= |w| <= r_hi[i]``, one row a ring.
-
-    Returns the nodes ``r`` and the weights times ``r``, the polar
-    Jacobian folded in, each of shape ``(len(r_lo), radial_order)``.
-    """
-    t, wt = _gauss(radial_order)
-    half = 0.5 * (r_hi - r_lo)[:, None]
-    r = r_lo[:, None] + half * (t + 1.0)
-    return r, half * wt * r
-
-
 def _ring_sum(ring: _RingStage, i: int, r: np.ndarray, rw: np.ndarray, theta: np.ndarray,
               wtheta: np.ndarray, part: slice) -> float:
     """Tensor Gauss-Legendre integral over one annulus, ring ``i`` of its block.
 
-    The block's radial rule is ``r, rw`` (:func:`_radial_rule`) and its
+    The block's radial rule is ``r, rw`` (rows of :func:`_spec_rule`'s) and its
     angles ``theta``, with weights ``wtheta``; its block stage returned
     ``ring``.  The ring's radial nodes are ``r[i]`` and its angles
     ``theta[part]``, and ``ring(i, part)`` returns its values on the grid
@@ -457,22 +462,20 @@ def _graded_sums(g: _PolarIntegrand, singular_angles, spec: GradingSpec):
 
     The inner disc is graded at EPS_START and each annulus at its inner
     gap, so the scales of the angular rules are the gap ladder itself.
-    The spec's tables are built first, in one pass (:func:`_spec_tables`).
-    Each block of rules forms the radial rules of its rings together and
-    gives them, with its angles, to g's block stage once; each ring of the
-    block then calls the ring stage that returns.
+    Each block of rules takes its rings' rows of the spec's radial rule
+    (:func:`_spec_rule`) and gives them, with its angles, to g's block
+    stage once; each ring of the block then calls the ring stage that
+    returns.
     """
     gaps = _gap_ladder(spec)
-    _spec_tables(spec)
-    edges = np.concatenate(([0.0], 1.0 - np.array(gaps)))
+    r, rw = _spec_rule(spec)[:2]
     sums = []
     for theta, wtheta, parts in _angular_rules(singular_angles, gaps, spec):
         # the block's rings follow the rings summed so far
-        lo = len(sums)
-        r, rw = _radial_rule(edges[lo:lo + len(parts)], edges[lo + 1:lo + len(parts) + 1],
-                             spec.radial_order)
-        ring = g(r, theta)
-        sums += [_ring_sum(ring, i, r, rw, theta, wtheta, part)
+        rows = slice(len(sums), len(sums) + len(parts))
+        block_r, block_rw = r[rows], rw[rows]
+        ring = g(block_r, theta)
+        sums += [_ring_sum(ring, i, block_r, block_rw, theta, wtheta, part)
                  for i, part in enumerate(parts)]
     return sums[0], sums[1:], gaps[1:]
 

@@ -788,11 +788,19 @@ class TestFactorForm:
         ("moebius:0.5,0.2,1", (-2.0,)), ("identity*moebius:0.5,0.2,1", (-2.0,)),
         ("cardioid*moebius:0.5,0.2,1", (-3.0,)), ("cardioid*moebius:0,0,1", ()),
         ("moebius:1e-200,0,1", (-2.0,)), ("moebius:0.3,0,1*moebius:0.2,0.1,0.5", (-2.0,)),
+        ("moebius:0.3,0,0*moebius:-0.3,0,0", ()), ("moebius:0.5,0.2,1*moebius:-0.5,-0.2,0", ()),
     ])
     def test_pole_exponents(self, name, exponents):
         # sectors sum (beta - 1) - (beta + 1), which rounds near -2, so a twist
-        # leaves them no pole; nor does a = 0, or a second twist of a Moebius map
+        # leaves them no pole; nor does a = 0, or a second twist of a Moebius map;
+        # a twist that carries the first pole to c = 0 leaves its factor 1, no pole
         assert tuple(f for _, f in make_pair(name).poles) == exponents
+
+    @pytest.mark.parametrize("name", ["moebius:0.3,0,0*moebius:-0.3,0,0",
+                                      "moebius:0.5,0.2,1*moebius:-0.5,-0.2,0"])
+    def test_undone_twist_grades_toward_nothing(self, name):
+        """|psi'| is 1 on the disc, so the rule is graded toward no angle."""
+        assert make_pair(name).grading_angles == ()
 
     def test_a_second_twist_moves_the_first_pole(self):
         # m2 then m1 is one automorphism, whose pole is where m2 sends 1/conj(a1)

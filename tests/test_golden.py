@@ -2,7 +2,8 @@
 
 Each value was generated once and must be reproduced digit for digit, so
 a change meant to be a pure speed-up shows any moved bit here.  The cases
-cover the three grading specs of the scan-cold benchmark, converged and
+cover the three grading specs of the scan-cold benchmark and one that
+varies every field the rule fixes per spec, converged and
 diverging tails, twisted maps with clustered singular points, maps
 that carry a pole off the circle and the identity, which has no factor.  The inversions cover the scalar and
 the vectorized inverse (closed form, accepted by its residual in z or
@@ -23,12 +24,16 @@ from brennanlab.operators import (
     harmonic_poly,
     isometry_check,
     pullback_seminorm,
+    seminorm,
     shifted_log,
 )
 from brennanlab.quadrature import Classification, GradingSpec, IntegralEstimate, integrate_disc
 
 SPECS = {"default": GradingSpec(), "eps1e-12": GradingSpec(eps_min=1e-12),
-         "base128": GradingSpec(angular_base=128)}
+         "base128": GradingSpec(angular_base=128),
+         # 35 annuli of 12 radial nodes, and panels of 6 points: every field
+         # that the rule fixes per spec differs from the default
+         "order12": GradingSpec(radial_order=12, annulus_ratio=0.6, angular_boost=6)}
 
 #: (map, exponent of |psi'|, spec, estimate); re-pinned when the Gauss-Legendre
 #: table took its weights from the three-term recurrence instead of numpy's
@@ -254,6 +259,32 @@ INTEGRALS = [
         classification=Classification.CONVERGED,
         fitted_slope=-0.9999999261241723,
     )),
+    # under a spec that varies the radial order, the ratio and the panels;
+    # generated before the spec's ladder and rules were made once per spec
+    ('identity', -1.0, 'order12', IntegralEstimate(
+        value=3.1415926535897976,
+        abs_error_estimate=3.2029661516765593e-13,
+        truncation_eps=1e-08,
+        tail_estimate=6.137349808676165e-15,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999596909687,
+    )),
+    ('cardioid', 0.7, 'order12', IntegralEstimate(
+        value=3.3528913036198573,
+        abs_error_estimate=3.432985076715906e-13,
+        truncation_eps=1e-08,
+        tail_estimate=8.009377309604871e-15,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999999449177278,
+    )),
+    ('koebe*moebius:0.5,0.2,1', -1.0, 'order12', IntegralEstimate(
+        value=17.09186845327281,
+        abs_error_estimate=4.794544301582325e-09,
+        truncation_eps=1e-08,
+        tail_estimate=4.7928351147369975e-09,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9552347121872459,
+    )),
 ]
 
 
@@ -279,6 +310,36 @@ def test_complex_integrand():
         classification=Classification.CONVERGED,
         fitted_slope=-0.4999589370342624,
     ))
+
+
+# |w - 2|^-3 is smooth and not constant on the disc, so its value pins the
+# nodes and weights of the rule without singular angles
+@pytest.mark.parametrize("spec, expected", [
+    ("default", IntegralEstimate(
+        value=0.5417318486114644,
+        abs_error_estimate=5.950088041312035e-14,
+        truncation_eps=1e-08,
+        tail_estimate=5.327695551973905e-15,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999998170366194,
+    )),
+    ("order12", IntegralEstimate(
+        value=0.5417318483136543,
+        abs_error_estimate=5.648184043127632e-14,
+        truncation_eps=1e-08,
+        tail_estimate=2.308655599910892e-15,
+        classification=Classification.CONVERGED,
+        fitted_slope=-0.9999998982781629,
+    )),
+])
+def test_ungraded_integrand(spec, expected):
+    est = integrate_disc(lambda w: np.abs(w - 2.0) ** -3.0, (), SPECS[spec])
+    assert repr(est) == repr(expected)
+
+
+def test_seminorm():
+    """The Sobolev seminorm of shifted_log at p = 3, an integral with no singular angle."""
+    assert repr(seminorm(shifted_log(), 3.0)) == repr(0.8151949041987602)
 
 
 # re-pinned when the disc side became each function's closed-form energy

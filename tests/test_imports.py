@@ -143,6 +143,17 @@ def test_one_table_cache():
     assert readers == {"_gauss"}, f"the table is read by {sorted(readers)}"
 
 
+def test_one_ladder_and_one_spec_rule():
+    """Only quadrature names ``_gap_ladder`` and ``_spec_rule``, what a spec fixes of the rule.
+
+    The checked gap ladder and the spec's radial rules, ungraded rule and
+    tables are made there once per spec; another module would make its own.
+    """
+    users = {name for name, tree in TREES.items()
+             if any(scopes_reading(tree, {"_gap_ladder", "_spec_rule"}))}
+    assert users == {"quadrature.py"}, f"named in {sorted(users)}"
+
+
 def test_one_inversion_rule():
     """``invert`` and ``invert_many`` each call ``_accepted``, the one reader of the tolerances.
 

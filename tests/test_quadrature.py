@@ -26,8 +26,8 @@ from brennanlab.quadrature import (
     _gap_ladder,
     _gauss,
     _graded_sums,
-    _radial_rule,
     _ring_sum,
+    _spec_rule,
     _tail,
     integrate_disc,
 )
@@ -132,7 +132,7 @@ def ladder_increments(t):
     """Per-annulus increments of |1 - w|^t on the default gap ladder, with their outer gaps."""
     _, increments, gaps = _graded_sums(_complex_integrand(boundary_power_integrand(t)), [0.0],
                                        DEFAULT_SPEC)
-    return np.array(increments), np.array([EPS_START] + gaps[:-1])
+    return np.array(increments), np.array((EPS_START, *gaps[:-1]))
 
 
 def tail_of(samples):
@@ -227,6 +227,14 @@ class TestValidation:
     def test_spec_is_checked_when_made(self, field, value, message):
         with pytest.raises(InvalidGradingError, match=message):
             GradingSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("eps_min", 5e-17), ("eps_min", 6e-17),
+                                              ("annulus_ratio", 0.999999)])
+    def test_ladder_faults_are_raised_by_the_ladder(self, field, value):
+        """Both ladder faults come from _gap_ladder itself, which GradingSpec calls when made."""
+        with pytest.raises(InvalidGradingError) as info:
+            GradingSpec(**{field: value})
+        assert info.traceback[-1].name == "_gap_ladder"
 
 
 @functools.lru_cache(maxsize=None)
@@ -362,7 +370,7 @@ class TestGauss:
         legendre = quadrature._legendre
         monkeypatch.setattr(quadrature, "_legendre", counted)
         monkeypatch.setattr(quadrature, "_TABLES", {})
-        quadrature._spec_tables.cache_clear()
+        quadrature._spec_rule.cache_clear()
         pair = make_pair("koebe")
         try:
             first = brennan_integral(pair, 2.5, spec)
@@ -372,8 +380,22 @@ class TestGauss:
             calls.clear()
             assert brennan_integral(pair, 2.5, spec) == first
             assert calls == [] and len(quadrature._TABLES) == sizes
+            # another map under the spec: no table, and no new ladder or rule
+            misses = (_gap_ladder.cache_info().misses, _spec_rule.cache_info().misses)
+            brennan_integral(make_pair("cardioid*moebius:0.5,-0.3,1"), 3.0, spec)
+            assert calls == [] and len(quadrature._TABLES) == sizes
+            assert (_gap_ladder.cache_info().misses, _spec_rule.cache_info().misses) == misses
         finally:
-            quadrature._spec_tables.cache_clear()
+            quadrature._spec_rule.cache_clear()
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
+    def test_spec_rule_is_read_only(self, spec):
+        """The spec's radial and ungraded rules are shared by its integrals: none is writable."""
+        rule = _spec_rule(spec)
+        assert len(rule) == 4
+        for a in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
 
     def test_no_eigenvalue_solver(self, monkeypatch):
         """Every table from 2 to 300 nodes is built with LAPACK's eigvalsh and leggauss refused."""
@@ -798,7 +820,10 @@ class TestNonFiniteRing:
         """The new and the reference ring of g(w) over 0 <= |w| <= 1, as (value or error)."""
         theta, wtheta = self.RULE
         out = []
-        r, rw = _radial_rule(np.array([0.0]), np.array([1.0]), 16)
+        # the radial rule of the one ring 0 <= |w| <= 1, with r times its weights
+        t, wt = _gauss(16)
+        r = 0.5 * (t[None] + 1.0)
+        rw = 0.5 * wt * r
         for ring in (lambda: _ring_sum(_complex_integrand(g)(r, theta), 0, r, rw, theta, wtheta,
                                        slice(None)),
                      lambda: reference_ring_sum(g, 0.0, 1.0, self.THETA, wtheta, 16)):
