@@ -21,7 +21,7 @@ koebe
 sector:beta
     psi(w) = ((1-w)/(1+w))^beta with beta in (0, 2], Omega = sector of
     opening beta*pi (beta = 2 gives the slit plane again),
-    phi(z) = (1 - t)/(1 + t) with t = exp(log(z)/beta).
+    phi(z) = (1 - t)/(1 + t) with t = z**(1/beta), the principal power.
 cardioid
     psi(w) = w - w^2/2, Omega = interior of a cardioid,
     phi(z) = 2z/(1 + sqrt(1 - 2z)).
@@ -36,15 +36,21 @@ Every family, and every twist, writes its map once, as
 ``psi_dpsi(w) -> (psi(w), psi'(w))``, so that the subexpressions the two
 share are computed once: ``psi`` itself and ``1 - w``, ``1 + w`` for a
 sector (``psi' = -2 beta psi/((1 - w)(1 + w))``), ``1 - w`` for Koebe, and
-the denominator ``1 - conj(a) w`` of ``m`` and ``m'`` for a twist.  ``psi``
-and ``dpsi`` are its first and second output.  A family turns a scalar
-``w`` into a numpy scalar, not a 0-d array, so the scalar inversion pays
-for no array call it does not need.  A call's temporaries add to the
-inversion's peak memory, so a family frees them early: Koebe and the
-sector divide ``psi'`` in place, and the sector and the twist rebind a
-factor to its product.  No complex product is formed in place, because
-numpy (2.4) rounds an in-place complex product differently on one-element
-arrays.
+the denominator ``1 - conj(a) w`` of ``m`` and ``m'`` for a twist, whose
+constants ``conj(a)`` and ``e^{i theta} (1 - |a|^2)`` are made with it.
+``psi`` and ``dpsi`` are its first and second output.  A family turns a
+scalar ``w`` into a numpy scalar, not a 0-d array, so the scalar inversion
+pays for no array call it does not need.  The sector's psi and phi share
+one power kernel, :func:`_power`: ``cmath`` on a scalar, and on an array
+real ``abs``, ``log``, ``arctan2``, ``exp``, ``cos`` and ``sin`` in place
+of numpy's far costlier complex ``log`` and ``exp``.  So a scalar and an
+array may round one point differently: what :meth:`ConformalPair.invert`
+and :meth:`ConformalPair.invert_many` share is the acceptance of each
+point, not its bits.  A call's temporaries add to the inversion's peak
+memory, so a family frees them early: Koebe and the sector divide
+``psi'`` in place, and the sector and the twist rebind a factor to its
+product.  No complex product is formed in place, because numpy (2.4)
+rounds an in-place complex product differently on one-element arrays.
 
 Factor form
 -----------
@@ -380,17 +386,20 @@ class ConformalPair:
             raise MapDomainError(f"automorphism parameter must satisfy |a| < 1, got {a!r}")
         rot = cmath.exp(1j * theta)
         base_psi_dpsi, base_phi = self.psi_dpsi, self.phi
+        # m's constants, made once: conj(a) stays a numpy scalar, so that a
+        # scalar point's products and quotients round as they would in an array
+        conj_a, scale = np.conj(a), rot * (1.0 - abs(a) ** 2)
 
         def m_inv(v: complex) -> complex:
             u = v / rot
-            return (u + a) / (1.0 + np.conj(a) * u)
+            return (u + a) / (1.0 + conj_a * u)
 
         def psi_dpsi(w):
             # psi(m(w)) and psi'(m(w)) m'(w), where m and m' share the denominator
-            den = 1.0 - np.conj(a) * w
+            den = 1.0 - conj_a * w
             value, deriv = base_psi_dpsi(rot * (w - a) / den)
             den = den ** 2
-            return value, deriv * (rot * (1.0 - abs(a) ** 2) / den)
+            return value, deriv * (scale / den)
 
         moved = tuple(
             SingularPoint(_to_circle(m_inv(sp.location)), sp.exponent)
@@ -437,6 +446,42 @@ def _accepted(w, z, diff, deriv):
     size, resid = abs(w), abs(diff)
     return (size < 1.0) & ((resid <= NEWTON_TOL * (1.0 + abs(z)))
                            | (resid <= STEP_TOL * (1.0 + size) * abs(deriv)))
+
+
+def _power(q, b: float):
+    """The principal power ``q**b = exp(b log q)`` for a real ``b > 0``; 0 at q = 0.
+
+    A complex scalar, a numpy one included, takes ``cmath`` and returns a
+    Python complex.  Anything else is an array, and takes real arithmetic:
+    ``|q|**b = exp(b log|q|)`` and the angle ``b arg q`` from ``arctan2``,
+    written into a new complex array.  numpy's complex ``log`` costs about
+    93 ns a point, its real ``abs``, ``log`` and ``arctan2`` about 2-4 ns
+    each.  The two paths round differently, so a point's bits may differ
+    between them, but not whether its inversion is accepted.
+    """
+    if isinstance(q, complex):
+        # cmath raises where numpy returns 0 or inf: at q = 0 and past overflow
+        if not q:
+            return 0j
+        try:
+            return cmath.exp(b * cmath.log(q))
+        except OverflowError:
+            return cmath.rect(math.inf, b * cmath.phase(q))
+    q = np.asarray(q)
+    # the angle and its cosine are formed in the result's own halves, so the
+    # one temporary is |q|**b
+    out = np.empty(q.shape, dtype=complex)
+    size = np.abs(q, out=np.empty(q.shape))
+    np.log(size, out=size)
+    size *= b
+    np.exp(size, out=size)
+    angle = np.arctan2(q.imag, q.real, out=out.imag)
+    angle *= b
+    cos = np.cos(angle, out=out.real)
+    np.sin(angle, out=angle)
+    cos *= size
+    angle *= size
+    return out
 
 
 def _to_circle(v: complex) -> complex:
@@ -497,25 +542,27 @@ def sector_map(beta: float) -> ConformalPair:
     """psi(w) = ((1-w)/(1+w))^beta onto the sector of opening beta*pi.
 
     (1-w)/(1+w) sends the disc onto the right half-plane, where the
-    principal power is holomorphic, so no branch cut is crossed.  It is
-    evaluated as exp(beta log((1-w)/(1+w))), one complex log and one exp a
-    point, and psi' = -2 beta psi/((1-w)(1+w)) reuses it; for |w| < 1 this
-    equals the two-log form exp(beta (log(1-w) - log(1+w))) exactly, because
-    1 - w and 1 + w both lie in the right half-plane.
+    principal power is holomorphic, so no branch cut is crossed.  Both
+    directions take the principal power from :func:`_power`: psi raises
+    (1-w)/(1+w) to beta, and psi' = -2 beta psi/((1-w)(1+w)) reuses it,
+    while phi raises z to 1/beta.  For |w| < 1 the power equals the two-log
+    form exp(beta (log(1-w) - log(1+w))), because 1 - w and 1 + w both lie
+    in the right half-plane.
     """
     descriptor = MapDescriptor("sector", beta=beta)
+    inverse = 1.0 / beta
 
     def psi_dpsi(w):
         w = np.asarray(w, dtype=complex)[()]
         one_minus, one_plus = 1.0 - w, 1.0 + w
-        value = np.exp(beta * np.log(one_minus / one_plus))
+        value = _power(one_minus / one_plus, beta)
         one_minus = one_minus * one_plus
         deriv = -2.0 * beta * value
         deriv /= one_minus
         return value, deriv
 
     def phi(z):
-        t = np.exp(np.log(z) / beta)
+        t = _power(z, inverse)
         return (1.0 - t) / (1.0 + t)
 
     def contains(z):

@@ -347,6 +347,56 @@ class TestInversion:
                     exact = abs(complex(pair.dpsi(w0_k))) ** -2.0
                     assert p_distortion(pair, z_k, 4.0) == pytest.approx(exact, rel=1e-8)
 
+    @pytest.mark.parametrize("twist", ["", "*moebius:0.6,-0.5,2", "*moebius:0.92,0,1"])
+    @pytest.mark.parametrize("head", ALL_NAMES)
+    def test_scalar_and_array_paths_accept_the_same_points(self, head, twist):
+        """``invert`` and ``invert_many`` accept the same z, and each path's w passes the other's check.
+
+        The points are a spiral of interior points and, for each singular
+        point, points 1e-2 to 1e-7 inward of it.  The two paths may differ
+        in the last bits of w and psi'(w), but not in which points they
+        accept: a w from ``invert`` passes :func:`catalog._accepted` with
+        the array closed form, and a w from ``invert_many`` with the scalar one.
+        """
+        pair = make_pair(head + twist)
+        w0 = interior_points(40, radius=0.95) + [
+            (1.0 - d) * sp.location * cmath.exp(1j * t * d)
+            for sp in pair.singular_points for d in 10.0 ** -np.arange(2, 8)
+            for t in (-1.0, 0.0, 0.5)]
+        z = pair.psi(np.array(w0))
+        many, ok, _ = pair.invert_many(z)
+        for z_k, w_k, ok_k in zip(z.tolist(), many.tolist(), ok.tolist()):
+            try:
+                w = pair.invert(z_k)[0]
+            except NewtonConvergenceError:
+                w = None
+            assert (w is not None) == ok_k, z_k
+            if w is None:
+                continue
+            value, deriv = pair.psi_dpsi(np.array([w]))
+            assert catalog._accepted(np.array([w]), np.array([z_k]), value - z_k, deriv).all()
+            value, deriv = pair.psi_dpsi(w_k)
+            assert catalog._accepted(w_k, z_k, complex(value) - z_k, complex(deriv))
+
+    def test_sector_power_at_zero_and_past_overflow(self):
+        """The sector's power is 0 at q = 0 on both paths, and overflow is no exception.
+
+        psi(1) raises (1 - 1)/(1 + 1) = 0 to beta.  At z = 1e20 a sector of
+        opening 0.05 pi needs z**20, beyond the largest float: ``invert``
+        then misses its targets, as ``invert_many`` does, where numpy warns
+        of the nan that w becomes.
+        """
+        pair = sector_map(1.5)
+        assert catalog._power(0j, 1.5) == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert pair.psi(1.0) == 0.0
+            assert pair.psi(np.array([1.0, 0.5])).tolist()[0] == 0.0
+        thin = sector_map(0.05)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NewtonConvergenceError):
+                thin.invert(1e20 + 0j)
+            assert not thin.invert_many(np.array([1e20 + 0j]))[1].any()
+
     def test_missed_target_raises(self, monkeypatch):
         """With residual and step targets of 0 phi's w is not accepted."""
         monkeypatch.setattr(catalog, "NEWTON_TOL", 0.0)
@@ -524,7 +574,8 @@ def solo_reference(descriptor):
 
     A twist is the chain rule ``psi(m(w))`` and ``psi'(m(w)) * m'(w)``, with
     ``m`` and ``m'`` evaluated separately; a Moebius map is the identity so
-    twisted.
+    twisted.  A sector takes its power from ``catalog._power``, the one
+    kernel of both of its directions.
     """
     d = descriptor
     if d.family in ("identity", "moebius"):
@@ -546,11 +597,11 @@ def solo_reference(descriptor):
 
         def psi(w):
             w = np.asarray(w, dtype=complex)
-            return np.exp(beta * np.log((1.0 - w) / (1.0 + w)))
+            return catalog._power((1.0 - w) / (1.0 + w), beta)
 
         def dpsi(w):
             w = np.asarray(w, dtype=complex)
-            return (-2.0 * beta * np.exp(beta * np.log((1.0 - w) / (1.0 + w)))
+            return (-2.0 * beta * catalog._power((1.0 - w) / (1.0 + w), beta)
                     / ((1.0 - w) * (1.0 + w)))
     else:
         def psi(w):
@@ -612,18 +663,21 @@ class TestFusedForm:
 
 
 class TestSectorAccuracy:
-    """Sector psi and psi' against 30-digit mpmath, out to |w| = 0.9999.
+    """Sector psi and psi' against 30-digit mpmath, out to |w| = 0.9999, on both paths.
 
-    The reference is the textbook form ``((1-u)/(1+u))**beta`` and
-    ``-2 beta (1-u)**(beta-1) (1+u)**(-beta-1)``, times ``m'(w)`` under a
-    twist ``u = m(w)``.  An untwisted ``w`` is exact, so the bound is flat;
-    it holds the two-log form ``exp(beta (log(1-w) - log(1+w)))`` as well
-    (measured worst case 6.4e-15, against 3.2e-15 for the one-log form).
-    A twist first rounds ``m(w)``, which moves ``psi(m(w))`` by up to the
-    condition number ``2 (beta + 1) |u|/|1 - u^2|`` of the sector map times
-    that rounding, so the twisted bound is a multiple of eps times one plus
-    that number (measured worst multiple 2.9 for the one-log form and 3.3
-    for the two-log form).
+    The same points go in as one array and one by one as Python complexes,
+    so that ``catalog._power`` takes its real-arithmetic array path and its
+    ``cmath`` scalar path.  The reference is the textbook form
+    ``((1-u)/(1+u))**beta`` and ``-2 beta (1-u)**(beta-1) (1+u)**(-beta-1)``,
+    times ``m'(w)`` under a twist ``u = m(w)``.  An untwisted ``w`` is
+    exact, so the bound is flat: the measured worst case is 3.2e-15 on
+    both paths (the two-log form ``exp(beta (log(1-w) - log(1+w)))`` reads
+    6.4e-15).  A twist first rounds ``m(w)``, which moves ``psi(m(w))`` by
+    up to the condition number ``2 (beta + 1) |u|/|1 - u^2|`` of the sector
+    map times that rounding, so the twisted bound is a multiple of eps times
+    one plus that number: the measured worst multiple is 2.8 on the array
+    path and 3.2 on the scalar path (2.9 and 3.2 with numpy's complex
+    ``log``, 3.3 for the two-log form).
     """
 
     RADII = (0.3, 0.9, 0.99, 0.999, 0.9999)
@@ -646,7 +700,7 @@ class TestSectorAccuracy:
                 1.0 + 2.0 * (beta + 1.0) * np.abs(u) / np.abs(1.0 - u * u))
         else:
             bound = np.full(w.shape, self.FLAT_RTOL)
-        value, deriv = pair.psi_dpsi(w)
+        paths = [pair.psi_dpsi(w), tuple(zip(*(pair.psi_dpsi(wk) for wk in w.tolist())))]
         with mpmath.workdps(30):
             b, ma, mrot = mpmath.mpf(beta), mpmath.mpc(a), mpmath.expj(theta)
             for k, wk in enumerate(w):
@@ -656,8 +710,10 @@ class TestSectorAccuracy:
                 want = mpmath.power((1 - uk) / (1 + uk), b)
                 want_d = (-2 * b * mpmath.power(1 - uk, b - 1) * mpmath.power(1 + uk, -b - 1)
                           * duk)
-                assert abs(mpmath.mpc(value[k]) - want) <= bound[k] * abs(want), wk
-                assert abs(mpmath.mpc(deriv[k]) - want_d) <= bound[k] * abs(want_d), wk
+                for value, deriv in paths:
+                    assert abs(mpmath.mpc(complex(value[k])) - want) <= bound[k] * abs(want), wk
+                    assert (abs(mpmath.mpc(complex(deriv[k])) - want_d)
+                            <= bound[k] * abs(want_d)), wk
 
 
 class TestFactorForm:

@@ -171,6 +171,27 @@ def test_one_inversion_rule():
     assert callers == {"invert", "invert_many"}, f"_accepted is called by {sorted(callers)}"
 
 
+def test_one_power_kernel():
+    """Both directions of the sector map take ``catalog._power``, and nothing else does.
+
+    ``psi_dpsi`` raises (1 - w)/(1 + w) to beta and ``phi`` raises z to
+    1/beta through it, so ``sector_map`` names no ``np.log`` or ``np.exp``
+    of its own, and no module outside catalog names the kernel.
+    """
+    sector = next(node for node in TREES["catalog.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "sector_map")
+    callers = {fn.name for fn in sector.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_power"}
+    assert callers == {"psi_dpsi", "phi"}, f"_power is called by {sorted(callers)}"
+    named = {node.attr for node in ast.walk(sector) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "np"
+             and node.attr in {"log", "exp"}}
+    assert not named, f"sector_map names np.{sorted(named)}"
+    users = {name for name, tree in TREES.items() if "_power" in set(read_names(tree))}
+    assert users == {"catalog.py"}, f"_power is named in {sorted(users)}"
+
+
 def test_public_names_have_a_reader():
     """Each ``__all__`` name is read in the package outside its own definition, or by a script."""
     read = {name for p in SCRIPTS for name in read_names(ast.parse(p.read_text()))}
