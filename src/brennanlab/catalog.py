@@ -38,15 +38,18 @@ share are computed once: ``psi`` itself and ``1 - w``, ``1 + w`` for a
 sector (``psi' = -2 beta psi/((1 - w)(1 + w))``), ``1 - w`` for Koebe, and
 the denominator ``1 - conj(a) w`` of ``m`` and ``m'`` for a twist, whose
 constants ``conj(a)`` and ``e^{i theta} (1 - |a|^2)`` are made with it.
-``psi`` and ``dpsi`` are its first and second output.  A family turns a
-scalar ``w`` into a numpy scalar, not a 0-d array, so the scalar inversion
-pays for no array call it does not need.  The sector's psi and phi share
-one power kernel, :func:`_power`: ``cmath`` on a scalar, and on an array
-real ``abs``, ``log``, ``arctan2``, ``exp``, ``cos`` and ``sin`` in place
-of numpy's far costlier complex ``log`` and ``exp``.  So a scalar and an
-array may round one point differently: what :meth:`ConformalPair.invert`
-and :meth:`ConformalPair.invert_many` share is the acceptance of each
-point, not its bits.  A call's temporaries add to the inversion's peak
+``psi`` and ``dpsi`` are its first and second output.  The one formula
+has two arithmetics: a Python complex ``w`` stays one and takes Python's
+complex arithmetic and ``cmath``, about a third of the cost of numpy's
+scalar arithmetic, and an array takes numpy's (:func:`_point`; a numpy
+scalar, or a real or 0-d input, keeps numpy's scalar arithmetic).  The
+sector's psi and phi share one power kernel, :func:`_power`, and Koebe's
+and the cardioid's phi one square-root kernel, :func:`_sqrt`: ``cmath``
+on a scalar, and on an array real arithmetic in place of numpy's costlier
+complex ``log``, ``exp`` and ``sqrt``.  So a scalar and an array may round
+one point differently: what :meth:`ConformalPair.invert` and
+:meth:`ConformalPair.invert_many` share is the acceptance of each point,
+not its bits.  A call's temporaries add to the inversion's peak
 memory, so a family frees them early: Koebe and the sector divide
 ``psi'`` in place, and the sector and the twist rebind a factor to its
 product.  No complex product is formed in place, because numpy (2.4)
@@ -93,6 +96,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -238,8 +242,11 @@ class ConformalPair:
         # abs_dpsi_power's factor list, fixed here so that a call only does array
         # work: (rho, alpha, f/2) of c = rho e^{i alpha}, where a singular point
         # has c = conj(zeta), on the circle at the angle the rule is graded to;
-        # every factor is 1 at w = 0, so log|C| = log|psi'(0)|
-        object.__setattr__(self, "log_scale", math.log(abs(complex(self.psi_dpsi(0j)[1]))))
+        # every factor is 1 at w = 0, so log|C| = log|psi'(0)|, here in numpy's scalar
+        # arithmetic, with which every factor form, and so every integral, was pinned:
+        # Python's moves it by an ulp for about one twisted map in six
+        object.__setattr__(self, "log_scale",
+                           math.log(abs(complex(self.psi_dpsi(np.complex128(0.0))[1]))))
         factors = [(1.0, -sp.angle, sp.exponent) for sp in self.singular_points]
         factors += [(abs(c), cmath.phase(c), f) for c, f in self.poles]
         rho, alpha, f = np.array(factors, dtype=float).reshape(-1, 3).T
@@ -321,24 +328,33 @@ class ConformalPair:
 
         return ring
 
-    # Not a call of invert_many, which takes 20-30 us on one point against 2-5 us here
+    # Not a call of invert_many, which takes 20-40 us on one point against 2-3.5 us here
     def invert(self, z: complex) -> tuple[complex, complex]:
-        """Solve psi(w) = z for w in the open disc; returns (w, psi'(w)).
+        """Solve psi(w) = z for w in the open disc; returns (w, psi'(w)) as Python complexes.
 
         ``w = phi(z)``, accepted by :func:`_accepted`: in the disc, and
         either its residual ``|psi(w) - z|`` or the Newton step that
         residual implies meets its target.  ``psi'(w)`` comes from the
         ``psi_dpsi`` call that checked w, so it equals ``dpsi(w)`` bit for
         bit.  Raises MapDomainError for z outside Omega and
-        NewtonConvergenceError when w is not accepted.
+        NewtonConvergenceError when w is not accepted, and nothing else.
         """
-        if not self.domain_contains(z):
+        z = complex(z)
+        inside = False
+        try:
+            inside = self.domain_contains(z)
+            if inside:
+                w = self.phi(z)
+                value, deriv = self.psi_dpsi(w)
+                if _accepted(w, z, value - z, deriv):
+                    return w, deriv
+        except ArithmeticError:
+            # Python's complex arithmetic raises where numpy's returns inf or nan
+            # (a zero divisor, an overflowing power or abs): a z that far out is
+            # outside Omega, or its w is not accepted
+            pass
+        if not inside:
             raise MapDomainError(f"point {z!r} is outside the image domain")
-        w = complex(self.phi(z))
-        value, deriv = self.psi_dpsi(w)
-        deriv = complex(deriv)
-        if _accepted(w, z, complex(value) - z, deriv):
-            return w, deriv
         raise NewtonConvergenceError(
             f"inversion of {self.descriptor.label()} at z={z!r} missed the residual target "
             f"and the step target; the point may be too close to the boundary")
@@ -349,12 +365,14 @@ class ConformalPair:
         Each point is decided by :func:`_accepted` alone, as in
         :meth:`invert`, so a point's results do not depend on the rest of
         the call.  The mask is False where z is not in Omega or where w is
-        not accepted.
+        not accepted.  One point, a 0-d z, takes the array path too.
         """
         z = np.asarray(z, dtype=complex)
-        # phi and psi may divide by zero or take log(0) at a z outside Omega,
-        # such as a sector's vertex; the mask reports every such z
-        with np.errstate(divide="ignore", invalid="ignore"):
+        if not z.ndim:
+            return tuple(out.reshape(()) for out in self.invert_many(z.reshape(1)))
+        # phi and psi may divide by zero, overflow or take log(0) at a z outside
+        # Omega, such as a sector's vertex; the mask reports every such z
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w = self.phi(z)
             diff, dw = self.psi_dpsi(w)
             diff -= z
@@ -386,23 +404,26 @@ class ConformalPair:
             raise MapDomainError(f"automorphism parameter must satisfy |a| < 1, got {a!r}")
         rot = cmath.exp(1j * theta)
         base_psi_dpsi, base_phi = self.psi_dpsi, self.phi
-        # m's constants, made once: conj(a) stays a numpy scalar, so that a
-        # scalar point's products and quotients round as they would in an array
-        conj_a, scale = np.conj(a), rot * (1.0 - abs(a) ** 2)
+        # m's constants, made once, as Python complexes: a Python complex w then
+        # takes Python's arithmetic throughout, and numpy takes them as its own
+        conj_a, scale = a.conjugate(), rot * (1.0 - abs(a) ** 2)
 
-        def m_inv(v: complex) -> complex:
+        def m_inv(v, conj_a=conj_a):
             u = v / rot
             return (u + a) / (1.0 + conj_a * u)
 
         def psi_dpsi(w):
             # psi(m(w)) and psi'(m(w)) m'(w), where m and m' share the denominator
+            w = _point(w)
             den = 1.0 - conj_a * w
             value, deriv = base_psi_dpsi(rot * (w - a) / den)
             den = den ** 2
             return value, deriv * (scale / den)
 
+        # the singular points move in numpy's scalar arithmetic, with which every
+        # factor form, and so every integral, was pinned: Python's moves some by an ulp
         moved = tuple(
-            SingularPoint(_to_circle(m_inv(sp.location)), sp.exponent)
+            SingularPoint(_to_circle(m_inv(sp.location, np.conj(a))), sp.exponent)
             for sp in self.singular_points
         )
         moved_poles = (((a.conjugate() + c * rot) / (1.0 + c * (rot * a)), f)
@@ -448,6 +469,17 @@ def _accepted(w, z, diff, deriv):
                            | (resid <= STEP_TOL * (1.0 + size) * abs(deriv)))
 
 
+def _point(w):
+    """A Python complex as itself, and anything else as numpy's complex: an array, or a scalar.
+
+    A Python complex takes Python's complex arithmetic and ``cmath``, which
+    cost about a third of numpy's scalar arithmetic; an array takes numpy's.
+    A numpy scalar, and a real or 0-d input made one, keeps numpy's scalar
+    arithmetic, with which :class:`ConformalPair` forms ``log|psi'(0)|``.
+    """
+    return w if type(w) is complex else np.asarray(w, dtype=complex)[()]
+
+
 def _power(q, b: float):
     """The principal power ``q**b = exp(b log q)`` for a real ``b > 0``; 0 at q = 0.
 
@@ -484,6 +516,64 @@ def _power(q, b: float):
     return out
 
 
+#: glibc's csqrt scales both parts first where hypot(x, y) may pass 4 times the smallest
+#: normal float or a quarter of the largest; between these bounds it takes one formula
+_SQRT_LO, _SQRT_HI = 4.0 * sys.float_info.min, 0.25 * sys.float_info.max
+#: an array this long or longer takes the real formula: its 25 or so numpy calls
+#: cost about 14 us, against 21 ns a point of numpy's complex sqrt and 15 of its own
+_SQRT_MIN_SIZE = 3072
+
+
+def _sqrt(q):
+    """The principal square root; the one kernel of Koebe's and the cardioid's phi.
+
+    A complex scalar, a numpy one included, takes ``cmath`` and returns a
+    Python complex.  Anything else is an array, and takes glibc's ``csqrt``
+    formula in real arithmetic, to the bit of numpy's complex ``sqrt``: with
+    ``d = hypot(x, y)``, the root is ``r + i s`` with ``r = sqrt((d + x)/2)``
+    and ``s = (y/r)/2`` for x > 0, and ``s = sqrt((d - x)/2)`` and
+    ``r = |(y/s)/2|`` otherwise (with the sign of y), so that ``2 r s = y``
+    carries the part that ``d - |x|`` would cancel.  Where glibc scales
+    first or takes a special case (q = 0, x = 0, non-finite parts, d
+    outside ``[_SQRT_LO, _SQRT_HI]``) a point takes numpy's ``sqrt``
+    itself, as does an array shorter than ``_SQRT_MIN_SIZE``; both paths
+    give the same bits, so a point's root does not depend on the rest of
+    the array.  On 4,096 points the formula costs about 74 us, numpy's
+    complex ``sqrt`` about 85, and ``hypot`` is half of the formula (``abs``
+    of a complex array is faster, but not glibc's ``hypot`` to the bit); its
+    temporaries peak at about 200 KB, against the 64 KB of the root itself.
+    """
+    if isinstance(q, complex):
+        return cmath.sqrt(q)
+    q = np.asarray(q)
+    if q.size < _SQRT_MIN_SIZE:
+        return np.sqrt(q)
+    # the parts made contiguous, on which hypot is faster, and then reused for
+    # |x|, y/t and each part of the root; the points numpy's sqrt takes may
+    # overflow or divide by zero here, silently
+    x, y = q.real.copy(), q.imag.copy()
+    with np.errstate(all="ignore"):
+        t = np.hypot(x, y)
+        exact = t >= _SQRT_LO
+        exact &= t <= _SQRT_HI
+        exact &= x != 0.0
+        right = x > 0.0
+        # t = sqrt((d + |x|)/2): r where x > 0, and s where x <= 0
+        t += np.abs(x, out=x)
+        t *= 0.5
+        np.sqrt(t, out=t)
+        # y = (y/t)/2, which has the sign of y
+        np.divide(y, t, out=y)
+        y *= 0.5
+        out = np.empty(q.shape, dtype=complex)
+        out.real = np.where(right, t, np.abs(y, out=x))
+        out.imag = np.where(right, y, np.copysign(t, y, out=x))
+    if not exact.all():
+        rest = ~exact
+        out[rest] = np.sqrt(q[rest])
+    return out
+
+
 def _to_circle(v: complex) -> complex:
     return complex(v) / abs(complex(v))
 
@@ -497,8 +587,8 @@ def _pair(descriptor: MapDescriptor, psi_dpsi: Callable, phi: Callable, domain_c
 
 def identity_map() -> ConformalPair:
     def psi_dpsi(w):
-        w = np.asarray(w, dtype=complex)[()]
-        return w + 0j, np.ones_like(w)
+        w = _point(w)
+        return w + 0j, (1.0 + 0j if type(w) is complex else np.ones_like(w))
 
     return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: psi_dpsi(z)[0],
                  lambda z: abs(z) < 1.0, ())
@@ -520,14 +610,15 @@ def koebe_map() -> ConformalPair:
     """
 
     def psi_dpsi(w):
-        w = np.asarray(w, dtype=complex)[()]
+        w = _point(w)
         one_minus = 1.0 - w
         deriv = 1.0 + w
         deriv /= one_minus ** 3
         return w / one_minus ** 2, deriv
 
     def phi(z):
-        return 2.0 * z / (1.0 + 2.0 * z + np.sqrt(1.0 + 4.0 * z))
+        z = _point(z)
+        return 2.0 * z / (1.0 + 2.0 * z + _sqrt(1.0 + 4.0 * z))
 
     def contains(z):
         # "not (on the real axis and at or left of the tip)", in operators that
@@ -553,7 +644,7 @@ def sector_map(beta: float) -> ConformalPair:
     inverse = 1.0 / beta
 
     def psi_dpsi(w):
-        w = np.asarray(w, dtype=complex)[()]
+        w = _point(w)
         one_minus, one_plus = 1.0 - w, 1.0 + w
         value = _power(one_minus / one_plus, beta)
         one_minus = one_minus * one_plus
@@ -562,7 +653,7 @@ def sector_map(beta: float) -> ConformalPair:
         return value, deriv
 
     def phi(z):
-        t = _power(z, inverse)
+        t = _power(_point(z), inverse)
         return (1.0 - t) / (1.0 + t)
 
     def contains(z):
@@ -577,14 +668,15 @@ def cardioid_map() -> ConformalPair:
     """psi(w) = w - w^2/2; the derivative vanishes to first order at w = 1."""
 
     def psi_dpsi(w):
-        w = np.asarray(w, dtype=complex)[()]
-        # the ufunc's product, which arrays use for w ** 2 too; a numpy scalar's
-        # own w ** 2 (and np.square of one) rounds differently at about 30% of points
-        return w - 0.5 * np.multiply(w, w), 1.0 - w
+        w = _point(w)
+        # w * w: an array's w ** 2 is this product, and a Python complex's power
+        # costs more and raises OverflowError where the product is inf
+        return w - 0.5 * (w * w), 1.0 - w
 
     def phi(z):
         # 1 - sqrt(1 - 2z), without its cancellation near z = 0
-        return 2.0 * z / (1.0 + np.sqrt(1.0 - 2.0 * z))
+        z = _point(z)
+        return 2.0 * z / (1.0 + _sqrt(1.0 - 2.0 * z))
 
     def contains(z):
         # |phi(z)| < 1 in real arithmetic: with v = 1 - 2z = (1 - w)^2 and
@@ -592,7 +684,8 @@ def cardioid_map() -> ConformalPair:
         # |v|^2 < 2(|v| + Re v); a complex sqrt costs a third of invert_many
         v = 1.0 - 2.0 * z
         size = v.real * v.real + v.imag * v.imag
-        return size < 2.0 * (np.sqrt(size) + v.real)
+        root = math.sqrt(size) if isinstance(size, float) else np.sqrt(size)
+        return size < 2.0 * (root + v.real)
 
     return _pair(MapDescriptor("cardioid"), psi_dpsi, phi, contains,
                  (SingularPoint(1.0 + 0j, 1.0),))

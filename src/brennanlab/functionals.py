@@ -163,13 +163,19 @@ def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:
     """Pointwise p-distortion ``|phi'(z)|^(p-2)`` of the disc-ward map.
 
     Evaluated through ``ConformalPair.invert`` as ``|psi'(phi(z))|^(2-p)``,
-    with the ``psi'`` the inversion computed at ``phi(z)``; identically 1 at
-    p = 2.
+    with the ``psi'`` the inversion computed at ``phi(z)``, in Python's
+    arithmetic; identically 1 at p = 2, and inf where the power overflows.
     """
     if not p >= 1.0:
         raise ExponentDomainError(f"p-distortion requires p >= 1, got p={p}")
     _, dw = pair.invert(z)
-    return float(np.abs(dw) ** (2.0 - p))
+    try:
+        return abs(dw) ** (2.0 - p)
+    except ArithmeticError:
+        # Python raises past the largest float, and at 0 to a negative power, where
+        # numpy's result stands: inf, or 0 from an overflowing |psi'|
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(np.abs(dw) ** (2.0 - p))
 
 
 def threshold_oracle(target: ConformalPair | MapDescriptor | str

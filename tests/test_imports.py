@@ -192,6 +192,26 @@ def test_one_power_kernel():
     assert users == {"catalog.py"}, f"_power is named in {sorted(users)}"
 
 
+def test_one_sqrt_kernel():
+    """Koebe's and the cardioid's phi take ``catalog._sqrt``, and nothing outside catalog names it.
+
+    Neither phi names ``np.sqrt`` of its own: the kernel is ``cmath`` on a
+    scalar and glibc's formula in real arithmetic on an array.
+    """
+    for family in ("koebe_map", "cardioid_map"):
+        builder = next(node for node in TREES["catalog.py"].body
+                       if isinstance(node, ast.FunctionDef) and node.name == family)
+        phi = next(fn for fn in builder.body if isinstance(fn, ast.FunctionDef) and fn.name == "phi")
+        calls = {node.func.id for node in ast.walk(phi) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)}
+        assert "_sqrt" in calls, f"{family}'s phi calls {sorted(calls)}"
+        named = {node.attr for node in ast.walk(phi) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "np"}
+        assert "sqrt" not in named, f"{family}'s phi names np.sqrt"
+    users = {name for name, tree in TREES.items() if "_sqrt" in set(read_names(tree))}
+    assert users == {"catalog.py"}, f"_sqrt is named in {sorted(users)}"
+
+
 def test_public_names_have_a_reader():
     """Each ``__all__`` name is read in the package outside its own definition, or by a script."""
     read = {name for p in SCRIPTS for name in read_names(ast.parse(p.read_text()))}
