@@ -42,11 +42,13 @@ constants ``conj(a)`` and ``e^{i theta} (1 - |a|^2)`` are made with it.
 has two arithmetics: a Python complex ``w`` stays one and takes Python's
 complex arithmetic and ``cmath``, about a third of the cost of numpy's
 scalar arithmetic, and an array takes numpy's (:func:`_point`; a numpy
-scalar, or a real or 0-d input, keeps numpy's scalar arithmetic).  The
-sector's psi and phi share one power kernel, :func:`_power`, and Koebe's
-and the cardioid's phi one square-root kernel, :func:`_sqrt`: ``cmath``
-on a scalar, and on an array real arithmetic in place of numpy's costlier
-complex ``log``, ``exp`` and ``sqrt``.  So a scalar and an array may round
+scalar, or a real or 0-d input, keeps numpy's scalar arithmetic outside
+the two kernels).  The sector's psi and phi share one power kernel,
+:func:`_power`, and Koebe's and the cardioid's phi one square-root
+kernel, :func:`_sqrt`.  Both take ``cmath`` on any complex scalar, a
+numpy one included, and return a Python complex; on an array the power
+takes real arithmetic in place of numpy's costlier complex ``log`` and
+``exp``, and the root numpy's ``sqrt``.  So a scalar and an array may round
 one point differently: what :meth:`ConformalPair.invert` and
 :meth:`ConformalPair.invert_many` share is the acceptance of each point,
 not its bits.  A call's temporaries add to the inversion's peak
@@ -96,7 +98,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -220,6 +221,13 @@ class ConformalPair:
     because the benchmark's tracer rebuilds a pair with ``psi=`` and
     ``dpsi=`` keywords to time them.  Immutable; safe to share between
     threads.
+
+    On a Python complex, ``psi``, ``dpsi``, ``psi_dpsi``, ``phi`` and
+    ``domain_contains`` take Python's complex arithmetic, which raises
+    ``ZeroDivisionError`` or ``OverflowError`` (both ``ArithmeticError``)
+    at a pole or past the largest float, where an array gets inf or nan
+    and a numpy warning: ``koebe_map().psi(1 + 0j)`` raises.  Only
+    :meth:`invert` turns these into its own two errors.
 
     The derivative also has the factor form of the module docstring:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
@@ -348,10 +356,12 @@ class ConformalPair:
                 value, deriv = self.psi_dpsi(w)
                 if _accepted(w, z, value - z, deriv):
                     return w, deriv
-        except ArithmeticError:
-            # Python's complex arithmetic raises where numpy's returns inf or nan
-            # (a zero divisor, an overflowing power or abs): a z that far out is
-            # outside Omega, or its w is not accepted
+        except (ZeroDivisionError, OverflowError):
+            # Python's complex arithmetic raises these two where numpy's returns inf
+            # or nan (a zero divisor, an overflowing power or abs): a z that far out
+            # is outside Omega, or its w is not accepted.  The maps' formulas raise
+            # nothing else on any complex, inf and nan included (_power keeps 0 from
+            # cmath.log), so any other error is a fault and propagates
             pass
         if not inside:
             raise MapDomainError(f"point {z!r} is outside the image domain")
@@ -475,7 +485,9 @@ def _point(w):
     A Python complex takes Python's complex arithmetic and ``cmath``, which
     cost about a third of numpy's scalar arithmetic; an array takes numpy's.
     A numpy scalar, and a real or 0-d input made one, keeps numpy's scalar
-    arithmetic, with which :class:`ConformalPair` forms ``log|psi'(0)|``.
+    arithmetic, with which :class:`ConformalPair` forms ``log|psi'(0)|``,
+    except inside :func:`_power` and :func:`_sqrt`, which take ``cmath`` on
+    any complex scalar and return a Python complex.
     """
     return w if type(w) is complex else np.asarray(w, dtype=complex)[()]
 
@@ -516,62 +528,15 @@ def _power(q, b: float):
     return out
 
 
-#: glibc's csqrt scales both parts first where hypot(x, y) may pass 4 times the smallest
-#: normal float or a quarter of the largest; between these bounds it takes one formula
-_SQRT_LO, _SQRT_HI = 4.0 * sys.float_info.min, 0.25 * sys.float_info.max
-#: an array this long or longer takes the real formula: its 25 or so numpy calls
-#: cost about 14 us, against 21 ns a point of numpy's complex sqrt and 15 of its own
-_SQRT_MIN_SIZE = 3072
-
-
 def _sqrt(q):
     """The principal square root; the one kernel of Koebe's and the cardioid's phi.
 
     A complex scalar, a numpy one included, takes ``cmath`` and returns a
-    Python complex.  Anything else is an array, and takes glibc's ``csqrt``
-    formula in real arithmetic, to the bit of numpy's complex ``sqrt``: with
-    ``d = hypot(x, y)``, the root is ``r + i s`` with ``r = sqrt((d + x)/2)``
-    and ``s = (y/r)/2`` for x > 0, and ``s = sqrt((d - x)/2)`` and
-    ``r = |(y/s)/2|`` otherwise (with the sign of y), so that ``2 r s = y``
-    carries the part that ``d - |x|`` would cancel.  Where glibc scales
-    first or takes a special case (q = 0, x = 0, non-finite parts, d
-    outside ``[_SQRT_LO, _SQRT_HI]``) a point takes numpy's ``sqrt``
-    itself, as does an array shorter than ``_SQRT_MIN_SIZE``; both paths
-    give the same bits, so a point's root does not depend on the rest of
-    the array.  On 4,096 points the formula costs about 74 us, numpy's
-    complex ``sqrt`` about 85, and ``hypot`` is half of the formula (``abs``
-    of a complex array is faster, but not glibc's ``hypot`` to the bit); its
-    temporaries peak at about 200 KB, against the 64 KB of the root itself.
+    Python complex; anything else is an array, and takes numpy's ``sqrt``.
     """
     if isinstance(q, complex):
         return cmath.sqrt(q)
-    q = np.asarray(q)
-    if q.size < _SQRT_MIN_SIZE:
-        return np.sqrt(q)
-    # the parts made contiguous, on which hypot is faster, and then reused for
-    # |x|, y/t and each part of the root; the points numpy's sqrt takes may
-    # overflow or divide by zero here, silently
-    x, y = q.real.copy(), q.imag.copy()
-    with np.errstate(all="ignore"):
-        t = np.hypot(x, y)
-        exact = t >= _SQRT_LO
-        exact &= t <= _SQRT_HI
-        exact &= x != 0.0
-        right = x > 0.0
-        # t = sqrt((d + |x|)/2): r where x > 0, and s where x <= 0
-        t += np.abs(x, out=x)
-        t *= 0.5
-        np.sqrt(t, out=t)
-        # y = (y/t)/2, which has the sign of y
-        np.divide(y, t, out=y)
-        y *= 0.5
-        out = np.empty(q.shape, dtype=complex)
-        out.real = np.where(right, t, np.abs(y, out=x))
-        out.imag = np.where(right, y, np.copysign(t, y, out=x))
-    if not exact.all():
-        rest = ~exact
-        out[rest] = np.sqrt(q[rest])
-    return out
+    return np.sqrt(q)
 
 
 def _to_circle(v: complex) -> complex:

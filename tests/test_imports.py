@@ -196,7 +196,7 @@ def test_one_sqrt_kernel():
     """Koebe's and the cardioid's phi take ``catalog._sqrt``, and nothing outside catalog names it.
 
     Neither phi names ``np.sqrt`` of its own: the kernel is ``cmath`` on a
-    scalar and glibc's formula in real arithmetic on an array.
+    scalar and numpy's ``sqrt`` on an array.
     """
     for family in ("koebe_map", "cardioid_map"):
         builder = next(node for node in TREES["catalog.py"].body
