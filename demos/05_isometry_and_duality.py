@@ -3,8 +3,9 @@
 At p = q = 2 composition with a conformal map preserves the Dirichlet
 energy because |phi'|^2 is exactly the Jacobian.  The check below is
 two-sided: the domain-side energy is integrated over the forward image of
-a disc patch (every node mapped back by the closed-form inverse, with a
-Newton step where its residual misses the target), never by pulling back.
+a disc patch (every node mapped back by the closed-form inverse, whose
+point is accepted when its residual in z or the Newton step that residual
+implies in w meets its target; no step is taken), never by pulling back.
 
 The duality demo evaluates the same integral through the exponents (p, q)
 and through their Holder conjugates (q', p'); the change-of-variables

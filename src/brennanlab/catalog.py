@@ -38,12 +38,16 @@ share are computed once: ``psi`` itself and ``1 - w``, ``1 + w`` for a
 sector (``psi' = -2 beta psi/((1 - w)(1 + w))``), ``1 - w`` for Koebe, and
 the denominator ``1 - conj(a) w`` of ``m`` and ``m'`` for a twist, whose
 constants ``conj(a)`` and ``e^{i theta} (1 - |a|^2)`` are made with it.
-``psi`` and ``dpsi`` are its first and second output.  The one formula
-has two arithmetics: a Python complex ``w`` stays one and takes Python's
-complex arithmetic and ``cmath``, about a third of the cost of numpy's
-scalar arithmetic, and an array takes numpy's (:func:`_point`; a numpy
-scalar, or a real or 0-d input, keeps numpy's scalar arithmetic outside
-the two kernels).  The sector's psi and phi share one power kernel,
+``psi`` and ``dpsi`` are its first and second output.  A formula takes
+its input as given, with no converter, and so in one of three
+arithmetics: a Python complex takes Python's complex arithmetic and
+``cmath``, about a third of the cost of numpy's scalar arithmetic; a
+numpy complex scalar takes numpy's scalar arithmetic, outside the two
+kernels below, and only :class:`ConformalPair`'s ``log_scale`` and a
+twist's transport of the singular points pass one; a complex array takes
+numpy's array arithmetic.  :meth:`ConformalPair.invert` passes a Python
+complex, and :meth:`ConformalPair.invert_many` and the charts complex
+arrays.  The sector's psi and phi share one power kernel,
 :func:`_power`, and Koebe's and the cardioid's phi one square-root
 kernel, :func:`_sqrt`.  Both take ``cmath`` on any complex scalar, a
 numpy one included, and return a Python complex; on an array the power
@@ -111,7 +115,6 @@ __all__ = [
     "NewtonConvergenceError",
     "SingularPoint",
     "cardioid_map",
-    "catalog_families",
     "identity_map",
     "koebe_map",
     "make_pair",
@@ -163,46 +166,43 @@ class SingularPoint:
 class MapDescriptor:
     """Addressable identity of a catalog map, including an optional twist.
 
+    ``params`` holds the family's numbers in descriptor order, under the
+    names its ``_FAMILIES`` row gives: ``(beta,)`` for a sector,
+    ``(a_re, a_im, theta)`` for a Moebius map and none for the rest.
     ``twist_a``/``twist_theta`` record precomposition with the disc
     automorphism ``m(w) = e^{i twist_theta} (w - twist_a)/(1 - conj(twist_a) w)``.
-    A descriptor checks itself when made: a sector needs an opening
-    ``beta`` in (0, 2] and a Moebius map needs ``|a| < 1``, or DescriptorError
-    is raised.
+    A descriptor checks itself when made, against its family's row: an
+    unknown family, a count of numbers other than the row's, a sector
+    opening outside (0, 2] and a Moebius ``|a| >= 1`` raise DescriptorError.
     """
 
     family: str
-    beta: float | None = None
-    a: complex = 0j
-    theta: float = 0.0
+    params: tuple[float, ...] = ()
     twist_a: complex | None = None
     twist_theta: float = 0.0
 
     def __post_init__(self):
-        if self.family == "sector":
-            if self.beta is None:
-                raise DescriptorError("sector descriptor is missing its opening parameter")
-            if not 0.0 < self.beta <= 2.0:
-                raise DescriptorError(
-                    f"sector opening parameter must lie in (0, 2], got {self.beta}")
-        if self.family == "moebius" and abs(self.a) >= 1.0:
-            raise DescriptorError(f"moebius parameter must satisfy |a| < 1, got {self.a!r}")
+        if self.family not in _FAMILIES:
+            raise DescriptorError(
+                f"unknown map family {self.family!r}; known: {', '.join(_FAMILIES)}")
+        names, check, _ = _FAMILIES[self.family]
+        if len(self.params) != len(names):
+            raise DescriptorError(f"{_form(self.family, names)} takes {len(names)} number(s), "
+                                  f"got {len(self.params)}")
+        if check:
+            check(*self.params)
 
     def label(self) -> str:
-        if self.family == "sector":
-            head = f"sector:{_fmt_num(self.beta)}"
-        elif self.family == "moebius":
-            head = (f"moebius:{_fmt_num(self.a.real)},{_fmt_num(self.a.imag)},"
-                    f"{_fmt_num(self.theta)}")
-        else:
-            head = self.family
+        head = _form(self.family, [f"{x:g}" for x in self.params])
         if self.twist_a is None:
             return head
-        return (f"{head}*moebius:{_fmt_num(self.twist_a.real)},"
-                f"{_fmt_num(self.twist_a.imag)},{_fmt_num(self.twist_theta)}")
+        twist = (self.twist_a.real, self.twist_a.imag, self.twist_theta)
+        return f"{head}*{_form('moebius', [f'{x:g}' for x in twist])}"
 
 
-def _fmt_num(x: float) -> str:
-    return f"{x:g}"
+def _form(family: str, fields) -> str:
+    """A descriptor's text, ``family:f1,f2,...``, or the bare family with no fields."""
+    return f"{family}:{','.join(fields)}" if fields else family
 
 
 @dataclass(frozen=True)
@@ -222,12 +222,13 @@ class ConformalPair:
     ``dpsi=`` keywords to time them.  Immutable; safe to share between
     threads.
 
-    On a Python complex, ``psi``, ``dpsi``, ``psi_dpsi``, ``phi`` and
-    ``domain_contains`` take Python's complex arithmetic, which raises
-    ``ZeroDivisionError`` or ``OverflowError`` (both ``ArithmeticError``)
-    at a pole or past the largest float, where an array gets inf or nan
-    and a numpy warning: ``koebe_map().psi(1 + 0j)`` raises.  Only
-    :meth:`invert` turns these into its own two errors.
+    On a Python complex, ``psi``, ``dpsi``, ``psi_dpsi`` and ``phi`` take
+    Python's complex arithmetic, which raises ``ZeroDivisionError`` or
+    ``OverflowError`` (both ``ArithmeticError``) at a pole or past the
+    largest float, where an array gets inf or nan and a numpy warning:
+    ``koebe_map().psi(1 + 0j)`` raises.  Only :meth:`invert` turns these
+    into its own two errors.  ``domain_contains`` raises neither: past the
+    largest float it is False, as on an array.
 
     The derivative also has the factor form of the module docstring:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
@@ -424,7 +425,6 @@ class ConformalPair:
 
         def psi_dpsi(w):
             # psi(m(w)) and psi'(m(w)) m'(w), where m and m' share the denominator
-            w = _point(w)
             den = 1.0 - conj_a * w
             value, deriv = base_psi_dpsi(rot * (w - a) / den)
             den = den ** 2
@@ -477,19 +477,6 @@ def _accepted(w, z, diff, deriv):
     size, resid = abs(w), abs(diff)
     return (size < 1.0) & ((resid <= NEWTON_TOL * (1.0 + abs(z)))
                            | (resid <= STEP_TOL * (1.0 + size) * abs(deriv)))
-
-
-def _point(w):
-    """A Python complex as itself, and anything else as numpy's complex: an array, or a scalar.
-
-    A Python complex takes Python's complex arithmetic and ``cmath``, which
-    cost about a third of numpy's scalar arithmetic; an array takes numpy's.
-    A numpy scalar, and a real or 0-d input made one, keeps numpy's scalar
-    arithmetic, with which :class:`ConformalPair` forms ``log|psi'(0)|``,
-    except inside :func:`_power` and :func:`_sqrt`, which take ``cmath`` on
-    any complex scalar and return a Python complex.
-    """
-    return w if type(w) is complex else np.asarray(w, dtype=complex)[()]
 
 
 def _power(q, b: float):
@@ -552,18 +539,25 @@ def _pair(descriptor: MapDescriptor, psi_dpsi: Callable, phi: Callable, domain_c
 
 def identity_map() -> ConformalPair:
     def psi_dpsi(w):
-        w = _point(w)
         return w + 0j, (1.0 + 0j if type(w) is complex else np.ones_like(w))
 
-    return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: psi_dpsi(z)[0],
-                 lambda z: abs(z) < 1.0, ())
+    def contains(z):
+        # a Python complex's abs raises OverflowError past the largest float,
+        # where numpy's is inf; such a z lies outside the disc
+        try:
+            return abs(z) < 1.0
+        except OverflowError:
+            return False
+
+    return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: psi_dpsi(z)[0], contains, ())
 
 
 def moebius_map(a: complex, theta: float = 0.0) -> ConformalPair:
     """The disc automorphism e^{i theta} (w - a)/(1 - conj(a) w), Omega = D."""
     # the descriptor checks |a| < 1 before the twist does
-    descriptor = MapDescriptor("moebius", a=complex(a), theta=theta)
-    return replace(identity_map().compose_with_moebius(descriptor.a, theta), descriptor=descriptor)
+    a = complex(a)
+    descriptor = MapDescriptor("moebius", (a.real, a.imag, theta))
+    return replace(identity_map().compose_with_moebius(a, theta), descriptor=descriptor)
 
 
 def koebe_map() -> ConformalPair:
@@ -575,14 +569,12 @@ def koebe_map() -> ConformalPair:
     """
 
     def psi_dpsi(w):
-        w = _point(w)
         one_minus = 1.0 - w
         deriv = 1.0 + w
         deriv /= one_minus ** 3
         return w / one_minus ** 2, deriv
 
     def phi(z):
-        z = _point(z)
         return 2.0 * z / (1.0 + 2.0 * z + _sqrt(1.0 + 4.0 * z))
 
     def contains(z):
@@ -605,11 +597,10 @@ def sector_map(beta: float) -> ConformalPair:
     form exp(beta (log(1-w) - log(1+w))), because 1 - w and 1 + w both lie
     in the right half-plane.
     """
-    descriptor = MapDescriptor("sector", beta=beta)
+    descriptor = MapDescriptor("sector", (beta,))
     inverse = 1.0 / beta
 
     def psi_dpsi(w):
-        w = _point(w)
         one_minus, one_plus = 1.0 - w, 1.0 + w
         value = _power(one_minus / one_plus, beta)
         one_minus = one_minus * one_plus
@@ -618,7 +609,7 @@ def sector_map(beta: float) -> ConformalPair:
         return value, deriv
 
     def phi(z):
-        t = _power(_point(z), inverse)
+        t = _power(z, inverse)
         return (1.0 - t) / (1.0 + t)
 
     def contains(z):
@@ -633,14 +624,12 @@ def cardioid_map() -> ConformalPair:
     """psi(w) = w - w^2/2; the derivative vanishes to first order at w = 1."""
 
     def psi_dpsi(w):
-        w = _point(w)
         # w * w: an array's w ** 2 is this product, and a Python complex's power
         # costs more and raises OverflowError where the product is inf
         return w - 0.5 * (w * w), 1.0 - w
 
     def phi(z):
         # 1 - sqrt(1 - 2z), without its cancellation near z = 0
-        z = _point(z)
         return 2.0 * z / (1.0 + _sqrt(1.0 - 2.0 * z))
 
     def contains(z):
@@ -656,17 +645,27 @@ def cardioid_map() -> ConformalPair:
                  (SingularPoint(1.0 + 0j, 1.0),))
 
 
-_BUILDERS = {
-    "identity": lambda d: identity_map(),
-    "moebius": lambda d: moebius_map(d.a, d.theta),
-    "koebe": lambda d: koebe_map(),
-    "sector": lambda d: sector_map(d.beta),
-    "cardioid": lambda d: cardioid_map(),
+def _check_sector(beta: float) -> None:
+    if not 0.0 < beta <= 2.0:
+        raise DescriptorError(f"sector opening parameter must lie in (0, 2], got {beta}")
+
+
+def _check_moebius(a_re: float, a_im: float, theta: float) -> None:
+    a = complex(a_re, a_im)
+    if abs(a) >= 1.0:
+        raise DescriptorError(f"moebius parameter must satisfy |a| < 1, got {a!r}")
+
+
+#: every family's row: the names of its numbers in descriptor order, the check
+#: a descriptor runs on them (None for no check) and the builder that takes them
+_FAMILIES = {
+    "identity": ((), None, identity_map),
+    "moebius": (("a_re", "a_im", "theta"), _check_moebius,
+                lambda a_re, a_im, theta: moebius_map(complex(a_re, a_im), theta)),
+    "koebe": ((), None, koebe_map),
+    "sector": (("beta",), _check_sector, sector_map),
+    "cardioid": ((), None, cardioid_map),
 }
-
-
-def catalog_families() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
 
 
 def parse_descriptor(text: str) -> MapDescriptor:
@@ -677,30 +676,15 @@ def parse_descriptor(text: str) -> MapDescriptor:
         t = _parse_single(twist)
         if t.family != "moebius":
             raise DescriptorError(f"only a moebius suffix may be composed, got {twist!r}")
-        descriptor = replace(descriptor, twist_a=t.a, twist_theta=t.theta)
+        a_re, a_im, theta = t.params
+        descriptor = replace(descriptor, twist_a=complex(a_re, a_im), twist_theta=theta)
     return descriptor
 
 
 def _parse_single(text: str) -> MapDescriptor:
+    """``family`` or ``family:x1,x2,...``; every field, an empty one too, must be a finite number."""
     name, _, args = text.partition(":")
-    name = name.strip()
-    if name not in _BUILDERS:
-        raise DescriptorError(
-            f"unknown map family {name!r}; known: {', '.join(catalog_families())}"
-        )
-    if name == "sector":
-        if not args:
-            raise DescriptorError("sector needs an opening parameter, e.g. sector:1.5")
-        return MapDescriptor("sector", beta=_parse_float(args))
-    if name == "moebius":
-        parts = [p for p in args.split(",") if p.strip()]
-        if len(parts) != 3:
-            raise DescriptorError("moebius needs three numbers: a_re,a_im,theta")
-        a_re, a_im, theta = (_parse_float(p) for p in parts)
-        return MapDescriptor("moebius", a=complex(a_re, a_im), theta=theta)
-    if args:
-        raise DescriptorError(f"family {name!r} takes no parameters, got {args!r}")
-    return MapDescriptor(name)
+    return MapDescriptor(name.strip(), tuple(map(_parse_float, args.split(","))) if args else ())
 
 
 def _parse_float(text: str) -> float:
@@ -717,7 +701,8 @@ def make_pair(descriptor: MapDescriptor | str) -> ConformalPair:
     """Build the ConformalPair for a descriptor or descriptor string."""
     if isinstance(descriptor, str):
         descriptor = parse_descriptor(descriptor)
-    pair = _BUILDERS[descriptor.family](descriptor)
+    _, _, build = _FAMILIES[descriptor.family]
+    pair = build(*descriptor.params)
     if descriptor.twist_a is not None:
         pair = pair.compose_with_moebius(descriptor.twist_a, descriptor.twist_theta)
     return pair

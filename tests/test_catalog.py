@@ -85,16 +85,16 @@ class TestDescriptors:
     def test_sector_opening_checked_past_the_parser(self):
         with pytest.raises(DescriptorError, match="opening parameter must lie in"):
             sector_map(2.5)
-        with pytest.raises(DescriptorError, match="missing its opening parameter"):
+        with pytest.raises(DescriptorError, match=r"^sector:beta takes 1 number\(s\), got 0$"):
             make_pair(MapDescriptor("sector"))
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: MapDescriptor("sector", beta=0.0),
+        (lambda: MapDescriptor("sector", (0.0,)),
          "sector opening parameter must lie in (0, 2], got 0.0"),
-        (lambda: MapDescriptor("moebius", a=0.6 + 0.8j),
+        (lambda: MapDescriptor("moebius", (0.6, 0.8, 0.0)),
          "moebius parameter must satisfy |a| < 1, got (0.6+0.8j)"),
         (lambda: moebius_map(2.0 + 0j), "moebius parameter must satisfy |a| < 1, got (2+0j)"),
-        (lambda: replace(MapDescriptor("sector", beta=1.5), beta=3.0),
+        (lambda: replace(MapDescriptor("sector", (1.5,)), params=(3.0,)),
          "sector opening parameter must lie in (0, 2], got 3.0"),
     ], ids=["sector-descriptor", "moebius-descriptor", "moebius-map", "replaced"])
     def test_a_descriptor_checks_itself(self, make, message):
@@ -102,6 +102,16 @@ class TestDescriptors:
         with pytest.raises(DescriptorError) as info:
             make()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, field", [
+        ("moebius:0.3,,0.2,1", ""), ("koebe*moebius:,0.1,0,0.5", ""),
+        ("moebius:0.3,0.2,1,", ""), ("sector:1.5,", ""), ("sector: ,1.5", " "),
+    ])
+    def test_empty_fields_are_refused(self, text, field):
+        """An empty or blank field is not dropped, which would shift the others into its place."""
+        with pytest.raises(DescriptorError) as info:
+            parse_descriptor(text)
+        assert str(info.value) == f"expected a number, got {field!r}"
 
     @pytest.mark.parametrize("text", ["koebe*moebius:0,0,nan", "moebius:nan,0,0",
                                       "cardioid*moebius:0.1,0,inf"])
@@ -551,10 +561,16 @@ class TestScalarPath:
         Python's complex arithmetic raises ZeroDivisionError and
         OverflowError where numpy's returns inf or nan with a warning.  The
         two paths accept the same points here, and p_distortion is a float
-        wherever invert accepts.
+        wherever invert accepts.  ``domain_contains`` raises on neither path
+        and gives each point the same answer on both; the array call is
+        silenced as in invert_many, since numpy warns where a square overflows.
         """
         pair = make_pair(head + twist)
         _, ok, _ = pair.invert_many(np.array(self.HOSTILE))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inside = pair.domain_contains(np.array(self.HOSTILE))
+        for z, in_k in zip(self.HOSTILE, inside.tolist()):
+            assert pair.domain_contains(z) == in_k, z
         for z, ok_k in zip(self.HOSTILE, ok.tolist()):
             try:
                 w, _ = pair.invert(z)
@@ -657,46 +673,44 @@ def solo_reference(descriptor):
     A twist is the chain rule ``psi(m(w))`` and ``psi'(m(w)) * m'(w)``, with
     ``m`` and ``m'`` evaluated separately; a Moebius map is the identity so
     twisted.  A sector takes its power from ``catalog._power``, the one
-    kernel of both of its directions.  Each form has the catalog's three
-    arithmetics: a Python complex takes Python's, an array numpy's, and a
-    0-d array numpy's scalar arithmetic.
+    kernel of both of its directions.  Like the catalog's, each form takes
+    its input as given: a Python complex takes Python's arithmetic, an array
+    numpy's, and a 0-d array numpy's, whose first operation gives a numpy
+    scalar.
     """
     d = descriptor
     if d.family in ("identity", "moebius"):
         def psi(w):
-            return point(w) + 0j
+            return w + 0j
 
         def dpsi(w):
-            w = point(w)
             return 1.0 + 0j if type(w) is complex else np.ones_like(w)
     elif d.family == "koebe":
         def psi(w):
-            w = point(w)
             return w / (1.0 - w) ** 2
 
         def dpsi(w):
-            w = point(w)
             return (1.0 + w) / (1.0 - w) ** 3
     elif d.family == "sector":
-        beta = d.beta
+        (beta,) = d.params
 
         def psi(w):
-            w = point(w)
             return catalog._power((1.0 - w) / (1.0 + w), beta)
 
         def dpsi(w):
-            w = point(w)
             return (-2.0 * beta * catalog._power((1.0 - w) / (1.0 + w), beta)
                     / ((1.0 - w) * (1.0 + w)))
     else:
         def psi(w):
-            w = point(w)
             return w - 0.5 * w ** 2
 
         def dpsi(w):
-            return 1.0 - point(w)
+            return 1.0 - w
 
-    twists = [(d.a, d.theta)] if d.family == "moebius" else []
+    twists = []
+    if d.family == "moebius":
+        a_re, a_im, theta = d.params
+        twists.append((complex(a_re, a_im), theta))
     if d.twist_a is not None:
         twists.append((d.twist_a, d.twist_theta))
     for a, theta in twists:
@@ -704,20 +718,14 @@ def solo_reference(descriptor):
     return psi, dpsi
 
 
-def point(w):
-    """A Python complex as itself, anything else as numpy's complex: an array, or a 0-d one's scalar."""
-    return w if type(w) is complex else np.asarray(w, dtype=complex)[()]
-
-
 def _chain_rule(base_psi, base_dpsi, a, theta):
     rot = cmath.exp(1j * theta)
 
     def m(w):
-        w = point(w)
         return rot * (w - a) / (1.0 - a.conjugate() * w)
 
     def dm(w):
-        return rot * (1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * point(w)) ** 2
+        return rot * (1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * w) ** 2
 
     return (lambda w: base_psi(m(w))), (lambda w: base_dpsi(m(w)) * dm(w))
 
@@ -725,9 +733,10 @@ def _chain_rule(base_psi, base_dpsi, a, theta):
 class TestFusedForm:
     """psi_dpsi, psi and dpsi match the solo closed forms bit for bit, in each arithmetic.
 
-    The points are an array, Python complexes and 0-d arrays: a Python
-    complex takes Python's arithmetic, an array numpy's and a 0-d array
-    numpy's scalar arithmetic.
+    The points are an array, Python complexes and 0-d arrays, each passed as
+    it is to both sides: a Python complex takes Python's arithmetic, an
+    array numpy's, and a 0-d array numpy's, whose first operation gives a
+    numpy scalar.
     """
 
     NAMES = [head + twist
@@ -1001,9 +1010,10 @@ class TestFactorForm:
         base = make_pair(head)
         d = base.descriptor
         if d.family == "moebius":
-            expected = self._carried_log_scale(identity_map(), 0.0, d.a, d.theta)
+            a_re, a_im, theta = d.params
+            expected = self._carried_log_scale(identity_map(), 0.0, complex(a_re, a_im), theta)
         else:
-            expected = math.log(2.0 * d.beta) if d.family == "sector" else 0.0
+            expected = math.log(2.0 * d.params[0]) if d.family == "sector" else 0.0
         pair = make_pair(head + twist)
         if pair.descriptor.twist_a is not None:
             expected = self._carried_log_scale(base, expected, pair.descriptor.twist_a,

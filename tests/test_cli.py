@@ -538,6 +538,20 @@ class TestExactOutput:
     def test_regime_errors(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("sector", "sector:beta takes 1 number(s), got 0"),
+        ("moebius:0.3,0.2", "moebius:a_re,a_im,theta takes 3 number(s), got 2"),
+        ("koebe:1", "koebe takes 0 number(s), got 1"),
+        ("moebius:0.3,,0.2,1", "expected a number, got ''"),
+        ("koebe*sector:1.5", "only a moebius suffix may be composed, got 'sector:1.5'"),
+        ("torus", "unknown map family 'torus'; known: identity, moebius, koebe, sector, cardioid"),
+        ("sector:2.5", "sector opening parameter must lie in (0, 2], got 2.5"),
+        ("koebe*moebius:1.5,0,0", "moebius parameter must satisfy |a| < 1, got (1.5+0j)"),
+    ], ids=["sector-bare", "moebius-two", "koebe-one", "empty-field", "sector-suffix",
+            "unknown", "sector-range", "twist-outside"])
+    def test_descriptor_errors(self, capsys, spec, message):
+        assert run(capsys, "integrate", "--map", spec, "--s", "2") == (2, "", f"error: {message}\n")
+
 
 class TestScanBounds:
     @pytest.mark.parametrize("argv", [

@@ -212,6 +212,49 @@ def test_one_sqrt_kernel():
     assert users == {"catalog.py"}, f"_sqrt is named in {sorted(users)}"
 
 
+def test_one_family_table():
+    """``catalog._FAMILIES`` is the one place that knows a family, and no formula converts its input.
+
+    A family's numbers, check and builder are its row of the table, which
+    ``MapDescriptor``, the parser and ``make_pair`` read, so no function in
+    catalog compares a value with a string literal but ``parse_descriptor``,
+    whose suffix must be a moebius map.  Every family's ``psi_dpsi`` and
+    ``phi`` take their input as given: none calls a converter such as
+    ``np.asarray``, so a Python complex keeps Python's arithmetic and an
+    array numpy's.
+    """
+    tree = TREES["catalog.py"]
+
+    def literal(node):
+        return ((isinstance(node, ast.Constant) and isinstance(node.value, str))
+                or (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                    and any(literal(e) for e in node.elts)))
+
+    compared = {(fn.name, ast.unparse(node)) for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)
+                if (isinstance(node, ast.Compare)
+                    and any(literal(side) for side in [node.left, *node.comparators]))
+                or (isinstance(node, ast.MatchValue) and literal(node.value))}
+    assert compared == {("parse_descriptor", "t.family != 'moebius'")}, (
+        f"string comparisons in {sorted(compared)}")
+
+    builders = {"identity_map", "koebe_map", "sector_map", "cardioid_map",
+                "compose_with_moebius"}
+    formulas = [(builder.name, fn) for builder in ast.walk(tree)
+                if isinstance(builder, ast.FunctionDef) and builder.name in builders
+                for fn in builder.body
+                if isinstance(fn, ast.FunctionDef) and fn.name in {"psi_dpsi", "phi"}]
+    assert {name for name, fn in formulas if fn.name == "psi_dpsi"} == builders
+    converters = {"_point", "complex", "asarray", "asanyarray", "array"}
+    converting = sorted((name, fn.name) for name, fn in formulas for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        in converters)
+    assert not converting, f"formulas that convert their input: {converting}"
+    assert "_point" not in set(read_names(tree)), "catalog names _point"
+
+
 def test_public_names_have_a_reader():
     """Each ``__all__`` name is read in the package outside its own definition, or by a script."""
     read = {name for p in SCRIPTS for name in read_names(ast.parse(p.read_text()))}
