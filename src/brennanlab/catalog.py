@@ -411,7 +411,7 @@ class ConformalPair:
         if self.descriptor.twist_a is not None:
             raise DescriptorError(f"{self.descriptor.label()} already carries a Moebius twist")
         a = complex(a)
-        if abs(a) >= 1.0:
+        if not _in_disc(a):
             raise MapDomainError(f"automorphism parameter must satisfy |a| < 1, got {a!r}")
         rot = cmath.exp(1j * theta)
         base_psi_dpsi, base_phi = self.psi_dpsi, self.phi
@@ -537,19 +537,22 @@ def _pair(descriptor: MapDescriptor, psi_dpsi: Callable, phi: Callable, domain_c
                          psi_dpsi, phi, domain_contains, singular_points, poles)
 
 
+def _in_disc(z):
+    """|z| < 1, where z past the largest float lies outside.
+
+    A Python complex's abs raises OverflowError there, where numpy's is inf.
+    """
+    try:
+        return abs(z) < 1.0
+    except OverflowError:
+        return False
+
+
 def identity_map() -> ConformalPair:
     def psi_dpsi(w):
         return w + 0j, (1.0 + 0j if type(w) is complex else np.ones_like(w))
 
-    def contains(z):
-        # a Python complex's abs raises OverflowError past the largest float,
-        # where numpy's is inf; such a z lies outside the disc
-        try:
-            return abs(z) < 1.0
-        except OverflowError:
-            return False
-
-    return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: psi_dpsi(z)[0], contains, ())
+    return _pair(MapDescriptor("identity"), psi_dpsi, lambda z: psi_dpsi(z)[0], _in_disc, ())
 
 
 def moebius_map(a: complex, theta: float = 0.0) -> ConformalPair:
@@ -652,7 +655,7 @@ def _check_sector(beta: float) -> None:
 
 def _check_moebius(a_re: float, a_im: float, theta: float) -> None:
     a = complex(a_re, a_im)
-    if abs(a) >= 1.0:
+    if not _in_disc(a):
         raise DescriptorError(f"moebius parameter must satisfy |a| < 1, got {a!r}")
 
 

@@ -9,11 +9,14 @@ significant digits, so identical flags give byte-identical output.
 Each subcommand has one shape.  ``build_parser``'s helper ``add``
 declares ``--out``, ``--map``, the subcommand's own flags and then the
 grading group (one flag per ``GradingSpec`` field); ``exponents`` takes
-neither ``--map`` nor grading and ``isometry`` no grading.  A ``cmd_*``
-function reads its flags, calls the public API and hands numbers to
-``_emit_json`` or ``_emit_csv``, which take the command name and
-``--out`` from the parsed arguments.  ``_num`` is the one number format
-for both.  Exponent rules are the library's: ``exponents`` raises
+neither ``--map`` nor grading and ``isometry`` no grading.  ``main``
+builds the map, ``args.pair``, and the ``GradingSpec``, ``args.spec``,
+once from those flags, before the subcommand runs, so a bad map or spec
+is reported before any check of the subcommand's own.  A ``cmd_*``
+function reads its flags and those two attributes, calls the public API
+and hands numbers to ``_emit_json`` or ``_emit_csv``, which take the
+command name and ``--out`` from the parsed arguments.  ``_num`` is the
+one number format for both.  Exponent rules are the library's: ``exponents`` raises
 RegimeError for a (p, q) outside its regime, and the error reaches stderr
 like any other.
 """
@@ -116,10 +119,6 @@ _GRADING_HELP = {
 }
 
 
-def _spec_from(args) -> GradingSpec:
-    return GradingSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GradingSpec)})
-
-
 def cmd_exponents(args) -> int:
     p = args.p
     result: dict = {"p": p, "p_conjugate": xa.holder_conjugate(p)}
@@ -139,13 +138,11 @@ def cmd_exponents(args) -> int:
 def cmd_integrate(args) -> int:
     if (args.s is None) == (args.r is None):
         raise xa.RegimeError("exactly one of --s or --r must be given")
-    pair = make_pair(args.map)
-    spec = _spec_from(args)
     if args.s is not None:
-        res = brennan_integral(pair, args.s, spec)
+        res = brennan_integral(args.pair, args.s, args.spec)
         inputs = {"map": args.map, "s": args.s}
     else:
-        res = inverse_brennan_integral(pair, args.r, spec)
+        res = inverse_brennan_integral(args.pair, args.r, args.spec)
         inputs = {"map": args.map, "r": args.r}
     est = res.integral
     _emit_json(args, inputs,
@@ -173,12 +170,10 @@ def cmd_scan(args) -> int:
         rows = math.floor(span) + 1 if math.isfinite(span) else math.inf
         raise xa.RegimeError(f"scan would compute {rows} rows, more than {_SCAN_MAX_ROWS}; "
                              "use a larger --step or a shorter range")
-    pair = make_pair(args.map)
-    spec = _spec_from(args)
     rows = []
     k = 0
     while (s := args.s_from + k * args.step) <= args.s_to + 1e-12:
-        est = brennan_integral(pair, s, spec).integral
+        est = brennan_integral(args.pair, s, args.spec).integral
         rows.append((s, est.value, est.tail_estimate, est.classification.value))
         k += 1
     _emit_csv(args, "s,value,tail,classification", rows)
@@ -186,10 +181,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    pair = make_pair(args.map)
-    spec = _spec_from(args)
-    report = critical_exponent(pair, args.side, args.tol, spec)
-    lo, hi = threshold_oracle(pair)
+    report = critical_exponent(args.pair, args.side, args.tol, args.spec)
+    lo, hi = threshold_oracle(args.pair)
     oracle = hi if args.side == "upper" else lo
     _emit_json(args, {"map": args.map, "side": args.side, "tol": args.tol},
                {"s_star": report.s_star, "bracket": list(report.bracket)},
@@ -201,10 +194,8 @@ def cmd_critical(args) -> int:
 
 
 def cmd_verify_composition(args) -> int:
-    pair = make_pair(args.map)
-    spec = _spec_from(args)
     # norm_ratio_report raises RegimeError for a (p, q) with no bounded operator
-    report = norm_ratio_report(pair, args.p, args.q, spec=spec, check=False)
+    report = norm_ratio_report(args.pair, args.p, args.q, spec=args.spec, check=False)
     _emit_json(args, {"map": args.map, "p": args.p, "q": args.q},
                {"bound_kpq": report.bound_kpq,
                 "max_ratio": report.max_ratio,
@@ -214,7 +205,6 @@ def cmd_verify_composition(args) -> int:
 
 
 def cmd_isometry(args) -> int:
-    pair = make_pair(args.map)
     family = [parse_test_function(args.function)] if args.function else list(isometry_family())
     try:
         r0, r1 = (float(t) for t in args.patch.split(","))
@@ -222,7 +212,7 @@ def cmd_isometry(args) -> int:
         raise ValueError(f"--patch needs two numbers r0,r1, got {args.patch!r}") from None
     ratios = []
     for f in family:
-        ratio = isometry_check(pair, f, patch=(r0, r1))
+        ratio = isometry_check(args.pair, f, patch=(r0, r1))
         ratios.append({"function": f.name, "ratio": ratio,
                        "deviation": abs(ratio - 1.0)})
     worst = max(r["deviation"] for r in ratios)
@@ -234,9 +224,7 @@ def cmd_isometry(args) -> int:
 
 
 def cmd_duality(args) -> int:
-    pair = make_pair(args.map)
-    spec = _spec_from(args)
-    res = duality_check(pair, args.p, args.q, spec)
+    res = duality_check(args.pair, args.p, args.q, args.spec)
     _emit_json(args, {"map": args.map, "p": args.p, "q": args.q},
                {"lhs": res.lhs, "rhs": res.rhs, "rel_diff": res.rel_diff,
                 "lhs_classification": res.lhs_classification.value,
@@ -249,10 +237,12 @@ def cmd_duality(args) -> int:
 
 
 def cmd_equivalence(args) -> int:
-    pair = make_pair(args.map)
-    spec = _spec_from(args)
-    p_grid = [float(t) for t in args.p_grid.split(",") if t.strip()]
-    table = equivalence_table(pair, args.s, p_grid, spec)
+    try:
+        # a blank grid is left empty, for equivalence_table to refuse
+        p_grid = [float(t) for t in args.p_grid.split(",")] if args.p_grid.strip() else []
+    except ValueError:
+        raise ValueError(f"--p-grid needs numbers p1,p2,..., got {args.p_grid!r}") from None
+    table = equivalence_table(args.pair, args.s, p_grid, args.spec)
     if args.format == "csv":
         _emit_csv(args, "p,q,s_roundtrip,integral_value,classification,kpq",
                   [(r.p, r.q, r.s_roundtrip, r.integral_value, r.classification.value,
@@ -337,6 +327,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # each subcommand's map, then its grading spec, built once from the flags add() gave it
+        if hasattr(args, "map"):
+            args.pair = make_pair(args.map)
+        grading = {f.name: getattr(args, f.name) for f in dataclasses.fields(GradingSpec)
+                   if hasattr(args, f.name)}
+        if grading:
+            args.spec = GradingSpec(**grading)
         return args.func(args)
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -174,26 +174,35 @@ def isometry_family() -> tuple[TestFunction, ...]:
     return (harmonic_poly(1), boundary_power(1.5), shifted_log())
 
 
+#: every test function family's row: the type of its one number (None for
+#: none), the number's name, what the number must be and the factory
+_FUNCTIONS = {
+    "harmonic_poly": (int, "k", "an integer k >= 1", harmonic_poly),
+    "boundary_power": (float, "gamma", "a number gamma > 0", boundary_power),
+    "shifted_log": (None, "", "no number", shifted_log),
+}
+
+
 def parse_test_function(text: str) -> TestFunction:
+    """``family`` or ``family:x``, read by the family's ``_FUNCTIONS`` row.
+
+    The factory checks the number's range; a number of the wrong type, or a
+    number given to a family that takes none, is refused here.
+    """
     name, _, arg = text.strip().partition(":")
-    if name == "harmonic_poly":
-        try:
-            k = int(arg)
-        except ValueError:
-            raise ValueError(f"harmonic_poly needs an integer k >= 1, got {arg!r}") from None
-        return harmonic_poly(k)
-    if name == "boundary_power":
-        try:
-            gamma = float(arg)
-        except ValueError:
-            raise ValueError(f"boundary_power needs a number gamma > 0, got {arg!r}") from None
-        return boundary_power(gamma)
-    if name == "shifted_log":
-        return shifted_log()
-    raise ValueError(
-        f"unknown test function {text!r}; use harmonic_poly:k, "
-        "boundary_power:gamma or shifted_log"
-    )
+    if name not in _FUNCTIONS:
+        forms = [f"{family}:{symbol}" if symbol else family
+                 for family, (_, symbol, _, _) in _FUNCTIONS.items()]
+        raise ValueError(f"unknown test function {text!r}; use "
+                         f"{', '.join(forms[:-1])} or {forms[-1]}")
+    kind, _, needs, factory = _FUNCTIONS[name]
+    try:
+        if kind is None and arg:
+            raise ValueError
+        numbers = (kind(arg),) if kind else ()
+    except ValueError:
+        raise ValueError(f"{name} needs {needs}, got {arg!r}") from None
+    return factory(*numbers)
 
 
 def seminorm(f: TestFunction, p: float, spec: GradingSpec = DEFAULT_SPEC) -> float:
@@ -416,11 +425,13 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
 
 
 def _block_sums(pair: ConformalPair, block: np.ndarray,
-                integrand_w) -> tuple[np.ndarray, list[float]]:
+                f: TestFunction) -> tuple[np.ndarray, list[float]]:
     """Chart and invert one block of cell rows: the folded-chart mask, and the other cells' sums.
 
-    One ``psi_dpsi`` call charts the block's edges and corners, and one
-    ``invert_many`` call inverts its nodes.  A cell whose chart folds gets
+    A cell's sum is ``|grad f|^2(w) / |psi'(w)|^2`` at w = phi(z) over its
+    chart nodes z, weighted by the chart's measure.  One ``psi_dpsi`` call
+    charts the block's edges and corners, and one ``invert_many`` call
+    inverts its nodes.  A cell whose chart folds gets
     no sum, for its halves to be charted instead; a fold on a cell already
     ``_MAX_SPLIT_DEPTH`` splits deep raises DegenerateChartError.  The
     block's arrays set the peak memory, so they live only in this call.
@@ -443,12 +454,12 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
             f"forward-patch inversion failed at z={complex(z[k][~ok[k]][0])!r} "
             f"(map {pair.descriptor.label()}, cell {tuple(block[k].tolist())})"
         )
-    return folded, np.sum((weights * integrand_w(w, dw)).reshape(-1, _CHART_ORDER ** 2),
-                          axis=1).tolist()
+    energy = weights * (f.grad_abs(w) ** 2 / np.abs(dw) ** 2)
+    return folded, np.sum(energy.reshape(-1, _CHART_ORDER ** 2), axis=1).tolist()
 
 
-def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: float) -> float:
-    """Integral over psi(patch) of ``integrand_w(w, psi'(w))`` at w = phi(z).
+def _forward_patch_integral(pair: ConformalPair, f: TestFunction, r0: float, r1: float) -> float:
+    """Dirichlet energy of f o phi over psi(patch), ``|grad f|^2(w) |phi'(z)|^2`` at w = phi(z).
 
     Two steps.  First the patch's seed cells, four quadrants of each seed
     ring, are refined toward psi's singular locations (its singular points
@@ -472,7 +483,7 @@ def _forward_patch_integral(pair: ConformalPair, integrand_w, r0: float, r1: flo
     while len(leaves):
         # slices are views: the list is copied only when a block folds
         block, leaves = leaves[:_BLOCK_CELLS], leaves[_BLOCK_CELLS:]
-        folded, sums = _block_sums(pair, block, integrand_w)
+        folded, sums = _block_sums(pair, block, f)
         if folded.any():
             leaves = np.concatenate([leaves, _refined_cells(_split_cells(block[folded]), singular)])
         # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
@@ -505,11 +516,7 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
     r0, r1 = patch
     if not 0.0 <= r0 < r1 < 1.0:
         raise ValueError(f"patch must satisfy 0 <= r0 < r1 < 1, got {patch}")
-
-    def integrand(w, dw):
-        return f.grad_abs(w) ** 2 / np.abs(dw) ** 2
-
-    return _forward_patch_integral(pair, integrand, r0, r1) / f.disc_energy(r0, r1)
+    return _forward_patch_integral(pair, f, r0, r1) / f.disc_energy(r0, r1)
 
 
 # ---------------------------------------------------------------------------

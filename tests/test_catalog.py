@@ -659,6 +659,20 @@ class TestMoebiusComposition:
         with pytest.raises(DescriptorError):
             moebius_map(2.0 + 0j)
 
+    @pytest.mark.parametrize("make, error, message", [
+        (moebius_map, DescriptorError, "moebius parameter"),
+        (lambda a: identity_map().compose_with_moebius(a, 0.0), MapDomainError,
+         "automorphism parameter"),
+        (lambda a: koebe_map().compose_with_moebius(a, 0.0), MapDomainError,
+         "automorphism parameter"),
+    ], ids=["moebius-map", "identity-twist", "koebe-twist"])
+    def test_parameter_past_the_largest_float(self, make, error, message):
+        """|a| overflows Python's complex abs, which raises; a is then outside the disc."""
+        a = complex(1.7e308, 1.7e308)
+        with pytest.raises(error) as info:
+            make(a)
+        assert str(info.value) == f"{message} must satisfy |a| < 1, got {a!r}"
+
     def test_twisted_pair_cannot_be_twisted_again(self):
         # a descriptor holds one twist, so a second would be dropped from its label
         with pytest.raises(DescriptorError, match="already carries"):

@@ -345,10 +345,12 @@ class TestIsometryCommand:
         (("--function", "boundary_power:nan"), "boundary_power needs a finite gamma > 0, got nan"),
         (("--function", "boundary_power:inf"), "boundary_power needs a finite gamma > 0, got inf"),
         (("--function", "harmonic_poly:1.5"), "harmonic_poly needs an integer k >= 1, got '1.5'"),
+        (("--function", "shifted_log:junk"), "shifted_log needs no number, got 'junk'"),
         (("--patch", "0.5"), "--patch needs two numbers r0,r1, got '0.5'"),
         (("--patch", "0.1,0.5,0.7"), "--patch needs two numbers r0,r1, got '0.1,0.5,0.7'"),
         (("--patch", "0.1,x"), "--patch needs two numbers r0,r1, got '0.1,x'"),
-    ], ids=["gamma-nan", "gamma-inf", "k-float", "patch-one", "patch-three", "patch-word"])
+    ], ids=["gamma-nan", "gamma-inf", "k-float", "log-word", "patch-one", "patch-three",
+            "patch-word"])
     def test_bad_function_or_patch_is_a_usage_error(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -454,6 +456,12 @@ class TestEquivalenceCommand:
         assert out == ""
         assert err == "error: p grid must be nonempty\n"
 
+    @pytest.mark.parametrize("grid", ["2.5,,3", "2.5,x", "3,", ",3"])
+    def test_malformed_p_grid_is_a_usage_error(self, capsys, grid):
+        """An empty field is refused, not dropped, and a word is named with the flag."""
+        assert run(capsys, "equivalence", "--map", "koebe", "--s", "2.5", "--p-grid", grid) == (
+            2, "", f"error: --p-grid needs numbers p1,p2,..., got {grid!r}\n")
+
 
 class TestDeterminismAndOutput:
     def test_byte_identical_json(self, capsys):
@@ -547,10 +555,50 @@ class TestExactOutput:
         ("torus", "unknown map family 'torus'; known: identity, moebius, koebe, sector, cardioid"),
         ("sector:2.5", "sector opening parameter must lie in (0, 2], got 2.5"),
         ("koebe*moebius:1.5,0,0", "moebius parameter must satisfy |a| < 1, got (1.5+0j)"),
+        ("moebius:1.7e308,1.7e308,0",
+         "moebius parameter must satisfy |a| < 1, got (1.7e+308+1.7e+308j)"),
+        ("koebe*moebius:1.7e308,1.7e308,0",
+         "moebius parameter must satisfy |a| < 1, got (1.7e+308+1.7e+308j)"),
     ], ids=["sector-bare", "moebius-two", "koebe-one", "empty-field", "sector-suffix",
-            "unknown", "sector-range", "twist-outside"])
+            "unknown", "sector-range", "twist-outside", "moebius-overflow",
+            "twist-overflow"])
     def test_descriptor_errors(self, capsys, spec, message):
         assert run(capsys, "integrate", "--map", spec, "--s", "2") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("integrate", "--map", "torus"), "unknown map family 'torus'"),
+        (("integrate", "--map", "koebe", "--eps-min", "2"), "eps_min must lie in (0, 0.5]"),
+        (("scan", "--map", "torus", "--s-from", "1", "--s-to", "0", "--step", "1"),
+         "unknown map family 'torus'"),
+        (("scan", "--map", "koebe", "--s-from", "1", "--s-to", "0", "--step", "1",
+          "--eps-min", "2"), "eps_min must lie in (0, 0.5]"),
+    ], ids=["integrate-map", "integrate-spec", "scan-map", "scan-spec"])
+    def test_map_and_spec_are_checked_first(self, capsys, argv, message):
+        """A bad map, then a bad spec, is reported before any check of the subcommand's own."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+#: one run of each subcommand that takes --map, failing on its own flags after the set-up
+MAP_COMMANDS = [
+    ("integrate", "--map", "koebe"),
+    ("scan", "--map", "koebe", "--s-from", "1", "--s-to", "0", "--step", "1"),
+    ("critical", "--map", "koebe", "--side", "upper", "--tol", "-1"),
+    ("verify-composition", "--map", "koebe", "--p", "3", "--q", "4"),
+    ("isometry", "--map", "koebe", "--patch", "x"),
+    ("duality", "--map", "koebe", "--p", "2", "--q", "3"),
+    ("equivalence", "--map", "koebe", "--s", "2.5", "--p-grid", ""),
+]
+
+
+@pytest.mark.parametrize("argv", MAP_COMMANDS, ids=[argv[0] for argv in MAP_COMMANDS])
+def test_each_subcommand_builds_its_map_once(capsys, monkeypatch, argv):
+    built = []
+    monkeypatch.setattr(cli, "make_pair",
+                        lambda text: built.append(text) or catalog.make_pair(text))
+    code, out, _ = run(capsys, *argv)
+    assert (code, out, built) == (2, "", ["koebe"])
 
 
 class TestScanBounds:

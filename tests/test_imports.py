@@ -9,6 +9,7 @@ an attribute chain such as ``np.asarray``.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,21 @@ def test_one_sqrt_kernel():
     assert users == {"catalog.py"}, f"_sqrt is named in {sorted(users)}"
 
 
+def string_literal(node):
+    """A string constant, or a tuple, list or set literal holding one."""
+    return ((isinstance(node, ast.Constant) and isinstance(node.value, str))
+            or (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                and any(string_literal(e) for e in node.elts)))
+
+
+def string_comparisons(fn):
+    """Every comparison or ``case`` value with a string literal under fn, as source text."""
+    return {ast.unparse(node) for node in ast.walk(fn)
+            if (isinstance(node, ast.Compare)
+                and any(string_literal(side) for side in [node.left, *node.comparators]))
+            or (isinstance(node, ast.MatchValue) and string_literal(node.value))}
+
+
 def test_one_family_table():
     """``catalog._FAMILIES`` is the one place that knows a family, and no formula converts its input.
 
@@ -224,18 +240,9 @@ def test_one_family_table():
     array numpy's.
     """
     tree = TREES["catalog.py"]
-
-    def literal(node):
-        return ((isinstance(node, ast.Constant) and isinstance(node.value, str))
-                or (isinstance(node, (ast.Tuple, ast.List, ast.Set))
-                    and any(literal(e) for e in node.elts)))
-
-    compared = {(fn.name, ast.unparse(node)) for fn in ast.walk(tree)
+    compared = {(fn.name, comparison) for fn in ast.walk(tree)
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for node in ast.walk(fn)
-                if (isinstance(node, ast.Compare)
-                    and any(literal(side) for side in [node.left, *node.comparators]))
-                or (isinstance(node, ast.MatchValue) and literal(node.value))}
+                for comparison in string_comparisons(fn)}
     assert compared == {("parse_descriptor", "t.family != 'moebius'")}, (
         f"string comparisons in {sorted(compared)}")
 
@@ -253,6 +260,51 @@ def test_one_family_table():
                         in converters)
     assert not converting, f"formulas that convert their input: {converting}"
     assert "_point" not in set(read_names(tree)), "catalog names _point"
+
+
+def test_one_test_function_table():
+    """``operators._FUNCTIONS`` is the one place that knows a test function family.
+
+    ``parse_test_function`` reads a family's number type, the number's
+    requirement and the factory from its row, so it compares no value with
+    a string literal.  Outside the table a family's name is spelled, other
+    than in docstrings and ``__all__``, only by its own factory, which names
+    the functions it makes.
+    """
+    tree = TREES["operators.py"]
+    table = next(stmt for stmt in tree.body if "_FUNCTIONS" in set(defined_names(stmt)))
+    families = {key.value for key in table.value.keys}
+    assert families == {"harmonic_poly", "boundary_power", "shifted_log"}
+    parse = next(fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "parse_test_function")
+    assert not string_comparisons(parse), f"comparisons {sorted(string_comparisons(parse))}"
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                  and ast.get_docstring(node) is not None}
+    spelled = sorted((getattr(stmt, "name", "<module>"), family)
+                     for stmt in tree.body
+                     if stmt is not table and "__all__" not in set(defined_names(stmt))
+                     for node in ast.walk(stmt)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and id(node) not in docstrings
+                     for family in families
+                     if re.search(rf"\b{family}\b", node.value)
+                     and getattr(stmt, "name", None) != family)
+    assert not spelled, f"family names outside the table and their factories: {spelled}"
+
+
+def test_one_map_and_spec_per_run():
+    """``cli.main`` builds the map and the ``GradingSpec`` of a run; no handler builds either.
+
+    ``build_parser``'s helper ``add`` declares the grading flags from
+    ``GradingSpec``'s fields, and ``main`` reads ``--map`` and those flags
+    once, into ``args.pair`` and ``args.spec``, before the ``cmd_*``
+    handler runs.  A handler, or a helper one calls, that built its own
+    would name ``make_pair`` or ``GradingSpec``.
+    """
+    tree = TREES["cli.py"]
+    assert set(scopes_reading(tree, {"make_pair"})) == {"main"}
+    assert set(scopes_reading(tree, {"GradingSpec"})) == {"add", "main"}
 
 
 def test_public_names_have_a_reader():

@@ -77,8 +77,12 @@ class TestTestFunctions:
         ("harmonic_poly:0", "harmonic_poly needs k >= 1"),
         ("boundary_power:x", "boundary_power needs a number gamma > 0, got 'x'"),
         ("boundary_power:nan", "boundary_power needs a finite gamma > 0, got nan"),
-        ("cosine", "unknown test function 'cosine'"),
-    ], ids=["k-float", "k-missing", "k-zero", "gamma-word", "gamma-nan", "unknown"])
+        ("cosine", "unknown test function 'cosine'; use harmonic_poly:k, "
+                   "boundary_power:gamma or shifted_log"),
+        ("shifted_log:junk", "shifted_log needs no number, got 'junk'"),
+        ("shifted_log:3", "shifted_log needs no number, got '3'"),
+    ], ids=["k-float", "k-missing", "k-zero", "gamma-word", "gamma-nan", "unknown",
+            "log-word", "log-number"])
     def test_parse_errors_name_the_function(self, text, message):
         with pytest.raises(ValueError) as info:
             parse_test_function(text)
