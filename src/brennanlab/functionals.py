@@ -59,8 +59,8 @@ class FunctionalResult:
 
     ``kind`` is ``"brennan"``, ``"inverse-brennan"`` or ``"kpq"``;
     ``exponent`` is the power of |psi'| actually integrated on the disc.
-    ``kpq_value`` is the ``(p-q)/(p*q)`` power of the integral for the kpq
-    kind (``inf`` when the integral diverges) and ``None`` otherwise.
+    ``kpq_value`` is the ``(p-q)/(p*q)`` power of the integral's ``limit``
+    for the kpq kind (``inf`` unless it converged) and ``None`` otherwise.
     """
 
     kind: str
@@ -141,8 +141,10 @@ def kpq_functional(pair: ConformalPair, p: float, q: float,
 
     For finite p the integrand exponent is ``s = (p-2)q/(p-q)`` and the
     functional is the ``(p-q)/(pq)`` power of the Brennan integral; for
-    ``p = inf`` the exponent is ``q`` itself and the power is ``1/q``.  A
-    diverging integral yields ``kpq_value = inf``, never a large float.
+    ``p = inf`` the exponent is ``q`` itself and the power is ``1/q``.  The
+    power is taken of the integral's ``limit``, so an integral that did not
+    converge (diverging or inconclusive) yields ``kpq_value = inf``, never
+    a large float.
     Raises RegimeError unless ``1 <= q < p``, the upper bound through
     :func:`s_from_pq`.
     """
@@ -151,12 +153,8 @@ def kpq_functional(pair: ConformalPair, p: float, q: float,
     s = s_from_pq(p, q)
     power = 1.0 / q if p == math.inf else (p - q) / (p * q)
     est = _disc_integral(pair, 2.0 - s, spec)
-    if est.classification is Classification.CONVERGED:
-        kpq = est.value ** power
-    else:
-        kpq = math.inf
     return FunctionalResult("kpq", pair.descriptor, est, 2.0 - s,
-                            s=s, p=p, q=q, kpq_value=kpq)
+                            s=s, p=p, q=q, kpq_value=est.limit ** power)
 
 
 def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:
@@ -200,27 +198,6 @@ def threshold_oracle(target: ConformalPair | MapDescriptor | str
     return lower, upper
 
 
-def _probe(pair: ConformalPair, s: float, spec: GradingSpec) -> tuple[float, str]:
-    """Fitted tail slope at exponent s, retrying once with a finer grading.
-
-    The bisection predicate is the slope sign: negative means the annulus
-    increments shrink (convergent tail), positive means they grow.  The
-    recorded verdict reflects that sign.
-    """
-    result = brennan_integral(pair, s, spec)
-    est = result.integral
-    if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
-        refined = replace(spec, eps_min=spec.eps_min * 1e-2)
-        est = brennan_integral(pair, s, refined).integral
-        if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
-            raise InconclusiveProbeError(
-                f"probe at s={s} stayed inconclusive after refining eps_min to "
-                f"{refined.eps_min}"
-            )
-    verdict = "converged" if est.fitted_slope < 0.0 else "diverging"
-    return est.fitted_slope, verdict
-
-
 def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
                       spec: GradingSpec = DEFAULT_SPEC) -> CriticalExponentReport:
     """Bracket the critical Brennan exponent of a map on one side.
@@ -228,8 +205,15 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
     ``side`` is ``"upper"`` (largest convergent s) or ``"lower"``
     (smallest).  Bisection runs on the sign of the fitted tail slope,
     which crosses zero exactly at the threshold for power-type boundary
-    singularities; ``s_star`` is the secant zero of the slope inside the
+    singularities: negative means the annulus increments shrink
+    (convergent tail), and the probe records "converged", otherwise
+    "diverging".  ``s_star`` is the secant zero of the slope inside the
     final bracket, so the bracket always contains it.
+
+    Each probe is one Brennan integral, with one refinement: an
+    inconclusive verdict or a nan slope is retried once at ``eps_min *
+    1e-2``, a spec built only then, and a retry that stays inconclusive
+    raises InconclusiveProbeError naming s.
     """
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
@@ -239,15 +223,19 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
     probes: list[tuple[float, str, float]] = []
 
     def probe(s: float) -> float:
-        slope, verdict = _probe(pair, s, spec)
-        probes.append((s, verdict, slope))
-        return slope
+        est = brennan_integral(pair, s, spec).integral
+        if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
+            refined = replace(spec, eps_min=spec.eps_min * 1e-2)
+            est = brennan_integral(pair, s, refined).integral
+            if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
+                raise InconclusiveProbeError(f"probe at s={s} stayed inconclusive after refining "
+                                             f"eps_min to {refined.eps_min}")
+        probes.append((s, "converged" if est.fitted_slope < 0.0 else "diverging", est.fitted_slope))
+        return est.fitted_slope
 
-    slope_lo = probe(lo)
-    slope_hi = probe(hi)
-    # converging side must sit at s = 2 (the area-identity anchor)
-    anchor_is_lo = side == "upper"
-    anchor_slope, far_slope = (slope_lo, slope_hi) if anchor_is_lo else (slope_hi, slope_lo)
+    slope_lo, slope_hi = probe(lo), probe(hi)
+    # the converging end must be s = 2, the area-identity anchor
+    anchor_slope, far_slope = (slope_lo, slope_hi) if side == "upper" else (slope_hi, slope_lo)
     if anchor_slope >= 0.0:
         raise InconclusiveProbeError(
             f"anchor probe at s = 2 did not converge for {pair.descriptor.label()}"

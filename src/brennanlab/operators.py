@@ -227,16 +227,15 @@ def pullback_seminorm(pair: ConformalPair, f: TestFunction, q: float,
     """Seminorm of the pulled-back function f(phi(.)) on Omega.
 
     By the conformal chain rule the domain-side integral equals
-    ``integral over D of |grad f|^q |psi'|^(2-q)``; a diverging integral is
-    reported as ``inf``.
+    ``integral over D of |grad f|^q |psi'|^(2-q)``.  The seminorm is the
+    ``1/q`` power of that integral's ``limit``, so an integral that did not
+    converge (diverging or inconclusive) reports ``inf``.
     """
     if not 1.0 <= q < math.inf:
         raise ExponentDomainError(f"pullback seminorm needs 1 <= q < inf, got q={q}")
 
     est = _disc_integral(pair, 2.0 - q, spec, lambda w: f.grad_abs(w) ** q)
-    if est.classification is not Classification.CONVERGED:
-        return math.inf
-    return est.value ** (1.0 / q)
+    return est.limit ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -554,15 +553,15 @@ def duality_check(pair: ConformalPair, p: float, q: float,
 
     Both exponents come from ``_dual_exponents``, which raises RegimeError
     unless ``1 < q < p < inf``.
-    ``rel_diff`` is NaN unless both sides converge; ``agree`` is True when
-    both converge to equal values (within 1e-3 relative) or both diverge.
+    ``lhs`` and ``rhs`` are the two integrals' ``limit`` (``inf`` unless
+    converged).  ``rel_diff`` is NaN unless both sides converge; ``agree``
+    is True when both converge to equal values (within 1e-3 relative) or
+    both get the same verdict otherwise.
     """
     q_conj, p_conj, expo_direct, expo_dual = _dual_exponents(p, q)
     rhs_est = inverse_brennan_integral(pair, expo_direct, spec).integral
     lhs_est = inverse_brennan_integral(pair, expo_dual, spec).integral
-    lhs_conv = lhs_est.classification is Classification.CONVERGED
-    rhs_conv = rhs_est.classification is Classification.CONVERGED
-    if lhs_conv and rhs_conv:
+    if lhs_est.classification is rhs_est.classification is Classification.CONVERGED:
         rel = abs(lhs_est.value - rhs_est.value) / max(abs(rhs_est.value), 1e-300)
         agree = rel <= 1e-3
     else:
@@ -571,8 +570,7 @@ def duality_check(pair: ConformalPair, p: float, q: float,
     return DualityResult(
         p=p, q=q, q_conj=q_conj, p_conj=p_conj,
         exponent_direct=expo_direct, exponent_dual=expo_dual,
-        lhs=lhs_est.value if lhs_conv else math.inf,
-        rhs=rhs_est.value if rhs_conv else math.inf,
+        lhs=lhs_est.limit, rhs=rhs_est.limit,
         lhs_classification=lhs_est.classification,
         rhs_classification=rhs_est.classification,
         rel_diff=rel, agree=agree,

@@ -214,6 +214,12 @@ class IntegralEstimate:
     the exponent of the increment power law: increments behave like
     ``eps**(-slope)``, so negative slopes shrink; it is ``nan`` when no fit
     was possible.
+
+    ``limit`` is what the integral is worth, the package's one rule for a
+    verdict that is not CONVERGED: ``value`` when CONVERGED, and ``inf``
+    for a diverging or inconclusive integral.  Every reader that turns an
+    integral into a number (a K_{p,q} value, a pullback seminorm, both
+    sides of the duality identity) reads it.
     """
 
     value: float
@@ -222,6 +228,10 @@ class IntegralEstimate:
     tail_estimate: float
     classification: Classification
     fitted_slope: float
+
+    @property
+    def limit(self) -> float:
+        return self.value if self.classification is Classification.CONVERGED else math.inf
 
 
 def _legendre(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

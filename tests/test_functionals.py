@@ -139,6 +139,13 @@ class TestKpq:
         assert res.kpq_value == math.inf
         assert res.integral.classification is Classification.DIVERGING
 
+    def test_inconclusive_reported_as_inf(self):
+        """With no annuli (eps_min = 0.5) every verdict is inconclusive, and worth inf."""
+        res = kpq_functional(koebe_map(), 4.0, 2.5, GradingSpec(eps_min=0.5))
+        assert res.integral.classification is Classification.INCONCLUSIVE
+        assert math.isfinite(res.integral.value)
+        assert res.kpq_value == math.inf
+
     def test_regime_errors(self):
         with pytest.raises(RegimeError):
             kpq_functional(koebe_map(), 2.0, 3.0)
@@ -222,6 +229,16 @@ class TestCriticalExponent:
                 assert s <= rep.s_star + 1e-9
             else:
                 assert s >= rep.s_star - 1e-9
+
+    def test_every_probe_refined_once(self):
+        """With no annuli every probe is inconclusive and is retried once at eps_min * 1e-2.
+
+        So eps_min = 0.5 gives the probes and s_star of eps_min = 0.005.
+        """
+        coarse = critical_exponent(koebe_map(), "upper", spec=GradingSpec(eps_min=0.5))
+        fine = critical_exponent(koebe_map(), "upper", spec=GradingSpec(eps_min=0.005))
+        assert coarse.probes == fine.probes
+        assert coarse.s_star == fine.s_star == 3.845344366879766
 
     def test_no_threshold_raises(self):
         with pytest.raises(ThresholdNotFoundError):

@@ -369,3 +369,38 @@ def test_cli_uses_only_the_public_api():
                       if source else modules)
             private += [alias.name for alias in node.names if alias.name not in public]
     assert not private, f"cli.py imports names outside the public API: {sorted(private)}"
+
+
+def compares_a_classification(fn):
+    """Whether fn compares a ``.classification`` or a ``Classification`` member with anything."""
+    def classification(node):
+        return isinstance(node, ast.Attribute) and (
+            node.attr == "classification"
+            or (isinstance(node.value, ast.Name) and node.value.id == "Classification"))
+
+    return any(isinstance(node, ast.Compare)
+               and any(classification(side) for side in [node.left, *node.comparators])
+               for node in ast.walk(fn))
+
+
+@pytest.mark.parametrize("name", ["functionals.py", "operators.py"])
+def test_one_rule_for_what_an_integral_is_worth(name):
+    """``IntegralEstimate.limit`` alone turns a verdict other than CONVERGED into ``inf``.
+
+    So in functionals and operators a function that compares a
+    classification makes no infinity of its own: ``math.inf`` (or
+    ``np.inf``) may stand there only as an operand of a comparison, such as
+    ``p == math.inf``.  ``kpq_functional``, ``pullback_seminorm`` and
+    ``duality_check`` take their ``inf`` from ``limit``.
+    """
+    made = []
+    for fn in ast.walk(TREES[name]):
+        if not (isinstance(fn, ast.FunctionDef) and compares_a_classification(fn)):
+            continue
+        operands = {id(side) for node in ast.walk(fn) if isinstance(node, ast.Compare)
+                    for side in [node.left, *node.comparators]}
+        made += [(fn.name, node.lineno) for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute) and node.attr == "inf"
+                 and isinstance(node.value, ast.Name) and node.value.id in ("math", "np")
+                 and id(node) not in operands]
+    assert not made, f"functions that make inf from a verdict: {made}"

@@ -31,7 +31,7 @@ from brennanlab.operators import (
     shifted_log,
     standard_family,
 )
-from brennanlab.quadrature import Classification, _gauss
+from brennanlab.quadrature import Classification, GradingSpec, _gauss
 from test_catalog import catalog_maps
 
 CATALOG = ["identity", "moebius:0.3,0.2,1.1", "koebe", "sector:1.5",
@@ -144,6 +144,11 @@ class TestPullbackSeminorm:
     def test_koebe_divergent_pullback_is_inf(self):
         # q = 1 integrand |psi'| has exponent -3 at w = 1, beyond -2
         assert pullback_seminorm(koebe_map(), harmonic_poly(1), 1.0) == math.inf
+
+    def test_inconclusive_pullback_is_inf(self):
+        # no annuli at eps_min = 0.5, so the verdict is inconclusive
+        spec = GradingSpec(eps_min=0.5)
+        assert pullback_seminorm(koebe_map(), harmonic_poly(1), 1.5, spec) == math.inf
 
 
 class TestNormRatioReport:
@@ -562,6 +567,14 @@ class TestDuality:
         assert res.exponent_direct == pytest.approx(-4.0)
         assert res.lhs_classification is Classification.DIVERGING
         assert res.rhs_classification is Classification.DIVERGING
+        assert res.agree
+        assert math.isnan(res.rel_diff)
+
+    def test_inconclusive_sides_are_inf_and_agree(self):
+        res = duality_check(koebe_map(), 4.0, 3.0, GradingSpec(eps_min=0.5))
+        assert res.lhs_classification is Classification.INCONCLUSIVE
+        assert res.rhs_classification is Classification.INCONCLUSIVE
+        assert res.lhs == res.rhs == math.inf
         assert res.agree
         assert math.isnan(res.rel_diff)
 

@@ -127,6 +127,18 @@ class TestEstimateInvariants:
         b = integrate_disc(g, singular_angles=[0.0]).value
         assert a == b
 
+    @pytest.mark.parametrize("t, spec, verdict", [
+        (-1.5, GradingSpec(), Classification.CONVERGED),
+        (-2.5, GradingSpec(), Classification.DIVERGING),
+        (-1.5, GradingSpec(eps_min=0.5), Classification.INCONCLUSIVE),
+    ])
+    def test_limit_is_the_value_only_when_converged(self, t, spec, verdict):
+        """``limit``: the value of a converged integral, inf for any other verdict."""
+        est = integrate_disc(boundary_power_integrand(t), singular_angles=[0.0], spec=spec)
+        assert est.classification is verdict
+        assert math.isfinite(est.value)
+        assert est.limit == (est.value if verdict is Classification.CONVERGED else math.inf)
+
 
 def ladder_increments(t):
     """Per-annulus increments of |1 - w|^t on the default gap ladder, with their outer gaps."""
