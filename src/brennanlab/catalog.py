@@ -173,7 +173,8 @@ class MapDescriptor:
     automorphism ``m(w) = e^{i twist_theta} (w - twist_a)/(1 - conj(twist_a) w)``.
     A descriptor checks itself when made, against its family's row: an
     unknown family, a count of numbers other than the row's, a sector
-    opening outside (0, 2] and a Moebius ``|a| >= 1`` raise DescriptorError.
+    opening outside (0, 2], and a Moebius map's or a twist's ``|a| >= 1``
+    or non-finite theta raise DescriptorError.
     """
 
     family: str
@@ -191,6 +192,8 @@ class MapDescriptor:
                                   f"got {len(self.params)}")
         if check:
             check(*self.params)
+        if self.twist_a is not None:
+            _check_moebius(self.twist_a.real, self.twist_a.imag, self.twist_theta)
 
     def label(self) -> str:
         head = _form(self.family, [f"{x:g}" for x in self.params])
@@ -406,13 +409,16 @@ class ConformalPair:
         A pole whose ``c'`` is 0 (a twist that undoes the one that made it)
         is the factor 1 and is dropped, so the rule is not graded toward
         it.  A pair can carry one twist, so twisting a twisted pair raises
-        DescriptorError.
+        DescriptorError; ``|a| >= 1`` or a non-finite theta raises
+        MapDomainError.
         """
         if self.descriptor.twist_a is not None:
             raise DescriptorError(f"{self.descriptor.label()} already carries a Moebius twist")
         a = complex(a)
         if not _in_disc(a):
             raise MapDomainError(f"automorphism parameter must satisfy |a| < 1, got {a!r}")
+        if not math.isfinite(theta):
+            raise MapDomainError(f"automorphism angle must be finite, got theta={theta!r}")
         rot = cmath.exp(1j * theta)
         base_psi_dpsi, base_phi = self.psi_dpsi, self.phi
         # m's constants, made once, as Python complexes: a Python complex w then
@@ -654,9 +660,12 @@ def _check_sector(beta: float) -> None:
 
 
 def _check_moebius(a_re: float, a_im: float, theta: float) -> None:
+    """The check of a Moebius map's numbers and of a twist's: |a| < 1 and a finite theta."""
     a = complex(a_re, a_im)
     if not _in_disc(a):
         raise DescriptorError(f"moebius parameter must satisfy |a| < 1, got {a!r}")
+    if not math.isfinite(theta):
+        raise DescriptorError(f"moebius angle theta must be finite, got {theta}")
 
 
 #: every family's row: the names of its numbers in descriptor order, the check

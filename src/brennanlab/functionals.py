@@ -23,6 +23,7 @@ from .quadrature import (
     GradingSpec,
     DEFAULT_SPEC,
     IntegralEstimate,
+    InvalidGradingError,
     _complex_integrand,
     _integrate_polar,
 )
@@ -212,8 +213,10 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
 
     Each probe is one Brennan integral, with one refinement: an
     inconclusive verdict or a nan slope is retried once at ``eps_min *
-    1e-2``, a spec built only then, and a retry that stays inconclusive
-    raises InconclusiveProbeError naming s.
+    1e-2``, a spec built only then, since the gap ladder may refuse the
+    smaller eps_min at its floor.  A retry that stays inconclusive, or a
+    refinement the ladder refuses, raises InconclusiveProbeError naming s
+    (and, when refused, the eps_min given).
     """
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
@@ -225,7 +228,12 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
     def probe(s: float) -> float:
         est = brennan_integral(pair, s, spec).integral
         if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
-            refined = replace(spec, eps_min=spec.eps_min * 1e-2)
+            try:
+                refined = replace(spec, eps_min=spec.eps_min * 1e-2)
+            except InvalidGradingError:
+                raise InconclusiveProbeError(
+                    f"probe at s={s} stayed inconclusive at eps_min={spec.eps_min}, and the "
+                    f"gap ladder cannot be refined to 1e-2 of it") from None
             est = brennan_integral(pair, s, refined).integral
             if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
                 raise InconclusiveProbeError(f"probe at s={s} stayed inconclusive after refining "

@@ -19,6 +19,7 @@ exponent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -101,7 +102,13 @@ class TestFunction:
 
 
 def harmonic_poly(k: int) -> TestFunction:
-    """f = Re w^k; the gradient modulus is k |w|^(k-1)."""
+    """f = Re w^k; the gradient modulus is k |w|^(k-1).
+
+    k must be an integer (numpy's too): for a fractional k, Re w^k jumps
+    across the negative axis.
+    """
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"harmonic_poly needs an integer k, got {k!r}")
     if k < 1:
         raise ValueError("harmonic_poly needs k >= 1")
 

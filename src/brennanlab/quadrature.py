@@ -53,6 +53,7 @@ the one geometric gap ladder down to ``eps_min``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -143,6 +144,9 @@ class GradingSpec:
         With singular angles, ``angular_boost/2`` nodes per unit of
         ``asinh(distance/gap)`` on each side of each angle.  Without, the
         Gauss-Legendre points of each equal panel.
+
+    The three counts must be integers (numpy's too); a float such as 16.0
+    is refused when the spec is made.
     """
 
     eps_min: float = 1e-8
@@ -156,12 +160,12 @@ class GradingSpec:
             raise InvalidGradingError(f"eps_min must lie in (0, {EPS_START}], got {self.eps_min}")
         if not 0.0 < self.annulus_ratio < 1.0:
             raise InvalidGradingError(f"annulus_ratio must lie in (0, 1), got {self.annulus_ratio}")
-        if self.radial_order < 2:
-            raise InvalidGradingError("radial_order must be at least 2")
-        if self.angular_base < 8:
-            raise InvalidGradingError("angular_base must be at least 8")
-        if self.angular_boost < 2:
-            raise InvalidGradingError("angular_boost must be at least 2")
+        for name, least in (("radial_order", 2), ("angular_base", 8), ("angular_boost", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidGradingError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidGradingError(f"{name} must be at least {least}")
         _gap_ladder(self)
 
 

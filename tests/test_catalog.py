@@ -673,6 +673,27 @@ class TestMoebiusComposition:
             make(a)
         assert str(info.value) == f"{message} must satisfy |a| < 1, got {a!r}"
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: MapDescriptor("koebe", (), 0.3 + 0j, math.nan), DescriptorError,
+         "moebius angle theta must be finite, got nan"),
+        (lambda: MapDescriptor("koebe", (), 1.5 + 0j), DescriptorError,
+         "moebius parameter must satisfy |a| < 1, got (1.5+0j)"),
+        (lambda: MapDescriptor("moebius", (0.3, 0.0, math.inf)), DescriptorError,
+         "moebius angle theta must be finite, got inf"),
+        (lambda: moebius_map(0.3, math.nan), DescriptorError,
+         "moebius angle theta must be finite, got nan"),
+        (lambda: koebe_map().compose_with_moebius(0.3, -math.inf), MapDomainError,
+         "automorphism angle must be finite, got theta=-inf"),
+        (lambda: replace(MapDescriptor("koebe"), twist_a=0.3 + 0j, twist_theta=math.nan),
+         DescriptorError, "moebius angle theta must be finite, got nan"),
+    ], ids=["twist-theta", "twist-a", "moebius-theta", "moebius-map-theta", "compose-theta",
+            "replaced-twist"])
+    def test_a_twist_is_checked_like_a_moebius_map(self, make, error, message):
+        """A twist's a and theta are refused when the descriptor or the pair is made."""
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
     def test_twisted_pair_cannot_be_twisted_again(self):
         # a descriptor holds one twist, so a second would be dropped from its label
         with pytest.raises(DescriptorError, match="already carries"):

@@ -299,6 +299,15 @@ class TestCriticalCommand:
         assert out == ""
         assert err == "error: probe at s=2.0 stayed inconclusive after refining eps_min to 0.005\n"
 
+    def test_probe_not_refined_past_the_ladder_floor(self, capsys):
+        """At eps_min = 1e-16 the s = 12 probe is inconclusive, and 1e-18 is past the floor."""
+        code, out, err = run(capsys, "critical", "--map", "koebe", "--side", "upper",
+                             "--eps-min", "1e-16")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: probe at s=12.0 stayed inconclusive at eps_min=1e-16, and the "
+                       "gap ladder cannot be refined to 1e-2 of it\n")
+
     def test_no_threshold_is_an_error(self, capsys):
         code, _, err = run(capsys, "critical", "--map", "identity", "--side", "upper")
         assert code == 2

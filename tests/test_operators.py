@@ -66,6 +66,20 @@ class TestTestFunctions:
         assert boundary_power(1.5).admissible_for(50.0)
         assert harmonic_poly(2).admissible_for(1e6)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_harmonic_poly_needs_an_integer(self, k):
+        """Re w^k of a fractional k jumps across the negative axis."""
+        with pytest.raises(ValueError) as info:
+            harmonic_poly(k)
+        assert str(info.value) == f"harmonic_poly needs an integer k, got {k!r}"
+
+    def test_harmonic_poly_takes_numpy_integers(self):
+        w = np.array([0.3 + 0.4j, -0.5 + 0.1j])
+        f, g = harmonic_poly(np.int64(3)), harmonic_poly(3)
+        assert f.name == g.name
+        assert np.array_equal(f.value(w), g.value(w))
+        assert np.array_equal(f.grad_abs(w), g.grad_abs(w))
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_boundary_power_needs_a_finite_positive_gamma(self, gamma):
         with pytest.raises(ValueError, match="boundary_power needs a finite gamma > 0"):

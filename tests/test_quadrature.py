@@ -240,6 +240,19 @@ class TestValidation:
         with pytest.raises(InvalidGradingError, match=message):
             GradingSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["radial_order", "angular_base", "angular_boost"])
+    @pytest.mark.parametrize("value", [16.0, 64.5, "16"])
+    def test_counts_are_integers(self, field, value):
+        with pytest.raises(InvalidGradingError) as info:
+            GradingSpec(**{field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integer_counts_are_accepted(self):
+        g = boundary_power_integrand(-1.5)
+        spec = GradingSpec(radial_order=np.int64(16), angular_base=np.int32(64),
+                           angular_boost=np.int16(8))
+        assert integrate_disc(g, [0.0], spec) == integrate_disc(g, [0.0], GradingSpec())
+
     @pytest.mark.parametrize("field, value", [("eps_min", 5e-17), ("eps_min", 6e-17),
                                               ("annulus_ratio", 0.999999)])
     def test_ladder_faults_are_raised_by_the_ladder(self, field, value):
