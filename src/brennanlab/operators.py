@@ -19,7 +19,7 @@ exponent.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -107,8 +107,10 @@ def harmonic_poly(k: int) -> TestFunction:
     k must be an integer (numpy's too): for a fractional k, Re w^k jumps
     across the negative axis.
     """
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"harmonic_poly needs an integer k, got {k!r}")
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"harmonic_poly needs an integer k, got {k!r}") from None
     if k < 1:
         raise ValueError("harmonic_poly needs k >= 1")
 

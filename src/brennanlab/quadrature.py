@@ -53,7 +53,7 @@ the one geometric gap ladder down to ``eps_min``.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -162,9 +162,13 @@ class GradingSpec:
             raise InvalidGradingError(f"annulus_ratio must lie in (0, 1), got {self.annulus_ratio}")
         for name, least in (("radial_order", 2), ("angular_base", 8), ("angular_boost", 2)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise InvalidGradingError(f"{name} must be an integer, got {value!r}")
-            if value < least:
+            # operator.index, not isinstance(value, numbers.Integral): a spec is made in
+            # timed calls, and the abstract class's check costs about 0.5 us a field
+            try:
+                small = operator.index(value) < least
+            except TypeError:
+                raise InvalidGradingError(f"{name} must be an integer, got {value!r}") from None
+            if small:
                 raise InvalidGradingError(f"{name} must be at least {least}")
         _gap_ladder(self)
 
