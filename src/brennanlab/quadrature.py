@@ -46,8 +46,10 @@ contributions by one tail rule, :func:`_tail`: a power-law fit of the last
 few increments against ``log(1/eps)`` gives a slope, negative slopes mean
 geometrically shrinking increments (convergent tail, which is then
 extrapolated and added to the value), non-shrinking increments mean the
-integral grows at least logarithmically.  The increments always come from
-the one geometric gap ladder down to ``eps_min``.
+integral grows at least logarithmically.  The fit is a least-squares line in
+closed form on Python floats, so no integral calls numpy's linear algebra.
+The increments always come from the one geometric gap ladder down to
+``eps_min``; a ring sum that overflows leaves the integral INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -498,6 +500,25 @@ def _graded_sums(g: _PolarIntegrand, singular_angles, spec: GradingSpec):
     return sums[0], sums[1:], gaps[1:]
 
 
+def _log_line(increments: Sequence[float], eps: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope of log(increment) against ``log(1/eps)``, and its rms residual.
+
+    The line runs through the last ``FIT_WINDOW`` points (all, if fewer),
+    in closed form on Python floats from centred sums: slope
+    ``sum(dx*dy)/sum(dx*dx)``, and the residual's root mean square (over n,
+    not n - 1).  The increments must be positive; one of inf or nan makes
+    both nan.
+    """
+    x = [math.log(1.0 / e) for e in eps[-FIT_WINDOW:]]
+    y = [math.log(v) for v in increments[-FIT_WINDOW:]]
+    x_bar, y_bar = sum(x) / len(x), sum(y) / len(y)
+    dx = [a - x_bar for a in x]
+    dy = [b - y_bar for b in y]
+    slope = sum(a * b for a, b in zip(dx, dy)) / sum(a * a for a in dx)
+    resid = [b - slope * a for a, b in zip(dx, dy)]
+    return slope, math.sqrt(sum(r * r for r in resid) / len(resid))
+
+
 def _tail(increments: Sequence[float], eps: Sequence[float],
           floor: float) -> tuple[Classification, float, float, float]:
     """The package's one tail rule: (verdict, slope, tail, tail error) of the increments.
@@ -505,29 +526,32 @@ def _tail(increments: Sequence[float], eps: Sequence[float],
     Increments at or below ``floor`` count as numerically dead; if the last
     three (or fewer) are dead the tail is CONVERGED with nothing left.
     Otherwise the least-squares slope of log(increment) against
-    ``log(1/eps)`` over the last ``FIT_WINDOW`` decides.  No increments,
-    fewer than four, a non-positive one or an rms log-residual above
-    ``FIT_RESIDUAL_TOL`` give INCONCLUSIVE, a slope above ``-SLOPE_TOL``
-    DIVERGING; neither extrapolates, so its tail is 0 with error inf.
+    ``log(1/eps)`` over the last ``FIT_WINDOW`` decides (:func:`_log_line`).
+    No increments, fewer than four, a non-positive one or an rms
+    log-residual above ``FIT_RESIDUAL_TOL`` give INCONCLUSIVE, a slope above
+    ``-SLOPE_TOL`` DIVERGING; neither extrapolates, so its tail is 0 with
+    error inf.  An increment of inf or nan in the window gives a nan slope,
+    so DIVERGING.
+
+    The line is fit in closed form on Python floats, and the dead-tail and
+    positivity checks read the sequences as given (any sequence, an ndarray
+    too), so no integral calls numpy's linear algebra: five points are too
+    few to pay for it.
 
     A CONVERGED fit shrinks successive annuli by ``q = ratio**(-slope)``,
     ``ratio`` the last step of ``eps``, so the mass beyond the last
     increment is ``last * q/(1 - q)``.  Its error combines the fit
     residual with the difference against a two-point extrapolation.
     """
-    inc = np.asarray(increments, dtype=float)
-    if not len(inc):
+    n = len(increments)
+    if not n:
         return Classification.INCONCLUSIVE, math.nan, 0.0, math.inf
-    if np.all(inc[-3:] <= floor):
+    if all(v <= floor for v in increments[-3:]):
         return Classification.CONVERGED, 0.0, 0.0, 0.0
     # a slope through three points is too weak a test of the power law
-    if len(inc) < 4 or np.any(inc <= 0.0):
+    if n < 4 or any(v <= 0.0 for v in increments):
         return Classification.INCONCLUSIVE, math.nan, 0.0, math.inf
-    x = np.log(1.0 / np.asarray(eps, dtype=float)[-FIT_WINDOW:])
-    y = np.log(inc[-FIT_WINDOW:])
-    coeffs = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coeffs, x)
-    slope, sigma = float(coeffs[0]), float(math.sqrt(np.mean(resid ** 2)))
+    slope, sigma = _log_line(increments, eps)
     if sigma > FIT_RESIDUAL_TOL:
         return Classification.INCONCLUSIVE, slope, 0.0, math.inf
     # "not <=", so that a nan slope is DIVERGING
@@ -568,7 +592,10 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     ``g`` returned nan or inf raises NonFiniteIntegrandError naming that
     node.  The per-annulus increments go through the one tail rule,
     :func:`_tail`.  With no annuli (``eps_min = EPS_START``) the
-    verdict is INCONCLUSIVE and the value is the inner disc alone.
+    verdict is INCONCLUSIVE and the value is the inner disc alone.  Finite
+    values whose ring sum passes the largest float give INCONCLUSIVE too,
+    with value and bar inf and a nan slope; finite ring sums whose total
+    overflows still raise OverflowError from ``math.fsum``.
     """
     return _integrate_polar(_complex_integrand(g), singular_angles, spec)
 
@@ -578,8 +605,13 @@ def _integrate_polar(g: _PolarIntegrand, singular_angles: Sequence[float],
     """:func:`integrate_disc` for a two-stage integrand ``g`` (see the module docstring)."""
     core, increments, gap_after = _graded_sums(g, singular_angles, spec)
     truncated = core + math.fsum(increments)
-    floor = 1e-15 * (abs(truncated) + 1e-30)
-    verdict, slope, tail, tail_err = _tail(increments, gap_after, floor)
+    if math.isfinite(truncated):
+        floor = 1e-15 * (abs(truncated) + 1e-30)
+        verdict, slope, tail, tail_err = _tail(increments, gap_after, floor)
+    else:
+        # ring sums of finite values that overflow: an infinite floor would
+        # call every tail dead
+        verdict, slope, tail, tail_err = Classification.INCONCLUSIVE, math.nan, 0.0, math.inf
 
     value = truncated
     if verdict is Classification.CONVERGED:

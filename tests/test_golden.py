@@ -40,15 +40,20 @@ SPECS = {"default": GradingSpec(), "eps1e-12": GradingSpec(eps_min=1e-12),
 #: table took its weights from the three-term recurrence instead of numpy's
 #: leggauss (each value moved by at most 8.7e-16 relative, 0.006 of its bar),
 #: and when its nodes came from Newton on that recurrence instead of leggauss
-#: (at most 2.9e-16 relative, 8e-6 of its bar; no verdict moved)
+#: (at most 2.9e-16 relative, 8e-6 of its bar; no verdict moved).  The error
+#: bars and slopes were re-pinned when the tail rule fit its line in closed form
+#: on Python floats instead of np.polyfit: no value or verdict moved, fitted_slope
+#: by at most 3.1e-15 relative, abs_error_estimate by 6.0e-10 and tail_estimate
+#: by 3.1e-8, the largest on the identity, where the fit's residual is rounding
+#: noise
 INTEGRALS = [
     ('koebe', -1.0, 'default', IntegralEstimate(
         value=14.743690380102075,
-        abs_error_estimate=2.347744604672114e-08,
+        abs_error_estimate=2.3477446046722627e-08,
         truncation_eps=1e-08,
-        tail_estimate=2.3475971677683127e-08,
+        tail_estimate=2.3475971677684616e-08,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9429675060230718,
+        fitted_slope=-0.9429675060230707,
     )),
     ('koebe', 1.7, 'eps1e-12', IntegralEstimate(
         value=2.1842419873662474e+37,
@@ -56,15 +61,15 @@ INTEGRALS = [
         truncation_eps=1e-12,
         tail_estimate=1.9275807272145172e+37,
         classification=Classification.DIVERGING,
-        fitted_slope=3.0999818986940264,
+        fitted_slope=3.099981898694024,
     )),
     ('koebe', 0.3, 'base128', IntegralEstimate(
         value=4.095464794554473,
-        abs_error_estimate=1.1638646399685346e-09,
+        abs_error_estimate=1.163864639968552e-09,
         truncation_eps=1e-08,
-        tail_estimate=1.1634550934890791e-09,
+        tail_estimate=1.1634550934890965e-09,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9812283123833602,
+        fitted_slope=-0.9812283123833596,
     )),
     ('koebe', -2.5, 'default', IntegralEstimate(
         value=8672123.04065934,
@@ -72,13 +77,13 @@ INTEGRALS = [
         truncation_eps=1e-08,
         tail_estimate=2506167.413943644,
         classification=Classification.DIVERGING,
-        fitted_slope=0.5000002987517933,
+        fitted_slope=0.5000002987517924,
     )),
     ('sector:1.5', -1.0, 'default', IntegralEstimate(
         value=2.433433212120911,
-        abs_error_estimate=5.966111790233157e-12,
+        abs_error_estimate=5.966111790307392e-12,
         truncation_eps=1e-08,
-        tail_estimate=5.722768469021066e-12,
+        tail_estimate=5.722768469095301e-12,
         classification=Classification.CONVERGED,
         fitted_slope=-0.9999346641050542,
     )),
@@ -88,31 +93,31 @@ INTEGRALS = [
         truncation_eps=1e-12,
         tail_estimate=6.13440668765517e+27,
         classification=Classification.DIVERGING,
-        fitted_slope=2.250011126265086,
+        fitted_slope=2.2500111262650893,
     )),
     ('sector:0.3', 0.3, 'base128', IntegralEstimate(
         value=2.738108661566514,
-        abs_error_estimate=6.541024760071748e-13,
+        abs_error_estimate=6.54102475939643e-13,
         truncation_eps=1e-08,
-        tail_estimate=3.8029160985052334e-13,
+        tail_estimate=3.8029160978299155e-13,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999944490562716,
+        fitted_slope=-0.9999944490562713,
     )),
     ('cardioid', 0.3, 'default', IntegralEstimate(
         value=3.1835848507202504,
-        abs_error_estimate=3.315138201972163e-13,
+        abs_error_estimate=3.3151382012834453e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.3155335125191243e-14,
+        tail_estimate=1.315533505631943e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999149903931,
+        fitted_slope=-0.9999999149903926,
     )),
     ('cardioid', -1.0, 'base128', IntegralEstimate(
         value=4.000000003786127,
-        abs_error_estimate=2.7194485365413555e-09,
+        abs_error_estimate=2.7194485365415623e-09,
         truncation_eps=1e-08,
-        tail_estimate=2.719048536540977e-09,
+        tail_estimate=2.7190485365411837e-09,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9466067575276023,
+        fitted_slope=-0.9466067575276012,
     )),
     ('koebe*moebius:0.95,0.2,1', 1.7, 'default', IntegralEstimate(
         value=1.963126441329248e+19,
@@ -120,171 +125,171 @@ INTEGRALS = [
         truncation_eps=1e-08,
         tail_estimate=1.7259922609359825e+19,
         classification=Classification.DIVERGING,
-        fitted_slope=3.100000076768445,
+        fitted_slope=3.100000076768442,
     )),
     ('koebe*moebius:0.95,0.2,1', -1.0, 'eps1e-12', IntegralEstimate(
         value=313.0896470453522,
-        abs_error_estimate=3.177609389627288e-11,
+        abs_error_estimate=3.177609389627087e-11,
         truncation_eps=1e-12,
-        tail_estimate=4.67129191737661e-13,
+        tail_estimate=4.671291917356524e-13,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999431099165675,
+        fitted_slope=-0.9999431099165672,
     )),
     ('cardioid*moebius:0.5,-0.3,1', 0.3, 'base128', IntegralEstimate(
         value=3.1837071399627352,
-        abs_error_estimate=3.3195306430308164e-13,
+        abs_error_estimate=3.319530643482678e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.3582350306808107e-14,
+        tail_estimate=1.3582350351994233e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999106543659,
+        fitted_slope=-0.9999999106543644,
     )),
     ('cardioid*moebius:0.5,-0.3,1', -1.0, 'default', IntegralEstimate(
         value=3.3308420789534785,
-        abs_error_estimate=5.879126029105564e-11,
+        abs_error_estimate=5.87912602911807e-11,
         truncation_eps=1e-08,
-        tail_estimate=5.845817608316028e-11,
+        tail_estimate=5.845817608328534e-11,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9833641015634444,
+        fitted_slope=-0.9833641015634434,
     )),
     ('moebius:0.9,0,0', 2.0, 'eps1e-12', IntegralEstimate(
         value=3.141592653589799,
-        abs_error_estimate=3.2832760282962155e-13,
+        abs_error_estimate=3.2832760282967325e-13,
         truncation_eps=1e-12,
-        tail_estimate=1.4168337470641643e-14,
+        tail_estimate=1.4168337470693338e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999834420163867,
+        fitted_slope=-0.9999834420163872,
     )),
     ('moebius:0.9,0,0', -1.0, 'base128', IntegralEstimate(
         value=23.231250938387788,
-        abs_error_estimate=2.4960894044592687e-12,
+        abs_error_estimate=2.4960894056300273e-12,
         truncation_eps=1e-08,
-        tail_estimate=1.7296431062048991e-13,
+        tail_estimate=1.7296431179124858e-13,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999998590171318,
+        fitted_slope=-0.9999998590171304,
     )),
     ('sector:1.7*moebius:-0.6,0.7,2', 0.3, 'default', IntegralEstimate(
         value=1.898659662807563,
-        abs_error_estimate=1.1851249678435125e-10,
+        abs_error_estimate=1.1851249678432532e-10,
         truncation_eps=1e-08,
-        tail_estimate=1.183226308180705e-10,
+        tail_estimate=1.1832263081804458e-10,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9952083045112262,
+        fitted_slope=-0.9952083045112257,
     )),
     ('moebius:0.3,0,1*moebius:0.2,0.1,0.5', 1.7, 'eps1e-12', IntegralEstimate(
         value=2.965951622082007,
-        abs_error_estimate=3.0104815299623837e-13,
+        abs_error_estimate=3.010481529962059e-13,
         truncation_eps=1e-12,
-        tail_estimate=4.452990788037694e-15,
+        tail_estimate=4.452990788005249e-15,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999834422102598,
+        fitted_slope=-0.9999834422102577,
     )),
     ('koebe*moebius:0.95,0.2,1', 0.0, 'eps1e-12', IntegralEstimate(
         value=3.141592653589794,
-        abs_error_estimate=3.1845836340540255e-13,
+        abs_error_estimate=3.1845836340540957e-13,
         truncation_eps=1e-12,
-        tail_estimate=4.2990980464231314e-15,
+        tail_estimate=4.299098046430164e-15,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999834422209396,
+        fitted_slope=-0.9999834422209409,
     )),
     ('sector:1.5', 0.0, 'default', IntegralEstimate(
         value=3.1415926535897993,
-        abs_error_estimate=3.2577406134311224e-13,
+        abs_error_estimate=3.2577406141590984e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.1614795984132312e-14,
+        tail_estimate=1.1614796056929908e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999261241727,
+        fitted_slope=-0.9999999261241715,
     )),
     ('cardioid*moebius:0.5,-0.3,1', 0.0, 'base128', IntegralEstimate(
         value=3.1415926535897998,
-        abs_error_estimate=3.257740614234666e-13,
+        abs_error_estimate=3.257740614739339e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.1614796064486615e-14,
+        tail_estimate=1.1614796114953938e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999261241708,
+        fitted_slope=-0.9999999261241702,
     )),
     ('moebius:0.9,0,0', 0.0, 'default', IntegralEstimate(
         value=3.1415926535897993,
-        abs_error_estimate=3.257740617287859e-13,
+        abs_error_estimate=3.257740619004528e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.1614796369805962e-14,
+        tail_estimate=1.1614796541472887e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999261241723,
+        fitted_slope=-0.9999999261241718,
     )),
     # a map with no factor: |psi'|^e is 1 at every node and the integral is pi;
     # generated before the ring stage took a whole block's radial nodes
     ('identity', -1.0, 'default', IntegralEstimate(
         value=3.1415926535897998,
-        abs_error_estimate=3.2577406118996816e-13,
+        abs_error_estimate=3.2577406137487e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.161479583098818e-14,
+        tail_estimate=1.161479601588999e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999261241723,
+        fitted_slope=-0.9999999261241713,
     )),
     ('identity', -1.0, 'eps1e-12', IntegralEstimate(
         value=3.1415926535897953,
-        abs_error_estimate=3.1845836340536064e-13,
+        abs_error_estimate=3.184583634053756e-13,
         truncation_eps=1e-12,
-        tail_estimate=4.2990980463811065e-15,
+        tail_estimate=4.299098046396074e-15,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.999983442220938,
+        fitted_slope=-0.9999834422209404,
     )),
     ('identity', -1.0, 'base128', IntegralEstimate(
         value=3.1415926535897998,
-        abs_error_estimate=3.2577406118996816e-13,
+        abs_error_estimate=3.2577406137487e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.161479583098818e-14,
+        tail_estimate=1.161479601588999e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999261241723,
+        fitted_slope=-0.9999999261241713,
     )),
     ('identity', 1.5, 'default', IntegralEstimate(
         value=3.1415926535897998,
-        abs_error_estimate=3.2577406118996816e-13,
+        abs_error_estimate=3.2577406137487e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.161479583098818e-14,
+        tail_estimate=1.161479601588999e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999261241723,
+        fitted_slope=-0.9999999261241713,
     )),
     ('identity', 1.5, 'eps1e-12', IntegralEstimate(
         value=3.1415926535897953,
-        abs_error_estimate=3.1845836340536064e-13,
+        abs_error_estimate=3.184583634053756e-13,
         truncation_eps=1e-12,
-        tail_estimate=4.2990980463811065e-15,
+        tail_estimate=4.299098046396074e-15,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.999983442220938,
+        fitted_slope=-0.9999834422209404,
     )),
     ('identity', 1.5, 'base128', IntegralEstimate(
         value=3.1415926535897998,
-        abs_error_estimate=3.2577406118996816e-13,
+        abs_error_estimate=3.2577406137487e-13,
         truncation_eps=1e-08,
-        tail_estimate=1.161479583098818e-14,
+        tail_estimate=1.161479601588999e-14,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999261241723,
+        fitted_slope=-0.9999999261241713,
     )),
     # under a spec that varies the radial order, the ratio and the panels;
     # generated before the spec's ladder and rules were made once per spec
     ('identity', -1.0, 'order12', IntegralEstimate(
         value=3.1415926535897976,
-        abs_error_estimate=3.2029661516765593e-13,
+        abs_error_estimate=3.2029661535855583e-13,
         truncation_eps=1e-08,
-        tail_estimate=6.137349808676165e-15,
+        tail_estimate=6.137349999576049e-15,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999999596909687,
+        fitted_slope=-0.9999999596909656,
     )),
     ('cardioid', 0.7, 'order12', IntegralEstimate(
         value=3.3528913036198573,
-        abs_error_estimate=3.432985076715906e-13,
+        abs_error_estimate=3.432985076895391e-13,
         truncation_eps=1e-08,
-        tail_estimate=8.009377309604871e-15,
+        tail_estimate=8.009377327553337e-15,
         classification=Classification.CONVERGED,
         fitted_slope=-0.9999999449177278,
     )),
     ('koebe*moebius:0.5,0.2,1', -1.0, 'order12', IntegralEstimate(
         value=17.09186845327281,
-        abs_error_estimate=4.794544301582325e-09,
+        abs_error_estimate=4.7945443015802405e-09,
         truncation_eps=1e-08,
-        tail_estimate=4.7928351147369975e-09,
+        tail_estimate=4.792835114734913e-09,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9552347121872459,
+        fitted_slope=-0.9552347121872471,
     )),
 ]
 
@@ -299,38 +304,40 @@ def test_disc_integral(name, exponent, spec, expected):
 def test_complex_integrand():
     """A complex-w integrand of the public integrate_disc, |1 - w|^-1.5.
 
-    Re-pinned with the integrals above, when the table's weights changed and
-    when its nodes did.
+    Re-pinned with the integrals above, when the table's weights changed,
+    when its nodes did and (its bar and slope) when the tail's line fit
+    became closed form.
     """
     est = integrate_disc(lambda w: np.abs(1.0 - w) ** -1.5, (0.0,))
     assert repr(est) == repr(IntegralEstimate(
         value=6.777704756159108,
-        abs_error_estimate=6.081618046810971e-08,
+        abs_error_estimate=6.081618046852763e-08,
         truncation_eps=1e-08,
-        tail_estimate=6.08155026976341e-08,
+        tail_estimate=6.081550269805201e-08,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.4999589370342624,
+        fitted_slope=-0.4999589370342627,
     ))
 
 
 # |w - 2|^-3 is smooth and not constant on the disc, so its value pins the
-# nodes and weights of the rule without singular angles
+# nodes and weights of the rule without singular angles; the bars and slopes were
+# re-pinned with the integrals' when the tail's line fit became closed form
 @pytest.mark.parametrize("spec, expected", [
     ("default", IntegralEstimate(
         value=0.5417318486114644,
-        abs_error_estimate=5.950088041312035e-14,
+        abs_error_estimate=5.950088044509027e-14,
         truncation_eps=1e-08,
-        tail_estimate=5.327695551973905e-15,
+        tail_estimate=5.327695583943824e-15,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999998170366194,
+        fitted_slope=-0.9999998170366176,
     )),
     ("order12", IntegralEstimate(
         value=0.5417318483136543,
-        abs_error_estimate=5.648184043127632e-14,
+        abs_error_estimate=5.6481840426842027e-14,
         truncation_eps=1e-08,
-        tail_estimate=2.308655599910892e-15,
+        tail_estimate=2.308655595476599e-15,
         classification=Classification.CONVERGED,
-        fitted_slope=-0.9999998982781629,
+        fitted_slope=-0.9999998982781624,
     )),
 ])
 def test_ungraded_integrand(spec, expected):

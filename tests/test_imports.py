@@ -92,6 +92,13 @@ def read_names(tree):
             yield node.name
 
 
+def named_parts(tree):
+    """Each part of every dotted name a tree reads or imports from, however it is reached."""
+    names = set(read_names(tree)) | {node.module for node in ast.walk(tree)
+                                     if isinstance(node, ast.ImportFrom) and node.module}
+    return {part for dotted in names for part in dotted.split(".")}
+
+
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_no_eigenvalue_solver_for_tables(name):
     """No module names ``leggauss`` or ``numpy.linalg``, however it is imported or reached.
@@ -99,10 +106,18 @@ def test_no_eigenvalue_solver_for_tables(name):
     The Gauss-Legendre tables come from Newton's method on the three-term
     recurrence, so no table runs LAPACK's dense eigenvalue solver.
     """
-    tree = TREES[name]
-    names = set(read_names(tree)) | {node.module for node in ast.walk(tree)
-                                     if isinstance(node, ast.ImportFrom) and node.module}
-    named = {part for dotted in names for part in dotted.split(".")} & {"leggauss", "linalg"}
+    named = named_parts(TREES[name]) & {"leggauss", "linalg"}
+    assert not named, f"{name} names {sorted(named)}"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_least_squares_solver_for_the_tail(name):
+    """No module names ``polyfit``, ``polyval`` or ``lstsq``, however it is imported or reached.
+
+    The tail rule fits its line through five points in closed form on Python
+    floats, so no integral runs LAPACK's least-squares solver.
+    """
+    named = named_parts(TREES[name]) & {"polyfit", "polyval", "lstsq"}
     assert not named, f"{name} names {sorted(named)}"
 
 

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from brennanlab import catalog, quadrature
 from brennanlab.catalog import TWO_PI_LO, make_pair
-from brennanlab.functionals import brennan_integral
+from brennanlab.functionals import brennan_integral, inverse_brennan_integral
 from brennanlab.quadrature import (
     DEFAULT_SPEC,
     EPS_START,
+    FIT_RESIDUAL_TOL,
+    SLOPE_TOL,
     TWO_PI,
     _BLOCK_NODES,
     Classification,
@@ -26,11 +28,13 @@ from brennanlab.quadrature import (
     _gap_ladder,
     _gauss,
     _graded_sums,
+    _log_line,
     _ring_sum,
     _spec_rule,
     _tail,
     integrate_disc,
 )
+from test_golden import INTEGRALS, SPECS
 
 
 def boundary_power_integrand(t):
@@ -211,6 +215,99 @@ class TestClassifyTail:
         assert verdict is Classification.INCONCLUSIVE
         assert math.isnan(slope)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_non_finite_last_increment_is_diverging(self, bad, kind):
+        """An increment of inf or nan gives DIVERGING with a nan slope, and raises or warns nothing."""
+        eps = [0.5 ** k for k in range(2, 10)]
+        increments = [0.5 ** k for k in range(1, 8)] + [bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict, slope, tail, err = _tail(kind(increments), kind(eps), 1e-15)
+        assert verdict is Classification.DIVERGING
+        assert math.isnan(slope)
+        assert (tail, err) == (0.0, math.inf)
+
+
+def polyfit_line(increments, eps):
+    """The reference line: numpy's least-squares fit through the last five points, and its rms residual."""
+    x = np.log(1.0 / np.asarray(eps, dtype=float)[-5:])
+    y = np.log(np.asarray(increments, dtype=float)[-5:])
+    coeffs = np.polyfit(x, y, 1)
+    return float(coeffs[0]), float(np.sqrt(np.mean((y - np.polyval(coeffs, x)) ** 2)))
+
+
+def verdict_of(slope, sigma):
+    """What the tail rule decides from a fit that it reaches."""
+    if sigma > FIT_RESIDUAL_TOL:
+        return Classification.INCONCLUSIVE
+    return Classification.CONVERGED if slope <= -SLOPE_TOL else Classification.DIVERGING
+
+
+def golden_tail_inputs():
+    """(increments, eps, floor) of every _tail call made by the integrals of test_golden."""
+    calls = []
+    tail = quadrature._tail
+
+    def recorded(increments, eps, floor):
+        calls.append((increments, eps, floor))
+        return tail(increments, eps, floor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_tail", recorded)
+        for name, exponent, spec, _ in INTEGRALS:
+            inverse_brennan_integral(make_pair(name), exponent, SPECS[spec])
+        integrate_disc(lambda w: np.abs(1.0 - w) ** -1.5, (0.0,))
+        for spec in ("default", "order12"):
+            integrate_disc(lambda w: np.abs(w - 2.0) ** -3.0, (), SPECS[spec])
+    return calls
+
+
+class TestLineFit:
+    """The tail's closed-form line against numpy's least squares, the outside reference."""
+
+    def check(self, increments, eps, floor):
+        slope, sigma = _log_line(increments, eps)
+        ref_slope, ref_sigma = polyfit_line(increments, eps)
+        assert slope == pytest.approx(ref_slope, rel=1e-13)
+        assert sigma == pytest.approx(ref_sigma, rel=0.0, abs=1e-12)
+        verdict, tail_slope = _tail(increments, eps, floor)[:2]
+        assert (verdict, tail_slope) == (verdict_of(ref_slope, ref_sigma), slope)
+        return verdict
+
+    def test_golden_increments(self):
+        calls = golden_tail_inputs()
+        assert len(calls) == len(INTEGRALS) + 3
+        # every golden tail reaches the fit: all increments live and positive
+        for increments, eps, floor in calls:
+            assert min(increments) > 0.0 and increments[-1] > floor
+            self.check(increments, eps, floor)
+
+    def test_noisy_power_laws(self):
+        """Slopes from -3 to 3 with log-noise up to 0.2 on ladders of ratio 0.2 to 0.8."""
+        rng = np.random.default_rng(20261020)
+        verdicts = []
+        for _ in range(300):
+            n = int(rng.integers(4, 40))
+            eps = 0.5 * rng.uniform(0.2, 0.8) ** np.arange(1, n + 1)
+            noise = rng.uniform(0.0, 0.2) * rng.standard_normal(n)
+            increments = rng.uniform(0.1, 10.0) * eps ** -rng.uniform(-3.0, 3.0) * np.exp(noise)
+            verdicts.append(self.check(increments.tolist(), eps.tolist(), 0.0))
+        # the draws reach every verdict of a fit
+        assert set(verdicts) == set(Classification)
+
+    @pytest.mark.parametrize("ratio, shrink", [(0.5, 0.5), (0.5, 0.25), (0.3, 0.9), (0.6, 0.05),
+                                               (0.9, 0.99)])
+    def test_geometric_tail_is_summed_in_closed_form(self, ratio, shrink):
+        """Increments shrinking by q an annulus leave last*q/(1 - q), q = ratio**(-slope)."""
+        eps = [0.5 * ratio ** k for k in range(1, 13)]
+        increments = [3.0 * shrink ** k for k in range(1, 13)]
+        verdict, slope, tail, err = _tail(increments, eps, 0.0)
+        assert verdict is Classification.CONVERGED
+        assert ratio ** -slope == pytest.approx(shrink, rel=1e-13)
+        assert tail == pytest.approx(increments[-1] * shrink / (1.0 - shrink), rel=1e-12)
+        assert err <= 1e-12 * tail
+
 
 class TestValidation:
     def test_non_finite_integrand(self):
@@ -220,6 +317,21 @@ class TestValidation:
 
         with pytest.raises(NonFiniteIntegrandError):
             integrate_disc(g)
+
+    def test_overflowing_ring_sum_is_inconclusive(self):
+        """Finite values whose ring sum passes the largest float leave no tail to call dead.
+
+        The first annulus, from radius 0.5 to 0.995, has area above 1, so its
+        values of 1e308 sum to inf; the verdict is INCONCLUSIVE, never
+        CONVERGED with value inf.  (Finite ring sums whose total overflows
+        raise in math.fsum: TestNonFiniteRing::test_overflowing_total.)
+        """
+        with np.errstate(over="ignore"):
+            est = integrate_disc(lambda w: np.full(w.shape, 1e308), (),
+                                 GradingSpec(annulus_ratio=0.01))
+        assert est.classification is Classification.INCONCLUSIVE
+        assert est.value == est.abs_error_estimate == est.limit == math.inf
+        assert math.isnan(est.fitted_slope)
 
     def test_invalid_spec(self):
         with pytest.raises(InvalidGradingError):
