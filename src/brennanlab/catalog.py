@@ -311,15 +311,21 @@ class ConformalPair:
             return lambda i, part: np.ones((n_r, len(theta[part])))
         rho, alpha, half_f = self._factors
         k = len(rho)
-        angular = np.ones((k, 2, len(theta)))
+        angular = np.empty((k, 2, len(theta)))
+        angular[:, 0] = 1.0
         side = angular[:, 1]
         # theta + alpha less a whole turn where it exceeds pi in size: a ring's
         # angles span [theta_0, theta_0 + 2pi), so next to a singular point the
         # sum can sit near +-2pi, where it is rounded to ulp(2pi); there
-        # theta - TWO_PI, or alpha + TWO_PI, is exact, and TWO_PI_LO ends the turn
+        # theta - TWO_PI, or alpha + TWO_PI, is exact, and TWO_PI_LO ends the
+        # turn.  Each is summed in place where its mask holds, in the order written
         np.add(theta, alpha, out=side)
-        np.copyto(side, (theta - TWO_PI) + alpha - TWO_PI_LO, where=side > math.pi)
-        np.copyto(side, theta + (alpha + TWO_PI) + TWO_PI_LO, where=side < -math.pi)
+        turn = side > math.pi
+        np.add(theta - TWO_PI, alpha, out=side, where=turn)
+        np.subtract(side, TWO_PI_LO, out=side, where=turn)
+        np.less(side, -math.pi, out=turn)
+        np.add(theta, alpha + TWO_PI, out=side, where=turn)
+        np.add(side, TWO_PI_LO, out=side, where=turn)
         side *= 0.5
         np.square(np.sin(side, out=side), out=side)
         radial = _radial_terms(rho, r)

@@ -24,7 +24,10 @@ ladder is too long or whose radii do not rise is refused when made.
 :func:`_spec_rule` fills the table with every size the spec's rules can ask
 for, in one batched Newton pass (``_gauss`` builds any other size on its
 own, to the same bits), and forms the radial rule of every ring of the
-ladder and the angular rule without singular angles.  This is the only
+ladder, the angular rule without singular angles and the sinh rule's node
+table: every size it can ask for, end to end, 16 bytes a node (74 KiB at
+the default spec).  Each block of the sinh rule is one gather from that
+table, and the map runs in place on what it gathered.  This is the only
 module that builds a ring.
 
 An integrand works in two stages.  Its block stage runs once per block
@@ -49,11 +52,13 @@ extrapolated and added to the value), non-shrinking increments mean the
 integral grows at least logarithmically.  The fit is a least-squares line in
 closed form on Python floats, so no integral calls numpy's linear algebra.
 The increments always come from the one geometric gap ladder down to
-``eps_min``; a ring sum that overflows leaves the integral INCONCLUSIVE.
+``eps_min``; a ring sum, or a total of ring sums, that overflows leaves
+the integral INCONCLUSIVE.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -339,27 +344,51 @@ def _build_tables(sizes: Iterable[int]) -> None:
         _TABLES[m] = table
 
 
+def _node_table(sizes: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss-Legendre tables of ``sizes`` end to end: ``(x1, w, start)``, read-write.
+
+    The nodes of size n, each plus 1, are ``x1[start[n]:start[n] + n]`` and
+    their weights ``w[start[n]:start[n] + n]``, the bits of :func:`_gauss`'s
+    (``x + 1.0`` rounded as the sinh rule rounds it).  ``start`` has an
+    entry for every size up to the largest; those of sizes not given mean
+    nothing.  The sizes missing from ``_TABLES`` are built in one batched
+    pass.
+    """
+    sizes = sorted(set(sizes))
+    _build_tables(sizes)
+    x, w = zip(*map(_gauss, sizes))
+    start = np.zeros(sizes[-1] + 1, dtype=np.intp)
+    start[sizes] = np.cumsum(sizes) - sizes
+    return np.concatenate(x) + 1.0, np.concatenate(w), start
+
+
 @lru_cache(maxsize=64)
-def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What the spec alone fixes of the disc rule, made once per spec: ``(r, rw, theta, wtheta)``.
+def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                           tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """What the spec alone fixes of the disc rule, once per spec: ``(r, rw, theta, wtheta, sinh)``.
 
     First every table the spec's rules can ask for is built, in one
     batched pass: a side of a singular angle is at most pi long and its gap
     at least ``eps_min``, so the sinh rule's sizes run from
     ``angular_base//4 + 1`` to ``ceil(angular_boost/2 * asinh(pi/eps_min))
     + angular_base//4``; the radial rule takes ``radial_order`` and the
-    ungraded rule ``angular_boost``.  A size outside that range, should
-    rounding make one, is still built by :func:`_gauss` on its own.
+    ungraded rule ``angular_boost``.  A size past that range, should
+    rounding make one, is built by :func:`_gauss` for the call that asks.
 
     Then the radial rule of every ring of the gap ladder, the inner disc
     first, one row a ring: the Gauss-Legendre nodes ``r`` and the weights
     times ``r``, the polar Jacobian folded in, each of shape ``(rings,
     radial_order)``.  That is 2 x rings x radial_order floats, 7 KB at the
-    default spec and 2.6 MB for a ladder of ``_MAX_ANNULI`` annuli.  Last,
+    default spec and 2.6 MB for a ladder of ``_MAX_ANNULI`` annuli.  Next,
     the angular rule without singular angles: ``max(8,
     angular_base//angular_boost)`` equal panels of ``angular_boost``
-    points.  All four arrays are shared by every integral under the spec,
-    so they are read-only.
+    points.  Last, ``sinh``, the sinh rule's node table: every size of that
+    range end to end, as :func:`_node_table` lays it out, from which
+    :func:`_angular_rules` gathers each block.  Its nodes and weights take
+    16 bytes a node: 74 KiB at the default spec (sizes 17 to 98), 139 KiB
+    at ``eps_min=1e-12`` (17 to 134) and 94 KiB at ``angular_base=128`` (33
+    to 114).  All of these arrays are shared by every integral under the
+    spec, so they are read-only.
     """
     extra = spec.angular_base // 4
     top = math.ceil(0.5 * spec.angular_boost * math.asinh(math.pi / spec.eps_min)) + extra
@@ -372,9 +401,10 @@ def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     ends = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
     side = 0.5 * (ends[1:] - ends[:-1])[:, None]
     rule = (r, half * wt * r, (ends[:-1, None] + side * (x + 1.0)).ravel(), (side * w).ravel())
-    for a in rule:
+    sinh = _node_table(range(extra + 1, top + 1))
+    for a in (*rule, *sinh):
         a.flags.writeable = False
-    return rule
+    return (*rule, sinh)
 
 
 def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
@@ -393,7 +423,12 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     Every scale's side counts are worked out first.  Consecutive rules are
     then built together, in one array pass per block of at most
     ``_BLOCK_NODES`` nodes; a rule with more nodes is a block of its own,
-    so memory stays bounded however long the ladder.  Each block is
+    so memory stays bounded however long the ladder.  A block's nodes and
+    weights are one gather from the spec's node table (:func:`_spec_rule`),
+    and each (rule, side) segment's half-length in u, gap, origin and
+    direction one ``np.repeat``; the map itself runs in place.  A size past
+    the spec's table (a scale below ``eps_min``, or a side rounded past pi)
+    takes the same gather from a table made for the call.  Each block is
     yielded as ``(theta, weights, parts)``, where ``parts`` holds one slice
     per rule, in the order of ``scales``: the rule of that scale is
     ``theta[part], weights[part]``.  Without singular angles every block
@@ -403,7 +438,7 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     # angles that coincide modulo 2pi are one angle, owning one arc
     angles = sorted({a % TWO_PI for a in singular_angles})
     if not angles:
-        theta, weights = _spec_rule(spec)[2:]
+        theta, weights = _spec_rule(spec)[2:4]
         per_block = max(1, _BLOCK_NODES // len(theta))
         for lo in range(0, len(scales), per_block):
             yield theta, weights, [slice(None)] * len(scales[lo:lo + per_block])
@@ -418,22 +453,42 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     gaps = np.asarray(scales, dtype=float)
     stop = np.arcsinh(length / gaps[:, None])
     count = np.ceil(0.5 * spec.angular_boost * stop).astype(int) + spec.angular_base // 4
-    # rule k holds the nodes ends[k]:ends[k + 1] of the whole ladder
-    ends = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
+    # every count exceeds angular_base//4, the table's least size, as stop > 0
+    x1, wx, start = _spec_rule(spec)[4]
+    if count.max() >= len(start):
+        x1, wx, start = _node_table(count.ravel().tolist())
+    # each (rule, side) segment's half-length in u, gap, origin and direction
+    segment = np.empty((4, *count.shape))
+    np.multiply(0.5, stop, out=segment[0])
+    segment[1], segment[2], segment[3] = gaps[:, None], base, sign
+    # node j of the ladder, in segment c, is entry j + shift[c] of the table,
+    # and rule k holds the nodes ends[k]:ends[k + 1]
+    cell_ends = np.cumsum(count).reshape(count.shape)
+    shift = start[count] - (cell_ends - count)
+    ends = [0, *cell_ends[:, -1].tolist()]
     lo = 0
     while lo < len(gaps):
         # rules lo to hi - 1: as many as fit in _BLOCK_NODES, and at least one
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _BLOCK_NODES, side="right")) - 1)
+        hi = max(lo + 1, bisect.bisect_right(ends, ends[lo] + _BLOCK_NODES) - 1)
         counts = count[lo:hi].ravel()
-        # the (rule, side) cell of each node, rule counted from lo
-        cell = np.repeat(np.arange(len(counts)), counts)
-        rule, side = np.divmod(cell, len(base))
-        x, w = (np.concatenate(t) for t in zip(*map(_gauss, counts.tolist())))
-        gap, half = gaps[lo:hi][rule], 0.5 * stop[lo:hi].ravel()[cell]
-        u = half * (x + 1.0)
-        starts = (ends[lo:hi + 1] - ends[lo]).tolist()
-        yield (base[side] + sign[side] * (gap * np.sinh(u)), gap * np.cosh(u) * (half * w),
-               [slice(a, b) for a, b in zip(starts, starts[1:])])
+        at = np.repeat(shift[lo:hi], counts)
+        at += np.arange(ends[lo], ends[hi])
+        half, gap, origin, direction = np.repeat(segment[:, lo:hi].reshape(4, -1), counts, axis=1)
+        # u = half*(x + 1), theta = origin + direction*(gap*sinh(u)) and the
+        # weights gap*cosh(u)*(half*w), every product in place
+        u = x1[at]
+        u *= half
+        w = wx[at]
+        w *= half
+        theta = np.sinh(u)
+        theta *= gap
+        theta *= direction
+        theta += origin
+        weights = np.cosh(u, out=u)
+        weights *= gap
+        weights *= w
+        yield theta, weights, [slice(a - ends[lo], b - ends[lo])
+                               for a, b in zip(ends[lo:hi], ends[lo + 1:hi + 1])]
         lo = hi
 
 
@@ -594,8 +649,8 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     :func:`_tail`.  With no annuli (``eps_min = EPS_START``) the
     verdict is INCONCLUSIVE and the value is the inner disc alone.  Finite
     values whose ring sum passes the largest float give INCONCLUSIVE too,
-    with value and bar inf and a nan slope; finite ring sums whose total
-    overflows still raise OverflowError from ``math.fsum``.
+    with value and bar inf and a nan slope, and so do finite ring sums
+    whose total does.
     """
     return _integrate_polar(_complex_integrand(g), singular_angles, spec)
 
@@ -604,13 +659,17 @@ def _integrate_polar(g: _PolarIntegrand, singular_angles: Sequence[float],
                      spec: GradingSpec) -> IntegralEstimate:
     """:func:`integrate_disc` for a two-stage integrand ``g`` (see the module docstring)."""
     core, increments, gap_after = _graded_sums(g, singular_angles, spec)
-    truncated = core + math.fsum(increments)
+    try:
+        truncated = core + math.fsum(increments)
+    except OverflowError:
+        # finite ring sums whose total passes the largest float
+        truncated = math.inf
     if math.isfinite(truncated):
         floor = 1e-15 * (abs(truncated) + 1e-30)
         verdict, slope, tail, tail_err = _tail(increments, gap_after, floor)
     else:
-        # ring sums of finite values that overflow: an infinite floor would
-        # call every tail dead
+        # ring sums of finite values that overflow, one or all together: an
+        # infinite floor would call every tail dead
         verdict, slope, tail, tail_err = Classification.INCONCLUSIVE, math.nan, 0.0, math.inf
 
     value = truncated

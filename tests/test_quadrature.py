@@ -324,7 +324,7 @@ class TestValidation:
         The first annulus, from radius 0.5 to 0.995, has area above 1, so its
         values of 1e308 sum to inf; the verdict is INCONCLUSIVE, never
         CONVERGED with value inf.  (Finite ring sums whose total overflows
-        raise in math.fsum: TestNonFiniteRing::test_overflowing_total.)
+        read the same: TestNonFiniteRing::test_overflowing_total.)
         """
         with np.errstate(over="ignore"):
             est = integrate_disc(lambda w: np.full(w.shape, 1e308), (),
@@ -527,12 +527,38 @@ class TestGauss:
 
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
     def test_spec_rule_is_read_only(self, spec):
-        """The spec's radial and ungraded rules are shared by its integrals: none is writable."""
-        rule = _spec_rule(spec)
-        assert len(rule) == 4
-        for a in rule:
+        """The spec's radial, ungraded and sinh rules are shared by its integrals.
+
+        No array it returns is writable, the sinh rule's node table included.
+        """
+        r, rw, theta, wtheta, sinh = _spec_rule(spec)
+        assert len(sinh) == 3
+        for a in (r, rw, theta, wtheta, *sinh):
+            assert isinstance(a, np.ndarray)
             with pytest.raises(ValueError, match="read-only"):
-                a[(0,) * a.ndim] = 0.0
+                a[(0,) * a.ndim] = 0
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
+    def test_ladder_gathers_from_the_spec_table(self, spec, monkeypatch):
+        """Every block of a spec's gap ladder is gathered from the spec's node table.
+
+        Only a scale below eps_min asks for a size past it, and then a
+        table is made for the call.
+        """
+        _spec_rule(spec)
+        made = []
+
+        def counted(sizes):
+            made.append(sizes)
+            return node_table(sizes)
+
+        node_table = quadrature._node_table
+        monkeypatch.setattr(quadrature, "_node_table", counted)
+        angles = make_pair("koebe*moebius:0.95,0.2,1").grading_angles
+        rules = list(rules_of(_angular_rules(angles, _gap_ladder(spec), spec)))
+        assert len(rules) == len(_gap_ladder(spec)) and made == []
+        next(_angular_rules(angles, [spec.eps_min / 16], spec))
+        assert len(made) == 1
 
     def test_no_eigenvalue_solver(self, monkeypatch):
         """Every table from 2 to 300 nodes is built with LAPACK's eigvalsh and leggauss refused."""
@@ -555,13 +581,16 @@ def rules_of(blocks):
             yield theta[part], wtheta[part]
 
 
-def assert_rule_nodes(theta, ref_theta):
-    """The rule's angles are the reference's, bit for bit, and contiguous.
+def assert_rule_nodes(theta, wtheta, ref_theta):
+    """The rule's angles are the reference's, bit for bit, and angles and weights contiguous.
 
-    The ring sees its nodes only through them, so this pins the nodes.
+    The ring sees its nodes only through the angles, so this pins the nodes.
+    Strided weights would round ``_ring_sum``'s ``@ wtheta[part]`` otherwise
+    than contiguous ones with the same values.
     """
     assert np.array_equal(theta, ref_theta)
     assert theta.flags.c_contiguous
+    assert wtheta.flags.c_contiguous
 
 
 def complex_grid(r, theta):
@@ -636,7 +665,7 @@ class TestAngularRule:
         rules = rules_of(_angular_rules(angles, RULE_SCALES, spec))
         for scale, (rule_theta, wtheta) in zip(RULE_SCALES, rules):
             theta, ref_wtheta = reference_angular_rule(angles, scale, spec)
-            assert_rule_nodes(rule_theta, theta)
+            assert_rule_nodes(rule_theta, wtheta, theta)
             assert np.array_equal(wtheta, ref_wtheta)
             assert np.all(wtheta > 0.0)
             assert math.fsum(wtheta) == pytest.approx(TWO_PI, abs=1e-13)
@@ -740,7 +769,7 @@ class TestRuleLadder:
         assert len(rules) == len(ladder)
         for scale, (theta, wtheta) in zip(ladder, rules):
             ref_theta, ref_wtheta = reference_angular_rule(one_per_class(angles), scale, spec)
-            assert_rule_nodes(theta, ref_theta)
+            assert_rule_nodes(theta, wtheta, ref_theta)
             assert np.array_equal(wtheta, ref_wtheta)
 
     def test_rule_over_the_block_budget(self):
@@ -759,7 +788,7 @@ class TestRuleLadder:
         for scale, (theta, wtheta, parts) in zip(ladder, blocks):
             assert parts == [slice(0, len(theta))] and len(theta) > 2 * 4096
             ref_theta, ref_wtheta = reference_angular_rule((1.0,), scale, spec, _gauss)
-            assert_rule_nodes(theta, ref_theta)
+            assert_rule_nodes(theta, wtheta, ref_theta)
             assert np.array_equal(wtheta, ref_wtheta)
 
 
@@ -999,9 +1028,15 @@ class TestNonFiniteRing:
             assert new == ref == 0.0
 
     def test_overflowing_total(self):
-        # every ring is finite; their fsum overflows and raises, as it did on the complex grid
-        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-            integrate_disc(lambda w: np.full(w.shape, 1.7e308))
+        """Every ring sum is finite and their total passes the largest float.
+
+        The verdict is INCONCLUSIVE with value and bar inf and a nan slope,
+        as for one ring sum that overflows, not math.fsum's OverflowError.
+        """
+        est = integrate_disc(lambda w: np.full(w.shape, 1.7e308))
+        assert est.classification is Classification.INCONCLUSIVE
+        assert est.value == est.abs_error_estimate == est.limit == math.inf
+        assert math.isnan(est.fitted_slope)
 
     def test_koebe_far_below_the_lower_threshold(self):
         """|psi'|^152 overflows at interior nodes, without a numpy warning; the
