@@ -297,8 +297,8 @@ class ConformalPair:
         weighted sum over the factors give ``e log|psi'|``, and one ``exp``
         the power; it agrees with ``|dpsi(w)|**e`` to rounding.  Where the
         power overflows it is inf, and where ``e log|psi'|`` does it is inf
-        or nan, without a numpy warning in either stage, so that the caller
-        can name the node.
+        or nan, so that the caller can name the node; the disc rule runs
+        both stages with numpy's overflow and invalid-value warnings off.
 
         At ``e == 0`` (``-0.0`` too), the exponent of the area identity
         (s = 2) and of a q = 2 pullback, the ring stage returns new ones
@@ -329,19 +329,17 @@ class ConformalPair:
         side *= 0.5
         np.square(np.sin(side, out=side), out=side)
         radial = _radial_terms(rho, r)
-        # at a huge finite e, e log|psi'| overflows to inf or inf - inf; both
-        # stages run silently, and the caller names the node
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights, scale = e * half_f, e * self.log_scale
+        # at a huge finite e, e log|psi'| overflows to inf or inf - inf, and the
+        # caller names the node
+        weights, scale = e * half_f, e * self.log_scale
 
         def ring(i: int, part: slice) -> np.ndarray:
             rows = angular[..., part]
             n_t = rows.shape[-1]
             logs = np.matmul(radial[i], rows).reshape(k, n_r * n_t)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = weights @ np.log(logs, out=logs)
-                out += scale
-                np.exp(out, out=out)
+            out = weights @ np.log(logs, out=logs)
+            out += scale
+            np.exp(out, out=out)
             return out.reshape(n_r, n_t)
 
         return ring

@@ -15,19 +15,21 @@ of consecutive rings are then built together, one array pass per block of
 at most ``_BLOCK_NODES`` nodes (a ring with more is a block of its own;
 without singular angles, as many rings of the one rule as fit), so memory
 stays bounded however long the ladder.  Every Gauss-Legendre block, here
-and in the forward patch's charts, comes from one table of sizes,
-``_TABLES``, which only :func:`_gauss` reads.
+and in the forward patch's charts, comes from the package's one table,
+``_STORE``: every size built so far, end to end, in three read-only arrays
+(nodes, weights, and where each size starts), so each size is stored
+once.  :func:`_build_tables` is its only writer: holding a lock, it adds
+the sizes asked for that it lacks, in one batched Newton pass, and
+replaces the whole tuple.  :func:`_gauss` returns views of it, and each block of the sinh
+rule is one gather from it, with the map run in place on what it
+gathered.
 
 What the GradingSpec alone fixes is made once per spec, and cached.
 :func:`_gap_ladder` is the one gap ladder and its one check: a spec whose
 ladder is too long or whose radii do not rise is refused when made.
-:func:`_spec_rule` fills the table with every size the spec's rules can ask
-for, in one batched Newton pass (``_gauss`` builds any other size on its
-own, to the same bits), and forms the radial rule of every ring of the
-ladder, the angular rule without singular angles and the sinh rule's node
-table: every size it can ask for, end to end, 16 bytes a node (74 KiB at
-the default spec).  Each block of the sinh rule is one gather from that
-table, and the map runs in place on what it gathered.  This is the only
+:func:`_spec_rule` adds to the table every size the spec's rules can ask
+for, in one batched pass, and forms the radial rule of every ring of the
+ladder and the angular rule without singular angles.  This is the only
 module that builds a ring.
 
 An integrand works in two stages.  Its block stage runs once per block
@@ -61,6 +63,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -279,25 +282,37 @@ def _legendre(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return last, n * (prev - x * last) / one, one
 
 
-#: the package's one Gauss-Legendre table, by number of nodes; :func:`_gauss`
-#: reads it and :func:`_build_tables` fills it
-_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: shared by every caller, no caller may write them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+#: the package's one Gauss-Legendre table, ``(x, w, start)``: every size built so
+#: far, end to end, size n's nodes ``x[start[n]:start[n] + n]`` and its weights the
+#: same slice of ``w``, and ``start[n]`` -1 for a size not built.  All three are
+#: read-only, and only :func:`_build_tables` replaces the tuple, holding the lock
+_STORE = _frozen(np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+_STORE_LOCK = threading.Lock()
 
 
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], from the package's one table.
+    """Gauss-Legendre nodes and weights on [-1, 1]: read-only views of the package's one table.
 
-    Every radial rule, the ungraded and the sinh angular rules and the
-    forward patch's charts read it.  A size that no batched pass of
-    :func:`_build_tables` has made is built here on its own.
+    Every radial rule, the ungraded angular rule and the forward patch's
+    charts read it, and the sinh rule gathers from the same table.  A size
+    that no batched pass of :func:`_build_tables` has made is built here
+    on its own.  The lock and the check for the size make a call cost
+    about 2 us; a chart block of 16 cells, or a new spec, makes one or two.
     """
-    if n not in _TABLES:
-        _build_tables((n,))
-    return _TABLES[n]
+    x, w, start = _build_tables((n,))
+    at = start.item(n)
+    return x[at:at + n], w[at:at + n]
 
 
-def _build_tables(sizes: Iterable[int]) -> None:
-    """Add the Gauss-Legendre tables of ``sizes`` missing from ``_TABLES``, in one batched pass.
+def _build_tables(sizes: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Add the Gauss-Legendre tables of ``sizes`` missing from ``_STORE``, in one batched pass.
 
     The nodes in [0, 1) start from Tricomi's asymptotic guess and take
     ``_NEWTON_STEPS`` Newton steps on the three-term recurrence (Hale &
@@ -313,82 +328,70 @@ def _build_tables(sizes: Iterable[int]) -> None:
     the nodes whose n it has not passed, and each node gets the arithmetic
     of its size built alone: a table is the same to the bit however many
     sizes share its pass.
+
+    This is the only writer of the store: under ``_STORE_LOCK``, the new
+    sizes, nodes ascending, go after the ones it holds, and a new tuple of
+    three read-only arrays replaces it, so each size is stored once and no
+    build in another thread loses one.  The table returned holds every
+    size asked for, whatever replaces the store after it.
     """
-    sizes = sorted({n for n in sizes if n not in _TABLES}, reverse=True)
-    if not sizes:
-        return
-    # node i belongs to size n[i] and is its k[i]-th node, largest first,
-    # then the middle node of an odd size
-    halves = [(m + 1) // 2 for m in sizes]
-    n = np.repeat(sizes, halves)
-    k = np.arange(len(n)) - np.repeat(np.cumsum(halves) - halves, halves) + 1
-    t = (4 * k - 1) * math.pi / (4 * n + 2)
-    x = (1.0 - (n - 1) / (8.0 * n ** 3)
-         - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
-    x[2 * k > n] = 0.0
-    for _ in range(_NEWTON_STEPS):
-        p, dp, _ = _legendre(n, x)
-        x = x - p / dp
-    p, dp, one = _legendre(n, x)
-    w = 2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one)
-    start = 0
-    for m, half in zip(sizes, halves):
-        xm, wm = x[start:start + half], w[start:start + half]
-        start += half
-        # ascending: the mirror images, then the nodes in [0, 1) without a second 0
-        table = (np.concatenate((0.0 - xm, xm[::-1][m % 2:])),
-                 np.concatenate((wm, wm[::-1][m % 2:])))
-        # shared by every caller through the table, so keep them read-only
-        for a in table:
-            a.flags.writeable = False
-        _TABLES[m] = table
-
-
-def _node_table(sizes: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gauss-Legendre tables of ``sizes`` end to end: ``(x1, w, start)``, read-write.
-
-    The nodes of size n, each plus 1, are ``x1[start[n]:start[n] + n]`` and
-    their weights ``w[start[n]:start[n] + n]``, the bits of :func:`_gauss`'s
-    (``x + 1.0`` rounded as the sinh rule rounds it).  ``start`` has an
-    entry for every size up to the largest; those of sizes not given mean
-    nothing.  The sizes missing from ``_TABLES`` are built in one batched
-    pass.
-    """
-    sizes = sorted(set(sizes))
-    _build_tables(sizes)
-    x, w = zip(*map(_gauss, sizes))
-    start = np.zeros(sizes[-1] + 1, dtype=np.intp)
-    start[sizes] = np.cumsum(sizes) - sizes
-    return np.concatenate(x) + 1.0, np.concatenate(w), start
+    global _STORE
+    with _STORE_LOCK:
+        old_x, old_w, old_start = _STORE
+        sizes = sorted({n for n in sizes if n >= len(old_start) or old_start[n] < 0}, reverse=True)
+        if not sizes:
+            return _STORE
+        # node i belongs to size n[i] and is its k[i]-th node, largest first,
+        # then the middle node of an odd size
+        halves = [(m + 1) // 2 for m in sizes]
+        n = np.repeat(sizes, halves)
+        k = np.arange(len(n)) - np.repeat(np.cumsum(halves) - halves, halves) + 1
+        t = (4 * k - 1) * math.pi / (4 * n + 2)
+        x = (1.0 - (n - 1) / (8.0 * n ** 3)
+             - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n ** 4)) * np.cos(t)
+        x[2 * k > n] = 0.0
+        for _ in range(_NEWTON_STEPS):
+            p, dp, _ = _legendre(n, x)
+            x = x - p / dp
+        p, dp, one = _legendre(n, x)
+        w = 2.0 / (one * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one)
+        xs, ws = [old_x], [old_w]
+        for first, m, half in zip(np.cumsum(halves) - halves, sizes, halves):
+            xm, wm = x[first:first + half], w[first:first + half]
+            # ascending: the mirror images, then the nodes in [0, 1) without a second 0
+            xs += [0.0 - xm, xm[::-1][m % 2:]]
+            ws += [wm, wm[::-1][m % 2:]]
+        # -1, not built, for every size up to the largest that is new
+        start = np.pad(old_start, (0, max(0, sizes[0] + 1 - len(old_start))), constant_values=-1)
+        start[sizes] = len(old_x) + np.cumsum(sizes) - sizes
+        _STORE = _frozen(np.concatenate(xs), np.concatenate(ws), start)
+        return _STORE
 
 
 @lru_cache(maxsize=64)
-def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                                           tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """What the spec alone fixes of the disc rule, once per spec: ``(r, rw, theta, wtheta, sinh)``.
+def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the spec alone fixes of the disc rule, once per spec: ``(r, rw, theta, wtheta)``.
 
-    First every table the spec's rules can ask for is built, in one
-    batched pass: a side of a singular angle is at most pi long and its gap
-    at least ``eps_min``, so the sinh rule's sizes run from
-    ``angular_base//4 + 1`` to ``ceil(angular_boost/2 * asinh(pi/eps_min))
-    + angular_base//4``; the radial rule takes ``radial_order`` and the
-    ungraded rule ``angular_boost``.  A size past that range, should
-    rounding make one, is built by :func:`_gauss` for the call that asks.
+    First every table the spec's rules can ask for is added to the
+    package's one table, in one batched pass: a side of a singular angle
+    is at most pi long and its gap at least ``eps_min``, so the sinh rule's
+    sizes run from ``angular_base//4 + 1`` to ``ceil(angular_boost/2 *
+    asinh(pi/eps_min)) + angular_base//4``; the radial rule takes
+    ``radial_order`` and the ungraded rule ``angular_boost``.  A size past
+    that range, should rounding make one, is built for the call that asks.
+    The table holds each size once, whatever specs share it: 16 bytes a
+    node, 140 KiB for the three specs of the ``scan-cold`` benchmark (sizes
+    8, 16 and 17 to 134).
 
     Then the radial rule of every ring of the gap ladder, the inner disc
     first, one row a ring: the Gauss-Legendre nodes ``r`` and the weights
     times ``r``, the polar Jacobian folded in, each of shape ``(rings,
     radial_order)``.  That is 2 x rings x radial_order floats, 7 KB at the
-    default spec and 2.6 MB for a ladder of ``_MAX_ANNULI`` annuli.  Next,
+    default spec and 2.6 MB for a ladder of ``_MAX_ANNULI`` annuli.  Last,
     the angular rule without singular angles: ``max(8,
     angular_base//angular_boost)`` equal panels of ``angular_boost``
-    points.  Last, ``sinh``, the sinh rule's node table: every size of that
-    range end to end, as :func:`_node_table` lays it out, from which
-    :func:`_angular_rules` gathers each block.  Its nodes and weights take
-    16 bytes a node: 74 KiB at the default spec (sizes 17 to 98), 139 KiB
-    at ``eps_min=1e-12`` (17 to 134) and 94 KiB at ``angular_base=128`` (33
-    to 114).  All of these arrays are shared by every integral under the
-    spec, so they are read-only.
+    points.  All four arrays are shared by every integral under the spec,
+    so they are read-only.
     """
     extra = spec.angular_base // 4
     top = math.ceil(0.5 * spec.angular_boost * math.asinh(math.pi / spec.eps_min)) + extra
@@ -400,11 +403,8 @@ def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     x, w = _gauss(spec.angular_boost)
     ends = np.linspace(0.0, TWO_PI, max(8, spec.angular_base // spec.angular_boost) + 1)
     side = 0.5 * (ends[1:] - ends[:-1])[:, None]
-    rule = (r, half * wt * r, (ends[:-1, None] + side * (x + 1.0)).ravel(), (side * w).ravel())
-    sinh = _node_table(range(extra + 1, top + 1))
-    for a in (*rule, *sinh):
-        a.flags.writeable = False
-    return (*rule, sinh)
+    return _frozen(r, half * wt * r, (ends[:-1, None] + side * (x + 1.0)).ravel(),
+                   (side * w).ravel())
 
 
 def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
@@ -424,11 +424,12 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     then built together, in one array pass per block of at most
     ``_BLOCK_NODES`` nodes; a rule with more nodes is a block of its own,
     so memory stays bounded however long the ladder.  A block's nodes and
-    weights are one gather from the spec's node table (:func:`_spec_rule`),
-    and each (rule, side) segment's half-length in u, gap, origin and
-    direction one ``np.repeat``; the map itself runs in place.  A size past
-    the spec's table (a scale below ``eps_min``, or a side rounded past pi)
-    takes the same gather from a table made for the call.  Each block is
+    weights are one gather from the package's one table (:func:`_spec_rule`
+    puts every size of the spec's ladder there), and each (rule, side)
+    segment's half-length in u, gap, origin and direction one
+    ``np.repeat``; the map, from ``x + 1``, runs in place.  A size the table
+    lacks (a scale below ``eps_min``, or a side rounded past pi) is added
+    to it first, and only that size is built.  Each block is
     yielded as ``(theta, weights, parts)``, where ``parts`` holds one slice
     per rule, in the order of ``scales``: the rule of that scale is
     ``theta[part], weights[part]``.  Without singular angles every block
@@ -453,10 +454,11 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
     gaps = np.asarray(scales, dtype=float)
     stop = np.arcsinh(length / gaps[:, None])
     count = np.ceil(0.5 * spec.angular_boost * stop).astype(int) + spec.angular_base // 4
-    # every count exceeds angular_base//4, the table's least size, as stop > 0
-    x1, wx, start = _spec_rule(spec)[4]
-    if count.max() >= len(start):
-        x1, wx, start = _node_table(count.ravel().tolist())
+    # sizes the table lacks are built first, in one pass: after _spec_rule only a
+    # scale below eps_min, or a side rounded past pi, can ask for one
+    x, wx, start = _STORE
+    if count.max() >= len(start) or start[count].min() < 0:
+        x, wx, start = _build_tables(count.ravel().tolist())
     # each (rule, side) segment's half-length in u, gap, origin and direction
     segment = np.empty((4, *count.shape))
     np.multiply(0.5, stop, out=segment[0])
@@ -476,7 +478,8 @@ def _angular_rules(singular_angles: Sequence[float], scales: Sequence[float],
         half, gap, origin, direction = np.repeat(segment[:, lo:hi].reshape(4, -1), counts, axis=1)
         # u = half*(x + 1), theta = origin + direction*(gap*sinh(u)) and the
         # weights gap*cosh(u)*(half*w), every product in place
-        u = x1[at]
+        u = x[at]
+        u += 1.0
         u *= half
         w = wx[at]
         w *= half
@@ -541,17 +544,26 @@ def _graded_sums(g: _PolarIntegrand, singular_angles, spec: GradingSpec):
     (:func:`_spec_rule`) and gives them, with its angles, to g's block
     stage once; each ring of the block then calls the ring stage that
     returns.
+
+    Both stages and every ring sum run in one ``np.errstate`` that ignores
+    overflow and invalid values, entered once per integral: at a huge
+    finite exponent ``|psi'|^e`` overflows to inf, and ``e log|psi'|`` to
+    inf or nan, without a numpy warning, so that :func:`_ring_sum` can name
+    the node, and a ring sum of finite values that overflows warns of
+    nothing either.  The caller's error state is restored on the way out,
+    however the loop ends.
     """
     gaps = _gap_ladder(spec)
     r, rw = _spec_rule(spec)[:2]
     sums = []
-    for theta, wtheta, parts in _angular_rules(singular_angles, gaps, spec):
-        # the block's rings follow the rings summed so far
-        rows = slice(len(sums), len(sums) + len(parts))
-        block_r, block_rw = r[rows], rw[rows]
-        ring = g(block_r, theta)
-        sums += [_ring_sum(ring, i, block_r, block_rw, theta, wtheta, part)
-                 for i, part in enumerate(parts)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for theta, wtheta, parts in _angular_rules(singular_angles, gaps, spec):
+            # the block's rings follow the rings summed so far
+            rows = slice(len(sums), len(sums) + len(parts))
+            block_r, block_rw = r[rows], rw[rows]
+            ring = g(block_r, theta)
+            sums += [_ring_sum(ring, i, block_r, block_rw, theta, wtheta, part)
+                     for i, part in enumerate(parts)]
     return sums[0], sums[1:], gaps[1:]
 
 
@@ -650,7 +662,10 @@ def integrate_disc(g: Callable[[np.ndarray], np.ndarray],
     verdict is INCONCLUSIVE and the value is the inner disc alone.  Finite
     values whose ring sum passes the largest float give INCONCLUSIVE too,
     with value and bar inf and a nan slope, and so do finite ring sums
-    whose total does.
+    whose total does.  Neither raises a numpy warning: ``g`` and the ring
+    sums run with overflow and invalid-value warnings off (see
+    :func:`_graded_sums`), so a huge exponent in ``g`` warns of nothing
+    either.
     """
     return _integrate_polar(_complex_integrand(g), singular_angles, spec)
 

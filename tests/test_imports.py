@@ -133,30 +133,24 @@ def scopes_reading(node, names, scope="<module>"):
 
 
 def test_one_table_cache():
-    """Only quadrature names the Gauss-Legendre table ``_TABLES``, and only ``_gauss`` reads it.
+    """Only quadrature names the Gauss-Legendre table ``_STORE``, and only ``_build_tables`` assigns it.
 
-    ``_build_tables`` stores the tables it builds and asks which sizes are
-    missing; any other use of the dict, such as taking a table out, is a read.
+    The table is one tuple of read-only arrays, every size built so far end
+    to end.  A function that rebound it, or declared it ``global``, could
+    drop or copy sizes; the module binds it once, empty, when loaded.
     """
-    users = {(name, scope) for name, tree in TREES.items()
-             for scope in scopes_reading(tree, {"_TABLES"})}
-    assert users == {("quadrature.py", "_gauss"), ("quadrature.py", "_build_tables")}, (
-        f"the table is named in {sorted(users)}")
-    readers = set()
-    for fn in ast.walk(TREES["quadrature.py"]):
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(fn):
-            if not (isinstance(node, ast.Name) and node.id == "_TABLES"):
-                continue
-            up = parent[node]
-            stored = isinstance(up, ast.Subscript) and isinstance(up.ctx, ast.Store)
-            asked = (isinstance(up, ast.Compare) and node in up.comparators
-                     and all(isinstance(op, (ast.In, ast.NotIn)) for op in up.ops))
-            if not (stored or asked):
-                readers.add(fn.name)
-    assert readers == {"_gauss"}, f"the table is read by {sorted(readers)}"
+    users = {name for name, tree in TREES.items() if any(scopes_reading(tree, {"_STORE"}))}
+    assert users == {"quadrature.py"}, f"the table is named in {sorted(users)}"
+    writers = []
+    for node in TREES["quadrature.py"].body:
+        scope = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+        for inner in ast.walk(node):
+            if ((isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Store)
+                 and inner.id == "_STORE")
+                    or (isinstance(inner, ast.Global) and "_STORE" in inner.names)):
+                writers.append((scope, type(inner).__name__))
+    assert sorted(writers) == [("<module>", "Name"), ("_build_tables", "Global"),
+                               ("_build_tables", "Name")], f"the table is assigned in {writers}"
 
 
 def test_one_ladder_and_one_spec_rule():

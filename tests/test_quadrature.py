@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -333,6 +335,19 @@ class TestValidation:
         assert est.value == est.abs_error_estimate == est.limit == math.inf
         assert math.isnan(est.fitted_slope)
 
+    def test_overflowing_ring_sum_warns_of_nothing(self):
+        """The same integral with no error state of the caller's: no numpy warning.
+
+        Warnings are errors here, as under the test configuration; the disc
+        rule runs its ring sums with overflow warnings off itself.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = integrate_disc(lambda w: np.full(w.shape, 1e308), (),
+                                 GradingSpec(annulus_ratio=0.01))
+        assert est.classification is Classification.INCONCLUSIVE
+        assert est.value == est.limit == math.inf
+
     def test_invalid_spec(self):
         with pytest.raises(InvalidGradingError):
             integrate_disc(lambda w: np.ones(w.shape), spec=GradingSpec(eps_min=0.0))
@@ -445,6 +460,31 @@ def reference_angular_rule(singular_angles, scale, spec, gauss=reference_gauss):
 SCAN_SPECS = (GradingSpec(), GradingSpec(eps_min=1e-12), GradingSpec(angular_base=128))
 
 
+@pytest.fixture
+def empty_store(monkeypatch):
+    """The package's one Gauss-Legendre table, empty for the test and restored after it."""
+    monkeypatch.setattr(quadrature, "_STORE", quadrature._frozen(
+        np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)))
+
+
+def stored_sizes():
+    """The sizes the package's one table holds, ascending."""
+    return np.flatnonzero(quadrature._STORE[2] >= 0).tolist()
+
+
+def sinh_sizes(angles, scales, spec):
+    """The sizes of the sinh rule's sides at the scales, as the reference rule counts them."""
+    sizes = set()
+
+    def gauss(n):
+        sizes.add(n)
+        return np.zeros(n), np.zeros(n)
+
+    for scale in scales:
+        reference_angular_rule(angles, scale, spec, gauss)
+    return sizes
+
+
 class TestGauss:
     """The one table: every node within 2^-53 of its root, every weight within 2e-13.
 
@@ -471,28 +511,85 @@ class TestGauss:
                 assert abs(wi / float(exact) - 1.0) <= 2e-13
 
     @pytest.mark.parametrize("n", range(2, 301))
-    def test_matches_the_scalar_solve(self, n, monkeypatch):
+    def test_matches_the_scalar_solve(self, n, empty_store):
         """A table built on its own, with an empty table to start from."""
-        monkeypatch.setattr(quadrature, "_TABLES", {})
         x, w = _gauss(n)
         ref_x, ref_w = reference_gauss(n)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         assert not x.flags.writeable and not w.flags.writeable
-        assert list(quadrature._TABLES) == [n]
+        assert stored_sizes() == [n] and len(quadrature._STORE[0]) == n
 
-    def test_batched_pass_matches_the_scalar_solve(self, monkeypatch):
+    def test_batched_pass_matches_the_scalar_solve(self, empty_store):
         """Every table of one pass over n = 2...300 is the scalar solve's, bit for bit."""
-        monkeypatch.setattr(quadrature, "_TABLES", {})
         _build_tables(range(300, 1, -1))
-        assert sorted(quadrature._TABLES) == list(range(2, 301))
+        assert stored_sizes() == list(range(2, 301))
         for n in range(2, 301):
             x, w = _gauss(n)
             ref_x, ref_w = reference_gauss(n)
             assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), n
             assert not x.flags.writeable and not w.flags.writeable
 
+    def test_threads_build_into_one_table(self, empty_store):
+        """Four threads build n = 2...300 into one table, each its own sizes, one at a time.
+
+        Every table a thread reads is the scalar solve's, bit for bit, and
+        the table ends up holding every size once: a build that replaced
+        the table with one missing another thread's sizes would lose them.
+        The interpreter switches threads every microsecond meanwhile.
+        """
+        got, errors = {}, []
+
+        def build(sizes):
+            try:
+                for n in sizes:
+                    got[n] = _gauss(n)
+            except Exception as exc:  # reported below, with the thread's sizes
+                errors.append((sizes, exc))
+
+        threads = [threading.Thread(target=build, args=(range(2 + k, 301, 4),)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and sorted(got) == list(range(2, 301))
+        for n, (x, w) in got.items():
+            ref_x, ref_w = reference_gauss(n)
+            assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), n
+        assert stored_sizes() == list(range(2, 301))
+        assert len(quadrature._STORE[0]) == sum(range(2, 301))
+
+    def test_each_size_is_stored_once(self, empty_store):
+        """The three benchmark specs share one table, and it holds each size they ask for once."""
+        quadrature._spec_rule.cache_clear()
+        try:
+            asked = set()
+            for spec in SCAN_SPECS:
+                _spec_rule(spec)
+                extra = spec.angular_base // 4
+                top = math.ceil(0.5 * spec.angular_boost * math.asinh(math.pi / spec.eps_min))
+                asked |= {*range(extra + 1, top + extra + 1), spec.radial_order,
+                          spec.angular_boost}
+        finally:
+            quadrature._spec_rule.cache_clear()
+        x, w, start = quadrature._STORE
+        assert stored_sizes() == sorted(asked)
+        assert len(x) == len(w) == sum(asked)
+        for a in (x, w, start):
+            assert isinstance(a, np.ndarray)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        for n in asked:
+            got_x, got_w = _gauss(n)
+            assert np.shares_memory(got_x, x) and np.shares_memory(got_w, w)
+
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
-    def test_one_pass_per_spec(self, spec, monkeypatch):
+    def test_one_pass_per_spec(self, spec, monkeypatch, empty_store):
         """A spec's first integral builds its tables in one pass; a second integral builds none.
 
         A pass is ``_NEWTON_STEPS + 1`` calls of the recurrence over all of
@@ -506,68 +603,76 @@ class TestGauss:
 
         legendre = quadrature._legendre
         monkeypatch.setattr(quadrature, "_legendre", counted)
-        monkeypatch.setattr(quadrature, "_TABLES", {})
         quadrature._spec_rule.cache_clear()
         pair = make_pair("koebe")
         try:
             first = brennan_integral(pair, 2.5, spec)
-            sizes = len(quadrature._TABLES)
+            sizes = len(stored_sizes())
             assert calls == [sizes] * (quadrature._NEWTON_STEPS + 1)
             assert sizes > 80
             calls.clear()
             assert brennan_integral(pair, 2.5, spec) == first
-            assert calls == [] and len(quadrature._TABLES) == sizes
+            assert calls == [] and len(stored_sizes()) == sizes
             # another map under the spec: no table, and no new ladder or rule
             misses = (_gap_ladder.cache_info().misses, _spec_rule.cache_info().misses)
             brennan_integral(make_pair("cardioid*moebius:0.5,-0.3,1"), 3.0, spec)
-            assert calls == [] and len(quadrature._TABLES) == sizes
+            assert calls == [] and len(stored_sizes()) == sizes
             assert (_gap_ladder.cache_info().misses, _spec_rule.cache_info().misses) == misses
         finally:
             quadrature._spec_rule.cache_clear()
 
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
     def test_spec_rule_is_read_only(self, spec):
-        """The spec's radial, ungraded and sinh rules are shared by its integrals.
+        """The spec's radial and ungraded rules, its four entries, are shared by its integrals.
 
-        No array it returns is writable, the sinh rule's node table included.
+        No array it returns is writable.
         """
-        r, rw, theta, wtheta, sinh = _spec_rule(spec)
-        assert len(sinh) == 3
-        for a in (r, rw, theta, wtheta, *sinh):
+        rule = _spec_rule(spec)
+        assert len(rule) == 4
+        for a in rule:
             assert isinstance(a, np.ndarray)
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
 
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=["default", "eps1e-12", "base128"])
-    def test_ladder_gathers_from_the_spec_table(self, spec, monkeypatch):
-        """Every block of a spec's gap ladder is gathered from the spec's node table.
+    def test_ladder_gathers_from_the_spec_table(self, spec, monkeypatch, empty_store):
+        """Every block of a spec's gap ladder is gathered from the table its spec rule filled.
 
-        Only a scale below eps_min asks for a size past it, and then a
-        table is made for the call.
+        The whole ladder builds no size.  A scale below eps_min asks for
+        sizes past the spec's, and only those the table lacks are built, in
+        one pass, into the same table.
         """
+        quadrature._spec_rule.cache_clear()
         _spec_rule(spec)
-        made = []
+        # the table restored after the test lacks what this call added to the empty one
+        quadrature._spec_rule.cache_clear()
+        built = []
 
-        def counted(sizes):
-            made.append(sizes)
-            return node_table(sizes)
+        def counted(n, x):
+            built.append(set(n.tolist()))
+            return legendre(n, x)
 
-        node_table = quadrature._node_table
-        monkeypatch.setattr(quadrature, "_node_table", counted)
+        legendre = quadrature._legendre
+        monkeypatch.setattr(quadrature, "_legendre", counted)
         angles = make_pair("koebe*moebius:0.95,0.2,1").grading_angles
+        held = stored_sizes()
         rules = list(rules_of(_angular_rules(angles, _gap_ladder(spec), spec)))
-        assert len(rules) == len(_gap_ladder(spec)) and made == []
-        next(_angular_rules(angles, [spec.eps_min / 16], spec))
-        assert len(made) == 1
+        assert len(rules) == len(_gap_ladder(spec)) and built == []
+        assert stored_sizes() == held
+        scales = [spec.eps_min / 16, spec.eps_min / 1e3]
+        absent = sinh_sizes(angles, scales, spec) - set(held)
+        assert absent
+        list(_angular_rules(angles, scales, spec))
+        assert built == [absent] * (quadrature._NEWTON_STEPS + 1)
+        assert stored_sizes() == sorted({*held, *absent})
 
-    def test_no_eigenvalue_solver(self, monkeypatch):
+    def test_no_eigenvalue_solver(self, monkeypatch, empty_store):
         """Every table from 2 to 300 nodes is built with LAPACK's eigvalsh and leggauss refused."""
         def refuse(*args, **kwargs):
             raise AssertionError("an eigenvalue solver was called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-        monkeypatch.setattr(quadrature, "_TABLES", {})
         for n in range(2, 301):
             x, w = _gauss(n)
             assert len(x) == len(w) == n
