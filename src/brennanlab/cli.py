@@ -2,7 +2,9 @@
 
 Exit codes: 0 for success or a convergent verdict, 1 for a mathematically
 meaningful negative verdict (divergence, violated bound, mismatched
-duality), 2 for usage errors, regime violations and numerical failures.
+duality), 2 for usage errors, regime violations and numerical failures,
+and for an inconclusive verdict of ``integrate`` or of either side of
+``duality``, whose JSON is still printed.
 Output is deterministic: fixed field order and floats rendered with 12
 significant digits, so identical flags give byte-identical output.
 
@@ -233,6 +235,8 @@ def cmd_duality(args) -> int:
                {"dual_pair": {"q_conjugate": res.q_conj, "p_conjugate": res.p_conj},
                 "exponent_direct": res.exponent_direct,
                 "exponent_dual": res.exponent_dual})
+    if Classification.INCONCLUSIVE in (res.lhs_classification, res.rhs_classification):
+        return EXIT_ERROR
     return EXIT_OK if res.agree else EXIT_NEGATIVE
 
 

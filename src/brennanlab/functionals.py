@@ -56,40 +56,34 @@ class InconclusiveProbeError(RuntimeError):
 
 @dataclass(frozen=True)
 class FunctionalResult:
-    """One evaluated integral functional with its exponent bookkeeping.
+    """One evaluated integral functional, with the exponents its callers read.
 
-    ``kind`` is ``"brennan"``, ``"inverse-brennan"`` or ``"kpq"``;
-    ``exponent`` is the power of |psi'| actually integrated on the disc.
-    ``kpq_value`` is the ``(p-q)/(p*q)`` power of the integral's ``limit``
-    for the kpq kind (``inf`` unless it converged) and ``None`` otherwise.
+    ``exponent`` is the power of |psi'| actually integrated on the disc and
+    ``s = 2 - exponent`` the Brennan exponent it stands for.  ``p`` and
+    ``q`` are the operator exponents of a K_{p,q} result, and ``kpq_value``
+    is the ``(p-q)/(p*q)`` power of the integral's ``limit`` (``inf``
+    unless it converged); all three are ``None`` for the Brennan and
+    inverse Brennan integrals.
     """
 
-    kind: str
-    descriptor: MapDescriptor
     integral: IntegralEstimate
     exponent: float
-    s: float | None = None
-    r: float | None = None
+    s: float
     p: float | None = None
     q: float | None = None
     kpq_value: float | None = None
 
-    @property
-    def converged(self) -> bool:
-        return self.integral.classification is Classification.CONVERGED
-
 
 @dataclass(frozen=True)
 class CriticalExponentReport:
-    """Bracketed empirical integrability threshold of one map.
+    """Bracketed empirical integrability threshold of one map on one side.
 
-    ``probes`` records every evaluated exponent with the verdict used by
-    the bisection (sign of the fitted tail slope) and the slope itself.
-    ``s_star`` is the slope-zero crossing interpolated inside the final
-    bracket.
+    ``probes`` records every evaluated exponent as ``(s, classification,
+    slope)``: the integral's own verdict, and the fitted tail slope whose
+    sign the bisection reads.  ``s_star`` is the slope-zero crossing
+    interpolated inside the final bracket.
     """
 
-    descriptor: MapDescriptor
     side: str
     s_star: float
     bracket: tuple[float, float]
@@ -126,14 +120,14 @@ def brennan_integral(pair: ConformalPair, s: float,
     whole point, and divergence is reported through the classification.
     """
     est = _disc_integral(pair, 2.0 - s, spec)
-    return FunctionalResult("brennan", pair.descriptor, est, 2.0 - s, s=s, r=2.0 - s)
+    return FunctionalResult(est, 2.0 - s, s)
 
 
 def inverse_brennan_integral(pair: ConformalPair, r: float,
                              spec: GradingSpec = DEFAULT_SPEC) -> FunctionalResult:
     """Integral of ``|psi'|^r`` over the disc; agrees with brennan_integral(2 - r)."""
     est = _disc_integral(pair, r, spec)
-    return FunctionalResult("inverse-brennan", pair.descriptor, est, r, s=2.0 - r, r=r)
+    return FunctionalResult(est, r, 2.0 - r)
 
 
 def kpq_functional(pair: ConformalPair, p: float, q: float,
@@ -154,8 +148,7 @@ def kpq_functional(pair: ConformalPair, p: float, q: float,
     s = s_from_pq(p, q)
     power = 1.0 / q if p == math.inf else (p - q) / (p * q)
     est = _disc_integral(pair, 2.0 - s, spec)
-    return FunctionalResult("kpq", pair.descriptor, est, 2.0 - s,
-                            s=s, p=p, q=q, kpq_value=est.limit ** power)
+    return FunctionalResult(est, 2.0 - s, s, p, q, est.limit ** power)
 
 
 def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:
@@ -207,9 +200,12 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
     (smallest).  Bisection runs on the sign of the fitted tail slope,
     which crosses zero exactly at the threshold for power-type boundary
     singularities: negative means the annulus increments shrink
-    (convergent tail), and the probe records "converged", otherwise
-    "diverging".  ``s_star`` is the secant zero of the slope inside the
-    final bracket, so the bracket always contains it.
+    (convergent tail).  Each probe records the integral's own
+    classification next to that slope, so a probe just below the
+    threshold, with a slope between -``SLOPE_TOL`` and 0, reads "diverging"
+    as :func:`brennan_integral` does there.  ``s_star`` is the secant zero
+    of the slope inside the final bracket, so the bracket always contains
+    it.
 
     Each probe is one Brennan integral, with one refinement: an
     inconclusive verdict or a nan slope is retried once at ``eps_min *
@@ -238,7 +234,7 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
             if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
                 raise InconclusiveProbeError(f"probe at s={s} stayed inconclusive after refining "
                                              f"eps_min to {refined.eps_min}")
-        probes.append((s, "converged" if est.fitted_slope < 0.0 else "diverging", est.fitted_slope))
+        probes.append((s, est.classification.value, est.fitted_slope))
         return est.fitted_slope
 
     slope_lo, slope_hi = probe(lo), probe(hi)
@@ -264,10 +260,4 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
     # one end's slope is < 0 and the other's >= 0, neither nan, so they differ
     s_star = lo + (hi - lo) * slope_lo / (slope_lo - slope_hi)
     s_star = min(max(s_star, lo), hi)
-    return CriticalExponentReport(
-        descriptor=pair.descriptor,
-        side=side,
-        s_star=s_star,
-        bracket=(lo, hi),
-        probes=tuple(probes),
-    )
+    return CriticalExponentReport(side, s_star, (lo, hi), tuple(probes))

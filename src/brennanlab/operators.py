@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import ConformalPair, MapDescriptor, NewtonConvergenceError
+from .catalog import ConformalPair, NewtonConvergenceError
 from .exponents import ExponentDomainError, RegimeError, _dual_exponents, q_from_ps
 from .functionals import _disc_integral, inverse_brennan_integral, kpq_functional
 from .quadrature import (
@@ -257,7 +257,13 @@ class RatioSample:
 
 @dataclass(frozen=True)
 class NormRatioReport:
-    descriptor: MapDescriptor
+    """Sampled seminorm ratios of one (p, q) pair against its K_{p,q} bound.
+
+    ``samples`` holds one ratio per admissible test function, and
+    ``bound_satisfied`` whether the largest, ``max_ratio``, stays within
+    ``bound_kpq * (1 + RATIO_SLACK)`` (always, for an infinite bound).
+    """
+
     p: float
     q: float
     bound_kpq: float
@@ -292,7 +298,7 @@ def norm_ratio_report(pair: ConformalPair, p: float, q: float,
         samples.append(RatioSample(f.name, sp, sq, sq / sp))
     max_ratio = max(s.ratio for s in samples)
     ok = (max_ratio <= bound * (1.0 + RATIO_SLACK)) if math.isfinite(bound) else True
-    report = NormRatioReport(pair.descriptor, p, q, bound, tuple(samples), max_ratio, ok)
+    report = NormRatioReport(p, q, bound, tuple(samples), max_ratio, ok)
     if check and not ok:
         raise SeminormBoundError(
             f"max ratio {max_ratio} exceeds K_(p,q) = {bound} for "
@@ -539,11 +545,11 @@ class DualityResult:
     ``rhs`` integrates |psi'| to the exponent built from (p, q), ``lhs``
     to the exponent built from the conjugate pair (q', p'); the exponents
     agree algebraically, the integrals must agree numerically, and the
-    divergence verdicts must match.
+    divergence verdicts must match.  ``agree`` holds only when both
+    verdicts are decided: both converged to within 1e-3 relative, or both
+    diverging.
     """
 
-    p: float
-    q: float
     q_conj: float
     p_conj: float
     exponent_direct: float
@@ -565,7 +571,7 @@ def duality_check(pair: ConformalPair, p: float, q: float,
     ``lhs`` and ``rhs`` are the two integrals' ``limit`` (``inf`` unless
     converged).  ``rel_diff`` is NaN unless both sides converge; ``agree``
     is True when both converge to equal values (within 1e-3 relative) or
-    both get the same verdict otherwise.
+    both diverge, and False whenever either side is inconclusive.
     """
     q_conj, p_conj, expo_direct, expo_dual = _dual_exponents(p, q)
     rhs_est = inverse_brennan_integral(pair, expo_direct, spec).integral
@@ -575,9 +581,9 @@ def duality_check(pair: ConformalPair, p: float, q: float,
         agree = rel <= 1e-3
     else:
         rel = math.nan
-        agree = lhs_est.classification == rhs_est.classification
+        agree = lhs_est.classification is rhs_est.classification is Classification.DIVERGING
     return DualityResult(
-        p=p, q=q, q_conj=q_conj, p_conj=p_conj,
+        q_conj=q_conj, p_conj=p_conj,
         exponent_direct=expo_direct, exponent_dual=expo_dual,
         lhs=lhs_est.limit, rhs=rhs_est.limit,
         lhs_classification=lhs_est.classification,
@@ -602,11 +608,11 @@ class EquivalenceTable:
 
     When the Brennan integral converges, every row must be backed by the
     same underlying integral value: the (p-dependent) pair (p, q(p,s))
-    always integrates |psi'| to the same power 2 - s.
+    always integrates |psi'| to the same power 2 - s.  Each row carries
+    its own round-tripped s; ``integral_spread`` is the rows' relative
+    spread when all converged, NaN otherwise.
     """
 
-    descriptor: MapDescriptor
-    s: float
     rows: tuple[EquivalenceRow, ...]
     integral_spread: float
     all_converged: bool
@@ -646,4 +652,4 @@ def equivalence_table(pair: ConformalPair, s: float, p_grid: Sequence[float],
         spread = float((values.max() - values.min()) / max(abs(values.mean()), 1e-300))
     else:
         spread = math.nan
-    return EquivalenceTable(pair.descriptor, s, tuple(rows), spread, all_conv, all_div)
+    return EquivalenceTable(tuple(rows), spread, all_conv, all_div)

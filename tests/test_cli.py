@@ -417,6 +417,15 @@ class TestDualityCommand:
         assert code == 0
         assert '\n    "rel_diff": "nan",\n' in out
 
+    def test_inconclusive_sides_exit_two(self, capsys):
+        """With no annuli both sides are inconclusive: no agreement, and exit 2 as integrate."""
+        code, payload, _ = run_json(capsys, "duality", "--map", "koebe", "--p", "4", "--q", "3",
+                                    "--eps-min", "0.5")
+        assert code == 2
+        assert payload["result"]["lhs_classification"] == "inconclusive"
+        assert payload["result"]["rhs_classification"] == "inconclusive"
+        assert payload["result"]["agree"] is False
+
     def test_regime_error(self, capsys):
         code, _, _ = run(capsys, "duality", "--map", "koebe", "--p", "3", "--q", "1")
         assert code == 2

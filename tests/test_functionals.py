@@ -35,7 +35,7 @@ class TestBrennanIntegral:
     @pytest.mark.parametrize("name", CATALOG)
     def test_area_identity_at_s_two(self, name):
         res = brennan_integral(make_pair(name), 2.0)
-        assert res.converged
+        assert res.integral.classification is Classification.CONVERGED
         assert res.integral.value == pytest.approx(math.pi, abs=1e-8)
 
     def test_koebe_near_upper_threshold(self):
@@ -53,7 +53,7 @@ class TestBrennanIntegral:
     @pytest.mark.parametrize("s", [1.0, 2.5, 3.0, 3.5])
     def test_cardioid_closed_form(self, s):
         res = brennan_integral(make_pair("cardioid"), s)
-        assert res.converged
+        assert res.integral.classification is Classification.CONVERGED
         assert res.integral.value == pytest.approx(cardioid_exact_brennan(s), rel=1e-6)
 
     def test_identity_value_is_area_for_every_s(self):
@@ -123,7 +123,8 @@ class TestKpq:
         from brennanlab.exponents import q_from_ps
         q = q_from_ps(4.0, 2.5)
         res = kpq_functional(koebe_map(), 4.0, q)
-        assert res.converged and math.isfinite(res.kpq_value)
+        assert res.integral.classification is Classification.CONVERGED
+        assert math.isfinite(res.kpq_value)
 
     def test_sup_norm_branch(self):
         res = kpq_functional(koebe_map(), math.inf, 4.1)
@@ -131,7 +132,7 @@ class TestKpq:
         assert res.kpq_value == math.inf
 
         res = kpq_functional(koebe_map(), math.inf, 3.0)
-        assert res.converged
+        assert res.integral.classification is Classification.CONVERGED
         assert res.kpq_value == pytest.approx(res.integral.value ** (1.0 / 3.0))
 
     def test_divergent_reported_as_inf(self):
@@ -223,12 +224,43 @@ class TestCriticalExponent:
         assert rep.s_star == pytest.approx(6.0, abs=0.05)
 
     def test_probes_consistent(self):
+        """The bisection's slope sign puts each probe on its side of s_star.
+
+        A converged verdict needs a negative slope, so it lies below s_star;
+        a diverging one may too, in the band where the slope is between
+        -SLOPE_TOL and 0.
+        """
         rep = critical_exponent(koebe_map(), "upper")
-        for s, verdict, _slope in rep.probes:
-            if verdict == "converged":
+        for s, verdict, slope in rep.probes:
+            if slope < 0.0:
                 assert s <= rep.s_star + 1e-9
             else:
                 assert s >= rep.s_star - 1e-9
+            if verdict == "converged":
+                assert slope < 0.0
+
+    @pytest.mark.parametrize("name, side", [("koebe", "upper"), ("koebe", "lower"),
+                                            ("sector:1.25", "upper")])
+    def test_probes_record_the_integral_verdict(self, name, side, monkeypatch):
+        """Each probe's recorded verdict is brennan_integral's at its s, under the spec it ran with.
+
+        A probe that was retried ran last under the refined spec, so the spy
+        keeps the last spec each s was integrated under.
+        """
+        from brennanlab import functionals
+
+        pair, ran = make_pair(name), {}
+
+        def spy(pair, s, spec):
+            ran[s] = spec
+            return brennan_integral(pair, s, spec)
+
+        monkeypatch.setattr(functionals, "brennan_integral", spy)
+        rep = critical_exponent(pair, side)
+        assert len(ran) == len(rep.probes)
+        for s, verdict, slope in rep.probes:
+            est = brennan_integral(pair, s, ran[s]).integral
+            assert (verdict, slope) == (est.classification.value, est.fitted_slope)
 
     def test_every_probe_refined_once(self):
         """With no annuli every probe is inconclusive and is retried once at eps_min * 1e-2.

@@ -8,6 +8,7 @@ an attribute chain such as ``np.asarray``.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -326,6 +327,41 @@ def test_public_names_have_a_reader():
               for name in getattr(importlib.import_module(f"brennanlab.{p.stem}"), "__all__", ())
               if name not in read]
     assert SCRIPTS and not unread, f"public names nothing reads: {sorted(unread)}"
+
+
+#: every member of the result types: a field or property, each with a reader
+RESULT_FIELDS = {
+    "FunctionalResult": ("integral", "exponent", "s", "p", "q", "kpq_value"),
+    "CriticalExponentReport": ("side", "s_star", "bracket", "probes"),
+    "NormRatioReport": ("p", "q", "bound_kpq", "samples", "max_ratio", "bound_satisfied"),
+    "DualityResult": ("q_conj", "p_conj", "exponent_direct", "exponent_dual", "lhs", "rhs",
+                      "lhs_classification", "rhs_classification", "rel_diff", "agree"),
+    "EquivalenceTable": ("rows", "integral_spread", "all_converged", "all_diverged",
+                         "consistent"),
+}
+
+
+def test_result_fields():
+    """The result types hold only the members pinned here, and each is read outside its class.
+
+    A new field is added here together with its reader in ``cli``, the
+    benchmark or the demos (or a package function), so no result carries a
+    number nobody reads.
+    """
+    import brennanlab
+
+    read = {name for p in SCRIPTS for name in read_names(ast.parse(p.read_text()))}
+    for p in MODULES:
+        for stmt in TREES[p.name].body:
+            if not (isinstance(stmt, ast.ClassDef) and stmt.name in RESULT_FIELDS):
+                read |= set(read_names(stmt))
+    for name, pinned in RESULT_FIELDS.items():
+        cls = getattr(brennanlab, name)
+        members = [f.name for f in dataclasses.fields(cls)]
+        members += [k for k, v in vars(cls).items() if isinstance(v, property)]
+        assert tuple(members) == pinned, f"{name} members changed: {members}"
+        unread = [m for m in members if m not in read]
+        assert not unread, f"{name} members nothing reads: {unread}"
 
 
 def test_public_names_listed_once_and_exported():

@@ -584,12 +584,13 @@ class TestDuality:
         assert res.agree
         assert math.isnan(res.rel_diff)
 
-    def test_inconclusive_sides_are_inf_and_agree(self):
+    def test_inconclusive_sides_are_inf_and_do_not_agree(self):
+        """Two undecided verdicts are not agreement: agree needs both decided."""
         res = duality_check(koebe_map(), 4.0, 3.0, GradingSpec(eps_min=0.5))
         assert res.lhs_classification is Classification.INCONCLUSIVE
         assert res.rhs_classification is Classification.INCONCLUSIVE
         assert res.lhs == res.rhs == math.inf
-        assert res.agree
+        assert not res.agree
         assert math.isnan(res.rel_diff)
 
     def test_cardioid_q_two_degeneracy(self):
