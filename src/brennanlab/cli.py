@@ -1,10 +1,16 @@
 """Batch command-line front end with machine-readable JSON/CSV output.
 
-Exit codes: 0 for success or a convergent verdict, 1 for a mathematically
-meaningful negative verdict (divergence, violated bound, mismatched
-duality), 2 for usage errors, regime violations and numerical failures,
-and for an inconclusive verdict of ``integrate`` or of either side of
-``duality``, whose JSON is still printed.
+Exit codes: 0 when every verdict is decided and the check holds, 1 when
+a decided verdict says no, and 2 when a verdict is inconclusive or on a
+usage or numerical error; an oracle miss, such as critical's oracle_gap,
+exits 0.  ``--help`` prints that sentence as its epilog.  A decided no
+is a divergence, a violated bound, disagreeing duality sides, an
+inconsistent equivalence table or an isometry ratio out of tolerance; an
+inconclusive verdict still has its JSON or CSV printed, but for an
+undecided seminorm, which ``verify-composition`` refuses as an error.
+Every ``cmd_*`` function returns through ``_exit_code``, the one place a
+verdict becomes an exit code.
+
 Output is deterministic: fixed field order and floats rendered with 12
 significant digits, so identical flags give byte-identical output.
 
@@ -64,6 +70,13 @@ _ISOMETRY_TOL = 1e-4
 _SCAN_MAX_ROWS = 10_000
 
 
+def _exit_code(holds: bool, *verdicts: Classification) -> int:
+    """The one exit rule: 2 if a verdict is inconclusive, else 0 if the check holds, else 1."""
+    if Classification.INCONCLUSIVE in verdicts:
+        return EXIT_ERROR
+    return EXIT_OK if holds else EXIT_NEGATIVE
+
+
 def _num(x: float) -> str:
     """The one number format: 12 significant digits, or ``nan``, ``inf`` and ``-inf``."""
     return f"{x:.12e}"
@@ -101,7 +114,7 @@ def _emit_json(args, inputs: dict, result: dict, diagnostics: dict) -> None:
 
 
 def _emit_csv(args, header: str, rows) -> None:
-    """One line per row: numbers through :func:`_num`, verdict strings as they are."""
+    """One line per row: numbers through :func:`_num`, strings (a verdict too) as they are."""
     lines = [header]
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else _num(v) for v in row))
@@ -134,7 +147,7 @@ def cmd_exponents(args) -> int:
     result["inverse_range"] = list(xa.inverse_range())
     result["known_bounds"] = dataclasses.asdict(xa.known_bounds())
     _emit_json(args, {"p": p, "s": args.s}, result, {})
-    return EXIT_OK
+    return _exit_code(True)
 
 
 def cmd_integrate(args) -> int:
@@ -154,11 +167,7 @@ def cmd_integrate(args) -> int:
                 "abs_error_estimate": est.abs_error_estimate,
                 "fitted_slope": est.fitted_slope,
                 "truncation_eps": est.truncation_eps})
-    if est.classification is Classification.CONVERGED:
-        return EXIT_OK
-    if est.classification is Classification.DIVERGING:
-        return EXIT_NEGATIVE
-    return EXIT_ERROR
+    return _exit_code(est.classification is Classification.CONVERGED, est.classification)
 
 
 def cmd_scan(args) -> int:
@@ -176,10 +185,10 @@ def cmd_scan(args) -> int:
     k = 0
     while (s := args.s_from + k * args.step) <= args.s_to + 1e-12:
         est = brennan_integral(args.pair, s, args.spec).integral
-        rows.append((s, est.value, est.tail_estimate, est.classification.value))
+        rows.append((s, est.value, est.tail_estimate, est.classification))
         k += 1
     _emit_csv(args, "s,value,tail,classification", rows)
-    return EXIT_OK
+    return _exit_code(True, *(row[-1] for row in rows))
 
 
 def cmd_critical(args) -> int:
@@ -192,7 +201,7 @@ def cmd_critical(args) -> int:
                            for s, v, m in report.probes],
                 "oracle": {"lower": lo, "upper": hi},
                 "oracle_gap": None if oracle is None else abs(report.s_star - oracle)})
-    return EXIT_OK
+    return _exit_code(True)
 
 
 def cmd_verify_composition(args) -> int:
@@ -203,7 +212,7 @@ def cmd_verify_composition(args) -> int:
                 "max_ratio": report.max_ratio,
                 "bound_satisfied": report.bound_satisfied},
                {"samples": [dataclasses.asdict(s) for s in report.samples]})
-    return EXIT_OK if report.bound_satisfied else EXIT_NEGATIVE
+    return _exit_code(report.bound_satisfied)
 
 
 def cmd_isometry(args) -> int:
@@ -218,11 +227,10 @@ def cmd_isometry(args) -> int:
         ratios.append({"function": f.name, "ratio": ratio,
                        "deviation": abs(ratio - 1.0)})
     worst = max(r["deviation"] for r in ratios)
+    within = worst <= _ISOMETRY_TOL
     _emit_json(args, {"map": args.map, "patch": [r0, r1]},
-               {"ratios": ratios, "max_deviation": worst,
-                "within_tolerance": worst <= _ISOMETRY_TOL},
-               {})
-    return EXIT_OK if worst <= _ISOMETRY_TOL else EXIT_NEGATIVE
+               {"ratios": ratios, "max_deviation": worst, "within_tolerance": within}, {})
+    return _exit_code(within)
 
 
 def cmd_duality(args) -> int:
@@ -235,9 +243,7 @@ def cmd_duality(args) -> int:
                {"dual_pair": {"q_conjugate": res.q_conj, "p_conjugate": res.p_conj},
                 "exponent_direct": res.exponent_direct,
                 "exponent_dual": res.exponent_dual})
-    if Classification.INCONCLUSIVE in (res.lhs_classification, res.rhs_classification):
-        return EXIT_ERROR
-    return EXIT_OK if res.agree else EXIT_NEGATIVE
+    return _exit_code(res.agree, res.lhs_classification, res.rhs_classification)
 
 
 def cmd_equivalence(args) -> int:
@@ -249,8 +255,8 @@ def cmd_equivalence(args) -> int:
     table = equivalence_table(args.pair, args.s, p_grid, args.spec)
     if args.format == "csv":
         _emit_csv(args, "p,q,s_roundtrip,integral_value,classification,kpq",
-                  [(r.p, r.q, r.s_roundtrip, r.integral_value, r.classification.value,
-                    r.kpq_value) for r in table.rows])
+                  [(r.p, r.q, r.s_roundtrip, r.integral_value, r.classification, r.kpq_value)
+                   for r in table.rows])
     else:
         _emit_json(args, {"map": args.map, "s": args.s, "p_grid": p_grid},
                    # json writes the str-enum classification as its value
@@ -259,7 +265,7 @@ def cmd_equivalence(args) -> int:
                     "consistent": table.consistent},
                    {"all_converged": table.all_converged,
                     "all_diverged": table.all_diverged})
-    return EXIT_OK if table.consistent else EXIT_NEGATIVE
+    return _exit_code(table.consistent, *(r.classification for r in table.rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,6 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="brennan-lab",
         description="Integrability exponents of conformal disc maps and "
                     "Sobolev composition-operator bounds.",
+        # the exit-code sentence of the module docstring
+        epilog="Exit codes: 0 when every verdict is decided and the check holds, 1 when a "
+               "decided verdict says no, and 2 when a verdict is inconclusive or on a usage or "
+               "numerical error; an oracle miss, such as critical's oracle_gap, exits 0.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

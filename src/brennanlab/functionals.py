@@ -58,8 +58,8 @@ class InconclusiveProbeError(RuntimeError):
 class FunctionalResult:
     """One evaluated integral functional, with the exponents its callers read.
 
-    ``exponent`` is the power of |psi'| actually integrated on the disc and
-    ``s = 2 - exponent`` the Brennan exponent it stands for.  ``p`` and
+    ``exponent`` is the power of |psi'| actually integrated on the disc,
+    ``2 - s`` for the Brennan exponent s it stands for.  ``p`` and
     ``q`` are the operator exponents of a K_{p,q} result, and ``kpq_value``
     is the ``(p-q)/(p*q)`` power of the integral's ``limit`` (``inf``
     unless it converged); all three are ``None`` for the Brennan and
@@ -68,7 +68,6 @@ class FunctionalResult:
 
     integral: IntegralEstimate
     exponent: float
-    s: float
     p: float | None = None
     q: float | None = None
     kpq_value: float | None = None
@@ -120,14 +119,14 @@ def brennan_integral(pair: ConformalPair, s: float,
     whole point, and divergence is reported through the classification.
     """
     est = _disc_integral(pair, 2.0 - s, spec)
-    return FunctionalResult(est, 2.0 - s, s)
+    return FunctionalResult(est, 2.0 - s)
 
 
 def inverse_brennan_integral(pair: ConformalPair, r: float,
                              spec: GradingSpec = DEFAULT_SPEC) -> FunctionalResult:
     """Integral of ``|psi'|^r`` over the disc; agrees with brennan_integral(2 - r)."""
     est = _disc_integral(pair, r, spec)
-    return FunctionalResult(est, r, 2.0 - r)
+    return FunctionalResult(est, r)
 
 
 def kpq_functional(pair: ConformalPair, p: float, q: float,
@@ -148,7 +147,7 @@ def kpq_functional(pair: ConformalPair, p: float, q: float,
     s = s_from_pq(p, q)
     power = 1.0 / q if p == math.inf else (p - q) / (p * q)
     est = _disc_integral(pair, 2.0 - s, spec)
-    return FunctionalResult(est, 2.0 - s, s, p, q, est.limit ** power)
+    return FunctionalResult(est, 2.0 - s, p, q, est.limit ** power)
 
 
 def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import ConformalPair, NewtonConvergenceError
-from .exponents import ExponentDomainError, RegimeError, _dual_exponents, q_from_ps
+from .exponents import ExponentDomainError, RegimeError, _dual_exponents, q_from_ps, s_from_pq
 from .functionals import _disc_integral, inverse_brennan_integral, kpq_functional
 from .quadrature import (
     Classification,
@@ -639,7 +639,7 @@ def equivalence_table(pair: ConformalPair, s: float, p_grid: Sequence[float],
         q = q_from_ps(p, s)
         res = kpq_functional(pair, p, q, spec)
         rows.append(EquivalenceRow(
-            p=p, q=q, s_roundtrip=res.s,
+            p=p, q=q, s_roundtrip=s_from_pq(p, q),
             integral_value=res.integral.value,
             classification=res.integral.classification,
             kpq_value=res.kpq_value,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from brennanlab import catalog, cli, operators
 from brennanlab.cli import main
+from brennanlab.functionals import brennan_integral
 from brennanlab.quadrature import Classification, GradingSpec, IntegralEstimate
 
 
@@ -675,3 +677,70 @@ class TestCriticalOracleGap:
         assert payload["diagnostics"]["oracle_gap"] == pytest.approx(
             payload["result"]["s_star"] - 4.0)
         assert payload["diagnostics"]["oracle_gap"] == pytest.approx(0.327, abs=0.01)
+
+
+class TestExitRule:
+    @pytest.mark.parametrize("holds, verdicts, code", [
+        (True, (), 0),
+        (False, (), 1),
+        (True, (Classification.CONVERGED, Classification.DIVERGING), 0),
+        (False, (Classification.DIVERGING,), 1),
+        (True, (Classification.CONVERGED, Classification.INCONCLUSIVE), 2),
+        (False, (Classification.INCONCLUSIVE, Classification.DIVERGING), 2),
+    ])
+    def test_exit_code(self, holds, verdicts, code):
+        assert cli._exit_code(holds, *verdicts) == code
+
+    def test_help_states_the_rule(self, capsys):
+        """``--help`` prints the module docstring's exit-code sentence."""
+        rule = cli.build_parser().epilog
+        assert rule.startswith("Exit codes: ") and rule in " ".join(cli.__doc__.split())
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert rule in " ".join(capsys.readouterr().out.split())
+
+
+#: the flags besides --map and grading of one run of each integrating subcommand
+UNDECIDED_RUNS = {
+    "integrate": ("--s", "2"),
+    "scan": ("--s-from", "1", "--s-to", "2", "--step", "1"),
+    "critical": ("--side", "upper"),
+    "verify-composition": ("--p", "4", "--q", "2"),
+    "duality": ("--p", "4", "--q", "3"),
+    "equivalence": ("--s", "2.5"),
+}
+
+
+@pytest.mark.parametrize("command", GRADED_COMMANDS)
+def test_an_undecided_verdict_exits_two(capsys, command):
+    """At ``--eps-min 0.5`` there are no annuli, so every first verdict is inconclusive.
+
+    A report that rests on one prints it and exits 2.  ``verify-composition``
+    still refuses an undecided seminorm with an error, and ``critical``
+    retries each probe at ``eps_min`` 0.005, where every probe is decided.
+    """
+    code, out, err = run(capsys, command, "--map", "koebe", *UNDECIDED_RUNS[command],
+                         "--eps-min", "0.5")
+    if command == "critical":
+        assert (code, err) == (0, "")
+        refined = GradingSpec(eps_min=0.005)
+        probes = json.loads(out)["diagnostics"]["probes"]
+        assert probes
+        for probe in probes:
+            verdict = brennan_integral(catalog.make_pair("koebe"), probe["s"],
+                                       refined).integral.classification
+            assert verdict is not Classification.INCONCLUSIVE
+            assert probe["classification"] == verdict.value
+        return
+    if command == "verify-composition":
+        assert (code, out, err) == (
+            2, "", "error: gradient integral of harmonic_poly:1 at p=4.0 classified inconclusive\n")
+        return
+    assert (code, err) == (2, "")
+    if command == "scan":
+        verdicts = [line.split(",")[-1] for line in out.splitlines()[1:]]
+    else:
+        # integrate's classification, duality's two sides, or each equivalence row's
+        verdicts = re.findall(r'"\w*classification": "(\w+)"', out)
+    assert verdicts and set(verdicts) == {"inconclusive"}

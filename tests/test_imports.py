@@ -317,6 +317,28 @@ def test_one_map_and_spec_per_run():
     assert set(scopes_reading(tree, {"GradingSpec"})) == {"add", "main"}
 
 
+def test_one_exit_rule():
+    """``cli._exit_code`` is the one place a verdict becomes an exit code.
+
+    Every ``cmd_*`` handler returns a call of it and names no ``EXIT_*``
+    constant, and no function but ``_exit_code`` and ``main``, whose
+    ``EXIT_ERROR`` is for usage and numerical errors, names one.
+    """
+    tree = TREES["cli.py"]
+    codes = {name for stmt in tree.body for name in defined_names(stmt)
+             if name.startswith("EXIT_")}
+    assert codes == {"EXIT_OK", "EXIT_NEGATIVE", "EXIT_ERROR"}
+    assert set(scopes_reading(tree, codes)) == {"_exit_code", "main"}
+    handlers = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert len(handlers) == 8
+    for fn in handlers:
+        returns = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        assert returns and all(isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                               and value.func.id == "_exit_code" for value in returns), (
+            f"{fn.name} returns {[ast.unparse(v) if v else None for v in returns]}")
+
+
 def test_public_names_have_a_reader():
     """Each ``__all__`` name is read in the package outside its own definition, or by a script."""
     read = {name for p in SCRIPTS for name in read_names(ast.parse(p.read_text()))}
@@ -331,7 +353,7 @@ def test_public_names_have_a_reader():
 
 #: every member of the result types: a field or property, each with a reader
 RESULT_FIELDS = {
-    "FunctionalResult": ("integral", "exponent", "s", "p", "q", "kpq_value"),
+    "FunctionalResult": ("integral", "exponent", "p", "q", "kpq_value"),
     "CriticalExponentReport": ("side", "s_star", "bracket", "probes"),
     "NormRatioReport": ("p", "q", "bound_kpq", "samples", "max_ratio", "bound_satisfied"),
     "DualityResult": ("q_conj", "p_conj", "exponent_direct", "exponent_dual", "lhs", "rhs",
