@@ -207,32 +207,40 @@ def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,
     it.
 
     Each probe is one Brennan integral, with one refinement: an
-    inconclusive verdict or a nan slope is retried once at ``eps_min *
-    1e-2``, a spec built only then, since the gap ladder may refuse the
-    smaller eps_min at its floor.  A retry that stays inconclusive, or a
-    refinement the ladder refuses, raises InconclusiveProbeError naming s
-    (and, when refused, the eps_min given).
+    inconclusive verdict or a nan slope is retried once at 1e-2 of the
+    eps_min it ran at, a spec built only then, since the gap ladder may
+    refuse the smaller eps_min at its floor.  A retry that stays
+    inconclusive, or a refinement the ladder refuses, raises
+    InconclusiveProbeError naming s (and, when refused, the eps_min given).
+    Probes run at ``spec`` until the anchor at s = 2 needs its retry; every
+    later probe then starts from the anchor's refined spec, so a spec too
+    coarse to decide anything is not integrated twice per probe.
     """
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     if not tol >= 0.01:
         raise ValueError(f"tolerance must be >= 0.01, got {tol}")
     lo, hi = UPPER_BRACKET if side == "upper" else LOWER_BRACKET
+    anchor = lo if side == "upper" else hi
     probes: list[tuple[float, str, float]] = []
+    start = spec
 
     def probe(s: float) -> float:
-        est = brennan_integral(pair, s, spec).integral
+        nonlocal start
+        est = brennan_integral(pair, s, start).integral
         if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
             try:
-                refined = replace(spec, eps_min=spec.eps_min * 1e-2)
+                refined = replace(start, eps_min=start.eps_min * 1e-2)
             except InvalidGradingError:
                 raise InconclusiveProbeError(
-                    f"probe at s={s} stayed inconclusive at eps_min={spec.eps_min}, and the "
+                    f"probe at s={s} stayed inconclusive at eps_min={start.eps_min}, and the "
                     f"gap ladder cannot be refined to 1e-2 of it") from None
             est = brennan_integral(pair, s, refined).integral
             if est.classification is Classification.INCONCLUSIVE or math.isnan(est.fitted_slope):
                 raise InconclusiveProbeError(f"probe at s={s} stayed inconclusive after refining "
                                              f"eps_min to {refined.eps_min}")
+            if s == anchor:
+                start = refined
         probes.append((s, est.classification.value, est.fitted_slope))
         return est.fitted_slope
 

@@ -10,10 +10,10 @@ inverse (accepted by its residual in z or its Newton step in w) and the
 measure supplied by transfinite charts built from the mapped patch edges,
 so nothing cancels by construction.  The disc-side energy is
 each test function's closed form, so the ratio measures the forward patch
-alone.  The patch is cut into polar cells no larger than their distance
-from the map's singular points and poles, because Gauss-Legendre on a cell
-converges at a rate set by that ratio alone, whatever the singular
-exponent.
+alone.  The patch is cut into polar cells no larger than ``PROXIMITY_CAP``
+times their exact distance from the map's singular points and poles,
+because Gauss-Legendre on a cell converges at a rate set by that ratio
+alone, whatever the singular exponent.
 """
 
 from __future__ import annotations
@@ -311,9 +311,15 @@ def norm_ratio_report(pair: ConformalPair, p: float, q: float,
 # forward-patch isometry check
 # ---------------------------------------------------------------------------
 
-#: largest ratio of a patch cell's size to its distance from psi's nearest
-#: singular location; a cell past it is split
-PROXIMITY_CAP = 1.0
+#: largest ratio of a patch cell's size to its exact distance from psi's
+#: nearest singular location; a cell past it is split.  Set by a scan in steps
+#: of 0.05 against the 567 isometry checks of patch-newton seeds 3, 7 and 11
+#: and a seeded sweep of 900 (300 random maps, three in four twisted with
+#: |a| <= 0.95, times isometry_family()), whose worst |ratio - 1| read 9.10e-15
+#: and 9.55e-15 when cells were refined by a lower bound on their distance.
+#: At 1.0 and 0.95 they read 4.6e-14 and 1.4e-13, at 0.9 9.10e-15 and
+#: 1.33e-14, and at 0.85 8.88e-15 and 9.55e-15, the largest cap within both
+PROXIMITY_CAP = 0.85
 #: next to the circle a leaf needs about 2*log2(1/(1 - r1)) + 2 splits to meet
 #: the distance rule, so 32 covers patches out to about r1 = 1 - 3e-5
 _MAX_SPLIT_DEPTH = 32
@@ -321,11 +327,11 @@ _MAX_SPLIT_DEPTH = 32
 _CHART_ORDER = 16
 #: cells charted and inverted together.  A block's chart and inversion
 #: temporaries are live at once (16 cells at order 16 are 4,096 nodes, 64 KB
-#: per complex array).  The 189 isometry checks of patch-newton seed 3 (about
-#: 8,600 cells) took a median 1.02, 1.08 and 1.09 s of CPU at 16, 32 and 64
-#: cells, timed check by check in alternating order, six runs each, with 16
-#: fastest in every run; whole-run timings overlapped.  Traced memory peaks
-#: were 0.8, 1.2 and 2.0 MB (in process, shared 2-CPU Xeon)
+#: per complex array).  The 189 isometry checks of patch-newton seed 3 (6,745
+#: cells) took a median 0.492, 0.453 and 0.492 s of CPU at 12, 16 and 32
+#: cells, six rounds in alternating order, with 16 fastest in five of them.
+#: Traced memory peaks were 0.45, 0.60 and 1.19 MB (in process, shared 2-CPU
+#: Xeon)
 _BLOCK_CELLS = 16
 
 
@@ -349,8 +355,8 @@ def _refined_cells(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
     """The leaves of cell rows refined toward psi's singular locations, level by level.
 
     A cell shallower than ``_MAX_SPLIT_DEPTH`` whose size exceeds
-    ``PROXIMITY_CAP`` times its distance from the nearest singular location
-    (as bounded by :func:`_cell_proximity`) gives way to its halves; every
+    ``PROXIMITY_CAP`` times its exact distance from the nearest singular
+    location (see :func:`_cell_proximity`) gives way to its halves; every
     other cell is a leaf.  Each level's leaves come out in its order, before
     the next level's, and no psi is evaluated.
     """
@@ -363,21 +369,27 @@ def _refined_cells(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
 
 
 def _cell_proximity(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    """Size over distance to the nearest singular location, per cell (inf where the bound is <= 0).
+    """Size over exact distance to the nearest singular location, per cell (0 with none).
 
-    The size is ``h = max(rb - ra, rb (tb - ta))``.  Every point of a cell
-    lies within ``h/2`` of its 3 x 3 polar grid, so the grid's nearest
-    distance less ``h/2`` bounds the cell's distance from below.
+    The size is ``max(rb - ra, rb (tb - ta))``.  Every location
+    s = rho e^{i phi} lies on or outside the circle, so rho > rb, and the
+    point of the polar cell nearest to it has the cell's angle nearest to
+    phi, at angular gap gamma (0 when phi lies within the cell's angles),
+    and the radius ``r = clip(rho cos(gamma), ra, rb)`` nearest along that
+    ray.  The distance is ``hypot(rho - r, 2 sqrt(rho r) sin(gamma/2))``,
+    the factor form's split of ``|s - r e^{i(phi - gamma)}|^2``, so nothing
+    cancels next to the circle.
     """
-    ra, rb, ta, tb = cells.T[:4]
+    ra, rb, ta, tb = (cells[:, k, None] for k in range(4))
     size = np.maximum(rb - ra, rb * (tb - ta))
-    # np.linspace(a, b, 3) per cell: a, a + (b - a)/2, b
-    r = np.stack([ra, ra + (rb - ra) / 2, rb], axis=1)
-    t = np.stack([ta, ta + (tb - ta) / 2, tb], axis=1)
-    w = r[:, :, None] * np.exp(1j * t)[:, None, :]
-    dist = np.min(np.abs(w[..., None] - singular), axis=(1, 2, 3), initial=math.inf)
-    dist -= 0.5 * size
-    return np.divide(size, dist, out=np.full_like(size, math.inf), where=dist > 0.0)
+    rho, half = np.abs(singular), 0.5 * (tb - ta)
+    # the angle from the cell's middle angle to phi, less a whole turn, less half the cell
+    gap = np.abs(np.remainder(np.angle(singular) - (ta + half) + math.pi, 2.0 * math.pi) - math.pi)
+    gap -= half
+    np.maximum(gap, 0.0, out=gap)
+    r = np.clip(rho * np.cos(gap), ra, rb)
+    dist = np.hypot(rho - r, 2.0 * np.sqrt(rho * r) * np.sin(0.5 * gap))
+    return size[:, 0] / np.min(dist, axis=1, initial=math.inf)
 
 
 def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
@@ -489,9 +501,11 @@ def _forward_patch_integral(pair: ConformalPair, f: TestFunction, r0: float, r1:
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
     cells = np.array([(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants])
-    # psi's singular locations: each singular point and each pole 1/c
+    # psi's singular locations: each singular point and each pole 1/c, less any
+    # pole past the largest float, which is infinitely far from every cell
     singular = np.array([sp.location for sp in pair.singular_points]
                         + [1.0 / c for c, _ in pair.poles], dtype=complex)
+    singular = singular[np.isfinite(singular)]
     leaves = _refined_cells(cells, singular)
     total = 0.0
     while len(leaves):

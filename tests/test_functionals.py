@@ -274,6 +274,55 @@ class TestCriticalExponent:
         assert coarse.probes == fine.probes
         assert coarse.s_star == fine.s_star == 3.8453443668797664
 
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The (s, eps_min) of every brennan_integral call critical_exponent makes."""
+        from brennanlab import functionals
+
+        calls = []
+
+        def spy(pair, s, spec):
+            calls.append((s, spec.eps_min))
+            return brennan_integral(pair, s, spec)
+
+        monkeypatch.setattr(functionals, "brennan_integral", spy)
+        return calls
+
+    @pytest.mark.parametrize("side, calls", [("upper", 11), ("lower", 12)])
+    def test_later_probes_start_from_the_refined_anchor(self, side, calls, ran):
+        """Once the anchor at s = 2 needs eps_min * 1e-2, no later probe runs at eps_min first.
+
+        Otherwise each of the 10 probes would run at eps_min = 0.5 and again
+        at 0.005, 20 integrals a side.  The probes before the anchor (the
+        lower side's s = -6) and the anchor run twice, every later one once,
+        with the report that eps_min = 0.005 gives.
+        """
+        coarse = critical_exponent(koebe_map(), side, spec=GradingSpec(eps_min=0.5))
+        assert len(ran) == calls and len(coarse.probes) == 10
+        anchor = ran.index((2.0, 0.005))
+        assert ran[anchor - 1] == (2.0, 0.5)
+        assert all(eps_min == 0.005 for _, eps_min in ran[anchor:])
+        fine = critical_exponent(koebe_map(), side, spec=GradingSpec(eps_min=0.005))
+        assert (coarse.probes, coarse.s_star, coarse.bracket) == (fine.probes, fine.s_star,
+                                                                  fine.bracket)
+
+    @pytest.mark.parametrize("name, retried, s_star", [
+        ("koebe*moebius:0.95,0.2,1", (4.5, 4.34375), 4.326571982794713),
+        ("cardioid*moebius:0.95,0,0.7", (4.5, 4.421875), 4.40485966787513),
+    ])
+    def test_a_retried_middle_probe_leaves_the_spec(self, name, retried, s_star, ran):
+        """At the default spec the anchor decides, so a middle probe's retry is its own.
+
+        Every other probe runs once at eps_min = 1e-8, and the retried ones at
+        1e-8 and then 1e-10; s_star is pinned to its last bit.
+        """
+        rep = critical_exponent(make_pair(name), "upper")
+        expected = []
+        for s, _, _ in rep.probes:
+            expected += [(s, 1e-8), (s, 1e-10)] if s in retried else [(s, 1e-8)]
+        assert ran == expected
+        assert repr(rep.s_star) == repr(s_star)
+
     def test_no_threshold_raises(self):
         with pytest.raises(ThresholdNotFoundError):
             critical_exponent(identity_map(), "upper")

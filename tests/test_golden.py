@@ -350,9 +350,11 @@ def test_seminorm():
     assert repr(seminorm(shifted_log(), 3.0)) == repr(0.8151949041987602)
 
 
-# re-pinned when the disc side became each function's closed-form energy
+# re-pinned when the disc side became each function's closed-form energy, and
+# twisted-koebe-disc (from 1.0000000000000007) when cells were refined by their
+# exact distance to psi's singular locations
 @pytest.mark.parametrize("name, function, patch, expected", [
-    ("koebe*moebius:0.5,0.2,1", harmonic_poly(1), (0.0, 0.8), 1.0000000000000007),
+    ("koebe*moebius:0.5,0.2,1", harmonic_poly(1), (0.0, 0.8), 1.0000000000000009),
     ("cardioid", shifted_log(), (0.3, 0.7), 1.0000000000000007),
 ], ids=["twisted-koebe-disc", "cardioid-annulus"])
 def test_isometry_check(name, function, patch, expected):

@@ -1,9 +1,11 @@
+import cmath
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brennanlab import catalog, operators
 from brennanlab.catalog import (
@@ -246,6 +248,9 @@ class TestIsometry:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(name=catalog_maps())
+    # a pole past the largest float (1/c is inf), and one at 1e300
+    @example(name="moebius:0,2.225073858507e-311,0")
+    @example(name="cardioid*moebius:0,1e-300,1")
     def test_ratio_is_one_to_rounding_property(self, name):
         """Every family, twisted or not, and every isometry function: the ratio is 1 to 1e-13."""
         pair = make_pair(name)
@@ -311,17 +316,39 @@ class TestDiscEnergy:
                 assert abs(f.disc_energy(r0, r1) / float(exact) - 1.0) <= 1e-14, (r0, r1)
 
 
+def reference_cell_distance(cell, s):
+    """Distance from the polar cell (ra, rb, ta, tb) to a point s outside it, in scalar math.
+
+    The nearest point lies on the cell's boundary: on one of its two arcs at
+    s's own angle, when that angle is the cell's, or else on one of its two
+    radial edges, at the radius nearest along that edge.  Each candidate is
+    a point of the plane, measured by ``abs``.
+    """
+    ra, rb, ta, tb = cell
+    rho, phi = abs(s), cmath.phase(s)
+    candidates = []
+    # phi moved by whole turns to the first angle at or above ta
+    phi = ta + (phi - ta) % (2.0 * math.pi)
+    if phi <= tb:
+        candidates += [cmath.rect(ra, phi), cmath.rect(rb, phi)]
+    for t in (ta, tb):
+        r = min(max(rho * math.cos(phi - t), ra), rb)
+        candidates.append(cmath.rect(r, t))
+    return min(abs(s - w) for w in candidates)
+
+
 def reference_patch_cells(pair, r0, r1):
     """Patch cells refined one cell at a time from a stack, depth first.
 
     Each cell is split until its size max(rb - ra, rb (tb - ta)) is at most
-    ``PROXIMITY_CAP`` times a lower bound on its distance from psi's nearest
-    singular location (the nearest of its 3 x 3 polar grid less half the
-    size), or it lies ``_MAX_SPLIT_DEPTH`` splits below its seed cell; the
-    leaves are the cells the forward integral should chart.
+    ``PROXIMITY_CAP`` times its distance from psi's nearest singular location
+    (:func:`reference_cell_distance`), or it lies ``_MAX_SPLIT_DEPTH`` splits
+    below its seed cell; the leaves are the cells the forward integral should
+    chart.  A pole past the largest float is at no finite distance.
     """
-    singular = ([sp.location for sp in pair.singular_points]
-                + [1.0 / c for c, _ in pair.poles if c])
+    singular = [s for s in ([sp.location for sp in pair.singular_points]
+                            + [1.0 / c for c, _ in pair.poles])
+                if cmath.isfinite(s)]
 
     def split(cell):
         ra, rb, ta, tb = cell
@@ -334,11 +361,8 @@ def reference_patch_cells(pair, r0, r1):
     def too_near(cell):
         ra, rb, ta, tb = cell
         size = max(rb - ra, rb * (tb - ta))
-        grid = [r * complex(math.cos(t), math.sin(t))
-                for r in np.linspace(ra, rb, 3) for t in np.linspace(ta, tb, 3)]
-        dist = min((abs(w - s) for w in grid for s in singular), default=math.inf) - 0.5 * size
-        # a bound that reaches the cell counts as infinitely near
-        return (size / dist if dist > 0.0 else math.inf) > operators.PROXIMITY_CAP
+        dist = min((reference_cell_distance(cell, s) for s in singular), default=math.inf)
+        return size / dist > operators.PROXIMITY_CAP
 
     seeds = []
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
@@ -458,15 +482,20 @@ class TestForwardPatch:
         assert isometry_check(pair, f) == pytest.approx(ratio, rel=0.0, abs=1e-12)
 
     def test_fold_under_refinement(self, monkeypatch):
-        """A seed cell far from the singular points whose chart folds anyway.
+        """Two cells far from the singular points whose charts fold anyway.
 
-        Its halves are refined and charted after it; every other charted
-        cell is a leaf of the reference refinement.  The ratios are pinned
-        to their last bits.
+        Each one's halves are refined and charted after it; every other
+        charted cell is a leaf of the reference refinement.  The ratios are
+        pinned to their last bits.  While cells were refined by a lower bound
+        on their distance (a 3 x 3 grid's less half the size) the blocks read
+        [16, 16, 5] and only the wedge at angles (3 pi/2, 2 pi) folded; the
+        exact distance keeps larger leaves, and the quadrant at (0, pi/2) is
+        now a leaf that folds too.
         """
         pair = make_pair("cardioid*moebius:0.5117708699237223,0.08382085208048248,"
                          "3.2004601267299093")
-        wedge = (0.0, 0.4, 4.71238898038469, 6.283185307179586)
+        wedges = [(0.0, 0.4, 0.0, 1.5707963267948966),
+                  (0.0, 0.4, 4.71238898038469, 6.283185307179586)]
         charted, blocks = [], []
         coons_grid = operators._coons_grid
 
@@ -476,27 +505,31 @@ class TestForwardPatch:
             return coons_grid(pair, cells, n)
 
         monkeypatch.setattr(operators, "_coons_grid", recording)
-        # re-pinned when the disc side became each function's closed-form energy
+        # re-pinned when the disc side became each function's closed-form energy,
+        # and when cells were refined by their exact distance (boundary_power:1.5
+        # from 1.0000000000000004, shifted_log from 1.0000000000000002)
         ratios = {"harmonic_poly:1": 1.0000000000000002,
-                  "boundary_power:1.5": 1.0000000000000004,
-                  "shifted_log": 1.0000000000000002}
+                  "boundary_power:1.5": 1.0000000000000002,
+                  "shifted_log": 1.0000000000000004}
+        reference = reference_patch_cells(pair, 0.0, 0.8)
         for f in isometry_family():
             charted.clear()
             blocks.clear()
             assert isometry_check(pair, f) == ratios[f.name]
-            assert blocks == [16, 16, 5]
-            assert charted.count(wedge) == 1
-            k = charted.index(wedge)
-            inside = [c for c in charted if c != wedge and c[0] >= wedge[0] and c[1] <= wedge[1]
-                      and c[2] >= wedge[2] and c[3] <= wedge[3]]
-            assert inside and all(charted.index(c) > k for c in inside)
-            # the halves' leaves tile the wedge
-            area = sum((rb * rb - ra * ra) * (tb - ta) for ra, rb, ta, tb in inside)
-            assert area == pytest.approx((wedge[1] ** 2 - wedge[0] ** 2) * (wedge[3] - wedge[2]),
-                                         rel=1e-14)
-            rest = [c for c in charted if c != wedge and c not in inside]
-            reference = reference_patch_cells(pair, 0.0, 0.8)
-            assert sorted(rest) == sorted(c for c in reference if c != wedge)
+            assert blocks == [16, 16]
+            rest = [c for c in charted if c not in wedges]
+            for wedge in wedges:
+                assert charted.count(wedge) == 1
+                k = charted.index(wedge)
+                inside = [c for c in rest if c[0] >= wedge[0] and c[1] <= wedge[1]
+                          and c[2] >= wedge[2] and c[3] <= wedge[3]]
+                assert inside and all(charted.index(c) > k for c in inside)
+                # the halves' leaves tile the wedge
+                area = sum((rb * rb - ra * ra) * (tb - ta) for ra, rb, ta, tb in inside)
+                assert area == pytest.approx((wedge[1] ** 2 - wedge[0] ** 2)
+                                             * (wedge[3] - wedge[2]), rel=1e-14)
+                rest = [c for c in rest if c not in inside]
+            assert sorted(rest) == sorted(c for c in reference if c not in wedges)
 
     def test_fold_at_the_last_level_raises(self, monkeypatch):
         monkeypatch.setattr(operators, "PROXIMITY_CAP", math.inf)
@@ -565,6 +598,74 @@ class TestForwardPatch:
             alone = operators._coons_grid(pair, cells[k:k + 1], 16)
             for a, b in zip(alone, block):
                 assert a[0].tobytes() == b[k].tobytes()
+
+
+def sampled_cell_distance(cell, s, n=1001, rounds=3):
+    """Distance from a polar cell to s by sampling its four boundary curves.
+
+    Each curve (both radial edges, both arcs) is sampled at n points, then
+    again between the neighbours of its nearest sample, ``rounds`` times.
+    """
+    ra, rb, ta, tb = cell
+    curves = [lambda x, t=t: (ra + (rb - ra) * x) * np.exp(1j * t) for t in (ta, tb)]
+    curves += [lambda x, r=r: r * np.exp(1j * (ta + (tb - ta) * x)) for r in (ra, rb)]
+    best = math.inf
+    for curve in curves:
+        lo, hi = 0.0, 1.0
+        for _ in range(rounds):
+            x = np.linspace(lo, hi, n)
+            dist = np.abs(s - curve(x))
+            k = int(np.argmin(dist))
+            best = min(best, float(dist[k]))
+            lo, hi = x[max(k - 1, 0)], x[min(k + 1, n - 1)]
+    return best
+
+
+#: a polar cell inside the disc: radii ra < rb < 1, and angles ta < tb at most a quadrant apart
+CELLS = st.builds(lambda ra, dr, ta, dt: (ra, ra + dr * (0.999 - ra), ta, ta + dt),
+                  st.floats(0.0, 0.99), st.floats(1e-3, 1.0),
+                  st.floats(0.0, 2.0 * math.pi), st.floats(1e-3, math.pi / 2.0))
+#: singular points on the circle and poles off it, any angle
+LOCATIONS = st.builds(cmath.rect, st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
+                      st.floats(-math.pi, math.pi))
+
+
+class TestRefinement:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cell=CELLS, singular=st.lists(LOCATIONS, min_size=1, max_size=3))
+    def test_proximity_is_exact(self, cell, singular):
+        """Size over the cell's distance to its nearest location, as boundary sampling finds it.
+
+        Sampling can only miss the nearest point, so the proximity may not
+        read below the sampled one beyond rounding: no cell is under-refined.
+        """
+        ra, rb, ta, tb = cell
+        size = max(rb - ra, rb * (tb - ta))
+        sampled = size / min(sampled_cell_distance(cell, s) for s in singular)
+        proximity = operators._cell_proximity(np.array([cell + (0.0,)]), np.array(singular))
+        assert proximity.shape == (1,)
+        assert sampled * (1.0 - 1e-14) <= proximity[0] <= sampled * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("name, leaves", [
+        ("koebe", 44), ("sector:1.5", 44), ("cardioid*moebius:-0.6,0.2,2", 29)])
+    def test_leaf_counts(self, name, leaves):
+        """The refinement of patch (0, 0.8), pinned: a rule that adds cells fails here.
+
+        Refined by a lower bound on each cell's distance (a 3 x 3 grid's less
+        half the size, at a cap of 1.0) the counts read 56, 56 and 34.  Every
+        leaf meets the cap at its exact distance, or is ``_MAX_SPLIT_DEPTH``
+        splits deep.
+        """
+        pair = make_pair(name)
+        singular = [sp.location for sp in pair.singular_points] + [1.0 / c for c, _ in pair.poles]
+        seeds = np.array([seed + (0.0,) for seed in seed_cells(0.0, 0.8)])
+        cells = operators._refined_cells(seeds, np.array(singular))
+        assert len(cells) == leaves
+        for cell in cells.tolist():
+            ra, rb, ta, tb, depth = cell
+            dist = min(reference_cell_distance((ra, rb, ta, tb), s) for s in singular)
+            assert max(rb - ra, rb * (tb - ta)) <= operators.PROXIMITY_CAP * dist * (1.0 + 1e-14) \
+                or depth == operators._MAX_SPLIT_DEPTH
 
 
 class TestDuality:
