@@ -9,12 +9,11 @@ import math
 
 from brennanlab import (
     ExponentRecord,
+    KnownBounds,
     alpha_range,
     classify_regime,
     dual_pair,
     holder_conjugate,
-    inverse_range,
-    known_bounds,
     q_from_ps,
     s_from_pq,
 )
@@ -36,9 +35,9 @@ for p in (3.0, 4.0, 1.0):
     lo, hi = alpha_range(p)
     print(f"  p={p}: alpha in ({lo:.6g}, {hi:.6g})")
 
-print("\nInverse-map exponent range:", inverse_range())
+kb = KnownBounds()
+print("\nInverse-map exponent range:", kb.inverse_conjectured)
 
-kb = known_bounds()
 print("\nWhat is actually proved about the upper endpoint of s:")
 print(f"  easy (distortion-theorem) range up to {kb.easy_upper}")
 print(f"  improved to {kb.pommerenke}, then {kb.bertilsson}, "

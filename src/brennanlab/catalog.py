@@ -237,8 +237,25 @@ class ConformalPair:
     ``singular_points`` holds the ``(zeta_k, e_k)`` on the circle, ``poles``
     the ``(c_j, f_j)`` of the factors ``(1 - c_j w)**f_j`` off the closed
     disc (only :meth:`compose_with_moebius` makes them), and ``log_scale``
-    is ``log|C| = log|psi'(0)|``.  Both become one factor list when the
-    pair is built, so a copy made with ``dataclasses.replace`` builds its own.
+    is ``log|C| = log|psi'(0)|``.  The two lists are the pair's declared
+    singular data, and only this class and :meth:`compose_with_moebius`
+    read them: when the pair is built they become, once, everything the
+    rest of the package reads of them, so a copy made with
+    ``dataclasses.replace`` builds its own.
+
+    - ``singular_angles``: each ``arg zeta_k`` in ``[0, 2 pi)``.
+    - ``grading_angles``: the angles the disc rule is graded toward, the
+      singular angles and then each pole's ``arg(1/c_j)``.  ``|psi'|``
+      peaks or dips toward a pole, most sharply for ``|c_j|`` near 1; a
+      twist's pole lies at angle arg(a).
+    - ``singular_locations``: psi's singular locations, each ``zeta_k`` and
+      each finite ``1/c_j``, a read-only complex array that the forward
+      patch refines its cells toward.
+    - ``thresholds``: ``(lower, upper)``, the closed-form integrability
+      thresholds of the Brennan exponent s.  A point of exponent e admits
+      ``|psi'|^(2 - s)`` when ``(2 - s) e > -2``, so ``upper`` is the least
+      ``2 + 2/e`` over the ``e > 0`` and ``lower`` the greatest over the
+      ``e < 0``, each ``None`` with no such point.
     """
 
     descriptor: MapDescriptor
@@ -259,24 +276,24 @@ class ConformalPair:
         # Python's moves it by an ulp for about one twisted map in six
         object.__setattr__(self, "log_scale",
                            math.log(abs(complex(self.psi_dpsi(np.complex128(0.0))[1]))))
-        factors = [(1.0, -sp.angle, sp.exponent) for sp in self.singular_points]
+        angles = tuple(sp.angle for sp in self.singular_points)
+        factors = [(1.0, -angle, sp.exponent) for angle, sp in zip(angles, self.singular_points)]
         factors += [(abs(c), cmath.phase(c), f) for c, f in self.poles]
         rho, alpha, f = np.array(factors, dtype=float).reshape(-1, 3).T
         object.__setattr__(self, "_factors", (rho[:, None], alpha[:, None], 0.5 * f))
-
-    @property
-    def singular_angles(self) -> tuple[float, ...]:
-        return tuple(sp.angle for sp in self.singular_points)
-
-    @property
-    def grading_angles(self) -> tuple[float, ...]:
-        """Angles the disc rule is graded toward: the singular angles, then each pole's.
-
-        ``|psi'|`` peaks or dips toward a pole ``1/c`` off the circle, most
-        sharply for ``|c|`` near 1; a twist's pole lies at angle arg(a).
-        """
-        return self.singular_angles + tuple(
-            -cmath.phase(c) % TWO_PI for c, _ in self.poles)
+        object.__setattr__(self, "singular_angles", angles)
+        object.__setattr__(self, "grading_angles", angles + tuple(
+            -cmath.phase(c) % TWO_PI for c, _ in self.poles))
+        # a pole 1/c past the largest float is infinitely far from every cell, and dropped
+        locations = np.array([sp.location for sp in self.singular_points]
+                             + [1.0 / c for c, _ in self.poles], dtype=complex)
+        locations = locations[np.isfinite(locations)]
+        locations.flags.writeable = False
+        object.__setattr__(self, "singular_locations", locations)
+        exponents = [sp.exponent for sp in self.singular_points]
+        object.__setattr__(self, "thresholds", (
+            max((2.0 + 2.0 / e for e in exponents if e < 0.0), default=None),
+            min((2.0 + 2.0 / e for e in exponents if e > 0.0), default=None)))
 
     def abs_dpsi_power(self, r: np.ndarray, theta: np.ndarray, e: float
                        ) -> Callable[[int, slice], np.ndarray]:

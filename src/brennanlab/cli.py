@@ -144,8 +144,9 @@ def cmd_exponents(args) -> int:
             result["q_conjugate"] = rec.q_conj
         result["regime"] = rec.regime().value
     result["alpha_range"] = list(xa.alpha_range(p))
-    result["inverse_range"] = list(xa.inverse_range())
-    result["known_bounds"] = dataclasses.asdict(xa.known_bounds())
+    bounds = xa.KnownBounds()
+    result["inverse_range"] = list(bounds.inverse_conjectured)
+    result["known_bounds"] = dataclasses.asdict(bounds)
     _emit_json(args, {"p": p, "s": args.s}, result, {})
     return _exit_code(True)
 

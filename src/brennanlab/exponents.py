@@ -25,8 +25,6 @@ __all__ = [
     "dual_exponent",
     "dual_pair",
     "holder_conjugate",
-    "inverse_range",
-    "known_bounds",
     "q_from_ps",
     "s_from_pq",
 ]
@@ -154,11 +152,6 @@ def alpha_range(p: float) -> tuple[float, float]:
     return -4.0 / (2.0 - p), -4.0 / (3.0 * (2.0 - p))
 
 
-def inverse_range() -> tuple[float, float]:
-    """Conjectured open interval of inverse-map exponents ``r``."""
-    return (-2.0, 2.0 / 3.0)
-
-
 @dataclass(frozen=True)
 class KnownBounds:
     """Named constants bracketing what is proved about the Brennan range.
@@ -184,10 +177,6 @@ class KnownBounds:
             raise ValueError("proved bounds must be strictly increasing and below 4")
         if not (-2.0 < self.inverse_proved_lower < 2.0 / 3.0):
             raise ValueError("inverse proved bound must lie inside (-2, 2/3)")
-
-
-def known_bounds() -> KnownBounds:
-    return KnownBounds()
 
 
 class Regime(str, Enum):

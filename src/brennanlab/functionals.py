@@ -171,24 +171,16 @@ def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:
 
 def threshold_oracle(target: ConformalPair | MapDescriptor | str
                      ) -> tuple[float | None, float | None]:
-    """Closed-form integrability thresholds from the declared singular data.
+    """Closed-form integrability thresholds ``(lower, upper)`` from the declared singular data.
 
-    Each boundary point with local exponent e constrains the Brennan
-    exponent through ``(2 - s)*e > -2``: points with e > 0 cap s above by
-    ``2 + 2/e``, points with e < 0 bound it below by the same formula.
-    Returns ``(lower, upper)`` with ``None`` for an absent constraint.
+    The pair's ``thresholds``, made once when it is built (see
+    :class:`~brennanlab.catalog.ConformalPair`): a boundary point with local
+    exponent e bounds s through ``(2 - s)*e > -2``, from above by
+    ``2 + 2/e`` when e > 0 and from below when e < 0.  ``None`` stands for
+    an absent constraint.
     """
     pair = target if isinstance(target, ConformalPair) else make_pair(target)
-    lower: float | None = None
-    upper: float | None = None
-    for sp in pair.singular_points:
-        if sp.exponent > 0.0:
-            cand = 2.0 + 2.0 / sp.exponent
-            upper = cand if upper is None else min(upper, cand)
-        elif sp.exponent < 0.0:
-            cand = 2.0 + 2.0 / sp.exponent
-            lower = cand if lower is None else max(lower, cand)
-    return lower, upper
+    return pair.thresholds
 
 
 def critical_exponent(pair: ConformalPair, side: str, tol: float = 0.05,

@@ -488,9 +488,9 @@ def _forward_patch_integral(pair: ConformalPair, f: TestFunction, r0: float, r1:
     """Dirichlet energy of f o phi over psi(patch), ``|grad f|^2(w) |phi'(z)|^2`` at w = phi(z).
 
     Two steps.  First the patch's seed cells, four quadrants of each seed
-    ring, are refined toward psi's singular locations (its singular points
-    on the circle and its poles off it) by :func:`_refined_cells`, which
-    evaluates no psi.  Then one loop charts the leaves ``_BLOCK_CELLS`` at a
+    ring, are refined toward ``pair.singular_locations`` (its singular points
+    on the circle and its finite poles off it) by :func:`_refined_cells`,
+    which evaluates no psi.  Then one loop charts the leaves ``_BLOCK_CELLS`` at a
     time through :func:`_block_sums`: every chart node z is inverted by
     ``invert_many`` (the closed-form inverse, accepted by its residual in z
     or its Newton step in w), which also returns psi' at the inverted node,
@@ -501,11 +501,7 @@ def _forward_patch_integral(pair: ConformalPair, f: TestFunction, r0: float, r1:
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
     cells = np.array([(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants])
-    # psi's singular locations: each singular point and each pole 1/c, less any
-    # pole past the largest float, which is infinitely far from every cell
-    singular = np.array([sp.location for sp in pair.singular_points]
-                        + [1.0 / c for c, _ in pair.poles], dtype=complex)
-    singular = singular[np.isfinite(singular)]
+    singular = pair.singular_locations
     leaves = _refined_cells(cells, singular)
     total = 0.0
     while len(leaves):

@@ -9,6 +9,7 @@ from brennanlab.catalog import koebe_map
 from brennanlab.exponents import (
     ExponentDomainError,
     ExponentRecord,
+    KnownBounds,
     Regime,
     RegimeError,
     alpha_range,
@@ -16,8 +17,6 @@ from brennanlab.exponents import (
     dual_exponent,
     dual_pair,
     holder_conjugate,
-    inverse_range,
-    known_bounds,
     q_from_ps,
     s_from_pq,
 )
@@ -209,10 +208,11 @@ class TestAlphaRange:
 
 class TestRangesAndBounds:
     def test_inverse_range(self):
-        assert inverse_range() == (pytest.approx(-2.0), pytest.approx(2.0 / 3.0))
+        assert KnownBounds().inverse_conjectured == (pytest.approx(-2.0), pytest.approx(2.0 / 3.0))
 
     def test_known_constants(self):
-        kb = known_bounds()
+        kb = KnownBounds()
+        assert kb.easy_upper == 3.0
         assert kb.hedenmalm_shimorin == 3.752
         assert kb.pommerenke == 3.399
         assert kb.bertilsson == 3.421
@@ -220,13 +220,13 @@ class TestRangesAndBounds:
         assert kb.brennan_conjectured == (pytest.approx(4.0 / 3.0), 4.0)
 
     def test_ordering(self):
-        kb = known_bounds()
+        kb = KnownBounds()
         assert kb.easy_upper < kb.pommerenke < kb.bertilsson < kb.hedenmalm_shimorin < 4.0
         assert -2.0 < kb.inverse_proved_lower < 2.0 / 3.0
 
     def test_endpoint_correspondence(self):
         # r = 2 - s maps the lower Brennan endpoint to the upper inverse endpoint
-        assert 2.0 - 4.0 / 3.0 == pytest.approx(inverse_range()[1], abs=1e-15)
+        assert 2.0 - 4.0 / 3.0 == pytest.approx(KnownBounds().inverse_conjectured[1], abs=1e-15)
 
 
 class TestRegime:

@@ -223,6 +223,22 @@ def test_one_sqrt_kernel():
     assert users == {"catalog.py"}, f"_sqrt is named in {sorted(users)}"
 
 
+def test_one_reader_of_singular_data():
+    """Only catalog names a pair's declared ``singular_points`` or ``poles``.
+
+    ``ConformalPair.__post_init__`` makes once what the rest of the package
+    reads of them: the factor list, the grading angles, the singular
+    locations and the thresholds.  A module that read the two lists itself,
+    as an attribute or a keyword, would make its own copy of one of these.
+    """
+    declared = {"singular_points", "poles"}
+    readers = sorted((name, node.lineno) for name, tree in TREES.items() if name != "catalog.py"
+                     for node in ast.walk(tree)
+                     if (isinstance(node, ast.Attribute) and node.attr in declared)
+                     or (isinstance(node, ast.keyword) and node.arg in declared))
+    assert not readers, f"the declared singular data is read at {readers}"
+
+
 def string_literal(node):
     """A string constant, or a tuple, list or set literal holding one."""
     return ((isinstance(node, ast.Constant) and isinstance(node.value, str))
@@ -360,6 +376,8 @@ RESULT_FIELDS = {
                       "lhs_classification", "rhs_classification", "rel_diff", "agree"),
     "EquivalenceTable": ("rows", "integral_spread", "all_converged", "all_diverged",
                          "consistent"),
+    "IntegralEstimate": ("value", "abs_error_estimate", "truncation_eps", "tail_estimate",
+                         "classification", "fitted_slope", "limit"),
 }
 
 
