@@ -13,7 +13,11 @@ each test function's closed form, so the ratio measures the forward patch
 alone.  The patch is cut into polar cells no larger than ``PROXIMITY_CAP``
 times their exact distance from the map's singular points and poles,
 because Gauss-Legendre on a cell converges at a rate set by that ratio
-alone, whatever the singular exponent.
+alone, whatever the singular exponent.  Each check has a prologue and
+then blocks: the prologue refines the cells on Python floats, forms the
+chart's constant rows and maps every leaf's edges in one call, and each
+block of cells does only the work that grows with its nodes (its charts
+from its slice of the edge terms, the inversion and the energy).
 """
 
 from __future__ import annotations
@@ -327,49 +331,66 @@ _MAX_SPLIT_DEPTH = 32
 _CHART_ORDER = 16
 #: cells charted and inverted together.  A block's chart and inversion
 #: temporaries are live at once (16 cells at order 16 are 4,096 nodes, 64 KB
-#: per complex array).  The 189 isometry checks of patch-newton seed 3 (6,745
-#: cells) took a median 0.492, 0.453 and 0.492 s of CPU at 12, 16 and 32
-#: cells, six rounds in alternating order, with 16 fastest in five of them.
-#: Traced memory peaks were 0.45, 0.60 and 1.19 MB (in process, shared 2-CPU
-#: Xeon)
+#: per complex array).  With the edges mapped once per check, the 189 isometry
+#: checks of patch-newton seed 3 (6,745 cells) took a median 0.409, 0.377,
+#: 0.416, 0.442 and 0.555 s of CPU at 8, 12, 16, 24 and 32 cells over six
+#: rounds in rotating order (0.414, 0.418, 0.420, 0.444 and 0.462 as the best
+#: of three passes); no size was fastest in more than three rounds of either
+#: series, so 16 stays.  Traced memory peaks were 0.40, 0.54, 0.68, 0.96 and
+#: 1.24 MB (in process, shared 2-CPU host, whose noise of up to 2x between
+#: rounds swamps the sizes' differences)
 _BLOCK_CELLS = 16
 
 
-def _split_cells(cells: np.ndarray) -> np.ndarray:
-    """Both halves of every cell row (ra, rb, ta, tb, depth), one split deeper.
+def _split_cells(cells: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
+    """Both halves of every cell (ra, rb, ta, tb, depth), one split deeper.
 
     Each cell is halved across whichever side is metrically longer; every
     first half comes before every second half.
     """
-    ra, rb, ta, tb = cells.T[:4]
-    radial = (rb - ra) >= 0.5 * (ra + rb) * (tb - ta)
-    first, second = cells.copy(), cells.copy()
-    first[radial, 1] = second[radial, 0] = 0.5 * (ra + rb)[radial]
-    first[~radial, 3] = second[~radial, 2] = 0.5 * (ta + tb)[~radial]
-    halves = np.concatenate([first, second])
-    halves[:, 4] += 1.0
-    return halves
+    firsts, seconds = [], []
+    for ra, rb, ta, tb, depth in cells:
+        depth += 1.0
+        if (rb - ra) >= 0.5 * (ra + rb) * (tb - ta):
+            rm = 0.5 * (ra + rb)
+            firsts.append((ra, rm, ta, tb, depth))
+            seconds.append((rm, rb, ta, tb, depth))
+        else:
+            tm = 0.5 * (ta + tb)
+            firsts.append((ra, rb, ta, tm, depth))
+            seconds.append((ra, rb, tm, tb, depth))
+    return firsts + seconds
 
 
-def _refined_cells(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    """The leaves of cell rows refined toward psi's singular locations, level by level.
+def _refined_cells(cells: Sequence[Sequence[float]], singular: np.ndarray) -> np.ndarray:
+    """The leaves of cells (ra, rb, ta, tb, depth) refined toward psi's singular locations.
 
     A cell shallower than ``_MAX_SPLIT_DEPTH`` whose size exceeds
     ``PROXIMITY_CAP`` times its exact distance from the nearest singular
     location (see :func:`_cell_proximity`) gives way to its halves; every
     other cell is a leaf.  Each level's leaves come out in its order, before
-    the next level's, and no psi is evaluated.
+    the next level's, as rows of a (L, 5) array, and no psi is evaluated.
+    The refinement runs on Python floats, cell by cell: each location's
+    polar form is made once per call, by numpy, and everything else by
+    ``math``, at a fraction of numpy's per-call cost on arrays of a few
+    dozen cells.  A forward patch refines its seed cells, and any batch of
+    folded halves, through this one function.
     """
+    polar = list(zip(np.abs(singular).tolist(), np.angle(singular).tolist()))
     leaves = []
-    while len(cells):
-        near = (cells[:, 4] < _MAX_SPLIT_DEPTH) & (_cell_proximity(cells, singular) > PROXIMITY_CAP)
-        leaves.append(cells[~near])
-        cells = _split_cells(cells[near])
-    return np.concatenate(leaves)
+    while cells:
+        near = []
+        for cell in cells:
+            if cell[4] < _MAX_SPLIT_DEPTH and _cell_proximity(cell, polar) > PROXIMITY_CAP:
+                near.append(cell)
+            else:
+                leaves.append(cell)
+        cells = _split_cells(near)
+    return np.array(leaves)
 
 
-def _cell_proximity(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    """Size over exact distance to the nearest singular location, per cell (0 with none).
+def _cell_proximity(cell: Sequence[float], polar: Sequence[tuple[float, float]]) -> float:
+    """Size over exact distance to the nearest location (rho, phi) of ``polar``, 0 with none.
 
     The size is ``max(rb - ra, rb (tb - ta))``.  Every location
     s = rho e^{i phi} lies on or outside the circle, so rho > rb, and the
@@ -380,36 +401,49 @@ def _cell_proximity(cells: np.ndarray, singular: np.ndarray) -> np.ndarray:
     the factor form's split of ``|s - r e^{i(phi - gamma)}|^2``, so nothing
     cancels next to the circle.
     """
-    ra, rb, ta, tb = (cells[:, k, None] for k in range(4))
-    size = np.maximum(rb - ra, rb * (tb - ta))
-    rho, half = np.abs(singular), 0.5 * (tb - ta)
-    # the angle from the cell's middle angle to phi, less a whole turn, less half the cell
-    gap = np.abs(np.remainder(np.angle(singular) - (ta + half) + math.pi, 2.0 * math.pi) - math.pi)
-    gap -= half
-    np.maximum(gap, 0.0, out=gap)
-    r = np.clip(rho * np.cos(gap), ra, rb)
-    dist = np.hypot(rho - r, 2.0 * np.sqrt(rho * r) * np.sin(0.5 * gap))
-    return size[:, 0] / np.min(dist, axis=1, initial=math.inf)
+    ra, rb, ta, tb = cell[:4]
+    half = 0.5 * (tb - ta)
+    middle = ta + half
+    dist = math.inf
+    for rho, phi in polar:
+        # the angle from the cell's middle angle to phi, less a whole turn, less half the cell
+        gap = abs((phi - middle + math.pi) % (2.0 * math.pi) - math.pi) - half
+        if gap < 0.0:
+            gap = 0.0
+        r = rho * math.cos(gap)
+        r = ra if r < ra else rb if r > rb else r
+        d = math.hypot(rho - r, 2.0 * math.sqrt(rho * r) * math.sin(0.5 * gap))
+        if d < dist:
+            dist = d
+    return max(rb - ra, rb * (tb - ta)) / dist
 
 
-def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
-    """Tensor GL nodes and weights for the images of cells (C, 4).
+def _chart_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constant rows of an order-n chart: GL nodes u on [0, 1], 1 - u, and tensor weights."""
+    x, gw = _gauss(n)
+    u = 0.5 * (x + 1.0)
+    wu = 0.5 * gw
+    return u, 1.0 - u, wu[:, None] * wu
+
+
+def _chart_edges(pair: ConformalPair, cells: np.ndarray,
+                 rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The edge terms, shape (10, C, n), of the Coons charts of cell rows (ra, rb, ta, tb, ...).
 
     Each cell image is charted by transfinite interpolation of its four
     mapped edges (a Coons patch); the chart Jacobian supplies the area
     measure, so the interior measure never uses |psi'| pointwise.  One
-    ``psi_dpsi`` call maps the edge nodes and the corners, which sit at
-    both ends of every edge.  The corner term is folded into the bottom
-    and top edges, so the chart is a rank-4 product per cell,
-    ``z = [B^, T^, 1 - u, u] . [1 - v; v; L; R]``, and its derivatives
-    ``z_u``, ``z_v`` are built the same way from (C, n) edge terms.  Nodes
-    and weights have shape (C, n, n); the smallest Jacobian of each chart
-    has shape (C,).
+    ``psi_dpsi`` call maps the edge nodes and the corners of every cell,
+    which sit at both ends of every edge.  The corner term is folded into
+    the bottom and top edges, so the chart is a rank-4 product per cell,
+    ``z = [B^, T^, 1 - u, u] . [1 - v; v; L; R]``.  The terms are, in order,
+    ``B^, T^, L, R``, the derivatives ``dB^, dT^`` along u and ``R - L``,
+    which :func:`_chart_nodes` blends into ``z_u``, and ``dL, dR`` along v
+    and ``T^ - B^``, which it blends into ``z_v``.  Each term is formed
+    element by element, so a cell's terms do not depend on the other cells.
     """
+    u, one_minus_u, _ = rows
     ra, rb, ta, tb = (cells[:, k, None] for k in range(4))
-    x, gw = _gauss(n)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * gw
     dr = rb - ra
     dt = tb - ta
 
@@ -423,47 +457,62 @@ def _coons_grid(pair: ConformalPair, cells: np.ndarray, n: int):
     p00, p10, p01, p11 = B[:, :1], B[:, -1:], T[:, :1], T[:, -1:]
     inner = slice(1, -1)
     # the bottom and top edges less the corners' bilinear blend, and their u-derivatives
-    B = B[:, inner] - ((1.0 - u) * p00 + u * p10)
-    T = T[:, inner] - ((1.0 - u) * p01 + u * p11)
+    B = B[:, inner] - (one_minus_u * p00 + u * p10)
+    T = T[:, inner] - (one_minus_u * p01 + u * p11)
     dB = dB[:, inner] * (dr * e_a) - (p10 - p00)
     dT = dT[:, inner] * (dr * e_b) - (p11 - p01)
     L, R = L[:, inner], R[:, inner]
     dL = dL[:, inner] * (1j * dt * edges[2, :, inner])
     dR = dR[:, inner] * (1j * dt * edges[3, :, inner])
+    return np.stack([B, T, L, R, dB, dT, R - L, dL, dR, T - B])
 
+
+def _chart_nodes(terms: np.ndarray, rows: tuple[np.ndarray, ...]):
+    """Tensor GL nodes and weights of the charts whose edge terms (10, C, n) are given.
+
+    Nodes and weights have shape (C, n, n); the smallest Jacobian of each
+    chart has shape (C,).  A cell's nodes and weights depend on its own
+    terms alone, and no complex product is formed in place (numpy rounds
+    one differently on one-element arrays; see the catalog's docstring), so
+    a block sliced from a whole patch's terms charts each cell to the same
+    bits as the cell charted alone.
+    """
+    u, one_minus_u, ww = rows
+    B, T, L, R, dB, dT, R_L, dL, dR, T_B = terms
     # rows carry u (axis 1), columns v (axis 2)
-    U, V = u[:, None], u
-    z = B[:, :, None] * (1.0 - V)
-    z += T[:, :, None] * V
-    z += (1.0 - U) * L[:, None, :]
+    U, one_minus_U = u[:, None], one_minus_u[:, None]
+    z = B[:, :, None] * one_minus_u
+    z += T[:, :, None] * u
+    z += one_minus_U * L[:, None, :]
     z += U * R[:, None, :]
-    z_u = dB[:, :, None] * (1.0 - V)
-    z_u += dT[:, :, None] * V
-    z_u += (R - L)[:, None, :]
-    z_v = (1.0 - U) * dL[:, None, :]
+    z_u = dB[:, :, None] * one_minus_u
+    z_u += dT[:, :, None] * u
+    z_u += R_L[:, None, :]
+    z_v = one_minus_U * dL[:, None, :]
     z_v += U * dR[:, None, :]
-    z_v += (T - B)[:, :, None]
+    z_v += T_B[:, :, None]
     # Im(conj(z_u) z_v)
     jac = z_u.real * z_v.imag
     jac -= z_u.imag * z_v.real
-    weights = (wu[:, None] * wu) * jac
+    weights = ww * jac
     return z, weights, jac.min(axis=(1, 2))
 
 
-def _block_sums(pair: ConformalPair, block: np.ndarray,
-                f: TestFunction) -> tuple[np.ndarray, list[float]]:
+def _block_sums(pair: ConformalPair, block: np.ndarray, terms: np.ndarray,
+                rows: tuple[np.ndarray, ...], f: TestFunction) -> tuple[np.ndarray, list[float]]:
     """Chart and invert one block of cell rows: the folded-chart mask, and the other cells' sums.
 
-    A cell's sum is ``|grad f|^2(w) / |psi'(w)|^2`` at w = phi(z) over its
-    chart nodes z, weighted by the chart's measure.  One ``psi_dpsi`` call
-    charts the block's edges and corners, and one ``invert_many`` call
-    inverts its nodes.  A cell whose chart folds gets
-    no sum, for its halves to be charted instead; a fold on a cell already
-    ``_MAX_SPLIT_DEPTH`` splits deep raises DegenerateChartError.  The
-    block's arrays set the peak memory, so they live only in this call.
+    ``terms`` are the block's edge terms, sliced from its patch's (see
+    :func:`_chart_edges`).  A cell's sum is ``|grad f|^2(w) / |psi'(w)|^2``
+    at w = phi(z) over its chart nodes z, weighted by the chart's measure.
+    One ``invert_many`` call inverts the block's nodes.  A cell whose chart
+    folds gets no sum, for its halves to be charted instead; a fold on a
+    cell already ``_MAX_SPLIT_DEPTH`` splits deep raises
+    DegenerateChartError.  The block's (C, n, n) arrays set the peak
+    memory, so they live only in this call.
     """
     block, depth = block[:, :4], block[:, 4]
-    z, weights, jac_min = _coons_grid(pair, block, _CHART_ORDER)
+    z, weights, jac_min = _chart_nodes(terms, rows)
     folded = jac_min <= 0.0
     # masked copies only when needed
     if folded.any():
@@ -487,29 +536,43 @@ def _block_sums(pair: ConformalPair, block: np.ndarray,
 def _forward_patch_integral(pair: ConformalPair, f: TestFunction, r0: float, r1: float) -> float:
     """Dirichlet energy of f o phi over psi(patch), ``|grad f|^2(w) |phi'(z)|^2`` at w = phi(z).
 
-    Two steps.  First the patch's seed cells, four quadrants of each seed
-    ring, are refined toward ``pair.singular_locations`` (its singular points
-    on the circle and its finite poles off it) by :func:`_refined_cells`,
-    which evaluates no psi.  Then one loop charts the leaves ``_BLOCK_CELLS`` at a
-    time through :func:`_block_sums`: every chart node z is inverted by
+    A prologue runs once per check.  The patch's seed cells, four quadrants
+    of each seed ring, are refined toward ``pair.singular_locations`` (its
+    singular points on the circle and its finite poles off it) by
+    :func:`_refined_cells`, which evaluates no psi; the chart's constant
+    rows are formed (:func:`_chart_rows`), and :func:`_chart_edges` maps
+    every leaf's edges in one ``psi_dpsi`` call.  Then one loop charts the
+    leaves ``_BLOCK_CELLS`` at a time through :func:`_block_sums`, which does
+    only the work that grows with the block's nodes: the charts from the
+    block's slice of the edge terms, then every chart node z inverted by
     ``invert_many`` (the closed-form inverse, accepted by its residual in z
     or its Newton step in w), which also returns psi' at the inverted node,
     and the chart Jacobian carries the measure.  A folded chart's halves go
-    back through the refinement and join the end of the list, so only the
-    last block can be partial.  The cell sums are added one by one.
+    back through the refinement, have their edges mapped together, and join
+    the end of the list, so only the last block can be partial.  The edge
+    terms, 2.5 KB a leaf at order 16, live for the whole check, and the
+    edge pass peaks at about 6 KB a leaf, so a patch of many leaves peaks
+    there, not in a block: Koebe on (0, 0.999) refines to 228 leaves and
+    peaks at 1.6 MB traced, where per-block edges kept 0.46 MB.  The cell
+    sums are added one by one.
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
-    cells = np.array([(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants])
     singular = pair.singular_locations
-    leaves = _refined_cells(cells, singular)
+    leaves = _refined_cells([(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants],
+                            singular)
+    rows = _chart_rows(_CHART_ORDER)
+    terms = _chart_edges(pair, leaves, rows)
     total = 0.0
     while len(leaves):
-        # slices are views: the list is copied only when a block folds
+        # slices are views: the lists are copied only when a block folds
         block, leaves = leaves[:_BLOCK_CELLS], leaves[_BLOCK_CELLS:]
-        folded, sums = _block_sums(pair, block, f)
+        folded, sums = _block_sums(pair, block, terms[:, :_BLOCK_CELLS], rows, f)
+        terms = terms[:, _BLOCK_CELLS:]
         if folded.any():
-            leaves = np.concatenate([leaves, _refined_cells(_split_cells(block[folded]), singular)])
+            halves = _refined_cells(_split_cells(block[folded].tolist()), singular)
+            leaves = np.concatenate([leaves, halves])
+            terms = np.concatenate([terms, _chart_edges(pair, halves, rows)], axis=1)
         # a plain loop, not sum(): Python 3.12's sum() compensates float rounding
         for cell_sum in sums:
             total += cell_sum

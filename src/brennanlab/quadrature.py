@@ -304,7 +304,7 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     charts read it, and the sinh rule gathers from the same table.  A size
     that no batched pass of :func:`_build_tables` has made is built here
     on its own.  The lock and the check for the size make a call cost
-    about 2 us; a chart block of 16 cells, or a new spec, makes one or two.
+    about 2 us; a forward-patch check makes one, and a new spec one or two.
     """
     x, w, start = _build_tables((n,))
     at = start.item(n)

@@ -24,6 +24,7 @@ from brennanlab.operators import (
     boundary_power,
     harmonic_poly,
     isometry_check,
+    parse_test_function,
     pullback_seminorm,
     seminorm,
     shifted_log,
@@ -350,15 +351,60 @@ def test_seminorm():
     assert repr(seminorm(shifted_log(), 3.0)) == repr(0.8151949041987602)
 
 
+#: every map of test_operators.PATCH_MAPS (twisted ones, and ones whose seed
+#: cells fold, among them) with every isometry_family() function on both
+#: patches, but the cardioid's shifted_log annulus, the test's own second case
+PATCH_RATIOS = [
+    ('koebe', 'harmonic_poly:1', (0.0, 0.8), 1.0000000000000007),
+    ('koebe', 'harmonic_poly:1', (0.3, 0.7), 1.0000000000000013),
+    ('koebe', 'boundary_power:1.5', (0.0, 0.8), 1.0000000000000004),
+    ('koebe', 'boundary_power:1.5', (0.3, 0.7), 1.0000000000000009),
+    ('koebe', 'shifted_log', (0.0, 0.8), 1.0000000000000002),
+    ('koebe', 'shifted_log', (0.3, 0.7), 1.0000000000000007),
+    ('sector:1.5', 'harmonic_poly:1', (0.0, 0.8), 1.0000000000000007),
+    ('sector:1.5', 'harmonic_poly:1', (0.3, 0.7), 1.0000000000000013),
+    ('sector:1.5', 'boundary_power:1.5', (0.0, 0.8), 1.0000000000000004),
+    ('sector:1.5', 'boundary_power:1.5', (0.3, 0.7), 1.0000000000000004),
+    ('sector:1.5', 'shifted_log', (0.0, 0.8), 1.0000000000000002),
+    ('sector:1.5', 'shifted_log', (0.3, 0.7), 1.0000000000000007),
+    ('cardioid', 'harmonic_poly:1', (0.0, 0.8), 1.0000000000000004),
+    ('cardioid', 'harmonic_poly:1', (0.3, 0.7), 1.0000000000000009),
+    ('cardioid', 'boundary_power:1.5', (0.0, 0.8), 1.0000000000000004),
+    ('cardioid', 'boundary_power:1.5', (0.3, 0.7), 1.0000000000000004),
+    ('cardioid', 'shifted_log', (0.0, 0.8), 1.0),
+    ('koebe*moebius:0.9,0.2,1', 'harmonic_poly:1', (0.0, 0.8), 1.0000000000000007),
+    ('koebe*moebius:0.9,0.2,1', 'harmonic_poly:1', (0.3, 0.7), 1.0000000000000047),
+    ('koebe*moebius:0.9,0.2,1', 'boundary_power:1.5', (0.0, 0.8), 1.0000000000000002),
+    ('koebe*moebius:0.9,0.2,1', 'boundary_power:1.5', (0.3, 0.7), 1.0000000000000062),
+    ('koebe*moebius:0.9,0.2,1', 'shifted_log', (0.0, 0.8), 1.0000000000000007),
+    ('koebe*moebius:0.9,0.2,1', 'shifted_log', (0.3, 0.7), 1.0000000000000027),
+    ('sector:0.4*moebius:-0.5,0.6,2', 'harmonic_poly:1', (0.0, 0.8), 1.0000000000000018),
+    ('sector:0.4*moebius:-0.5,0.6,2', 'harmonic_poly:1', (0.3, 0.7), 1.0000000000000004),
+    ('sector:0.4*moebius:-0.5,0.6,2', 'boundary_power:1.5', (0.0, 0.8), 1.0000000000000016),
+    ('sector:0.4*moebius:-0.5,0.6,2', 'boundary_power:1.5', (0.3, 0.7), 1.0000000000000004),
+    ('sector:0.4*moebius:-0.5,0.6,2', 'shifted_log', (0.0, 0.8), 1.000000000000002),
+    ('sector:0.4*moebius:-0.5,0.6,2', 'shifted_log', (0.3, 0.7), 1.0000000000000002),
+    ('cardioid*moebius:-0.6,0.2,2', 'harmonic_poly:1', (0.0, 0.8), 1.0000000000000013),
+    ('cardioid*moebius:-0.6,0.2,2', 'harmonic_poly:1', (0.3, 0.7), 1.0000000000000007),
+    ('cardioid*moebius:-0.6,0.2,2', 'boundary_power:1.5', (0.0, 0.8), 1.000000000000001),
+    ('cardioid*moebius:-0.6,0.2,2', 'boundary_power:1.5', (0.3, 0.7), 1.0000000000000009),
+    ('cardioid*moebius:-0.6,0.2,2', 'shifted_log', (0.0, 0.8), 1.0000000000000013),
+    ('cardioid*moebius:-0.6,0.2,2', 'shifted_log', (0.3, 0.7), 1.0000000000000009),
+]
+
+
 # re-pinned when the disc side became each function's closed-form energy, and
 # twisted-koebe-disc (from 1.0000000000000007) when cells were refined by their
 # exact distance to psi's singular locations
 @pytest.mark.parametrize("name, function, patch, expected", [
-    ("koebe*moebius:0.5,0.2,1", harmonic_poly(1), (0.0, 0.8), 1.0000000000000009),
-    ("cardioid", shifted_log(), (0.3, 0.7), 1.0000000000000007),
-], ids=["twisted-koebe-disc", "cardioid-annulus"])
+    ("koebe*moebius:0.5,0.2,1", "harmonic_poly:1", (0.0, 0.8), 1.0000000000000009),
+    ("cardioid", "shifted_log", (0.3, 0.7), 1.0000000000000007),
+] + PATCH_RATIOS, ids=["twisted-koebe-disc", "cardioid-annulus"] + [
+    f"{name}-{function}-{'disc' if patch[0] == 0.0 else 'annulus'}"
+    for name, function, patch, _ in PATCH_RATIOS])
 def test_isometry_check(name, function, patch, expected):
-    assert repr(isometry_check(make_pair(name), function, patch)) == repr(expected)
+    ratio = isometry_check(make_pair(name), parse_test_function(function), patch)
+    assert repr(ratio) == repr(expected)
 
 
 # the sector's value re-pinned with the integrals, when the table's weights changed

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -440,8 +441,34 @@ def seed_cells(r0, r1):
             for ra, rb in rings for k in range(4)]
 
 
+def chart(pair, cells, n=16):
+    """The forward chart of cells (C, 4) charted together: both stages, on all cells at once."""
+    rows = operators._chart_rows(n)
+    return operators._chart_nodes(operators._chart_edges(pair, cells, rows), rows)
+
+
+def assert_sliced_as_alone(pair, cells):
+    """Blocks sliced from the edge terms of all cells chart each cell as it is charted alone.
+
+    The blocks are every ``_BLOCK_CELLS`` cells, the last one partial, and a
+    one-cell block; nodes, weights and smallest Jacobian agree byte for byte.
+    """
+    rows = operators._chart_rows(16)
+    terms = operators._chart_edges(pair, cells, rows)
+    size = operators._BLOCK_CELLS
+    blocks = [slice(k, k + size) for k in range(0, len(cells), size)]
+    blocks.append(slice(len(cells) - 1, None))
+    for block in blocks:
+        sliced = operators._chart_nodes(terms[:, block], rows)
+        for k, cell in enumerate(cells[block]):
+            for a, b in zip(chart(pair, cell[None]), sliced):
+                assert a[0].tobytes() == b[k].tobytes()
+
+
 PATCH_MAPS = ["koebe", "sector:1.5", "cardioid", "koebe*moebius:0.9,0.2,1",
               "sector:0.4*moebius:-0.5,0.6,2", "cardioid*moebius:-0.6,0.2,2"]
+#: a map with two cells far from its singular points whose charts fold anyway
+FOLD_MAP = "cardioid*moebius:0.5117708699237223,0.08382085208048248,3.2004601267299093"
 
 
 class TestForwardPatch:
@@ -450,13 +477,13 @@ class TestForwardPatch:
     def test_charted_cells(self, monkeypatch, name, patch):
         pair = make_pair(name)
         charted = []
-        coons_grid = operators._coons_grid
+        chart_edges = operators._chart_edges
 
-        def recording(pair, cells, n):
-            charted.extend(map(tuple, cells.tolist()))
-            return coons_grid(pair, cells, n)
+        def recording(pair, cells, rows):
+            charted.extend(map(tuple, cells[:, :4].tolist()))
+            return chart_edges(pair, cells, rows)
 
-        monkeypatch.setattr(operators, "_coons_grid", recording)
+        monkeypatch.setattr(operators, "_chart_edges", recording)
         isometry_check(pair, harmonic_poly(1), patch=patch)
         assert sorted(charted) == sorted(reference_patch_cells(pair, *patch))
 
@@ -487,7 +514,7 @@ class TestForwardPatch:
         pair = make_pair(name)
         cells = np.array(reference_patch_cells(pair, 0.0, 0.8))
         assert len(cells) == 8
-        assert np.any(operators._coons_grid(pair, cells, 16)[2] <= 0.0)
+        assert np.any(chart(pair, cells)[2] <= 0.0)
         assert isometry_check(pair, f) == pytest.approx(ratio, rel=0.0, abs=1e-12)
 
     def test_fold_under_refinement(self, monkeypatch):
@@ -501,19 +528,22 @@ class TestForwardPatch:
         exact distance keeps larger leaves, and the quadrant at (0, pi/2) is
         now a leaf that folds too.
         """
-        pair = make_pair("cardioid*moebius:0.5117708699237223,0.08382085208048248,"
-                         "3.2004601267299093")
+        pair = make_pair(FOLD_MAP)
         wedges = [(0.0, 0.4, 0.0, 1.5707963267948966),
                   (0.0, 0.4, 4.71238898038469, 6.283185307179586)]
         charted, blocks = [], []
-        coons_grid = operators._coons_grid
+        chart_edges, chart_nodes = operators._chart_edges, operators._chart_nodes
 
-        def recording(pair, cells, n):
-            charted.extend(map(tuple, cells.tolist()))
-            blocks.append(len(cells))
-            return coons_grid(pair, cells, n)
+        def recording_edges(pair, cells, rows):
+            charted.extend(map(tuple, cells[:, :4].tolist()))
+            return chart_edges(pair, cells, rows)
 
-        monkeypatch.setattr(operators, "_coons_grid", recording)
+        def recording_nodes(terms, rows):
+            blocks.append(terms.shape[1])
+            return chart_nodes(terms, rows)
+
+        monkeypatch.setattr(operators, "_chart_edges", recording_edges)
+        monkeypatch.setattr(operators, "_chart_nodes", recording_nodes)
         # re-pinned when the disc side became each function's closed-form energy,
         # and when cells were refined by their exact distance (boundary_power:1.5
         # from 1.0000000000000004, shifted_log from 1.0000000000000002)
@@ -560,7 +590,7 @@ class TestForwardPatch:
     def test_inversion_does_not_depend_on_batch(self):
         pair = koebe_map()
         cells = np.array(reference_patch_cells(pair, 0.0, 0.8))[[0, -1]]
-        z = operators._coons_grid(pair, cells, 16)[0]
+        z = chart(pair, cells)[0]
         # a point on the slit, outside the image domain, never converges, and
         # the origin is inverted without a Newton step
         z = np.concatenate([z.ravel(), [-1.0 + 0j, 0j]])
@@ -585,7 +615,7 @@ class TestForwardPatch:
         pair = make_pair(name)
         cells = np.array(reference_patch_cells(pair, 0.0, 0.8) + reference_patch_cells(pair, 0.3, 0.7)
                          + seed_cells(0.0, 0.8) + seed_cells(0.3, 0.7))
-        z, weights, jac_min = operators._coons_grid(pair, cells, 16)
+        z, weights, jac_min = chart(pair, cells)
         z_ref, weights_ref, jac_min_ref = reference_coons_grid(pair, cells, 16)
         for new, ref in ((z, z_ref), (weights, weights_ref)):
             norm = np.linalg.norm(ref.reshape(len(cells), -1), axis=1)
@@ -598,15 +628,61 @@ class TestForwardPatch:
                                                  16)[2] <= 0.0)]
         assert folded
 
-    @pytest.mark.parametrize("name", PATCH_MAPS)
+    @pytest.mark.parametrize("name", PATCH_MAPS + [FOLD_MAP])
     def test_chart_does_not_depend_on_block(self, name):
+        """A cell's chart is the same bits alone, in a block, and sliced from a whole patch's edges.
+
+        The folded map's folded leaves are split and refined, and their
+        leaves charted as one batch, as the forward patch charts them.
+        """
         pair = make_pair(name)
-        cells = np.array(reference_patch_cells(pair, 0.0, 0.8))[:operators._BLOCK_CELLS]
-        block = operators._coons_grid(pair, cells, 16)
+        leaves = np.array(reference_patch_cells(pair, 0.0, 0.8))
+        cells = leaves[:operators._BLOCK_CELLS]
+        block = chart(pair, cells)
         for k in range(len(cells)):
-            alone = operators._coons_grid(pair, cells[k:k + 1], 16)
+            alone = chart(pair, cells[k:k + 1])
             for a, b in zip(alone, block):
                 assert a[0].tobytes() == b[k].tobytes()
+        assert_sliced_as_alone(pair, leaves)
+        folded = [(*cell, 0.0) for cell, jac_min in zip(leaves.tolist(), chart(pair, leaves)[2])
+                  if jac_min <= 0.0]
+        assert bool(folded) == (name == FOLD_MAP)
+        if folded:
+            halves = operators._refined_cells(operators._split_cells(folded),
+                                              pair.singular_locations)
+            assert_sliced_as_alone(pair, halves)
+
+    @pytest.mark.parametrize("name, blocks, edge_calls", [("koebe", 3, 1), (FOLD_MAP, 2, 2)])
+    def test_edges_are_mapped_once_per_check(self, monkeypatch, name, blocks, edge_calls):
+        """One check maps chart edges once, plus once per batch of folded halves.
+
+        Koebe's 44 leaves are charted in three blocks with one edge call; the
+        folded map's two folded leaves, both in its first block, add one batch
+        of halves.  The Gauss-Legendre rule is read once per check.
+        """
+        calls = []
+        pair = make_pair(name)
+        psi_dpsi = pair.psi_dpsi
+
+        def spy(w):
+            # the pair's own set-up passes a scalar
+            if np.ndim(w) == 3:
+                calls.append(w.shape)
+            return psi_dpsi(w)
+
+        gauss = []
+
+        def counting_gauss(n):
+            gauss.append(n)
+            return _gauss(n)
+
+        monkeypatch.setattr(operators, "_gauss", counting_gauss)
+        isometry_check(dataclasses.replace(pair, psi_dpsi=spy), harmonic_poly(1))
+        n = operators._CHART_ORDER
+        # chart edges are (4, C, n + 2) nodes, and each block's inversion maps its (C, n, n) nodes
+        assert sum(shape[-1] == n + 2 for shape in calls) == edge_calls
+        assert sum(shape[-1] == n for shape in calls) == blocks
+        assert gauss == [n]
 
 
 def sampled_cell_distance(cell, s, n=1001, rounds=3):
@@ -614,13 +690,18 @@ def sampled_cell_distance(cell, s, n=1001, rounds=3):
 
     Each curve (both radial edges, both arcs) is sampled at n points, then
     again between the neighbours of its nearest sample, ``rounds`` times.
+    The samples and s are formed in long double, s from its polar form as
+    the refinement reads it (``np.abs`` and ``np.angle``): next to the
+    circle a float64 difference of two nearby points, or of s and its polar
+    form, keeps only about 1e-13 of their distance.
     """
-    ra, rb, ta, tb = cell
+    ra, rb, ta, tb = (np.longdouble(v) for v in cell)
+    s = np.abs(s) * np.exp(1j * np.longdouble(np.angle(s)))
     curves = [lambda x, t=t: (ra + (rb - ra) * x) * np.exp(1j * t) for t in (ta, tb)]
     curves += [lambda x, r=r: r * np.exp(1j * (ta + (tb - ta) * x)) for r in (ra, rb)]
     best = math.inf
     for curve in curves:
-        lo, hi = 0.0, 1.0
+        lo, hi = np.longdouble(0.0), np.longdouble(1.0)
         for _ in range(rounds):
             x = np.linspace(lo, hi, n)
             dist = np.abs(s - curve(x))
@@ -642,6 +723,8 @@ LOCATIONS = st.builds(cmath.rect, st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
 class TestRefinement:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(cell=CELLS, singular=st.lists(LOCATIONS, min_size=1, max_size=3))
+    # the location at the cell's edge angle, 0.001 outside it: float64 sampling read 3.9e-14 low
+    @example(cell=(0.0, 0.9989900100000001, 0.0, 1.0), singular=[cmath.rect(1.0, 1.0)])
     def test_proximity_is_exact(self, cell, singular):
         """Size over the cell's distance to its nearest location, as boundary sampling finds it.
 
@@ -651,9 +734,10 @@ class TestRefinement:
         ra, rb, ta, tb = cell
         size = max(rb - ra, rb * (tb - ta))
         sampled = size / min(sampled_cell_distance(cell, s) for s in singular)
-        proximity = operators._cell_proximity(np.array([cell + (0.0,)]), np.array(singular))
-        assert proximity.shape == (1,)
-        assert sampled * (1.0 - 1e-14) <= proximity[0] <= sampled * (1.0 + 1e-9)
+        polar = list(zip(np.abs(singular).tolist(), np.angle(singular).tolist()))
+        proximity = operators._cell_proximity(cell, polar)
+        assert isinstance(proximity, float)
+        assert sampled * (1.0 - 1e-14) <= proximity <= sampled * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("name, leaves", [
         ("koebe", 44), ("sector:1.5", 44), ("cardioid*moebius:-0.6,0.2,2", 29)])
@@ -667,7 +751,7 @@ class TestRefinement:
         """
         pair = make_pair(name)
         singular = [sp.location for sp in pair.singular_points] + [1.0 / c for c, _ in pair.poles]
-        seeds = np.array([seed + (0.0,) for seed in seed_cells(0.0, 0.8)])
+        seeds = [seed + (0.0,) for seed in seed_cells(0.0, 0.8)]
         cells = operators._refined_cells(seeds, np.array(singular))
         assert len(cells) == leaves
         for cell in cells.tolist():
