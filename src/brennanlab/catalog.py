@@ -248,9 +248,11 @@ class ConformalPair:
       singular angles and then each pole's ``arg(1/c_j)``.  ``|psi'|``
       peaks or dips toward a pole, most sharply for ``|c_j|`` near 1; a
       twist's pole lies at angle arg(a).
-    - ``singular_locations``: psi's singular locations, each ``zeta_k`` and
-      each finite ``1/c_j``, a read-only complex array that the forward
-      patch refines its cells toward.
+    - ``singular_polar``: psi's singular locations in polar form, the
+      ``(modulus, angle)`` of each ``zeta_k`` and each finite ``1/c_j``, as
+      Python floats: modulus 1.0 and ``1/|c_j|``, at the grading angles.
+      The forward patch refines its cells toward them, reading them as
+      given.
     - ``thresholds``: ``(lower, upper)``, the closed-form integrability
       thresholds of the Brennan exponent s.  A point of exponent e admits
       ``|psi'|^(2 - s)`` when ``(2 - s) e > -2``, so ``upper`` is the least
@@ -282,14 +284,12 @@ class ConformalPair:
         rho, alpha, f = np.array(factors, dtype=float).reshape(-1, 3).T
         object.__setattr__(self, "_factors", (rho[:, None], alpha[:, None], 0.5 * f))
         object.__setattr__(self, "singular_angles", angles)
-        object.__setattr__(self, "grading_angles", angles + tuple(
-            -cmath.phase(c) % TWO_PI for c, _ in self.poles))
+        grading = angles + tuple(-cmath.phase(c) % TWO_PI for c, _ in self.poles)
+        object.__setattr__(self, "grading_angles", grading)
         # a pole 1/c past the largest float is infinitely far from every cell, and dropped
-        locations = np.array([sp.location for sp in self.singular_points]
-                             + [1.0 / c for c, _ in self.poles], dtype=complex)
-        locations = locations[np.isfinite(locations)]
-        locations.flags.writeable = False
-        object.__setattr__(self, "singular_locations", locations)
+        moduli = [1.0] * len(angles) + [1.0 / abs(c) for c, _ in self.poles]
+        object.__setattr__(self, "singular_polar", tuple(
+            (rho, angle) for rho, angle in zip(moduli, grading) if rho < math.inf))
         exponents = [sp.exponent for sp in self.singular_points]
         object.__setattr__(self, "thresholds", (
             max((2.0 + 2.0 / e for e in exponents if e < 0.0), default=None),

@@ -362,21 +362,22 @@ def _split_cells(cells: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
     return firsts + seconds
 
 
-def _refined_cells(cells: Sequence[Sequence[float]], singular: np.ndarray) -> np.ndarray:
-    """The leaves of cells (ra, rb, ta, tb, depth) refined toward psi's singular locations.
+def _refined_cells(cells: Sequence[Sequence[float]],
+                   polar: Sequence[tuple[float, float]]) -> list[Sequence[float]]:
+    """The leaves of cells (ra, rb, ta, tb, depth) refined toward the locations of ``polar``.
 
-    A cell shallower than ``_MAX_SPLIT_DEPTH`` whose size exceeds
-    ``PROXIMITY_CAP`` times its exact distance from the nearest singular
-    location (see :func:`_cell_proximity`) gives way to its halves; every
-    other cell is a leaf.  Each level's leaves come out in its order, before
-    the next level's, as rows of a (L, 5) array, and no psi is evaluated.
-    The refinement runs on Python floats, cell by cell: each location's
-    polar form is made once per call, by numpy, and everything else by
-    ``math``, at a fraction of numpy's per-call cost on arrays of a few
-    dozen cells.  A forward patch refines its seed cells, and any batch of
-    folded halves, through this one function.
+    ``polar`` holds psi's singular locations as ``(modulus, angle)`` floats,
+    as ``ConformalPair.singular_polar`` makes them once per pair.  A cell
+    shallower than ``_MAX_SPLIT_DEPTH`` whose size exceeds
+    ``PROXIMITY_CAP`` times its exact distance from the nearest location
+    (see :func:`_cell_proximity`) gives way to its halves; every other cell
+    is a leaf.  Each level's leaves come out in its order, before the next
+    level's, in one list, and no psi is evaluated.  The refinement runs on
+    Python floats with ``math``, cell by cell, at a fraction of numpy's
+    per-call cost on lists of a few dozen cells, and converts nothing.  A
+    forward patch refines its seed cells, and any batch of folded halves,
+    through this one function.
     """
-    polar = list(zip(np.abs(singular).tolist(), np.angle(singular).tolist()))
     leaves = []
     while cells:
         near = []
@@ -386,7 +387,7 @@ def _refined_cells(cells: Sequence[Sequence[float]], singular: np.ndarray) -> np
             else:
                 leaves.append(cell)
         cells = _split_cells(near)
-    return np.array(leaves)
+    return leaves
 
 
 def _cell_proximity(cell: Sequence[float], polar: Sequence[tuple[float, float]]) -> float:
@@ -537,8 +538,9 @@ def _forward_patch_integral(pair: ConformalPair, f: TestFunction, r0: float, r1:
     """Dirichlet energy of f o phi over psi(patch), ``|grad f|^2(w) |phi'(z)|^2`` at w = phi(z).
 
     A prologue runs once per check.  The patch's seed cells, four quadrants
-    of each seed ring, are refined toward ``pair.singular_locations`` (its
-    singular points on the circle and its finite poles off it) by
+    of each seed ring, are refined toward ``pair.singular_polar`` (its
+    singular points on the circle and its finite poles off it, in polar
+    form, at the angles the disc rule is graded toward) by
     :func:`_refined_cells`, which evaluates no psi; the chart's constant
     rows are formed (:func:`_chart_rows`), and :func:`_chart_edges` maps
     every leaf's edges in one ``psi_dpsi`` call.  Then one loop charts the
@@ -558,9 +560,9 @@ def _forward_patch_integral(pair: ConformalPair, f: TestFunction, r0: float, r1:
     """
     quadrants = [(k * math.pi / 2.0, (k + 1) * math.pi / 2.0) for k in range(4)]
     rings = [(0.0, 0.5 * r1), (0.5 * r1, r1)] if r0 == 0.0 else [(r0, r1)]
-    singular = pair.singular_locations
-    leaves = _refined_cells([(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants],
-                            singular)
+    polar = pair.singular_polar
+    leaves = np.array(_refined_cells(
+        [(ra, rb, ta, tb, 0.0) for ra, rb in rings for ta, tb in quadrants], polar))
     rows = _chart_rows(_CHART_ORDER)
     terms = _chart_edges(pair, leaves, rows)
     total = 0.0
@@ -570,7 +572,7 @@ def _forward_patch_integral(pair: ConformalPair, f: TestFunction, r0: float, r1:
         folded, sums = _block_sums(pair, block, terms[:, :_BLOCK_CELLS], rows, f)
         terms = terms[:, _BLOCK_CELLS:]
         if folded.any():
-            halves = _refined_cells(_split_cells(block[folded].tolist()), singular)
+            halves = np.array(_refined_cells(_split_cells(block[folded].tolist()), polar))
             leaves = np.concatenate([leaves, halves])
             terms = np.concatenate([terms, _chart_edges(pair, halves, rows)], axis=1)
         # a plain loop, not sum(): Python 3.12's sum() compensates float rounding

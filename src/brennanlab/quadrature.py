@@ -27,6 +27,8 @@ gathered.
 What the GradingSpec alone fixes is made once per spec, and cached.
 :func:`_gap_ladder` is the one gap ladder and its one check: a spec whose
 ladder is too long or whose radii do not rise is refused when made.
+:func:`_sinh_sizes` is the sinh rule's range of table sizes, and it
+refuses a spec whose tables would hold too many nodes, also when made.
 :func:`_spec_rule` adds to the table every size the spec's rules can ask
 for, in one batched pass, and forms the radial rule of every ring of the
 ladder and the angular rule without singular angles.  This is the only
@@ -104,6 +106,13 @@ _BLOCK_NODES = 4096
 #: many as `scan`'s rows, and room for ratio 0.99 down to 1e-12 (2,680 annuli)
 _MAX_ANNULI = 10_000
 
+#: most Gauss-Legendre nodes the tables of one spec may ask for, counted before
+#: any table is built: the store keeps each node in 16 bytes (16 MiB here), and
+#: its batched Newton pass holds a few arrays of the new half-nodes besides.
+#: angular_boost=10**8 would ask for 5.1e17, and the largest spec of the
+#: tests, angular_base=16384 down to eps_min=1e-16, asks for 6.5e5
+_MAX_SPEC_NODES = 1 << 20
+
 #: an integrand's ring stage: ring(i, part), its values on the grid r[i] x theta[part]
 _RingStage = Callable[[int, slice], np.ndarray]
 #: an integrand's block stage: called once with a block's radial nodes r (one
@@ -156,7 +165,8 @@ class GradingSpec:
         Gauss-Legendre points of each equal panel.
 
     The three counts must be integers (numpy's too); a float such as 16.0
-    is refused when the spec is made.
+    is refused when the spec is made, as is a spec whose tables would hold
+    more than 2^20 Gauss-Legendre nodes.
     """
 
     eps_min: float = 1e-8
@@ -181,6 +191,7 @@ class GradingSpec:
             if small:
                 raise InvalidGradingError(f"{name} must be at least {least}")
         _gap_ladder(self)
+        _sinh_sizes(self)
 
 
 @lru_cache(maxsize=64)
@@ -214,6 +225,33 @@ def _gap_ladder(spec: GradingSpec) -> tuple[float, ...]:
             f"1 - gap of the gap ladder to 1.0 or onto the radius before it; the floor is "
             f"about 1e-16 at annulus_ratio=0.5")
     return gaps
+
+
+@lru_cache(maxsize=64)
+def _sinh_sizes(spec: GradingSpec) -> range:
+    """The sizes of the sinh rule's Gauss-Legendre blocks under the spec, checked.
+
+    A side of a singular angle is at most pi long and its gap at least
+    ``eps_min``, so the sizes run from ``angular_base//4 + 1`` to
+    ``ceil(angular_boost/2 * asinh(pi/eps_min)) + angular_base//4``.  With
+    the radial rule's ``radial_order`` and the ungraded rule's
+    ``angular_boost`` these are the tables :func:`_spec_rule` builds, and
+    their nodes are counted in closed form: more than ``_MAX_SPEC_NODES``
+    raise InvalidGradingError, before any table is built.  Cached, as
+    :func:`_gap_ladder` is, because every GradingSpec checks itself here
+    when made.
+    """
+    extra = operator.index(spec.angular_base) // 4
+    boost = operator.index(spec.angular_boost)
+    top = math.ceil(0.5 * boost * math.asinh(math.pi / spec.eps_min)) + extra
+    sizes = range(extra + 1, top + 1)
+    nodes = len(sizes) * (extra + 1 + top) // 2 + operator.index(spec.radial_order) + boost
+    if nodes > _MAX_SPEC_NODES:
+        raise InvalidGradingError(
+            f"angular_base={spec.angular_base}, angular_boost={spec.angular_boost} and "
+            f"radial_order={spec.radial_order} down to eps_min={spec.eps_min} ask for {nodes:,} "
+            f"Gauss-Legendre nodes, more than {_MAX_SPEC_NODES:,}; use smaller counts")
+    return sizes
 
 
 DEFAULT_SPEC = GradingSpec()
@@ -373,12 +411,11 @@ def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     """What the spec alone fixes of the disc rule, once per spec: ``(r, rw, theta, wtheta)``.
 
     First every table the spec's rules can ask for is added to the
-    package's one table, in one batched pass: a side of a singular angle
-    is at most pi long and its gap at least ``eps_min``, so the sinh rule's
-    sizes run from ``angular_base//4 + 1`` to ``ceil(angular_boost/2 *
-    asinh(pi/eps_min)) + angular_base//4``; the radial rule takes
-    ``radial_order`` and the ungraded rule ``angular_boost``.  A size past
-    that range, should rounding make one, is built for the call that asks.
+    package's one table, in one batched pass: the sinh rule's sizes
+    (:func:`_sinh_sizes`, checked when the spec was made), the radial
+    rule's ``radial_order`` and the ungraded rule's ``angular_boost``.  A
+    size past that range, should rounding make one, is built for the call
+    that asks.
     The table holds each size once, whatever specs share it: 16 bytes a
     node, 140 KiB for the three specs of the ``scan-cold`` benchmark (sizes
     8, 16 and 17 to 134).
@@ -393,9 +430,7 @@ def _spec_rule(spec: GradingSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     points.  All four arrays are shared by every integral under the spec,
     so they are read-only.
     """
-    extra = spec.angular_base // 4
-    top = math.ceil(0.5 * spec.angular_boost * math.asinh(math.pi / spec.eps_min)) + extra
-    _build_tables([*range(extra + 1, top + 1), spec.radial_order, spec.angular_boost])
+    _build_tables([*_sinh_sizes(spec), spec.radial_order, spec.angular_boost])
     edges = np.concatenate(([0.0], 1.0 - np.array(_gap_ladder(spec))))
     t, wt = _gauss(spec.radial_order)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]

@@ -1015,6 +1015,36 @@ class TestFactorForm:
         assert make_pair("moebius:0,0.9,0").grading_angles == pytest.approx((0.5 * math.pi,))
         assert make_pair("moebius:-0.5,0,0").grading_angles == pytest.approx((math.pi,))
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(name=catalog_maps())
+    def test_singular_polar_is_each_location_at_its_grading_angle(self, name):
+        """Each finite location's (modulus, angle): 1 and 1/|c| as floats, at its grading angle.
+
+        The angle is the disc rule's, in [0, 2 pi] (a phase just below 0
+        reduces to 2 pi itself: ``koebe*moebius:0,0,1e-230`` puts Koebe's
+        point at 1 there), and the polar form gives back the location to
+        rounding.  A pole past the largest float is dropped; its grading
+        angle stays.
+        """
+        pair = make_pair(name)
+        locations = ([(sp.location, 1.0) for sp in pair.singular_points]
+                     + [(1.0 / c, 1.0 / abs(c)) for c, _ in pair.poles])
+        assert len(locations) == len(pair.grading_angles)
+        expected = [(s, rho, angle) for (s, rho), angle in zip(locations, pair.grading_angles)
+                    if cmath.isfinite(s)]
+        assert len(pair.singular_polar) == len(expected)
+        for (rho, angle), (s, modulus, grading) in zip(pair.singular_polar, expected):
+            assert type(rho) is float and type(angle) is float
+            assert rho == modulus and angle == grading
+            assert 0.0 <= angle <= 2.0 * math.pi
+            assert abs(cmath.rect(rho, angle) - s) <= 1e-14 * abs(s)
+
+    def test_pole_past_the_largest_float_is_dropped(self):
+        """1/|c| overflows at |c| = 2.2e-311: no polar location, but the rule still grades there."""
+        pair = make_pair("moebius:0,2.225073858507e-311,0")
+        assert pair.singular_polar == ()
+        assert pair.grading_angles == (0.5 * math.pi,)
+
     def test_log_scale(self):
         assert sector_map(1.5).log_scale == pytest.approx(math.log(3.0))
         assert koebe_map().log_scale == 0.0

@@ -177,6 +177,14 @@ class TestIntegrateCommand:
         # a ladder of that length alone would take hundreds of megabytes
         assert peak < 1_000_000
 
+    def test_spec_of_too_many_table_nodes_is_a_usage_error(self, capsys):
+        """An angular_boost of 10^8 would ask for 5e17 Gauss-Legendre nodes: refused when made."""
+        code, out, err = run(capsys, "integrate", "--map", "koebe", "--s", "2",
+                             "--angular-boost", "100000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: angular_base=64, angular_boost=100000000 and radial_order=16")
+        assert err.count("\n") == 1 and err.count("error:") == 1
+
     def test_non_finite_twist_is_a_usage_error(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

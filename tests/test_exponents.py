@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +226,16 @@ class TestRangesAndBounds:
         assert kb.easy_upper < kb.pommerenke < kb.bertilsson < kb.hedenmalm_shimorin < 4.0
         assert -2.0 < kb.inverse_proved_lower < 2.0 / 3.0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("pommerenke", 3.5, "proved bounds must be strictly increasing and below 4"),
+        ("hedenmalm_shimorin", 4.0, "proved bounds must be strictly increasing and below 4"),
+        ("inverse_proved_lower", -2.0, "inverse proved bound must lie inside (-2, 2/3)"),
+        ("inverse_proved_lower", 0.7, "inverse proved bound must lie inside (-2, 2/3)"),
+    ])
+    def test_bounds_out_of_order_or_range_raise(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KnownBounds(**{field: value})
+
     def test_endpoint_correspondence(self):
         # r = 2 - s maps the lower Brennan endpoint to the upper inverse endpoint
         assert 2.0 - 4.0 / 3.0 == pytest.approx(KnownBounds().inverse_conjectured[1], abs=1e-15)
@@ -261,6 +273,18 @@ class TestExponentRecord:
         assert rec.q == 3.0
         assert rec.alpha is None
         assert rec.p_conj == 1.0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_conj", 2.0, "p conjugate identity violated"),
+        ("q_conj", 2.0, "q conjugate identity violated"),
+        ("r", 0.5, "r = 2 - s identity violated"),
+        ("alpha", 1.0, "alpha*(p-2) = s identity violated"),
+    ])
+    def test_validate_names_the_broken_identity(self, field, value, message):
+        """A hand-built record with one identity broken, the other three intact."""
+        record = dataclasses.replace(ExponentRecord.from_p_s(4.0, 2.5), **{field: value})
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            record.validate()
 
     def test_regime_of_record(self):
         assert ExponentRecord.from_p_s(4.0, 2.5).regime() is Regime.BOUNDED_CANDIDATE

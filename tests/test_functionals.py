@@ -1,10 +1,15 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from brennanlab import functionals
 from brennanlab.catalog import identity_map, koebe_map, make_pair
+from brennanlab.exponents import ExponentDomainError
 from brennanlab.functionals import (
+    InconclusiveProbeError,
     RegimeError,
     ThresholdNotFoundError,
     brennan_integral,
@@ -183,6 +188,12 @@ class TestPDistortion:
         expected = abs(complex(pair.dpsi(complex(w)))) ** (2.0 - 4.0)
         assert abs(p_distortion(pair, z, 4.0) - expected) <= 1e-11 * expected
 
+    @pytest.mark.parametrize("p", [0.5, -2.0, math.nan])
+    def test_p_below_one_is_refused(self, p):
+        with pytest.raises(ExponentDomainError,
+                           match=f"^p-distortion requires p >= 1, got p={p}$"):
+            p_distortion(koebe_map(), 0.1 + 0.2j, p)
+
 
 class TestThresholdOracle:
     def test_koebe(self):
@@ -209,6 +220,22 @@ class TestThresholdOracle:
 
 
 class TestCriticalExponent:
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_anchor_that_does_not_converge_raises(self, monkeypatch, side):
+        """An anchor at s = 2 whose tail does not shrink is refused before any bisection."""
+        calls = []
+
+        def flat(pair, s, spec):
+            calls.append(s)
+            return SimpleNamespace(integral=SimpleNamespace(
+                classification=Classification.DIVERGING, fitted_slope=0.25))
+
+        monkeypatch.setattr(functionals, "brennan_integral", flat)
+        message = "anchor probe at s = 2 did not converge for koebe"
+        with pytest.raises(InconclusiveProbeError, match=f"^{re.escape(message)}$"):
+            critical_exponent(koebe_map(), side)
+        assert len(calls) == 2 and 2.0 in calls
+
     def test_koebe_upper_endpoint(self):
         rep = critical_exponent(koebe_map(), "upper")
         assert rep.s_star == pytest.approx(4.0, abs=0.05)

@@ -228,8 +228,9 @@ def test_one_reader_of_singular_data():
 
     ``ConformalPair.__post_init__`` makes once what the rest of the package
     reads of them: the factor list, the grading angles, the singular
-    locations and the thresholds.  A module that read the two lists itself,
-    as an attribute or a keyword, would make its own copy of one of these.
+    locations in polar form (``singular_polar``, at the grading angles) and
+    the thresholds.  A module that read the two lists itself, as an
+    attribute or a keyword, would make its own copy of one of these.
     """
     declared = {"singular_points", "poles"}
     readers = sorted((name, node.lineno) for name, tree in TREES.items() if name != "catalog.py"
@@ -237,6 +238,37 @@ def test_one_reader_of_singular_data():
                      if (isinstance(node, ast.Attribute) and node.attr in declared)
                      or (isinstance(node, ast.keyword) and node.arg in declared))
     assert not readers, f"the declared singular data is read at {readers}"
+
+
+#: every function of numpy, cmath and math that takes the phase of a complex number
+PHASES = {"np": {"angle", "arctan2"}, "numpy": {"angle", "arctan2"}, "cmath": {"phase"},
+          "math": {"atan2"}}
+
+
+def test_one_angle_convention():
+    """Only catalog takes a phase, and the forward patch's refinement names no numpy.
+
+    The pair makes its grading angles, in ``[0, 2 pi)`` by ``cmath.phase``,
+    and the polar form of its singular locations at those angles once, so
+    the disc rule and the forward patch agree on where psi is singular.  A
+    module that took a phase of its own could read another convention
+    (``np.angle`` is in ``(-pi, pi]``).  ``_refined_cells`` and
+    ``_cell_proximity`` read the polar form as given, on Python floats.
+    """
+    takers = sorted((name, node.lineno) for name, tree in TREES.items() if name != "catalog.py"
+                    for node in ast.walk(tree)
+                    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.attr in PHASES.get(node.value.id, ()))
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(alias.name in PHASES.get(node.module, ()) for alias in node.names)))
+    assert not takers, f"a phase is taken at {takers}"
+    refinement = [node for node in ast.walk(TREES["operators.py"])
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in {"_refined_cells", "_cell_proximity"}]
+    assert len(refinement) == 2
+    numpy = sorted((fn.name, node.lineno) for fn in refinement for node in ast.walk(fn)
+                   if isinstance(node, ast.Name) and node.id in {"np", "numpy"})
+    assert not numpy, f"the refinement names numpy at {numpy}"
 
 
 def string_literal(node):

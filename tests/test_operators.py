@@ -16,7 +16,7 @@ from brennanlab.catalog import (
     koebe_map,
     make_pair,
 )
-from brennanlab.exponents import q_from_ps
+from brennanlab.exponents import ExponentDomainError, q_from_ps
 from brennanlab.functionals import RegimeError
 from brennanlab.operators import (
     InadmissibleFunctionError,
@@ -142,6 +142,16 @@ class TestSeminorm:
         with pytest.raises(InadmissibleFunctionError):
             seminorm(boundary_power(0.9), 10.0)
 
+    @pytest.mark.parametrize("value", [0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: seminorm(harmonic_poly(1), p), "seminorm needs 1 <= p < inf, got p="),
+        (lambda q: pullback_seminorm(koebe_map(), harmonic_poly(1), q),
+         "pullback seminorm needs 1 <= q < inf, got q="),
+    ], ids=["seminorm", "pullback"])
+    def test_exponent_outside_one_to_inf_is_refused(self, call, message, value):
+        with pytest.raises(ExponentDomainError, match=f"^{re.escape(message)}{value}$"):
+            call(value)
+
 
 class TestPullbackSeminorm:
     def test_identity_map_reduces_to_seminorm(self):
@@ -203,6 +213,12 @@ class TestNormRatioReport:
         with pytest.raises(SeminormBoundError, match=r"^max ratio .* exceeds K_\(p,q\) = .* "
                                                      r"for identity, p=4\.0, q=2\.0$"):
             norm_ratio_report(identity_map(), 4.0, 2.0, check=True)
+
+    def test_no_admissible_function_raises(self):
+        """boundary_power:0.9 lies in L^1_p only for p < 10, so at p = 12 no function is left."""
+        with pytest.raises(InadmissibleFunctionError,
+                           match=r"^no admissible test functions for p=12\.0$"):
+            norm_ratio_report(identity_map(), 12.0, 2.0, family=[boundary_power(0.9)])
 
     def test_regime_validation(self):
         with pytest.raises(RegimeError):
@@ -648,9 +664,8 @@ class TestForwardPatch:
                   if jac_min <= 0.0]
         assert bool(folded) == (name == FOLD_MAP)
         if folded:
-            halves = operators._refined_cells(operators._split_cells(folded),
-                                              pair.singular_locations)
-            assert_sliced_as_alone(pair, halves)
+            halves = operators._refined_cells(operators._split_cells(folded), pair.singular_polar)
+            assert_sliced_as_alone(pair, np.array(halves))
 
     @pytest.mark.parametrize("name, blocks, edge_calls", [("koebe", 3, 1), (FOLD_MAP, 2, 2)])
     def test_edges_are_mapped_once_per_check(self, monkeypatch, name, blocks, edge_calls):
@@ -690,13 +705,14 @@ def sampled_cell_distance(cell, s, n=1001, rounds=3):
 
     Each curve (both radial edges, both arcs) is sampled at n points, then
     again between the neighbours of its nearest sample, ``rounds`` times.
-    The samples and s are formed in long double, s from its polar form as
-    the refinement reads it (``np.abs`` and ``np.angle``): next to the
-    circle a float64 difference of two nearby points, or of s and its polar
-    form, keeps only about 1e-13 of their distance.
+    s is given in polar form ``(rho, phi)``, as the refinement reads it.
+    The samples and s are formed in long double: next to the circle a
+    float64 difference of two nearby points keeps only about 1e-13 of
+    their distance.
     """
     ra, rb, ta, tb = (np.longdouble(v) for v in cell)
-    s = np.abs(s) * np.exp(1j * np.longdouble(np.angle(s)))
+    rho, phi = s
+    s = rho * np.exp(1j * np.longdouble(phi))
     curves = [lambda x, t=t: (ra + (rb - ra) * x) * np.exp(1j * t) for t in (ta, tb)]
     curves += [lambda x, r=r: r * np.exp(1j * (ta + (tb - ta) * x)) for r in (ra, rb)]
     best = math.inf
@@ -715,16 +731,16 @@ def sampled_cell_distance(cell, s, n=1001, rounds=3):
 CELLS = st.builds(lambda ra, dr, ta, dt: (ra, ra + dr * (0.999 - ra), ta, ta + dt),
                   st.floats(0.0, 0.99), st.floats(1e-3, 1.0),
                   st.floats(0.0, 2.0 * math.pi), st.floats(1e-3, math.pi / 2.0))
-#: singular points on the circle and poles off it, any angle
-LOCATIONS = st.builds(cmath.rect, st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
-                      st.floats(-math.pi, math.pi))
+#: singular points on the circle and poles off it, in polar form (rho, phi) at any angle
+LOCATIONS = st.tuples(st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
+                      st.floats(0.0, 2.0 * math.pi))
 
 
 class TestRefinement:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(cell=CELLS, singular=st.lists(LOCATIONS, min_size=1, max_size=3))
     # the location at the cell's edge angle, 0.001 outside it: float64 sampling read 3.9e-14 low
-    @example(cell=(0.0, 0.9989900100000001, 0.0, 1.0), singular=[cmath.rect(1.0, 1.0)])
+    @example(cell=(0.0, 0.9989900100000001, 0.0, 1.0), singular=[(1.0, 1.0)])
     def test_proximity_is_exact(self, cell, singular):
         """Size over the cell's distance to its nearest location, as boundary sampling finds it.
 
@@ -734,8 +750,7 @@ class TestRefinement:
         ra, rb, ta, tb = cell
         size = max(rb - ra, rb * (tb - ta))
         sampled = size / min(sampled_cell_distance(cell, s) for s in singular)
-        polar = list(zip(np.abs(singular).tolist(), np.angle(singular).tolist()))
-        proximity = operators._cell_proximity(cell, polar)
+        proximity = operators._cell_proximity(cell, singular)
         assert isinstance(proximity, float)
         assert sampled * (1.0 - 1e-14) <= proximity <= sampled * (1.0 + 1e-9)
 
@@ -752,9 +767,9 @@ class TestRefinement:
         pair = make_pair(name)
         singular = [sp.location for sp in pair.singular_points] + [1.0 / c for c, _ in pair.poles]
         seeds = [seed + (0.0,) for seed in seed_cells(0.0, 0.8)]
-        cells = operators._refined_cells(seeds, np.array(singular))
+        cells = operators._refined_cells(seeds, pair.singular_polar)
         assert len(cells) == leaves
-        for cell in cells.tolist():
+        for cell in cells:
             ra, rb, ta, tb, depth = cell
             dist = min(reference_cell_distance((ra, rb, ta, tb), s) for s in singular)
             assert max(rb - ra, rb * (tb - ta)) <= operators.PROXIMITY_CAP * dist * (1.0 + 1e-14) \

@@ -388,6 +388,28 @@ class TestValidation:
             GradingSpec(**{field: value})
         assert info.traceback[-1].name == "_gap_ladder"
 
+    @pytest.mark.parametrize("field, value, nodes", [
+        ("angular_boost", 10 ** 8, "513,011,472,996,164,158"),
+        ("radial_order", 10 ** 9, "1,000,004,723"),
+        ("angular_base", 10 ** 9, "20,500,003,427")])
+    def test_table_nodes_are_bounded(self, field, value, nodes):
+        """A spec whose tables would hold too many nodes is refused from their count, none built."""
+        store = quadrature._STORE
+        with pytest.raises(InvalidGradingError) as info:
+            GradingSpec(**{field: value})
+        assert f"{field}={value}" in str(info.value)
+        assert str(info.value).startswith("angular_base=")
+        assert str(info.value).endswith(f" down to eps_min=1e-08 ask for {nodes} Gauss-Legendre "
+                                        f"nodes, more than 1,048,576; use smaller counts")
+        assert info.traceback[-1].name == "_sinh_sizes"
+        assert quadrature._STORE is store
+
+    def test_largest_spec_of_the_tests_is_accepted(self):
+        """angular_base=16384 down to eps_min=1e-16: 155 sizes and 646,994 nodes, under the bound."""
+        sizes = quadrature._sinh_sizes(GradingSpec(eps_min=1e-16, angular_base=16384))
+        assert sizes == range(4097, 4252)
+        assert sum(sizes) + 16 + 8 == 646_994 <= quadrature._MAX_SPEC_NODES
+
 
 @functools.lru_cache(maxsize=None)
 def reference_gauss(n):
