@@ -76,7 +76,12 @@ are the ``singular_points``.  A pole ``1/c_j`` lies off the closed disc
 through ``m``: each ``zeta_k`` moves to ``m^-1(zeta_k)``, each ``c_j`` to
 the coefficient of the transported factor, and one new pole factor
 ``(1 - conj(a) w)**(-2 - sum of all exponents)`` appears, which is absent
-(exponent 0) for Koebe, sectors and a Moebius map twisted again.
+(exponent 0) for Koebe, sectors and a Moebius map twisted again.  A pair
+writes this list once, as ``(rho_k, alpha_k, f_k)`` with
+``c_k = rho_k e^{i alpha_k}``, the singular points first, and reads every
+angle, polar location and threshold it derives off that one list: a
+factor's angle is ``(-alpha_k) mod 2 pi``, in ``[0, 2 pi)``, and its
+location ``(1/rho_k, angle)`` (see :class:`ConformalPair`).
 
 With ``c = rho e^{i alpha}`` and ``w = r e^{i theta}``,
 ``|1 - c w|^2 = (1 - rho r)^2 + 4 rho r sin^2((theta + alpha)/2)``: a
@@ -159,7 +164,8 @@ class SingularPoint:
 
     @property
     def angle(self) -> float:
-        return cmath.phase(self.location) % TWO_PI
+        """The location's phase, in ``[0, 2 pi)``: reduced twice, so that 2 pi itself is 0."""
+        return cmath.phase(self.location) % TWO_PI % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -239,11 +245,15 @@ class ConformalPair:
     disc (only :meth:`compose_with_moebius` makes them), and ``log_scale``
     is ``log|C| = log|psi'(0)|``.  The two lists are the pair's declared
     singular data, and only this class and :meth:`compose_with_moebius`
-    read them: when the pair is built they become, once, everything the
-    rest of the package reads of them, so a copy made with
-    ``dataclasses.replace`` builds its own.
+    read them: when the pair is built they become, once, the factor list
+    ``(rho, alpha, f)`` of each ``c = rho e^{i alpha}`` (``c = conj(zeta_k)``
+    for a singular point, so ``rho = 1``), and the four tuples below are
+    read off that one list, so a copy made with ``dataclasses.replace``
+    builds its own.  Every angle among them lies in ``[0, 2 pi)``: a
+    factor's angle is ``(-alpha) mod 2 pi``, reduced twice, so that a phase
+    just below 0, which reduces to 2 pi itself, is 0.
 
-    - ``singular_angles``: each ``arg zeta_k`` in ``[0, 2 pi)``.
+    - ``singular_angles``: each ``arg zeta_k``, the first grading angles.
     - ``grading_angles``: the angles the disc rule is graded toward, the
       singular angles and then each pole's ``arg(1/c_j)``.  ``|psi'|``
       peaks or dips toward a pole, most sharply for ``|c_j|`` near 1; a
@@ -254,7 +264,8 @@ class ConformalPair:
       The forward patch refines its cells toward them, reading them as
       given.
     - ``thresholds``: ``(lower, upper)``, the closed-form integrability
-      thresholds of the Brennan exponent s.  A point of exponent e admits
+      thresholds of the Brennan exponent s, from the exponents of the
+      singular rows.  A point of exponent e admits
       ``|psi'|^(2 - s)`` when ``(2 - s) e > -2``, so ``upper`` is the least
       ``2 + 2/e`` over the ``e > 0`` and ``lower`` the greatest over the
       ``e < 0``, each ``None`` with no such point.
@@ -278,22 +289,23 @@ class ConformalPair:
         # Python's moves it by an ulp for about one twisted map in six
         object.__setattr__(self, "log_scale",
                            math.log(abs(complex(self.psi_dpsi(np.complex128(0.0))[1]))))
-        angles = tuple(sp.angle for sp in self.singular_points)
-        factors = [(1.0, -angle, sp.exponent) for angle, sp in zip(angles, self.singular_points)]
+        factors = [(1.0, -sp.angle, sp.exponent) for sp in self.singular_points]
         factors += [(abs(c), cmath.phase(c), f) for c, f in self.poles]
         rho, alpha, f = np.array(factors, dtype=float).reshape(-1, 3).T
         object.__setattr__(self, "_factors", (rho[:, None], alpha[:, None], 0.5 * f))
-        object.__setattr__(self, "singular_angles", angles)
-        grading = angles + tuple(-cmath.phase(c) % TWO_PI for c, _ in self.poles)
+        # every derived tuple is read off the one factor list, whose first n rows
+        # are the singular points: a factor's grading angle is (-alpha) mod 2pi,
+        # reduced twice, as in SingularPoint.angle, so that 2pi itself lands on 0
+        grading = tuple(-a % TWO_PI % TWO_PI for _, a, _ in factors)
+        n = len(self.singular_points)
+        object.__setattr__(self, "singular_angles", grading[:n])
         object.__setattr__(self, "grading_angles", grading)
         # a pole 1/c past the largest float is infinitely far from every cell, and dropped
-        moduli = [1.0] * len(angles) + [1.0 / abs(c) for c, _ in self.poles]
         object.__setattr__(self, "singular_polar", tuple(
-            (rho, angle) for rho, angle in zip(moduli, grading) if rho < math.inf))
-        exponents = [sp.exponent for sp in self.singular_points]
+            (1.0 / p, angle) for (p, _, _), angle in zip(factors, grading) if 1.0 / p < math.inf))
         object.__setattr__(self, "thresholds", (
-            max((2.0 + 2.0 / e for e in exponents if e < 0.0), default=None),
-            min((2.0 + 2.0 / e for e in exponents if e > 0.0), default=None)))
+            max((2.0 + 2.0 / e for _, _, e in factors[:n] if e < 0.0), default=None),
+            min((2.0 + 2.0 / e for _, _, e in factors[:n] if e > 0.0), default=None)))
 
     def abs_dpsi_power(self, r: np.ndarray, theta: np.ndarray, e: float
                        ) -> Callable[[int, slice], np.ndarray]:

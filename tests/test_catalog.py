@@ -930,14 +930,16 @@ class TestFactorForm:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
-    @pytest.mark.parametrize("shift", [1e-12, 0.5])
+    @pytest.mark.parametrize("shift", [1e-230, 1e-12, 0.5])
     def test_angle_next_to_a_point_across_a_turn(self, shift):
         """Angles a whole turn away from a singular angle, or across 0/2pi, keep their low bits.
 
-        Koebe's point at 1 moves to the angle 2pi - shift.  A ring's angles
-        can lie near that angle, a turn above it, or (for a tiny shift) just
-        above 0; against the factor form in 40 digits at the same float
-        nodes, each node is right to 1e-13, down to distances of 1e-13.
+        Koebe's point at 1 moves to the angle 2pi - shift, which is 0 where
+        it rounds to a whole turn (shift 1e-230).  A ring's angles can lie
+        near that angle, a turn above it, or (for a tiny shift) just above
+        0, so at 1e-230 on both sides of 0/2pi; against the factor form in
+        40 digits at the same float nodes, each node is right to 1e-13,
+        down to distances of 1e-13.
         """
         mpmath = pytest.importorskip("mpmath")
         pair = make_pair(f"koebe*moebius:0,0,{shift!r}")
@@ -1017,16 +1019,28 @@ class TestFactorForm:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(name=catalog_maps())
+    @example(name="koebe*moebius:0,0,1e-230")
     def test_singular_polar_is_each_location_at_its_grading_angle(self, name):
         """Each finite location's (modulus, angle): 1 and 1/|c| as floats, at its grading angle.
 
-        The angle is the disc rule's, in [0, 2 pi] (a phase just below 0
-        reduces to 2 pi itself: ``koebe*moebius:0,0,1e-230`` puts Koebe's
-        point at 1 there), and the polar form gives back the location to
-        rounding.  A pole past the largest float is dropped; its grading
-        angle stays.
+        Every angle the pair derives lies in [0, 2 pi): a phase just below
+        0, which reduces to 2 pi itself, lands on 0 (``koebe*moebius:0,0,1e-230``
+        puts Koebe's point at 1 there).  The grading angles start with the
+        singular angles, the thresholds are read off the singular rows, and
+        the polar form gives back the location to rounding.  A pole past
+        the largest float is dropped; its grading angle stays.
         """
         pair = make_pair(name)
+        n = len(pair.singular_points)
+        angles = ([sp.angle for sp in pair.singular_points] + list(pair.singular_angles)
+                  + list(pair.grading_angles) + [angle for _, angle in pair.singular_polar])
+        assert all(0.0 <= angle < 2.0 * math.pi for angle in angles), angles
+        assert pair.grading_angles[:n] == pair.singular_angles
+        assert pair.singular_angles == tuple(sp.angle for sp in pair.singular_points)
+        exponents = [sp.exponent for sp in pair.singular_points]
+        assert pair.thresholds == (
+            max((2.0 + 2.0 / e for e in exponents if e < 0.0), default=None),
+            min((2.0 + 2.0 / e for e in exponents if e > 0.0), default=None))
         locations = ([(sp.location, 1.0) for sp in pair.singular_points]
                      + [(1.0 / c, 1.0 / abs(c)) for c, _ in pair.poles])
         assert len(locations) == len(pair.grading_angles)
@@ -1036,8 +1050,14 @@ class TestFactorForm:
         for (rho, angle), (s, modulus, grading) in zip(pair.singular_polar, expected):
             assert type(rho) is float and type(angle) is float
             assert rho == modulus and angle == grading
-            assert 0.0 <= angle <= 2.0 * math.pi
             assert abs(cmath.rect(rho, angle) - s) <= 1e-14 * abs(s)
+
+    def test_phase_just_below_zero_reads_zero(self):
+        """A twist by 1e-230 puts Koebe's point at 1 a phase of -1e-230 away: angle 0, not 2 pi."""
+        pair = make_pair("koebe*moebius:0,0,1e-230")
+        assert pair.singular_angles == pair.grading_angles == (0.0, math.pi)
+        assert tuple(sp.angle for sp in pair.singular_points) == (0.0, math.pi)
+        assert pair.singular_polar == ((1.0, 0.0), (1.0, math.pi))
 
     def test_pole_past_the_largest_float_is_dropped(self):
         """1/|c| overflows at |c| = 2.2e-311: no polar location, but the rule still grades there."""

@@ -245,15 +245,30 @@ PHASES = {"np": {"angle", "arctan2"}, "numpy": {"angle", "arctan2"}, "cmath": {"
           "math": {"atan2"}}
 
 
+def qualified_scopes(tree):
+    """Each function of a module, by its qualified name (``Class.method``), with its nodes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", list(ast.walk(method))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, list(ast.walk(node))
+
+
 def test_one_angle_convention():
-    """Only catalog takes a phase, and the forward patch's refinement names no numpy.
+    """Only catalog takes a phase, once per pole, and the forward patch's refinement names no numpy.
 
     The pair makes its grading angles, in ``[0, 2 pi)`` by ``cmath.phase``,
     and the polar form of its singular locations at those angles once, so
     the disc rule and the forward patch agree on where psi is singular.  A
     module that took a phase of its own could read another convention
-    (``np.angle`` is in ``(-pi, pi]``).  ``_refined_cells`` and
-    ``_cell_proximity`` read the polar form as given, on Python floats.
+    (``np.angle`` is in ``(-pi, pi]``).  In catalog, only
+    ``SingularPoint.angle`` and ``ConformalPair.__post_init__`` reduce an
+    angle modulo ``TWO_PI``, and ``__post_init__`` takes a pole's phase
+    once, for the factor list that every derived tuple is read off.
+    ``_refined_cells`` and ``_cell_proximity`` read the polar form as
+    given, on Python floats.
     """
     takers = sorted((name, node.lineno) for name, tree in TREES.items() if name != "catalog.py"
                     for node in ast.walk(tree)
@@ -262,6 +277,17 @@ def test_one_angle_convention():
                     or (isinstance(node, ast.ImportFrom)
                         and any(alias.name in PHASES.get(node.module, ()) for alias in node.names)))
     assert not takers, f"a phase is taken at {takers}"
+    scopes = dict(qualified_scopes(TREES["catalog.py"]))
+    reducers = {scope for scope, nodes in scopes.items() for node in nodes
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Name) and node.right.id == "TWO_PI"}
+    assert reducers == {"SingularPoint.angle", "ConformalPair.__post_init__"}, (
+        f"angles are reduced modulo TWO_PI in {sorted(reducers)}")
+    phases = [node.lineno for node in scopes["ConformalPair.__post_init__"]
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "cmath"
+              and node.func.attr == "phase"]
+    assert len(phases) == 1, f"ConformalPair.__post_init__ takes a phase at lines {phases}"
     refinement = [node for node in ast.walk(TREES["operators.py"])
                   if isinstance(node, ast.FunctionDef)
                   and node.name in {"_refined_cells", "_cell_proximity"}]
