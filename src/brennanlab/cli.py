@@ -15,8 +15,9 @@ Output is deterministic: fixed field order and floats rendered with 12
 significant digits, so identical flags give byte-identical output.
 
 Each subcommand has one shape.  ``build_parser``'s helper ``add``
-declares ``--out``, ``--map``, the subcommand's own flags and then the
-grading group (one flag per ``GradingSpec`` field); ``exponents`` takes
+declares ``--out``, ``--map`` and the subcommand's own flags, and the
+subcommand's parser, a ``_Subcommand``, adds the grading group (one flag
+per ``GradingSpec`` field) after them when it parses; ``exponents`` takes
 neither ``--map`` nor grading and ``isometry`` no grading.  ``main``
 builds the map, ``args.pair``, and the ``GradingSpec``, ``args.spec``,
 once from those flags, before the subcommand runs, so a bad map or spec
@@ -27,6 +28,15 @@ command name and ``--out`` from the parsed arguments.  ``_num`` is the
 one number format for both.  Exponent rules are the library's: ``exponents`` raises
 RegimeError for a (p, q) outside its regime, and the error reaches stderr
 like any other.
+
+The module imports only the package and its numpy-free ``exponents``, and
+reads every other name through the package, as ``lab.brennan_integral``;
+the package imports its four numpy modules at the first such read (see
+:mod:`brennanlab`).  So ``exponents``, the top-level ``--help`` and the
+usage errors argparse reports before a subcommand with grading flags
+parses import no numpy.  An integrating subcommand imports it as it
+declares those flags, ``isometry`` as it builds its map, and an error
+raised by a subcommand as ``main`` reads the error classes to catch it.
 """
 
 from __future__ import annotations
@@ -38,25 +48,9 @@ import math
 import os
 import sys
 
+import brennanlab as lab
+
 from . import exponents as xa
-from .catalog import NewtonConvergenceError, make_pair
-from .functionals import (
-    InconclusiveProbeError,
-    ThresholdNotFoundError,
-    brennan_integral,
-    critical_exponent,
-    inverse_brennan_integral,
-    threshold_oracle,
-)
-from .operators import (
-    duality_check,
-    equivalence_table,
-    isometry_check,
-    isometry_family,
-    norm_ratio_report,
-    parse_test_function,
-)
-from .quadrature import Classification, GradingSpec, QuadratureError
 
 OUT_DIR_ENV = "BRENNANLAB_OUT_DIR"
 
@@ -70,9 +64,10 @@ _ISOMETRY_TOL = 1e-4
 _SCAN_MAX_ROWS = 10_000
 
 
-def _exit_code(holds: bool, *verdicts: Classification) -> int:
+def _exit_code(holds: bool, *verdicts: lab.Classification) -> int:
     """The one exit rule: 2 if a verdict is inconclusive, else 0 if the check holds, else 1."""
-    if Classification.INCONCLUSIVE in verdicts:
+    # no verdicts, no Classification: exponents loads no numerical module
+    if verdicts and lab.Classification.INCONCLUSIVE in verdicts:
         return EXIT_ERROR
     return EXIT_OK if holds else EXIT_NEGATIVE
 
@@ -155,10 +150,10 @@ def cmd_integrate(args) -> int:
     if (args.s is None) == (args.r is None):
         raise xa.RegimeError("exactly one of --s or --r must be given")
     if args.s is not None:
-        res = brennan_integral(args.pair, args.s, args.spec)
+        res = lab.brennan_integral(args.pair, args.s, args.spec)
         inputs = {"map": args.map, "s": args.s}
     else:
-        res = inverse_brennan_integral(args.pair, args.r, args.spec)
+        res = lab.inverse_brennan_integral(args.pair, args.r, args.spec)
         inputs = {"map": args.map, "r": args.r}
     est = res.integral
     _emit_json(args, inputs,
@@ -168,7 +163,7 @@ def cmd_integrate(args) -> int:
                 "abs_error_estimate": est.abs_error_estimate,
                 "fitted_slope": est.fitted_slope,
                 "truncation_eps": est.truncation_eps})
-    return _exit_code(est.classification is Classification.CONVERGED, est.classification)
+    return _exit_code(est.classification is lab.Classification.CONVERGED, est.classification)
 
 
 def cmd_scan(args) -> int:
@@ -185,7 +180,7 @@ def cmd_scan(args) -> int:
     rows = []
     k = 0
     while (s := args.s_from + k * args.step) <= args.s_to + 1e-12:
-        est = brennan_integral(args.pair, s, args.spec).integral
+        est = lab.brennan_integral(args.pair, s, args.spec).integral
         rows.append((s, est.value, est.tail_estimate, est.classification))
         k += 1
     _emit_csv(args, "s,value,tail,classification", rows)
@@ -193,8 +188,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    report = critical_exponent(args.pair, args.side, args.tol, args.spec)
-    lo, hi = threshold_oracle(args.pair)
+    report = lab.critical_exponent(args.pair, args.side, args.tol, args.spec)
+    lo, hi = lab.threshold_oracle(args.pair)
     oracle = hi if args.side == "upper" else lo
     _emit_json(args, {"map": args.map, "side": args.side, "tol": args.tol},
                {"s_star": report.s_star, "bracket": list(report.bracket)},
@@ -207,7 +202,7 @@ def cmd_critical(args) -> int:
 
 def cmd_verify_composition(args) -> int:
     # norm_ratio_report raises RegimeError for a (p, q) with no bounded operator
-    report = norm_ratio_report(args.pair, args.p, args.q, spec=args.spec, check=False)
+    report = lab.norm_ratio_report(args.pair, args.p, args.q, spec=args.spec, check=False)
     _emit_json(args, {"map": args.map, "p": args.p, "q": args.q},
                {"bound_kpq": report.bound_kpq,
                 "max_ratio": report.max_ratio,
@@ -217,14 +212,15 @@ def cmd_verify_composition(args) -> int:
 
 
 def cmd_isometry(args) -> int:
-    family = [parse_test_function(args.function)] if args.function else list(isometry_family())
+    family = ([lab.parse_test_function(args.function)] if args.function
+              else list(lab.isometry_family()))
     try:
         r0, r1 = (float(t) for t in args.patch.split(","))
     except ValueError:
         raise ValueError(f"--patch needs two numbers r0,r1, got {args.patch!r}") from None
     ratios = []
     for f in family:
-        ratio = isometry_check(args.pair, f, patch=(r0, r1))
+        ratio = lab.isometry_check(args.pair, f, patch=(r0, r1))
         ratios.append({"function": f.name, "ratio": ratio,
                        "deviation": abs(ratio - 1.0)})
     worst = max(r["deviation"] for r in ratios)
@@ -235,7 +231,7 @@ def cmd_isometry(args) -> int:
 
 
 def cmd_duality(args) -> int:
-    res = duality_check(args.pair, args.p, args.q, args.spec)
+    res = lab.duality_check(args.pair, args.p, args.q, args.spec)
     _emit_json(args, {"map": args.map, "p": args.p, "q": args.q},
                {"lhs": res.lhs, "rhs": res.rhs, "rel_diff": res.rel_diff,
                 "lhs_classification": res.lhs_classification.value,
@@ -253,7 +249,7 @@ def cmd_equivalence(args) -> int:
         p_grid = [float(t) for t in args.p_grid.split(",")] if args.p_grid.strip() else []
     except ValueError:
         raise ValueError(f"--p-grid needs numbers p1,p2,..., got {args.p_grid!r}") from None
-    table = equivalence_table(args.pair, args.s, p_grid, args.spec)
+    table = lab.equivalence_table(args.pair, args.s, p_grid, args.spec)
     if args.format == "csv":
         _emit_csv(args, "p,q,s_roundtrip,integral_value,classification,kpq",
                   [(r.p, r.q, r.s_roundtrip, r.integral_value, r.classification, r.kpq_value)
@@ -269,6 +265,28 @@ def cmd_equivalence(args) -> int:
     return _exit_code(table.consistent, *(r.classification for r in table.rows))
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser; one with ``grading`` set declares the grading group as it parses.
+
+    The group has one flag per ``GradingSpec`` field, and reading
+    ``GradingSpec`` imports the numerical modules, which the top-level
+    ``--help`` and ``exponents`` do without.  The group still comes last,
+    after the subcommand's own flags.
+    """
+
+    grading = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.grading:
+            self.grading = False
+            g = self.add_argument_group("grading")
+            for f in dataclasses.fields(lab.GradingSpec):
+                g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                               default=f.default,
+                               help=_GRADING_HELP[f.name] + " (default %(default)s)")
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brennan-lab",
@@ -279,24 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
                "decided verdict says no, and 2 when a verdict is inconclusive or on a usage or "
                "numerical error; an oracle miss, such as critical's oracle_gap, exits 0.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     def add(name, func, help_text, flags, *, map_flag=True, grading=True):
-        """One subcommand: ``--out``, then ``--map``, its own ``flags``, then the grading group."""
+        """One subcommand: ``--out``, ``--map``, its own ``flags``; its parser adds grading."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
+        p.grading = grading
         p.add_argument("--out", default=None,
                        help=f"output file (relative paths resolve under ${OUT_DIR_ENV})")
         if map_flag:
             p.add_argument("--map", required=True)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        if grading:
-            g = p.add_argument_group("grading")
-            for f in dataclasses.fields(GradingSpec):
-                g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                               default=f.default,
-                               help=_GRADING_HELP[f.name] + " (default %(default)s)")
 
     number = {"type": float, "required": True}
     add("exponents", cmd_exponents, "exponent algebra for one p (and optional s)",
@@ -326,31 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ValueError covers the descriptor, domain, regime and admissibility errors;
-# ArithmeticError covers a numerical identity that fails to hold in floating point
-_USAGE_ERRORS = (
-    ArithmeticError,
-    InconclusiveProbeError,
-    NewtonConvergenceError,
-    QuadratureError,
-    ThresholdNotFoundError,
-    ValueError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # each subcommand's map, then its grading spec, built once from the flags add() gave it
+        # each subcommand's map, then its grading spec, built once from its flags; exponents,
+        # the one subcommand without --map, takes no grading either
         if hasattr(args, "map"):
-            args.pair = make_pair(args.map)
-        grading = {f.name: getattr(args, f.name) for f in dataclasses.fields(GradingSpec)
-                   if hasattr(args, f.name)}
-        if grading:
-            args.spec = GradingSpec(**grading)
+            args.pair = lab.make_pair(args.map)
+            grading = {f.name: getattr(args, f.name) for f in dataclasses.fields(lab.GradingSpec)
+                       if hasattr(args, f.name)}
+            if grading:
+                args.spec = lab.GradingSpec(**grading)
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    # Python evaluates this tuple only when an exception is raised, so exponents reads no
+    # numerical module's name.  ValueError covers the descriptor, domain, regime and
+    # admissibility errors; ArithmeticError covers a numerical identity that fails to hold
+    # in floating point
+    except (ArithmeticError, lab.InconclusiveProbeError, lab.NewtonConvergenceError,
+            lab.QuadratureError, lab.ThresholdNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import brennanlab
 from brennanlab import catalog, cli, operators
 from brennanlab.cli import main
 from brennanlab.functionals import brennan_integral
@@ -623,7 +624,7 @@ MAP_COMMANDS = [
 @pytest.mark.parametrize("argv", MAP_COMMANDS, ids=[argv[0] for argv in MAP_COMMANDS])
 def test_each_subcommand_builds_its_map_once(capsys, monkeypatch, argv):
     built = []
-    monkeypatch.setattr(cli, "make_pair",
+    monkeypatch.setattr(brennanlab, "make_pair",
                         lambda text: built.append(text) or catalog.make_pair(text))
     code, out, _ = run(capsys, *argv)
     assert (code, out, built) == (2, "", ["koebe"])
@@ -659,7 +660,7 @@ class TestScanBounds:
     def test_row_bound_admits_ten_thousand(self, capsys, monkeypatch):
         """A scan of exactly 10,000 rows runs (each integral a stub here)."""
         estimate = IntegralEstimate(1.0, 0.0, 1e-8, 0.0, Classification.CONVERGED, -1.0)
-        monkeypatch.setattr(cli, "brennan_integral",
+        monkeypatch.setattr(brennanlab, "brennan_integral",
                             lambda pair, s, spec: SimpleNamespace(integral=estimate))
         code, out, _ = run(capsys, "scan", "--map", "koebe", "--s-from", "1", "--s-to", "2",
                            "--step", repr(1.0 / 9999))
@@ -707,6 +708,27 @@ class TestExitRule:
             main(["--help"])
         assert exc.value.code == 0
         assert rule in " ".join(capsys.readouterr().out.split())
+
+
+#: the files of ``tests/cli_help``: the top level's ``--help``, then each subcommand's
+HELP_PAGES = ("brennan-lab", "exponents", "integrate", "scan", "critical", "verify-composition",
+              "isometry", "duality", "equivalence")
+
+
+@pytest.mark.parametrize("page", HELP_PAGES)
+def test_help_bytes(capsys, monkeypatch, page):
+    """Each ``--help`` at 80 columns is byte for byte its file in ``tests/cli_help``.
+
+    The grading group is declared when its subcommand parses, not with the
+    parser; this pins that it keeps its place after the subcommand's own
+    flags and its defaults.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if page == "brennan-lab" else [page, "--help"])
+    assert exc.value.code == 0
+    pinned = (Path(__file__).parent / "cli_help" / f"{page}.txt").read_text()
+    assert capsys.readouterr().out == pinned
 
 
 #: the flags besides --map and grading of one run of each integrating subcommand

@@ -10,7 +10,10 @@ an attribute chain such as ``np.asarray``.
 import ast
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -380,15 +383,16 @@ def test_one_test_function_table():
 def test_one_map_and_spec_per_run():
     """``cli.main`` builds the map and the ``GradingSpec`` of a run; no handler builds either.
 
-    ``build_parser``'s helper ``add`` declares the grading flags from
-    ``GradingSpec``'s fields, and ``main`` reads ``--map`` and those flags
-    once, into ``args.pair`` and ``args.spec``, before the ``cmd_*``
+    A subcommand parser's ``parse_known_args`` declares the grading flags
+    from ``GradingSpec``'s fields, and ``main`` reads ``--map`` and those
+    flags once, into ``args.pair`` and ``args.spec``, before the ``cmd_*``
     handler runs.  A handler, or a helper one calls, that built its own
-    would name ``make_pair`` or ``GradingSpec``.
+    would name ``make_pair`` or ``GradingSpec``, whether as a bare name or
+    as an attribute of the package.
     """
     tree = TREES["cli.py"]
     assert set(scopes_reading(tree, {"make_pair"})) == {"main"}
-    assert set(scopes_reading(tree, {"GradingSpec"})) == {"add", "main"}
+    assert set(scopes_reading(tree, {"GradingSpec"})) == {"parse_known_args", "main"}
 
 
 def test_one_exit_rule():
@@ -500,10 +504,18 @@ def test_only_quadrature_builds_rings(path):
 
 
 def test_cli_uses_only_the_public_api():
-    """The front end imports whole modules, or names in the ``__all__`` of their module."""
+    """The front end imports whole modules, or names in the ``__all__`` of their module.
+
+    Through the package itself, imported whole, it reads only names in the
+    ``__all__`` of one of the modules.
+    """
     modules = {p.stem for p in MODULES}
+    exported = {name for module in modules
+                for name in getattr(importlib.import_module(f"brennanlab.{module}"), "__all__", ())}
+    tree = TREES["cli.py"]
     private = []
-    for node in ast.walk(TREES["cli.py"]):
+    packages = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or node.module.startswith("brennanlab")):
             # "" for the package itself, from which only whole modules come
@@ -511,7 +523,68 @@ def test_cli_uses_only_the_public_api():
             public = (set(importlib.import_module(f"brennanlab.{source}").__all__)
                       if source else modules)
             private += [alias.name for alias in node.names if alias.name not in public]
-    assert not private, f"cli.py imports names outside the public API: {sorted(private)}"
+        elif isinstance(node, ast.Import):
+            packages |= {alias.asname or alias.name for alias in node.names
+                         if alias.name == "brennanlab"}
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in packages and node.attr not in exported]
+    assert packages, "cli.py reads the library through no import of the package"
+    assert not private, f"cli.py reads names outside the public API: {sorted(private)}"
+
+
+#: the modules that import numpy, which the package loads together on first use
+NUMPY_MODULES = ("catalog", "quadrature", "functionals", "operators")
+
+
+def fresh_run(*args, code=0):
+    """Run ``python -X importtime *args`` on the source tree; the modules it imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("args, code", [
+    (("-m", "brennanlab.cli", "exponents", "--p", "4", "--s", "2"), 0),
+    (("-m", "brennanlab.cli", "--help"), 0),
+    (("-c", "import brennanlab; brennanlab.s_from_pq(4, 2)"), 0),
+    (("-m", "brennanlab.cli", "exponents", "--s", "2"), 2),
+    (("-m", "brennanlab.cli", "no-such-command"), 2),
+], ids=["exponents", "help", "import", "exponents-usage", "command-usage"])
+def test_exponent_paths_import_no_numpy(args, code):
+    """``import brennanlab``, ``exponents``, ``--help`` and argparse's errors leave numpy out.
+
+    Only the first read of a name of the four numpy modules imports them.
+    """
+    imported = fresh_run(*args, code=code)
+    assert "brennanlab.exponents" in imported
+    numeric = sorted(name for name in imported if name.split(".")[0] == "numpy"
+                     or name in {f"brennanlab.{module}" for module in NUMPY_MODULES})
+    assert not numeric, f"{args} imports {numeric}"
+
+
+@pytest.mark.parametrize("module", NUMPY_MODULES)
+def test_first_read_loads_the_numpy_modules(module):
+    """A name of one numpy module, read off the package, loads all four and is that module's."""
+    name = importlib.import_module(f"brennanlab.{module}").__all__[0]
+    loaded = [f"brennanlab.{m}" for m in NUMPY_MODULES]
+    fresh_run("-c", "import sys, brennanlab\n"
+                    f"assert not set(sys.modules) & {{'numpy', *{loaded}}}\n"
+                    f"assert brennanlab.{name} is sys.modules['brennanlab.{module}'].{name}\n"
+                    f"assert set(sys.modules) >= {{'numpy', *{loaded}}}")
+
+
+def test_unknown_name_is_an_attribute_error():
+    import brennanlab
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        brennanlab.no_such_name
+    assert not hasattr(brennanlab, "no_such_name")
 
 
 def compares_a_classification(fn):
