@@ -36,7 +36,8 @@ print(f"  (p, q) = (4, 3) means s = 6 > 4: K = {res.kpq_value}")
 print("\nOne s, many operators: at fixed s every pair (p, q(p, s)) is backed")
 print("by the same integral, so finiteness is decided once:")
 table = equivalence_table(make_pair("koebe"), 2.5, [2.5, 3.0, 4.0, 6.0, 10.0])
+first = table.rows[0]
+print(f"  integral = {first.integral_value:.10f} ({first.classification.value})")
 for row in table.rows:
-    print(f"  p={row.p:<5g} q={row.q:.6f}  integral={row.integral_value:.10f}"
-          f"  K={row.kpq_value:.6f}")
-print(f"  relative spread of the integral column: {table.integral_spread:.2e}")
+    print(f"  p={row.p:<5g} q={row.q:.6f}  K={row.kpq_value:.6f}")
+print(f"  exponent spread, the largest |s(p, q) - s|/s: {table.integral_spread:.2e}")

@@ -4,8 +4,10 @@ Exit codes: 0 when every verdict is decided and the check holds, 1 when
 a decided verdict says no, and 2 when a verdict is inconclusive or on a
 usage or numerical error; an oracle miss, such as critical's oracle_gap,
 exits 0.  ``--help`` prints that sentence as its epilog.  A decided no
-is a divergence, a violated bound, disagreeing duality sides, an
-inconsistent equivalence table or an isometry ratio out of tolerance; an
+is a divergence, a violated bound, an inconsistent equivalence table
+(rows whose exponents spread past ``IDENTITY_TOL``) or an isometry ratio
+out of tolerance.  ``duality`` never exits 1: its one integral stands for
+both routes, and a failed exponent identity is a numerical error.  An
 inconclusive verdict still has its JSON or CSV printed, but for an
 undecided seminorm, which ``verify-composition`` refuses as an error.
 Every ``cmd_*`` function returns through ``_exit_code``, the one place a
@@ -233,14 +235,12 @@ def cmd_isometry(args) -> int:
 def cmd_duality(args) -> int:
     res = lab.duality_check(args.pair, args.p, args.q, args.spec)
     _emit_json(args, {"map": args.map, "p": args.p, "q": args.q},
-               {"lhs": res.lhs, "rhs": res.rhs, "rel_diff": res.rel_diff,
-                "lhs_classification": res.lhs_classification.value,
-                "rhs_classification": res.rhs_classification.value,
+               {"value": res.value, "classification": res.rhs_classification.value,
                 "agree": res.agree},
                {"dual_pair": {"q_conjugate": res.q_conj, "p_conjugate": res.p_conj},
                 "exponent_direct": res.exponent_direct,
                 "exponent_dual": res.exponent_dual})
-    return _exit_code(res.agree, res.lhs_classification, res.rhs_classification)
+    return _exit_code(res.agree, res.rhs_classification)
 
 
 def cmd_equivalence(args) -> int:
@@ -259,10 +259,8 @@ def cmd_equivalence(args) -> int:
                    # json writes the str-enum classification as its value
                    {"rows": [dataclasses.asdict(r) for r in table.rows],
                     "integral_spread": table.integral_spread,
-                    "consistent": table.consistent},
-                   {"all_converged": table.all_converged,
-                    "all_diverged": table.all_diverged})
-    return _exit_code(table.consistent, *(r.classification for r in table.rows))
+                    "consistent": table.consistent}, {})
+    return _exit_code(table.consistent, table.rows[0].classification)
 
 
 class _Subcommand(argparse.ArgumentParser):

@@ -142,12 +142,22 @@ def kpq_functional(pair: ConformalPair, p: float, q: float,
     Raises RegimeError unless ``1 <= q < p``, the upper bound through
     :func:`s_from_pq`.
     """
-    if not q >= 1.0:
-        raise RegimeError(f"q must be >= 1, got q={q}")
-    s = s_from_pq(p, q)
-    power = 1.0 / q if p == math.inf else (p - q) / (p * q)
+    s, power = _kpq_exponents(p, q)
     est = _disc_integral(pair, 2.0 - s, spec)
     return FunctionalResult(est, 2.0 - s, p, q, est.limit ** power)
+
+
+def _kpq_exponents(p: float, q: float) -> tuple[float, float]:
+    """``(s, power)`` of K_{p,q}: the Brennan exponent it integrates and the power of the integral.
+
+    ``s = s_from_pq(p, q)``, and the power is ``(p-q)/(pq)``, or ``1/q``
+    at ``p = inf``.  Raises RegimeError unless ``1 <= q < p``, the upper
+    bound through :func:`s_from_pq`.  :func:`kpq_functional` and
+    ``equivalence_table``'s rows read both here.
+    """
+    if not q >= 1.0:
+        raise RegimeError(f"q must be >= 1, got q={q}")
+    return s_from_pq(p, q), (1.0 / q if p == math.inf else (p - q) / (p * q))
 
 
 def p_distortion(pair: ConformalPair, z: complex, p: float) -> float:

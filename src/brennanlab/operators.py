@@ -1,13 +1,14 @@
 """Numerical verification of composition-operator bounds on Sobolev seminorms.
 
 Closed-form test functions on the disc provide seminorm ratios that must
-respect the K_{p,q} bound, an exact p = 2 isometry, the dual-exponent
-integral identity, and the one-integral equivalence across (p, q(p,s))
-pairs.  The isometry check deliberately avoids the pullback shortcut: the
-domain-side energy is integrated over the forward image of a disc patch,
-with every quadrature node mapped back through the map's closed-form
-inverse (accepted by its residual in z or its Newton step in w) and the
-measure supplied by transfinite charts built from the mapped patch edges,
+respect the K_{p,q} bound and an exact p = 2 isometry.  The dual-exponent
+identity and the equivalence across (p, q(p,s)) pairs each rest on one
+integral, checked by the algebra of their exponents.  The isometry check
+deliberately avoids the pullback shortcut: the domain-side energy is
+integrated over the forward image of a disc patch, with every quadrature
+node mapped back through the map's closed-form inverse (accepted by its
+residual in z or its Newton step in w) and the measure supplied by
+transfinite charts built from the mapped patch edges,
 so nothing cancels by construction.  The disc-side energy is
 each test function's closed form, so the ratio measures the forward patch
 alone.  The patch is cut into polar cells no larger than ``PROXIMITY_CAP``
@@ -30,8 +31,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import ConformalPair, NewtonConvergenceError
-from .exponents import ExponentDomainError, RegimeError, _dual_exponents, q_from_ps, s_from_pq
-from .functionals import _disc_integral, inverse_brennan_integral, kpq_functional
+from .exponents import IDENTITY_TOL, ExponentDomainError, RegimeError, _dual_exponents, q_from_ps
+from .functionals import (
+    _disc_integral,
+    _kpq_exponents,
+    brennan_integral,
+    inverse_brennan_integral,
+    kpq_functional,
+)
 from .quadrature import (
     Classification,
     DEFAULT_SPEC,
@@ -615,25 +622,25 @@ def isometry_check(pair: ConformalPair, f: TestFunction,
 
 @dataclass(frozen=True)
 class DualityResult:
-    """Both routes to the shared dual integral, with agreement diagnostics.
+    """The one integral behind both routes of the inverse operator's duality.
 
-    ``rhs`` integrates |psi'| to the exponent built from (p, q), ``lhs``
-    to the exponent built from the conjugate pair (q', p'); the exponents
-    agree algebraically, the integrals must agree numerically, and the
-    divergence verdicts must match.  ``agree`` holds only when both
-    verdicts are decided: both converged to within 1e-3 relative, or both
-    diverging.
+    The direct route integrates |psi'| to ``p*(2 - q)/(p - q)``, the dual
+    route to ``(q' - 2)*p'/(q' - p')`` in the conjugate pair (q', p').  The
+    two are one exponent, an identity ``_dual_exponents`` checks to
+    ``IDENTITY_TOL`` before anything is integrated, so one integral at
+    ``exponent_direct`` stands for both routes: ``value`` is its ``limit``
+    (``inf`` unless converged), ``lhs_classification`` (the dual route's)
+    and ``rhs_classification`` (the direct route's) are both its verdict,
+    and ``agree`` holds when that verdict is decided.
     """
 
     q_conj: float
     p_conj: float
     exponent_direct: float
     exponent_dual: float
-    lhs: float
-    rhs: float
+    value: float
     lhs_classification: Classification
     rhs_classification: Classification
-    rel_diff: float
     agree: bool
 
 
@@ -642,29 +649,16 @@ def duality_check(pair: ConformalPair, p: float, q: float,
     """Verify the change-of-variables identity behind the inverse operator.
 
     Both exponents come from ``_dual_exponents``, which raises RegimeError
-    unless ``1 < q < p < inf``.
-    ``lhs`` and ``rhs`` are the two integrals' ``limit`` (``inf`` unless
-    converged).  ``rel_diff`` is NaN unless both sides converge; ``agree``
-    is True when both converge to equal values (within 1e-3 relative) or
-    both diverge, and False whenever either side is inconclusive.
+    unless ``1 < q < p < inf`` and ArithmeticError when its two closed
+    forms differ by more than ``IDENTITY_TOL``.  Then one
+    ``inverse_brennan_integral`` at the direct exponent gives the verdict
+    of both routes.
     """
     q_conj, p_conj, expo_direct, expo_dual = _dual_exponents(p, q)
-    rhs_est = inverse_brennan_integral(pair, expo_direct, spec).integral
-    lhs_est = inverse_brennan_integral(pair, expo_dual, spec).integral
-    if lhs_est.classification is rhs_est.classification is Classification.CONVERGED:
-        rel = abs(lhs_est.value - rhs_est.value) / max(abs(rhs_est.value), 1e-300)
-        agree = rel <= 1e-3
-    else:
-        rel = math.nan
-        agree = lhs_est.classification is rhs_est.classification is Classification.DIVERGING
-    return DualityResult(
-        q_conj=q_conj, p_conj=p_conj,
-        exponent_direct=expo_direct, exponent_dual=expo_dual,
-        lhs=lhs_est.limit, rhs=rhs_est.limit,
-        lhs_classification=lhs_est.classification,
-        rhs_classification=rhs_est.classification,
-        rel_diff=rel, agree=agree,
-    )
+    est = inverse_brennan_integral(pair, expo_direct, spec).integral
+    verdict = est.classification
+    return DualityResult(q_conj, p_conj, expo_direct, expo_dual, est.limit, verdict, verdict,
+                         verdict is not Classification.INCONCLUSIVE)
 
 
 @dataclass(frozen=True)
@@ -679,52 +673,41 @@ class EquivalenceRow:
 
 @dataclass(frozen=True)
 class EquivalenceTable:
-    """One map and Brennan exponent swept across a grid of p values.
+    """One map and Brennan exponent s swept across a grid of p values.
 
-    When the Brennan integral converges, every row must be backed by the
-    same underlying integral value: the (p-dependent) pair (p, q(p,s))
-    always integrates |psi'| to the same power 2 - s.  Each row carries
-    its own round-tripped s; ``integral_spread`` is the rows' relative
-    spread when all converged, NaN otherwise.
+    Every pair (p, q(p, s)) integrates |psi'| to the one power 2 - s, so one
+    Brennan integral backs every row: each row's ``integral_value`` and
+    ``classification`` are that integral's, and its ``kpq_value`` is the
+    integral's ``limit`` to the row's own power.  ``integral_spread`` is
+    the spread of the exponents behind that integral, the largest
+    ``|s_roundtrip - s| / max(1, |s|)`` over the rows; the table is
+    ``consistent`` when its verdict is decided and that spread is within
+    ``IDENTITY_TOL``.
     """
 
     rows: tuple[EquivalenceRow, ...]
     integral_spread: float
-    all_converged: bool
-    all_diverged: bool
 
     @property
     def consistent(self) -> bool:
-        if self.all_converged:
-            return self.integral_spread <= 1e-10
-        return self.all_diverged
+        return (self.rows[0].classification is not Classification.INCONCLUSIVE
+                and self.integral_spread <= IDENTITY_TOL)
 
 
 def equivalence_table(pair: ConformalPair, s: float, p_grid: Sequence[float],
                       spec: GradingSpec = DEFAULT_SPEC) -> EquivalenceTable:
-    """Evaluate K_{p, q(p,s)} for every p in the grid at fixed s.
+    """Evaluate K_{p, q(p,s)} for every p in the grid at fixed s, from one Brennan integral.
 
-    Each row recomputes the integrand exponent through its own (p, q)
-    round trip; ``q(p, s) < p`` holds on every row by construction.
+    Each row's s and power come from its own (p, q) round trip through
+    ``_kpq_exponents``, which refuses a q below 1 before anything is
+    integrated; ``q(p, s) < p`` holds on every row by construction.
     """
     if not p_grid:
         raise ExponentDomainError("p grid must be nonempty")
-    rows = []
-    for p in p_grid:
-        q = q_from_ps(p, s)
-        res = kpq_functional(pair, p, q, spec)
-        rows.append(EquivalenceRow(
-            p=p, q=q, s_roundtrip=s_from_pq(p, q),
-            integral_value=res.integral.value,
-            classification=res.integral.classification,
-            kpq_value=res.kpq_value,
-        ))
-    converged = [r for r in rows if r.classification is Classification.CONVERGED]
-    all_conv = len(converged) == len(rows)
-    all_div = all(r.classification is Classification.DIVERGING for r in rows)
-    if all_conv:
-        values = np.asarray([r.integral_value for r in rows])
-        spread = float((values.max() - values.min()) / max(abs(values.mean()), 1e-300))
-    else:
-        spread = math.nan
-    return EquivalenceTable(tuple(rows), spread, all_conv, all_div)
+    pqs = [(p, q_from_ps(p, s)) for p in p_grid]
+    exponents = [(p, q, *_kpq_exponents(p, q)) for p, q in pqs]
+    est = brennan_integral(pair, s, spec).integral
+    rows = tuple(EquivalenceRow(p, q, s_rt, est.value, est.classification, est.limit ** power)
+                 for p, q, s_rt, power in exponents)
+    spread = max(abs(row.s_roundtrip - s) for row in rows) / max(1.0, abs(s))
+    return EquivalenceTable(rows, spread)

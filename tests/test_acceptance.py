@@ -14,7 +14,12 @@ import pytest
 from brennanlab.catalog import make_pair
 from brennanlab.cli import main
 from brennanlab.exponents import dual_pair, q_from_ps
-from brennanlab.functionals import critical_exponent, threshold_oracle
+from brennanlab.functionals import (
+    brennan_integral,
+    critical_exponent,
+    inverse_brennan_integral,
+    threshold_oracle,
+)
 from brennanlab.operators import (
     duality_check,
     equivalence_table,
@@ -133,29 +138,39 @@ class TestAcceptance:
                 rhs = p * (2.0 - q) / (p - q)
                 worst_identity = max(worst_identity,
                                      abs(lhs - rhs) / max(1.0, abs(rhs)))
-        # numeric integral equality and verdict agreement on catalog cells
-        worst_rel = 0.0
+        # each check's one integral, at the direct exponent, and its exponent identity
+        one_integral = True
+        worst_dual = 0.0
         verdicts_ok = True
         for name in CATALOG:
             pair = make_pair(name)
             for p, q in ((4.0, 3.0), (3.0, 2.0), (2.5, 1.5)):
                 res = duality_check(pair, p, q)
-                verdicts_ok = verdicts_ok and res.agree
-                if not math.isnan(res.rel_diff):
-                    worst_rel = max(worst_rel, res.rel_diff)
-        ok = worst_identity <= 1e-12 and worst_rel <= 1e-3 and verdicts_ok
-        report(6, ok, f"exponent identity worst {worst_identity:.2e}; integral "
-                      f"equality worst {worst_rel:.2e}; verdicts agree: {verdicts_ok}")
+                est = inverse_brennan_integral(pair, res.exponent_direct).integral
+                one_integral = one_integral and repr(res.value) == repr(est.limit)
+                worst_dual = max(worst_dual, abs(res.exponent_dual - res.exponent_direct)
+                                 / max(1.0, abs(res.exponent_direct)))
+                verdicts_ok = (verdicts_ok and res.agree
+                               and res.lhs_classification is res.rhs_classification)
+        ok = worst_identity <= 1e-12 and worst_dual <= 1e-12 and one_integral and verdicts_ok
+        report(6, ok, f"exponent identity worst {worst_identity:.2e} on the grid, "
+                      f"{worst_dual:.2e} in the checks; one integral: {one_integral}; "
+                      f"verdicts agree: {verdicts_ok}")
         assert ok
 
     def test_criterion_7_equivalence(self):
-        table = equivalence_table(make_pair("koebe"), 2.5, [2.5, 3.0, 4.0, 6.0, 10.0])
+        pair = make_pair("koebe")
+        table = equivalence_table(pair, 2.5, [2.5, 3.0, 4.0, 6.0, 10.0])
         all_finite = all(math.isfinite(r.kpq_value) for r in table.rows)
         q_below_p = all(r.q < r.p for r in table.rows)
-        ok = (table.all_converged and all_finite and q_below_p
-              and table.integral_spread <= 1e-10)
+        value = brennan_integral(pair, 2.5).integral.value
+        one_integral = all(repr(r.integral_value) == repr(value) for r in table.rows)
+        all_converged = all(r.classification is Classification.CONVERGED for r in table.rows)
+        ok = (all_converged and all_finite and q_below_p and one_integral
+              and table.integral_spread <= 1e-12 and table.consistent)
         report(7, ok, f"koebe s=2.5 rows finite: {all_finite}, q<p: {q_below_p}, "
-                      f"integral spread {table.integral_spread:.2e}")
+                      f"one integral: {one_integral}, "
+                      f"exponent spread {table.integral_spread:.2e}")
         assert ok
 
     def test_criterion_8_quadrature_sharpness(self):

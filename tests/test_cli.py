@@ -412,29 +412,37 @@ class TestDualityCommand:
         code, payload, _ = run_json(capsys, "duality", "--map", "identity",
                                     "--p", "4", "--q", "3")
         assert code == 0
-        assert payload["result"]["lhs"] == pytest.approx(math.pi, rel=1e-8)
-        assert payload["result"]["rhs"] == pytest.approx(math.pi, rel=1e-8)
+        assert payload["result"]["value"] == pytest.approx(math.pi, rel=1e-8)
+
+    def test_value_is_the_inverse_integral_at_the_direct_exponent(self, capsys):
+        """One integral stands for both routes: integrate at the direct exponent prints it."""
+        _, payload, _ = run_json(capsys, "duality", "--map", "cardioid", "--p", "4", "--q", "1.5")
+        direct = payload["diagnostics"]["exponent_direct"]
+        _, integral, _ = run_json(capsys, "integrate", "--map", "cardioid", "--r", repr(direct))
+        assert payload["result"]["classification"] == "converged"
+        assert payload["result"]["value"] == integral["result"]["value"]
+        assert payload["result"]["classification"] == integral["result"]["classification"]
+        assert payload["diagnostics"]["exponent_dual"] == pytest.approx(direct, rel=1e-12)
 
     def test_koebe_joint_divergence(self, capsys):
         code, payload, _ = run_json(capsys, "duality", "--map", "koebe",
                                     "--p", "4", "--q", "3")
         assert code == 0
-        assert payload["result"]["lhs_classification"] == "diverging"
+        assert payload["result"]["classification"] == "diverging"
         assert payload["result"]["agree"] is True
 
-    def test_nan_relative_difference_is_a_string(self, capsys):
-        """Both sides diverge, so rel_diff is nan, which JSON has no literal for."""
+    def test_infinite_value_is_a_string(self, capsys):
+        """The integral diverges, so its limit is inf, which JSON has no literal for."""
         code, out, _ = run(capsys, "duality", "--map", "koebe", "--p", "4", "--q", "3")
         assert code == 0
-        assert '\n    "rel_diff": "nan",\n' in out
+        assert '\n    "value": "inf",\n' in out
 
     def test_inconclusive_sides_exit_two(self, capsys):
-        """With no annuli both sides are inconclusive: no agreement, and exit 2 as integrate."""
+        """With no annuli the one verdict is inconclusive: no agreement, and exit 2 as integrate."""
         code, payload, _ = run_json(capsys, "duality", "--map", "koebe", "--p", "4", "--q", "3",
                                     "--eps-min", "0.5")
         assert code == 2
-        assert payload["result"]["lhs_classification"] == "inconclusive"
-        assert payload["result"]["rhs_classification"] == "inconclusive"
+        assert payload["result"]["classification"] == "inconclusive"
         assert payload["result"]["agree"] is False
 
     def test_regime_error(self, capsys):
@@ -458,8 +466,16 @@ class TestEquivalenceCommand:
         rows = payload["result"]["rows"]
         assert [r["p"] for r in rows] == [2.5, 3.0, 4.0, 6.0, 10.0]
         values = {r["integral_value"] for r in rows}
-        assert len(values) == 1  # identical after 12-digit normalization
+        assert len(values) == 1
+        assert payload["result"]["integral_spread"] <= 1e-12
         assert payload["result"]["consistent"] is True
+
+    def test_inconclusive_table_exits_two(self, capsys):
+        code, payload, _ = run_json(capsys, "equivalence", "--map", "koebe", "--s", "2.5",
+                                    "--eps-min", "0.5")
+        assert code == 2
+        assert {r["classification"] for r in payload["result"]["rows"]} == {"inconclusive"}
+        assert payload["result"]["consistent"] is False
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "equivalence", "--map", "identity", "--s", "3",
@@ -658,13 +674,19 @@ class TestScanBounds:
                        "use a larger --step or a shorter range\n")
 
     def test_row_bound_admits_ten_thousand(self, capsys, monkeypatch):
-        """A scan of exactly 10,000 rows runs (each integral a stub here)."""
+        """A scan of exactly 10,000 rows runs (each integral a stub here, called once a row)."""
         estimate = IntegralEstimate(1.0, 0.0, 1e-8, 0.0, Classification.CONVERGED, -1.0)
-        monkeypatch.setattr(brennanlab, "brennan_integral",
-                            lambda pair, s, spec: SimpleNamespace(integral=estimate))
+        calls = []
+
+        def stub(pair, s, spec):
+            calls.append(s)
+            return SimpleNamespace(integral=estimate)
+
+        monkeypatch.setattr(brennanlab, "brennan_integral", stub)
         code, out, _ = run(capsys, "scan", "--map", "koebe", "--s-from", "1", "--s-to", "2",
                            "--step", repr(1.0 / 9999))
         assert code == 0
+        assert len(calls) == 10_000
         assert len(out.splitlines()) == 1 + 10_000
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brennanlab import catalog, operators
+from brennanlab import catalog, functionals, operators
 from brennanlab.catalog import (
     ConformalPair,
     NewtonConvergenceError,
@@ -16,8 +16,8 @@ from brennanlab.catalog import (
     koebe_map,
     make_pair,
 )
-from brennanlab.exponents import ExponentDomainError, q_from_ps
-from brennanlab.functionals import RegimeError
+from brennanlab.exponents import IDENTITY_TOL, ExponentDomainError, q_from_ps, s_from_pq
+from brennanlab.functionals import RegimeError, brennan_integral, inverse_brennan_integral
 from brennanlab.operators import (
     InadmissibleFunctionError,
     SeminormBoundError,
@@ -776,12 +776,61 @@ class TestRefinement:
                 or depth == operators._MAX_SPLIT_DEPTH
 
 
+#: the benchmark's grid of p, and one that holds p = inf
+P_GRIDS = [(2.5, 3.0, 4.0, 6.0, 10.0), (2.5, 3.0, math.inf)]
+
+
+def same_bits(a: float, b: float) -> bool:
+    return repr(a) == repr(b)
+
+
+class TestOneIntegralPerReport:
+    """Both duality routes, and every row of an equivalence table, rest on one disc integral."""
+
+    @pytest.fixture
+    def integrals(self, monkeypatch):
+        calls = []
+        integrate = functionals._integrate_polar
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(functionals, "_integrate_polar", counted)
+        return calls
+
+    @pytest.mark.parametrize("pq", [(4.0, 3.0), (4.0, 2.5), (7.3, 1.1)])
+    def test_duality(self, integrals, pq):
+        duality_check(koebe_map(), *pq)
+        assert len(integrals) == 1
+
+    @pytest.mark.parametrize("grid", P_GRIDS, ids=["p-grid", "p-inf"])
+    def test_equivalence(self, integrals, grid):
+        table = equivalence_table(koebe_map(), 2.5, grid)
+        assert len(integrals) == 1
+        assert len(table.rows) == len(grid)
+
+    def test_a_refused_row_integrates_nothing(self, integrals):
+        """A row whose q falls below 1 is refused before the integral, as kpq_functional does."""
+        with pytest.raises(RegimeError, match="q must be >= 1"):
+            equivalence_table(koebe_map(), 0.5, [3.0, 10.0])
+        assert integrals == []
+
+
 class TestDuality:
+    @staticmethod
+    def assert_one_integral(pair, res):
+        """``value`` is the inverse integral at the direct exponent, bit for bit, and its verdict."""
+        est = inverse_brennan_integral(pair, res.exponent_direct).integral
+        assert same_bits(res.value, est.limit)
+        assert res.lhs_classification is res.rhs_classification is est.classification
+        assert abs(res.exponent_dual - res.exponent_direct) \
+            <= IDENTITY_TOL * max(1.0, abs(res.exponent_direct))
+
     def test_identity_unit_derivative(self):
         res = duality_check(identity_map(), 4.0, 3.0)
-        assert res.lhs == pytest.approx(math.pi, rel=1e-10)
-        assert res.rhs == pytest.approx(math.pi, rel=1e-10)
-        assert res.rel_diff == pytest.approx(0.0, abs=1e-12)
+        assert res.value == pytest.approx(math.pi, rel=1e-10)
+        self.assert_one_integral(identity_map(), res)
         assert res.agree
 
     def test_koebe_shared_divergence(self):
@@ -791,31 +840,29 @@ class TestDuality:
         assert res.lhs_classification is Classification.DIVERGING
         assert res.rhs_classification is Classification.DIVERGING
         assert res.agree
-        assert math.isnan(res.rel_diff)
+        assert res.value == math.inf
 
     def test_inconclusive_sides_are_inf_and_do_not_agree(self):
-        """Two undecided verdicts are not agreement: agree needs both decided."""
+        """An undecided verdict is not agreement: agree needs a decided one."""
         res = duality_check(koebe_map(), 4.0, 3.0, GradingSpec(eps_min=0.5))
         assert res.lhs_classification is Classification.INCONCLUSIVE
         assert res.rhs_classification is Classification.INCONCLUSIVE
-        assert res.lhs == res.rhs == math.inf
+        assert res.value == math.inf
         assert not res.agree
-        assert math.isnan(res.rel_diff)
 
     def test_cardioid_q_two_degeneracy(self):
         res = duality_check(make_pair("cardioid"), 3.0, 2.0)
         assert res.exponent_direct == pytest.approx(0.0)
-        assert res.lhs == pytest.approx(math.pi, rel=1e-10)
-        assert res.rhs == pytest.approx(math.pi, rel=1e-10)
+        assert res.value == pytest.approx(math.pi, rel=1e-10)
         assert res.agree
 
     @pytest.mark.parametrize("name", CATALOG)
     @pytest.mark.parametrize("pq", [(4.0, 3.0), (3.0, 2.0), (2.5, 1.5)])
     def test_verdicts_agree_across_catalog(self, name, pq):
-        res = duality_check(make_pair(name), *pq)
+        pair = make_pair(name)
+        res = duality_check(pair, *pq)
         assert res.agree
-        if res.lhs_classification is Classification.CONVERGED:
-            assert res.rel_diff <= 1e-3
+        self.assert_one_integral(pair, res)
 
     @pytest.mark.parametrize("pq", [(4.0, 3.0), (3.0, 2.5), (7.3, 1.1)])
     def test_exponents_evaluated_once(self, pq, monkeypatch):
@@ -846,11 +893,31 @@ class TestDuality:
 
 
 class TestEquivalenceTable:
+    @staticmethod
+    def assert_one_integral(pair, s, table):
+        """Every row reads the one Brennan integral at s, bit for bit, and its own round trip."""
+        est = brennan_integral(pair, s).integral
+        for row in table.rows:
+            assert same_bits(row.integral_value, est.value)
+            assert row.classification is est.classification
+            power = 1.0 / row.q if row.p == math.inf else (row.p - row.q) / (row.p * row.q)
+            assert same_bits(row.kpq_value, est.limit ** power)
+            assert row.s_roundtrip == s_from_pq(row.p, row.q)
+        spread = max(abs(row.s_roundtrip - s) for row in table.rows) / max(1.0, abs(s))
+        assert same_bits(table.integral_spread, spread)
+
     def test_koebe_one_integral_many_rows(self):
-        table = equivalence_table(koebe_map(), 2.5, [2.5, 3.0, 4.0, 6.0, 10.0])
-        assert table.all_converged
-        assert table.integral_spread <= 1e-10
+        self.assert_koebe_rows(P_GRIDS[0])
+
+    def test_koebe_one_integral_with_p_inf(self):
+        self.assert_koebe_rows(P_GRIDS[1])
+
+    def assert_koebe_rows(self, grid):
+        table = equivalence_table(koebe_map(), 2.5, grid)
+        assert all(row.classification is Classification.CONVERGED for row in table.rows)
+        assert table.integral_spread <= IDENTITY_TOL
         assert table.consistent
+        self.assert_one_integral(koebe_map(), 2.5, table)
         for row in table.rows:
             assert row.q < row.p
             assert row.s_roundtrip == pytest.approx(2.5, abs=1e-12)
@@ -858,12 +925,23 @@ class TestEquivalenceTable:
 
     def test_koebe_outside_range_all_diverge(self):
         table = equivalence_table(koebe_map(), 4.1, [2.5, 3.0, 4.0])
-        assert table.all_diverged
+        assert all(row.classification is Classification.DIVERGING for row in table.rows)
         assert table.consistent
         assert all(row.kpq_value == math.inf for row in table.rows)
+        self.assert_one_integral(koebe_map(), 4.1, table)
+
+    def test_inconclusive_table_is_not_consistent(self):
+        table = equivalence_table(koebe_map(), 2.5, [2.5, 3.0], GradingSpec(eps_min=0.5))
+        assert all(row.classification is Classification.INCONCLUSIVE for row in table.rows)
+        assert all(row.kpq_value == math.inf for row in table.rows)
+        assert not table.consistent
+
+    def test_exponent_spread_past_the_identity_tolerance_is_not_consistent(self):
+        table = equivalence_table(koebe_map(), 2.5, [2.5, 3.0])
+        assert not dataclasses.replace(table, integral_spread=2.0 * IDENTITY_TOL).consistent
 
     def test_identity_integral_is_area(self):
         table = equivalence_table(identity_map(), 3.0, [3.0, 4.0])
-        assert table.all_converged
+        assert all(row.classification is Classification.CONVERGED for row in table.rows)
         for row in table.rows:
             assert row.integral_value == pytest.approx(math.pi, abs=1e-8)
